@@ -60,7 +60,9 @@ func newTraceID() string {
 		// a constant rather than take the serving path down.
 		return "trace-unavailable"
 	}
-	return hex.EncodeToString(b[:])
+	var id [2 * len(b)]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // obsWriter wraps a ResponseWriter to capture what the access log and
@@ -72,7 +74,10 @@ type obsWriter struct {
 	trace  string
 	status int
 	code   string
-	attrs  []slog.Attr
+	// logs is false when no level this request could log at is enabled;
+	// handlers then skip collecting attrs nobody will read.
+	logs  bool
+	attrs []slog.Attr
 }
 
 func (w *obsWriter) WriteHeader(status int) {
@@ -80,12 +85,12 @@ func (w *obsWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
-// note attaches a key=value pair to the request's log line when w is
-// the middleware's writer (no-op otherwise, so handlers stay testable
-// with a bare ResponseRecorder).
-func note(w http.ResponseWriter, key string, value any) {
-	if ow, ok := w.(*obsWriter); ok {
-		ow.attrs = append(ow.attrs, slog.Any(key, value))
+// note attaches an attribute to the request's log line when w is the
+// middleware's writer and the line can be logged (no-op otherwise, so
+// handlers stay testable with a bare ResponseRecorder).
+func note(w http.ResponseWriter, a slog.Attr) {
+	if ow, ok := w.(*obsWriter); ok && ow.logs {
+		ow.attrs = append(ow.attrs, a)
 	}
 }
 
@@ -126,7 +131,11 @@ func routeLabel(path string) string {
 func (s *server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		ow := &obsWriter{ResponseWriter: w, trace: clientTraceID(r), status: http.StatusOK}
+		ow := &obsWriter{
+			ResponseWriter: w, trace: clientTraceID(r), status: http.StatusOK,
+			// Warn is the highest level a request line is logged at.
+			logs: s.log.Enabled(r.Context(), slog.LevelWarn),
+		}
 		ow.Header().Set(traceHeader, ow.trace)
 		next.ServeHTTP(ow, r)
 
@@ -140,6 +149,9 @@ func (s *server) withObs(next http.Handler) http.Handler {
 			level = slog.LevelWarn
 		case quietRoutes[r.URL.Path]:
 			level = slog.LevelDebug
+		}
+		if !s.log.Enabled(r.Context(), level) {
+			return
 		}
 		attrs := make([]slog.Attr, 0, 8+len(ow.attrs))
 		attrs = append(attrs,
@@ -160,14 +172,18 @@ func (s *server) withObs(next http.Handler) http.Handler {
 // noteResult annotates the log line with the job outcome the operator
 // greps for: architecture, truncated cache key, and whether the cache
 // (or a coalesced flight) served it.
-func noteResult(w http.ResponseWriter, res *gpa.Result) {
-	if res.Arch != "" {
-		note(w, "arch", res.Arch)
+func noteResult(w http.ResponseWriter, job gpa.Job, res gpa.JobResult) {
+	if ow, ok := w.(*obsWriter); !ok || !ow.logs {
+		return
 	}
-	if len(res.Key) >= 12 {
-		note(w, "key", res.Key[:12])
+	r := job.Result(res)
+	if r.Arch != "" {
+		note(w, slog.String("arch", r.Arch))
 	}
-	note(w, "cached", res.Cached)
+	if len(r.Key) >= 12 {
+		note(w, slog.String("key", r.Key[:12]))
+	}
+	note(w, slog.Bool("cached", r.Cached))
 }
 
 // engineGauges are the Stats fields that are point-in-time gauges;
@@ -177,6 +193,7 @@ var engineGauges = map[string]bool{
 	"inflight": true, "queued": true, "queueCapacity": true,
 	"cacheEntries": true, "workers": true, "allocsPerJob": true,
 	"interactiveQueued": true, "batchQueued": true, "brownoutLevel": true,
+	"gpuModelHashes": true,
 }
 
 // writeEngineMetrics renders every EngineStats field as

@@ -7,9 +7,12 @@ package main
 // cleanly against inflight jobs.
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -240,6 +243,66 @@ func TestTraceIDEchoAndMint(t *testing.T) {
 	}
 	if eb.TraceID != "err-trace-1" {
 		t.Errorf("error body traceId = %q, want echo", eb.TraceID)
+	}
+}
+
+// TestRequestLogGatedByLevel: the request line keeps its fields and
+// their order when its level is enabled, and costs nothing — no attrs
+// collected, nothing written — when it is not, while the request
+// metrics still count every request.
+func TestRequestLogGatedByLevel(t *testing.T) {
+	serve := func(level slog.Level) (string, http.Handler) {
+		var logs bytes.Buffer
+		h := newServerCfg(serverConfig{
+			engine: gpa.NewEngine(&gpa.EngineOptions{Workers: 1}),
+			logger: slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: level})),
+		})
+		req := httptest.NewRequest(http.MethodPost, "/v1/advise", strings.NewReader(`{"bench":"rodinia/hotspot"}`))
+		req.Header.Set("X-Request-Id", "log-1")
+		req.Header.Set("X-Tenant-Id", "acme")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req) // in-process: the line is written before this returns
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		return logs.String(), h
+	}
+
+	line, _ := serve(slog.LevelInfo)
+	var keys []string
+	dec := json.NewDecoder(strings.NewReader(line))
+	if _, err := dec.Token(); err != nil { // the opening brace
+		t.Fatalf("log line is not a JSON object: %q", line)
+	}
+	for dec.More() {
+		k, _ := dec.Token()
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+	}
+	want := "time level msg trace method path status durationMs tenant arch key cached"
+	if got := strings.Join(keys, " "); got != want {
+		t.Errorf("request line fields = %q, want %q", got, want)
+	}
+	for _, frag := range []string{`"trace":"log-1"`, `"tenant":"acme"`, `"arch":"v100"`, `"cached":false`, `"status":200`} {
+		if !strings.Contains(line, frag) {
+			t.Errorf("request line lacks %s: %s", frag, line)
+		}
+	}
+
+	// A 200 on an API route logs at Info: silent at Warn and above.
+	for _, level := range []slog.Level{slog.LevelWarn, slog.LevelError} {
+		line, h := serve(level)
+		if line != "" {
+			t.Errorf("level %v: logged %q, want nothing", level, line)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if !strings.Contains(rec.Body.String(), `gpa_http_requests_total{route="/v1/advise",status="200",code=""} 1`) {
+			t.Errorf("level %v: the unlogged request is missing from the request metrics", level)
+		}
 	}
 }
 

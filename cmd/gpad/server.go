@@ -45,9 +45,17 @@ type server struct {
 	// version is the build version stamped on /healthz and
 	// gpa_build_info.
 	version string
-	// gpus caches resolved architecture models by request name (see
-	// lookupGPU).
-	gpus sync.Map // string -> *arch.GPU
+	// allGPUs is the server's one instance of every registered model, in
+	// sweep order; gpus resolves request names onto those instances (see
+	// lookupGPU). Everything that hands the engine a model goes through
+	// them, so the engine's pointer-keyed model-hash memo holds one entry
+	// per registered model however many requests arrive.
+	allGPUs []*arch.GPU
+	gpus    sync.Map // string -> *arch.GPU
+	// kernels shares built kernels between equal asm/binary submissions.
+	kernels *kernelCache
+	// benches resolves "bench" names to bundled rows (see indexBenches).
+	benches map[string]bundledBench
 }
 
 // serverConfig wires the server's collaborators; zero values get safe
@@ -80,6 +88,9 @@ func newServerCfg(cfg serverConfig) http.Handler {
 		log:     logger,
 		metrics: obs.NewRequestMetrics(),
 		version: buildVersion(),
+		allGPUs: gpa.GPUs(),
+		kernels: newKernelCache(),
+		benches: indexBenches(),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/advise", s.post(s.handleAdvise))
@@ -95,10 +106,11 @@ func newServerCfg(cfg serverConfig) http.Handler {
 }
 
 // lookupGPU resolves an architecture name through a per-server cache,
-// so every request naming the same model shares one *arch.GPU instance.
-// Sharing the pointer keeps the engine's per-model digest memo hot (a
-// fresh model per request would re-hash its constant table every time);
-// the resolved models are treated as immutable.
+// so every request naming the same model — by key, alias or full name —
+// shares the server's one *arch.GPU instance of it. Sharing the pointer
+// keeps the engine's per-model digest memo hot (a fresh model per
+// request would re-hash its constant table every time); the resolved
+// models are treated as immutable.
 func (s *server) lookupGPU(name string) (*arch.GPU, error) {
 	if g, ok := s.gpus.Load(name); ok {
 		return g.(*arch.GPU), nil
@@ -106,6 +118,13 @@ func (s *server) lookupGPU(name string) (*arch.GPU, error) {
 	g, err := gpa.LookupGPU(name)
 	if err != nil {
 		return nil, err
+	}
+	key := gpa.GPUName(g)
+	for _, shared := range s.allGPUs {
+		if gpa.GPUName(shared) == key {
+			g = shared
+			break
+		}
 	}
 	actual, _ := s.gpus.LoadOrStore(name, g)
 	return actual.(*arch.GPU), nil
@@ -202,17 +221,17 @@ func (r *kernelRequest) job(s *server) (gpa.Job, error) {
 			r.RegsPerThread != 0 || r.SharedMemPerBlock != 0 {
 			return job, fmt.Errorf("bench requests use the benchmark's own entry and launch; remove entry/grid/block/regs/shared fields")
 		}
-		b := findBench(r.Bench)
-		if b == nil {
+		b, ok := s.benches[r.Bench]
+		if !ok {
 			return job, fmt.Errorf("no bundled benchmark %q (see `gpa list`)", r.Bench)
 		}
-		k, wl, err := b.Base.Build()
+		k, wl, err := b.base.Build()
 		if err != nil {
 			return job, err
 		}
 		opts.Workload = wl
 		job.Kernel = k
-		job.WorkloadKey = "bench:" + b.ID() + "/base"
+		job.WorkloadKey = b.workloadKey
 		return job, nil
 	}
 
@@ -233,32 +252,37 @@ func (r *kernelRequest) job(s *server) (gpa.Job, error) {
 	if launch.RegsPerThread == 0 {
 		launch.RegsPerThread = 32
 	}
-	var k *gpa.Kernel
 	if r.Asm != "" {
-		k, err = gpa.LoadKernelAsm(r.Asm, launch)
+		job.Kernel, err = cachedKernel(s.kernels, sourceAsm, r.Asm, launch, gpa.LoadKernelAsm)
 	} else {
-		k, err = gpa.LoadKernelBinary(r.Binary, launch)
+		job.Kernel, err = cachedKernel(s.kernels, sourceBinary, r.Binary, launch, gpa.LoadKernelBinary)
 	}
-	if err != nil {
-		return job, err
-	}
-	job.Kernel = k
-	return job, nil
+	return job, err
 }
 
-// findBench resolves a bundled benchmark by app name ("rodinia/hotspot",
-// first row wins) or by full row ID ("App Kernel Optimization"), so
-// every Table 3 row is addressable.
-func findBench(name string) *kernels.Benchmark {
-	for _, b := range kernels.All() {
-		if b.ID() == name {
-			return b
-		}
+// bundledBench is what a "bench" request needs of a Table 3 row.
+type bundledBench struct {
+	base        *kernels.Variant
+	workloadKey string
+}
+
+// indexBenches maps every name a bundled benchmark answers to: its full
+// row ID ("App Kernel Optimization"), so every Table 3 row is
+// addressable, and its app name ("rodinia/hotspot"), where the first
+// row of the app wins. A row ID beats an equal app name.
+func indexBenches() map[string]bundledBench {
+	rows := kernels.All()
+	entry := func(b *kernels.Benchmark) bundledBench {
+		return bundledBench{base: &b.Base, workloadKey: "bench:" + b.ID() + "/base"}
 	}
-	if bs := kernels.Find(name); len(bs) > 0 {
-		return bs[0]
+	idx := make(map[string]bundledBench, 2*len(rows))
+	for i := len(rows) - 1; i >= 0; i-- {
+		idx[rows[i].App] = entry(rows[i])
 	}
-	return nil
+	for _, b := range rows {
+		idx[b.ID()] = entry(b)
+	}
+	return idx
 }
 
 // statusClientClosed is the conventional (nginx) status for a request
@@ -363,7 +387,7 @@ func (s *server) buildJob(w http.ResponseWriter, r *http.Request, req *kernelReq
 	s.eng.StageLatency().Since(obs.StageAssemble, start)
 	job.TraceID = traceIDOf(w)
 	if job.Tenant = clientTenant(r); job.Tenant != "" {
-		note(w, "tenant", job.Tenant)
+		note(w, slog.String("tenant", job.Tenant))
 	}
 	return job, err
 }
@@ -385,9 +409,32 @@ func (s *server) handleOne(w http.ResponseWriter, r *http.Request, kind gpa.JobK
 		s.writeTypedError(w, res.Err)
 		return
 	}
-	out := job.Result(res)
-	noteResult(w, out)
-	writeJSON(w, http.StatusOK, out)
+	s.writeResult(w, job, res)
+}
+
+// writeResult answers a single-kernel request without re-encoding what
+// earlier requests already encoded: a small per-request head (trace ID,
+// cached flag) appended into a pooled buffer, then the tail — advice,
+// report text, profile — that gpa memoizes on the engine's cached
+// response and every hit on that entry shares. The bytes are exactly
+// what writeJSON would produce for job.Result(res).
+func (s *server) writeResult(w http.ResponseWriter, job gpa.Job, res gpa.JobResult) {
+	bufp := scratchPool.Get().(*[]byte)
+	head, tail, err := job.EncodeResult((*bufp)[:0], res, traceIDOf(w))
+	if err != nil {
+		putScratch(bufp, (*bufp)[:0])
+		s.writeTypedError(w, err)
+		return
+	}
+	noteResult(w, job, res)
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the client went away; there is nobody to tell.
+	_, _ = w.Write(head)
+	_, _ = w.Write(tail)
+	putScratch(bufp, head)
 }
 
 // batchRequest fans several kernel requests (mixed kinds allowed)
@@ -473,14 +520,19 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// A lone arch is a one-model sweep.
 		req.Archs = []string{req.Arch}
 	}
-	var gpus []*arch.GPU
-	for _, name := range req.Archs {
-		g, err := gpa.LookupGPU(name)
-		if err != nil {
-			writeRequestError(w, err)
-			return
+	// Either way the engine gets the server's shared model instances,
+	// never fresh ones (see allGPUs).
+	gpus := s.allGPUs
+	if len(req.Archs) > 0 {
+		gpus = make([]*arch.GPU, 0, len(req.Archs))
+		for _, name := range req.Archs {
+			g, err := s.lookupGPU(name)
+			if err != nil {
+				writeRequestError(w, err)
+				return
+			}
+			gpus = append(gpus, g)
 		}
-		gpus = append(gpus, g)
 	}
 	req.Arch = "" // per-arch options are set by Sweep
 	job, err := s.buildJob(w, r, &req.kernelRequest)
@@ -567,8 +619,8 @@ func (s *server) get(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// decode reads a bounded JSON body; on failure it writes the error
-// response and returns false.
+// decode reads a bounded JSON body holding exactly one value; on
+// failure it writes the error response and returns false.
 func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -576,8 +628,18 @@ func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 		writeBadRequest(w, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
+	// Token returns io.EOF bare once only whitespace is left.
+	if _, err := dec.Token(); err != io.EOF {
+		writeBadRequest(w, fmt.Errorf("bad request body: unexpected data after the JSON value"))
+		return false
+	}
 	return true
 }
+
+// jsonContentType is every response's Content-Type value. One slice
+// serves all of them: net/http reads header values and never mutates
+// them, and a later Set would replace the slice, not write into it.
+var jsonContentType = []string{"application/json"}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	// One choke point stamps the trace ID onto every body shape and
@@ -600,7 +662,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 			v = b
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

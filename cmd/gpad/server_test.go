@@ -44,11 +44,18 @@ func newTestServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
+// rawBody is a request body postJSON sends as is (for bodies that are
+// not one well-formed JSON value).
+type rawBody string
+
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	data, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if raw, ok := body.(rawBody); ok {
+		data = []byte(raw)
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
 	if err != nil {
@@ -395,6 +402,36 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// TestSweepSharesModelInstances pins the model-hash memo at one entry
+// per registered model: however a sweep names its models — all of them
+// by default, by key, alias, SM flag or full name in any case — the
+// engine must see the server's one instance of each, never a freshly
+// built one that re-marshals and re-hashes the model and grows the
+// pointer-keyed memo until it is wiped.
+func TestSweepSharesModelInstances(t *testing.T) {
+	ts := newTestServer(t)
+	memo := func() int {
+		var st gpa.EngineStats
+		getJSON(t, ts.URL+"/statsz", &st)
+		return st.GPUModelHashes
+	}
+	before := memo()
+	for i := 0; i < 4; i++ {
+		for _, body := range []map[string]any{
+			{"bench": "rodinia/hotspot"},
+			{"bench": "rodinia/hotspot", "archs": []string{"v100", "volta", "sm_75", "A100", "Tesla T4"}},
+			{"bench": "rodinia/hotspot", "arch": "ampere"},
+		} {
+			if resp, out := postJSON(t, ts.URL+"/v1/sweep", body); resp.StatusCode != http.StatusOK {
+				t.Fatalf("sweep %v: status %d: %s", body, resp.StatusCode, out)
+			}
+		}
+	}
+	if grew, want := memo()-before, len(gpa.GPUs()); grew != want {
+		t.Errorf("12 sweeps memoized %d model hashes, want %d (one per registered model)", grew, want)
+	}
+}
+
 func TestArchsHealthzStatsz(t *testing.T) {
 	ts := newTestServer(t)
 	var archs []archInfo
@@ -441,6 +478,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown arch", map[string]any{"asm": testKernelSrc, "arch": "sm_999"},
 			http.StatusBadRequest},
 		{"unknown field", map[string]any{"asm": testKernelSrc, "bogus": 1},
+			http.StatusBadRequest},
+		{"data after the JSON value", rawBody(`{"bench":"rodinia/hotspot"} junk`),
 			http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -3,6 +3,8 @@ package gpa
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpa/internal/arch"
@@ -218,6 +220,42 @@ type JobResult struct {
 	// Err wraps one of the typed sentinels in errors.go (ErrCanceled,
 	// ErrQueueFull, ErrBadKernel, ...); classify with errors.Is.
 	Err error
+
+	// view is the memo shared by every JobResult served from one engine
+	// response (nil for a hand-built JobResult).
+	view *respView
+}
+
+// respView is what the gpa layer derives from one service.Response and
+// wants built once however many cache hits the response serves: the
+// Report wrapper and the tail of the wire encoding (Job.EncodeResult).
+// It hangs off the response's memo slot and nothing else points at it,
+// so it lives exactly as long as the engine keeps the response: LRU
+// eviction frees the encoded bytes with the result they encode.
+type respView struct {
+	// report is nil unless the response carries advice.
+	report *Report
+
+	// encodes counts EncodeResult calls. The tail is kept from the second
+	// one on: a response that is encoded once — a cold run nobody asks
+	// for again, or one assembled from stage artifacts because the
+	// working set outgrew the result cache — would otherwise pin ~15 KB
+	// until eviction for no later request to use (512 entries of it
+	// raised a disk-warm gpad's peak RSS by a fifth).
+	encodes  atomic.Uint32
+	tailOnce sync.Once
+	tail     []byte
+	tailErr  error
+}
+
+func newRespView(resp *service.Response) *respView {
+	v := &respView{}
+	if resp.Advice != nil {
+		v.report = &Report{Advice: resp.Advice, Profile: resp.Profile, Context: resp.Context}
+		// The service rendered the same text when it produced the advice.
+		v.report.text.Store(&resp.Report)
+	}
+	return v
 }
 
 // request converts a job to a service request. The request is returned
@@ -263,22 +301,19 @@ func resultOf(resp *service.Response, err error) JobResult {
 	if err != nil {
 		return JobResult{Err: err}
 	}
-	res := JobResult{
+	// The view is memoized per underlying response, so a warm cache hit
+	// re-serves the same *Report without allocating.
+	view := resp.Memo(func() any { return newRespView(resp) }).(*respView)
+	return JobResult{
+		Report:        view.report,
 		Profile:       resp.Profile,
 		ProfileDigest: resp.ProfileDigest,
 		Cycles:        resp.Cycles,
 		ElapsedMS:     resp.ElapsedMS,
 		Cached:        resp.Cached,
 		Key:           resp.Key,
+		view:          view,
 	}
-	if resp.Advice != nil {
-		// The Report wrapper is memoized per underlying response, so a
-		// warm cache hit re-serves the same *Report without allocating.
-		res.Report = resp.Memo(func() any {
-			return &Report{Advice: resp.Advice, Profile: resp.Profile, Context: resp.Context}
-		}).(*Report)
-	}
-	return res
 }
 
 // Do resolves one job through the engine's cache and worker pool. A

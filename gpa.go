@@ -54,6 +54,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"gpa/internal/apierr"
 	"gpa/internal/arch"
@@ -274,18 +275,29 @@ func (k *Kernel) Measure(ctx context.Context, opts *Options) (int64, error) {
 	return cycles, nil
 }
 
-// Report is a ranked advice report.
+// Report is a ranked advice report. Treat it as read-only once
+// rendered: String keeps its first rendering.
 type Report struct {
 	Advice  *adv.Advice
 	Profile *profiler.Profile
 	Context *adv.Context
+
+	// text memoizes String. An engine serves one Report to every cache
+	// hit on a result, and each of them wants the same 10 KB of text.
+	text atomic.Pointer[string]
 }
 
-// String renders the Figure 8-style text report.
+// String renders the Figure 8-style text report, once per report.
 func (r *Report) String() string {
+	if s := r.text.Load(); s != nil {
+		return *s
+	}
 	var sb strings.Builder
 	r.Render(&sb)
-	return sb.String()
+	s := sb.String()
+	// Concurrent first calls render the same text; either may win.
+	r.text.Store(&s)
+	return s
 }
 
 // Render writes the report.

@@ -56,6 +56,7 @@ import (
 	"gpa/internal/arch"
 	"gpa/internal/blamer"
 	"gpa/internal/gpusim"
+	"gpa/internal/lru"
 	"gpa/internal/obs"
 	"gpa/internal/profiler"
 	"gpa/internal/qos"
@@ -357,6 +358,12 @@ type Stats struct {
 	StorePuts    int64 `json:"storePuts"`
 	StoreCorrupt int64 `json:"storeCorrupt"`
 	StoreErrors  int64 `json:"storeErrors"`
+	// GPUModelHashes is the number of distinct *arch.GPU instances whose
+	// model digest is memoized, process-wide. A server that shares one
+	// instance per model holds it at the number of models in use; growth
+	// with traffic means some caller mints a fresh model per request and
+	// pays a marshal and a hash for it every time.
+	GPUModelHashes int `json:"gpuModelHashes"`
 	// AllocsPerJob is the mean number of heap allocations per served
 	// job (hits, coalesced, bypassed, and executed alike) since the
 	// engine was created, measured from runtime.MemStats.Mallocs. It is
@@ -435,8 +442,11 @@ type Engine struct {
 
 	mu       sync.Mutex
 	draining bool
-	cache    *lruCache // nil when caching is disabled
-	flight   map[digestKey]*flightCall
+	// cache holds each result's prebuilt Cached=true view (see asCached),
+	// so every hit returns the same pointer without copying; nil when
+	// caching is disabled.
+	cache  *lru.Cache[digestKey, *Response]
+	flight map[digestKey]*flightCall
 
 	// baseMallocs is the process's cumulative heap-object allocation
 	// count at engine creation (heapAllocObjects); Stats reports the
@@ -494,12 +504,14 @@ func New(opts Options) *Engine {
 		baseCtx:        baseCtx,
 		baseCancel:     baseCancel,
 		drainCh:        make(chan struct{}),
-		cache:          newLRUCache(entries), // nil for entries < 0
 		flight:         make(map[digestKey]*flightCall),
 		stages:         store.NewMemory(opts.StageEntries), // nil for StageEntries < 0
 		disk:           opts.Disk,
 		baseMallocs:    heapAllocObjects(),
 		lat:            obs.NewStageLatency(),
+	}
+	if entries > 0 {
+		e.cache = lru.New[digestKey, *Response](entries, 0)
 	}
 	return e
 }
@@ -564,7 +576,7 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 
 	e.mu.Lock()
 	if e.cache != nil {
-		if resp := e.cache.get(key); resp != nil {
+		if resp, ok := e.cache.Get(key); ok {
 			e.stats.hits++
 			e.mu.Unlock()
 			e.adm.Served(req.Tenant)
@@ -607,7 +619,7 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 				c.cachedResp = asCached(resp)
 			}
 			if err == nil && e.cache != nil {
-				e.stats.evictions += int64(e.cache.add(keyCopy, resp))
+				e.stats.evictions += int64(e.cache.Add(keyCopy, c.cachedResp, 0))
 			}
 			e.mu.Unlock()
 			close(c.done)
@@ -757,9 +769,14 @@ func (e *Engine) Stats() Stats {
 		diskStats = e.disk.Stats()
 	}
 	adm := e.adm.Snapshot()
+	gpuHashes.RLock()
+	gpuModelHashes := len(gpuHashes.m)
+	gpuHashes.RUnlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := Stats{
+		GPUModelHashes: gpuModelHashes,
+
 		Hits:          e.stats.hits,
 		Misses:        e.stats.misses,
 		Coalesced:     e.stats.coalesced,
@@ -783,7 +800,7 @@ func (e *Engine) Stats() Stats {
 		BrownoutLevel:     int64(adm.BrownoutLevel),
 		Tenants:           adm.Tenants,
 
-		CacheEntries: e.cache.len(),
+		CacheEntries: e.cache.Len(),
 		Workers:      e.adm.Workers(),
 		PoolGets:     poolGets,
 		PoolHits:     poolHits,

@@ -1,8 +1,9 @@
 package store
 
 import (
-	"container/list"
 	"sync"
+
+	"gpa/internal/lru"
 )
 
 // Memory is the in-process artifact backend: one bounded LRU per
@@ -15,19 +16,9 @@ type Memory struct {
 	mu  sync.Mutex
 	// stages lazily creates one LRU per stage name; the engine uses a
 	// small fixed set of stages, so this stays tiny.
-	stages map[string]*memLRU
+	stages map[string]*lru.Cache[Key, any]
 
 	hits, misses, puts, evictions int64
-}
-
-type memLRU struct {
-	order *list.List // front = most recent; values are *memEntry
-	byKey map[Key]*list.Element
-}
-
-type memEntry struct {
-	key Key
-	v   any
 }
 
 // NewMemory builds a memory backend holding up to entriesPerStage
@@ -41,7 +32,7 @@ func NewMemory(entriesPerStage int) *Memory {
 	if entriesPerStage == 0 {
 		entriesPerStage = 512
 	}
-	return &Memory{cap: entriesPerStage, stages: map[string]*memLRU{}}
+	return &Memory{cap: entriesPerStage, stages: map[string]*lru.Cache[Key, any]{}}
 }
 
 // Get returns the artifact for (stage, key) and marks it most recently
@@ -52,19 +43,14 @@ func (m *Memory) Get(stage string, key Key) (any, bool) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	l := m.stages[stage]
-	if l == nil {
-		m.misses++
-		return nil, false
+	if l := m.stages[stage]; l != nil {
+		if v, ok := l.Get(key); ok {
+			m.hits++
+			return v, true
+		}
 	}
-	el, ok := l.byKey[key]
-	if !ok {
-		m.misses++
-		return nil, false
-	}
-	l.order.MoveToFront(el)
-	m.hits++
-	return el.Value.(*memEntry).v, true
+	m.misses++
+	return nil, false
 }
 
 // Add stores the artifact for (stage, key) unless one is already
@@ -79,21 +65,14 @@ func (m *Memory) Add(stage string, key Key, v any) any {
 	defer m.mu.Unlock()
 	l := m.stages[stage]
 	if l == nil {
-		l = &memLRU{order: list.New(), byKey: map[Key]*list.Element{}}
+		l = lru.New[Key, any](m.cap, 0)
 		m.stages[stage] = l
 	}
-	if el, ok := l.byKey[key]; ok {
-		l.order.MoveToFront(el)
-		return el.Value.(*memEntry).v
+	if existing, ok := l.Get(key); ok {
+		return existing
 	}
-	l.byKey[key] = l.order.PushFront(&memEntry{key: key, v: v})
 	m.puts++
-	if l.order.Len() > m.cap {
-		oldest := l.order.Back()
-		l.order.Remove(oldest)
-		delete(l.byKey, oldest.Value.(*memEntry).key)
-		m.evictions++
-	}
+	m.evictions += int64(l.Add(key, v, 0))
 	return v
 }
 

@@ -1,7 +1,9 @@
 package gpa
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 
 	"gpa/internal/profiler"
 
@@ -65,9 +67,59 @@ type Result struct {
 }
 
 // MarshalIndent renders the result as indented JSON (the gpad wire
-// encoding).
+// encoding, less its trailing newline). It is the reference encoder:
+// Job.EncodeResult's head + tail must reproduce it byte for byte.
 func (r *Result) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
+}
+
+// The wire encoding splits at the first field no request can change.
+// Everything before it (schemaVersion … cached) is the head: ~200 bytes
+// that carry the per-request trace ID and cached flag, appended by hand.
+// Everything from it on (cycles … the closing brace and newline) is the
+// tail: the advice, report text and profile, the same bytes for every
+// request one engine response serves, encoded once by encoding/json.
+const tailStart = "  \"cycles\": "
+
+// appendHead appends the head of r's wire encoding to dst.
+func (r *Result) appendHead(dst []byte) []byte {
+	dst = append(dst, "{\n  \"schemaVersion\": "...)
+	dst = appendJSONString(dst, r.SchemaVersion)
+	dst = append(dst, ",\n  \"kernel\": "...)
+	dst = appendJSONString(dst, r.Kernel)
+	dst = append(dst, ",\n  \"arch\": "...)
+	dst = appendJSONString(dst, r.Arch)
+	dst = append(dst, ",\n  \"kind\": "...)
+	dst = appendJSONString(dst, r.Kind)
+	if r.TraceID != "" {
+		dst = append(dst, ",\n  \"traceId\": "...)
+		dst = appendJSONString(dst, r.TraceID)
+	}
+	if r.Key != "" {
+		dst = append(dst, ",\n  \"key\": "...)
+		dst = appendJSONString(dst, r.Key)
+	}
+	if r.Cached {
+		return append(dst, ",\n  \"cached\": true,\n"...)
+	}
+	return append(dst, ",\n  \"cached\": false,\n"...)
+}
+
+// appendJSONString appends s as encoding/json renders a string. The
+// strings a head carries (entry names, registry keys, validated trace
+// IDs, hex digests) are plain ASCII in practice and are copied between
+// quotes; anything else goes through encoding/json itself, so escaping
+// can never disagree with the reference.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // Result converts a direct-API report into the versioned structured
@@ -108,21 +160,32 @@ func (j Job) Result(res JobResult) *Result {
 	if res.Err != nil {
 		return nil
 	}
-	gpu := V100()
+	out := j.resultHead(res)
+	j.fillTail(&out, res)
+	return &out
+}
+
+// resultHead fills the fields appendHead encodes.
+func (j Job) resultHead(res JobResult) Result {
+	gpu := defaultGPU
 	if j.Options != nil && j.Options.GPU != nil {
 		gpu = j.Options.GPU
 	}
-	out := &Result{
+	return Result{
 		SchemaVersion: ResultSchemaVersion,
 		Kernel:        j.Kernel.Launch.Entry,
 		Arch:          GPUName(gpu),
 		Kind:          j.Kind.String(),
 		Key:           res.Key,
 		Cached:        res.Cached,
-		Cycles:        res.Cycles,
-		ElapsedMS:     res.ElapsedMS,
-		ProfileDigest: res.ProfileDigest,
 	}
+}
+
+// fillTail fills the fields the tail encodes.
+func (j Job) fillTail(out *Result, res JobResult) {
+	out.Cycles = res.Cycles
+	out.ElapsedMS = res.ElapsedMS
+	out.ProfileDigest = res.ProfileDigest
 	if res.Report != nil {
 		out.Advice = res.Report.Advice.Entries
 		out.ReportText = res.Report.String()
@@ -130,5 +193,50 @@ func (j Job) Result(res JobResult) *Result {
 	if j.Kind == JobProfile {
 		out.Profile = res.Profile
 	}
-	return out
+}
+
+// marshalTail renders the tail of the wire encoding of j.Result(res):
+// the reference encoding of a result with only the tail's fields set,
+// cut at tailStart (the empty head cannot contain the marker), plus the
+// newline json.Encoder ends a value with. The slice is sized exactly,
+// because it is kept for as long as the engine caches the result.
+func (j Job) marshalTail(res JobResult) ([]byte, error) {
+	var t Result
+	j.fillTail(&t, res)
+	enc, err := t.MarshalIndent()
+	if err != nil {
+		return nil, fmt.Errorf("gpa: encode result: %w", err)
+	}
+	i := bytes.Index(enc, []byte(tailStart))
+	tail := make([]byte, 0, len(enc)-i+1)
+	tail = append(tail, enc[i:]...)
+	return append(tail, '\n'), nil
+}
+
+// EncodeResult renders j.Result(res), stamped with traceID, in the gpad
+// wire encoding — the bytes of Result.MarshalIndent plus the newline
+// json.Encoder appends — as two slices to be written back to back. head
+// is appended to dst and is the caller's. tail is read-only: from the
+// second encoding of one underlying engine response on, it is encoded
+// once and memoized on that response, so every further cache hit on the
+// entry shares one slice, and evicting the entry frees it. res must
+// come from this engine job and carry no error.
+func (j Job) EncodeResult(dst []byte, res JobResult, traceID string) (head, tail []byte, err error) {
+	if res.Err != nil {
+		return nil, nil, fmt.Errorf("gpa: encode result of a failed job: %w", res.Err)
+	}
+	if v := res.view; v != nil && v.encodes.Add(1) > 1 {
+		v.tailOnce.Do(func() { v.tail, v.tailErr = j.marshalTail(res) })
+		tail, err = v.tail, v.tailErr
+	} else {
+		// The first encoding of a response is not kept (and a hand-built
+		// JobResult has no response to keep it on): see respView.
+		tail, err = j.marshalTail(res)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	h := j.resultHead(res)
+	h.TraceID = traceID
+	return h.appendHead(dst), tail, nil
 }
