@@ -173,7 +173,7 @@ func TestCancelOneOfNCoalescedWaiters(t *testing.T) {
 			t.Fatalf("waiter %d: %v (detaching one waiter must not kill the shared run)",
 				i, results[i].Err)
 		}
-		text := results[i].Report.String()
+		text := reportOf(t, results[i]).String()
 		if report == "" {
 			report = text
 		} else if text != report {

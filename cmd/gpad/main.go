@@ -71,8 +71,12 @@
 //	                  ffPeriodsDetected/ffCyclesSkipped/ffFallbacks,
 //	                  and the artifact-store counters: sims,
 //	                  stageServed, structureBuilds, stageHits/Misses
-//	                  (in-memory stage LRUs) and storeHits/Misses/
-//	                  Puts/Corrupt/Errors (the -store-dir disk store).
+//	                  (in-memory stage LRUs), storeHits/Misses/
+//	                  Puts/Corrupt/Errors (the -store-dir disk store)
+//	                  and stageDecodes (stored payloads decoded into
+//	                  structs; serving a stored advise decodes none),
+//	                  and panics (runs that panicked and were
+//	                  contained: only their own waiters got a 500).
 //	                  Also served at /v1/statsz.
 //
 // Every request carries a trace ID: X-Request-Id is accepted (or a
@@ -103,6 +107,19 @@ import (
 	"time"
 
 	"gpa"
+)
+
+// Connection timeouts. They bound what a client can hold open without
+// sending (a slow-loris header or body, an idle keep-alive); they are
+// constants because no deployment has needed another value.
+const (
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout covers the whole request, headers and body: the largest
+	// body (maxBodyBytes) at a slow-link 256 KB/s, rounded up.
+	readTimeout = 60 * time.Second
+	// idleTimeout is how long a keep-alive connection may sit between
+	// requests (without it, ReadTimeout would be reused for this).
+	idleTimeout = 2 * time.Minute
 )
 
 func main() {
@@ -188,7 +205,13 @@ func main() {
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           newServerCfg(serverConfig{engine: eng, store: st, logger: logger}),
-		ReadHeaderTimeout: 10 * time.Second,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		// No WriteTimeout: it runs from the end of the request headers
+		// to the end of the response, handler time included, and sweeps
+		// and cold batches legitimately run for minutes. Every request
+		// is bounded already, by its own timeoutMs or -job-timeout.
 	}
 
 	if *pprofAddr != "" {

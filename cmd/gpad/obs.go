@@ -176,14 +176,11 @@ func noteResult(w http.ResponseWriter, job gpa.Job, res gpa.JobResult) {
 	if ow, ok := w.(*obsWriter); !ok || !ow.logs {
 		return
 	}
-	r := job.Result(res)
-	if r.Arch != "" {
-		note(w, slog.String("arch", r.Arch))
+	note(w, slog.String("arch", job.Arch()))
+	if len(res.Key) >= 12 {
+		note(w, slog.String("key", res.Key[:12]))
 	}
-	if len(r.Key) >= 12 {
-		note(w, slog.String("key", r.Key[:12]))
-	}
-	note(w, slog.Bool("cached", r.Cached))
+	note(w, slog.Bool("cached", res.Cached))
 }
 
 // engineGauges are the Stats fields that are point-in-time gauges;

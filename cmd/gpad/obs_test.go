@@ -110,6 +110,13 @@ func TestMetricsMatchesStatsz(t *testing.T) {
 	if metrics["gpa_engine_hits_total"] != 1 {
 		t.Errorf("hits_total = %v, want 1", metrics["gpa_engine_hits_total"])
 	}
+	// The counters later PRs added must be on both surfaces, not merely
+	// agree where present.
+	for _, name := range []string{"panics", "stageDecodes"} {
+		if _, ok := stats[name]; !ok {
+			t.Errorf("/statsz has no %q counter", name)
+		}
+	}
 	for name, raw := range stats {
 		v, ok := raw.(float64)
 		if !ok || name == "uptimeSeconds" || name == "allocsPerJob" {

@@ -317,6 +317,8 @@ func classify(err error) (status int, code string) {
 		return http.StatusUnprocessableEntity, "bad_kernel"
 	case errors.Is(err, gpa.ErrSimLimit):
 		return http.StatusUnprocessableEntity, "sim_limit"
+	case errors.Is(err, gpa.ErrInternal):
+		return http.StatusInternalServerError, "internal"
 	}
 	return http.StatusInternalServerError, "internal"
 }
@@ -415,9 +417,11 @@ func (s *server) handleOne(w http.ResponseWriter, r *http.Request, kind gpa.JobK
 // writeResult answers a single-kernel request without re-encoding what
 // earlier requests already encoded: a small per-request head (trace ID,
 // cached flag) appended into a pooled buffer, then the tail — advice,
-// report text, profile — that gpa memoizes on the engine's cached
-// response and every hit on that entry shares. The bytes are exactly
-// what writeJSON would produce for job.Result(res).
+// report text, profile — written as the engine hands it out: the bytes
+// of the stored advice blob when the response came from the artifact
+// store, else the encoding gpa memoizes on the engine's cached response
+// and every hit on that entry shares. The bytes are exactly what
+// writeJSON would produce for job.Result(res).
 func (s *server) writeResult(w http.ResponseWriter, job gpa.Job, res gpa.JobResult) {
 	bufp := scratchPool.Get().(*[]byte)
 	head, tail, err := job.EncodeResult((*bufp)[:0], res, traceIDOf(w))
@@ -483,14 +487,20 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results := s.eng.DoAll(r.Context(), liveJobs)
 	for n, i := range live {
-		if err := results[n].Err; err != nil {
-			_, body := errorBodyOf(err)
-			out.Results[i] = body
-			continue
-		}
-		out.Results[i] = liveJobs[n].Result(results[n])
+		out.Results[i] = resultEntry(liveJobs[n], results[n])
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// resultEntry is one slot of a batch or sweep envelope: the job's v2
+// Result, or the errorBody of whatever kept it from having one.
+func resultEntry(job gpa.Job, res gpa.JobResult) any {
+	out, err := job.Result(res)
+	if err != nil {
+		_, body := errorBodyOf(err)
+		return body
+	}
+	return out
 }
 
 // sweepRequest advises one kernel on several architecture models.
@@ -546,16 +556,11 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Results:       make([]any, len(gpus)),
 	}
 	for i, g := range gpus {
-		if err := results[i].Err; err != nil {
-			_, body := errorBodyOf(err)
-			out.Results[i] = body
-			continue
-		}
 		jg := job
 		o := *job.Options
 		o.GPU = g
 		jg.Options = &o
-		out.Results[i] = jg.Result(results[i])
+		out.Results[i] = resultEntry(jg, results[i])
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -47,6 +47,8 @@ func TestErrorTaxonomyStatusTable(t *testing.T) {
 			http.StatusUnprocessableEntity, "bad_kernel"},
 		{"sim limit", fmt.Errorf("gpusim: %w: SM 0 exceeded 50000000 cycles", gpa.ErrSimLimit),
 			http.StatusUnprocessableEntity, "sim_limit"},
+		{"internal", fmt.Errorf("service: %w: pipeline run panicked: boom", gpa.ErrInternal),
+			http.StatusInternalServerError, "internal"},
 		{"untyped", errors.New("disk on fire"), http.StatusInternalServerError, "internal"},
 	}
 	for _, tc := range cases {

@@ -48,11 +48,12 @@ func TestRestartWarmFromStore(t *testing.T) {
 	asmReq := map[string]any{
 		"asm": testKernelSrc, "gridX": 160, "blockX": 256, "seed": 9,
 	}
-	requests := []struct {
+	type request struct {
 		name string
 		path string
 		body map[string]any
-	}{
+	}
+	requests := []request{
 		{"profile", "/v1/profile", asmReq},
 		{"advise", "/v1/advise", asmReq},
 		{"bench", "/v1/advise", map[string]any{"bench": "rodinia/hotspot"}},
@@ -81,7 +82,9 @@ func TestRestartWarmFromStore(t *testing.T) {
 	// come from the store, byte-identical, with zero pipeline activity.
 	_, ts2 := newStoreServer(t, dir)
 	norm := normTransport
-	for _, r := range requests {
+	var st2 statszResponse
+	served := func(r request) {
+		t.Helper()
 		resp, warm := postJSON(t, ts2.URL+r.path, r.body)
 		if resp.StatusCode != 200 {
 			t.Fatalf("restarted %s: status %d: %s", r.name, resp.StatusCode, warm)
@@ -97,17 +100,42 @@ func TestRestartWarmFromStore(t *testing.T) {
 			t.Errorf("restarted %s: response differs from cold run\ncold: %s\nwarm: %s",
 				r.name, cold[r.name], warm)
 		}
+		getJSON(t, ts2.URL+"/statsz", &st2)
 	}
-	var st2 statszResponse
-	getJSON(t, ts2.URL+"/statsz", &st2)
+	// The advise hits first: each is one blob read, written out as it
+	// was stored — no second read for the profile, no struct decoded.
+	for i, r := range requests[1:] {
+		served(r)
+		if st2.StoreHits != int64(i+1) || st2.StageDecodes != 0 || st2.StorePuts != 0 {
+			t.Errorf("after %d stored advise hits: storeHits=%d stageDecodes=%d storePuts=%d, want %d/0/0",
+				i+1, st2.StoreHits, st2.StageDecodes, st2.StorePuts, i+1)
+		}
+	}
+	// A profile response is indented from the struct: the one decode a
+	// single-kernel endpoint pays.
+	served(requests[0])
+	if st2.StoreHits != 3 || st2.StageDecodes != 1 {
+		t.Errorf("after the stored profile hit: storeHits=%d stageDecodes=%d, want 3/1", st2.StoreHits, st2.StageDecodes)
+	}
 	if st2.Runs != 0 || st2.Sims != 0 {
 		t.Errorf("restarted server ran the pipeline: runs=%d sims=%d, want 0/0", st2.Runs, st2.Sims)
 	}
 	if st2.StageServed != int64(len(requests)) {
 		t.Errorf("stageServed = %d, want %d", st2.StageServed, len(requests))
 	}
-	if st2.StoreHits == 0 {
-		t.Errorf("restarted server reports no disk-store hits: %+v", st2.EngineStats)
+
+	// A batch entry is built from the structs, so it calls the advice
+	// accessor of the (by now result-cached) stored response: the decode
+	// counter moves exactly then, once, and no blob is read for it.
+	batch := map[string]any{"requests": []map[string]any{{"bench": "rodinia/hotspot"}}}
+	for range 2 {
+		if resp, body := postJSON(t, ts2.URL+"/v1/batch", batch); resp.StatusCode != 200 {
+			t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
+		}
+	}
+	getJSON(t, ts2.URL+"/statsz", &st2)
+	if st2.StoreHits != 3 || st2.StageDecodes != 2 {
+		t.Errorf("after two batches over a stored result: storeHits=%d stageDecodes=%d, want 3/2", st2.StoreHits, st2.StageDecodes)
 	}
 }
 

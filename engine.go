@@ -3,8 +3,6 @@ package gpa
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"gpa/internal/arch"
@@ -195,13 +193,11 @@ type Job struct {
 }
 
 // JobResult is the outcome of one job. Exactly one of Err or the
-// kind's payload fields is meaningful.
+// kind's payload is meaningful. The scalars are fields; the report and
+// the profile are the accessors Report and Profile, because a result
+// served from the artifact store (EngineOptions.Store) holds its
+// encoded bytes and builds the structs only for a caller that asks.
 type JobResult struct {
-	// Report is set for JobAdvise (report text, advice, profile,
-	// context — as returned by Kernel.Advise).
-	Report *Report
-	// Profile is set for JobProfile and JobAdvise.
-	Profile *profiler.Profile
 	// ProfileDigest is the profile's stable content digest.
 	ProfileDigest string
 	// Cycles is the simulated kernel duration (all kinds).
@@ -221,41 +217,56 @@ type JobResult struct {
 	// ErrQueueFull, ErrBadKernel, ...); classify with errors.Is.
 	Err error
 
-	// view is the memo shared by every JobResult served from one engine
-	// response (nil for a hand-built JobResult).
-	view *respView
+	// resp is the engine response behind the accessors (nil for a failed
+	// or hand-built JobResult).
+	resp *service.Response
 }
 
-// respView is what the gpa layer derives from one service.Response and
-// wants built once however many cache hits the response serves: the
-// Report wrapper and the tail of the wire encoding (Job.EncodeResult).
-// It hangs off the response's memo slot and nothing else points at it,
-// so it lives exactly as long as the engine keeps the response: LRU
-// eviction frees the encoded bytes with the result they encode.
-type respView struct {
-	// report is nil unless the response carries advice.
+// reportMemo is the Report wrapper built once per engine response,
+// however many cache hits the response serves. It hangs off the
+// response's memo slot, so LRU eviction frees it with the response.
+type reportMemo struct {
 	report *Report
-
-	// encodes counts EncodeResult calls. The tail is kept from the second
-	// one on: a response that is encoded once — a cold run nobody asks
-	// for again, or one assembled from stage artifacts because the
-	// working set outgrew the result cache — would otherwise pin ~15 KB
-	// until eviction for no later request to use (512 entries of it
-	// raised a disk-warm gpad's peak RSS by a fifth).
-	encodes  atomic.Uint32
-	tailOnce sync.Once
-	tail     []byte
-	tailErr  error
+	err    error
 }
 
-func newRespView(resp *service.Response) *respView {
-	v := &respView{}
-	if resp.Advice != nil {
-		v.report = &Report{Advice: resp.Advice, Profile: resp.Profile, Context: resp.Context}
-		// The service rendered the same text when it produced the advice.
-		v.report.text.Store(&resp.Report)
+// Report returns the advice report of a JobAdvise result — report text,
+// advice and profile, as returned by Kernel.Advise — and nil for other
+// kinds. Every result of one engine response shares one *Report; treat
+// it as read-only. On a result served from the artifact store the first
+// call decodes the stored advice and reads the stored profile, Context
+// stays nil (it does not survive the store), and an artifact that has
+// vanished or no longer decodes yields an error wrapping ErrInternal.
+func (r JobResult) Report() (*Report, error) {
+	if r.resp == nil || r.resp.Kind != JobAdvise {
+		return nil, r.Err
 	}
-	return v
+	m := r.resp.Memo(func() any {
+		advice, err := r.resp.Advice()
+		if err != nil {
+			return &reportMemo{err: err}
+		}
+		prof, err := r.resp.Profile()
+		if err != nil {
+			return &reportMemo{err: err}
+		}
+		rep := &Report{Advice: advice, Profile: prof, Context: r.resp.Context}
+		// The service rendered the same text when it produced the advice.
+		text, _ := r.resp.Report() // decoded with the advice above
+		rep.text.Store(&text)
+		return &reportMemo{report: rep}
+	}).(*reportMemo)
+	return m.report, m.err
+}
+
+// Profile returns the sampled profile of a JobProfile or JobAdvise
+// result (nil for JobMeasure). It is lazy and can fail exactly as
+// Report can.
+func (r JobResult) Profile() (*profiler.Profile, error) {
+	if r.resp == nil {
+		return nil, r.Err
+	}
+	return r.resp.Profile()
 }
 
 // request converts a job to a service request. The request is returned
@@ -301,18 +312,13 @@ func resultOf(resp *service.Response, err error) JobResult {
 	if err != nil {
 		return JobResult{Err: err}
 	}
-	// The view is memoized per underlying response, so a warm cache hit
-	// re-serves the same *Report without allocating.
-	view := resp.Memo(func() any { return newRespView(resp) }).(*respView)
 	return JobResult{
-		Report:        view.report,
-		Profile:       resp.Profile,
 		ProfileDigest: resp.ProfileDigest,
 		Cycles:        resp.Cycles,
 		ElapsedMS:     resp.ElapsedMS,
 		Cached:        resp.Cached,
 		Key:           resp.Key,
-		view:          view,
+		resp:          resp,
 	}
 }
 

@@ -9,6 +9,17 @@ import (
 	"gpa/internal/kernels"
 )
 
+// reportOf is JobResult.Report for results that must have one: the
+// accessor can fail only on results served from a persistent store.
+func reportOf(t testing.TB, res gpa.JobResult) *gpa.Report {
+	t.Helper()
+	rep, err := res.Report()
+	if err != nil {
+		t.Fatalf("Report(): %v", err)
+	}
+	return rep
+}
+
 func TestEngineAdviseMatchesDirectAPI(t *testing.T) {
 	k, opts := apiKernel(t)
 	direct, err := k.Advise(context.Background(), opts)
@@ -20,7 +31,7 @@ func TestEngineAdviseMatchesDirectAPI(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.Report.String() != direct.String() {
+	if reportOf(t, res).String() != direct.String() {
 		t.Error("engine advise report differs from Kernel.Advise")
 	}
 	if res.Cached {
@@ -33,7 +44,7 @@ func TestEngineAdviseMatchesDirectAPI(t *testing.T) {
 	if !warm.Cached {
 		t.Error("second engine run must hit the cache")
 	}
-	if warm.Report.String() != direct.String() {
+	if reportOf(t, warm).String() != direct.String() {
 		t.Error("cached engine report differs from Kernel.Advise")
 	}
 }
@@ -99,7 +110,7 @@ func TestEngineSweep(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", gpa.GPUName(gpus[i]), r.Err)
 		}
-		if r.Report == nil || len(r.Report.Advice.Entries) == 0 {
+		if rep := reportOf(t, r); rep == nil || len(rep.Advice.Entries) == 0 {
 			t.Fatalf("%s: no advice", gpa.GPUName(gpus[i]))
 		}
 		if seen[r.Key] {
@@ -155,7 +166,7 @@ func TestEngineTable3CacheByteIdentical(t *testing.T) {
 			if res[i].Err != nil {
 				t.Fatalf("%s: job %d: %v", b.ID(), i, res[i].Err)
 			}
-			if got := res[i].Report.String(); got != want {
+			if got := reportOf(t, res[i]).String(); got != want {
 				t.Fatalf("%s: concurrent engine report differs from cold sequential run", b.ID())
 			}
 		}
@@ -167,7 +178,7 @@ func TestEngineTable3CacheByteIdentical(t *testing.T) {
 		if !hit.Cached {
 			t.Errorf("%s: repeat job missed the cache", b.ID())
 		}
-		if hit.Report.String() != want {
+		if reportOf(t, hit).String() != want {
 			t.Errorf("%s: cached report differs from cold sequential run", b.ID())
 		}
 	}

@@ -46,6 +46,10 @@ var (
 	// job's lane to protect queue latency; retry later or on the
 	// interactive lane.
 	ErrOverloaded = apierr.ErrOverloaded
+	// ErrInternal: the engine itself failed — a panic contained at the
+	// flight boundary, or a stored artifact that vanished or no longer
+	// decodes when JobResult.Report or JobResult.Profile asks for it.
+	ErrInternal = apierr.ErrInternal
 )
 
 // CanceledError is the concrete type cancellation errors carry;

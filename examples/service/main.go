@@ -115,8 +115,18 @@ func runInProcess() error {
 	if repeat.Err != nil {
 		return repeat.Err
 	}
+	// Report is an accessor that can fail: a result served from a
+	// persistent artifact store decodes its report only when asked.
+	first, err := results[0].Report()
+	if err != nil {
+		return err
+	}
+	again, err := repeat.Report()
+	if err != nil {
+		return err
+	}
 	fmt.Printf("\nrepeat: cached=%v, report identical=%v\n",
-		repeat.Cached, repeat.Report.String() == results[0].Report.String())
+		repeat.Cached, again.String() == first.String())
 
 	// Phase 3: sweep the kernel across every registered architecture.
 	gpus, sweep := eng.Sweep(context.Background(), job, nil)
@@ -125,8 +135,12 @@ func runInProcess() error {
 		if r.Err != nil {
 			return fmt.Errorf("%s: %w", gpa.GPUName(gpus[i]), r.Err)
 		}
+		rep, err := r.Report()
+		if err != nil {
+			return fmt.Errorf("%s: %w", gpa.GPUName(gpus[i]), err)
+		}
 		top := "-"
-		if es := r.Report.Top(1); len(es) > 0 {
+		if es := rep.Top(1); len(es) > 0 {
 			top = fmt.Sprintf("%s (%.3fx)", es[0].Optimizer, es[0].Speedup)
 		}
 		fmt.Printf("  %-6s %8d cycles   top advice: %s\n",
@@ -135,7 +149,7 @@ func runInProcess() error {
 	printStats(eng)
 
 	fmt.Println("\ntop advice on the default model:")
-	for i, e := range results[0].Report.Top(3) {
+	for i, e := range first.Top(3) {
 		fmt.Printf("  %d. %-40s est %.3fx\n", i+1, e.Optimizer, e.Speedup)
 	}
 	return nil

@@ -55,6 +55,12 @@ var (
 	// ErrSimLimit tags simulations aborted by the runaway-cycle bound
 	// (Config.MaxCycles), usually a livelocked kernel.
 	ErrSimLimit = errors.New("simulation limit exceeded")
+	// ErrInternal tags failures that are the server's own fault and that
+	// no retry of the same request is promised to fix: a panic contained
+	// at the engine's flight boundary, or a stored stage artifact that
+	// vanished or no longer decodes when a caller asks for its struct
+	// form (HTTP 500).
+	ErrInternal = errors.New("internal error")
 )
 
 // CanceledError is the concrete type cancellation errors carry:

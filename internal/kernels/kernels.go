@@ -239,7 +239,9 @@ func (b *Benchmark) Run(ctx context.Context, ro RunOptions) (*Outcome, error) {
 			}
 		}
 		baseCycles, optCycles = results[0].Cycles, results[1].Cycles
-		report = results[2].Report
+		if report, err = results[2].Report(); err != nil {
+			return nil, fmt.Errorf("%s: advise: %w", b.ID(), err)
+		}
 		return b.outcome(baseCycles, optCycles, report), nil
 	}
 	measureBase := func() error {

@@ -50,6 +50,7 @@ import (
 	"runtime/metrics"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpa/internal/apierr"
@@ -206,7 +207,16 @@ func (r *Request) normalized() Request {
 
 // Response is the result of one request. Responses are shared: a cache
 // or singleflight hit returns the same inner pointers to every caller,
-// so Profile, Advice, and Context must be treated as read-only.
+// so whatever Profile, Advice and Context hand out must be treated as
+// read-only.
+//
+// The scalar fields are always set. Profile, Advice and Report are
+// accessors because a response served from the on-disk artifact store
+// holds the bytes it will be encoded as, not the structs: they decode
+// on first use, once per artifact, and fail with an error wrapping
+// apierr.ErrInternal when the stored artifact has vanished or does not
+// decode to what its header declared. On a response a pipeline run
+// produced they return that run's values and cannot fail.
 type Response struct {
 	// Key is the request digest ("" for uncacheable requests).
 	Key string
@@ -221,42 +231,152 @@ type Response struct {
 	// return the original run's value (the cost the cache avoided), so
 	// a hit stays byte-identical to the run it shares.
 	ElapsedMS float64
-	// Profile is set for KindProfile and KindAdvise.
-	Profile *profiler.Profile
 	// ProfileDigest is the profile's stable content digest (drift
 	// checking across builds and deployments).
 	ProfileDigest string
-	// Advice and Context are set for KindAdvise.
-	Advice  *adv.Advice
+	// Context is the analysis context of the run that produced the
+	// advice (KindAdvise). It does not survive the artifact store: a
+	// response assembled from stage artifacts carries nil.
 	Context *adv.Context
-	// Report is the rendered Figure 8-style report text (KindAdvise).
-	// Byte-identical between a cache hit and a cold run.
-	Report string
 
-	// memo caches one caller-layer view of this response (see Memo).
-	// It is a pointer so the cached shallow copy shares it.
-	memo *respMemo
+	// prof (KindProfile, and KindAdvise when a run produced it) and adv
+	// (KindAdvise) are the stage artifacts behind the accessors; eng
+	// resolves and counts their lazy halves.
+	prof *profileArtifact
+	adv  *adviceArtifact
+	eng  *Engine
+
+	// freshTail is the wire tail a cold run encoded for its advice put.
+	// Only the flight leader's own copy carries it (asCached drops it):
+	// it saves that caller's encode and dies with its request, so a
+	// cached response pins no tail nobody asked for twice.
+	freshTail []byte
+
+	// shared is what every copy of one response has in common; it is a
+	// pointer so the cached shallow copy shares it.
+	shared *respShared
 }
 
-// respMemo holds a caller-built value derived from a response, built at
-// most once per underlying response.
-type respMemo struct {
-	once sync.Once
-	v    any
+// respShared holds what is derived from a response at most once however
+// many cache hits it serves.
+type respShared struct {
+	memoOnce sync.Once
+	memo     any
+
+	// encodes counts Tail calls. The tail is kept from the second one
+	// on: a response that is encoded once — a cold run nobody asks for
+	// again — would otherwise pin ~15 KB until eviction for no later
+	// request to use.
+	encodes  atomic.Uint32
+	tailOnce sync.Once
+	tail     []byte
+	tailErr  error
 }
 
 // Memo returns a value derived from this response, building it at most
 // once per underlying response (cache hits and coalesced copies share
 // the memo). The gpa layer uses it to avoid re-materializing its Report
 // wrapper on every warm cache hit. Responses not produced by an engine
-// run have no memo and just invoke build.
+// have no memo and just invoke build.
 func (r *Response) Memo(build func() any) any {
-	m := r.memo
+	m := r.shared
 	if m == nil {
 		return build()
 	}
-	m.once.Do(func() { m.v = build() })
-	return m.v
+	m.memoOnce.Do(func() { m.memo = build() })
+	return m.memo
+}
+
+// Profile returns the sampled profile (KindProfile and KindAdvise; nil
+// for KindMeasure). For a store-served advise response this is the one
+// access that reads the profile stage.
+func (r *Response) Profile() (*profiler.Profile, error) {
+	pa := r.prof
+	if pa == nil {
+		if r.adv == nil {
+			return nil, nil
+		}
+		var err error
+		if pa, err = r.adv.profileArtifact(r.eng); err != nil {
+			return nil, err
+		}
+	}
+	return pa.profile(r.eng)
+}
+
+// Advice returns the ranked advice (KindAdvise; nil otherwise).
+func (r *Response) Advice() (*adv.Advice, error) {
+	if r.adv == nil {
+		return nil, nil
+	}
+	advice, _, err := r.adv.decoded(r.eng)
+	return advice, err
+}
+
+// Report returns the rendered Figure 8-style report text (KindAdvise;
+// empty otherwise), byte-identical between a cache hit, a store hit and
+// the cold run.
+func (r *Response) Report() (string, error) {
+	if r.adv == nil {
+		return "", nil
+	}
+	_, report, err := r.adv.decoded(r.eng)
+	return report, err
+}
+
+// Tail returns the response's wire tail: the gpa-result/2 encoding from
+// "cycles" through the closing brace and newline, the part shared by
+// every request this response serves (the caller writes its own head in
+// front; see gpa.Job.EncodeResult). The slice is read-only. A
+// store-served advise response returns the bytes its blob holds; any
+// other encodes, and keeps the encoding from its second call on.
+func (r *Response) Tail() ([]byte, error) {
+	if r.adv != nil && r.adv.doc != nil {
+		return r.adv.doc[len(tailOpen):], nil
+	}
+	m := r.shared
+	if m == nil {
+		return r.encodeTail()
+	}
+	n := m.encodes.Add(1)
+	if r.freshTail != nil {
+		return r.freshTail, nil
+	}
+	if n == 1 {
+		return r.encodeTail()
+	}
+	m.tailOnce.Do(func() { m.tail, m.tailErr = r.encodeTail() })
+	return m.tail, m.tailErr
+}
+
+// encodeTail encodes the tail afresh.
+func (r *Response) encodeTail() ([]byte, error) {
+	doc, err := r.tailDoc()
+	if err != nil {
+		return nil, err
+	}
+	return doc[len(tailOpen):], nil
+}
+
+// tailDoc is the one definition of the tail encoding: the document the
+// advice put stores, and, after tailOpen, what the wire carries.
+func (r *Response) tailDoc() ([]byte, error) {
+	t := wireTail{Cycles: r.Cycles, ElapsedMS: r.ElapsedMS, ProfileDigest: r.ProfileDigest}
+	switch r.Kind {
+	case KindAdvise:
+		advice, report, err := r.adv.decoded(r.eng)
+		if err != nil {
+			return nil, err
+		}
+		t.Advice, t.Report = advice.Entries, report
+	case KindProfile:
+		// Advise results leave the raw samples out to stay compact.
+		var err error
+		if t.Profile, err = r.Profile(); err != nil {
+			return nil, err
+		}
+	}
+	return t.encode()
 }
 
 // Stats is a point-in-time snapshot of the engine's counters.
@@ -289,6 +409,10 @@ type Stats struct {
 	StructureBuilds int64 `json:"structureBuilds"`
 	// Errors counts failed pipeline executions (errors are not cached).
 	Errors int64 `json:"errors"`
+	// Panics counts pipeline runs that panicked and were contained at
+	// the flight boundary: the run's waiters got an error wrapping
+	// apierr.ErrInternal, nothing was cached, the process lived on.
+	Panics int64 `json:"panics"`
 	// Canceled counts callers that abandoned a request — context
 	// canceled or deadline expired — while it was queued, in flight, or
 	// coalesced onto a shared flight.
@@ -358,6 +482,12 @@ type Stats struct {
 	StorePuts    int64 `json:"storePuts"`
 	StoreCorrupt int64 `json:"storeCorrupt"`
 	StoreErrors  int64 `json:"storeErrors"`
+	// StageDecodes counts stage payloads decoded into their struct form
+	// (a profile, or an advice with its report). Serving a stored advise
+	// response decodes nothing; the counter moves when a run needs a
+	// stored profile, a profile response is encoded, or a caller asks a
+	// store-served response for Profile, Advice or Report.
+	StageDecodes int64 `json:"stageDecodes"`
 	// GPUModelHashes is the number of distinct *arch.GPU instances whose
 	// model digest is memoized, process-wide. A server that shares one
 	// instance per model holds it at the number of models in use; growth
@@ -461,7 +591,7 @@ type Engine struct {
 
 	stats struct {
 		hits, misses, coalesced, bypass, runs, errors, canceled, shed, evictions, inflight int64
-		sims, stageServed, structureBuilds                                                 int64
+		sims, stageServed, structureBuilds, stageDecodes, panics                           int64
 	}
 }
 
@@ -785,6 +915,7 @@ func (e *Engine) Stats() Stats {
 		Sims:          e.stats.sims,
 		StageServed:   e.stats.stageServed,
 		Errors:        e.stats.errors,
+		Panics:        e.stats.panics,
 		Canceled:      e.stats.canceled,
 		Shed:          e.stats.shed,
 		QuotaShed:     adm.QuotaShed,
@@ -818,6 +949,7 @@ func (e *Engine) Stats() Stats {
 		StorePuts:       diskStats.Puts,
 		StoreCorrupt:    diskStats.Corrupt,
 		StoreErrors:     diskStats.Errors,
+		StageDecodes:    e.stats.stageDecodes,
 	}
 	if jobs := st.Hits + st.Misses + st.Coalesced + st.Bypass; jobs > 0 {
 		st.AllocsPerJob = float64(allocs-e.baseMallocs) / float64(jobs)
@@ -830,6 +962,7 @@ func (e *Engine) Stats() Stats {
 func asCached(r *Response) *Response {
 	c := *r
 	c.Cached = true
+	c.freshTail = nil
 	return &c
 }
 
@@ -840,6 +973,16 @@ func asCached(r *Response) *Response {
 // context — with each Figure 2 stage consulting the store before it
 // runs and publishing its artifact after.
 func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *Response, err error) {
+	// The flight boundary: a panic below — in a stage, or in the
+	// caller-supplied Workload the simulator calls into — fails this
+	// run's waiters and nobody else. Deferred first, so it runs after
+	// the slot release and the counters below have unwound.
+	defer func() {
+		if p := recover(); p != nil {
+			e.count(&e.stats.panics)
+			resp, err = nil, fmt.Errorf("service: %w: pipeline run panicked: %v", apierr.ErrInternal, p)
+		}
+	}()
 	n := req.normalized()
 	var sk stageKeys
 	stageOK := false
@@ -917,7 +1060,7 @@ func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *R
 			return nil, fmt.Errorf("service: %w", err)
 		}
 	}
-	resp = &Response{Key: key, Kind: n.Kind, memo: &respMemo{}}
+	resp = &Response{Key: key, Kind: n.Kind, eng: e, shared: &respShared{}}
 
 	if n.Kind == KindMeasure {
 		simStart := time.Now()
@@ -936,9 +1079,10 @@ func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *R
 		prog.Recycle(res)
 		resp.ElapsedMS = elapsedMS(start)
 		if stageOK {
-			ma := &measureArtifact{Cycles: resp.Cycles, ElapsedMS: resp.ElapsedMS}
-			e.stagePut(store.StageMeasure, sk.measure, ma,
-				func() ([]byte, error) { return json.Marshal(ma) })
+			ma := &measureArtifact{cycles: resp.Cycles, elapsedMS: resp.ElapsedMS}
+			e.stagePut(store.StageMeasure, sk.measure, ma, func() ([]byte, error) {
+				return encodePayload(payloadHeader{Cycles: ma.cycles, ElapsedMS: ma.elapsedMS}, nil)
+			})
 		}
 		return resp, nil
 	}
@@ -946,16 +1090,13 @@ func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *R
 	// Profile stage: an advise run whose advice artifact missed may
 	// still reuse a stored profile (e.g. a prior /v1/profile) and skip
 	// the simulation entirely.
-	var prof *profiler.Profile
-	var profDigest string
+	var pa *profileArtifact
 	if stageOK && n.Kind == KindAdvise {
-		if pa := e.profileArtifactGet(sk.profile); pa != nil {
-			prof, profDigest = pa.prof, pa.digest
-		}
+		pa = e.profileArtifactGet(sk.profile)
 	}
-	if prof == nil {
+	if pa == nil {
 		simStart := time.Now()
-		prof, err = profiler.CollectProgram(ctx, prog, n.Launch, n.Workload, profiler.Options{
+		prof, err := profiler.CollectProgram(ctx, prog, n.Launch, n.Workload, profiler.Options{
 			GPU:          n.GPU,
 			SamplePeriod: n.SamplePeriod,
 			SimSMs:       n.SimSMs,
@@ -968,51 +1109,39 @@ func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *R
 		}
 		e.count(&e.stats.sims)
 		// The canonical JSON encoding is hashed directly (identical to
-		// Profile.Digest) and doubles as the artifact payload, so a
-		// store round-trip reproduces this digest byte-for-byte.
+		// Profile.Digest) and doubles as the artifact body, so a store
+		// round-trip reproduces this digest byte-for-byte.
 		data, err := json.Marshal(prof)
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		sum := sha256.Sum256(data)
-		profDigest = hex.EncodeToString(sum[:])
+		// The artifact's elapsed is what a profile response replays, so a
+		// warm store hit stays byte-identical to this cold run.
+		pa = &profileArtifact{
+			kernel: prof.Kernel, cycles: prof.Cycles, elapsedMS: elapsedMS(start),
+			digest: hex.EncodeToString(sum[:]), prof: prof,
+		}
 		if stageOK {
-			pe := elapsedMS(start)
-			pa := &profileArtifact{prof: prof, digest: profDigest, elapsedMS: pe}
 			e.stagePut(store.StageProfile, sk.profile, pa, func() ([]byte, error) {
-				return json.Marshal(profileEnvelope{ElapsedMS: pe, Profile: data})
+				return encodePayload(payloadHeader{Cycles: pa.cycles, ElapsedMS: pa.elapsedMS, Kernel: pa.kernel}, data)
 			})
-			if n.Kind == KindProfile {
-				resp.Cycles = prof.Cycles
-				resp.Profile = prof
-				resp.ProfileDigest = profDigest
-				// The response replays the artifact's elapsed so a warm
-				// store hit stays byte-identical to this cold run.
-				resp.ElapsedMS = pe
-				return resp, nil
-			}
 		}
 	}
-	resp.Cycles = prof.Cycles
-	resp.Profile = prof
-	resp.ProfileDigest = profDigest
+	resp.Cycles, resp.ProfileDigest, resp.prof = pa.cycles, pa.digest, pa
 	if n.Kind == KindProfile {
-		resp.ElapsedMS = elapsedMS(start)
+		resp.ElapsedMS = pa.elapsedMS
 		return resp, nil
 	}
 
 	if err := apierr.CtxErr(ctx); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	// Advice stage: a stored blame/advise artifact (same profile, same
-	// blamer options) serves verbatim over the profile above.
-	if stageOK {
-		if aa := e.adviceArtifactGet(sk.advice); aa != nil {
-			resp.Advice = aa.advice
-			resp.Report = aa.report
-			resp.ElapsedMS = elapsedMS(start)
-			return resp, nil
-		}
+	// Advice stage. serveFromStore found no advice artifact, so this run
+	// computes one; blaming needs the profile as a struct.
+	prof, err := pa.profile(e)
+	if err != nil {
+		return nil, err
 	}
 	blameStart := time.Now()
 	var st *structure.Structure
@@ -1035,15 +1164,24 @@ func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *R
 	}
 	adviseStart := time.Now()
 	advice := adv.Advise(actx, adv.DefaultOptimizers()...)
-	resp.Advice = advice
-	resp.Context = actx
-	resp.Report = advice.String()
+	aa := &adviceArtifact{
+		kernel: advice.Kernel, cycles: pa.cycles, digest: pa.digest,
+		advice: advice, report: advice.String(), pa: pa,
+	}
 	e.lat.Since(obs.StageAdvise, adviseStart)
-	resp.ElapsedMS = elapsedMS(start)
+	aa.elapsedMS = elapsedMS(start)
+	resp.Context, resp.ElapsedMS, resp.adv = actx, aa.elapsedMS, aa
 	if stageOK {
-		aa := &adviceArtifact{advice: advice, report: resp.Report, elapsedMS: resp.ElapsedMS}
 		e.stagePut(store.StageAdvice, sk.advice, aa, func() ([]byte, error) {
-			return json.Marshal(adviceEnvelope{ElapsedMS: aa.elapsedMS, Report: aa.report, Advice: advice})
+			// The put and this run's own wire response share one encoding.
+			doc, err := resp.tailDoc()
+			if err != nil {
+				return nil, err
+			}
+			resp.freshTail = doc[len(tailOpen):]
+			return encodePayload(payloadHeader{
+				Cycles: aa.cycles, ElapsedMS: aa.elapsedMS, ProfileDigest: aa.digest, Kernel: aa.kernel,
+			}, doc)
 		})
 	}
 	return resp, nil

@@ -1,68 +1,140 @@
 package service
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
+	"unicode/utf8"
+
+	"gpa/internal/profiler"
+	"gpa/internal/store"
 )
 
+// fuzzEngine counts the lazy decodes the fuzz targets trigger; it runs
+// nothing.
+var fuzzEngine = New(Options{Workers: 1})
+
 // FuzzStageEnvelopeDecode throws arbitrary payload bytes at all three
-// stage-artifact decoders: none may panic, and anything accepted must
-// be internally consistent (the validation invariants the engine
-// relies on before trusting a store-served artifact).
+// stage-artifact decoders and at the lazy struct decode behind them:
+// none may panic, and anything accepted must be internally consistent
+// (the validation invariants the engine relies on before trusting a
+// store-served artifact).
 func FuzzStageEnvelopeDecode(f *testing.F) {
-	f.Add([]byte(`{"cycles":120,"elapsedMs":1.5}`))
-	f.Add([]byte(`{"elapsedMs":2.0,"profile":{"kernel":"vecscale","cycles":9}}`))
-	f.Add([]byte(`{"elapsedMs":0.5,"report":"GPA performance report","advice":{"kernel":"k","entries":null}}`))
+	f.Add([]byte(`{"elapsedMs":1.5,"cycles":120,"bodyLen":0}` + "\n"))
+	f.Add([]byte(`{"elapsedMs":2,"cycles":9,"kernel":"vecscale","bodyLen":32}` + "\n" + `{"kernel":"vecscale","cycles":9}`))
+	f.Add([]byte(`{"elapsedMs":0.5,"cycles":7,"profileDigest":"d","kernel":"k","bodyLen":76}` + "\n" +
+		"{\n  \"cycles\": 7,\n  \"elapsedMs\": 0.5,\n  \"profileDigest\": \"d\",\n  \"report\": \"GPA\"\n}\n"))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"cycles":-1}`))
-	f.Add([]byte(`{"cycles":1}{"cycles":2}`)) // trailing data
-	f.Add([]byte(`{"cycles":1,"unknown":true}`))
+	f.Add([]byte("null\n"))
+	f.Add([]byte(`{"elapsedMs":0,"cycles":-1,"bodyLen":0}` + "\n"))
+	f.Add([]byte(`{"elapsedMs":0,"cycles":1,"bodyLen":0}{"cycles":2}` + "\n")) // trailing header data
+	f.Add([]byte(`{"elapsedMs":0,"cycles":1,"bodyLen":0,"unknown":true}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if ma, err := decodeMeasure(payload); err == nil {
-			if ma == nil || ma.Cycles < 0 {
+			if ma == nil || ma.cycles < 0 {
 				t.Fatal("decodeMeasure accepted an invalid artifact")
 			}
 		}
 		if pa, err := decodeProfile(payload); err == nil {
-			if pa == nil || pa.prof == nil || pa.prof.Kernel == "" || pa.digest == "" {
+			if pa == nil || pa.kernel == "" || pa.digest == "" || !json.Valid(pa.body) {
 				t.Fatal("decodeProfile accepted an invalid artifact")
 			}
+			if prof, err := pa.profile(fuzzEngine); err == nil && (prof.Kernel != pa.kernel || prof.Cycles != pa.cycles) {
+				t.Fatal("a stored profile decoded to another than its header declared")
+			}
 		}
-		if aa, err := decodeAdvice(payload); err == nil {
-			if aa == nil || aa.advice == nil || aa.advice.Kernel == "" || aa.report == "" {
+		if aa, err := decodeAdvice(payload, store.Key{}); err == nil {
+			if aa == nil || aa.kernel == "" || aa.digest == "" || !json.Valid(aa.doc) || !bytes.HasPrefix(aa.doc, []byte(tailOpen+"  \"cycles\": ")) {
 				t.Fatal("decodeAdvice accepted an invalid artifact")
+			}
+			if advice, report, err := aa.decoded(fuzzEngine); err == nil && (advice.Kernel != aa.kernel || report == "") {
+				t.Fatal("a stored advice decoded to no report")
 			}
 		}
 	})
 }
 
+// FuzzStagePayloadFraming pins the framing every stage payload shares:
+// what encodePayload frames, splitPayload returns — the same header,
+// the same body bytes, aliased, not copied — and no other length of the
+// same bytes is accepted, so a torn or padded blob can never be taken
+// for a shorter or longer artifact.
+func FuzzStagePayloadFraming(f *testing.F) {
+	f.Add(1.25, int64(1280), "", "", []byte(nil), uint16(7))
+	f.Add(0.0, int64(9), "", "vecscale", []byte(`{"kernel":"vecscale","cycles":9}`), uint16(60))
+
+	f.Fuzz(func(t *testing.T, elapsed float64, cycles int64, digest, kernel string, body []byte, cut uint16) {
+		if !utf8.ValidString(digest) || !utf8.ValidString(kernel) {
+			return // encoding/json would rewrite them; names reach a header out of JSON or the assembler's ASCII
+		}
+		want := payloadHeader{ElapsedMS: elapsed, Cycles: cycles, ProfileDigest: digest, Kernel: kernel}
+		payload, err := encodePayload(want, body)
+		if err != nil {
+			return // a NaN or infinite elapsed has no JSON form: never put
+		}
+		h, got, err := splitPayload(payload)
+		headerLen := len(payload) - len(body) - 1
+		if cycles < 0 || headerLen > maxHeaderBytes {
+			if err == nil {
+				t.Fatalf("accepted a payload of %d cycles under a %d-byte header", cycles, headerLen)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+		want.BodyLen = len(body)
+		if h != want {
+			t.Fatalf("header mutated: %+v -> %+v", want, h)
+		}
+		if !bytes.Equal(got, body) || (len(body) > 0 && &got[0] != &payload[headerLen+1]) {
+			t.Fatal("body mutated or copied")
+		}
+		if n := int(cut) % len(payload); n < len(payload) {
+			if _, _, err := splitPayload(payload[:n]); err == nil {
+				t.Fatalf("accepted the payload torn at %d of %d bytes", n, len(payload))
+			}
+		}
+		if _, _, err := splitPayload(append(payload[:len(payload):len(payload)], 'x')); err == nil {
+			t.Fatal("accepted the payload with a byte appended")
+		}
+	})
+}
+
 // FuzzProfileEnvelopeRoundTrip pins the digest-stability contract the
-// profile stage is built on: for any profile JSON the envelope
-// carries, a decode returns a digest equal to the SHA-256 of those
-// exact bytes, and re-encoding the envelope round-trips.
+// profile stage is built on: for any profile JSON the payload carries,
+// a decode returns a digest equal to the SHA-256 of those exact bytes,
+// whatever the later struct decode makes of them.
 func FuzzProfileEnvelopeRoundTrip(f *testing.F) {
 	f.Add(`{"kernel":"vecscale","cycles":1280,"totalSamples":20}`, 1.25)
 	f.Add(`{"kernel":"k"}`, 0.0)
 
 	f.Fuzz(func(t *testing.T, profileJSON string, elapsed float64) {
-		payload, err := json.Marshal(profileEnvelope{ElapsedMS: elapsed, Profile: json.RawMessage(profileJSON)})
+		var prof profiler.Profile
+		if json.Unmarshal([]byte(profileJSON), &prof) != nil {
+			return // not a profile: nothing would have put it
+		}
+		payload, err := encodePayload(payloadHeader{ElapsedMS: elapsed, Cycles: prof.Cycles, Kernel: prof.Kernel}, []byte(profileJSON))
 		if err != nil {
-			return // invalid RawMessage (not JSON): nothing to pin
+			return
 		}
 		pa, err := decodeProfile(payload)
 		if err != nil {
-			return // decoder rejected it (e.g. no kernel name): fine
+			return // decoder rejected it (no kernel name, not canonical): fine
 		}
-		if pa.elapsedMS != elapsed {
-			t.Fatalf("elapsed mutated: %v -> %v", elapsed, pa.elapsedMS)
+		if pa.elapsedMS != elapsed || pa.cycles != prof.Cycles {
+			t.Fatalf("header mutated: %v, %d -> %v, %d", elapsed, prof.Cycles, pa.elapsedMS, pa.cycles)
 		}
-		// The decoded profile must re-marshal to semantically equal JSON
-		// whose digest the engine would reproduce on a cold run.
-		if pa.digest == "" || pa.prof == nil {
-			t.Fatal("accepted envelope with no digest or profile")
+		sum := sha256.Sum256([]byte(profileJSON))
+		if pa.digest != hex.EncodeToString(sum[:]) {
+			t.Fatal("digest is not the SHA-256 of the stored profile bytes")
+		}
+		if got, err := pa.profile(fuzzEngine); err != nil || got.Kernel != prof.Kernel {
+			t.Fatalf("accepted profile does not decode back: %v", err)
 		}
 	})
 }

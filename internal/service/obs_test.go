@@ -80,7 +80,7 @@ func TestTracedRequestsShareOneRun(t *testing.T) {
 	if !respB.Cached {
 		t.Fatal("second request with a different trace ID missed the cache")
 	}
-	if respA.Report != respB.Report || respA.ProfileDigest != respB.ProfileDigest {
+	if reportOf(t, respA) != reportOf(t, respB) || respA.ProfileDigest != respB.ProfileDigest {
 		t.Fatal("traced responses differ")
 	}
 	if st := e.Stats(); st.Runs != 1 {

@@ -89,7 +89,7 @@ func TestCrossTenantSingleflight(t *testing.T) {
 	if st.Runs != 1 {
 		t.Fatalf("runs = %d, want 1 (tenants must not split the flight)", st.Runs)
 	}
-	if resps[0] == nil || resps[1] == nil || resps[0].Report != resps[1].Report {
+	if resps[0] == nil || resps[1] == nil || reportOf(t, resps[0]) != reportOf(t, resps[1]) {
 		t.Fatal("cross-tenant responses differ")
 	}
 	if a, b := st.Tenants["alpha"].Served, st.Tenants["beta"].Served; a != 1 || b != 1 {

@@ -1,12 +1,18 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
+	"gpa/internal/apierr"
 	"gpa/internal/gpusim"
+	"gpa/internal/profiler"
 	"gpa/internal/sass"
+
+	adv "gpa/internal/advisor"
 )
 
 const testKernelSrc = `
@@ -29,6 +35,36 @@ BR0:	@P0 BRA LOOP {S:5}
 	STG.E.32 [R2], R5 {S:1, R:1}
 	EXIT {Q:1}
 `
+
+// reportOf, adviceOf and profileOf are the Response accessors for
+// responses that must have the value: the accessors can fail only on
+// store-served responses whose artifact is gone or malformed.
+func reportOf(t testing.TB, r *Response) string {
+	t.Helper()
+	text, err := r.Report()
+	if err != nil {
+		t.Fatalf("Report(): %v", err)
+	}
+	return text
+}
+
+func adviceOf(t testing.TB, r *Response) *adv.Advice {
+	t.Helper()
+	a, err := r.Advice()
+	if err != nil {
+		t.Fatalf("Advice(): %v", err)
+	}
+	return a
+}
+
+func profileOf(t testing.TB, r *Response) *profiler.Profile {
+	t.Helper()
+	p, err := r.Profile()
+	if err != nil {
+		t.Fatalf("Profile(): %v", err)
+	}
+	return p
+}
 
 func testRequest(t *testing.T, kind Kind) *Request {
 	t.Helper()
@@ -163,7 +199,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	if cold.Cached {
 		t.Fatal("first run must be a miss")
 	}
-	if cold.Report == "" || cold.Advice == nil || cold.Profile == nil {
+	if reportOf(t, cold) == "" || adviceOf(t, cold) == nil || profileOf(t, cold) == nil {
 		t.Fatal("advise response incomplete")
 	}
 	warm, err := e.Do(context.Background(), testRequest(t, KindAdvise))
@@ -173,7 +209,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	if !warm.Cached {
 		t.Fatal("second run must hit the cache")
 	}
-	if warm.Report != cold.Report {
+	if reportOf(t, warm) != reportOf(t, cold) {
 		t.Errorf("cached report differs from cold run")
 	}
 	if warm.ProfileDigest != cold.ProfileDigest {
@@ -219,7 +255,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		t.Errorf("hits+coalesced = %d, want %d", st.Hits+st.Coalesced, n-1)
 	}
 	for i := 1; i < n; i++ {
-		if resps[i].Report != resps[0].Report {
+		if reportOf(t, resps[i]) != reportOf(t, resps[0]) {
 			t.Fatalf("response %d differs", i)
 		}
 	}
@@ -244,10 +280,10 @@ func TestDoAllMixedKinds(t *testing.T) {
 	if resps[0].Cycles <= 0 {
 		t.Error("measure: no cycles")
 	}
-	if resps[1].Profile == nil || resps[1].ProfileDigest == "" {
+	if profileOf(t, resps[1]) == nil || resps[1].ProfileDigest == "" {
 		t.Error("profile: missing profile or digest")
 	}
-	if resps[2].Advice == nil || len(resps[2].Advice.Entries) == 0 {
+	if a := adviceOf(t, resps[2]); a == nil || len(a.Entries) == 0 {
 		t.Error("advise: no ranked entries")
 	}
 	// Kinds digest differently, so all three simulated.
@@ -269,6 +305,71 @@ func TestErrorsNotCached(t *testing.T) {
 	st := e.Stats()
 	if st.Errors != 2 || st.Runs != 2 || st.CacheEntries != 0 {
 		t.Errorf("stats = %+v, want 2 uncached errors", st)
+	}
+}
+
+// panicWorkload is a caller-supplied workload with a bug in it.
+type panicWorkload struct{}
+
+func (panicWorkload) Taken(gpusim.WarpCtx, int, int) bool  { panic("workload bug") }
+func (panicWorkload) Latency(gpusim.WarpCtx, int, int) int { panic("workload bug") }
+func (panicWorkload) Transactions(int) int                 { panic("workload bug") }
+
+// TestPanicContainedAtFlightBoundary: a run that panics — here inside
+// the Workload the simulator calls into — fails its own waiters with a
+// typed error and nothing else. Both execute paths are covered (the
+// flight goroutine of a cacheable request, the direct call of an
+// uncacheable one); the panic is counted and never cached; an unrelated
+// request running beside them answers exactly as on an undisturbed
+// engine.
+func TestPanicContainedAtFlightBoundary(t *testing.T) {
+	ctx := context.Background()
+	want, err := New(Options{Workers: 2}).Do(ctx, testRequest(t, KindAdvise))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(Options{Workers: 2})
+	keyed := testRequest(t, KindAdvise)
+	keyed.Workload, keyed.WorkloadKey = panicWorkload{}, "buggy"
+	bypass := testRequest(t, KindAdvise)
+	bypass.Workload = panicWorkload{}
+	// Two waiters on the keyed flight, one direct run, one bystander.
+	reqs := []*Request{keyed, keyed, bypass, testRequest(t, KindAdvise)}
+	resps, errs := e.DoAll(ctx, reqs)
+	for i := range 3 {
+		if !errors.Is(errs[i], apierr.ErrInternal) || resps[i] != nil {
+			t.Errorf("panicking request %d = %v, %v; want nil and ErrInternal", i, resps[i], errs[i])
+		}
+	}
+	got := resps[3]
+	if errs[3] != nil {
+		t.Fatalf("bystander failed: %v", errs[3])
+	}
+	if reportOf(t, got) != reportOf(t, want) || got.ProfileDigest != want.ProfileDigest || got.Cycles != want.Cycles {
+		t.Error("bystander's result differs from an undisturbed run's")
+	}
+	// Its wire bytes too, once the one field that times the run is equal.
+	got.ElapsedMS = want.ElapsedMS
+	gt, err1 := got.Tail()
+	wt, err2 := want.Tail()
+	if err1 != nil || err2 != nil || !bytes.Equal(gt, wt) {
+		t.Errorf("bystander's wire tail differs from an undisturbed run's (%v, %v)", err1, err2)
+	}
+
+	if _, err := e.Do(ctx, keyed); !errors.Is(err, apierr.ErrInternal) {
+		t.Errorf("repeat of the panicking request = %v, want ErrInternal again (never cached)", err)
+	}
+	st := e.Stats()
+	// The two coalesced waiters shared one run, unless the second arrived
+	// after the first had already failed.
+	if st.Panics < 3 || st.Panics > 4 || st.CacheEntries != 1 || st.Inflight != 0 {
+		t.Errorf("panics=%d cacheEntries=%d inflight=%d, want 3 or 4 contained panics, the bystander alone cached, nothing in flight",
+			st.Panics, st.CacheEntries, st.Inflight)
+	}
+	// The worker slots came back: the engine still serves.
+	if _, err := e.Do(ctx, testRequest(t, KindMeasure)); err != nil {
+		t.Fatalf("engine unusable after contained panics: %v", err)
 	}
 }
 
@@ -357,7 +458,7 @@ func TestParallelismMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Report != b.Report || a.ProfileDigest != b.ProfileDigest {
+	if reportOf(t, a) != reportOf(t, b) || a.ProfileDigest != b.ProfileDigest {
 		t.Error("parallel SM simulation changed the advise response")
 	}
 	if a.Key != b.Key {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sync"
 
+	"gpa/internal/apierr"
 	"gpa/internal/arch"
 	"gpa/internal/cubin"
 	"gpa/internal/gpusim"
@@ -154,122 +155,309 @@ type frontendArtifact struct {
 	stErr  error
 }
 
-// measureArtifact is the decoded measure-stage artifact; it doubles as
-// its own blob payload encoding.
-type measureArtifact struct {
-	Cycles int64 `json:"cycles"`
-	// ElapsedMS is the producing run's wall-clock cost: a store hit
-	// replays it, mirroring the result cache's "cost the cache avoided"
-	// contract so warm responses stay byte-identical to the cold run.
-	ElapsedMS float64 `json:"elapsedMs"`
+// Stage blob payloads share one framing: a header — one line of strict
+// compact JSON — a newline, then exactly BodyLen raw body bytes. The
+// header carries every scalar a response needs, so serving a blob
+// parses some hundred bytes whatever the body weighs, and the body is
+// stored in the form its consumer wants it in:
+//
+//	measure: cycles, elapsedMs; no body
+//	profile: cycles, elapsedMs, kernel; the body is the canonical
+//	         compact profile JSON, whose SHA-256 is the profile digest
+//	advice:  cycles, elapsedMs, profileDigest, kernel; the body is the
+//	         reference encoding of the advise response's wireTail, so
+//	         the bytes after tailOpen go onto the wire as they are
+type payloadHeader struct {
+	ElapsedMS     float64 `json:"elapsedMs"`
+	Cycles        int64   `json:"cycles"`
+	ProfileDigest string  `json:"profileDigest,omitempty"`
+	Kernel        string  `json:"kernel,omitempty"`
+	BodyLen       int     `json:"bodyLen"`
 }
 
-// profileArtifact is the decoded profile-stage artifact.
-type profileArtifact struct {
-	prof      *profiler.Profile
-	digest    string
-	elapsedMS float64
+// maxHeaderBytes bounds the header line (a mangled kernel name is its
+// only part of variable size), so a forged blob cannot make the strict
+// decoder chew on megabytes.
+const maxHeaderBytes = 4096
+
+// encodePayload frames body under h.
+func encodePayload(h payloadHeader, body []byte) ([]byte, error) {
+	h.BodyLen = len(body)
+	hdr, err := json.Marshal(h)
+	if err != nil {
+		return nil, fmt.Errorf("service: stage payload header: %w", err)
+	}
+	out := make([]byte, 0, len(hdr)+1+len(body))
+	out = append(out, hdr...)
+	out = append(out, '\n')
+	return append(out, body...), nil
 }
 
-// profileEnvelope is the profile-stage blob payload. Profile rides as
-// its exact canonical JSON bytes: the digest of a store-served profile
-// is the SHA-256 of those bytes, byte-identical to Profile.Digest()
-// on the profile that produced them.
-type profileEnvelope struct {
-	ElapsedMS float64         `json:"elapsedMs"`
-	Profile   json.RawMessage `json:"profile"`
-}
-
-// adviceArtifact is the decoded advice-stage artifact.
-type adviceArtifact struct {
-	advice    *adv.Advice
-	report    string
-	elapsedMS float64
-}
-
-// adviceEnvelope is the advice-stage blob payload. The rendered report
-// text is stored verbatim rather than re-rendered on load, so a
-// store-served report is byte-identical to the cold run's by
-// construction.
-type adviceEnvelope struct {
-	ElapsedMS float64     `json:"elapsedMs"`
-	Report    string      `json:"report"`
-	Advice    *adv.Advice `json:"advice"`
-}
-
-// decodeEnvelope strictly unmarshals a blob payload: unknown fields
-// and trailing garbage are corruption, not forward compatibility —
-// cross-version compatibility is the schema string's job.
+// splitPayload undoes encodePayload. Unknown header fields, trailing
+// header data and a body of another length than the header declares
+// are corruption, not forward compatibility — cross-version
+// compatibility is the schema string's job. body aliases payload.
 //
 //gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside stageLookup; they never cross the service boundary
-func decodeEnvelope(payload []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(payload))
+func splitPayload(payload []byte) (h payloadHeader, body []byte, err error) {
+	nl := bytes.IndexByte(payload, '\n')
+	if nl < 0 || nl > maxHeaderBytes {
+		return h, nil, fmt.Errorf("service: stage payload has no header line")
+	}
+	dec := json.NewDecoder(bytes.NewReader(payload[:nl]))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
+	if err := dec.Decode(&h); err != nil {
+		return h, nil, err
 	}
 	if dec.More() {
-		return fmt.Errorf("service: trailing data after envelope")
+		return h, nil, fmt.Errorf("service: trailing data after stage payload header")
 	}
-	return nil
+	body = payload[nl+1:]
+	if h.BodyLen != len(body) {
+		return h, nil, fmt.Errorf("service: stage payload body is %d bytes, header declares %d", len(body), h.BodyLen)
+	}
+	if h.Cycles < 0 {
+		return h, nil, fmt.Errorf("service: negative cycle count in stage payload")
+	}
+	return h, body, nil
+}
+
+// wireTail is the part of a gpa-result/2 body that no request can
+// change: gpa.Result's fields from "cycles" on, under the same names in
+// the same order (TestEncodeResultMatchesReferenceEncoder holds the two
+// together). It is defined here because the advice blob stores it.
+type wireTail struct {
+	Cycles        int64             `json:"cycles"`
+	ElapsedMS     float64           `json:"elapsedMs"`
+	ProfileDigest string            `json:"profileDigest,omitempty"`
+	Advice        []adv.AdviceEntry `json:"advice,omitempty"`
+	Report        string            `json:"report,omitempty"`
+	Profile       *profiler.Profile `json:"profile,omitempty"`
+}
+
+const (
+	// tailOpen is what the reference encoding of a wireTail opens with
+	// and the wire tail leaves out: the per-request head stands there.
+	tailOpen = "{\n"
+	// tailClose ends every reference encoding.
+	tailClose = "\n}\n"
+	// reportMark opens the report text, the advice document's last
+	// field. Nothing nested is indented this little and the text itself
+	// holds no raw newline, so the mark matches the field alone.
+	reportMark = ",\n  \"report\": \""
+)
+
+// encode renders t as gpad's reference encoder renders a result: two
+// spaces of indent, the newline json.Encoder ends a value with. The
+// slice is sized exactly, because a memoized tail is kept for as long
+// as the engine caches the response.
+func (t *wireTail) encode() ([]byte, error) {
+	enc, err := json.MarshalIndent(t, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("service: encode result: %w", err)
+	}
+	doc := make([]byte, 0, len(enc)+1)
+	return append(append(doc, enc...), '\n'), nil
+}
+
+// measureArtifact is the measure-stage artifact.
+type measureArtifact struct {
+	cycles int64
+	// elapsedMS is the producing run's wall-clock cost: a store hit
+	// replays it, mirroring the result cache's "cost the cache avoided"
+	// contract so warm responses stay byte-identical to the cold run.
+	elapsedMS float64
+}
+
+// profileArtifact is the profile-stage artifact. A run builds it around
+// the profile it collected; one loaded from disk holds the profile's
+// canonical JSON and decodes it when somebody first asks for the struct
+// (an advise response never does).
+type profileArtifact struct {
+	kernel    string
+	cycles    int64
+	digest    string
+	elapsedMS float64
+
+	// body is nil when a run set prof; once guards the one decode.
+	body []byte
+	once sync.Once
+	prof *profiler.Profile
+	err  error
+}
+
+// adviceArtifact is the advice-stage artifact. A run builds it around
+// the advice it computed; one loaded from disk holds the response tail
+// it will be served as, and decodes it only for callers that want the
+// struct form.
+type adviceArtifact struct {
+	kernel    string
+	cycles    int64
+	digest    string // of the profile the advice blames
+	elapsedMS float64
+
+	// doc is the stored wireTail document (nil when a run set advice and
+	// report); once guards the one decode.
+	doc    []byte
+	once   sync.Once
+	advice *adv.Advice
+	// report is the rendered text, stored verbatim rather than
+	// re-rendered on load, so a store-served report is byte-identical to
+	// the cold run's by construction.
+	report string
+	err    error
+
+	// profKey names the blamed profile in the profile stage. A run sets
+	// pa outright; a loaded artifact resolves it on first use, guarded by
+	// paOnce.
+	profKey store.Key
+	paOnce  sync.Once
+	pa      *profileArtifact
+	paErr   error
 }
 
 // decodeMeasure validates a measure-stage payload.
 //
 //gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside stageLookup; they never cross the service boundary
 func decodeMeasure(payload []byte) (*measureArtifact, error) {
-	var ma measureArtifact
-	if err := decodeEnvelope(payload, &ma); err != nil {
+	h, body, err := splitPayload(payload)
+	if err != nil {
 		return nil, err
 	}
-	if ma.Cycles < 0 {
-		return nil, fmt.Errorf("service: negative cycle count in measure artifact")
+	if len(body) != 0 || h.Kernel != "" || h.ProfileDigest != "" {
+		return nil, fmt.Errorf("service: measure artifact carries more than cycles")
 	}
-	return &ma, nil
+	return &measureArtifact{cycles: h.Cycles, elapsedMS: h.ElapsedMS}, nil
 }
 
-// decodeProfile validates a profile-stage payload and rebuilds the
-// profile plus its content digest from the embedded canonical bytes.
+// decodeProfile validates a profile-stage payload without decoding the
+// profile: the body must be one JSON value that opens with the kernel
+// name the header declares, and its digest is the SHA-256 of its bytes,
+// byte-identical to Profile.Digest() on the profile that produced them.
 //
 //gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside stageLookup; they never cross the service boundary
 func decodeProfile(payload []byte) (*profileArtifact, error) {
-	var env profileEnvelope
-	if err := decodeEnvelope(payload, &env); err != nil {
+	h, body, err := splitPayload(payload)
+	if err != nil {
 		return nil, err
 	}
-	if len(env.Profile) == 0 {
-		return nil, fmt.Errorf("service: empty profile in artifact")
-	}
-	var prof profiler.Profile
-	if err := json.Unmarshal(env.Profile, &prof); err != nil {
-		return nil, err
-	}
-	if prof.Kernel == "" {
+	if h.Kernel == "" || h.ProfileDigest != "" {
 		return nil, fmt.Errorf("service: profile artifact names no kernel")
 	}
-	sum := sha256.Sum256(env.Profile)
+	name, _ := json.Marshal(h.Kernel) // a string always marshals
+	if !bytes.HasPrefix(body, append([]byte(`{"kernel":`), name...)) || !json.Valid(body) {
+		return nil, fmt.Errorf("service: profile artifact body is not a profile of %q", h.Kernel)
+	}
+	sum := sha256.Sum256(body)
 	return &profileArtifact{
-		prof:      &prof,
-		digest:    hex.EncodeToString(sum[:]),
-		elapsedMS: env.ElapsedMS,
+		kernel: h.Kernel, cycles: h.Cycles, elapsedMS: h.ElapsedMS,
+		digest: hex.EncodeToString(sum[:]), body: body,
 	}, nil
 }
 
-// decodeAdvice validates an advice-stage payload.
+// decodeAdvice validates an advice-stage payload without decoding the
+// advice: the body must be one JSON value that opens exactly as the
+// header's scalars encode (so what the response reports and what its
+// tail says cannot differ) and carries a non-empty report. profKey
+// names the profile the advice blames, for the day somebody asks.
 //
 //gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside stageLookup; they never cross the service boundary
-func decodeAdvice(payload []byte) (*adviceArtifact, error) {
-	var env adviceEnvelope
-	if err := decodeEnvelope(payload, &env); err != nil {
+func decodeAdvice(payload []byte, profKey store.Key) (*adviceArtifact, error) {
+	h, body, err := splitPayload(payload)
+	if err != nil {
 		return nil, err
 	}
-	if env.Advice == nil || env.Advice.Kernel == "" {
-		return nil, fmt.Errorf("service: advice artifact names no kernel")
+	if h.Kernel == "" || h.ProfileDigest == "" {
+		return nil, fmt.Errorf("service: advice artifact names no kernel or profile")
 	}
-	if env.Report == "" {
+	open, err := (&wireTail{Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest}).encode()
+	if err != nil {
+		return nil, err
+	}
+	rest, ok := bytes.CutPrefix(body, open[:len(open)-len(tailClose)])
+	if !ok || !bytes.HasPrefix(rest, []byte(",\n")) || !json.Valid(body) {
+		return nil, fmt.Errorf("service: advice artifact body is not the tail its header declares")
+	}
+	if i := bytes.LastIndex(rest, []byte(reportMark)); i < 0 || rest[i+len(reportMark)] == '"' {
 		return nil, fmt.Errorf("service: advice artifact has no report")
 	}
-	return &adviceArtifact{advice: env.Advice, report: env.Report, elapsedMS: env.ElapsedMS}, nil
+	return &adviceArtifact{
+		kernel: h.Kernel, cycles: h.Cycles, digest: h.ProfileDigest, elapsedMS: h.ElapsedMS,
+		doc: body, profKey: profKey,
+	}, nil
+}
+
+// errArtifact is the typed failure of an on-demand accessor: the store
+// promised a struct it can no longer produce.
+func errArtifact(format string, args ...any) error {
+	return fmt.Errorf("service: %w: stored %s", apierr.ErrInternal, fmt.Sprintf(format, args...))
+}
+
+// profile returns the artifact's profile, decoding a loaded body on
+// first use. The decoded profile must be the one the header described.
+func (pa *profileArtifact) profile(e *Engine) (*profiler.Profile, error) {
+	pa.once.Do(func() {
+		if pa.body == nil {
+			return
+		}
+		e.count(&e.stats.stageDecodes)
+		var prof profiler.Profile
+		if err := json.Unmarshal(pa.body, &prof); err != nil {
+			pa.err = errArtifact("profile does not decode: %v", err)
+			return
+		}
+		if prof.Kernel != pa.kernel || prof.Cycles != pa.cycles {
+			pa.err = errArtifact("profile decodes to %q at %d cycles, its header declares %q at %d",
+				prof.Kernel, prof.Cycles, pa.kernel, pa.cycles)
+			return
+		}
+		// The digest is taken; the struct replaces the bytes.
+		pa.prof, pa.body = &prof, nil
+	})
+	return pa.prof, pa.err
+}
+
+// decoded returns the artifact's advice and report text, decoding a
+// loaded document on first use.
+func (aa *adviceArtifact) decoded(e *Engine) (*adv.Advice, string, error) {
+	aa.once.Do(func() {
+		if aa.doc == nil {
+			return
+		}
+		e.count(&e.stats.stageDecodes)
+		var t wireTail
+		if err := json.Unmarshal(aa.doc, &t); err != nil {
+			aa.err = errArtifact("advice does not decode: %v", err)
+			return
+		}
+		if t.Report == "" {
+			aa.err = errArtifact("advice decodes to no report")
+			return
+		}
+		aa.advice, aa.report = &adv.Advice{Kernel: aa.kernel, Entries: t.Advice}, t.Report
+	})
+	return aa.advice, aa.report, aa.err
+}
+
+// profileArtifact returns the artifact of the profile this advice
+// blames, fetching a loaded artifact's from the profile stage on first
+// use: serving advice never touches that stage.
+func (aa *adviceArtifact) profileArtifact(e *Engine) (*profileArtifact, error) {
+	aa.paOnce.Do(func() {
+		if aa.pa != nil {
+			return
+		}
+		pa := e.profileArtifactGet(aa.profKey)
+		switch {
+		case pa == nil:
+			aa.paErr = errArtifact("profile is gone from under the advice that blames it")
+		case pa.digest != aa.digest:
+			aa.paErr = errArtifact("profile has digest %.16s, its advice blames %.16s", pa.digest, aa.digest)
+		default:
+			aa.pa = pa
+		}
+	})
+	return aa.pa, aa.paErr
 }
 
 // stagesEnabled reports whether any artifact backend is configured.
@@ -317,8 +505,8 @@ func (e *Engine) profileArtifactGet(key store.Key) *profileArtifact {
 	return v.(*profileArtifact)
 }
 
-func (e *Engine) adviceArtifactGet(key store.Key) *adviceArtifact {
-	v := e.stageLookup(store.StageAdvice, key, func(p []byte) (any, error) { return decodeAdvice(p) })
+func (e *Engine) adviceArtifactGet(sk *stageKeys) *adviceArtifact {
+	v := e.stageLookup(store.StageAdvice, sk.advice, func(p []byte) (any, error) { return decodeAdvice(p, sk.profile) })
 	if v == nil {
 		return nil
 	}
@@ -373,50 +561,39 @@ func (e *Engine) structureOf(f *frontendArtifact) (*structure.Structure, error) 
 	return f.st, f.stErr
 }
 
-// serveFromStore attempts to satisfy the whole request from stage
-// artifacts without running any pipeline stage. nil means at least one
-// required stage is missing and the caller must execute. Store-served
+// serveFromStore attempts to satisfy the whole request from its one
+// stage artifact without running any pipeline stage. nil means the
+// artifact is missing and the caller must execute. Store-served
 // responses mirror the result cache's hit contract: Cached=true and
 // the producing run's ElapsedMS.
 func (e *Engine) serveFromStore(n *Request, key string, sk *stageKeys) *Response {
+	resp := &Response{Key: key, Cached: true, Kind: n.Kind, eng: e, shared: &respShared{}}
 	switch n.Kind {
 	case KindMeasure:
 		ma := e.measureArtifactGet(sk.measure)
 		if ma == nil {
 			return nil
 		}
-		return &Response{
-			Key: key, Cached: true, Kind: n.Kind,
-			Cycles: ma.Cycles, ElapsedMS: ma.ElapsedMS, memo: &respMemo{},
-		}
+		resp.Cycles, resp.ElapsedMS = ma.cycles, ma.elapsedMS
 	case KindProfile:
 		pa := e.profileArtifactGet(sk.profile)
 		if pa == nil {
 			return nil
 		}
-		return &Response{
-			Key: key, Cached: true, Kind: n.Kind,
-			Cycles: pa.prof.Cycles, ElapsedMS: pa.elapsedMS,
-			Profile: pa.prof, ProfileDigest: pa.digest, memo: &respMemo{},
-		}
+		resp.Cycles, resp.ElapsedMS, resp.ProfileDigest = pa.cycles, pa.elapsedMS, pa.digest
+		resp.prof = pa
 	case KindAdvise:
-		pa := e.profileArtifactGet(sk.profile)
-		if pa == nil {
-			return nil
-		}
-		aa := e.adviceArtifactGet(sk.advice)
+		// The advice key hashes the profile key, so the advice artifact
+		// alone determines the response; the profile stage is consulted
+		// only if a caller asks for the Profile. Context is not
+		// serializable (it is a pointer graph into the module):
+		// store-served advise responses carry a nil Context.
+		aa := e.adviceArtifactGet(sk)
 		if aa == nil {
 			return nil
 		}
-		// Context is not serializable (it is a pointer graph into the
-		// module); store-served advise responses carry a nil Context.
-		// Every in-repo consumer reads Advice/Report only.
-		return &Response{
-			Key: key, Cached: true, Kind: n.Kind,
-			Cycles: pa.prof.Cycles, ElapsedMS: aa.elapsedMS,
-			Profile: pa.prof, ProfileDigest: pa.digest,
-			Advice: aa.advice, Report: aa.report, memo: &respMemo{},
-		}
+		resp.Cycles, resp.ElapsedMS, resp.ProfileDigest = aa.cycles, aa.elapsedMS, aa.digest
+		resp.adv = aa
 	}
-	return nil
+	return resp
 }

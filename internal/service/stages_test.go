@@ -1,12 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 
+	"gpa/internal/apierr"
 	"gpa/internal/arch"
 	"gpa/internal/gpusim"
 	"gpa/internal/store"
@@ -129,7 +133,7 @@ func TestSweepStructureAnalysisOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", arch.KeyOf(g), err)
 		}
-		want[i] = resp.Report
+		want[i] = reportOf(t, resp)
 		wantDigest[i] = resp.ProfileDigest
 		if st := e.Stats(); st.StructureBuilds != 1 {
 			t.Fatalf("%s: stage-cache-free engine built structure %d times, want 1",
@@ -158,7 +162,7 @@ func TestSweepStructureAnalysisOnce(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("%s: %v", arch.KeyOf(g), errs[i])
 		}
-		if resps[i].Report != want[i] {
+		if reportOf(t, resps[i]) != want[i] {
 			t.Errorf("%s: sweep report differs from isolated cold run", arch.KeyOf(g))
 		}
 		if resps[i].ProfileDigest != wantDigest[i] {
@@ -207,7 +211,7 @@ func TestProfileFeedsAdvise(t *testing.T) {
 	if advResp.ProfileDigest != profResp.ProfileDigest {
 		t.Error("advise served a different profile than the profile job produced")
 	}
-	if advResp.Report != coldResp.Report {
+	if reportOf(t, advResp) != reportOf(t, coldResp) {
 		t.Error("advise over a stored profile differs from a cold advise run")
 	}
 	if advResp.ProfileDigest != coldResp.ProfileDigest {
@@ -230,7 +234,8 @@ func newDiskEngine(t *testing.T, dir string) *Engine {
 
 // mustEqualServed asserts a store-served response matches the cold
 // original in every result-bearing byte (the Cached flag is the one
-// permitted difference; ElapsedMS replays the producing run's value).
+// permitted difference; ElapsedMS replays the producing run's value),
+// through the scalar fields, the wire tail and every accessor.
 func mustEqualServed(t *testing.T, label string, cold, warm *Response) {
 	t.Helper()
 	if !warm.Cached {
@@ -245,27 +250,40 @@ func mustEqualServed(t *testing.T, label string, cold, warm *Response) {
 	if warm.ProfileDigest != cold.ProfileDigest {
 		t.Errorf("%s: profile digest drifted across the store", label)
 	}
-	if warm.Report != cold.Report {
+	wt, err1 := warm.Tail()
+	ct, err2 := cold.Tail()
+	if err1 != nil || err2 != nil {
+		t.Fatalf("%s: Tail: %v, %v", label, err1, err2)
+	}
+	if !bytes.Equal(wt, ct) {
+		t.Errorf("%s: wire tail drifted across the store\ncold: %.200s\nwarm: %.200s", label, ct, wt)
+	}
+	if reportOf(t, warm) != reportOf(t, cold) {
 		t.Errorf("%s: report text drifted across the store", label)
 	}
-	if (warm.Profile == nil) != (cold.Profile == nil) {
-		t.Errorf("%s: profile presence differs", label)
+	mustEqualJSON(t, label+": advice", adviceOf(t, cold), adviceOf(t, warm))
+	mustEqualJSON(t, label+": profile", profileOf(t, cold), profileOf(t, warm))
+}
+
+// mustEqualJSON compares two values by their canonical encoding, the
+// form they cross the store in.
+func mustEqualJSON(t *testing.T, label string, cold, warm any) {
+	t.Helper()
+	cj, err1 := json.Marshal(cold)
+	wj, err2 := json.Marshal(warm)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("%s: marshal: %v, %v", label, err1, err2)
 	}
-	if warm.Profile != nil && cold.Profile != nil {
-		wj, err1 := json.Marshal(warm.Profile)
-		cj, err2 := json.Marshal(cold.Profile)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: marshal: %v, %v", label, err1, err2)
-		}
-		if string(wj) != string(cj) {
-			t.Errorf("%s: profile JSON drifted across the store", label)
-		}
+	if string(wj) != string(cj) {
+		t.Errorf("%s drifted across the store", label)
 	}
 }
 
 // TestDiskStoreRestartWarm pins the tentpole contract: a fresh engine
 // on a populated store directory serves every kind with Runs==0 and
-// Sims==0, byte-identical to the cold run.
+// Sims==0, byte-identical to the cold run, from exactly one blob read
+// per request and without decoding a single payload until a caller
+// asks for a struct.
 func TestDiskStoreRestartWarm(t *testing.T) {
 	dir := t.TempDir()
 	kinds := []Kind{KindMeasure, KindProfile, KindAdvise}
@@ -279,15 +297,19 @@ func TestDiskStoreRestartWarm(t *testing.T) {
 		}
 		colds[i] = resp
 	}
+	if st := e1.Stats(); st.StorePuts != 3 {
+		t.Errorf("cold engine made %d puts, want 3 (measure, profile, advice)", st.StorePuts)
+	}
 
 	// Restart: a brand-new engine over the same directory.
 	e2 := newDiskEngine(t, dir)
+	warms := make([]*Response, len(kinds))
 	for i, k := range kinds {
 		warm, err := e2.Do(context.Background(), testRequest(t, k))
 		if err != nil {
 			t.Fatalf("%v restart: %v", k, err)
 		}
-		mustEqualServed(t, k.String(), colds[i], warm)
+		warms[i] = warm
 	}
 	st := e2.Stats()
 	if st.Runs != 0 || st.Sims != 0 {
@@ -296,60 +318,155 @@ func TestDiskStoreRestartWarm(t *testing.T) {
 	if st.StageServed != int64(len(kinds)) {
 		t.Errorf("stageServed = %d, want %d", st.StageServed, len(kinds))
 	}
-	if st.StoreHits == 0 {
-		t.Errorf("restart served without disk hits: %+v", st)
+	if st.StoreHits != int64(len(kinds)) || st.StorePuts != 0 || st.StageDecodes != 0 {
+		t.Errorf("serving %d requests cost storeHits=%d storePuts=%d stageDecodes=%d, want %d/0/0",
+			len(kinds), st.StoreHits, st.StorePuts, st.StageDecodes, len(kinds))
 	}
+	if _, err := warms[2].Tail(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e2.Stats(); st.StageDecodes != 0 {
+		t.Errorf("the stored advise tail was decoded to be served: stageDecodes=%d", st.StageDecodes)
+	}
+
+	// The accessors decode: the profile once (the advise response finds
+	// the profile response's artifact in the memory stage) and the
+	// advice once, however often they are called.
+	for range 2 {
+		for i, k := range kinds {
+			mustEqualServed(t, k.String(), colds[i], warms[i])
+		}
+	}
+	if st := e2.Stats(); st.StageDecodes != 2 || st.StoreHits != int64(len(kinds)) {
+		t.Errorf("after every accessor: stageDecodes=%d storeHits=%d, want 2/%d", st.StageDecodes, st.StoreHits, len(kinds))
+	}
+}
+
+// TestStoreServedProfileVanishes: a stored advise response is served
+// from the advice blob alone, so the profile blob can go missing behind
+// it. Asking for the profile then is a typed error — not a panic, not a
+// recompute — and everything the advice blob holds still serves.
+func TestStoreServedProfileVanishes(t *testing.T) {
+	dir := t.TempDir()
+	cold, err := newDiskEngine(t, dir).Do(context.Background(), testRequest(t, KindAdvise))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testRequest(t, KindAdvise).normalized()
+	sk, _, err := n.stageKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e := newDiskEngine(t, dir)
+	warm, err := e.Do(context.Background(), testRequest(t, KindAdvise))
+	if err != nil || !warm.Cached {
+		t.Fatalf("restart: err=%v cached=%v", err, warm != nil && warm.Cached)
+	}
+	if err := os.Remove(e.disk.Path(store.StageProfile, sk.profile)); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // the failure is memoized like a success
+		if p, err := warm.Profile(); !errors.Is(err, apierr.ErrInternal) || p != nil {
+			t.Fatalf("Profile() over a vanished blob = %v, %v; want nil and ErrInternal", p, err)
+		}
+	}
+	if reportOf(t, warm) != reportOf(t, cold) {
+		t.Error("report text drifted across the store")
+	}
+	// The cached copy of the response shares the artifact, and its fate.
+	hit, err := e.Do(context.Background(), testRequest(t, KindAdvise))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hit.Profile(); !errors.Is(err, apierr.ErrInternal) {
+		t.Errorf("cache hit Profile() err = %v, want ErrInternal", err)
+	}
+}
+
+// reframe rewrites the payload of one stored blob under a valid
+// checksum, so only artifact-level validation can object to it.
+func reframe(t *testing.T, d *store.Disk, stage string, key store.Key, edit func(h payloadHeader, body []byte) []byte) {
+	t.Helper()
+	payload, ok := d.Get(stage, key)
+	if !ok {
+		t.Fatalf("no %s blob to corrupt", stage)
+	}
+	h, body, err := splitPayload(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Put(stage, key, edit(h, body))
+}
+
+// frame is encodePayload with the header's BodyLen left as given.
+func frame(t *testing.T, h payloadHeader, body []byte) []byte {
+	t.Helper()
+	hdr, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append(hdr, '\n'), body...)
 }
 
 // TestDiskStoreFaultInjectionRecomputes drives every corruption
 // scenario through the ENGINE: a damaged blob of any stage must
 // degrade to a recomputed miss whose output is byte-identical to the
-// cold run, with the corruption counted, never an error.
+// cold run, with the corruption counted at read time, never an error.
+// Each stage is read by the request kind it alone serves.
 func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 	// Store-free cold references, one per kind (the simulator is
 	// deterministic, so these are THE right answers everywhere).
 	coldEng := New(Options{Workers: 1, StageEntries: -1})
-	cold, err := coldEng.Do(context.Background(), testRequest(t, KindAdvise))
-	if err != nil {
-		t.Fatal(err)
+	stages := []struct {
+		stage string
+		kind  Kind
+		cold  *Response
+	}{
+		{store.StageMeasure, KindMeasure, nil},
+		{store.StageProfile, KindProfile, nil},
+		{store.StageAdvice, KindAdvise, nil},
 	}
-	coldMeasure, err := coldEng.Do(context.Background(), testRequest(t, KindMeasure))
-	if err != nil {
-		t.Fatal(err)
+	for i := range stages {
+		resp, err := coldEng.Do(context.Background(), testRequest(t, stages[i].kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stages[i].cold = resp
 	}
 
-	corruptions := map[string]func(t *testing.T, path, stage string, key store.Key){
-		"truncated": func(t *testing.T, path, _ string, _ store.Key) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data[:len(data)/3], 0o666); err != nil {
-				t.Fatal(err)
-			}
+	rewrite := func(t *testing.T, path string, edit func(data []byte) []byte) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, edit(data), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corruptions := map[string]func(t *testing.T, d *store.Disk, stage string, key store.Key){
+		"truncated": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
+			rewrite(t, d.Path(stage, key), func(data []byte) []byte { return data[:len(data)/3] })
 		},
-		"flipped-byte": func(t *testing.T, path, _ string, _ store.Key) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[len(data)/2] ^= 0x04 // inside the payload
-			if err := os.WriteFile(path, data, 0o666); err != nil {
-				t.Fatal(err)
-			}
+		"flipped-byte": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
+			rewrite(t, d.Path(stage, key), func(data []byte) []byte {
+				data[len(data)/2] ^= 0x04 // inside the payload
+				return data
+			})
 		},
-		"wrong-schema": func(t *testing.T, path, stage string, key store.Key) {
+		"wrong-schema": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
 			// A well-formed, checksum-valid blob framed under an alien
 			// payload schema (as a build with a different encoding would
 			// have written): rejected by the framing's schema check.
-			blob := store.EncodeBlob("gpa-stage/0+ancient", stage, key, []byte(`{}`))
-			if err := os.WriteFile(path, blob, 0o666); err != nil {
-				t.Fatal(err)
-			}
+			rewrite(t, d.Path(stage, key), func([]byte) []byte {
+				return store.EncodeBlob("gpa-stage/0+ancient", stage, key, []byte(`{}`))
+			})
 		},
-		"unreadable": func(t *testing.T, path, _ string, _ store.Key) {
+		"unreadable": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
 			// Root ignores permission bits, so force the read error
 			// structurally: a directory where the blob should be.
+			path := d.Path(stage, key)
 			if err := os.Remove(path); err != nil {
 				t.Fatal(err)
 			}
@@ -357,33 +474,64 @@ func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"garbage-payload": func(t *testing.T, path, stage string, key store.Key) {
-			// A checksum-valid blob whose payload is not a decodable
-			// stage envelope: caught by artifact validation, not framing.
-			blob := store.EncodeBlob(StoreSchema(), stage, key, []byte(`{"not":"an envelope"}`))
-			if err := os.WriteFile(path, blob, 0o666); err != nil {
-				t.Fatal(err)
-			}
+		// From here on the blob is checksum-valid and its payload is not
+		// a well-formed artifact: caught by artifact validation, which
+		// decodes no struct.
+		"garbage-payload": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
+			d.Put(stage, key, []byte(`{"not":"a header"}`))
+		},
+		"truncated-body": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
+			// The tail half of the body is lost and the header agrees
+			// about the length (a measure payload has only a header to lose).
+			reframe(t, d, stage, key, func(h payloadHeader, body []byte) []byte {
+				if len(body) == 0 {
+					p := frame(t, h, nil)
+					return p[:len(p)/2]
+				}
+				h.BodyLen = len(body) / 2
+				return frame(t, h, body[:h.BodyLen])
+			})
+		},
+		"length-mismatch": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
+			reframe(t, d, stage, key, func(h payloadHeader, body []byte) []byte {
+				h.BodyLen++
+				return frame(t, h, body)
+			})
+		},
+		"wrong-marker": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
+			// Valid JSON that is not the document the header declares:
+			// another stage's body, or any body at all for a measure.
+			reframe(t, d, stage, key, func(h payloadHeader, _ []byte) []byte {
+				body := []byte(`{"kernel":"vecscale","cycles":1}`)
+				if stage == store.StageProfile {
+					body = []byte("{\n  \"elapsedMs\": 1,\n  \"report\": \"r\"\n}\n")
+				}
+				h.BodyLen = len(body)
+				return frame(t, h, body)
+			})
+		},
+		"garbage-body": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
+			reframe(t, d, stage, key, func(h payloadHeader, body []byte) []byte {
+				body = []byte(strings.Repeat("\x00garbage", 1+len(body)/8))
+				h.BodyLen = len(body)
+				return frame(t, h, body)
+			})
 		},
 	}
 
-	for _, stage := range []string{store.StageMeasure, store.StageProfile, store.StageAdvice} {
-		kind := KindAdvise
-		if stage == store.StageMeasure {
-			kind = KindMeasure
-		}
+	for _, sc := range stages {
 		for name, mutate := range corruptions {
-			t.Run(stage+"/"+name, func(t *testing.T) {
+			t.Run(sc.stage+"/"+name, func(t *testing.T) {
 				dir := t.TempDir()
 				d, err := OpenDisk(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Populate.
-				if _, err := New(Options{Workers: 1, Disk: d}).Do(context.Background(), testRequest(t, kind)); err != nil {
+				if _, err := New(Options{Workers: 1, Disk: d}).Do(context.Background(), testRequest(t, sc.kind)); err != nil {
 					t.Fatal(err)
 				}
-				n := testRequest(t, kind).normalized()
+				n := testRequest(t, sc.kind).normalized()
 				sk, ok, err := n.stageKeys()
 				if err != nil || !ok {
 					t.Fatalf("stageKeys: %v, ok=%v", err, ok)
@@ -393,7 +541,7 @@ func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 					store.StageProfile: sk.profile,
 					store.StageAdvice:  sk.advice,
 				}
-				mutate(t, d.Path(stage, keys[stage]), stage, keys[stage])
+				mutate(t, d, sc.stage, keys[sc.stage])
 
 				// A fresh engine over the damaged store must recompute and
 				// still answer byte-identically.
@@ -402,22 +550,31 @@ func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 					t.Fatal(err)
 				}
 				e := New(Options{Workers: 1, Disk: d2})
-				resp, err := e.Do(context.Background(), testRequest(t, kind))
+				resp, err := e.Do(context.Background(), testRequest(t, sc.kind))
 				if err != nil {
 					t.Fatalf("corrupted store surfaced an error: %v", err)
 				}
-				if kind == KindAdvise {
-					if resp.Report != cold.Report {
-						t.Error("recomputed report differs from cold run")
-					}
-					if resp.ProfileDigest != cold.ProfileDigest {
-						t.Error("recomputed profile digest differs from cold run")
-					}
-				} else if resp.Cycles != coldMeasure.Cycles {
-					t.Errorf("recomputed cycles = %d, want %d", resp.Cycles, coldMeasure.Cycles)
+				if resp.Cached {
+					t.Error("damaged blob was served")
 				}
-				if st := e.Stats(); st.StoreCorrupt == 0 {
-					t.Errorf("corruption not counted in storeCorrupt: %+v", st)
+				if reportOf(t, resp) != reportOf(t, sc.cold) {
+					t.Error("recomputed report differs from cold run")
+				}
+				if resp.ProfileDigest != sc.cold.ProfileDigest {
+					t.Error("recomputed profile digest differs from cold run")
+				}
+				if resp.Cycles != sc.cold.Cycles {
+					t.Errorf("recomputed cycles = %d, want %d", resp.Cycles, sc.cold.Cycles)
+				}
+				// Rejection decodes no struct; recomputing the advice then
+				// decodes the one stored profile it blames.
+				wantDecodes := int64(0)
+				if sc.stage == store.StageAdvice {
+					wantDecodes = 1
+				}
+				if st := e.Stats(); st.StoreCorrupt == 0 || st.StageDecodes != wantDecodes {
+					t.Errorf("storeCorrupt=%d stageDecodes=%d, want the corruption counted and %d decodes",
+						st.StoreCorrupt, st.StageDecodes, wantDecodes)
 				}
 				// The corruption healed: the recomputed artifact was
 				// rewritten, so one more fresh engine serves it whole.
@@ -426,14 +583,14 @@ func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 					t.Fatal(err)
 				}
 				e3 := New(Options{Workers: 1, Disk: d3})
-				healed, err := e3.Do(context.Background(), testRequest(t, kind))
+				healed, err := e3.Do(context.Background(), testRequest(t, sc.kind))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !healed.Cached {
 					t.Error("store did not heal: repeat restart still recomputes")
 				}
-				if kind == KindAdvise && healed.Report != cold.Report {
+				if reportOf(t, healed) != reportOf(t, sc.cold) {
 					t.Error("healed report differs from cold run")
 				}
 			})

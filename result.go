@@ -1,7 +1,6 @@
 package gpa
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -78,8 +77,9 @@ func (r *Result) MarshalIndent() ([]byte, error) {
 // that carry the per-request trace ID and cached flag, appended by hand.
 // Everything from it on (cycles … the closing brace and newline) is the
 // tail: the advice, report text and profile, the same bytes for every
-// request one engine response serves, encoded once by encoding/json.
-const tailStart = "  \"cycles\": "
+// request one engine response serves. internal/service encodes it, once,
+// with encoding/json (service.Response.Tail), and stores it as the
+// advice blob, so a restarted gpad serves it without encoding at all.
 
 // appendHead appends the head of r's wire encoding to dst.
 func (r *Result) appendHead(dst []byte) []byte {
@@ -155,85 +155,79 @@ func (r *Report) Result(k *Kernel, gpu string, elapsedMS float64) *Result {
 }
 
 // Result converts an engine job outcome into the versioned structured
-// result (nil when the job failed; read JobResult.Err instead).
-func (j Job) Result(res JobResult) *Result {
+// result. It fails with the job's own error when the job failed, and
+// with an error wrapping ErrInternal when the result was served from
+// the artifact store and the artifact it has to decode is gone or
+// malformed (see JobResult.Report).
+func (j Job) Result(res JobResult) (*Result, error) {
 	if res.Err != nil {
-		return nil
+		return nil, res.Err
 	}
 	out := j.resultHead(res)
-	j.fillTail(&out, res)
-	return &out
+	out.Cycles = res.Cycles
+	out.ElapsedMS = res.ElapsedMS
+	out.ProfileDigest = res.ProfileDigest
+	if res.resp == nil {
+		return &out, nil
+	}
+	// The same fields, under the same conditions, as the tail encodes.
+	switch j.Kind {
+	case JobAdvise:
+		advice, err := res.resp.Advice()
+		if err != nil {
+			return nil, err
+		}
+		out.Advice = advice.Entries
+		out.ReportText, _ = res.resp.Report() // decoded with the advice
+	case JobProfile:
+		prof, err := res.resp.Profile()
+		if err != nil {
+			return nil, err
+		}
+		out.Profile = prof
+	}
+	return &out, nil
+}
+
+// Arch returns the canonical registry key of the architecture model the
+// job runs on ("v100" unless Options selects another).
+func (j Job) Arch() string {
+	if j.Options != nil && j.Options.GPU != nil {
+		return GPUName(j.Options.GPU)
+	}
+	return GPUName(defaultGPU)
 }
 
 // resultHead fills the fields appendHead encodes.
 func (j Job) resultHead(res JobResult) Result {
-	gpu := defaultGPU
-	if j.Options != nil && j.Options.GPU != nil {
-		gpu = j.Options.GPU
-	}
 	return Result{
 		SchemaVersion: ResultSchemaVersion,
 		Kernel:        j.Kernel.Launch.Entry,
-		Arch:          GPUName(gpu),
+		Arch:          j.Arch(),
 		Kind:          j.Kind.String(),
 		Key:           res.Key,
 		Cached:        res.Cached,
 	}
 }
 
-// fillTail fills the fields the tail encodes.
-func (j Job) fillTail(out *Result, res JobResult) {
-	out.Cycles = res.Cycles
-	out.ElapsedMS = res.ElapsedMS
-	out.ProfileDigest = res.ProfileDigest
-	if res.Report != nil {
-		out.Advice = res.Report.Advice.Entries
-		out.ReportText = res.Report.String()
-	}
-	if j.Kind == JobProfile {
-		out.Profile = res.Profile
-	}
-}
-
-// marshalTail renders the tail of the wire encoding of j.Result(res):
-// the reference encoding of a result with only the tail's fields set,
-// cut at tailStart (the empty head cannot contain the marker), plus the
-// newline json.Encoder ends a value with. The slice is sized exactly,
-// because it is kept for as long as the engine caches the result.
-func (j Job) marshalTail(res JobResult) ([]byte, error) {
-	var t Result
-	j.fillTail(&t, res)
-	enc, err := t.MarshalIndent()
-	if err != nil {
-		return nil, fmt.Errorf("gpa: encode result: %w", err)
-	}
-	i := bytes.Index(enc, []byte(tailStart))
-	tail := make([]byte, 0, len(enc)-i+1)
-	tail = append(tail, enc[i:]...)
-	return append(tail, '\n'), nil
-}
-
 // EncodeResult renders j.Result(res), stamped with traceID, in the gpad
 // wire encoding — the bytes of Result.MarshalIndent plus the newline
 // json.Encoder appends — as two slices to be written back to back. head
-// is appended to dst and is the caller's. tail is read-only: from the
-// second encoding of one underlying engine response on, it is encoded
-// once and memoized on that response, so every further cache hit on the
-// entry shares one slice, and evicting the entry frees it. res must
-// come from this engine job and carry no error.
+// is appended to dst and is the caller's. tail is read-only and belongs
+// to the engine response behind res (service.Response.Tail): a result
+// served from the artifact store hands out the bytes its advice blob
+// holds, any other is encoded, and from its second encoding on memoized
+// on the response, so every further cache hit on the entry shares one
+// slice and evicting the entry frees it. res must come from this engine
+// job and carry no error.
 func (j Job) EncodeResult(dst []byte, res JobResult, traceID string) (head, tail []byte, err error) {
 	if res.Err != nil {
 		return nil, nil, fmt.Errorf("gpa: encode result of a failed job: %w", res.Err)
 	}
-	if v := res.view; v != nil && v.encodes.Add(1) > 1 {
-		v.tailOnce.Do(func() { v.tail, v.tailErr = j.marshalTail(res) })
-		tail, err = v.tail, v.tailErr
-	} else {
-		// The first encoding of a response is not kept (and a hand-built
-		// JobResult has no response to keep it on): see respView.
-		tail, err = j.marshalTail(res)
+	if res.resp == nil {
+		return nil, nil, fmt.Errorf("gpa: %w: encode result: not an engine result", ErrInternal)
 	}
-	if err != nil {
+	if tail, err = res.resp.Tail(); err != nil {
 		return nil, nil, err
 	}
 	h := j.resultHead(res)

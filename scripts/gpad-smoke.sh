@@ -248,4 +248,48 @@ grep -q 'shutdown complete' "$LOG" || {
     exit 1
 }
 
-echo "gpad-smoke: OK (one simulation, byte-identical cache hit, typed errors, metrics, traced logs, loadgen, tenant quotas and fairness accounting, clean shutdown)"
+# Restart warmth: a gpad over a -store-dir is stopped and started again;
+# the second process answers the first's request from the stored advice
+# blob alone — byte-identical modulo the transport fields, one blob
+# read, nothing simulated, nothing decoded, nothing written.
+SADDR=${GPAD_STORE_ADDR:-127.0.0.1:8379}
+SLOG=$TMP/gpad-store.log
+start_store_gpad() {
+    "$BIN" -addr "$SADDR" -store-dir "$TMP/store" -log-format json >>"$SLOG" 2>&1 &
+    SPID=$!
+    trap 'kill $SPID 2>/dev/null || true' EXIT INT TERM
+    i=0
+    until curl -sf "http://$SADDR/healthz" >/dev/null 2>&1; do
+        i=$((i + 1))
+        if [ "$i" -ge 50 ]; then
+            echo "gpad-smoke: store server did not become healthy" >&2
+            cat "$SLOG" >&2
+            exit 1
+        fi
+        sleep 0.2
+    done
+}
+start_store_gpad
+S1=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$REQ" "http://$SADDR/v1/advise")
+kill -TERM $SPID
+wait $SPID || true
+start_store_gpad
+S2=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$REQ" "http://$SADDR/v1/advise")
+SSTATS=$(curl -sf "http://$SADDR/statsz")
+kill -TERM $SPID
+wait $SPID || true
+trap - EXIT INT TERM
+M1=$(echo "$S1" | sed -e 's/"cached": false/"cached": X/' -e '/"traceId":/d')
+M2=$(echo "$S2" | sed -e 's/"cached": true/"cached": X/' -e '/"traceId":/d')
+if [ "$M1" != "$M2" ]; then
+    echo "gpad-smoke: restarted gpad's response differs from the cold run's" >&2
+    exit 1
+fi
+for WANT in '"sims": 0' '"storeHits": 1' '"storePuts": 0' '"stageDecodes": 0' '"stageServed": 1'; do
+    echo "$SSTATS" | grep -q "$WANT" || {
+        echo "gpad-smoke: restarted gpad's /statsz lacks $WANT: $SSTATS" >&2
+        exit 1
+    }
+done
+
+echo "gpad-smoke: OK (one simulation, byte-identical cache hit, typed errors, metrics, traced logs, loadgen, tenant quotas and fairness accounting, clean shutdown, restart served from the store)"

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"gpa"
@@ -16,7 +19,10 @@ import (
 // exactly what cmd/gpad's writeJSON does for every other body shape.
 func referenceWire(t *testing.T, job gpa.Job, res gpa.JobResult, trace string) []byte {
 	t.Helper()
-	r := job.Result(res)
+	r, err := job.Result(res)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r.TraceID = trace
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -143,6 +149,152 @@ func TestEncodeResultAfterEviction(t *testing.T) {
 	}
 	if got, want := append(head, tail...), referenceWire(t, a, again, "t1"); !bytes.Equal(got, want) {
 		t.Errorf("post-eviction wire encoding differs from reference\n got: %.300s\nwant: %.300s", got, want)
+	}
+}
+
+// TestRestartServesStoredBytes is the restart half of the wire pin: for
+// every Table 3 row and every kind, an engine started over the store a
+// cold engine filled serves head + tail byte-equal to the cold run's
+// (the cached flag, set equal here, and the trace ID are the permitted
+// differences), one blob read per request and no struct decoded for an
+// advise; Report and Profile of the served result equal the cold run's;
+// and a profile blob deleted between the serve and the access turns the
+// access into a typed error while the stored advice still serves.
+func TestRestartServesStoredBytes(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	open := func() (*gpa.Engine, *gpa.Store) {
+		st, err := gpa.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gpa.NewEngine(&gpa.EngineOptions{Workers: 2, Store: st}), st
+	}
+	kinds := []gpa.JobKind{gpa.JobAdvise, gpa.JobProfile, gpa.JobMeasure}
+	type coldRun struct {
+		job  gpa.Job
+		res  gpa.JobResult
+		wire []byte
+	}
+	var colds []coldRun
+	eng1, _ := open()
+	for _, b := range kernels.All() {
+		for _, kind := range kinds {
+			job := benchJob(t, b, kind)
+			res := eng1.Do(ctx, job)
+			if res.Err != nil {
+				t.Fatalf("%s %v: %v", b.ID(), kind, res.Err)
+			}
+			head, tail := encodeWire(t, job, res, "cold")
+			colds = append(colds, coldRun{job, res, append(head, tail...)})
+		}
+	}
+	// An advise run puts a profile and an advice, a profile run finds the
+	// profile put, a measure run puts its own: 3 puts per row.
+	if puts, want := eng1.Stats().StorePuts, int64(3*len(kernels.All())); puts != want {
+		t.Errorf("cold engine made %d puts, want %d", puts, want)
+	}
+
+	eng2, _ := open()
+	for _, c := range colds {
+		label := c.job.Kernel.Launch.Entry + " " + c.job.Kind.String()
+		before := eng2.Stats()
+		warm := eng2.Do(ctx, c.job)
+		if warm.Err != nil || !warm.Cached {
+			t.Fatalf("%s: restart: err=%v cached=%v", label, warm.Err, warm.Cached)
+		}
+		r := warm
+		r.Cached = c.res.Cached
+		head, tail := encodeWire(t, c.job, r, "cold")
+		if got := append(head, tail...); !bytes.Equal(got, c.wire) {
+			t.Fatalf("%s: store-served bytes differ from the cold run's\n got: %.300s\nwant: %.300s", label, got, c.wire)
+		}
+		// One blob read and nothing decoded to serve an advise; the
+		// reference encoder and the accessors below then decode it, and
+		// read its profile, which the row's profile request finds in
+		// memory.
+		after := eng2.Stats()
+		if c.job.Kind == gpa.JobAdvise && (after.StoreHits != before.StoreHits+1 || after.StageDecodes != before.StageDecodes) {
+			t.Errorf("%s: served with storeHits +%d, stageDecodes +%d; want +1, +0",
+				label, after.StoreHits-before.StoreHits, after.StageDecodes-before.StageDecodes)
+		}
+
+		if want := referenceWire(t, c.job, r, "cold"); !bytes.Equal(c.wire, want) {
+			t.Fatalf("%s: the structs a store-served result decodes to encode to other bytes than it serves", label)
+		}
+		coldRep, err1 := c.res.Report()
+		warmRep, err2 := warm.Report()
+		if err1 != nil || err2 != nil || (coldRep == nil) != (warmRep == nil) {
+			t.Fatalf("%s: Report(): cold %v, %v; warm %v, %v", label, coldRep, err1, warmRep, err2)
+		}
+		if coldRep != nil {
+			if warmRep.String() != coldRep.String() {
+				t.Errorf("%s: store-served report text differs", label)
+			}
+			mustEqualJSON(t, label+": advice", coldRep.Advice, warmRep.Advice)
+			mustEqualJSON(t, label+": report profile", coldRep.Profile, warmRep.Profile)
+			if warmRep.Context != nil {
+				t.Errorf("%s: a store-served report claims a Context", label)
+			}
+		}
+		coldProf, err1 := c.res.Profile()
+		warmProf, err2 := warm.Profile()
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: Profile(): %v, %v", label, err1, err2)
+		}
+		mustEqualJSON(t, label+": profile", coldProf, warmProf)
+	}
+
+	rows := int64(len(kernels.All()))
+	if st := eng2.Stats(); st.StoreHits != 3*rows || st.StageDecodes != 2*rows || st.StorePuts != 0 || st.Sims != 0 {
+		t.Errorf("restarted engine: storeHits=%d stageDecodes=%d storePuts=%d sims=%d, want %d (advice, profile, measure per row), %d (advice, profile), 0, 0",
+			st.StoreHits, st.StageDecodes, st.StorePuts, st.Sims, 3*rows, 2*rows)
+	}
+
+	// Serve every advise from a third engine, delete the profile stage,
+	// then ask.
+	eng3, st3 := open()
+	var served []gpa.JobResult
+	for _, c := range colds {
+		if c.job.Kind == gpa.JobAdvise {
+			res := eng3.Do(ctx, c.job)
+			if res.Err != nil || !res.Cached {
+				t.Fatalf("third engine: err=%v cached=%v", res.Err, res.Cached)
+			}
+			served = append(served, res)
+		}
+	}
+	if n := eng3.Stats().StageDecodes; n != 0 {
+		t.Errorf("serving stored advice decoded %d payloads, want 0", n)
+	}
+	if err := os.RemoveAll(filepath.Join(st3.Dir(), "profile")); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range served {
+		if p, err := res.Profile(); !errors.Is(err, gpa.ErrInternal) || p != nil {
+			t.Fatalf("advise %d: Profile() over a deleted blob = %v, %v; want nil and ErrInternal", i, p, err)
+		}
+		if rep, err := res.Report(); !errors.Is(err, gpa.ErrInternal) || rep != nil {
+			t.Fatalf("advise %d: Report() over a deleted profile blob = %v, %v; want nil and ErrInternal", i, rep, err)
+		}
+		if _, _, err := colds[3*i].job.EncodeResult(nil, res, ""); err != nil {
+			t.Errorf("advise %d: the stored response stopped serving: %v", i, err)
+		}
+	}
+}
+
+// mustEqualJSON compares two values by their JSON encoding, the form
+// they cross the store in (a nil and an empty slice are one value
+// there).
+func mustEqualJSON(t *testing.T, label string, cold, warm any) {
+	t.Helper()
+	cj, err1 := json.Marshal(cold)
+	wj, err2 := json.Marshal(warm)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("%s: marshal: %v, %v", label, err1, err2)
+	}
+	if !bytes.Equal(cj, wj) {
+		t.Errorf("%s differs from the cold run's", label)
 	}
 }
 
