@@ -232,11 +232,13 @@ type reportMemo struct {
 
 // Report returns the advice report of a JobAdvise result — report text,
 // advice and profile, as returned by Kernel.Advise — and nil for other
-// kinds. Every result of one engine response shares one *Report; treat
-// it as read-only. On a result served from the artifact store the first
-// call decodes the stored advice and reads the stored profile, Context
-// stays nil (it does not survive the store), and an artifact that has
-// vanished or no longer decodes yields an error wrapping ErrInternal.
+// kinds. Every cached or coalesced result of one engine response shares
+// one *Report, without a Context; treat it as read-only. The result of
+// the job that led the run gets a Report of its own that carries the
+// run's Context (see Report.Context). On a result served from the
+// artifact store the first call decodes the stored advice and reads the
+// stored profile, and an artifact that has vanished or no longer
+// decodes yields an error wrapping ErrInternal.
 func (r JobResult) Report() (*Report, error) {
 	if r.resp == nil || r.resp.Kind != JobAdvise {
 		return nil, r.Err
@@ -250,13 +252,20 @@ func (r JobResult) Report() (*Report, error) {
 		if err != nil {
 			return &reportMemo{err: err}
 		}
-		rep := &Report{Advice: advice, Profile: prof, Context: r.resp.Context}
+		rep := &Report{Advice: advice, Profile: prof}
 		// The service rendered the same text when it produced the advice.
 		text, _ := r.resp.Report() // decoded with the advice above
 		rep.text.Store(&text)
 		return &reportMemo{report: rep}
 	}).(*reportMemo)
-	return m.report, m.err
+	if m.err != nil || r.resp.Context == nil {
+		return m.report, m.err
+	}
+	// The leader's response: the memo is shared with the cached view,
+	// which must not pin the Context, so the leader's Report is its own.
+	rep := &Report{Advice: m.report.Advice, Profile: m.report.Profile, Context: r.resp.Context}
+	rep.text.Store(m.report.text.Load())
+	return rep, nil
 }
 
 // Profile returns the sampled profile of a JobProfile or JobAdvise

@@ -47,6 +47,17 @@ func TestEngineAdviseMatchesDirectAPI(t *testing.T) {
 	if reportOf(t, warm).String() != direct.String() {
 		t.Error("cached engine report differs from Kernel.Advise")
 	}
+	// The run's own result carries the analysis context, whichever of
+	// the two asks for its Report first; the cached one does not.
+	if reportOf(t, warm).Context != nil {
+		t.Error("a cache hit's report carries a Context")
+	}
+	if ctx := reportOf(t, res).Context; ctx == nil || ctx.Profile == nil {
+		t.Error("the leader's report lost its Context")
+	}
+	if reportOf(t, res).Advice != reportOf(t, warm).Advice {
+		t.Error("leader and cache hit do not share one advice")
+	}
 }
 
 func TestEngineMeasureAndProfile(t *testing.T) {

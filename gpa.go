@@ -280,6 +280,14 @@ func (k *Kernel) Measure(ctx context.Context, opts *Options) (int64, error) {
 type Report struct {
 	Advice  *adv.Advice
 	Profile *profiler.Profile
+	// Context is the analysis context the advice was derived from
+	// (blame results, function views) for callers that want to dig
+	// below the report, e.g. with a custom optimizer. Kernel.Advise and
+	// AdviseFromProfile always set it. From an Engine only the result of
+	// the job that actually ran the analysis carries it: results served
+	// from the result cache, coalesced onto another job's run, or read
+	// back from the artifact store have a nil Context — the engine does
+	// not keep one alive per cached result.
 	Context *adv.Context
 
 	// text memoizes String. An engine serves one Report to every cache

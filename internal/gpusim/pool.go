@@ -38,13 +38,11 @@ type arena struct {
 // smOutcome collects one SM's results in parallel mode for in-order
 // merging after the join.
 type smOutcome struct {
-	cycles    int64
-	issued    []int64
-	samples   []Sample
-	err       error
-	detected  int64
-	ffCycles  int64
-	fallbacks int64
+	cycles  int64
+	issued  []int64
+	samples []Sample
+	err     error
+	work    smWork
 }
 
 // poolGets/poolHits count arena acquisitions and how many were served
@@ -124,6 +122,11 @@ func (a *arena) buildRunTables(p *Program, wl Workload, g *arch.GPU) *runTables 
 	rt.issueCost = resizeInt64(rt.issueCost, n)
 	rt.baseLat = resizeInt64(rt.baseLat, n)
 	rt.tx = resizeInt32(rt.tx, n)
+	rt.need = resizeInt32(rt.need, n)
+	rt.line = resizeInt32(rt.line, n+1)
+	for i := range rt.line {
+		rt.line[i] = int32(i / g.ICacheLineInstrs)
+	}
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		rt.issueCost[i] = int64(g.IssueCost(in.Opcode))
@@ -133,6 +136,9 @@ func (a *arena) buildRunTables(p *Program, wl Workload, g *arch.GPU) *runTables 
 		// (their issue path always has).
 		if p.meta[i].flags&(metaMemory|metaVarLat) != 0 {
 			rt.tx[i] = int32(max(1, wl.Transactions(i)))
+		}
+		if p.meta[i].flags&metaNeedMSHR != 0 {
+			rt.need[i] = rt.tx[i]
 		}
 		if p.meta[i].flags&metaVarLat == 0 {
 			continue
@@ -207,7 +213,7 @@ func resetScheds(sch []scheduler, n int) []scheduler {
 	}
 	sch = sch[:n]
 	for i := range sch {
-		sch[i] = scheduler{warps: sch[i].warps[:0], bounds: sch[i].bounds[:0]}
+		sch[i] = scheduler{warps: sch[i].warps[:0], gates: sch[i].gates[:0], wants: sch[i].wants[:0]}
 	}
 	return sch
 }

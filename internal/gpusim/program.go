@@ -69,6 +69,9 @@ type instrMeta struct {
 	readBar  int8
 	class    sass.ExecClass
 	flags    uint8
+	// ctrl is how the instruction leaves its PC (see ctrlKind), so issue
+	// dispatches on it without reading the decoded instruction.
+	ctrl ctrlKind
 	// barReason is the stall reason consumers waiting on this
 	// instruction's write barrier report (barrierReasonFor).
 	barReason StallReason
@@ -82,8 +85,39 @@ const (
 	metaVarLat   = 1 << iota // variable latency (barrier-signalled)
 	metaNeedMSHR             // memory op consuming MSHR slots
 	metaMemory               // any memory-space access
-	metaControl              // control transfer
 )
+
+// ctrlKind classifies an instruction by what it does to the warp's PC.
+type ctrlKind uint8
+
+const (
+	ctrlSeq    ctrlKind = iota // falls through to pc+1
+	ctrlCond                   // BRA/JMP/BRX under a predicate: asks Workload.Taken
+	ctrlUncond                 // BRA/JMP/BRX always taken
+	ctrlCall
+	ctrlRet
+	ctrlExit
+	ctrlBar // BAR.SYNC: parks the warp until its block arrives
+)
+
+func ctrlKindOf(in *sass.Instruction) ctrlKind {
+	switch in.Opcode {
+	case sass.OpBRA, sass.OpJMP, sass.OpBRX:
+		if in.Unconditional() {
+			return ctrlUncond
+		}
+		return ctrlCond
+	case sass.OpCAL:
+		return ctrlCall
+	case sass.OpRET:
+		return ctrlRet
+	case sass.OpEXIT:
+		return ctrlExit
+	case sass.OpBAR:
+		return ctrlBar
+	}
+	return ctrlSeq
+}
 
 func buildMeta(in *sass.Instruction) instrMeta {
 	info := in.Opcode.Info()
@@ -93,6 +127,7 @@ func buildMeta(in *sass.Instruction) instrMeta {
 		writeBar: int8(in.Ctrl.WriteBar),
 		readBar:  int8(in.Ctrl.ReadBar),
 		class:    info.Class,
+		ctrl:     ctrlKindOf(in),
 	}
 	if info.VariableLatency {
 		m.flags |= metaVarLat
@@ -102,9 +137,6 @@ func buildMeta(in *sass.Instruction) instrMeta {
 	}
 	if spaceNeedsMSHR(in.Opcode) {
 		m.flags |= metaNeedMSHR
-	}
-	if in.Opcode.IsControl() {
-		m.flags |= metaControl
 	}
 	m.barReason = barrierReasonFor(in.Opcode)
 	if in.Ctrl.Stall > 2 && !in.Opcode.IsControl() {

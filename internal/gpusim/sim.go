@@ -71,10 +71,10 @@ type Config struct {
 	Parallelism int
 
 	// stepEveryCycle is a test hook: it disables the event-driven cycle
-	// skip and the warp-bound cache, advancing one cycle at a time and
-	// re-evaluating every warp each cycle. It exists as the oracle the
-	// event-skip loop is checked against (results must be bit-identical)
-	// and is deliberately unexported.
+	// skip and the wake gates, advancing one cycle at a time and
+	// re-evaluating every warp from its raw state each cycle. It exists
+	// as the oracle the event-skip loop is checked against (results must
+	// be bit-identical) and is deliberately unexported.
 	stepEveryCycle bool
 }
 
@@ -116,6 +116,16 @@ type Result struct {
 	// zero-length fast-forward attempts that fell back to normal
 	// event-skipped stepping.
 	FastForwardFallbacks int64
+	// LoopIterations and ReadyCalls are the run's deterministic work
+	// record, summed over simulated SMs: run-loop iterations (cycles
+	// the simulator visited instead of skipping) and full readiness
+	// evaluations (sm.ready: one per sample taken and per entry of a
+	// recorded observation table; the event-driven scan makes none).
+	// Like the fast-forward counters they describe how the result was
+	// computed, never what it is, and repeat exactly for a given input
+	// at every parallelism level — WORK.txt pins them per Table 3 row.
+	LoopIterations int64
+	ReadyCalls     int64
 }
 
 // Run simulates a kernel launch to completion. The context is honored
@@ -208,7 +218,7 @@ func Run(ctx context.Context, p *Program, launch LaunchConfig, wl Workload, cfg 
 			if err != nil {
 				return nil, err
 			}
-			mergeSM(res, cycles, sm.issuedPerPC, &sm.steady)
+			mergeSM(res, cycles, sm.issuedPerPC, sm.work())
 		}
 		return res, nil
 	}
@@ -234,9 +244,7 @@ func Run(ctx context.Context, p *Program, launch LaunchConfig, wl Workload, cfg 
 		sm := newSM(ar.sms[smID], smID, p, rt, wl, cfg, launch, occ, entry, myBlocks, warpsPerBlock, sink)
 		out.cycles, out.err = sm.run(ctx, maxCycles)
 		out.issued = sm.issuedPerPC
-		out.detected = sm.steady.detected
-		out.ffCycles = sm.steady.ffCycles
-		out.fallbacks = sm.steady.fallbacks
+		out.work = sm.work()
 		if buf != nil {
 			out.samples = buf.samples
 		}
@@ -258,9 +266,7 @@ func Run(ctx context.Context, p *Program, launch LaunchConfig, wl Workload, cfg 
 			return nil, out.err
 		}
 		if out.issued != nil {
-			mergeSM(res, out.cycles, out.issued, &steadyState{
-				detected: out.detected, ffCycles: out.ffCycles, fallbacks: out.fallbacks,
-			})
+			mergeSM(res, out.cycles, out.issued, out.work)
 		}
 	}
 	return res, nil
@@ -294,10 +300,21 @@ func blocksForSM(buf []int, smID, blocks, numSMs int) []int {
 	return out
 }
 
-// mergeSM folds one SM's completion cycle, issue counts, and
-// fast-forward counters into the kernel result (order-independent:
-// sums and a max).
-func mergeSM(res *Result, cycles int64, issuedPerPC []int64, st *steadyState) {
+// smWork is one SM's share of the Result's fast-forward and work
+// counters.
+type smWork struct {
+	detected, ffCycles, fallbacks int64
+	loopIters, readyCalls         int64
+}
+
+func (s *sm) work() smWork {
+	st := &s.steady
+	return smWork{st.detected, st.ffCycles, st.fallbacks, s.loopIters, s.readyCalls}
+}
+
+// mergeSM folds one SM's completion cycle, issue counts, and work
+// counters into the kernel result (order-independent: sums and a max).
+func mergeSM(res *Result, cycles int64, issuedPerPC []int64, w smWork) {
 	if cycles > res.Cycles {
 		res.Cycles = cycles
 	}
@@ -305,12 +322,14 @@ func mergeSM(res *Result, cycles int64, issuedPerPC []int64, st *steadyState) {
 		res.IssuedPerPC[pc] += n
 		res.TotalIssued += n
 	}
-	res.PeriodsDetected += st.detected
-	res.CyclesFastForwarded += st.ffCycles
-	res.FastForwardFallbacks += st.fallbacks
-	ffPeriods.Add(st.detected)
-	ffCycles.Add(st.ffCycles)
-	ffFallbacks.Add(st.fallbacks)
+	res.PeriodsDetected += w.detected
+	res.CyclesFastForwarded += w.ffCycles
+	res.FastForwardFallbacks += w.fallbacks
+	res.LoopIterations += w.loopIters
+	res.ReadyCalls += w.readyCalls
+	ffPeriods.Add(w.detected)
+	ffCycles.Add(w.ffCycles)
+	ffFallbacks.Add(w.fallbacks)
 }
 
 // sliceSink buffers one SM's samples for in-order replay after a

@@ -15,14 +15,6 @@ import (
 // block rotation — resets it.
 const farFuture = int64(1<<62 - 1)
 
-// boundMSHR is the sentinel bound of a warp stalled on a full MSHR
-// pool (ReasonMemoryThrottle). It is distinct from farFuture because
-// the wake source differs: an MSHR release (tracked by sm.mshrGen)
-// can make such a warp ready, while every other cached bound is a pure
-// time bound no release can move. Both sentinels compare above any
-// reachable cycle.
-const boundMSHR = farFuture - 1
-
 type warpState struct {
 	ctx        WarpCtx
 	slot       int // block slot index
@@ -35,27 +27,30 @@ type warpState struct {
 	fetchReady int64
 	barReady   [sass.NumBarriers]int64
 	barReason  [sass.NumBarriers]StallReason
-	// visits[pc] counts dynamic executions of branch/variable-latency
-	// instructions, indexed by flat PC (flattened from a map: the
-	// per-issue lookup is on the hot path).
+	// visits[pc] counts dynamic executions of the branch at flat PC pc.
+	// Only branches advance it: at a variable-latency site it stays 0,
+	// so Workload.Latency and the jitter hash always see visit 0 there
+	// and a (warp, pc) pair has one latency for the whole run. The
+	// pinned behaviour (DRIFT.txt) and the fast-forward both rest on
+	// that; TestMemoryLatencySeesVisitZero pins it.
 	visits []int32
 	// lastIssuedPC / lastIssueCycle feed active "selected" samples.
 	lastIssuedPC   int
 	lastIssueCycle int64
 }
 
-// Warp bounds cache a lower bound on each warp's earliest possible
-// issue cycle. A warp's time gates (fetchReady, nextIssue, barReady)
-// change only through its own issue, which refreshes the cache, so a
-// time bound stays valid until it expires; shared gates (unitBusy)
-// only grow, which keeps the cached value a lower bound. The sentinels
-// need an external wake instead: boundMSHR entries are valid while the
-// scheduler's mshrSeen generation matches sm.mshrGen (MSHR releases
-// expire the whole scheduler's throttle bounds at once), and farFuture
-// is reset to 0 directly by the event that wakes the warp (barrier
-// release, block rotation). Bounds live in a dense int64 array parallel
-// to sm.warps (not in warpState) so the scheduler scan's cache-valid
-// fast path touches 8 bytes per warp instead of the whole warp record.
+// Wake gates. A warp's private gate is the first cycle its own state
+// lets it issue: the max of nextIssue, fetchReady and the barReady
+// entries in its next instruction's wait mask (farFuture while it is
+// exited or parked at a BAR.SYNC). Those fields change only through
+// the warp's own issue, a barrier release, or a block start, and
+// setGate recomputes the gate at exactly those three points, so the
+// stored value is exact, never a bound to re-probe. What remains is
+// shared state the scan reads live: the MSHR pool and the scheduler's
+// execution-unit occupancy, against the (exec class, MSHR demand) pair
+// setGate stores next to the gate. Gates and wants live in dense
+// per-scheduler arrays (not in warpState) so the scan walks 8 bytes per
+// sleeping warp instead of the whole warp record.
 
 type blockSlot struct {
 	warps      []int // indices into sm.warps
@@ -66,16 +61,13 @@ type blockSlot struct {
 
 type scheduler struct {
 	warps []int // indices into sm.warps
-	// bounds[i] is warps[i]'s cached issue-cycle lower bound:
-	// contiguous per scheduler so the scan's cache-valid fast path is a
-	// sequential walk. For warp index w the entry lives at scheduler
+	// gates[i] is warps[i]'s exact private wake gate and wants[i] what
+	// its next instruction needs of the shared resources (see "Wake
+	// gates" above). For warp index w the entries live at scheduler
 	// w%NumScheds, slot w/NumScheds (warps are dealt round-robin in
 	// index order).
-	bounds []int64
-	// mshrSeen is the sm.mshrGen value this scheduler's boundMSHR
-	// entries were computed under; a mismatch means a release has freed
-	// slots since, so every throttle bound must be re-probed.
-	mshrSeen  uint64
+	gates     []int64
+	wants     []issueWant
 	rotate    int  // LRR issue pointer
 	samplePtr int  // round-robin sampled-warp pointer
 	issuedNow bool // issued at the current cycle
@@ -96,6 +88,12 @@ type scheduler struct {
 	unitBusy [16]int64 // per exec class
 }
 
+// issueWant is the shared-resource demand of a warp's next instruction.
+type issueWant struct {
+	need  int32 // MSHR slots (0 for anything but a global/local/generic access)
+	class sass.ExecClass
+}
+
 type mshrRelease struct {
 	cycle int64
 	count int
@@ -110,6 +108,11 @@ type runTables struct {
 	issueCost []int64 // per PC: scheduler dispatch occupancy
 	baseLat   []int64 // per PC: default variable-latency base (0 = fixed)
 	tx        []int32 // per PC: max(1, workload transactions)
+	need      []int32 // per PC: MSHR slots the issue takes (tx, or 0)
+	// line[pc] is pc's instruction-cache line; one entry past the last
+	// instruction so a fall-through PC can be looked up before it is
+	// fetched.
+	line []int32
 }
 
 type sm struct {
@@ -144,9 +147,6 @@ type sm struct {
 	icacheUse      []int64
 	icacheResident int
 	icacheCap      int
-	// icacheLine caches GPU.ICacheLineInstrs: line membership is checked
-	// on every sequential-flow issue.
-	icacheLine int
 	// fetchBusy serializes instruction-cache miss handling: the fetch
 	// unit services one miss at a time.
 	fetchBusy int64
@@ -155,14 +155,17 @@ type sm struct {
 	warpsPerBlk int
 	tick        int64 // sampling tick counter
 	sink        SampleSink
+	// period is the sampling period in cycles, 0 when the run does not
+	// sample (no period configured, or no sink to sample for).
+	period int64
 	// wakeSeq increments on every explicit wake (barrier release, block
 	// rotation), letting the scheduler scan detect that an issue's side
 	// effects invalidated the nextReady bound it was accumulating.
 	wakeSeq uint64
-	// mshrGen increments whenever processReleases frees MSHR slots;
-	// cached boundMSHR warp bounds are valid only for the generation
-	// they were computed in.
-	mshrGen uint64
+	// loopIters and readyCalls are the run's deterministic work record
+	// (Result.LoopIterations / Result.ReadyCalls).
+	loopIters  int64
+	readyCalls int64
 	// lastProgress is the cycle of the most recent issue, reported by
 	// the livelock guard.
 	lastProgress int64
@@ -190,13 +193,15 @@ func newSM(shell *sm, id int, p *Program, rt *runTables, wl Workload, cfg Config
 		mshrFree:    cfg.GPU.MSHRsPerSM,
 		releases:    s.releases[:0],
 		minRelease:  farFuture,
-		icacheLine:  cfg.GPU.ICacheLineInstrs,
 		icacheUse:   resetICache(s.icacheUse, lines),
 		icacheCap:   max(1, cfg.GPU.ICacheInstrs/cfg.GPU.ICacheLineInstrs),
 		issuedPerPC: resizeInt64(s.issuedPerPC, len(p.Instrs)),
 		warpsPerBlk: warpsPerBlock,
 		sink:        sink,
 		steady:      resetSteady(s.steady, wl, cfg.stepEveryCycle),
+	}
+	if sink != nil {
+		s.period = int64(cfg.SamplePeriod)
 	}
 	resident := occ.BlocksPerSM
 	if resident > len(blocks) {
@@ -243,11 +248,11 @@ func (s *sm) startBlock(slot int, now int64) bool {
 			// Warps are distributed round-robin over schedulers.
 			sc := widx % len(s.scheds)
 			s.scheds[sc].warps = append(s.scheds[sc].warps, widx)
-			s.scheds[sc].bounds = append(s.scheds[sc].bounds, 0)
+			s.scheds[sc].gates = append(s.scheds[sc].gates, 0)
+			s.scheds[sc].wants = append(s.scheds[sc].wants, issueWant{})
 		}
 	}
 	for wi, widx := range bs.warps {
-		*s.boundOf(widx) = 0
 		w := &s.warps[widx]
 		visits := w.visits
 		if visits == nil {
@@ -268,6 +273,7 @@ func (s *sm) startBlock(slot int, now int64) bool {
 			visits:    visits,
 			callStack: w.callStack[:0],
 		}
+		s.setGate(widx)
 	}
 	s.wakeAll()
 	return true
@@ -282,37 +288,55 @@ func growWarp(warps []warpState) []warpState {
 	return append(warps, warpState{})
 }
 
-// boundOf locates warp widx's cached bound inside its scheduler's
-// dense bound array (round-robin deal: scheduler widx%N, slot widx/N).
-func (s *sm) boundOf(widx int) *int64 {
+// setGate recomputes warp widx's wake gate and resource demand from
+// its state (round-robin deal: scheduler widx%N, slot widx/N). It must
+// run after everything that moves the warp's pc, nextIssue, fetchReady,
+// barReady, exited or barWait.
+func (s *sm) setGate(widx int) {
 	n := len(s.scheds)
-	return &s.scheds[widx%n].bounds[widx/n]
+	s.setGateAt(&s.scheds[widx%n], widx/n, &s.warps[widx])
+}
+
+// setGateAt is setGate for a caller that already holds the warp's
+// scheduler and slot (the scan, once per issue).
+func (s *sm) setGateAt(sc *scheduler, slot int, w *warpState) {
+	if w.exited || w.barWait {
+		sc.gates[slot] = farFuture
+		return
+	}
+	m := &s.meta[w.pc]
+	gate := max(w.nextIssue, w.fetchReady)
+	for wm := m.waitMask; wm != 0; wm &= wm - 1 {
+		if r := w.barReady[bits.TrailingZeros8(wm)]; r > gate {
+			gate = r
+		}
+	}
+	sc.gates[slot] = gate
+	sc.wants[slot] = issueWant{need: s.rt.need[w.pc], class: m.class}
 }
 
 func (s *sm) allDone() bool {
 	return s.nextBlock >= len(s.blockQueue) && s.doneSlots == len(s.slots)
 }
 
-// ready reports whether warp w can issue at cycle now, the stall reason
-// when it cannot, and a lower bound on the first cycle it could become
-// ready absent asynchronous wake events (farFuture when only such an
-// event can wake it). The returned reason for a ready warp is
-// ReasonNotSelected (callers override to ReasonNone for the issuer).
-func (s *sm) ready(sc *scheduler, w *warpState, now int64) (bool, StallReason, int64) {
+// ready reports whether warp w can issue at cycle now and the stall
+// reason when it cannot, from the warp's raw state. It is the reference
+// the wake gates are checked against — the cycle stepper issues by it —
+// and what a PC sample reports; the event-driven scan never calls it.
+// The returned reason for a ready warp is ReasonNotSelected (a sample
+// of the issuer itself reports ReasonNone, see observe).
+func (s *sm) ready(sc *scheduler, w *warpState, now int64) (bool, StallReason) {
+	s.readyCalls++
 	if w.exited {
-		return false, ReasonIdle, farFuture
+		return false, ReasonIdle
 	}
 	if w.barWait {
-		return false, ReasonSync, farFuture
+		return false, ReasonSync
+	}
+	if w.fetchReady > now {
+		return false, ReasonInstructionFetch
 	}
 	m := &s.meta[w.pc]
-	bound := w.fetchReady
-	if w.nextIssue > bound {
-		bound = w.nextIssue
-	}
-	if busy := sc.unitBusy[m.class]; busy > bound {
-		bound = busy
-	}
 	// Scoreboard wait mask: the slowest pending barrier gates issue.
 	var worst int64
 	reason := ReasonNone
@@ -323,31 +347,19 @@ func (s *sm) ready(sc *scheduler, w *warpState, now int64) (bool, StallReason, i
 			reason = w.barReason[b]
 		}
 	}
-	if worst > bound {
-		bound = worst
-	}
-	if w.fetchReady > now {
-		return false, ReasonInstructionFetch, bound
-	}
 	if worst > 0 {
-		return false, reason, bound
+		return false, reason
 	}
 	if w.nextIssue > now {
-		return false, w.issueStall, bound
+		return false, w.issueStall
 	}
-	if m.flags&metaNeedMSHR != 0 && s.mshrFree < int(s.rt.tx[w.pc]) {
-		return false, ReasonMemoryThrottle, boundMSHR
+	if s.mshrFree < int(s.rt.need[w.pc]) {
+		return false, ReasonMemoryThrottle
 	}
 	if sc.unitBusy[m.class] > now {
-		return false, ReasonPipeBusy, bound
+		return false, ReasonPipeBusy
 	}
-	return true, ReasonNotSelected, now
-}
-
-// readiness is the two-result form of ready used by the sampling path.
-func (s *sm) readiness(sc *scheduler, w *warpState, now int64) (bool, StallReason) {
-	ok, reason, _ := s.ready(sc, w, now)
-	return ok, reason
+	return true, ReasonNotSelected
 }
 
 func spaceNeedsMSHR(op sass.Opcode) bool {
@@ -359,7 +371,7 @@ func spaceNeedsMSHR(op sass.Opcode) bool {
 }
 
 // memLatency models the completion latency of a variable-latency
-// instruction.
+// instruction. visit is 0 on every call (see warpState.visits).
 func (s *sm) memLatency(w *warpState, pc int, tx int) int64 {
 	visit := int(w.visits[pc])
 	if lat := s.wl.Latency(w.ctx, pc, visit); lat > 0 {
@@ -405,7 +417,7 @@ func barrierReasonFor(op sass.Opcode) StallReason {
 // icacheCheck models the instruction cache at a control transfer to
 // target; sequential flow never misses (hardware prefetches linearly).
 func (s *sm) icacheCheck(w *warpState, target int, now int64) {
-	line := target / s.icacheLine
+	line := s.rt.line[target]
 	if s.icacheUse[line] >= 0 {
 		s.icacheUse[line] = now
 		return
@@ -439,7 +451,6 @@ func (s *sm) icacheCheck(w *warpState, target int, now int64) {
 func (s *sm) issue(sc *scheduler, widx int, now int64) {
 	w := &s.warps[widx]
 	pc := w.pc
-	in := &s.p.Instrs[pc]
 	m := &s.meta[pc]
 	s.issuedPerPC[pc]++
 	w.lastIssuedPC = pc
@@ -476,16 +487,18 @@ func (s *sm) issue(sc *scheduler, widx int, now int64) {
 	}
 
 	// Control flow.
-	switch in.Opcode {
-	case sass.OpBRA, sass.OpJMP, sass.OpBRX:
+	line := s.rt.line
+	switch m.ctrl {
+	case ctrlCond, ctrlUncond:
 		visit := int(w.visits[pc])
 		w.visits[pc]++
-		taken := in.Unconditional() || s.wl.Taken(w.ctx, pc, visit)
+		cond := m.ctrl == ctrlCond
+		taken := !cond || s.wl.Taken(w.ctx, pc, visit)
 		if st := &s.steady; st.enabled {
 			if st.recording {
 				st.execs = append(st.execs, steadyExec{
 					widx: int32(widx), pc: int32(pc),
-					outcome: taken, probe: !in.Unconditional(),
+					outcome: taken, probe: cond,
 				})
 			}
 			if taken && s.p.Target(pc) <= pc {
@@ -507,15 +520,15 @@ func (s *sm) issue(sc *scheduler, widx int, now int64) {
 			s.icacheCheck(w, w.pc, now)
 		} else {
 			w.pc = pc + 1
-			if w.pc/s.icacheLine != pc/s.icacheLine {
+			if line[w.pc] != line[pc] {
 				s.icacheCheck(w, w.pc, now)
 			}
 		}
-	case sass.OpCAL:
+	case ctrlCall:
 		w.callStack = append(w.callStack, pc+1)
 		w.pc = s.p.Target(pc)
 		s.icacheCheck(w, w.pc, now)
-	case sass.OpRET:
+	case ctrlRet:
 		if len(w.callStack) == 0 {
 			s.exitWarp(w)
 			return
@@ -523,9 +536,9 @@ func (s *sm) issue(sc *scheduler, widx int, now int64) {
 		w.pc = w.callStack[len(w.callStack)-1]
 		w.callStack = w.callStack[:len(w.callStack)-1]
 		s.icacheCheck(w, w.pc, now)
-	case sass.OpEXIT:
+	case ctrlExit:
 		s.exitWarp(w)
-	case sass.OpBAR:
+	case ctrlBar:
 		w.barWait = true
 		w.pc = pc + 1
 		slot := &s.slots[w.slot]
@@ -535,7 +548,7 @@ func (s *sm) issue(sc *scheduler, widx int, now int64) {
 		w.pc = pc + 1
 		// Sequential flow fetches new lines as well: bodies larger than
 		// the cache evict their own head and pay misses continuously.
-		if w.pc/s.icacheLine != pc/s.icacheLine {
+		if line[w.pc] != line[pc] {
 			s.icacheCheck(w, w.pc, now)
 		}
 	}
@@ -552,13 +565,13 @@ func (s *sm) exitWarp(w *warpState) {
 }
 
 // maybeReleaseBarrier wakes only the block's own warps: a barrier
-// release cannot change any other warp's readiness, so their cached
-// bounds stay valid.
+// release cannot change any other warp's readiness, so their gates
+// stand.
 func (s *sm) maybeReleaseBarrier(slot *blockSlot) {
 	if slot.aliveCount > 0 && slot.arrived >= slot.aliveCount {
 		for _, widx := range slot.warps {
 			s.warps[widx].barWait = false
-			*s.boundOf(widx) = 0
+			s.setGate(widx)
 			s.scheds[widx%len(s.scheds)].nextReady = 0
 		}
 		slot.arrived = 0
@@ -567,10 +580,9 @@ func (s *sm) maybeReleaseBarrier(slot *blockSlot) {
 }
 
 // processReleases returns MSHR slots whose transactions completed.
-// Freed slots can only wake warps stalled on ReasonMemoryThrottle:
-// their cached boundMSHR entries expire (mshrGen) and their throttled
-// schedulers rescan. Every other cached bound is a pure time bound a
-// release cannot move, so it survives. The pending releases form a
+// Freed slots can only wake warps stalled on ReasonMemoryThrottle, so
+// only schedulers whose last scan saw one rescan; wake gates are
+// private time and a release cannot move them. The pending releases form a
 // binary min-heap on cycle, so a call pops only the due entries
 // instead of compacting the whole list.
 func (s *sm) processReleases(now int64) {
@@ -586,7 +598,6 @@ func (s *sm) processReleases(now int64) {
 		s.minRelease = farFuture
 	}
 	if released {
-		s.mshrGen++
 		for si := range s.scheds {
 			if s.scheds[si].throttled {
 				s.scheds[si].nextReady = 0
@@ -638,57 +649,53 @@ func (s *sm) popRelease() {
 	s.releases = h
 }
 
-// sampleTick records one PC sample: the sampling unit cycles round-robin
-// over the warp schedulers (one scheduler per period, per Figure 1 of
-// the paper) and rotates over the scheduler's resident warps.
-func (s *sm) sampleTick(now int64) {
-	sink := s.sink
-	if sink == nil {
-		return
-	}
-	schedIdx := int(s.tick) % len(s.scheds)
+// nextSampled advances the sampling unit by one tick: it cycles
+// round-robin over the warp schedulers (one scheduler per period, per
+// Figure 1 of the paper) and rotates over the scheduler's resident
+// warps. widx is -1 when the scheduler has no live warp to sample.
+func (s *sm) nextSampled() (schedIdx, widx int) {
+	schedIdx = int(s.tick) % len(s.scheds)
 	s.tick++
 	sc := &s.scheds[schedIdx]
-	// Pick the next non-exited warp in rotation.
 	n := len(sc.warps)
-	if n == 0 {
-		return
-	}
-	var w *warpState
-	widx := -1
 	for i := 0; i < n; i++ {
 		cand := sc.warps[(sc.samplePtr+i)%n]
 		if !s.warps[cand].exited {
-			widx = cand
 			sc.samplePtr = (sc.samplePtr + i + 1) % n
-			break
+			return schedIdx, cand
 		}
 	}
+	return schedIdx, -1
+}
+
+// observe is what a sample of warp w taken at cycle now reports: the
+// instruction it issued this cycle, or the one it is stalled at and
+// why.
+func (s *sm) observe(sc *scheduler, w *warpState, now int64) (pc int, reason StallReason) {
+	if w.lastIssueCycle == now && now > 0 {
+		return w.lastIssuedPC, ReasonNone
+	}
+	_, reason = s.ready(sc, w, now)
+	return w.pc, reason
+}
+
+// sampleTick records one PC sample at cycle now.
+func (s *sm) sampleTick(now int64) {
+	schedIdx, widx := s.nextSampled()
 	if widx < 0 {
 		return
 	}
-	w = &s.warps[widx]
-	smp := Sample{
+	sc := &s.scheds[schedIdx]
+	pc, reason := s.observe(sc, &s.warps[widx], now)
+	s.sink.Record(Sample{
 		SM:        s.id,
 		Scheduler: schedIdx,
 		Warp:      widx,
 		Cycle:     now,
 		Active:    sc.issuedNow,
-	}
-	if w.lastIssueCycle == now && w.lastIssueCycle > 0 {
-		smp.PC = w.lastIssuedPC
-		smp.Reason = ReasonNone
-	} else {
-		smp.PC = w.pc
-		_, reason := s.readiness(sc, w, now)
-		smp.Reason = reason
-	}
-	sink.Record(smp)
-	if st := &s.steady; st.recording {
-		rel := smp
-		rel.Cycle -= st.baseNow
-		st.samples = append(st.samples, rel)
-	}
+		PC:        pc,
+		Reason:    reason,
+	})
 }
 
 // run drives the SM to completion and returns the final cycle.
@@ -703,8 +710,8 @@ const cancelCheckInterval = 4096
 // nextReady cursors are due, it jumps straight to the next interesting
 // cycle — the minimum over the per-scheduler cursors and the earliest
 // pending MSHR release. Fetch completions, scoreboard-barrier expiries,
-// and pipe drains are folded into the cursors (a warp's cached bound is
-// the max of its gates); barrier releases and block rotations reset the
+// and pipe drains are folded into the cursors (a warp's gate is the max
+// of its private waits); barrier releases and block rotations reset the
 // affected cursors at the issue that causes them, so they can never be
 // skipped over. Sample ticks fire on the way through a jump: the
 // skipped span contains no issue and no state change, so each tick
@@ -712,12 +719,14 @@ const cancelCheckInterval = 4096
 // (Config.stepEveryCycle retains that naive walk as a test oracle).
 func (s *sm) run(ctx context.Context, maxCycles int64) (int64, error) {
 	now := int64(0)
-	period := int64(s.cfg.SamplePeriod)
+	period := s.period
 	nextTick := period
 	step := s.cfg.stepEveryCycle
+	st := &s.steady
 	s.lastProgress = 0
 	checkIn := cancelCheckInterval
 	for !s.allDone() {
+		s.loopIters++
 		if checkIn--; checkIn <= 0 {
 			checkIn = cancelCheckInterval
 			if err := apierr.CtxErr(ctx); err != nil {
@@ -734,21 +743,25 @@ func (s *sm) run(ctx context.Context, maxCycles int64) (int64, error) {
 		for si := range s.scheds {
 			sc := &s.scheds[si]
 			sc.issuedNow = false
-			if !step && sc.nextReady > now {
-				continue
+			if step {
+				s.scanStep(sc, now)
+			} else if sc.nextReady <= now {
+				s.scan(sc, now)
 			}
-			s.scan(sc, now, step)
 		}
 		if period > 0 && now >= nextTick {
 			s.sampleTick(now)
 			nextTick += period
 		}
-		if s.steady.anchorHit {
+		if st.observing {
+			s.recordObservations(now)
+		}
+		if st.anchorHit {
 			// The anchor warp took a loop back-edge this cycle: run the
 			// steady-state detector on the post-scan, post-tick state —
 			// it may fast-forward whole periods (see steady.go).
-			s.steady.anchorHit = false
-			now, nextTick = s.steadyAnchor(now, nextTick, period, maxCycles)
+			st.anchorHit = false
+			now, nextTick = s.steadyAnchor(now, nextTick, maxCycles)
 		}
 		if step || s.allDone() {
 			// Stepper mode walks cycle by cycle; a completed SM (the
@@ -766,7 +779,7 @@ func (s *sm) run(ctx context.Context, maxCycles int64) (int64, error) {
 				next = nr
 			}
 		}
-		if next >= boundMSHR {
+		if next >= farFuture {
 			// No future event can wake this SM (deadlock or a throttle
 			// no release will clear): jump straight to the livelock
 			// guard instead of grinding one cycle at a time.
@@ -775,11 +788,15 @@ func (s *sm) run(ctx context.Context, maxCycles int64) (int64, error) {
 		if next <= now {
 			next = now + 1
 		}
-		if period > 0 && nextTick < next {
-			// Fire the sample ticks inside the skipped span; they all
-			// observe the same stalled state.
+		if st.observing || (period > 0 && nextTick < next) {
+			// Ticks inside the skipped span all observe the same stalled
+			// state — as does a period recording, which notes what a
+			// tick at every one of these cycles would have seen.
 			for si := range s.scheds {
 				s.scheds[si].issuedNow = false
+			}
+			for c := now + 1; c < next && st.observing; c++ {
+				s.recordObservations(c)
 			}
 			for nextTick < next {
 				s.sampleTick(nextTick)
@@ -791,87 +808,97 @@ func (s *sm) run(ctx context.Context, maxCycles int64) (int64, error) {
 	return now, nil
 }
 
-// scan walks one scheduler's warps in LRR order: issue the first ready
-// one, then keep scanning for bounds only, so the refreshed nextReady
-// cursor covers a whole issue epoch instead of forcing a rescan every
-// cycle. step disables the warp-bound cache (the cycle-stepper oracle
-// re-evaluates every warp every cycle).
-func (s *sm) scan(sc *scheduler, now int64, step bool) {
-	warps := sc.warps
-	n := len(warps)
+// scan is the event-driven scheduler pass: walk the warps in LRR order
+// from the rotation pointer, issue the first whose gate has passed and
+// whose shared resources are free, and gather the earliest cycle any
+// other could issue into the nextReady cursor, so the scheduler sleeps
+// through a whole issue epoch instead of rescanning every cycle.
+func (s *sm) scan(sc *scheduler, now int64) {
+	n := len(sc.gates)
 	bound := farFuture
 	seq := s.wakeSeq
-	mshrStale := sc.mshrSeen != s.mshrGen
-	sc.throttled = false
 	throttled := false
-	complete := true
-	// Walk [start, n) then [0, start): two contiguous ranges instead of
-	// a modular index on every iteration. start is captured up front —
-	// an issue moves sc.rotate mid-scan, but the scan must still cover
-	// every warp exactly once in the original rotation order.
-	start := sc.rotate
-scanLoop:
-	for pass := 0; pass < 2; pass++ {
-		lo, hi := start, n
-		if pass == 1 {
-			lo, hi = 0, start
-		}
-		bounds := sc.bounds[lo:hi:hi]
-		for i, wb := range bounds {
-			slot := lo + i
-			if step || wb <= now || (wb == boundMSHR && mshrStale) {
-				widx := warps[slot]
-				w := &s.warps[widx]
-				ok, _, b := s.ready(sc, w, now)
-				if ok && !sc.issuedNow {
-					s.issue(sc, widx, now)
-					sc.issuedNow = true
-					s.lastProgress = now
-					// The LRR pointer restarts after the issuer.
-					sc.rotate = slot + 1
-					if sc.rotate >= n {
-						sc.rotate = 0
-					}
-					// Post-issue the warp is stalled at least one
-					// cycle; its refreshed gates bound its next issue.
-					_, _, b = s.ready(sc, w, now)
-				}
-				bounds[i] = b
-				wb = b
-			}
-			if wb == boundMSHR {
+	issued := false
+	// Walk the slots in rotation order from the LRR pointer. An issue
+	// moves sc.rotate mid-scan, but the walk still covers every warp
+	// exactly once in the original order.
+	slot := sc.rotate
+	for left := n; left > 0; left-- {
+		wake := sc.gates[slot]
+		if wake <= now {
+			want := sc.wants[slot]
+			if int(want.need) > s.mshrFree {
+				// Only an MSHR release wakes it; processReleases
+				// rescans throttled schedulers.
 				throttled = true
-			}
-			if wb < bound {
-				bound = wb
-			}
-			if !step && sc.issuedNow && bound <= now+1 {
-				// Early out: this scheduler has issued and its cursor is
-				// already pinned at (or below) the next cycle, so it
-				// rescans then no matter what the remaining warps'
-				// bounds are. Stopping here skips the bound gathering
-				// for the rest of the list; the unscanned warps keep
-				// their caches (still valid lower bounds), and the
-				// throttled flag only matters for schedulers whose
-				// cursor lets them sleep — which an early-out cursor
-				// never does.
-				complete = false
-				break scanLoop
+				wake = farFuture
+			} else if busy := sc.unitBusy[want.class]; busy > now {
+				wake = busy
+			} else if issued {
+				wake = now // ready, not selected
+			} else {
+				widx := sc.warps[slot]
+				s.issue(sc, widx, now)
+				issued = true
+				// The LRR pointer restarts after the issuer.
+				sc.rotate = slot + 1
+				if sc.rotate >= n {
+					sc.rotate = 0
+				}
+				s.setGateAt(sc, slot, &s.warps[widx])
+				wake = sc.gates[slot]
 			}
 		}
-	}
-	if complete {
-		// Every boundMSHR entry was re-probed under the current MSHR
-		// generation; an early-out scan leaves mshrSeen stale so the
-		// skipped entries are re-probed next time.
-		sc.mshrSeen = s.mshrGen
+		if wake < bound {
+			bound = wake
+		}
+		if issued && bound <= now+1 {
+			// Early out: this scheduler has issued and its cursor is
+			// already pinned at (or below) the next cycle, so it
+			// rescans then no matter when the remaining warps wake.
+			// The throttled flag only matters for schedulers whose
+			// cursor lets them sleep — which an early-out cursor
+			// never does.
+			break
+		}
+		if slot++; slot >= n {
+			slot = 0
+		}
 	}
 	sc.throttled = throttled
+	if issued {
+		sc.issuedNow = true
+		s.lastProgress = now
+	}
 	if s.wakeSeq != seq {
-		// An issue released a barrier or rotated a block; bounds
+		// An issue released a barrier or rotated a block; wake cycles
 		// gathered before that are stale. Rescan next cycle.
 		sc.nextReady = 0
 	} else {
 		sc.nextReady = bound
+	}
+}
+
+// scanStep is the cycle stepper's scheduler pass, kept as the oracle:
+// no gates, no cursor — every warp is re-evaluated from its raw state
+// every cycle, in LRR order, until one issues.
+func (s *sm) scanStep(sc *scheduler, now int64) {
+	n := len(sc.warps)
+	for i := 0; i < n; i++ {
+		slot := sc.rotate + i
+		if slot >= n {
+			slot -= n
+		}
+		widx := sc.warps[slot]
+		if ok, _ := s.ready(sc, &s.warps[widx], now); ok {
+			s.issue(sc, widx, now)
+			sc.issuedNow = true
+			s.lastProgress = now
+			sc.rotate = slot + 1
+			if sc.rotate >= n {
+				sc.rotate = 0
+			}
+			return
+		}
 	}
 }

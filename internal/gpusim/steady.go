@@ -1,5 +1,7 @@
 package gpusim
 
+import "slices"
+
 // Steady-state loop memoization. Most kernels spend the bulk of their
 // cycles in a periodic steady state inside their hot loops: every
 // scheduler revisits the same relative state once per loop iteration,
@@ -16,9 +18,10 @@ package gpusim
 //     Brent's algorithm) makes the span a period candidate.
 //  2. RECORD. The next candidate period is simulated normally while
 //     recording a template: every branch execution (with its Taken
-//     outcome), every emitted sample (cycle kept relative to the
-//     period start), the sparse per-PC issue delta, and the
-//     instruction-cache lines touched. The recording is valid only if
+//     outcome), the sparse per-PC issue delta, the instruction-cache
+//     lines touched, and — when sampling is on — the observation
+//     table: what a sample tick at each cycle of the period would
+//     report of each warp. The recording is valid only if
 //     the fingerprint at the end matches the start exactly and the
 //     period was instruction-cache-miss free (then the untouched LRU
 //     stamps are never read in-period and stay out of the fingerprint
@@ -30,15 +33,25 @@ package gpusim
 //     MaxCycles, every pending absolute cycle field is shifted by k·P
 //     (sentinels and expired gates preserved), visits and issue
 //     counters advance by k times the recorded deltas, and the sample
-//     ticks inside the span are synthesized from the template —
-//     byte-identical to what stepping would have emitted, because the
-//     span's state is byte-equivalent by construction.
+//     ticks inside the span are walked exactly as sampleTick walks
+//     them (scheduler round-robin, warp rotation), each reading its
+//     sample out of the observation table at its offset into the
+//     period — byte-identical to what stepping would have emitted,
+//     because the span's state is byte-equivalent by construction.
+//
+// Sampling is NOT part of the recurrence. A tick reads the SM and moves
+// only the sampling unit's own cursors (sm.tick, scheduler.samplePtr),
+// which nothing else reads, so where the ticks fall relative to the
+// loop is kept out of the fingerprint: a loop period locks whether or
+// not the sample period divides it, and the same periods lock with
+// sampling on as with it off.
 //
 // Fall back to normal event-skipped stepping whenever no period is
 // found, a recording is invalidated (fingerprint drift, icache miss,
 // block rotation or barrier phase change — all of which perturb the
-// fingerprint), the workload cannot promise future branch outcomes, or
-// zero whole periods fit before the next outcome change. The retained
+// fingerprint — or an observation table outgrowing maxObservations),
+// the workload cannot promise future branch outcomes, or zero whole
+// periods fit before the next outcome change. The retained
 // cycle stepper (Config.stepEveryCycle) stays the oracle: results and
 // sample streams must be bit-identical with memoization on.
 
@@ -123,12 +136,14 @@ type steadyState struct {
 	cur, prev, brent   snapshot
 	prevValid, brentOK bool
 	brentIdx, brentPow int64
+	// prevNow / brentNow are the cycles the prev and brent snapshots
+	// were taken at, so a match knows the candidate period in cycles.
+	prevNow, brentNow int64
 
 	// Recording state.
 	recording  bool
 	recordLeft int64 // anchors until the candidate period closes
 	baseNow    int64
-	baseTick   int64
 	baseMiss   int64
 	base       snapshot // fingerprint at the period start
 	issuedBase []int64  // issuedPerPC copy at the period start
@@ -138,11 +153,16 @@ type steadyState struct {
 	// Template (valid only while valid is set).
 	valid       bool
 	period      int64 // cycles per period
-	tickDelta   int64 // sample ticks per period
 	execs       []steadyExec
-	samples     []Sample // Cycle relative to the period start, in (0, period]
 	touches     []steadyTouch
 	issuedDelta []steadyIssued
+	// obs is the observation table, recorded only while a sink is
+	// sampling (observing): row c-baseNow-1 holds, for every warp in
+	// index order, what a sample taken at cycle c reports of it (see
+	// packObservation). It belongs to the SM shell like every other
+	// template slice and never grows past maxObservations entries.
+	observing bool
+	obs       []uint32
 
 	missCount int64 // icache misses this run (recording validity check)
 
@@ -175,7 +195,7 @@ func resetSteady(st steadyState, wl Workload, step bool) steadyState {
 		icacheBase:  st.icacheBase[:0],
 		strideMap:   st.strideMap,
 		execs:       st.execs[:0],
-		samples:     st.samples[:0],
+		obs:         st.obs[:0],
 		touches:     st.touches[:0],
 		issuedDelta: st.issuedDelta[:0],
 	}
@@ -189,32 +209,51 @@ func resetSteady(st steadyState, wl Workload, step bool) steadyState {
 func (st *steadyState) reelect(widx int) {
 	st.anchorWarp = widx
 	st.anchorIdx = 0
-	st.prevValid, st.brentOK, st.valid, st.recording = false, false, false, false
+	st.prevValid, st.brentOK, st.valid = false, false, false
+	st.recording, st.observing = false, false
 	st.brentIdx, st.brentPow = 0, 1
 }
 
 // Fingerprint encodings for cycle-valued fields. Values at or below
 // the current cycle are behaviorally spent — every consumer compares
 // them against "now" with > — so they all encode as 0; pending values
-// encode as their distance from now; the two wake-sentinels keep
-// distinct codes (whether a scheduler's boundMSHR entries are still
-// current is per-scheduler state, carried in its flags word).
+// encode as their distance from now; the farFuture sentinel keeps a
+// code of its own.
 const (
-	encFar      = int64(-2)
-	encMSHRLive = int64(-3)
-	encIdle     = int64(-1) // absent / expired marker for paired fields
+	encFar  = int64(-2)
+	encIdle = int64(-1) // absent / expired marker for paired fields
 )
 
 // steadyGiveUp is how many consecutive matchless anchors the detector
 // tolerates before disabling itself for the run.
 const steadyGiveUp = 128
 
+// maxObservations bounds the observation table of one SM (entries of 4
+// bytes: 256 KB). A candidate period that would outgrow it — period ×
+// resident warps too large — is abandoned and the detector stands down
+// for the run (see startRecord). 64 K entries cover every Table 3 row
+// that locks a period.
+const maxObservations = 64 << 10
+
+// obsActive flags an observation taken on a cycle its warp's scheduler
+// issued (Sample.Active); the stall reason sits below it, the PC above.
+const (
+	obsActive  = 1 << 7
+	obsPCShift = 8
+)
+
+func packObservation(pc int, reason StallReason, active bool) uint32 {
+	o := uint32(pc)<<obsPCShift | uint32(reason)
+	if active {
+		o |= obsActive
+	}
+	return o
+}
+
 func encTime(v, now int64) int64 {
 	switch {
 	case v == farFuture:
 		return encFar
-	case v == boundMSHR:
-		return encMSHRLive
 	case v <= now:
 		return 0
 	}
@@ -228,8 +267,11 @@ func encTime(v, now int64) int64 {
 // counters, which are deliberately excluded — they advance monotonically
 // and are validated separately through TakenStability — and the icache
 // LRU stamps, which recordings prove unread by requiring miss-free
-// periods).
-func (s *sm) fingerprint(snap *snapshot, now, nextTick, period int64) {
+// periods). The sampling unit's cursors (sm.tick, samplePtr, the next
+// tick's distance) are left out because nothing but the sampling unit
+// reads them, and the wake gates because setGate derives them from the
+// warp fields encoded below.
+func (s *sm) fingerprint(snap *snapshot, now int64) {
 	w := snap.words[:0]
 
 	// SM-globals.
@@ -266,30 +308,16 @@ func (s *sm) fingerprint(snap *snapshot, now, nextTick, period int64) {
 		}
 	}
 	w = append(w, bitsAcc)
-	// Sampling phase: matching anchors must agree on where the next
-	// tick lands and which scheduler it samples, so a fast-forwarded
-	// span's synthesized ticks align exactly.
-	if period > 0 {
-		w = append(w, nextTick-now, s.tick%int64(len(s.scheds)))
-	}
 
 	for si := range s.scheds {
 		sc := &s.scheds[si]
-		flags := int64(sc.rotate)<<2 | int64(sc.samplePtr)<<18
+		flags := int64(sc.rotate) << 1
 		if sc.throttled {
 			flags |= 1
-		}
-		if sc.mshrSeen != s.mshrGen {
-			// Stale throttle bounds: the next scan re-probes every
-			// boundMSHR entry, so staleness is behaviorally visible.
-			flags |= 2
 		}
 		w = append(w, flags, encTime(sc.nextReady, now))
 		for _, busy := range sc.unitBusy {
 			w = append(w, encTime(busy, now))
-		}
-		for _, b := range sc.bounds {
-			w = append(w, encTime(b, now))
 		}
 	}
 
@@ -334,15 +362,15 @@ func (s *sm) fingerprint(snap *snapshot, now, nextTick, period int64) {
 // warp: it advances detection, closes recordings, and applies a
 // fast-forward when the template matches. It returns the (possibly
 // advanced) current cycle and next sample tick.
-func (s *sm) steadyAnchor(now, nextTick, period, maxCycles int64) (int64, int64) {
+func (s *sm) steadyAnchor(now, nextTick, maxCycles int64) (int64, int64) {
 	st := &s.steady
 	st.anchorIdx++
-	s.fingerprint(&st.cur, now, nextTick, period)
+	s.fingerprint(&st.cur, now)
 
 	closing := false
 	if st.recording {
 		if st.recordLeft--; st.recordLeft <= 0 {
-			st.recording = false
+			st.recording, st.observing = false, false
 			closing = true
 			if st.cur.equal(&st.base) && st.missCount == st.baseMiss {
 				s.finalizeTemplate(now)
@@ -362,10 +390,10 @@ func (s *sm) steadyAnchor(now, nextTick, period, maxCycles int64) (int64, int64)
 			}
 		} else if !closing && st.prevValid && st.cur.equal(&st.prev) {
 			st.dry = 0
-			s.startRecord(now, 1)
+			s.startRecord(now, 1, now-st.prevNow)
 		} else if !closing && st.brentOK && st.anchorIdx > st.brentIdx && st.cur.equal(&st.brent) {
 			st.dry = 0
-			s.startRecord(now, st.anchorIdx-st.brentIdx)
+			s.startRecord(now, st.anchorIdx-st.brentIdx, now-st.brentNow)
 		} else if st.dry++; st.dry > steadyGiveUp && !st.valid {
 			// Nothing has ever matched: this SM's state is drifting, not
 			// cycling (typical for latency-bound loops whose per-warp
@@ -380,10 +408,10 @@ func (s *sm) steadyAnchor(now, nextTick, period, maxCycles int64) (int64, int64)
 	// relative state (hence cur) unchanged, so cur stays the correct
 	// previous-anchor snapshot either way.
 	st.prev.copyFrom(&st.cur)
-	st.prevValid = true
+	st.prevValid, st.prevNow = true, now
 	if st.anchorIdx >= st.brentPow {
 		st.brent.copyFrom(&st.cur)
-		st.brentIdx = st.anchorIdx
+		st.brentIdx, st.brentNow = st.anchorIdx, now
 		st.brentOK = true
 		st.brentPow *= 2
 	}
@@ -391,20 +419,60 @@ func (s *sm) steadyAnchor(now, nextTick, period, maxCycles int64) (int64, int64)
 }
 
 // startRecord begins recording a candidate period of the given length
-// in anchor back-edges.
-func (s *sm) startRecord(now, anchors int64) {
+// in anchor back-edges — cycles long, if the SM really is cycling —
+// with its observation table when the run samples. A table that could
+// not fit is not started: the candidate is abandoned and the detector
+// stands down for the run, so a loop too long to record costs nothing
+// per iteration.
+func (s *sm) startRecord(now, anchors, cycles int64) {
 	st := &s.steady
-	st.recording = true
 	st.valid = false
+	st.observing = false
+	if s.period > 0 {
+		need := cycles * int64(len(s.warps))
+		if need > maxObservations {
+			st.enabled = false
+			st.fallbacks++
+			return
+		}
+		st.obs = slices.Grow(st.obs[:0], int(need))
+		st.observing = true
+	}
+	st.recording = true
 	st.recordLeft = anchors
 	st.baseNow = now
-	st.baseTick = s.tick
 	st.baseMiss = st.missCount
 	st.base.copyFrom(&st.cur)
 	st.execs = st.execs[:0]
-	st.samples = st.samples[:0]
 	st.issuedBase = append(st.issuedBase[:0], s.issuedPerPC...)
 	st.icacheBase = append(st.icacheBase[:0], s.icacheUse...)
+}
+
+// recordObservations appends the observation-table row of cycle c: what
+// a sample tick at c would report of every warp, given the state the
+// run loop holds when a tick at c fires (after c's issues; issuedNow
+// cleared inside a skipped span). The run loop calls it for every cycle
+// of a recording, visited or skipped, so row r is cycle baseNow+1+r.
+func (s *sm) recordObservations(c int64) {
+	st := &s.steady
+	if len(st.obs)+len(s.warps) > maxObservations {
+		// The SM drifted and the recording ran on past the candidate
+		// period startRecord sized it for: abandon, as there.
+		st.recording, st.observing, st.enabled = false, false, false
+		st.fallbacks++
+		return
+	}
+	n := len(s.scheds)
+	for i := range s.warps {
+		w := &s.warps[i]
+		if w.exited {
+			st.obs = append(st.obs, 0) // never sampled
+			continue
+		}
+		sc := &s.scheds[i%n]
+		pc, reason := s.observe(sc, w, c)
+		st.obs = append(st.obs, packObservation(pc, reason, sc.issuedNow))
+	}
 }
 
 // finalizeTemplate turns a validated recording into an applicable
@@ -412,6 +480,12 @@ func (s *sm) startRecord(now, anchors int64) {
 // touched icache lines with their end-of-period stamps.
 func (s *sm) finalizeTemplate(now int64) {
 	st := &s.steady
+	period := now - st.baseNow
+	if s.period > 0 && int64(len(st.obs)) != period*int64(len(s.warps)) {
+		// The table must hold exactly one row per cycle of the period.
+		st.fallbacks++
+		return
+	}
 	if st.strideMap == nil {
 		st.strideMap = make(map[int64]int32, 16)
 	}
@@ -438,8 +512,7 @@ func (s *sm) finalizeTemplate(now int64) {
 			st.touches = append(st.touches, steadyTouch{line: int32(line), relStamp: use - now})
 		}
 	}
-	st.period = now - st.baseNow
-	st.tickDelta = s.tick - st.baseTick
+	st.period = period
 	st.valid = true
 	st.detected++
 }
@@ -472,28 +545,44 @@ func (s *sm) steadyK(now, maxCycles int64) int64 {
 	return k
 }
 
-// fastForward skips k whole periods: cycles advance by k·P, pending
-// time gates shift with them (expired gates and wake-sentinels are
-// preserved — both compare identically at every future cycle), visit
-// and issue counters advance by k times the recorded deltas, touched
-// icache stamps land where the final period left them, and the
-// sampling ticks inside the span are synthesized from the template.
+// fastForward skips k whole periods: the sample ticks that fall inside
+// the span are emitted from the observation table, cycles advance by
+// k·P, pending time gates shift with them (expired gates and the
+// farFuture sentinel are preserved — both compare identically at every
+// future cycle), visit and issue counters advance by k times the
+// recorded deltas, and touched icache stamps land where the final
+// period left them.
 func (s *sm) fastForward(now, nextTick, k int64) (int64, int64) {
 	st := &s.steady
 	shift := k * st.period
 	newNow := now + shift
 
-	if s.sink != nil && len(st.samples) > 0 {
-		for j := int64(0); j < k; j++ {
-			base := now + j*st.period
-			for _, smp := range st.samples {
-				smp.Cycle += base
-				s.sink.Record(smp)
+	if s.period > 0 {
+		// The anchor runs after its own cycle's tick, so the span's
+		// ticks are those in (now, newNow]; the one at newNow observes
+		// the post-issue state of the last skipped period's final cycle.
+		// Each advances the sampling unit as sampleTick does (the set of
+		// exited warps cannot change inside a valid period) and reports
+		// the warp it lands on from the table row of its offset.
+		nw := int64(len(s.warps))
+		for ; nextTick <= newNow; nextTick += s.period {
+			schedIdx, widx := s.nextSampled()
+			if widx < 0 {
+				continue
 			}
+			row := (nextTick - now - 1) % st.period
+			o := st.obs[row*nw+int64(widx)]
+			s.sink.Record(Sample{
+				SM:        s.id,
+				Scheduler: schedIdx,
+				Warp:      widx,
+				Cycle:     nextTick,
+				Active:    o&obsActive != 0,
+				PC:        int(o >> obsPCShift),
+				Reason:    StallReason(o & (obsActive - 1)),
+			})
 		}
 	}
-	s.tick += k * st.tickDelta
-	nextTick += shift
 
 	for i := range s.warps {
 		w := &s.warps[i]
@@ -523,14 +612,14 @@ func (s *sm) fastForward(now, nextTick, k int64) (int64, int64) {
 				sc.unitBusy[c] += shift
 			}
 		}
-		for i := range sc.bounds {
-			sc.bounds[i] = shiftTime(sc.bounds[i], now, shift)
+		for i := range sc.gates {
+			sc.gates[i] = shiftTime(sc.gates[i], now, shift)
 		}
 	}
 	for i := range s.releases {
 		s.releases[i].cycle += shift
 	}
-	if s.minRelease < boundMSHR {
+	if s.minRelease < farFuture {
 		s.minRelease += shift
 	}
 	s.fetchBusy = shiftTime(s.fetchBusy, now, shift)
@@ -552,10 +641,10 @@ func (s *sm) fastForward(now, nextTick, k int64) (int64, int64) {
 }
 
 // shiftTime shifts a pending cycle value by a fast-forwarded span,
-// preserving the wake-sentinels (they compare above any cycle either
+// preserving the farFuture sentinel (it compares above any cycle either
 // way) and expired values (spent gates stay spent).
 func shiftTime(v, now, shift int64) int64 {
-	if v >= boundMSHR || v <= now {
+	if v == farFuture || v <= now {
 		return v
 	}
 	return v + shift

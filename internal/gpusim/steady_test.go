@@ -34,15 +34,36 @@ func steadyOracleCases() []struct {
 		wantFF       bool
 	}{
 		{
-			// Lockstep barrier loop with sampling on: the sample period
-			// divides the loop period, so the synthesized sample stream
-			// inside fast-forwarded spans is exercised and must be
-			// byte-identical to stepping.
+			// Lockstep barrier loop sampled every cycle: every row of the
+			// observation table is read on every skipped period, and the
+			// stream must be byte-identical to stepping.
 			name:         "lockstep-sampled",
 			src:          syncSrc,
 			launch:       LaunchConfig{Entry: "syncy", Grid: Dim(4), Block: Dim(256), RegsPerThread: 16},
 			spec:         &Spec{Trips: map[Site]TripFunc{{"syncy", "BR0"}: UniformTrips(400)}},
 			samplePeriod: 1,
+			wantFF:       true,
+		},
+		{
+			// The served sample period against a 17-cycle loop period: a
+			// tick lands every few skipped periods, each at a different
+			// offset, scheduler and warp.
+			name:         "lockstep-sampled-64",
+			src:          syncSrc,
+			launch:       LaunchConfig{Entry: "syncy", Grid: Dim(4), Block: Dim(256), RegsPerThread: 16},
+			spec:         &Spec{Trips: map[Site]TripFunc{{"syncy", "BR0"}: UniformTrips(400)}},
+			samplePeriod: 64,
+			wantFF:       true,
+		},
+		{
+			// A prime sample period at full-width launch (loop period 32):
+			// several ticks per period, and over a long skip they visit
+			// every offset of it.
+			name:         "lockstep-wide-sampled-7",
+			src:          syncSrc,
+			launch:       LaunchConfig{Entry: "syncy", Grid: Dim(16), Block: Dim(256), RegsPerThread: 16},
+			spec:         &Spec{Trips: map[Site]TripFunc{{"syncy", "BR0"}: UniformTrips(400)}},
+			samplePeriod: 7,
 			wantFF:       true,
 		},
 		{
@@ -99,14 +120,16 @@ func steadyOracleCases() []struct {
 }
 
 // zeroFFCounters returns a copy of res with the fast-forward activity
-// counters cleared. The cycle stepper never fast-forwards, so these are
-// the only Result fields allowed to differ between the stepper oracle
-// and a memoized run.
+// and work counters cleared. The cycle stepper never fast-forwards and
+// visits every cycle, so these are the only Result fields allowed to
+// differ between the stepper oracle and a memoized run.
 func zeroFFCounters(res *Result) *Result {
 	c := *res
 	c.PeriodsDetected = 0
 	c.CyclesFastForwarded = 0
 	c.FastForwardFallbacks = 0
+	c.LoopIterations = 0
+	c.ReadyCalls = 0
 	return &c
 }
 
@@ -175,7 +198,7 @@ func TestSteadyFastForwardMatchesOracle(t *testing.T) {
 						t.Errorf("parallelism %d: result differs from parallelism 1:\npar1: %+v\npar%d: %+v",
 							par, first, par, skipRes)
 					}
-					if !reflect.DeepEqual(stepRes, zeroFFCounters(skipRes)) {
+					if !reflect.DeepEqual(zeroFFCounters(stepRes), zeroFFCounters(skipRes)) {
 						t.Errorf("parallelism %d: result differs from cycle stepper:\nstep: %+v\nskip: %+v",
 							par, stepRes, skipRes)
 					}
@@ -192,6 +215,126 @@ func TestSteadyFastForwardMatchesOracle(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// longSyncSrc is a barrier-synchronized loop around one load; with the
+// load's latency overridden to a couple of thousand cycles the loop
+// period times the resident warps outgrows maxObservations.
+const longSyncSrc = `
+.func longsync global
+	MOV R0, 0x0 {S:2}
+LOOP:
+	LDG.E.32 R4, [R2] {S:1, W:0}
+	IADD R5, R4, 0x1 {S:4, Q:0}
+	BAR.SYNC {S:2}
+	IADD R0, R0, 0x1 {S:4}
+	ISETP P0, R0, 0x20 {S:4}
+BR0:	@P0 BRA LOOP {S:5}
+	EXIT
+`
+
+// TestSteadyObservationBoundAbandons pins the bound on the observation
+// table: a periodic loop whose period × resident warps exceeds
+// maxObservations locks and skips with sampling off, but with sampling
+// on the recording is abandoned — counted as a fallback, nothing locked
+// — and results and samples still equal the cycle stepper.
+func TestSteadyObservationBoundAbandons(t *testing.T) {
+	p, err := Load(sass.MustAssemble(longSyncSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const latency = 2200
+	spec := &Spec{
+		Trips:   map[Site]TripFunc{{"longsync", "BR0"}: UniformTrips(24)},
+		Latency: map[Site]func(WarpCtx, int) int{{"longsync", "LOOP"}: func(WarpCtx, int) int { return latency }},
+	}
+	wl, err := spec.Bind(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One block of 32 warps: a single barrier keeps the whole SM in step.
+	launch := LaunchConfig{Entry: "longsync", Grid: Dim(1), Block: Dim(1024), RegsPerThread: 16}
+	const warps = 32
+	if latency*warps <= maxObservations {
+		t.Fatalf("period (> %d) x %d warps fits maxObservations = %d; the test would be vacuous",
+			latency, warps, maxObservations)
+	}
+	run := func(step bool, samplePeriod int) (*Result, []Sample) {
+		t.Helper()
+		gc := *arch.VoltaV100()
+		gc.NumSMs = 1
+		sink := &captureSink{}
+		res, err := Run(context.Background(), p, launch, wl, Config{
+			GPU: &gc, SimSMs: 1, Seed: 7, Parallelism: 1,
+			SamplePeriod: samplePeriod, Sink: sink, stepEveryCycle: step,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sink.samples
+	}
+	if res, _ := run(false, 0); res.PeriodsDetected == 0 || res.CyclesFastForwarded == 0 {
+		t.Fatalf("unsampled control run did not fast-forward (%+v); the kernel is not periodic", res)
+	}
+	stepRes, stepSamples := run(true, 64)
+	res, samples := run(false, 64)
+	if res.PeriodsDetected != 0 || res.CyclesFastForwarded != 0 {
+		t.Errorf("locked a period past the observation bound: %+v", res)
+	}
+	if res.FastForwardFallbacks == 0 {
+		t.Errorf("abandoned recording not counted as a fallback: %+v", res)
+	}
+	if !reflect.DeepEqual(zeroFFCounters(stepRes), zeroFFCounters(res)) {
+		t.Errorf("result differs from cycle stepper:\nstep: %+v\nskip: %+v", stepRes, res)
+	}
+	if !reflect.DeepEqual(stepSamples, samples) {
+		t.Errorf("sample stream differs from cycle stepper (%d vs %d samples)", len(stepSamples), len(samples))
+	}
+}
+
+// latencyVisits wraps a Workload and notes every visit argument its
+// Latency method is called with.
+type latencyVisits struct {
+	Workload
+	calls, nonZero int
+}
+
+func (l *latencyVisits) Latency(w WarpCtx, pc, visit int) int {
+	l.calls++
+	if visit != 0 {
+		l.nonZero++
+	}
+	return l.Workload.Latency(w, pc, visit)
+}
+
+// TestMemoryLatencySeesVisitZero pins a quirk the goldens rest on:
+// warpState.visits advances only at branches, so however often a warp
+// re-executes a load, Workload.Latency (and the jitter hash) see visit
+// 0 and the (warp, pc) pair keeps one latency for the whole run.
+func TestMemoryLatencySeesVisitZero(t *testing.T) {
+	p, err := Load(sass.MustAssemble(memBoundSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &Spec{Trips: map[Site]TripFunc{{"membound", "BR0"}: UniformTrips(12)}}
+	bound, err := spec.Bind(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := &latencyVisits{Workload: bound}
+	launch := LaunchConfig{Entry: "membound", Grid: Dim(1), Block: Dim(64), RegsPerThread: 16}
+	if _, err := Run(context.Background(), p, launch, wl, Config{
+		GPU: arch.VoltaV100(), SimSMs: 1, Seed: 1, Parallelism: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// 2 warps x 13 loop iterations of one load each.
+	if wl.calls != 26 {
+		t.Errorf("Latency called %d times, want 26", wl.calls)
+	}
+	if wl.nonZero != 0 {
+		t.Errorf("Latency saw a non-zero visit %d times; visits must advance only at branches", wl.nonZero)
 	}
 }
 
@@ -230,7 +373,7 @@ func TestSteadyStatefulWorkloadNeverFastForwards(t *testing.T) {
 	if plainRes.PeriodsDetected != 0 || plainRes.CyclesFastForwarded != 0 {
 		t.Errorf("opaque workload fast-forwarded: %+v", plainRes)
 	}
-	if !reflect.DeepEqual(zeroFFCounters(ffRes), plainRes) {
+	if !reflect.DeepEqual(zeroFFCounters(ffRes), zeroFFCounters(plainRes)) {
 		t.Errorf("fast-forwarded result differs from plain run:\nff:    %+v\nplain: %+v", ffRes, plainRes)
 	}
 }
@@ -248,7 +391,8 @@ func (o opaqueWorkload) Transactions(pc int) int              { return o.wl.Tran
 // outcomes.
 func TestTakenRunClosedForm(t *testing.T) {
 	for _, trips := range []int{0, 1, 2, 3, 7, 90} {
-		b := &boundWorkload{trips: map[int]TripFunc{4: UniformTrips(trips)}}
+		b := newBoundWorkload(8)
+		b.trips[4] = UniformTrips(trips)
 		w := WarpCtx{}
 		for visit := 0; visit < 2*(trips+2); visit++ {
 			for _, stride := range []int{1, 2, 3, trips, trips + 1} {
@@ -268,7 +412,8 @@ func TestTakenRunClosedForm(t *testing.T) {
 		}
 	}
 	// Explicit Taken patterns are opaque: unknown.
-	b := &boundWorkload{taken: map[int]func(WarpCtx, int) bool{4: func(WarpCtx, int) bool { return true }}}
+	b := newBoundWorkload(8)
+	b.taken[4] = func(WarpCtx, int) bool { return true }
 	if got := b.TakenRun(WarpCtx{}, 4, 0, 1, true, 10); got != -1 {
 		t.Errorf("TakenRun on an explicit pattern = %d, want -1 (unknown)", got)
 	}

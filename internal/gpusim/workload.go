@@ -21,7 +21,9 @@ type Workload interface {
 	Taken(w WarpCtx, pc int, visit int) bool
 	// Latency returns a latency override in cycles for the
 	// variable-latency instruction at pc (0 means "use the default
-	// model").
+	// model"). visit is always 0: the simulator counts visits only at
+	// branches, so the override — like the default model's jitter — is
+	// one value per (warp, pc) for the whole run, not per execution.
 	Latency(w WarpCtx, pc int, visit int) int
 	// Transactions returns how many memory transactions the memory
 	// instruction at pc issues per warp (0 means 1, i.e. fully
@@ -54,7 +56,8 @@ type Spec struct {
 	// Taken: explicit direction patterns for labelled conditional
 	// branches (checked before Trips).
 	Taken map[Site]func(w WarpCtx, visit int) bool
-	// Latency: overrides for labelled variable-latency instructions.
+	// Latency: overrides for labelled variable-latency instructions
+	// (called with visit 0, see Workload.Latency).
 	Latency map[Site]func(w WarpCtx, visit int) int
 	// Transactions: per-site transaction counts (coalescing model).
 	Transactions map[Site]int
@@ -66,13 +69,8 @@ type Spec struct {
 
 // Bind resolves the spec's labelled sites to flat instruction indices.
 func (s *Spec) Bind(p *Program) (Workload, error) {
-	b := &boundWorkload{
-		trips:   map[int]TripFunc{},
-		taken:   map[int]func(WarpCtx, int) bool{},
-		latency: map[int]func(WarpCtx, int) int{},
-		trans:   map[int]int{},
-		def:     s.DefaultTaken,
-	}
+	b := newBoundWorkload(len(p.Instrs))
+	b.def = s.DefaultTaken
 	resolve := func(site Site) (int, error) {
 		idx, err := p.FlatIndex(site.Func, site.Label)
 		if err != nil {
@@ -111,19 +109,36 @@ func (s *Spec) Bind(p *Program) (Workload, error) {
 	return b, nil
 }
 
+// boundWorkload is a Spec resolved against one program: every table is
+// indexed by flat PC (nil / 0 where the spec has no entry), because the
+// simulator asks on every branch and memory issue. A PC beyond the
+// tables — the workload run against a longer program than it was bound
+// to — answers as an unlisted site.
 type boundWorkload struct {
-	trips   map[int]TripFunc
-	taken   map[int]func(WarpCtx, int) bool
-	latency map[int]func(WarpCtx, int) int
-	trans   map[int]int
+	trips   []TripFunc
+	taken   []func(WarpCtx, int) bool
+	latency []func(WarpCtx, int) int
+	trans   []int
 	def     bool
 }
 
+func newBoundWorkload(instrs int) *boundWorkload {
+	return &boundWorkload{
+		trips:   make([]TripFunc, instrs),
+		taken:   make([]func(WarpCtx, int) bool, instrs),
+		latency: make([]func(WarpCtx, int) int, instrs),
+		trans:   make([]int, instrs),
+	}
+}
+
 func (b *boundWorkload) Taken(w WarpCtx, pc, visit int) bool {
-	if fn, ok := b.taken[pc]; ok {
+	if pc >= len(b.trips) {
+		return b.def
+	}
+	if fn := b.taken[pc]; fn != nil {
 		return fn(w, visit)
 	}
-	if fn, ok := b.trips[pc]; ok {
+	if fn := b.trips[pc]; fn != nil {
 		n := fn(w)
 		if n <= 0 {
 			return false
@@ -144,10 +159,14 @@ func (b *boundWorkload) TakenRun(w WarpCtx, pc, visit, stride int, want bool, li
 	if limit <= 0 {
 		return 0
 	}
-	if _, ok := b.taken[pc]; ok {
-		return -1
+	var fn TripFunc
+	if pc < len(b.trips) {
+		if b.taken[pc] != nil {
+			return -1
+		}
+		fn = b.trips[pc]
 	}
-	if fn, ok := b.trips[pc]; ok {
+	if fn != nil {
 		n := fn(w)
 		if n <= 0 {
 			// Never taken: every visit yields false.
@@ -219,15 +238,17 @@ func modInv64(a, m int64) int64 {
 }
 
 func (b *boundWorkload) Latency(w WarpCtx, pc, visit int) int {
-	if fn, ok := b.latency[pc]; ok {
-		return fn(w, visit)
+	if pc < len(b.latency) {
+		if fn := b.latency[pc]; fn != nil {
+			return fn(w, visit)
+		}
 	}
 	return 0
 }
 
 func (b *boundWorkload) Transactions(pc int) int {
-	if n, ok := b.trans[pc]; ok {
-		return n
+	if pc < len(b.trans) {
+		return b.trans[pc]
 	}
 	return 0
 }

@@ -235,8 +235,13 @@ type Response struct {
 	// checking across builds and deployments).
 	ProfileDigest string
 	// Context is the analysis context of the run that produced the
-	// advice (KindAdvise). It does not survive the artifact store: a
-	// response assembled from stage artifacts carries nil.
+	// advice (KindAdvise): the blamer's per-function results and the
+	// profile's function views, about as large again as everything else
+	// a response holds. Only the caller that led that run gets it. It
+	// is nil on every shared view — result-cache hits and coalesced
+	// followers (asCached drops it, so a cached response does not pin
+	// it until eviction) — and on a response assembled from stage
+	// artifacts, which never had one.
 	Context *adv.Context
 
 	// prof (KindProfile, and KindAdvise when a run produced it) and adv
@@ -958,11 +963,14 @@ func (e *Engine) Stats() Stats {
 }
 
 // asCached shallow-copies a response with the Cached flag set; the
-// inner pointers stay shared (read-only by contract).
+// inner pointers stay shared (read-only by contract), except what only
+// the flight leader's own request has a use for: its encoded tail and
+// its analysis Context.
 func asCached(r *Response) *Response {
 	c := *r
 	c.Cached = true
 	c.freshTail = nil
+	c.Context = nil
 	return &c
 }
 

@@ -218,6 +218,14 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	if warm.Cycles != cold.Cycles {
 		t.Errorf("cached cycles %d != cold %d", warm.Cycles, cold.Cycles)
 	}
+	// The analysis context goes to the caller that led the run and is
+	// not kept alive by the cache entry.
+	if cold.Context == nil {
+		t.Error("the flight leader's response has no Context")
+	}
+	if warm.Context != nil {
+		t.Error("a cached view pins the run's Context")
+	}
 	st := e.Stats()
 	if st.Runs != 1 || st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 run, 1 hit, 1 miss", st)
@@ -254,10 +262,21 @@ func TestSingleflightCoalesces(t *testing.T) {
 	if st.Hits+st.Coalesced != n-1 {
 		t.Errorf("hits+coalesced = %d, want %d", st.Hits+st.Coalesced, n-1)
 	}
-	for i := 1; i < n; i++ {
+	leaders := 0
+	for i := range resps {
 		if reportOf(t, resps[i]) != reportOf(t, resps[0]) {
 			t.Fatalf("response %d differs", i)
 		}
+		// Exactly the leader is uncached, and only it holds the Context.
+		if !resps[i].Cached {
+			leaders++
+		}
+		if (resps[i].Context != nil) == resps[i].Cached {
+			t.Errorf("response %d: cached=%v, has Context=%v", i, resps[i].Cached, resps[i].Context != nil)
+		}
+	}
+	if leaders != 1 {
+		t.Errorf("%d uncached responses, want 1", leaders)
 	}
 }
 

@@ -135,6 +135,17 @@ grep -q '"trace":"smoke-trace-1"' "$LOG" || {
     exit 1
 }
 
+# The steady-state memoizer is live on the served path: every advise
+# simulates with PC sampling on, and rodinia/nw is a periodic kernel, so
+# its advise must have fast-forwarded.
+curl -sf -X POST -H 'Content-Type: application/json' -d '{"bench":"rodinia/nw"}' \
+    "http://$ADDR/v1/advise" >/dev/null
+FFSTATS=$(curl -sf "http://$ADDR/statsz")
+echo "$FFSTATS" | grep -Eq '"ffCyclesSkipped": [1-9]' || {
+    echo "gpad-smoke: advise of rodinia/nw fast-forwarded nothing: $FFSTATS" >&2
+    exit 1
+}
+
 # Load harness: a short warm open-loop run must complete with zero
 # errors and report sane percentiles.
 LOADOUT=$TMP/loadgen.json
