@@ -159,10 +159,9 @@ type Job struct {
 	Kind   JobKind
 	Kernel *Kernel
 	// Options tunes the run exactly as for Kernel.Advise (nil =
-	// defaults). Unlike the direct API, Options.Parallelism defaults to
-	// 1: the engine supplies job-level concurrency, and nesting a
-	// GOMAXPROCS-wide SM pool under every worker would oversubscribe
-	// the machine. Parallelism never affects results either way.
+	// defaults), Options.Parallelism included: set it to 1 for a
+	// Workload that is not safe for concurrent use. Parallelism never
+	// affects results.
 	Options *Options
 	// Timeout is this job's deadline, measured from admission (0 = the
 	// engine's DefaultTimeout; negative = none even when a default is
@@ -285,8 +284,7 @@ func (j Job) request() (service.Request, error) {
 	if j.Kernel == nil {
 		return service.Request{}, fmt.Errorf("gpa: %w: engine job without kernel", ErrBadKernel)
 	}
-	// service.Request.normalized owns the engine's option defaults,
-	// including the Parallelism-zero-means-1 rule.
+	// service.Request.normalized owns the engine's option defaults.
 	o := normalize(j.Options)
 	prog, err := j.Kernel.program()
 	if err != nil {
@@ -388,8 +386,7 @@ func (e *Engine) Sweep(ctx context.Context, j Job, gpus []*arch.GPU) ([]*arch.GP
 	}
 	jobs := make([]Job, len(gpus))
 	for i, g := range gpus {
-		// Job.request() applies the remaining defaults (including the
-		// engine's Parallelism-means-1 rule).
+		// Job.request() applies the remaining defaults.
 		o := normalize(j.Options)
 		o.GPU = g
 		jg := j

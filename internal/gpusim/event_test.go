@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"gpa/internal/apierr"
@@ -144,7 +145,8 @@ func TestEventSkipMatchesCycleStepper(t *testing.T) {
 
 // TestRunReusesPooledState pins the per-program arena: once a program
 // has run (and its Result was recycled), further runs must not allocate
-// on the hot path.
+// on the hot path — sequential or fanned out, where the arena holds one
+// SM shell per worker however many SMs the run simulates.
 func TestRunReusesPooledState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector (its runtime allocates inside the measured window)")
@@ -176,6 +178,56 @@ func TestRunReusesPooledState(t *testing.T) {
 	avg := testing.AllocsPerRun(10, do)
 	if avg > 0.5 {
 		t.Errorf("warm gpusim.Run allocates %.1f objects/op, want ~0", avg)
+	}
+
+	// The fanned-out path: 4 SMs over 2 workers into a sharded sink.
+	// AllocsPerRun pins GOMAXPROCS to 1, which would cap the run back to
+	// one worker, so this window counts mallocs itself.
+	withGOMAXPROCS(t, 2)
+	if p, err = Load(m); err != nil { // a program whose pools are still empty
+		t.Fatal(err)
+	}
+	if wl, err = spec.Bind(p); err != nil {
+		t.Fatal(err)
+	}
+	launch.Grid = Dim(8)
+	cfg = Config{GPU: arch.VoltaV100(), SimSMs: 4, Seed: 3, Parallelism: 2,
+		SamplePeriod: 32, Sink: &shardCapture{t: t}}
+	cfg.GPU.NumSMs = 4
+	// Seed the pool with an arena the test can inspect afterwards (a
+	// sync.Pool is per-P: retry should the goroutine migrate between
+	// the Put and Run's Get and leave the seeded arena unused).
+	var ar *arena
+	for try := 0; try < 10 && (ar == nil || len(ar.workers) == 0); try++ {
+		ar = &arena{}
+		p.putArena(ar)
+		do()
+	}
+	if n := len(ar.workers); n != 2 {
+		t.Errorf("a Parallelism 2 run over 4 SMs built %d SM shells, want 2 (one per worker)", n)
+	}
+	sink := cfg.Sink.(*shardCapture)
+	// Per-run counts and their median: a goroutine that migrates
+	// between Ps can miss the per-P pools and rebuild an arena once in a
+	// while; the pin is on the steady state, where Run itself allocates
+	// nothing. One object per run is left to the Go runtime, which
+	// allocates a g for a worker goroutine whenever the starting P's
+	// free list is dry (exited workers return theirs to the P they
+	// finished on).
+	var before, after runtime.MemStats
+	mallocs := make([]uint64, 11)
+	for i := range mallocs {
+		for _, sh := range sink.shards {
+			sh.samples = sh.samples[:0]
+		}
+		runtime.ReadMemStats(&before)
+		do()
+		runtime.ReadMemStats(&after)
+		mallocs[i] = after.Mallocs - before.Mallocs
+	}
+	slices.Sort(mallocs)
+	if median := mallocs[len(mallocs)/2]; median > 1 {
+		t.Errorf("warm fanned-out gpusim.Run allocates %d objects/op (median of %v), want ~0", median, mallocs)
 	}
 }
 

@@ -8,14 +8,17 @@ import (
 )
 
 // Per-run state recycling. Every piece of mutable state a Run call
-// needs — SM shells with their warp/scheduler/icache slices, the
-// per-PC run tables, per-SM block lists, and the parallel-mode outcome
-// and sample buffers — lives in an arena recycled through a sync.Pool
-// hung off the Program. A Program is the natural pool key: every
-// per-PC slice is sized by len(p.Instrs), so an arena recycled under
-// the same program re-slices its backing arrays without allocating,
-// and gpa.Kernel (which caches one Program per kernel) makes a warm
-// serving engine reuse the same arenas run after run.
+// needs — one SM shell per worker with its warp/scheduler/icache
+// slices, block list and partial result, the per-PC run tables, the
+// per-SM sink table, and the replay buffers an ordered sink needs in
+// parallel mode — lives in an arena recycled through a sync.Pool hung
+// off the Program. Shells are per worker, not per SM: a run at
+// parallelism w holds w shells however many SMs it simulates, each
+// reused for every SM its worker takes. A Program is the natural pool
+// key: every per-PC slice is sized by len(p.Instrs), so an arena
+// recycled under the same program re-slices its backing arrays without
+// allocating, and gpa.Kernel (which caches one Program per kernel)
+// makes a warm serving engine reuse the same arenas run after run.
 //
 // Ownership contract: everything inside an arena is owned by exactly
 // one Run call and is recycled when Run returns, so nothing that
@@ -28,21 +31,20 @@ import (
 
 // arena is one Run call's worth of reusable simulator state.
 type arena struct {
-	rt       runTables
-	sms      []*sm
-	blocks   [][]int
-	outcomes []smOutcome
-	sinks    []sliceSink
-}
+	rt      runTables
+	job     smJob
+	workers []*smWorker
+	// sinks[sm] is where SM sm records: a shard of the configured sink,
+	// the sink itself, a replay buffer, or nil — resolved serially
+	// before any SM starts.
+	sinks  []SampleSink
+	replay []sliceSink
 
-// smOutcome collects one SM's results in parallel mode for in-order
-// merging after the join.
-type smOutcome struct {
-	cycles  int64
-	issued  []int64
-	samples []Sample
-	err     error
-	work    smWork
+	// next hands out SM ids in order; failed stops the hand-out once any
+	// SM has failed; wg joins the worker goroutines.
+	next   atomic.Int32
+	failed atomic.Bool
+	wg     sync.WaitGroup
 }
 
 // poolGets/poolHits count arena acquisitions and how many were served
@@ -86,32 +88,52 @@ func (p *Program) getArena() *arena {
 
 func (p *Program) putArena(a *arena) { p.arenaPool.Put(a) }
 
-// grow makes the arena's per-SM tables at least n entries long before
-// concurrent SM goroutines index into them.
-func (a *arena) grow(n int) {
-	for len(a.sms) < n {
-		a.sms = append(a.sms, &sm{})
+// grow readies n workers, each with a cleared partial result over
+// numPCs instructions, and rewinds the SM counter.
+func (a *arena) grow(n, numPCs int) {
+	for len(a.workers) < n {
+		w := &smWorker{ar: a}
+		w.loop = w.goDrain
+		a.workers = append(a.workers, w)
 	}
-	for len(a.blocks) < n {
-		a.blocks = append(a.blocks, nil)
+	for _, w := range a.workers[:n] {
+		w.failSM, w.err, w.panicked = -1, nil, nil
+		w.partial = Result{IssuedPerPC: resizeInt64(w.partial.IssuedPerPC, numPCs)}
 	}
-	if cap(a.outcomes) < n {
-		a.outcomes = make([]smOutcome, n)
+	a.next.Store(0)
+	a.failed.Store(false)
+}
+
+// resolveSinks fills the per-SM sink table for n SMs run by the given
+// number of workers: the shards of a ShardedSink; private replay
+// buffers when an ordered sink is fed by concurrent SMs, whose streams
+// must be replayed to it in SM order after the join (reported as
+// replay); otherwise — one goroutine running the SMs in order, or no
+// sink at all — the sink itself.
+func (a *arena) resolveSinks(sink SampleSink, n, workers int) (replay bool) {
+	if cap(a.sinks) < n {
+		a.sinks = make([]SampleSink, n)
 	}
-	a.outcomes = a.outcomes[:n]
-	for i := range a.outcomes {
-		// Full reset: the merge loop treats a nil issued slice as "this
-		// SM never ran", so a recycled outcome must not retain the
-		// prior run's pointer (the worker overwrites it when the SM
-		// does run, so keeping it would buy nothing anyway).
-		a.outcomes[i] = smOutcome{}
+	a.sinks = a.sinks[:n]
+	sharded, _ := sink.(ShardedSink)
+	replay = sink != nil && sharded == nil && workers > 1
+	if replay {
+		for len(a.replay) < n {
+			a.replay = append(a.replay, sliceSink{})
+		}
 	}
-	for len(a.sinks) < n {
-		a.sinks = append(a.sinks, sliceSink{})
+	for sm := range a.sinks {
+		switch {
+		case sharded != nil:
+			a.sinks[sm] = sharded.Shard(sm)
+		case replay:
+			a.replay[sm].samples = a.replay[sm].samples[:0]
+			a.sinks[sm] = &a.replay[sm]
+		default:
+			a.sinks[sm] = sink
+		}
 	}
-	for i := 0; i < n; i++ {
-		a.sinks[i].samples = a.sinks[i].samples[:0]
-	}
+	return replay
 }
 
 // buildRunTables fills the arena's per-PC tables for this run (see

@@ -19,10 +19,11 @@
 // estimators — exercises the code paths the paper describes. Input is a
 // flattened Program, a LaunchConfig, an optional Workload (trip counts,
 // memory behaviour), and a Config carrying the arch.GPU model; output
-// is a Result (cycles, issue counts, occupancy) plus the ordered sample
-// stream delivered to Config.Sink. Runs are deterministic for a fixed
-// seed at every Parallelism level: concurrent SMs buffer their samples
-// and drain in SM order.
+// is a Result (cycles, issue counts, occupancy) plus the sample stream
+// delivered to Config.Sink. Runs are deterministic for a fixed seed at
+// every Parallelism level: an ordered sink gets concurrent SMs' streams
+// buffered and replayed in SM order, a ShardedSink gets each SM's
+// stream in a shard of its own.
 package gpusim
 
 import (

@@ -7,7 +7,6 @@ import (
 
 	"gpa/internal/apierr"
 	"gpa/internal/arch"
-	"gpa/internal/par"
 )
 
 // Dim3 is a CUDA-style launch dimension.
@@ -53,7 +52,9 @@ type Config struct {
 	// SamplePeriod is the PC sampling period in cycles (0 disables
 	// sampling).
 	SamplePeriod int
-	// Sink receives samples when sampling is enabled.
+	// Sink receives samples when sampling is enabled: in SM order on
+	// one goroutine, or — if it implements ShardedSink — each SM's
+	// stream into a shard of its own (see SampleSink).
 	Sink SampleSink
 	// Seed perturbs the deterministic memory-latency jitter.
 	Seed uint64
@@ -61,10 +62,11 @@ type Config struct {
 	MaxCycles int64
 	// Parallelism bounds how many SMs are simulated concurrently
 	// (0 means GOMAXPROCS; values above GOMAXPROCS are capped to it —
-	// spawning more SM goroutines than cores only adds scheduling and
-	// buffering overhead). Each SM is independent, so results and the
-	// ordered sample stream delivered to Sink are identical for every
-	// parallelism level. With Parallelism > 1 the Workload must be safe
+	// spawning more SM goroutines than cores only adds scheduling
+	// overhead). Each SM is independent, so results and the samples
+	// delivered to Sink are identical for every parallelism level. A
+	// panic in the Workload is re-raised on the goroutine that called
+	// Run at every level. With Parallelism > 1 the Workload must be safe
 	// for concurrent use: Spec binding is read-only, but the callback
 	// closures a spec carries are invoked concurrently too and must not
 	// mutate shared state. Set 1 for the single-goroutine contract.
@@ -197,79 +199,152 @@ func Run(ctx context.Context, p *Program, launch LaunchConfig, wl Workload, cfg 
 		res.WarpsPerScheduler = 1
 	}
 	// The arena holds every piece of per-run mutable state (see
-	// pool.go); it is recycled when Run returns, on success and error
-	// alike — nothing that escapes Run aliases it.
+	// pool.go); it is recycled when Run returns — on success, error and
+	// panic alike — and nothing that escapes Run aliases it.
 	ar := p.getArena()
 	defer p.putArena(ar)
-	rt := ar.buildRunTables(p, wl, cfg.GPU)
-	parallelism := effectiveParallelism(cfg.Parallelism, simSMs)
-
-	if parallelism <= 1 {
-		// Sequential mode: SMs run in order and record straight into the
-		// configured sink, all reusing one SM shell.
-		ar.grow(1)
-		for smID := 0; smID < simSMs; smID++ {
-			ar.blocks[0] = blocksForSM(ar.blocks[0], smID, blocks, cfg.GPU.NumSMs)
-			if len(ar.blocks[0]) == 0 {
-				continue
-			}
-			sm := newSM(ar.sms[0], smID, p, rt, wl, cfg, launch, occ, entry, ar.blocks[0], warpsPerBlock, cfg.Sink)
-			cycles, err := sm.run(ctx, maxCycles)
-			if err != nil {
-				return nil, err
-			}
-			mergeSM(res, cycles, sm.issuedPerPC, sm.work())
-		}
-		return res, nil
+	workers := effectiveParallelism(cfg.Parallelism, simSMs)
+	ar.job = smJob{
+		ctx: ctx, p: p, wl: wl, cfg: cfg, launch: launch, occ: occ, entry: entry,
+		blocks: blocks, warpsPerBlock: warpsPerBlock, maxCycles: maxCycles, simSMs: simSMs,
+		rt: ar.buildRunTables(p, wl, cfg.GPU),
 	}
+	replay := ar.resolveSinks(cfg.Sink, simSMs, workers)
+	ar.grow(workers, len(p.Instrs))
 
-	// Parallel mode: fan SMs out over a bounded worker pool. Each SM
-	// records into a private buffered sink; after the join the buffers
-	// are drained in SM order, so the stream delivered to cfg.Sink is
-	// byte-identical to sequential mode.
-	ar.grow(simSMs)
-	par.Do(simSMs, parallelism, func(smID int) {
-		ar.blocks[smID] = blocksForSM(ar.blocks[smID], smID, blocks, cfg.GPU.NumSMs)
-		myBlocks := ar.blocks[smID]
-		if len(myBlocks) == 0 {
-			return
+	// Every worker owns one SM shell and takes SM ids in order from the
+	// job's counter (see smWorker.drain). One worker runs on this
+	// goroutine, so a panic in the Workload unwinds through Run as is;
+	// several run on goroutines of their own, where a panic is recovered
+	// and carried to the join.
+	if workers == 1 {
+		ar.workers[0].drain()
+	} else {
+		ar.wg.Add(workers)
+		for _, w := range ar.workers[:workers] {
+			go w.loop()
 		}
-		out := &ar.outcomes[smID]
-		var sink SampleSink
-		var buf *sliceSink
-		if cfg.Sink != nil {
-			buf = &ar.sinks[smID]
-			sink = buf
+		ar.wg.Wait()
+	}
+	// The lowest failing SM id decides, as if the SMs had run in order:
+	// ids are handed out in increasing order and never after a failure
+	// is flagged, so every SM below it ran to completion.
+	var failed *smWorker
+	for _, w := range ar.workers[:workers] {
+		if w.failSM >= 0 && (failed == nil || w.failSM < failed.failSM) {
+			failed = w
 		}
-		sm := newSM(ar.sms[smID], smID, p, rt, wl, cfg, launch, occ, entry, myBlocks, warpsPerBlock, sink)
-		out.cycles, out.err = sm.run(ctx, maxCycles)
-		out.issued = sm.issuedPerPC
-		out.work = sm.work()
-		if buf != nil {
-			out.samples = buf.samples
+	}
+	if replay {
+		// A failing SM records its partial stream in sequential mode
+		// too, and SMs after it are dropped entirely, exactly as if they
+		// had never run.
+		last := simSMs - 1
+		if failed != nil {
+			last = failed.failSM
 		}
-	})
-	for smID := 0; smID < simSMs; smID++ {
-		out := &ar.outcomes[smID]
-		// Replay the SM's stream before checking its error: a failing
-		// SM records its partial stream in sequential mode too, and SMs
-		// after the first failure are dropped entirely, exactly as if
-		// they had never run.
-		if cfg.Sink != nil {
-			for _, s := range out.samples {
+		for smID := 0; smID <= last; smID++ {
+			for _, s := range ar.replay[smID].samples {
 				cfg.Sink.Record(s)
 			}
 		}
-		if out.err != nil {
-			// Matches sequential mode, which fails on the first SM in
-			// order that errors.
-			return nil, out.err
-		}
-		if out.issued != nil {
-			mergeSM(res, out.cycles, out.issued, out.work)
-		}
 	}
+	if failed != nil {
+		if failed.panicked != nil {
+			// Re-raised on the caller's goroutine with the worker's own
+			// value, so a recover above Run (the service's flight
+			// boundary) sees what sequential mode would have given it.
+			panic(failed.panicked)
+		}
+		return nil, failed.err
+	}
+	for _, w := range ar.workers[:workers] {
+		res.merge(&w.partial)
+	}
+	ffPeriods.Add(res.PeriodsDetected)
+	ffCycles.Add(res.CyclesFastForwarded)
+	ffFallbacks.Add(res.FastForwardFallbacks)
 	return res, nil
+}
+
+// smJob is what one Run shares with its workers: the launch, read-only
+// while SMs run, and the counter SM ids are taken from.
+type smJob struct {
+	ctx           context.Context
+	p             *Program
+	rt            *runTables
+	wl            Workload
+	cfg           Config
+	launch        LaunchConfig
+	occ           arch.Occupancy
+	entry         int
+	blocks        int
+	warpsPerBlock int
+	maxCycles     int64
+	simSMs        int
+}
+
+// smWorker simulates SMs one at a time on a shell it owns, folding each
+// finished SM into a partial Result of its own, merged after the join
+// (sums and a max, so neither the SM-to-worker assignment nor the merge
+// order shows in the result).
+type smWorker struct {
+	ar      *arena
+	shell   sm
+	blocks  []int
+	partial Result
+	// cur is the SM id being simulated; failSM the id whose run failed
+	// (-1: none), with its error or the value it panicked with.
+	cur      int
+	failSM   int
+	err      error
+	panicked any
+	// loop is goDrain as a func value built once per worker, so starting
+	// the goroutine allocates nothing on a warm arena.
+	loop func()
+}
+
+// drain simulates SMs until the ids run out or some worker fails.
+func (w *smWorker) drain() {
+	ar := w.ar
+	j := &ar.job
+	for !ar.failed.Load() {
+		smID := int(ar.next.Add(1)) - 1
+		if smID >= j.simSMs {
+			return
+		}
+		w.cur = smID
+		w.blocks = blocksForSM(w.blocks, smID, j.blocks, j.cfg.GPU.NumSMs)
+		if len(w.blocks) == 0 {
+			continue
+		}
+		s := newSM(&w.shell, smID, j, w.blocks, ar.sinks[smID])
+		cycles, err := s.run(j.ctx, j.maxCycles)
+		if err != nil {
+			w.fail(err, nil)
+			return
+		}
+		w.partial.addSM(cycles, s.issuedPerPC, s.work())
+	}
+}
+
+// goDrain is drain on a goroutine of its own: a panic (the caller's
+// Workload runs in here) is contained and handed to Run at the join.
+func (w *smWorker) goDrain() {
+	defer w.ar.wg.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			w.fail(nil, v)
+		}
+	}()
+	w.drain()
+}
+
+// fail records the current SM as failed and stops the hand-out of
+// further SM ids.
+func (w *smWorker) fail(err error, panicked any) {
+	w.failSM, w.err, w.panicked = w.cur, err, panicked
+	w.ar.failed.Store(true)
 }
 
 // effectiveParallelism resolves Config.Parallelism: 0 means GOMAXPROCS,
@@ -312,28 +387,33 @@ func (s *sm) work() smWork {
 	return smWork{st.detected, st.ffCycles, st.fallbacks, s.loopIters, s.readyCalls}
 }
 
-// mergeSM folds one SM's completion cycle, issue counts, and work
-// counters into the kernel result (order-independent: sums and a max).
-func mergeSM(res *Result, cycles int64, issuedPerPC []int64, w smWork) {
-	if cycles > res.Cycles {
-		res.Cycles = cycles
+// addSM folds one SM's completion cycle, issue counts, and work
+// counters into a result (order-independent: sums and a max).
+func (r *Result) addSM(cycles int64, issuedPerPC []int64, w smWork) {
+	if cycles > r.Cycles {
+		r.Cycles = cycles
 	}
 	for pc, n := range issuedPerPC {
-		res.IssuedPerPC[pc] += n
-		res.TotalIssued += n
+		r.IssuedPerPC[pc] += n
+		r.TotalIssued += n
 	}
-	res.PeriodsDetected += w.detected
-	res.CyclesFastForwarded += w.ffCycles
-	res.FastForwardFallbacks += w.fallbacks
-	res.LoopIterations += w.loopIters
-	res.ReadyCalls += w.readyCalls
-	ffPeriods.Add(w.detected)
-	ffCycles.Add(w.ffCycles)
-	ffFallbacks.Add(w.fallbacks)
+	r.PeriodsDetected += w.detected
+	r.CyclesFastForwarded += w.ffCycles
+	r.FastForwardFallbacks += w.fallbacks
+	r.LoopIterations += w.loopIters
+	r.ReadyCalls += w.readyCalls
 }
 
-// sliceSink buffers one SM's samples for in-order replay after a
-// parallel run joins.
+// merge folds a worker's partial into the run's result.
+func (r *Result) merge(part *Result) {
+	r.addSM(part.Cycles, part.IssuedPerPC, smWork{
+		part.PeriodsDetected, part.CyclesFastForwarded, part.FastForwardFallbacks,
+		part.LoopIterations, part.ReadyCalls,
+	})
+}
+
+// sliceSink buffers one SM's samples for in-order replay to an ordered
+// sink after a parallel run joins.
 type sliceSink struct{ samples []Sample }
 
 func (b *sliceSink) Record(s Sample) { b.samples = append(b.samples, s) }

@@ -179,13 +179,13 @@ type sm struct {
 // the program's run-state arena: every slice it carries is resized in
 // place and reused, so a warm shell initializes without heap
 // allocations (see pool.go for the recycling contract).
-func newSM(shell *sm, id int, p *Program, rt *runTables, wl Workload, cfg Config, launch LaunchConfig,
-	occ arch.Occupancy, entry int, blocks []int, warpsPerBlock int, sink SampleSink) *sm {
+func newSM(shell *sm, id int, j *smJob, blocks []int, sink SampleSink) *sm {
 	s := shell
+	p, cfg := j.p, j.cfg
 	lines := (len(p.Instrs) + cfg.GPU.ICacheLineInstrs - 1) / cfg.GPU.ICacheLineInstrs
 	*s = sm{
-		id: id, p: p, meta: p.meta, rt: rt, wl: wl, gpu: cfg.GPU, cfg: cfg, launch: launch,
-		entry:       entry,
+		id: id, p: p, meta: p.meta, rt: j.rt, wl: j.wl, gpu: cfg.GPU, cfg: cfg, launch: j.launch,
+		entry:       j.entry,
 		scheds:      resetScheds(s.scheds, cfg.GPU.SchedulersPerSM),
 		warps:       s.warps[:0],
 		slots:       s.slots[:0],
@@ -196,14 +196,14 @@ func newSM(shell *sm, id int, p *Program, rt *runTables, wl Workload, cfg Config
 		icacheUse:   resetICache(s.icacheUse, lines),
 		icacheCap:   max(1, cfg.GPU.ICacheInstrs/cfg.GPU.ICacheLineInstrs),
 		issuedPerPC: resizeInt64(s.issuedPerPC, len(p.Instrs)),
-		warpsPerBlk: warpsPerBlock,
+		warpsPerBlk: j.warpsPerBlock,
 		sink:        sink,
-		steady:      resetSteady(s.steady, wl, cfg.stepEveryCycle),
+		steady:      resetSteady(s.steady, j.wl, cfg.stepEveryCycle),
 	}
 	if sink != nil {
 		s.period = int64(cfg.SamplePeriod)
 	}
-	resident := occ.BlocksPerSM
+	resident := j.occ.BlocksPerSM
 	if resident > len(blocks) {
 		resident = len(blocks)
 	}

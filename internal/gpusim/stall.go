@@ -88,14 +88,30 @@ type Sample struct {
 }
 
 // SampleSink receives samples as SMs record them; the sampling package
-// provides buffered implementations that mimic CUPTI's per-SM buffers.
+// provides implementations that mimic CUPTI's per-SM buffers.
 //
-// Contract: Record is always invoked from a single goroutine, with
-// samples in SM order (all of SM 0's stream, then SM 1's, ...). When
-// Run simulates SMs concurrently it buffers each SM's stream privately
-// and replays the buffers in SM order after the join, so sinks observe
-// the same call sequence at every parallelism level and need no
-// locking.
+// Contract for a plain SampleSink (an ordered sink): Record is always
+// invoked from a single goroutine, with samples in SM order (all of
+// SM 0's stream, then SM 1's, ...). When Run simulates SMs concurrently
+// it buffers each SM's stream privately and replays the buffers in SM
+// order after the join, so an ordered sink observes the same call
+// sequence at every parallelism level and needs no locking. A sink
+// whose result does not depend on that order should implement
+// ShardedSink instead and skip the buffering.
 type SampleSink interface {
 	Record(Sample)
+}
+
+// ShardedSink is a SampleSink that hands out one private sink per SM.
+// Run calls Shard once per simulated SM id, serially, before any SM
+// starts; each SM then records straight into its own shard — from
+// whichever goroutine simulates it, with no buffering and no replay —
+// and the sink's own Record is never called. A shard sees exactly its
+// SM's stream in order, so anything the owner computes per shard and
+// combines order-free (sums, counts) is identical at every parallelism
+// level. Shards must not share mutable state: at Parallelism > 1
+// different shards record concurrently.
+type ShardedSink interface {
+	SampleSink
+	Shard(sm int) SampleSink
 }

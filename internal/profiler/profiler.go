@@ -138,18 +138,17 @@ func CollectProgram(ctx context.Context, prog *gpusim.Program, launch gpusim.Lau
 	if period <= 0 {
 		period = 64
 	}
-	// The sample buffer and per-PC aggregate are pure scratch: nothing
-	// in the returned Profile aliases them, so they recycle through a
-	// pool alongside the simulator's per-run arenas (Profile itself is
+	// The per-SM sample counters are pure scratch: nothing in the
+	// returned Profile aliases them, so they recycle through a pool
+	// alongside the simulator's per-run arenas (Profile itself is
 	// retained by callers and caches, and is always fresh).
-	sc := getScratch(opts.BufferCap)
-	defer scratchPool.Put(sc)
-	buf := &sc.buf
+	ctr := getCounter(opts.BufferCap, len(prog.Instrs))
+	defer counterPool.Put(ctr)
 	res, err := gpusim.Run(ctx, prog, launch, wl, gpusim.Config{
 		GPU:          opts.GPU,
 		SimSMs:       opts.SimSMs,
 		SamplePeriod: period,
-		Sink:         buf,
+		Sink:         ctr,
 		Seed:         opts.Seed,
 		Parallelism:  opts.Parallelism,
 	})
@@ -157,9 +156,7 @@ func CollectProgram(ctx context.Context, prog *gpusim.Program, launch gpusim.Lau
 		return nil, fmt.Errorf("profiler: %w", err)
 	}
 	defer prog.Recycle(res)
-	samples := buf.Drain()
-	agg := &sc.agg
-	sampling.AggregateSamplesInto(agg, samples, len(prog.Instrs))
+	agg, flushes := ctr.Merge()
 
 	gpuKey := arch.KeyOf(opts.GPU)
 	if gpuKey == defaultGPUKey {
@@ -179,7 +176,7 @@ func CollectProgram(ctx context.Context, prog *gpusim.Program, launch gpusim.Lau
 		WarpsPerScheduler: res.WarpsPerScheduler,
 		OccupancyLimiter:  res.Occupancy.Limiter,
 		SamplePeriod:      period,
-		BufferFlushes:     buf.Flushes,
+		BufferFlushes:     flushes,
 		TotalSamples:      agg.Total,
 		ActiveSamples:     agg.Active,
 		LatencySamples:    agg.Latency,
@@ -227,22 +224,17 @@ func CollectProgram(ctx context.Context, prog *gpusim.Program, launch gpusim.Lau
 // must not allocate).
 var defaultGPUKey = arch.KeyOf(arch.VoltaV100())
 
-// collectScratch is the per-collection scratch state (sample buffer and
-// per-PC aggregate) recycled between profiling runs.
-type collectScratch struct {
-	buf sampling.Buffer
-	agg sampling.Aggregate
-}
+// counterPool recycles the per-collection scratch state (the per-SM
+// sample counters and their merged aggregate) between profiling runs.
+var counterPool sync.Pool // *sampling.Counter
 
-var scratchPool sync.Pool // *collectScratch
-
-func getScratch(bufferCap int) *collectScratch {
-	sc, _ := scratchPool.Get().(*collectScratch)
-	if sc == nil {
-		sc = &collectScratch{}
+func getCounter(bufferCap, numPCs int) *sampling.Counter {
+	c, _ := counterPool.Get().(*sampling.Counter)
+	if c == nil {
+		c = &sampling.Counter{}
 	}
-	sc.buf.Reset(bufferCap)
-	return sc
+	c.Reset(bufferCap, numPCs)
+	return c
 }
 
 var profilePool sync.Pool // *Profile

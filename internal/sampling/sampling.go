@@ -7,10 +7,14 @@
 // the dynamic analyzer consumes.
 //
 // In the Figure 2 pipeline this sits between the simulator and the
-// profiler: input is the simulator's ordered gpusim.Sample stream
-// (identical at every parallelism level and on every registered
-// architecture), output the Aggregate the profiler serializes. The
-// sample counts here are the T, A, and L quantities of Equations 2-5.
+// profiler: input is the simulator's gpusim.Sample stream (identical at
+// every parallelism level and on every registered architecture), output
+// the Aggregate the profiler serializes. The sample counts here are the
+// T, A, and L quantities of Equations 2-5. Two sinks produce them:
+// Buffer models CUPTI's buffers sample by sample and needs the stream
+// in SM order; Counter keeps only the per-SM counters and a sample
+// count, which is all the analysis reads, and takes the SMs in any
+// order — the profiler collects through it.
 package sampling
 
 import (
@@ -20,10 +24,10 @@ import (
 // DefaultBufferCap is the default per-SM sample-buffer capacity.
 const DefaultBufferCap = 2048
 
-// Buffer is a gpusim.SampleSink with CUPTI-like per-SM buffering. Like
-// every SampleSink it is fed from a single goroutine (the simulator
-// serializes delivery even when SMs run concurrently), so it needs no
-// locking.
+// Buffer is a gpusim.SampleSink with CUPTI-like per-SM buffering. It is
+// an ordered sink: fed from a single goroutine, in SM order (the
+// simulator serializes delivery even when SMs run concurrently), so it
+// needs no locking.
 type Buffer struct {
 	cap     int
 	perSM   [][]gpusim.Sample // indexed by SM id, grown on demand
@@ -81,6 +85,82 @@ func (b *Buffer) Drain() []gpusim.Sample {
 	b.flush()
 	b.Flushes-- // the final drain is not a full-buffer event
 	return b.host
+}
+
+// Counter is the order-free sink: a gpusim.ShardedSink that counts
+// samples instead of keeping them. Each SM records into a shard of its
+// own — a per-SM Aggregate plus a sample count — and Merge sums the
+// shards after the run. A sum needs no order, so the SMs may run
+// concurrently with nothing buffered, and the merged counters equal
+// what Buffer → Drain → AggregateSamples gives for the same streams.
+type Counter struct {
+	cap    int
+	numPCs int
+	shards []*counterShard // indexed by SM id, grown on demand
+	merged Aggregate
+}
+
+// counterShard is one SM's counters. samples counts every sample the SM
+// recorded, out-of-range PCs included, as a CUPTI buffer would hold it.
+type counterShard struct {
+	live    bool
+	agg     Aggregate
+	samples int
+}
+
+func (s *counterShard) Record(smp gpusim.Sample) {
+	s.samples++
+	s.agg.add(smp)
+}
+
+// Reset readies the counter for a run over a program with numPCs flat
+// instructions at the given per-SM buffer capacity (0 uses
+// DefaultBufferCap), keeping every shard's backing array.
+func (c *Counter) Reset(capPerSM, numPCs int) {
+	if capPerSM <= 0 {
+		capPerSM = DefaultBufferCap
+	}
+	c.cap, c.numPCs = capPerSM, numPCs
+	for _, s := range c.shards {
+		s.live = false
+	}
+}
+
+// Shard returns SM sm's private sink, cleared on its first use since
+// Reset. Calls must not overlap (gpusim.Run makes them serially, before
+// any SM starts); the shards themselves may then record concurrently.
+func (c *Counter) Shard(sm int) gpusim.SampleSink {
+	for sm >= len(c.shards) {
+		c.shards = append(c.shards, &counterShard{})
+	}
+	s := c.shards[sm]
+	if !s.live {
+		s.live, s.samples = true, 0
+		s.agg.Reset(c.numPCs)
+	}
+	return s
+}
+
+// Record routes a sample to its SM's shard, for callers that feed a
+// Counter as a plain single-goroutine sink.
+func (c *Counter) Record(s gpusim.Sample) { c.Shard(s.SM).Record(s) }
+
+// Merge sums the shards used since Reset and returns the whole-kernel
+// aggregate (valid until the next Reset) with the number of full-buffer
+// flush events Buffer would have reported for the same run: Σ over SMs
+// of ⌊samples ÷ cap⌋. In the SM-ordered stream a buffer only ever fills
+// while its own SM is recording, and every flush empties it, so each SM
+// fills its buffer once per cap samples whatever the other SMs left
+// behind.
+func (c *Counter) Merge() (agg *Aggregate, flushes int) {
+	c.merged.Reset(c.numPCs)
+	for _, s := range c.shards {
+		if s.live {
+			c.merged.sum(&s.agg)
+			flushes += s.samples / c.cap
+		}
+	}
+	return &c.merged, flushes
 }
 
 // PCStats aggregates the samples that landed on one PC.
@@ -180,27 +260,57 @@ func AggregateSamples(samples []gpusim.Sample, numPCs int) *Aggregate {
 func AggregateSamplesInto(a *Aggregate, samples []gpusim.Sample, numPCs int) {
 	a.Reset(numPCs)
 	for _, s := range samples {
-		if s.PC < 0 || s.PC >= numPCs {
+		a.add(s)
+	}
+}
+
+// add counts one sample; PCs outside the program are dropped.
+func (a *Aggregate) add(s gpusim.Sample) {
+	if s.PC < 0 || s.PC >= len(a.PerPC) {
+		return
+	}
+	st := &a.PerPC[s.PC]
+	st.Total++
+	a.Total++
+	if s.Active {
+		a.Active++
+	} else {
+		a.Latency++
+		st.Latency++
+	}
+	if s.Reason == gpusim.ReasonNone {
+		st.Active++
+	} else {
+		st.Stalls[s.Reason]++
+		a.Stalls[s.Reason]++
+		if !s.Active {
+			st.LatencyStalls[s.Reason]++
+			a.LatencyStalls[s.Reason]++
+		}
+	}
+}
+
+// sum adds b's counters into a; both cover the same program.
+func (a *Aggregate) sum(b *Aggregate) {
+	a.Total += b.Total
+	a.Active += b.Active
+	a.Latency += b.Latency
+	for r := range a.Stalls {
+		a.Stalls[r] += b.Stalls[r]
+		a.LatencyStalls[r] += b.LatencyStalls[r]
+	}
+	for pc := range b.PerPC {
+		src := &b.PerPC[pc]
+		if src.Total == 0 {
 			continue
 		}
-		st := &a.PerPC[s.PC]
-		st.Total++
-		a.Total++
-		if s.Active {
-			a.Active++
-		} else {
-			a.Latency++
-			st.Latency++
-		}
-		if s.Reason == gpusim.ReasonNone {
-			st.Active++
-		} else {
-			st.Stalls[s.Reason]++
-			a.Stalls[s.Reason]++
-			if !s.Active {
-				st.LatencyStalls[s.Reason]++
-				a.LatencyStalls[s.Reason]++
-			}
+		dst := &a.PerPC[pc]
+		dst.Total += src.Total
+		dst.Active += src.Active
+		dst.Latency += src.Latency
+		for r := range dst.Stalls {
+			dst.Stalls[r] += src.Stalls[r]
+			dst.LatencyStalls[r] += src.LatencyStalls[r]
 		}
 	}
 }

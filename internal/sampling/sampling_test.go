@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"gpa/internal/gpusim"
@@ -118,5 +120,76 @@ func TestAggregatePerPC(t *testing.T) {
 	// The out-of-range sample is dropped.
 	if a.Total != 4 {
 		t.Errorf("total = %d, want 4", a.Total)
+	}
+}
+
+// TestCounterMatchesBuffer is the equivalence pin on the order-free
+// sink: over seeded random per-SM streams — several SMs including an
+// empty one, PCs outside the program — the merged counters and the
+// flush count equal what Buffer → Drain → AggregateSamples reports for
+// the same streams delivered in SM order, at a cap every sample fills,
+// one that divides nothing evenly, and the default.
+func TestCounterMatchesBuffer(t *testing.T) {
+	const numPCs = 23
+	rng := rand.New(rand.NewSource(42))
+	var c Counter
+	for _, capPerSM := range []int{1, 7, DefaultBufferCap} {
+		for trial := 0; trial < 8; trial++ {
+			streams := make([][]gpusim.Sample, 5)
+			for sm := range streams {
+				if sm == 2 {
+					continue // an SM that got no blocks
+				}
+				n := rng.Intn(3 * DefaultBufferCap)
+				for i := 0; i < n; i++ {
+					streams[sm] = append(streams[sm], gpusim.Sample{
+						SM:     sm,
+						PC:     rng.Intn(numPCs+6) - 3,
+						Active: rng.Intn(2) == 0,
+						Reason: gpusim.StallReason(rng.Intn(int(gpusim.NumReasons))),
+					})
+				}
+			}
+
+			b := NewBuffer(capPerSM)
+			for _, st := range streams {
+				for _, s := range st {
+					b.Record(s)
+				}
+			}
+			want := AggregateSamples(b.Drain(), numPCs)
+
+			// Shards resolved up front, then fed last SM first: the
+			// result must not depend on which SM records when.
+			c.Reset(capPerSM, numPCs)
+			shards := make([]gpusim.SampleSink, len(streams))
+			for sm := range shards {
+				shards[sm] = c.Shard(sm)
+			}
+			for sm := len(streams) - 1; sm >= 0; sm-- {
+				for _, s := range streams[sm] {
+					shards[sm].Record(s)
+				}
+			}
+			got, flushes := c.Merge()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cap %d trial %d: merged counters differ from Buffer+AggregateSamples", capPerSM, trial)
+			}
+			if flushes != b.Flushes {
+				t.Fatalf("cap %d trial %d: flushes = %d, Buffer reports %d", capPerSM, trial, flushes, b.Flushes)
+			}
+
+			// The plain-sink route (Record on the Counter itself) lands
+			// on the same shards.
+			c.Reset(capPerSM, numPCs)
+			for _, st := range streams {
+				for _, s := range st {
+					c.Record(s)
+				}
+			}
+			if got, flushes := c.Merge(); !reflect.DeepEqual(got, want) || flushes != b.Flushes {
+				t.Fatalf("cap %d trial %d: Counter.Record route differs (flushes %d vs %d)", capPerSM, trial, flushes, b.Flushes)
+			}
+		}
 	}
 }

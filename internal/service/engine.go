@@ -131,10 +131,11 @@ type Request struct {
 	SimSMs int
 	Seed   uint64
 	// Parallelism bounds concurrent SM simulation inside this one run
-	// (0 = 1: the engine already supplies request-level concurrency and
-	// nesting a GOMAXPROCS-wide SM pool under every worker would
-	// oversubscribe the machine). Excluded from the digest — results
-	// are identical at every level.
+	// (0 = gpusim's default: GOMAXPROCS, capped by SimSMs — a run takes
+	// whatever cores the other workers leave idle, and when none are
+	// idle the Go scheduler shares them out). Set 1 for a Workload that
+	// is not safe for concurrent use. Excluded from the digest —
+	// results are identical at every level.
 	Parallelism int
 	// Timeout is this request's deadline, measured from admission
 	// (0 = the engine's DefaultTimeout; negative = none even when a
@@ -193,14 +194,6 @@ func (r *Request) normalized() Request {
 		n.SamplePeriod = 0 // measure never samples
 	} else if n.SamplePeriod <= 0 {
 		n.SamplePeriod = 64
-	}
-	if n.Parallelism == 0 {
-		n.Parallelism = 1
-	} else if mp := runtime.GOMAXPROCS(0); n.Parallelism > mp {
-		// gpusim.Run caps this too; normalizing here keeps the engine's
-		// effective configuration honest in one place. Parallelism never
-		// affects results and is excluded from the digest.
-		n.Parallelism = mp
 	}
 	return n
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -327,34 +328,62 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 }
 
-// panicWorkload is a caller-supplied workload with a bug in it.
+// panicWorkload is a caller-supplied workload with a bug in it; the
+// simulator first meets it while building its run tables, on the
+// goroutine that called gpusim.Run.
 type panicWorkload struct{}
 
 func (panicWorkload) Taken(gpusim.WarpCtx, int, int) bool  { panic("workload bug") }
 func (panicWorkload) Latency(gpusim.WarpCtx, int, int) int { panic("workload bug") }
 func (panicWorkload) Transactions(int) int                 { panic("workload bug") }
 
+// smPanicWorkload keeps its bug for the per-warp callbacks, which run
+// inside the simulation of an SM — on a worker goroutine of its own
+// when the run fans out.
+type smPanicWorkload struct{ gpusim.NopWorkload }
+
+func (smPanicWorkload) Taken(gpusim.WarpCtx, int, int) bool  { panic("workload bug") }
+func (smPanicWorkload) Latency(gpusim.WarpCtx, int, int) int { panic("workload bug") }
+
 // TestPanicContainedAtFlightBoundary: a run that panics — here inside
 // the Workload the simulator calls into — fails its own waiters with a
 // typed error and nothing else. Both execute paths are covered (the
 // flight goroutine of a cacheable request, the direct call of an
-// uncacheable one); the panic is counted and never cached; an unrelated
+// uncacheable one), and both places the simulator calls a Workload from
+// (the goroutine that called it, and the SM worker goroutines of a
+// fanned-out run); the panic is counted and never cached; an unrelated
 // request running beside them answers exactly as on an undisturbed
 // engine.
 func TestPanicContainedAtFlightBoundary(t *testing.T) {
+	t.Run("caller goroutine", func(t *testing.T) {
+		testPanicContained(t, 1, 1, panicWorkload{})
+	})
+	t.Run("SM worker goroutine", func(t *testing.T) {
+		prev := runtime.GOMAXPROCS(2) // Parallelism is capped by it
+		defer runtime.GOMAXPROCS(prev)
+		testPanicContained(t, 4, 2, smPanicWorkload{})
+	})
+}
+
+func testPanicContained(t *testing.T, simSMs, parallelism int, buggy gpusim.Workload) {
+	request := func(kind Kind) *Request {
+		r := testRequest(t, kind)
+		r.SimSMs, r.Parallelism = simSMs, parallelism
+		return r
+	}
 	ctx := context.Background()
-	want, err := New(Options{Workers: 2}).Do(ctx, testRequest(t, KindAdvise))
+	want, err := New(Options{Workers: 2}).Do(ctx, request(KindAdvise))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	e := New(Options{Workers: 2})
-	keyed := testRequest(t, KindAdvise)
-	keyed.Workload, keyed.WorkloadKey = panicWorkload{}, "buggy"
-	bypass := testRequest(t, KindAdvise)
-	bypass.Workload = panicWorkload{}
+	keyed := request(KindAdvise)
+	keyed.Workload, keyed.WorkloadKey = buggy, "buggy"
+	bypass := request(KindAdvise)
+	bypass.Workload = buggy
 	// Two waiters on the keyed flight, one direct run, one bystander.
-	reqs := []*Request{keyed, keyed, bypass, testRequest(t, KindAdvise)}
+	reqs := []*Request{keyed, keyed, bypass, request(KindAdvise)}
 	resps, errs := e.DoAll(ctx, reqs)
 	for i := range 3 {
 		if !errors.Is(errs[i], apierr.ErrInternal) || resps[i] != nil {
@@ -387,7 +416,7 @@ func TestPanicContainedAtFlightBoundary(t *testing.T) {
 			st.Panics, st.CacheEntries, st.Inflight)
 	}
 	// The worker slots came back: the engine still serves.
-	if _, err := e.Do(ctx, testRequest(t, KindMeasure)); err != nil {
+	if _, err := e.Do(ctx, request(KindMeasure)); err != nil {
 		t.Fatalf("engine unusable after contained panics: %v", err)
 	}
 }

@@ -2,9 +2,11 @@ package gpa_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"gpa"
+	"gpa/internal/kernels"
 	"gpa/internal/profiler"
 )
 
@@ -39,6 +41,51 @@ func TestCrossArchDeterminism(t *testing.T) {
 				t.Errorf("%s: parallel SM run differs from sequential", g.Name)
 			}
 		})
+	}
+}
+
+// TestVariantProfilesParallelismInvariant is the same contract over the
+// whole kernel suite, for what the engine now does by default: every
+// Table 3 variant (26 rows, original and optimized) profiles to one
+// digest — per-PC sample counters and bufferFlushes included — whether
+// its SMs run on one goroutine, two or four. The per-SM counters are
+// summed, and a sum needs no order.
+func TestVariantProfilesParallelismInvariant(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4) // Parallelism is capped by it
+	defer runtime.GOMAXPROCS(prev)
+	ctx := context.Background()
+	flushing := 0
+	for _, b := range kernels.All() {
+		for name, v := range map[string]*kernels.Variant{"base": &b.Base, "opt": &b.Opt} {
+			k, wl, err := v.Build()
+			if err != nil {
+				t.Fatalf("%s %s: %v", b.ID(), name, err)
+			}
+			digest := func(parallelism int) (string, int) {
+				prof, err := k.Profile(ctx, &gpa.Options{SimSMs: 4, Seed: 11, Workload: wl, Parallelism: parallelism})
+				if err != nil {
+					t.Fatalf("%s %s: %v", b.ID(), name, err)
+				}
+				d, err := prof.Digest()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d, prof.BufferFlushes
+			}
+			want, flushes := digest(1)
+			if flushes > 0 {
+				flushing++
+			}
+			for _, par := range []int{2, 4} {
+				if got, f := digest(par); got != want || f != flushes {
+					t.Errorf("%s %s: Parallelism %d profiles to %s (%d flushes), sequential to %s (%d)",
+						b.ID(), name, par, got[:16], f, want[:16], flushes)
+				}
+			}
+		}
+	}
+	if flushing == 0 {
+		t.Error("no variant filled a sample buffer: the flush count went unexercised")
 	}
 }
 
