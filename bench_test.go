@@ -79,8 +79,7 @@ func pipelineFixture(b *testing.B) (*gpa.Kernel, *gpa.Options) {
 // BenchmarkPipelineSimulate measures the raw simulator: the historical
 // single-SM configuration plus the 4-SM configuration sequentially and
 // with concurrent SM execution (results are identical; only wall-clock
-// differs). SM4-seq vs SM4-par quantifies the worker-pool speedup
-// tracked in BENCH_*.json.
+// differs). SM4-seq vs SM4-par quantifies the worker-pool speedup.
 func BenchmarkPipelineSimulate(b *testing.B) {
 	cases := []struct {
 		name                string

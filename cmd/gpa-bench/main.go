@@ -16,16 +16,13 @@
 //	                           per-architecture comparison; -smoke limits
 //	                           the sweep to the first 3 rows for CI.
 //	gpa-bench -all             Everything (on the selected -arch).
-//	gpa-bench -bench FILE      Time the pipeline stages (simulate with
-//	                           sequential and parallel SMs, profile,
-//	                           advise, full row) and write a BENCH_*.json
-//	                           trajectory snapshot.
 //
 // Cross-cutting flags: -arch NAME runs the single-architecture modes on
 // another GPU model, -parallel runs row sweeps and per-row measurements
 // concurrently (output is unchanged — the simulator is deterministic at
 // every parallelism level), -json FILE writes Table 3 or arch-sweep
-// outcomes as JSON, -cpuprofile FILE captures a pprof profile.
+// outcomes as JSON, -cpuprofile FILE captures a pprof profile. Timing
+// the pipeline is bench/'s job (bash bench/run.sh).
 //
 // Absolute numbers come from the simulator, not the authors' hardware;
 // the reproduced claims are the shapes (see EXPERIMENTS.md).
@@ -99,13 +96,8 @@ func main() {
 		"run benchmark rows and per-row measurements concurrently (same output)")
 	jsonOut := flag.String("json", "", "write Table 3 or arch-sweep outcomes as JSON to `file`")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
-	benchOut := flag.String("bench", "", "time the pipeline stages and write a BENCH_*.json snapshot to `file`")
-	benchReps := flag.Int("bench-reps", 10, "repetitions per stage for -bench")
 	storeDir := flag.String("store-dir", "",
-		"persistent artifact store `directory` backing the shared engine and the -bench "+
-			"store rows (empty = in-memory only; -bench uses throwaway temp dirs)")
-	baselineNs := flag.Float64("bench-baseline-ns", 0,
-		"externally measured reference ns/op for the sequential simulate stage (e.g. the seed commit), recorded in the -bench snapshot")
+		"persistent artifact store `directory` backing the shared engine (empty = in-memory only)")
 	flag.Parse()
 	// Ctrl-C / SIGTERM cancels every in-flight simulation; sweeps print
 	// whichever rows completed before the interrupt and exit non-zero.
@@ -120,7 +112,7 @@ func main() {
 	if *table3 && *archSweep && *jsonOut != "" {
 		fail(fmt.Errorf("-json with both -table3 and -arch-sweep is ambiguous; pick one"))
 	}
-	if !*table3 && !*fig7 && !*cases && !*archSweep && *benchOut == "" {
+	if !*table3 && !*fig7 && !*cases && !*archSweep {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -179,11 +171,6 @@ func main() {
 			sweepJSON = ""
 		}
 		if err := runArchSweep(ctx, cfg, sweepJSON, smokeRows); err != nil {
-			fail(err)
-		}
-	}
-	if *benchOut != "" {
-		if err := runBenchSnapshot(ctx, *benchOut, *benchReps, *seed, *baselineNs, cfg.gpu, *storeDir); err != nil {
 			fail(err)
 		}
 	}

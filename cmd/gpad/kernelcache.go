@@ -14,8 +14,8 @@ import (
 // source and launch gets the kernel built the first time — assembled,
 // and with its program, module hash and structure memoized behind the
 // Kernel's sync.Onces — instead of paying assemble, pack, hash and Load
-// again before the result cache is even consulted. Both bounds are
-// constants: as many kernels as the result cache holds results by
+// again before the engine is even consulted. Both bounds are
+// constants: as many kernels as a stage's LRU holds artifacts by
 // default, and as many source bytes as one request body may carry.
 const (
 	kernelCacheEntries = 512

@@ -1,7 +1,7 @@
 // Command gpad is the GPU performance advisor daemon: a long-running
 // HTTP JSON service in front of the Figure 2 pipeline, built on the
 // shared batch engine (gpa.NewEngine / internal/service). Every
-// request is resolved through a content-addressed result cache and a
+// request is resolved through a content-addressed artifact store and a
 // singleflight table before it is allowed to cost a simulation, so N
 // identical concurrent requests cost one simulation and repeated
 // requests cost none; a bounded worker pool caps concurrent
@@ -64,14 +64,15 @@
 //	                  code (gpa_http_requests_total), and Go runtime
 //	                  gauges.
 //	GET  /statsz      Engine counters: hits, misses, coalesced,
-//	                  canceled, shed, inflight, runs, evictions, plus
+//	                  canceled, shed, inflight, runs, plus
 //	                  the serving-efficiency gauges poolGets/poolHits
 //	                  (simulator state-arena reuse), allocsPerJob, and
 //	                  the steady-state memoization counters
 //	                  ffPeriodsDetected/ffCyclesSkipped/ffFallbacks,
 //	                  and the artifact-store counters: sims,
-//	                  stageServed, structureBuilds, stageHits/Misses
-//	                  (in-memory stage LRUs), storeHits/Misses/
+//	                  stageServed, structureBuilds, stageHits/Misses/
+//	                  Evictions (the in-memory stage LRUs, which
+//	                  -cache-entries bounds), storeHits/Misses/
 //	                  Puts/Corrupt/Errors (the -store-dir disk store)
 //	                  and stageDecodes (stored payloads decoded into
 //	                  structs; serving a stored advise decodes none),
@@ -126,7 +127,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8377", "listen address")
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	cacheEntries := flag.Int("cache-entries", 0,
-		"LRU result cache capacity (0 = 512, negative disables caching)")
+		"artifacts kept in memory per pipeline stage, LRU (0 = 512; negative = none: "+
+			"repeats are served from -store-dir or re-run)")
 	maxQueue := flag.Int("max-queue", 0,
 		"max jobs waiting for a worker before shedding with 503 queue_full (0 = unbounded)")
 	jobTimeout := flag.Duration("job-timeout", 0,
@@ -228,9 +230,9 @@ func main() {
 	cacheDesc := "disabled"
 	switch {
 	case *cacheEntries == 0:
-		cacheDesc = "512 entries"
+		cacheDesc = "512 entries per stage"
 	case *cacheEntries > 0:
-		cacheDesc = fmt.Sprintf("%d entries", *cacheEntries)
+		cacheDesc = fmt.Sprintf("%d entries per stage", *cacheEntries)
 	}
 	storeDesc := "none"
 	if *storeDir != "" {

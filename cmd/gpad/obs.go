@@ -188,7 +188,7 @@ func noteResult(w http.ResponseWriter, job gpa.Job, res gpa.JobResult) {
 // Prometheus _total suffix.
 var engineGauges = map[string]bool{
 	"inflight": true, "queued": true, "queueCapacity": true,
-	"cacheEntries": true, "workers": true, "allocsPerJob": true,
+	"workers": true, "allocsPerJob": true,
 	"interactiveQueued": true, "batchQueued": true, "brownoutLevel": true,
 	"gpuModelHashes": true,
 }
@@ -198,8 +198,8 @@ var engineGauges = map[string]bool{
 // JSON encoding keeps /metrics and /statsz mechanically in sync: a new
 // counter added to service.Stats appears in both with no gpad change
 // (pinned by TestMetricsMatchesStatsz).
-func (s *server) writeEngineMetrics(p *obs.PromWriter) {
-	raw, err := json.Marshal(s.eng.Stats())
+func writeEngineMetrics(p *obs.PromWriter, st gpa.EngineStats) {
+	raw, err := json.Marshal(st)
 	if err != nil {
 		return
 	}
@@ -242,8 +242,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		[]obs.Label{{Name: "version", Value: s.version}, {Name: "go", Value: runtime.Version()}}, 1)
 	p.Gauge("gpa_uptime_seconds", "Seconds since the server started.",
 		nil, time.Since(s.started).Seconds())
-	s.writeEngineMetrics(p)
-	writeTenantMetrics(p, s.eng.Stats())
+	// One snapshot for both, so the engine and tenant series of a scrape
+	// agree with each other.
+	st := s.eng.Stats()
+	writeEngineMetrics(p, st)
+	writeTenantMetrics(p, st)
 	obs.WriteStageLatency(p, s.eng.StageLatency())
 	s.metrics.Write(p)
 	obs.WriteGoRuntime(p)

@@ -116,9 +116,8 @@ func BenchmarkWarmAdviseWirePath(b *testing.B) {
 }
 
 // diskWarmSeeds × the 26 Table 3 rows is the disk-warm working set: 546
-// distinct requests, more than the 512 entries of the result cache and
-// of each stage LRU, so cycling through them in order never finds one
-// in memory (what bench/'s disk_warm workload sends).
+// distinct requests, more than the 512 entries of each stage LRU, so
+// cycling through them in order never finds one in memory (what bench/'s disk_warm workload sends).
 const diskWarmSeeds = 21
 
 // diskWarmServer populates a store with the working set through one
@@ -155,7 +154,7 @@ func diskWarmServer(tb testing.TB) (http.Handler, []string) {
 // parent commit in this harness). What is left, 73 and 27 KB measured,
 // is the warm wire path (TestWarmAdviseWirePathAllocations: 33) plus
 // the file read (10, and the 16 KB blob), the strict header decode (7),
-// the response and flight bookkeeping of a result-cache miss, and the
+// the response and flight bookkeeping of a memory-tier miss, and the
 // response body growing the recorder's buffer.
 func TestDiskWarmAdviseWirePathAllocations(t *testing.T) {
 	if raceEnabled {

@@ -125,7 +125,7 @@ func TestRestartWarmFromStore(t *testing.T) {
 	}
 
 	// A batch entry is built from the structs, so it calls the advice
-	// accessor of the (by now result-cached) stored response: the decode
+	// accessor of the (by now memory-resident) stored response: the decode
 	// counter moves exactly then, once, and no blob is read for it.
 	batch := map[string]any{"requests": []map[string]any{{"bench": "rodinia/hotspot"}}}
 	for range 2 {

@@ -13,8 +13,8 @@ import (
 )
 
 // Engine is the batch/serving front end of the pipeline: a bounded
-// worker pool with a content-addressed result cache and singleflight
-// deduplication (see internal/service). One engine is meant to be
+// worker pool over a content-addressed per-stage artifact store, with
+// singleflight deduplication (see internal/service). One engine is meant to be
 // shared by everything that fans work out — cmd/gpad serves HTTP
 // traffic through one, cmd/gpa-bench routes Table 3 sweeps through
 // one, and library callers batch through AdviseAll/DoAll — so a
@@ -44,8 +44,14 @@ type Engine struct {
 type EngineOptions struct {
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
-	// CacheEntries bounds the LRU result cache (0 = 512, negative
-	// disables caching; identical in-flight jobs still coalesce).
+	// CacheEntries bounds each pipeline stage's in-memory artifact LRU
+	// (0 = 512 per stage; negative keeps nothing in memory: a repeat is
+	// served from Store, when there is one, or re-runs; identical
+	// in-flight jobs still coalesce). Every served result is its
+	// terminal stage's artifact, and a run reuses the artifacts of the
+	// stages before it — an arch sweep analyzes the module once, a
+	// profile job's output feeds a later advise job without
+	// re-simulation.
 	CacheEntries int
 	// MaxQueue bounds how many jobs may wait for a worker slot beyond
 	// the Workers already running; excess jobs fail fast with
@@ -55,13 +61,6 @@ type EngineOptions struct {
 	// own Timeout is zero (0 = none). Deadline expiry returns an error
 	// wrapping both ErrCanceled and context.DeadlineExceeded.
 	DefaultTimeout time.Duration
-	// StageEntries bounds each per-stage in-memory artifact cache
-	// (0 = 512 per stage; negative disables stage caching, leaving only
-	// the end-to-end result cache). Stage caches let partial reuse
-	// happen — an arch sweep re-analyzes the module zero extra times, a
-	// profile job's output feeds a later advise job without
-	// re-simulation.
-	StageEntries int
 	// Store is the persistent artifact store (see OpenStore): stage
 	// outputs survive restarts and are shared between engines pointed
 	// at the same directory. nil = in-memory only.
@@ -133,7 +132,6 @@ func NewEngine(opts *EngineOptions) *Engine {
 		CacheEntries:   o.CacheEntries,
 		MaxQueue:       o.MaxQueue,
 		DefaultTimeout: o.DefaultTimeout,
-		StageEntries:   o.StageEntries,
 		QoS:            o.QoS,
 	}
 	if o.Store != nil {

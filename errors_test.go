@@ -106,9 +106,6 @@ func TestEngineErrorsRoundTripThroughCache(t *testing.T) {
 	if st.Errors != 2 || st.Runs != 2 {
 		t.Errorf("errors/runs = %d/%d, want 2/2 (errors are never cached)", st.Errors, st.Runs)
 	}
-	if st.CacheEntries != 0 {
-		t.Errorf("cacheEntries = %d, want 0", st.CacheEntries)
-	}
 
 	// A successful job still caches; a cache hit keeps Err nil.
 	ok1 := eng.Do(context.Background(), gpa.Job{Kind: gpa.JobAdvise, Kernel: mustKernel(t)})

@@ -157,8 +157,8 @@ func runInProcess() error {
 
 func printStats(eng *gpa.Engine) {
 	st := eng.Stats()
-	fmt.Printf("engine stats: runs=%d misses=%d coalesced=%d hits=%d cache=%d entries\n",
-		st.Runs, st.Misses, st.Coalesced, st.Hits, st.CacheEntries)
+	fmt.Printf("engine stats: runs=%d sims=%d misses=%d coalesced=%d hits=%d\n",
+		st.Runs, st.Sims, st.Misses, st.Coalesced, st.Hits)
 }
 
 // runHTTP demonstrates the same cache behaviour against a running gpad.

@@ -42,7 +42,7 @@
 // exported helpers on Kernel.
 //
 // For batch and serving workloads, NewEngine builds a shared scheduler
-// with a content-addressed result cache and singleflight deduplication
+// with a content-addressed artifact store and singleflight deduplication
 // (Engine.AdviseAll, Engine.DoAll, Engine.Sweep); cmd/gpad serves the
 // same engine over HTTP.
 package gpa
@@ -285,8 +285,8 @@ type Report struct {
 	// below the report, e.g. with a custom optimizer. Kernel.Advise and
 	// AdviseFromProfile always set it. From an Engine only the result of
 	// the job that actually ran the analysis carries it: results served
-	// from the result cache, coalesced onto another job's run, or read
-	// back from the artifact store have a nil Context — the engine does
+	// from the artifact store, in memory or on disk, or coalesced onto
+	// another job's run have a nil Context — the engine does
 	// not keep one alive per cached result.
 	Context *adv.Context
 

@@ -349,9 +349,9 @@ func (w *smWorker) fail(err error, panicked any) {
 
 // effectiveParallelism resolves Config.Parallelism: 0 means GOMAXPROCS,
 // anything above GOMAXPROCS is capped to it (more SM goroutines than
-// cores pay fan-out and buffering overhead for no concurrency — BENCH_1
-// and BENCH_2 measured parallel mode slower than sequential on one
-// CPU), and the SM count bounds it from above. Results are identical at
+// cores pay fan-out and buffering overhead for no concurrency: parallel
+// mode measured slower than sequential on one CPU), and the SM count
+// bounds it from above. Results are identical at
 // every level, so the cap never changes output.
 func effectiveParallelism(requested, simSMs int) int {
 	p := requested

@@ -1,7 +1,7 @@
 // Package lru is the one bounded least-recently-used map the serving
-// stack shares: the engine's result cache (internal/service), the
-// per-stage artifact LRUs (internal/store.Memory) and gpad's kernel
-// front cache are all instances of it. It sits beside the Figure 2
+// stack shares: the per-stage artifact LRUs (internal/store.Memory, the
+// engine's one cache) and gpad's kernel front cache are both instances
+// of it. It sits beside the Figure 2
 // pipeline, never inside it: an LRU decides only whether a stage's
 // output is still in memory, and every consumer keys it by a content
 // digest, so eviction can cost a recompute but never change a byte.

@@ -77,7 +77,7 @@ func TestStageLatencyRouting(t *testing.T) {
 func TestMetricName(t *testing.T) {
 	cases := map[string]string{
 		"hits":              "hits",
-		"cacheEntries":      "cache_entries",
+		"stageEvictions":    "stage_evictions",
 		"ffCyclesSkipped":   "ff_cycles_skipped",
 		"storeCorrupt":      "store_corrupt",
 		"allocsPerJob":      "allocs_per_job",

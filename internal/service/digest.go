@@ -10,57 +10,104 @@ import (
 
 	"gpa/internal/arch"
 	"gpa/internal/cubin"
+	"gpa/internal/store"
 )
 
 // digestSchema versions the key layout: bump it whenever the set or
-// order of digested fields changes, so stale keys from older layouts
-// can never alias a new request. Layout /2 replaced the inline module
-// bytes and GPU-model JSON with their SHA-256 digests so the per-
-// request hash covers a few hundred fixed bytes instead of re-encoding
-// the whole module, and moved key storage to a fixed [32]byte.
-const digestSchema = "gpa-service-key/2"
+// order of key fields changes, so stale keys from older layouts can
+// never alias a new request (the on-disk store is rooted under it, so a
+// bump starts cold by construction). Layout /3 made every key a prefix
+// of one field list and the request's result key its terminal stage's
+// key; /2 had replaced the inline module bytes and GPU-model JSON with
+// their SHA-256 digests.
+const digestSchema = "gpa-service-key/3"
 
-// digestKey is the engine-internal cache key: a raw SHA-256. The zero
-// value marks an uncacheable request. Fixed-size keys keep the warm
-// lookup path free of string allocations; Response.Key carries the hex
-// form for humans and HTTP clients.
-type digestKey [32]byte
+// stageID indexes the Figure 2 pipeline's stages in dependency order.
+type stageID int
 
-var zeroKey digestKey
+const (
+	stFrontend stageID = iota
+	stMeasure
+	stProfile
+	stAdvice
+	numStages
+)
 
-// Digest computes the request's content-addressed cache key in hex: a
-// SHA-256 over the canonical module bytes (cubin container encoding),
-// the launch configuration, the architecture model, and every
-// result-affecting option. Parallelism is deliberately excluded — the
-// simulator is bit-identical at every parallelism level, so requests
-// differing only in worker counts share one cache entry.
+// stageNames are the stages' names in the artifact store.
+var stageNames = [numStages]string{store.StageFrontend, store.StageMeasure, store.StageProfile, store.StageAdvice}
+
+// stageKeys holds one request's content-addressed key per stage.
+type stageKeys [numStages]store.Key
+
+// keyMaterial is a request's canonical key material: every
+// result-affecting field as a labeled, length-prefixed value, written
+// exactly once, in the order the pipeline consumes them, with a stage's
+// label closing the fields that stage is the first to read. A stage's
+// key is the SHA-256 of the list up to and including its label, so a
+// field can only ever change the keys at and downstream of where it
+// enters:
 //
-// A request carrying a Workload without a WorkloadKey has no stable
-// identity (workloads are opaque callbacks); Digest returns "" and the
-// engine bypasses the cache and singleflight for it.
-func (r *Request) Digest() (string, error) {
-	key, cacheable, err := r.digest()
-	if err != nil || !cacheable {
-		return "", err
-	}
-	return hex.EncodeToString(key[:]), nil
+//	schema, module                               frontend: Program, Structure
+//	launch, arch model, sim options, workload    measure: cycles
+//	sample period                                profile: sampled profile
+//	blamer options                               advice: ranked advice, report
+//
+// Kind writes nothing: it selects which stage is terminal, and the
+// request's result key — Request.Digest, Response.Key, the singleflight
+// key — is that stage's key. A profile request and an advise request
+// over the same inputs therefore share one profile artifact.
+// Parallelism is excluded because results are bit-identical at every
+// level; the other excluded fields are transport metadata (see
+// internal/lint/config.go for the audited list).
+type keyMaterial struct {
+	fields   []byte
+	cut      [numStages]int // cut[s]: where stage s's label ends
+	terminal stageID
 }
 
-// digest is the allocation-free core of Digest: the labeled,
-// length-prefixed field encoding lands in a stack buffer and one
-// SHA-256 pass produces the fixed-size key. The two variable-size
-// inputs — the module and the GPU model table — enter by their own
-// cached digests (Request.ModuleHash and a per-model memo), so a warm
-// engine never re-encodes either.
-func (r *Request) digest() (key digestKey, cacheable bool, err error) {
+// closeStage appends stage s's label to the list b and marks the cut.
+func (km *keyMaterial) closeStage(b []byte, s stageID) []byte {
+	b = appendBytes(b, "stage", stageNames[s])
+	km.cut[s] = len(b)
+	return b
+}
+
+// key hashes the list up to and including stage s's label.
+func (km *keyMaterial) key(s stageID) store.Key {
+	return sha256.Sum256(km.fields[:km.cut[s]])
+}
+
+// keys derives every stage's key.
+func (km *keyMaterial) keys() (sk stageKeys) {
+	for s := range sk {
+		sk[s] = km.key(stageID(s))
+	}
+	return sk
+}
+
+// keyBuf is the caller's buffer behind keyMaterial.fields: on its stack,
+// and large enough unless a name is unusually long.
+type keyBuf [1024]byte
+
+// packModule is cubin.Pack; a variable so a test can count the calls.
+var packModule = cubin.Pack
+
+// keyMaterial derives r's key material, appending the fields to buf
+// (pass keyBuf[:0]). cacheable=false marks a request with no stable
+// identity — a Workload (an opaque callback) without a WorkloadKey —
+// which bypasses the store and singleflight.
+// The two variable-size inputs, the module and the GPU model table,
+// enter by their own cached digests (Request.ModuleHash and a
+// per-model memo), so a warm engine never re-encodes either.
+func (r *Request) keyMaterial(buf []byte) (km keyMaterial, cacheable bool, err error) {
 	if r.Workload != nil && r.WorkloadKey == "" {
-		return zeroKey, false, nil
+		return km, false, nil
 	}
 	mh := r.ModuleHash
 	if mh == ([32]byte{}) {
-		blob, err := cubin.Pack(r.Module)
+		blob, err := packModule(r.Module)
 		if err != nil {
-			return zeroKey, false, fmt.Errorf("service: digest: %w", err)
+			return km, false, fmt.Errorf("service: digest: %w", err)
 		}
 		mh = sha256.Sum256(blob)
 	}
@@ -71,14 +118,12 @@ func (r *Request) digest() (key digestKey, cacheable bool, err error) {
 	// plain scalar data, so its JSON encoding is canonical.
 	gh, err := gpuModelHash(n.GPU)
 	if err != nil {
-		return zeroKey, false, err
+		return km, false, err
 	}
-	var arr [1024]byte
-	b := arr[:0]
-	b = appendStr(b, "schema", digestSchema)
-	b = appendI64(b, "kind", int64(n.Kind))
+	b := appendBytes(buf, "schema", stageSchema)
 	b = appendBytes(b, "module", mh[:])
-	b = appendStr(b, "entry", n.Launch.Entry)
+	b = km.closeStage(b, stFrontend)
+	b = appendBytes(b, "entry", n.Launch.Entry)
 	b = appendI64(b, "gridX", int64(n.Launch.Grid.X))
 	b = appendI64(b, "gridY", int64(n.Launch.Grid.Y))
 	b = appendI64(b, "gridZ", int64(n.Launch.Grid.Z))
@@ -87,19 +132,37 @@ func (r *Request) digest() (key digestKey, cacheable bool, err error) {
 	b = appendI64(b, "blockZ", int64(n.Launch.Block.Z))
 	b = appendI64(b, "regs", int64(n.Launch.RegsPerThread))
 	b = appendI64(b, "shared", int64(n.Launch.SharedMemPerBlock))
-	b = appendStr(b, "gpu", arch.KeyOf(n.GPU))
+	b = appendBytes(b, "gpu", arch.KeyOf(n.GPU))
 	b = appendBytes(b, "gpuModel", gh[:])
-	b = appendI64(b, "period", int64(n.SamplePeriod))
 	b = appendI64(b, "simSMs", int64(n.SimSMs))
 	b = appendI64(b, "seed", int64(n.Seed))
+	b = appendBytes(b, "workload", n.WorkloadKey)
+	b = km.closeStage(b, stMeasure)
+	b = appendI64(b, "period", int64(n.SamplePeriod))
+	b = km.closeStage(b, stProfile)
 	b = appendBool(b, "noOpcodePrune", n.Blamer.DisableOpcodePrune)
 	b = appendBool(b, "noDominatorPrune", n.Blamer.DisableDominatorPrune)
 	b = appendBool(b, "noLatencyPrune", n.Blamer.DisableLatencyPrune)
 	b = appendBool(b, "noIssueWeight", n.Blamer.DisableIssueWeight)
 	b = appendBool(b, "noPathWeight", n.Blamer.DisablePathWeight)
 	b = appendI64(b, "maxSliceSteps", int64(n.Blamer.MaxSliceSteps))
-	b = appendStr(b, "workload", r.WorkloadKey)
-	return sha256.Sum256(b), true, nil
+	km.fields, km.terminal = km.closeStage(b, stAdvice), stageOf(n.Kind)
+	return km, true, nil
+}
+
+// Digest returns the request's content-addressed result key in hex: the
+// key of the stage its Kind makes terminal (see keyMaterial). A request
+// carrying a Workload without a WorkloadKey has no stable identity;
+// Digest returns "" and the engine bypasses the store and singleflight
+// for it.
+func (r *Request) Digest() (string, error) {
+	var buf keyBuf
+	km, cacheable, err := r.keyMaterial(buf[:0])
+	if err != nil || !cacheable {
+		return "", err
+	}
+	key := km.key(km.terminal)
+	return hex.EncodeToString(key[:]), nil
 }
 
 // gpuHashes memoizes the SHA-256 of each GPU model's JSON encoding,
@@ -137,14 +200,7 @@ func gpuModelHash(g *arch.GPU) ([32]byte, error) {
 
 // appendBytes writes a labeled, length-prefixed field so adjacent
 // values can never collide by concatenation.
-func appendBytes(b []byte, label string, v []byte) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(label)))
-	b = append(b, label...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(v)))
-	return append(b, v...)
-}
-
-func appendStr(b []byte, label, v string) []byte {
+func appendBytes[T ~string | ~[]byte](b []byte, label string, v T) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(label)))
 	b = append(b, label...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(v)))

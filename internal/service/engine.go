@@ -1,25 +1,31 @@
 // Package service is the serving subsystem in front of the Figure 2
-// pipeline: a bounded worker-pool job engine with a content-addressed
-// result cache. It turns the one-kernel-at-a-time advisor into
-// something a long-running daemon (cmd/gpad) or a batch driver
+// pipeline: a bounded worker-pool job engine over a content-addressed
+// per-stage artifact store. It turns the one-kernel-at-a-time advisor
+// into something a long-running daemon (cmd/gpad) or a batch driver
 // (gpa.Engine, cmd/gpa-bench) can push heavy traffic through.
 //
 // A Request names a kernel module, launch, architecture model, and the
-// result-affecting options; its Digest — SHA-256 of the canonical
-// module bytes plus every result-affecting field — is the cache key.
-// The engine resolves each request in three tiers: an LRU result cache
-// (hit: no simulation), a singleflight table (N identical concurrent
-// requests share ONE simulation), and finally a worker-bounded run
-// of the pipeline (simulate / profile / blame / advise via the same
-// internal packages the gpa API composes). Worker slots are granted by
+// result-affecting options. One canonical field list (digest.go) keys
+// every stage — measure, profile, advice — by the prefix of fields that
+// can change its output, and the request's result key, its Digest, is
+// the key of the stage its Kind makes terminal. The engine resolves a
+// request through one stage table and one driver: the terminal stage's
+// memory tier (a hit returns the artifact's prebuilt response: no
+// simulation, no waiting, no allocation), then a singleflight table (N
+// identical concurrent requests share ONE resolution), then the disk
+// tier (a restarted daemon starts warm), and finally a worker-bounded
+// run that computes the stage — resolving the stages it depends on
+// through the same driver, so an advise over a stored profile simulates
+// nothing — and publishes every artifact it computed. Worker slots are
+// granted by
 // a tenant-aware admission scheduler (internal/qos): per-tenant queues
 // under deficit-weighted round robin, an interactive lane that
 // preempts queued batch work, per-tenant token-bucket quotas shedding
 // over-quota callers with ErrQuotaExceeded, and a brownout controller
 // shedding batch work first when queued-wait p99 says the engine is
 // saturated. Tenant and lane are transport-only metadata: they decide
-// who runs next, never what a run computes, and are excluded from the
-// digest and every stage key exactly like TraceID.
+// who runs next, never what a run computes, and are excluded from
+// every stage key exactly like TraceID.
 //
 // Cancellation contract: Do takes a context.Context and honors it at
 // every tier. A caller abandoning a queued request detaches before a
@@ -33,10 +39,11 @@
 // apierr.ErrCanceled plus the original ctx.Err().
 //
 // Determinism contract: the simulator is bit-identical at every
-// parallelism level, and cached responses are stored verbatim, so a
-// cache hit returns byte-identical report text to a cold sequential
-// run. Parallelism is therefore excluded from the digest. Responses
-// are shared between callers and must be treated as immutable.
+// parallelism level, and stored artifacts are served verbatim, so a
+// memory or disk hit returns byte-identical report text to a cold
+// sequential run. Parallelism is therefore excluded from every key.
+// Responses are shared between callers and must be treated as
+// immutable.
 package service
 
 import (
@@ -57,7 +64,6 @@ import (
 	"gpa/internal/arch"
 	"gpa/internal/blamer"
 	"gpa/internal/gpusim"
-	"gpa/internal/lru"
 	"gpa/internal/obs"
 	"gpa/internal/profiler"
 	"gpa/internal/qos"
@@ -118,14 +124,14 @@ type Request struct {
 	Prog *gpusim.Program
 	// ModuleHash optionally supplies the SHA-256 of the module's
 	// canonical cubin encoding (gpa.Kernel caches one); zero means the
-	// digest re-packs the module on demand. Supplying it keeps the
-	// warm cache-hit path free of per-request module encoding.
+	// key derivation packs the module itself, once per request.
+	// Supplying it keeps the warm path free of module encoding.
 	ModuleHash [32]byte
 	Launch     gpusim.LaunchConfig
 	// GPU is the architecture model (nil = the paper's V100).
 	GPU *arch.GPU
-	// SamplePeriod in cycles (0 = 64; ignored and normalized away for
-	// KindMeasure, which never samples).
+	// SamplePeriod in cycles (0 = 64; KindMeasure never samples, and the
+	// measure key does not cover it).
 	SamplePeriod int
 	// SimSMs bounds detailed SM simulation (0 = 4).
 	SimSMs int
@@ -134,13 +140,13 @@ type Request struct {
 	// (0 = gpusim's default: GOMAXPROCS, capped by SimSMs — a run takes
 	// whatever cores the other workers leave idle, and when none are
 	// idle the Go scheduler shares them out). Set 1 for a Workload that
-	// is not safe for concurrent use. Excluded from the digest —
-	// results are identical at every level.
+	// is not safe for concurrent use. Excluded from every key — results
+	// are identical at every level.
 	Parallelism int
 	// Timeout is this request's deadline, measured from admission
 	// (0 = the engine's DefaultTimeout; negative = none even when a
-	// default is set). Excluded from the digest — deadlines never
-	// affect a completed result.
+	// default is set). Excluded from every key — deadlines never affect
+	// a completed result.
 	Timeout time.Duration
 	// Blamer tunes the pruning/apportioning heuristics (KindAdvise).
 	Blamer blamer.Options
@@ -152,24 +158,23 @@ type Request struct {
 	// TraceID is the per-request trace identifier (accepted from the
 	// client or minted by the server) that request logs and the v2
 	// result schema echo. It is transport-level observability and is
-	// deliberately excluded from the result digest and every stage key
-	// — two requests differing only in TraceID share one cache entry,
-	// one flight, and byte-identical responses, and drift-check output
-	// can never depend on who asked. Pinned by
-	// TestTraceIDExcludedFromDigest.
+	// deliberately excluded from every stage key — two requests
+	// differing only in TraceID share one artifact, one flight, and
+	// byte-identical responses, and drift-check output can never depend
+	// on who asked. Pinned by TestTraceIDExcludedFromDigest.
 	TraceID string
 	// Tenant identifies the requesting client class for admission
 	// scheduling, quotas, and per-tenant accounting ("" = the default
 	// tenant). Like TraceID it is transport-only metadata, deliberately
-	// excluded from the result digest and every stage key: two tenants
-	// requesting the same kernel share one cache entry and one flight
+	// excluded from every stage key: two tenants requesting the same
+	// kernel share one artifact and one flight
 	// (the hit is billed to both quota buckets but simulated once), and
 	// results can never depend on who asked. Pinned by
 	// TestTenantExcludedFromDigest.
 	Tenant string
 	// Lane selects the admission priority lane (zero value =
 	// interactive; cmd/gpad routes /v1/batch and /v1/sweep to
-	// qos.LaneBatch). Excluded from the digest for the same reason as
+	// qos.LaneBatch). Excluded from every key for the same reason as
 	// Tenant: scheduling priority cannot affect a completed result.
 	Lane qos.Lane
 }
@@ -180,8 +185,8 @@ type Request struct {
 // request; nothing in the pipeline mutates a Config's GPU.
 var defaultGPU = arch.VoltaV100()
 
-// normalized returns a copy with defaults resolved, so the digest and
-// the execution path can never disagree about what actually ran.
+// normalized returns a copy with defaults resolved, so the keys and the
+// execution path can never disagree about what actually ran.
 func (r *Request) normalized() Request {
 	n := *r
 	if n.GPU == nil {
@@ -190,18 +195,18 @@ func (r *Request) normalized() Request {
 	if n.SimSMs == 0 {
 		n.SimSMs = 4
 	}
-	if n.Kind == KindMeasure {
-		n.SamplePeriod = 0 // measure never samples
-	} else if n.SamplePeriod <= 0 {
+	if n.SamplePeriod <= 0 {
 		n.SamplePeriod = 64
 	}
 	return n
 }
 
-// Response is the result of one request. Responses are shared: a cache
-// or singleflight hit returns the same inner pointers to every caller,
-// so whatever Profile, Advice and Context hand out must be treated as
-// read-only.
+// Response is the result of one request, and the form a served stage's
+// artifact takes in the store's memory tier: every hit on a stage
+// returns the one Response that stage's run or blob produced, Cached
+// set. Responses are shared: a store or singleflight hit returns the
+// same inner pointers to every caller, so whatever Profile, Advice and
+// Context hand out must be treated as read-only.
 //
 // The scalar fields are always set. Profile, Advice and Report are
 // accessors because a response served from the on-disk artifact store
@@ -211,17 +216,18 @@ func (r *Request) normalized() Request {
 // decode to what its header declared. On a response a pipeline run
 // produced they return that run's values and cannot fail.
 type Response struct {
-	// Key is the request digest ("" for uncacheable requests).
+	// Key is the request digest — the terminal stage's key, in hex — and
+	// "" for uncacheable requests.
 	Key string
-	// Cached is true when the response was served without running a
-	// simulation (result-cache hit or singleflight coalescing).
+	// Cached is true when the response was served without a pipeline run
+	// of the caller's own (store hit or singleflight coalescing).
 	Cached bool
 	Kind   Kind
 	// Cycles is the simulated kernel duration.
 	Cycles int64
 	// ElapsedMS is the wall-clock cost in milliseconds of the pipeline
-	// run that produced this response. Cache and singleflight hits
-	// return the original run's value (the cost the cache avoided), so
+	// run that produced this response. Store and singleflight hits
+	// return the original run's value (the cost the store avoided), so
 	// a hit stays byte-identical to the run it shares.
 	ElapsedMS float64
 	// ProfileDigest is the profile's stable content digest (drift
@@ -231,15 +237,14 @@ type Response struct {
 	// advice (KindAdvise): the blamer's per-function results and the
 	// profile's function views, about as large again as everything else
 	// a response holds. Only the caller that led that run gets it. It
-	// is nil on every shared view — result-cache hits and coalesced
-	// followers (asCached drops it, so a cached response does not pin
-	// it until eviction) — and on a response assembled from stage
-	// artifacts, which never had one.
+	// is nil on every shared view — store hits and coalesced followers
+	// (asCached drops it, so a stored response does not pin it until
+	// eviction) — and on a response decoded from a blob, which never
+	// had one.
 	Context *adv.Context
 
-	// prof (KindProfile, and KindAdvise when a run produced it) and adv
-	// (KindAdvise) are the stage artifacts behind the accessors; eng
-	// resolves and counts their lazy halves.
+	// prof (KindProfile) and adv (KindAdvise) are the lazy halves behind
+	// the accessors; eng resolves and counts them.
 	prof *profileArtifact
 	adv  *adviceArtifact
 	eng  *Engine
@@ -247,16 +252,17 @@ type Response struct {
 	// freshTail is the wire tail a cold run encoded for its advice put.
 	// Only the flight leader's own copy carries it (asCached drops it):
 	// it saves that caller's encode and dies with its request, so a
-	// cached response pins no tail nobody asked for twice.
+	// stored response pins no tail nobody asked for twice.
 	freshTail []byte
 
 	// shared is what every copy of one response has in common; it is a
-	// pointer so the cached shallow copy shares it.
+	// pointer so the leader's copy and the stored view share it, and it
+	// is evicted with the view.
 	shared *respShared
 }
 
 // respShared holds what is derived from a response at most once however
-// many cache hits it serves.
+// many hits it serves.
 type respShared struct {
 	memoOnce sync.Once
 	memo     any
@@ -272,15 +278,11 @@ type respShared struct {
 }
 
 // Memo returns a value derived from this response, building it at most
-// once per underlying response (cache hits and coalesced copies share
+// once per underlying response (store hits and coalesced copies share
 // the memo). The gpa layer uses it to avoid re-materializing its Report
-// wrapper on every warm cache hit. Responses not produced by an engine
-// have no memo and just invoke build.
+// wrapper on every warm hit.
 func (r *Response) Memo(build func() any) any {
 	m := r.shared
-	if m == nil {
-		return build()
-	}
 	m.memoOnce.Do(func() { m.memo = build() })
 	return m.memo
 }
@@ -312,7 +314,7 @@ func (r *Response) Advice() (*adv.Advice, error) {
 }
 
 // Report returns the rendered Figure 8-style report text (KindAdvise;
-// empty otherwise), byte-identical between a cache hit, a store hit and
+// empty otherwise), byte-identical between a memory hit, a disk hit and
 // the cold run.
 func (r *Response) Report() (string, error) {
 	if r.adv == nil {
@@ -333,9 +335,6 @@ func (r *Response) Tail() ([]byte, error) {
 		return r.adv.doc[len(tailOpen):], nil
 	}
 	m := r.shared
-	if m == nil {
-		return r.encodeTail()
-	}
 	n := m.encodes.Add(1)
 	if r.freshTail != nil {
 		return r.freshTail, nil
@@ -370,19 +369,24 @@ func (r *Response) tailDoc() ([]byte, error) {
 	case KindProfile:
 		// Advise results leave the raw samples out to stay compact.
 		var err error
-		if t.Profile, err = r.Profile(); err != nil {
+		if t.Profile, err = r.prof.profile(r.eng); err != nil {
 			return nil, err
 		}
 	}
 	return t.encode()
 }
 
-// Stats is a point-in-time snapshot of the engine's counters.
+// Stats is a point-in-time snapshot of the engine's counters. The
+// result cache that Evictions and CacheEntries used to describe is gone
+// — a warm hit is a memory hit on the request's terminal stage — and
+// both went with it: StageEvictions counts what the one memory store
+// evicts.
 type Stats struct {
-	// Hits counts result-cache hits (no simulation, no waiting).
+	// Hits counts requests answered from the memory tier of their
+	// terminal stage, before any flight (no simulation, no waiting).
 	Hits int64 `json:"hits"`
-	// Misses counts requests that found neither a cached result nor an
-	// in-flight duplicate and started a new pipeline run.
+	// Misses counts requests that found neither their artifact in memory
+	// nor an in-flight duplicate and led a new flight.
 	Misses int64 `json:"misses"`
 	// Coalesced counts requests that joined an identical in-flight
 	// request (singleflight followers: N concurrent duplicates cost
@@ -391,16 +395,17 @@ type Stats struct {
 	// Bypass counts uncacheable requests (workload without a key).
 	Bypass int64 `json:"bypass"`
 	// Runs counts actual pipeline executions. A run may still reuse
-	// individual stage artifacts (e.g. advise over a stored profile);
-	// Sims counts the simulations that actually happened.
+	// the artifacts of the stages it depends on (e.g. advise over a
+	// stored profile); Sims counts the simulations that actually
+	// happened.
 	Runs int64 `json:"runs"`
 	// Sims counts actual simulator invocations (gpusim runs and
 	// profile collections). Runs-with-stage-reuse keep Sims flat: a
 	// freshly restarted engine serving from a warm on-disk store
 	// reports Runs==0 and Sims==0.
 	Sims int64 `json:"sims"`
-	// StageServed counts requests satisfied entirely from stage
-	// artifacts without a pipeline run (no Runs increment).
+	// StageServed counts flight leaders answered from the disk tier
+	// without a pipeline run (no worker slot, no Runs increment).
 	StageServed int64 `json:"stageServed"`
 	// StructureBuilds counts module front-end structure analyses. An
 	// arch sweep over one module performs exactly one.
@@ -429,8 +434,6 @@ type Stats struct {
 	// the caller canceled while queued, or a drain abandoned queued
 	// batch work.
 	QosDropped int64 `json:"qosDropped"`
-	// Evictions counts LRU cache evictions.
-	Evictions int64 `json:"evictions"`
 	// Inflight is the number of requests currently executing or queued
 	// for a worker slot.
 	Inflight int64 `json:"inflight"`
@@ -446,8 +449,6 @@ type Stats struct {
 	// BrownoutLevel is the overload controller's current level (0 =
 	// healthy; at the configured MaxLevel all batch arrivals are shed).
 	BrownoutLevel int64 `json:"brownoutLevel"`
-	// CacheEntries is the current number of cached responses.
-	CacheEntries int `json:"cacheEntries"`
 	// Workers is the engine's worker-pool bound.
 	Workers int `json:"workers"`
 	// PoolGets / PoolHits are the simulator's per-run state-arena
@@ -466,8 +467,10 @@ type Stats struct {
 	FFPeriodsDetected int64 `json:"ffPeriodsDetected"`
 	FFCyclesSkipped   int64 `json:"ffCyclesSkipped"`
 	FFFallbacks       int64 `json:"ffFallbacks"`
-	// StageHits / StageMisses / StageEvictions are the in-memory
-	// artifact-store counters (per-stage LRU lookups).
+	// StageHits / StageMisses / StageEvictions are the memory tier's
+	// counters (per-stage LRU lookups): every cacheable request's probe
+	// of its terminal stage — so StageHits includes Hits — plus the
+	// probes a run makes for the stages it depends on.
 	StageHits      int64 `json:"stageHits"`
 	StageMisses    int64 `json:"stageMisses"`
 	StageEvictions int64 `json:"stageEvictions"`
@@ -512,8 +515,10 @@ type TenantStats = qos.TenantStats
 type Options struct {
 	// Workers bounds concurrent pipeline executions (0 = GOMAXPROCS).
 	Workers int
-	// CacheEntries bounds the LRU result cache (0 = 512, negative
-	// disables caching; singleflight coalescing still applies).
+	// CacheEntries bounds each stage's LRU in the store's memory tier
+	// (0 = 512 per stage; negative = no memory tier at all: every repeat
+	// goes to the disk store or re-runs, and identical in-flight
+	// requests still coalesce).
 	CacheEntries int
 	// MaxQueue bounds how many pipeline runs may wait for a worker slot
 	// beyond the Workers already running; a run arriving past the bound
@@ -523,10 +528,6 @@ type Options struct {
 	// DefaultTimeout is the per-request deadline applied to every
 	// request whose own Timeout is zero (0 = none).
 	DefaultTimeout time.Duration
-	// StageEntries bounds each per-stage in-memory artifact cache of
-	// the store layer (0 = 512 per stage; negative disables stage
-	// caching entirely, leaving only the end-to-end result cache).
-	StageEntries int
 	// Disk is the persistent artifact backend (internal/store): stage
 	// outputs survive restarts and are shared across engines pointed at
 	// one directory. nil = in-memory stages only.
@@ -540,14 +541,13 @@ type Options struct {
 	QoS *qos.Config
 }
 
-// Engine is the concurrent advice engine: a worker pool with a
-// content-addressed result cache and singleflight deduplication. Safe
-// for concurrent use.
+// Engine is the concurrent advice engine: a worker pool over a
+// content-addressed per-stage artifact store, with singleflight
+// deduplication. Safe for concurrent use.
 type Engine struct {
 	// adm is the tenant-aware admission scheduler (internal/qos): it
 	// owns the worker-slot accounting, the per-tenant queues and
-	// quotas, and the brownout controller that the engine's old flat
-	// Workers+MaxQueue semaphore pair has been replaced by.
+	// quotas, and the brownout controller.
 	adm            *qos.Scheduler
 	defaultTimeout time.Duration
 
@@ -557,24 +557,30 @@ type Engine struct {
 	// shutdown, not as a client-side cancel).
 	baseCtx    context.Context
 	baseCancel context.CancelCauseFunc
-	// drainCh is closed when Shutdown begins: new requests are
+	// drainCh is closed (once) when Shutdown begins: new requests are
 	// rejected and queued (not yet running) runs are abandoned.
-	drainCh chan struct{}
+	drainCh   chan struct{}
+	drainOnce sync.Once
 
-	// stages/disk are the per-stage artifact store backends (see
-	// internal/store and stages.go): consulted before each pipeline
-	// stage runs, written after it completes. stages is nil when stage
-	// caching is disabled; disk is nil without a -store-dir.
+	// stages/disk are the artifact store's two tiers (see internal/store
+	// and the driver below). stages holds, per served stage, the
+	// prebuilt Cached response of every artifact in memory, so a warm hit
+	// returns the same pointer without copying; it is nil when
+	// CacheEntries is negative. disk is nil without a -store-dir.
 	stages *store.Memory
 	disk   *store.Disk
 
-	mu       sync.Mutex
-	draining bool
-	// cache holds each result's prebuilt Cached=true view (see asCached),
-	// so every hit returns the same pointer without copying; nil when
-	// caching is disabled.
-	cache  *lru.Cache[digestKey, *Response]
-	flight map[digestKey]*flightCall
+	// mu guards the flight table; the memory tier has its own lock.
+	mu     sync.Mutex
+	flight map[store.Key]*flightCall
+	// landed counts flights that finished. A flight publishes its
+	// artifact before it lands and unlinks itself after, so a request
+	// that finds its key neither in memory nor in flight, and sees
+	// landed unchanged across both looks, knows it did not just miss
+	// the one between them.
+	landed atomic.Uint64
+	// afterMiss, when a test sets it, runs between those two looks.
+	afterMiss func()
 
 	// baseMallocs is the process's cumulative heap-object allocation
 	// count at engine creation (heapAllocObjects); Stats reports the
@@ -587,23 +593,23 @@ type Engine struct {
 	// runs/sims, not request volume.
 	lat *obs.StageLatency
 
-	stats struct {
-		hits, misses, coalesced, bypass, runs, errors, canceled, shed, evictions, inflight int64
-		sims, stageServed, structureBuilds, stageDecodes, panics                           int64
+	// n holds the engine's own counters; Stats reads them.
+	n struct {
+		hits, misses, coalesced, bypass, runs, errors, canceled, shed, inflight atomic.Int64
+		sims, stageServed, structureBuilds, stageDecodes, panics                atomic.Int64
 	}
 }
 
-// flightCall tracks one in-flight execution joined by duplicates.
+// flightCall tracks one in-flight resolution joined by duplicates.
 // waiters is guarded by Engine.mu; when it drops to zero every caller
 // has detached and cancel reclaims the run.
 type flightCall struct {
 	done    chan struct{}
 	cancel  context.CancelFunc
 	waiters int
-	resp    *Response
-	// cachedResp is the shared Cached=true view handed to coalesced
-	// followers, built once when the run completes.
-	cachedResp *Response
+	// view is the shared Cached response every follower gets; lead is the
+	// leader's own (nil when the store answered and view serves it too).
+	view, lead *Response
 	err        error
 }
 
@@ -612,10 +618,6 @@ func New(opts Options) *Engine {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	entries := opts.CacheEntries
-	if entries == 0 {
-		entries = 512
 	}
 	qosCfg := qos.Config{}
 	if opts.QoS != nil {
@@ -626,22 +628,18 @@ func New(opts Options) *Engine {
 	}
 	//gpa:lint-allow ctxfirst engine-lifetime base context, not a per-call one; Shutdown cancels it and per-request ctxs layer on top
 	baseCtx, baseCancel := context.WithCancelCause(context.Background())
-	e := &Engine{
+	return &Engine{
 		adm:            qos.NewScheduler(workers, opts.MaxQueue, qosCfg),
 		defaultTimeout: opts.DefaultTimeout,
 		baseCtx:        baseCtx,
 		baseCancel:     baseCancel,
 		drainCh:        make(chan struct{}),
-		flight:         make(map[digestKey]*flightCall),
-		stages:         store.NewMemory(opts.StageEntries), // nil for StageEntries < 0
+		flight:         make(map[store.Key]*flightCall),
+		stages:         store.NewMemory(opts.CacheEntries), // nil for CacheEntries < 0
 		disk:           opts.Disk,
 		baseMallocs:    heapAllocObjects(),
 		lat:            obs.NewStageLatency(),
 	}
-	if entries > 0 {
-		e.cache = lru.New[digestKey, *Response](entries, 0)
-	}
-	return e
 }
 
 // withDeadline applies the request's deadline (or the engine default)
@@ -657,18 +655,19 @@ func (e *Engine) withDeadline(ctx context.Context, req *Request) (context.Contex
 	return context.WithTimeout(ctx, timeout)
 }
 
-// Do resolves one request: result cache, then singleflight, then a
-// worker-bounded pipeline run. A canceled ctx detaches this caller
-// wherever it is waiting — queued, running, or coalesced — and returns
-// an error wrapping ErrCanceled; the shared run itself is canceled
-// only when its last waiter detaches. Errors are returned to every
-// waiter of the failed flight and are never cached.
+// Do resolves one request: the memory tier of its terminal stage, then
+// singleflight, then the disk tier, then a worker-bounded pipeline run.
+// A canceled ctx detaches this caller wherever it is waiting — queued,
+// running, or coalesced — and returns an error wrapping ErrCanceled;
+// the shared run itself is canceled only when its last waiter detaches.
+// Errors are returned to every waiter of the failed flight and are
+// never cached.
 func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := apierr.CtxErr(ctx); err != nil {
-		e.count(&e.stats.canceled)
+		e.n.canceled.Add(1)
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	select {
@@ -676,8 +675,8 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 		return nil, fmt.Errorf("service: %w", apierr.ErrShuttingDown)
 	default:
 	}
-	// Quota is charged before the cache and singleflight tiers: every
-	// request costs its tenant one token — cache hits and coalesced
+	// Quota is charged before the store and singleflight tiers: every
+	// request costs its tenant one token — memory hits and coalesced
 	// followers included, so a shared run is billed to every bucket
 	// that asked for it — and over-quota work is shed before costing
 	// anything.
@@ -687,71 +686,44 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 	ctx, cancel := e.withDeadline(ctx, req)
 	defer cancel()
 
-	key, cacheable, err := req.digest()
+	var buf keyBuf
+	km, cacheable, err := req.keyMaterial(buf[:0])
 	if err != nil {
 		return nil, err
 	}
 	if !cacheable {
-		e.count(&e.stats.bypass)
+		e.n.bypass.Add(1)
 		// Uncacheable requests cannot share a flight, but the caller's
 		// ctx still cancels the run directly.
-		resp, err := e.execute(ctx, req, "")
+		_, resp, err := e.execute(ctx, req, nil)
 		if err == nil {
 			e.adm.Served(req.Tenant)
 		}
 		return resp, err
 	}
-
-	e.mu.Lock()
-	if e.cache != nil {
-		if resp, ok := e.cache.Get(key); ok {
-			e.stats.hits++
-			e.mu.Unlock()
+	// The warm path: one hash, one lookup, and the artifact's prebuilt
+	// response — no allocation at all.
+	key := km.key(km.terminal)
+	var c *flightCall
+	var joined bool
+	for c == nil {
+		landed := e.landed.Load()
+		if v, ok := e.stages.Get(stageNames[km.terminal], key); ok {
+			e.n.hits.Add(1)
 			e.adm.Served(req.Tenant)
-			// The cached view is prebuilt at insertion: the warm hit
-			// path performs no allocation at all.
-			return resp, nil
+			return v.(*Response), nil
 		}
-	}
-	c, joined := e.flight[key]
-	if joined {
-		c.waiters++
-		e.stats.coalesced++
+		if e.afterMiss != nil {
+			e.afterMiss()
+		}
+		e.mu.Lock()
+		if c, joined = e.flight[key]; joined {
+			c.waiters++
+			e.n.coalesced.Add(1)
+		} else if e.landed.Load() == landed {
+			c = e.startFlight(req, &km)
+		} // else a flight landed since the probe: it may have been ours
 		e.mu.Unlock()
-	} else {
-		runCtx, cancelRun := context.WithCancel(e.baseCtx)
-		c = &flightCall{done: make(chan struct{}), cancel: cancelRun, waiters: 1}
-		e.flight[key] = c
-		e.stats.misses++
-		e.mu.Unlock()
-		// The run is owned by the flight, not by this caller: it keeps
-		// going if this caller detaches while other waiters remain, and
-		// dies (via cancelRun) when the last waiter detaches. The
-		// request is copied so the caller's Request (often stack-
-		// allocated by the gpa layer) never escapes into the goroutine.
-		reqCopy := *req
-		keyCopy := key // keeps the caller's key off the heap on hit paths
-		keyStr := hex.EncodeToString(key[:])
-		go func() {
-			resp, err := e.execute(runCtx, &reqCopy, keyStr)
-			cancelRun()
-			e.mu.Lock()
-			// detach may already have removed an abandoned flight and a
-			// fresh caller may have installed a new one under the same
-			// key; only remove our own entry.
-			if e.flight[keyCopy] == c {
-				delete(e.flight, keyCopy)
-			}
-			c.resp, c.err = resp, err
-			if resp != nil {
-				c.cachedResp = asCached(resp)
-			}
-			if err == nil && e.cache != nil {
-				e.stats.evictions += int64(e.cache.Add(keyCopy, c.cachedResp, 0))
-			}
-			e.mu.Unlock()
-			close(c.done)
-		}()
 	}
 
 	select {
@@ -760,14 +732,45 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 			return nil, c.err
 		}
 		e.adm.Served(req.Tenant)
-		if joined {
-			return c.cachedResp, nil
+		if joined || c.lead == nil {
+			return c.view, nil
 		}
-		return c.resp, nil
+		return c.lead, nil
 	case <-ctx.Done():
 		e.detach(key, c)
 		return nil, fmt.Errorf("service: %w", apierr.Canceled(ctx.Err()))
 	}
+}
+
+// startFlight starts a flight for req under e.mu, which the caller
+// holds. The run is owned by the flight, not by the caller: it keeps
+// going if the caller detaches while other waiters remain, and dies
+// (via cancelRun) when the last waiter detaches. The request and its
+// keys are copied so the caller's own (often on its stack) never escape
+// on the hit paths.
+func (e *Engine) startFlight(req *Request, km *keyMaterial) *flightCall {
+	runCtx, cancelRun := context.WithCancel(e.baseCtx)
+	c := &flightCall{done: make(chan struct{}), cancel: cancelRun, waiters: 1}
+	reqCopy, sk := *req, km.keys()
+	key := sk[km.terminal]
+	e.flight[key] = c
+	e.n.misses.Add(1)
+	go func() {
+		view, lead, err := e.execute(runCtx, &reqCopy, &sk)
+		cancelRun()
+		e.landed.Add(1)
+		e.mu.Lock()
+		// detach may already have removed an abandoned flight and a
+		// fresh caller may have installed a new one under the same
+		// key; only remove our own entry.
+		if e.flight[key] == c {
+			delete(e.flight, key)
+		}
+		c.view, c.lead, c.err = view, lead, err
+		e.mu.Unlock()
+		close(c.done)
+	}()
+	return c
 }
 
 // detach removes one waiter from a flight; the last waiter out cancels
@@ -775,9 +778,9 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 // the flight immediately, so a fresh caller arriving while the
 // canceled run unwinds starts a new run instead of inheriting the
 // abandoned flight's cancellation error.
-func (e *Engine) detach(key digestKey, c *flightCall) {
+func (e *Engine) detach(key store.Key, c *flightCall) {
+	e.n.canceled.Add(1)
 	e.mu.Lock()
-	e.stats.canceled++
 	c.waiters--
 	last := c.waiters == 0
 	if last && e.flight[key] == c {
@@ -787,13 +790,6 @@ func (e *Engine) detach(key digestKey, c *flightCall) {
 	if last {
 		c.cancel()
 	}
-}
-
-// count bumps one stats counter under the engine lock.
-func (e *Engine) count(f *int64) {
-	e.mu.Lock()
-	*f++
-	e.mu.Unlock()
 }
 
 // DoAll resolves requests concurrently (one goroutine each; execution
@@ -830,27 +826,13 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e.mu.Lock()
-	if !e.draining {
-		e.draining = true
-		close(e.drainCh)
-	}
-	e.mu.Unlock()
+	e.drainOnce.Do(func() { close(e.drainCh) })
 	e.adm.Drain()
 
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
 	hardStopped := false
-	for {
-		e.mu.Lock()
-		idle := e.stats.inflight == 0
-		e.mu.Unlock()
-		if idle {
-			if hardStopped {
-				return fmt.Errorf("service: shutdown: %w", apierr.Canceled(ctx.Err()))
-			}
-			return nil
-		}
+	for e.n.inflight.Load() != 0 {
 		select {
 		case <-ctx.Done():
 			if !hardStopped {
@@ -865,6 +847,10 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 		case <-tick.C:
 		}
 	}
+	if hardStopped {
+		return fmt.Errorf("service: shutdown: %w", apierr.Canceled(ctx.Err()))
+	}
+	return nil
 }
 
 // heapAllocObjects reads the process's cumulative heap-object
@@ -891,7 +877,7 @@ func (e *Engine) Stats() Stats {
 	allocs := heapAllocObjects()
 	poolGets, poolHits := gpusim.PoolStats()
 	ffPeriods, ffCycles, ffFallbacks := gpusim.FFStats()
-	stageStats := e.stages.Stats() // nil-safe: zero Stats without stage caching
+	stageStats := e.stages.Stats() // nil-safe: zero Stats without a memory tier
 	var diskStats store.Stats
 	if e.disk != nil {
 		diskStats = e.disk.Stats()
@@ -900,27 +886,24 @@ func (e *Engine) Stats() Stats {
 	gpuHashes.RLock()
 	gpuModelHashes := len(gpuHashes.m)
 	gpuHashes.RUnlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	st := Stats{
 		GPUModelHashes: gpuModelHashes,
 
-		Hits:          e.stats.hits,
-		Misses:        e.stats.misses,
-		Coalesced:     e.stats.coalesced,
-		Bypass:        e.stats.bypass,
-		Runs:          e.stats.runs,
-		Sims:          e.stats.sims,
-		StageServed:   e.stats.stageServed,
-		Errors:        e.stats.errors,
-		Panics:        e.stats.panics,
-		Canceled:      e.stats.canceled,
-		Shed:          e.stats.shed,
+		Hits:          e.n.hits.Load(),
+		Misses:        e.n.misses.Load(),
+		Coalesced:     e.n.coalesced.Load(),
+		Bypass:        e.n.bypass.Load(),
+		Runs:          e.n.runs.Load(),
+		Sims:          e.n.sims.Load(),
+		StageServed:   e.n.stageServed.Load(),
+		Errors:        e.n.errors.Load(),
+		Panics:        e.n.panics.Load(),
+		Canceled:      e.n.canceled.Load(),
+		Shed:          e.n.shed.Load(),
 		QuotaShed:     adm.QuotaShed,
 		BrownoutShed:  adm.BrownoutShed,
 		QosDropped:    adm.Dropped,
-		Evictions:     e.stats.evictions,
-		Inflight:      e.stats.inflight,
+		Inflight:      e.n.inflight.Load(),
 		Queued:        adm.Queued,
 		QueueCapacity: e.adm.QueueCapacity(),
 
@@ -929,16 +912,15 @@ func (e *Engine) Stats() Stats {
 		BrownoutLevel:     int64(adm.BrownoutLevel),
 		Tenants:           adm.Tenants,
 
-		CacheEntries: e.cache.Len(),
-		Workers:      e.adm.Workers(),
-		PoolGets:     poolGets,
-		PoolHits:     poolHits,
+		Workers:  e.adm.Workers(),
+		PoolGets: poolGets,
+		PoolHits: poolHits,
 
 		FFPeriodsDetected: ffPeriods,
 		FFCyclesSkipped:   ffCycles,
 		FFFallbacks:       ffFallbacks,
 
-		StructureBuilds: e.stats.structureBuilds,
+		StructureBuilds: e.n.structureBuilds.Load(),
 		StageHits:       stageStats.Hits,
 		StageMisses:     stageStats.Misses,
 		StageEvictions:  stageStats.Evictions,
@@ -947,12 +929,141 @@ func (e *Engine) Stats() Stats {
 		StorePuts:       diskStats.Puts,
 		StoreCorrupt:    diskStats.Corrupt,
 		StoreErrors:     diskStats.Errors,
-		StageDecodes:    e.stats.stageDecodes,
+		StageDecodes:    e.n.stageDecodes.Load(),
 	}
 	if jobs := st.Hits + st.Misses + st.Coalesced + st.Bypass; jobs > 0 {
 		st.AllocsPerJob = float64(allocs-e.baseMallocs) / float64(jobs)
 	}
 	return st
+}
+
+// stage is one row of the pipeline's stage table: what a served stage
+// needs, and how its artifact is decoded from a blob, computed by a run,
+// and framed into a blob. In the memory tier the artifact is the
+// Response it serves.
+type stage struct {
+	// needs is the stage whose response compute takes (stFrontend: only
+	// the module front-end, which every stage reaches through its run).
+	needs stageID
+	// decode validates a blob payload and builds the response it serves;
+	// profKey is the request's profile-stage key.
+	decode func(payload []byte, profKey store.Key) (*Response, error)
+	// compute runs the stage over dep, the response of the stage it
+	// needs, and returns the leader's response: Cached unset, and for
+	// advice the analysis Context.
+	compute func(e *Engine, ctx context.Context, r *run, dep *Response) (*Response, error)
+	// frame encodes the computed response as the stage's blob payload.
+	frame func(r *run, resp *Response) ([]byte, error)
+}
+
+// stages is the table. The module front-end is a stage too — it has a
+// key and a memory LRU — but serves no request and has no blob form;
+// see Engine.frontend.
+var stages = [numStages]stage{
+	stMeasure: {stFrontend, decodeMeasure, (*Engine).computeMeasure, frameMeasure},
+	stProfile: {stFrontend, decodeProfile, (*Engine).computeProfile, frameProfile},
+	stAdvice:  {stProfile, decodeAdvice, (*Engine).computeAdvice, frameAdvice},
+}
+
+// stageOf returns the stage a request of kind k terminates in. A kind
+// out of range runs the whole pipeline, as the empty name parses.
+func stageOf(k Kind) stageID {
+	if k < KindMeasure || k > KindAdvise {
+		k = KindAdvise
+	}
+	return stMeasure + stageID(k)
+}
+
+// tier says where a lookup starts: a caller that has already seen a
+// tier miss says so, and one request probes each key once.
+type tier int
+
+const (
+	tierMemory tier = iota
+	tierDisk
+	tierCompute
+)
+
+// run is the working state of one pipeline execution.
+type run struct {
+	n Request // normalized
+	// sk holds the request's stage keys; nil for an uncacheable request,
+	// which computes every stage it needs and stores nothing.
+	sk    *stageKeys
+	start time.Time
+	fa    *frontendArtifact
+	// profJSON is the canonical encoding computeProfile hashed, kept for
+	// frameProfile.
+	profJSON []byte
+}
+
+// lookup is the read half of the driver: memory, then disk — decoding
+// the blob into the response it serves and warming memory with it. A
+// blob whose payload fails stage-level validation is reported corrupt
+// and removed: checksum-valid framing proves the bytes survived, not
+// that they decode to a well-formed artifact.
+func (e *Engine) lookup(s stageID, sk *stageKeys, from tier) *Response {
+	name, key := stageNames[s], sk[s]
+	if from <= tierMemory {
+		if v, ok := e.stages.Get(name, key); ok {
+			return v.(*Response)
+		}
+	}
+	if from > tierDisk || e.disk == nil {
+		return nil
+	}
+	payload, ok := e.disk.Get(name, key)
+	if !ok {
+		return nil
+	}
+	view, err := stages[s].decode(payload, sk[stProfile])
+	if err != nil {
+		e.disk.NoteCorrupt(name, key)
+		return nil
+	}
+	view.Key, view.Cached, view.eng, view.shared = hex.EncodeToString(key[:]), true, e, &respShared{}
+	return e.stages.Add(name, key, view).(*Response)
+}
+
+// resolve is the one stage driver: memory → disk → compute, over the
+// resolved stage it needs → put. It returns the stage's shared view
+// and, when this call computed it, the leader's own response beside it.
+// An uncacheable run has no keys: it only computes, and its view is the
+// leader's response itself. Publishing failures cost persistence, never
+// the request.
+func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (view, lead *Response, err error) {
+	if r.sk != nil {
+		if view = e.lookup(s, r.sk, from); view != nil {
+			return view, nil, nil
+		}
+	}
+	st := &stages[s]
+	var dep *Response
+	if st.needs != stFrontend {
+		if dep, _, err = e.resolve(ctx, r, st.needs, tierMemory); err != nil {
+			return nil, nil, err
+		}
+		if err := apierr.CtxErr(ctx); err != nil {
+			return nil, nil, fmt.Errorf("service: %w", err)
+		}
+	}
+	if lead, err = st.compute(e, ctx, r, dep); err != nil {
+		return nil, nil, err
+	}
+	lead.eng, lead.shared = e, &respShared{}
+	if r.sk == nil {
+		return lead, lead, nil
+	}
+	name, key := stageNames[s], r.sk[s]
+	lead.Key = hex.EncodeToString(key[:])
+	view = asCached(lead)
+	e.stages.Add(name, key, view)
+	if e.disk != nil {
+		if payload, err := st.frame(r, lead); err == nil {
+			e.disk.Put(name, key, payload)
+		}
+	}
+	return view, lead, nil
 }
 
 // asCached shallow-copies a response with the Cached flag set; the
@@ -967,198 +1078,177 @@ func asCached(r *Response) *Response {
 	return &c
 }
 
-// execute runs the pipeline for one request: the per-stage artifact
-// store first (a full-stage hit costs no admission slot and no run),
-// then the admission queue, then a worker slot (abandoned early if ctx
-// dies or the engine drains), then the pipeline itself under the run
-// context — with each Figure 2 stage consulting the store before it
-// runs and publishing its artifact after.
-func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *Response, err error) {
+// execute answers one request that missed the memory tier: the disk
+// tier first (a hit costs no admission slot and no run), then the
+// admission queue, then a worker slot (abandoned early if ctx dies or
+// the engine drains), then the driver under the run context. sk is nil
+// for an uncacheable request.
+func (e *Engine) execute(ctx context.Context, req *Request, sk *stageKeys) (view, lead *Response, err error) {
 	// The flight boundary: a panic below — in a stage, or in the
 	// caller-supplied Workload the simulator calls into — fails this
 	// run's waiters and nobody else. Deferred first, so it runs after
 	// the slot release and the counters below have unwound.
 	defer func() {
 		if p := recover(); p != nil {
-			e.count(&e.stats.panics)
-			resp, err = nil, fmt.Errorf("service: %w: pipeline run panicked: %v", apierr.ErrInternal, p)
+			e.n.panics.Add(1)
+			view, lead, err = nil, nil, fmt.Errorf("service: %w: pipeline run panicked: %v", apierr.ErrInternal, p)
 		}
 	}()
-	n := req.normalized()
-	var sk stageKeys
-	stageOK := false
-	if e.stagesEnabled() {
-		if k, ok, kerr := n.stageKeys(); kerr == nil && ok {
-			sk, stageOK = k, true
+	s := stageOf(req.Kind)
+	if sk != nil {
+		if view := e.lookup(s, sk, tierDisk); view != nil {
+			e.n.stageServed.Add(1)
+			return view, nil, nil
 		}
 	}
-	if stageOK {
-		if resp := e.serveFromStore(&n, key, &sk); resp != nil {
-			e.count(&e.stats.stageServed)
-			return resp, nil
-		}
-	}
-	e.count(&e.stats.inflight)
-	defer func() {
-		e.mu.Lock()
-		e.stats.inflight--
-		e.mu.Unlock()
-	}()
-	release, aerr := e.adm.Acquire(ctx, n.Tenant, n.Lane)
+	e.n.inflight.Add(1)
+	defer e.n.inflight.Add(-1)
+	release, aerr := e.adm.Acquire(ctx, req.Tenant, req.Lane)
 	if aerr != nil {
 		switch {
 		case errors.Is(aerr, apierr.ErrQueueFull):
-			e.count(&e.stats.shed)
+			e.n.shed.Add(1)
 		case errors.Is(aerr, apierr.ErrCanceled) &&
 			errors.Is(context.Cause(ctx), apierr.ErrShuttingDown):
 			// Queued when the hard stop fired: the caller didn't give
 			// up, the server went away.
-			return nil, fmt.Errorf("service: %w: abandoned in queue", apierr.ErrShuttingDown)
+			return nil, nil, fmt.Errorf("service: %w: abandoned in queue", apierr.ErrShuttingDown)
 		}
-		return nil, fmt.Errorf("service: %w", aerr)
+		return nil, nil, fmt.Errorf("service: %w", aerr)
 	}
 	defer release()
 	defer func() {
-		e.mu.Lock()
-		e.stats.runs++
-		if err != nil {
-			e.stats.errors++
+		e.n.runs.Add(1)
+		if err == nil {
+			return
 		}
-		e.mu.Unlock()
-	}()
-	// A run canceled by Shutdown's hard stop failed because the SERVER
-	// is going away, not because the caller gave up; report it as such.
-	defer func() {
-		if err != nil && errors.Is(err, apierr.ErrCanceled) &&
-			errors.Is(context.Cause(ctx), apierr.ErrShuttingDown) {
-			err = fmt.Errorf("service: %w: in-flight run canceled by engine shutdown",
-				apierr.ErrShuttingDown)
-			resp = nil
+		e.n.errors.Add(1)
+		// A run canceled by Shutdown's hard stop failed because the SERVER
+		// is going away, not because the caller gave up; report it as such.
+		if errors.Is(err, apierr.ErrCanceled) && errors.Is(context.Cause(ctx), apierr.ErrShuttingDown) {
+			err = fmt.Errorf("service: %w: in-flight run canceled by engine shutdown", apierr.ErrShuttingDown)
 		}
 	}()
 	if err := apierr.CtxErr(ctx); err != nil {
-		return nil, fmt.Errorf("service: %w", err)
+		return nil, nil, fmt.Errorf("service: %w", err)
 	}
+	r := &run{n: req.normalized(), sk: sk, start: time.Now()}
+	return e.resolve(ctx, r, s, tierCompute)
+}
 
+// frontend returns the run's module front-end artifact: the one every
+// request and architecture over the same module content shares (one
+// program load, one structure analysis, even under a concurrent arch
+// sweep), or a private one for an uncacheable run. Content-equal
+// modules are interchangeable everywhere downstream (the whole pipeline
+// is a pure function of module content), so building against the
+// first-seen *sass.Module is sound.
+func (e *Engine) frontend(r *run) *frontendArtifact {
+	if r.fa == nil {
+		mod := r.n.Module
+		r.fa = &frontendArtifact{
+			mod:     mod,
+			program: sync.OnceValues(func() (*gpusim.Program, error) { return gpusim.Load(mod) }),
+			structure: sync.OnceValues(func() (*structure.Structure, error) {
+				e.n.structureBuilds.Add(1)
+				return structure.Analyze(mod)
+			}),
+		}
+		if r.sk != nil {
+			r.fa = e.stages.Add(store.StageFrontend, r.sk[stFrontend], r.fa).(*frontendArtifact)
+		}
+	}
+	return r.fa
+}
+
+// program returns the run's flattened program: the request's own
+// (gpa.Kernel memoizes one) or the front-end's, timed as the assemble
+// stage.
+func (e *Engine) program(r *run) (*gpusim.Program, error) {
+	if r.n.Prog != nil {
+		return r.n.Prog, nil
+	}
 	start := time.Now()
-	// The front-end artifact shares one program + structure build per
-	// module across every request and architecture; without stage
-	// caching the front-end is rebuilt per request as before.
-	var fa *frontendArtifact
-	if stageOK {
-		fa = e.frontendFor(&n, sk.frontend)
-	}
-	prog := n.Prog
-	if prog == nil {
-		assembleStart := time.Now()
-		if fa != nil {
-			prog, err = fa.programOf(nil)
-		} else {
-			prog, err = gpusim.Load(n.Module)
-		}
-		e.lat.Since(obs.StageAssemble, assembleStart)
-		if err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
-	}
-	resp = &Response{Key: key, Kind: n.Kind, eng: e, shared: &respShared{}}
-
-	if n.Kind == KindMeasure {
-		simStart := time.Now()
-		res, err := gpusim.Run(ctx, prog, n.Launch, n.Workload, gpusim.Config{
-			GPU:         n.GPU,
-			SimSMs:      n.SimSMs,
-			Seed:        n.Seed,
-			Parallelism: n.Parallelism,
-		})
-		e.lat.Since(obs.StageSimulate, simStart)
-		if err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
-		e.count(&e.stats.sims)
-		resp.Cycles = res.Cycles
-		prog.Recycle(res)
-		resp.ElapsedMS = elapsedMS(start)
-		if stageOK {
-			ma := &measureArtifact{cycles: resp.Cycles, elapsedMS: resp.ElapsedMS}
-			e.stagePut(store.StageMeasure, sk.measure, ma, func() ([]byte, error) {
-				return encodePayload(payloadHeader{Cycles: ma.cycles, ElapsedMS: ma.elapsedMS}, nil)
-			})
-		}
-		return resp, nil
-	}
-
-	// Profile stage: an advise run whose advice artifact missed may
-	// still reuse a stored profile (e.g. a prior /v1/profile) and skip
-	// the simulation entirely.
-	var pa *profileArtifact
-	if stageOK && n.Kind == KindAdvise {
-		pa = e.profileArtifactGet(sk.profile)
-	}
-	if pa == nil {
-		simStart := time.Now()
-		prof, err := profiler.CollectProgram(ctx, prog, n.Launch, n.Workload, profiler.Options{
-			GPU:          n.GPU,
-			SamplePeriod: n.SamplePeriod,
-			SimSMs:       n.SimSMs,
-			Seed:         n.Seed,
-			Parallelism:  n.Parallelism,
-		})
-		e.lat.Since(obs.StageSimulate, simStart)
-		if err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
-		e.count(&e.stats.sims)
-		// The canonical JSON encoding is hashed directly (identical to
-		// Profile.Digest) and doubles as the artifact body, so a store
-		// round-trip reproduces this digest byte-for-byte.
-		data, err := json.Marshal(prof)
-		if err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
-		sum := sha256.Sum256(data)
-		// The artifact's elapsed is what a profile response replays, so a
-		// warm store hit stays byte-identical to this cold run.
-		pa = &profileArtifact{
-			kernel: prof.Kernel, cycles: prof.Cycles, elapsedMS: elapsedMS(start),
-			digest: hex.EncodeToString(sum[:]), prof: prof,
-		}
-		if stageOK {
-			e.stagePut(store.StageProfile, sk.profile, pa, func() ([]byte, error) {
-				return encodePayload(payloadHeader{Cycles: pa.cycles, ElapsedMS: pa.elapsedMS, Kernel: pa.kernel}, data)
-			})
-		}
-	}
-	resp.Cycles, resp.ProfileDigest, resp.prof = pa.cycles, pa.digest, pa
-	if n.Kind == KindProfile {
-		resp.ElapsedMS = pa.elapsedMS
-		return resp, nil
-	}
-
-	if err := apierr.CtxErr(ctx); err != nil {
+	prog, err := e.frontend(r).program()
+	e.lat.Since(obs.StageAssemble, start)
+	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	// Advice stage. serveFromStore found no advice artifact, so this run
-	// computes one; blaming needs the profile as a struct.
-	prof, err := pa.profile(e)
+	return prog, nil
+}
+
+func (e *Engine) computeMeasure(ctx context.Context, r *run, _ *Response) (*Response, error) {
+	prog, err := e.program(r)
+	if err != nil {
+		return nil, err
+	}
+	simStart := time.Now()
+	res, err := gpusim.Run(ctx, prog, r.n.Launch, r.n.Workload, gpusim.Config{
+		GPU:         r.n.GPU,
+		SimSMs:      r.n.SimSMs,
+		Seed:        r.n.Seed,
+		Parallelism: r.n.Parallelism,
+	})
+	e.lat.Since(obs.StageSimulate, simStart)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	e.n.sims.Add(1)
+	resp := &Response{Kind: KindMeasure, Cycles: res.Cycles}
+	prog.Recycle(res)
+	resp.ElapsedMS = elapsedMS(r.start)
+	return resp, nil
+}
+
+func (e *Engine) computeProfile(ctx context.Context, r *run, _ *Response) (*Response, error) {
+	prog, err := e.program(r)
+	if err != nil {
+		return nil, err
+	}
+	simStart := time.Now()
+	prof, err := profiler.CollectProgram(ctx, prog, r.n.Launch, r.n.Workload, profiler.Options{
+		GPU:          r.n.GPU,
+		SamplePeriod: r.n.SamplePeriod,
+		SimSMs:       r.n.SimSMs,
+		Seed:         r.n.Seed,
+		Parallelism:  r.n.Parallelism,
+	})
+	e.lat.Since(obs.StageSimulate, simStart)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	e.n.sims.Add(1)
+	// The canonical JSON encoding is hashed directly (identical to
+	// Profile.Digest) and doubles as the blob body.
+	if r.profJSON, err = json.Marshal(prof); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	sum := sha256.Sum256(r.profJSON)
+	// ElapsedMS is what a profile response replays, so a warm hit stays
+	// byte-identical to this cold run.
+	return &Response{
+		Kind: KindProfile, Cycles: prof.Cycles, ElapsedMS: elapsedMS(r.start), ProfileDigest: hex.EncodeToString(sum[:]),
+		prof: &profileArtifact{kernel: prof.Kernel, cycles: prof.Cycles, prof: prof},
+	}, nil
+}
+
+// computeAdvice blames and advises over pv, the profile stage's
+// response: a stored one (e.g. a prior /v1/profile) has skipped the
+// simulation entirely, and is decoded here, because blaming needs the
+// profile as a struct.
+func (e *Engine) computeAdvice(ctx context.Context, r *run, pv *Response) (*Response, error) {
+	prof, err := pv.prof.profile(e)
 	if err != nil {
 		return nil, err
 	}
 	blameStart := time.Now()
-	var st *structure.Structure
-	mod := n.Module
-	if fa != nil {
-		mod = fa.mod
-		st, err = e.structureOf(fa)
-	} else {
-		e.count(&e.stats.structureBuilds)
-		st, err = structure.Analyze(n.Module)
-	}
+	fa := e.frontend(r)
+	st, err := fa.structure()
 	if err != nil {
 		e.lat.Since(obs.StageBlame, blameStart)
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	actx, err := adv.BuildContextWithStructure(mod, st, prof, n.GPU, n.Blamer)
+	actx, err := adv.BuildContextWithStructure(fa.mod, st, prof, r.n.GPU, r.n.Blamer)
 	e.lat.Since(obs.StageBlame, blameStart)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
@@ -1166,26 +1256,14 @@ func (e *Engine) execute(ctx context.Context, req *Request, key string) (resp *R
 	adviseStart := time.Now()
 	advice := adv.Advise(actx, adv.DefaultOptimizers()...)
 	aa := &adviceArtifact{
-		kernel: advice.Kernel, cycles: pa.cycles, digest: pa.digest,
-		advice: advice, report: advice.String(), pa: pa,
+		kernel: advice.Kernel, digest: pv.ProfileDigest,
+		advice: advice, report: advice.String(), pa: pv.prof,
 	}
 	e.lat.Since(obs.StageAdvise, adviseStart)
-	aa.elapsedMS = elapsedMS(start)
-	resp.Context, resp.ElapsedMS, resp.adv = actx, aa.elapsedMS, aa
-	if stageOK {
-		e.stagePut(store.StageAdvice, sk.advice, aa, func() ([]byte, error) {
-			// The put and this run's own wire response share one encoding.
-			doc, err := resp.tailDoc()
-			if err != nil {
-				return nil, err
-			}
-			resp.freshTail = doc[len(tailOpen):]
-			return encodePayload(payloadHeader{
-				Cycles: aa.cycles, ElapsedMS: aa.elapsedMS, ProfileDigest: aa.digest, Kernel: aa.kernel,
-			}, doc)
-		})
-	}
-	return resp, nil
+	return &Response{
+		Kind: KindAdvise, Cycles: pv.Cycles, ElapsedMS: elapsedMS(r.start), ProfileDigest: pv.ProfileDigest,
+		Context: actx, adv: aa,
+	}, nil
 }
 
 // elapsedMS renders a stage duration in milliseconds with microsecond

@@ -34,23 +34,25 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 	f.Add([]byte(`{"elapsedMs":0,"cycles":1,"bodyLen":0,"unknown":true}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if ma, err := decodeMeasure(payload); err == nil {
-			if ma == nil || ma.cycles < 0 {
+		if ma, err := decodeMeasure(payload, store.Key{}); err == nil {
+			if ma == nil || ma.Cycles < 0 {
 				t.Fatal("decodeMeasure accepted an invalid artifact")
 			}
 		}
-		if pa, err := decodeProfile(payload); err == nil {
-			if pa == nil || pa.kernel == "" || pa.digest == "" || !json.Valid(pa.body) {
+		if pv, err := decodeProfile(payload, store.Key{}); err == nil {
+			if pv == nil || pv.prof.kernel == "" || pv.ProfileDigest == "" || !json.Valid(pv.prof.body) {
 				t.Fatal("decodeProfile accepted an invalid artifact")
 			}
-			if prof, err := pa.profile(fuzzEngine); err == nil && (prof.Kernel != pa.kernel || prof.Cycles != pa.cycles) {
+			pa := pv.prof
+			if prof, err := pa.profile(fuzzEngine); err == nil && (prof.Kernel != pa.kernel || prof.Cycles != pv.Cycles) {
 				t.Fatal("a stored profile decoded to another than its header declared")
 			}
 		}
-		if aa, err := decodeAdvice(payload, store.Key{}); err == nil {
-			if aa == nil || aa.kernel == "" || aa.digest == "" || !json.Valid(aa.doc) || !bytes.HasPrefix(aa.doc, []byte(tailOpen+"  \"cycles\": ")) {
+		if av, err := decodeAdvice(payload, store.Key{}); err == nil {
+			if av == nil || av.adv.kernel == "" || av.ProfileDigest == "" || !json.Valid(av.adv.doc) || !bytes.HasPrefix(av.adv.doc, []byte(tailOpen+"  \"cycles\": ")) {
 				t.Fatal("decodeAdvice accepted an invalid artifact")
 			}
+			aa := av.adv
 			if advice, report, err := aa.decoded(fuzzEngine); err == nil && (advice.Kernel != aa.kernel || report == "") {
 				t.Fatal("a stored advice decoded to no report")
 			}
@@ -122,18 +124,18 @@ func FuzzProfileEnvelopeRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		pa, err := decodeProfile(payload)
+		pv, err := decodeProfile(payload, store.Key{})
 		if err != nil {
 			return // decoder rejected it (no kernel name, not canonical): fine
 		}
-		if pa.elapsedMS != elapsed || pa.cycles != prof.Cycles {
-			t.Fatalf("header mutated: %v, %d -> %v, %d", elapsed, prof.Cycles, pa.elapsedMS, pa.cycles)
+		if pv.ElapsedMS != elapsed || pv.Cycles != prof.Cycles {
+			t.Fatalf("header mutated: %v, %d -> %v, %d", elapsed, prof.Cycles, pv.ElapsedMS, pv.Cycles)
 		}
 		sum := sha256.Sum256([]byte(profileJSON))
-		if pa.digest != hex.EncodeToString(sum[:]) {
+		if pv.ProfileDigest != hex.EncodeToString(sum[:]) {
 			t.Fatal("digest is not the SHA-256 of the stored profile bytes")
 		}
-		if got, err := pa.profile(fuzzEngine); err != nil || got.Kernel != prof.Kernel {
+		if got, err := pv.prof.profile(fuzzEngine); err != nil || got.Kernel != prof.Kernel {
 			t.Fatalf("accepted profile does not decode back: %v", err)
 		}
 	})

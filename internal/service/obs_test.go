@@ -48,16 +48,7 @@ func TestTraceIDExcludedFromDigest(t *testing.T) {
 
 	// Stage keys must exclude it too: a traced request warms the same
 	// artifacts an untraced one reads.
-	na, nb := a.normalized(), b.normalized()
-	ska, oka, err := na.stageKeys()
-	if err != nil || !oka {
-		t.Fatalf("stage keys: ok=%v err=%v", oka, err)
-	}
-	skb, okb, err := nb.stageKeys()
-	if err != nil || !okb {
-		t.Fatalf("stage keys: ok=%v err=%v", okb, err)
-	}
-	if ska != skb {
+	if keysOf(t, a) != keysOf(t, b) {
 		t.Fatal("trace ID leaked into stage keys")
 	}
 }

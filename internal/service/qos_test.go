@@ -47,16 +47,7 @@ func TestTenantExcludedFromDigest(t *testing.T) {
 
 	// Stage keys must exclude them too: one tenant's run warms the
 	// artifacts every other tenant reads.
-	na, nb := a.normalized(), b.normalized()
-	ska, oka, err := na.stageKeys()
-	if err != nil || !oka {
-		t.Fatalf("stage keys: ok=%v err=%v", oka, err)
-	}
-	skb, okb, err := nb.stageKeys()
-	if err != nil || !okb {
-		t.Fatalf("stage keys: ok=%v err=%v", okb, err)
-	}
-	if ska != skb {
+	if keysOf(t, a) != keysOf(t, b) {
 		t.Fatal("tenant/lane leaked into stage keys")
 	}
 }

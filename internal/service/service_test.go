@@ -282,10 +282,10 @@ func TestSingleflightCoalesces(t *testing.T) {
 }
 
 func TestDoAllMixedKinds(t *testing.T) {
-	// Stage caching off: the runs==3 pin below requires that the
+	// Nothing kept in memory: the runs==3 pin below requires that the
 	// concurrent advise job can never ride the profile job's freshly
 	// published profile-stage artifact.
-	e := New(Options{StageEntries: -1})
+	e := New(Options{CacheEntries: -1})
 	reqs := []*Request{
 		testRequest(t, KindMeasure),
 		testRequest(t, KindProfile),
@@ -306,7 +306,7 @@ func TestDoAllMixedKinds(t *testing.T) {
 	if a := adviceOf(t, resps[2]); a == nil || len(a.Entries) == 0 {
 		t.Error("advise: no ranked entries")
 	}
-	// Kinds digest differently, so all three simulated.
+	// Kinds terminate in different stages, so all three simulated.
 	if st := e.Stats(); st.Runs != 3 {
 		t.Errorf("runs = %d, want 3", st.Runs)
 	}
@@ -323,7 +323,7 @@ func TestErrorsNotCached(t *testing.T) {
 		t.Fatal("expected error again (errors must not be cached)")
 	}
 	st := e.Stats()
-	if st.Errors != 2 || st.Runs != 2 || st.CacheEntries != 0 {
+	if st.Errors != 2 || st.Runs != 2 || st.Hits != 0 {
 		t.Errorf("stats = %+v, want 2 uncached errors", st)
 	}
 }
@@ -411,9 +411,9 @@ func testPanicContained(t *testing.T, simSMs, parallelism int, buggy gpusim.Work
 	st := e.Stats()
 	// The two coalesced waiters shared one run, unless the second arrived
 	// after the first had already failed.
-	if st.Panics < 3 || st.Panics > 4 || st.CacheEntries != 1 || st.Inflight != 0 {
-		t.Errorf("panics=%d cacheEntries=%d inflight=%d, want 3 or 4 contained panics, the bystander alone cached, nothing in flight",
-			st.Panics, st.CacheEntries, st.Inflight)
+	if st.Panics < 3 || st.Panics > 4 || st.Hits != 0 || st.Inflight != 0 {
+		t.Errorf("panics=%d hits=%d inflight=%d, want 3 or 4 contained panics, none of them ever served from memory, nothing in flight",
+			st.Panics, st.Hits, st.Inflight)
 	}
 	// The worker slots came back: the engine still serves.
 	if _, err := e.Do(ctx, request(KindMeasure)); err != nil {
@@ -422,10 +422,9 @@ func testPanicContained(t *testing.T, simSMs, parallelism int, buggy gpusim.Work
 }
 
 func TestLRUEviction(t *testing.T) {
-	// Stage caching off: this test pins RESULT-cache eviction, so the
-	// evicted entry must genuinely re-run instead of being served from
-	// the measure-stage artifact cache.
-	e := New(Options{Workers: 1, CacheEntries: 2, StageEntries: -1})
+	// CacheEntries is the one bound, per stage: three measure artifacts
+	// over one module contend for two slots of the measure stage.
+	e := New(Options{Workers: 1, CacheEntries: 2})
 	for i := 0; i < 3; i++ {
 		r := testRequest(t, KindMeasure)
 		r.Seed = uint64(i)
@@ -433,19 +432,8 @@ func TestLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := e.Stats()
-	if st.CacheEntries != 2 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want 2 entries after 1 eviction", st)
-	}
-	// Seed 0 was evicted (least recently used): a repeat re-runs.
-	r := testRequest(t, KindMeasure)
-	r.Seed = 0
-	resp, err := e.Do(context.Background(), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Cached {
-		t.Error("evicted entry served from cache")
+	if st := e.Stats(); st.StageEvictions != 1 {
+		t.Fatalf("stats = %+v, want 1 eviction", st)
 	}
 	// Seed 2 is still resident.
 	r2 := testRequest(t, KindMeasure)
@@ -457,12 +445,25 @@ func TestLRUEviction(t *testing.T) {
 	if !resp2.Cached {
 		t.Error("resident entry missed the cache")
 	}
+	// Seed 0 was evicted (least recently used): a repeat re-runs.
+	r := testRequest(t, KindMeasure)
+	r.Seed = 0
+	resp, err := e.Do(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Cached {
+		t.Error("evicted entry served from cache")
+	}
+	if st := e.Stats(); st.Runs != 4 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want 4 runs and 1 hit", st)
+	}
 }
 
 func TestCacheDisabled(t *testing.T) {
-	// Stage caching off too: with every cache layer disabled, repeats
-	// must re-run and never report Cached.
-	e := New(Options{Workers: 1, CacheEntries: -1, StageEntries: -1})
+	// No memory tier and no disk: repeats must re-run and never report
+	// Cached.
+	e := New(Options{Workers: 1, CacheEntries: -1})
 	for i := 0; i < 2; i++ {
 		resp, err := e.Do(context.Background(), testRequest(t, KindMeasure))
 		if err != nil {
@@ -472,8 +473,70 @@ func TestCacheDisabled(t *testing.T) {
 			t.Error("cache disabled but response marked cached")
 		}
 	}
-	if st := e.Stats(); st.Runs != 2 || st.CacheEntries != 0 {
+	if st := e.Stats(); st.Runs != 2 || st.Hits != 0 || st.StageHits != 0 {
 		t.Errorf("stats = %+v, want 2 runs with no cache", st)
+	}
+}
+
+// TestAdviseFeedsProfile is TestProfileFeedsAdvise the other way round:
+// an advise run publishes the profile it blamed as the profile stage's
+// own artifact, so a profile request over the same inputs is a memory
+// hit — not a run, and not another simulation.
+func TestAdviseFeedsProfile(t *testing.T) {
+	e := New(Options{Workers: 1})
+	advResp, err := e.Do(context.Background(), testRequest(t, KindAdvise))
+	if err != nil {
+		t.Fatal(err)
+	}
+	profResp, err := e.Do(context.Background(), testRequest(t, KindProfile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !profResp.Cached || profResp.Kind != KindProfile || profResp.ProfileDigest != advResp.ProfileDigest {
+		t.Errorf("profile after advise: cached=%v kind=%v digest match=%v", profResp.Cached, profResp.Kind,
+			profResp.ProfileDigest == advResp.ProfileDigest)
+	}
+	if profileOf(t, profResp) != profileOf(t, advResp) {
+		t.Error("the profile response holds another profile than the advice blamed")
+	}
+	if want, _ := testRequest(t, KindProfile).Digest(); profResp.Key != want || profResp.Key == advResp.Key {
+		t.Errorf("profile response key %.16s, want the profile stage's %.16s", profResp.Key, want)
+	}
+	if st := e.Stats(); st.Hits != 1 || st.Runs != 1 || st.Sims != 1 {
+		t.Errorf("hits=%d runs=%d sims=%d, want 1/1/1", st.Hits, st.Runs, st.Sims)
+	}
+}
+
+// TestMissWhileFlightLands: the memory tier and the flight table are
+// under two locks, so a request can miss memory, lose the processor
+// while an identical flight publishes its artifact and unlinks itself,
+// and then find no flight to join. It must notice and look again: it is
+// answered from memory, never simulates a second time, and is never
+// counted a miss. The hook puts a whole identical request, start to
+// landing, between the two looks.
+func TestMissWhileFlightLands(t *testing.T) {
+	e := New(Options{Workers: 1})
+	ctx := context.Background()
+	var between *Response
+	e.afterMiss = func() {
+		e.afterMiss = nil
+		var err error
+		if between, err = e.Do(ctx, testRequest(t, KindAdvise)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := e.Do(ctx, testRequest(t, KindAdvise))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if between == nil || between.Cached || !resp.Cached {
+		t.Fatalf("cached: the request in between %v, the one around it %v; want false, true", between != nil && between.Cached, resp.Cached)
+	}
+	if reportOf(t, resp) != reportOf(t, between) || resp.Context != nil {
+		t.Error("the late request was not served the landed flight's shared view")
+	}
+	if st := e.Stats(); st.Sims != 1 || st.Runs != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("sims=%d runs=%d misses=%d hits=%d, want 1 of each", st.Sims, st.Runs, st.Misses, st.Hits)
 	}
 }
 

@@ -3,100 +3,110 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"gpa/internal/apierr"
 	"gpa/internal/arch"
+	"gpa/internal/cubin"
 	"gpa/internal/gpusim"
+	"gpa/internal/lint"
+	"gpa/internal/sass"
 	"gpa/internal/store"
 )
 
-func TestStageKeysFactorThePipeline(t *testing.T) {
-	base := testRequest(t, KindAdvise).normalized()
-	sk, ok, err := base.stageKeys()
+// keysOf derives every stage key of a cacheable request.
+func keysOf(t testing.TB, r *Request) stageKeys {
+	t.Helper()
+	km, ok, err := r.keyMaterial(nil)
 	if err != nil || !ok {
-		t.Fatalf("stageKeys: %v, ok=%v", err, ok)
+		t.Fatalf("keyMaterial: ok=%v err=%v", ok, err)
+	}
+	return km.keys()
+}
+
+// leaves lists the index paths of the scalar fields under a struct
+// type, descending into nested structs (LaunchConfig, Dim3,
+// blamer.Options), each with its dotted name.
+func leaves(typ reflect.Type, path []int, name string) (paths [][]int, names []string) {
+	if typ.Kind() != reflect.Struct {
+		return [][]int{path}, []string{name}
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		p, n := leaves(f.Type, append(path[:len(path):len(path)], i), strings.TrimPrefix(name+"."+f.Name, "."))
+		paths, names = append(paths, p...), append(names, n...)
+	}
+	return paths, names
+}
+
+// flip changes v to another value of its type; pointers and interfaces
+// take the other value of their type from others.
+func flip(t *testing.T, v reflect.Value, others map[reflect.Type]any) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Array:
+		flip(t, v.Index(0), others)
+	default:
+		other, ok := others[v.Type()]
+		if !ok {
+			t.Fatalf("no other value for a %v", v.Type())
+		}
+		v.Set(reflect.ValueOf(other))
+	}
+}
+
+// TestStageKeysFactorThePipeline pins the single key derivation against
+// the structs it reads, field by field, by reflection: flipping a
+// result-affecting field changes exactly the stage keys at and
+// downstream of where it enters the pipeline, and no upstream key;
+// flipping a field of the digestfields exclusion table (the one
+// gpa-lint enforces) changes none; Kind changes only which key is
+// terminal. A field added to Request, LaunchConfig, Dim3 or
+// blamer.Options fails here until it is classified and keyed.
+func TestStageKeysFactorThePipeline(t *testing.T) {
+	// enters names the first stage each result-affecting Request field
+	// can change; nested structs enter whole.
+	enters := map[string]stageID{
+		"Module": stFrontend, "ModuleHash": stFrontend,
+		"Launch": stMeasure, "GPU": stMeasure, "SimSMs": stMeasure, "Seed": stMeasure, "WorkloadKey": stMeasure,
+		"SamplePeriod": stProfile,
+		"Blamer":       stAdvice,
+	}
+	var excluded map[string]string
+	for _, ts := range lint.ServiceDigest.Structs {
+		if ts.Type == "gpa/internal/service.Request" {
+			excluded = ts.Exclude
+		}
+	}
+	if len(excluded) == 0 {
+		t.Fatal("no digestfields exclusion table for service.Request")
 	}
 
-	// Kind is excluded: a profile request over the same inputs shares
-	// the profile artifact that feeds advise.
-	prof := testRequest(t, KindProfile).normalized()
-	skProf, _, err := prof.stageKeys()
+	base := func() *Request {
+		r := testRequest(t, KindAdvise)
+		r.WorkloadKey = "wl" // so a Workload may come and go
+		return r
+	}
+	otherMod, err := sass.Assemble(strings.Replace(testKernelSrc, "0x40", "0x20", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skProf.profile != sk.profile {
-		t.Error("profile and advise requests must share the profile stage key")
-	}
-	if skProf.frontend != sk.frontend {
-		t.Error("content-equal modules must share the frontend stage key")
-	}
-
-	// Parallelism is excluded everywhere (bit-identical results).
-	par := testRequest(t, KindAdvise)
-	par.Parallelism = 4
-	np := par.normalized()
-	skPar, _, err := np.stageKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skPar != sk {
-		t.Error("parallelism changed a stage key")
-	}
-
-	// The sampling period feeds profile and advice but not measure.
-	period := testRequest(t, KindAdvise)
-	period.SamplePeriod = 128
-	npd := period.normalized()
-	skPeriod, _, err := npd.stageKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skPeriod.measure != sk.measure {
-		t.Error("sampling period must not affect the measure stage key")
-	}
-	if skPeriod.profile == sk.profile || skPeriod.advice == sk.advice {
-		t.Error("sampling period must change the profile and advice stage keys")
-	}
-
-	// Blamer options feed only the advice stage.
-	bl := testRequest(t, KindAdvise)
-	bl.Blamer.MaxSliceSteps = 3
-	nbl := bl.normalized()
-	skBl, _, err := nbl.stageKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skBl.profile != sk.profile || skBl.measure != sk.measure || skBl.frontend != sk.frontend {
-		t.Error("blamer options must not affect upstream stage keys")
-	}
-	if skBl.advice == sk.advice {
-		t.Error("blamer options must change the advice stage key")
-	}
-
-	// The architecture model feeds simulation but not the front-end.
-	t4 := testRequest(t, KindAdvise)
-	t4.GPU = arch.TuringT4()
-	nt4 := t4.normalized()
-	skT4, _, err := nt4.stageKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skT4.frontend != sk.frontend {
-		t.Error("architecture must not affect the frontend stage key")
-	}
-	if skT4.measure == sk.measure || skT4.profile == sk.profile {
-		t.Error("architecture must change the simulation stage keys")
-	}
-
-	// A workload without a key still has no stable identity.
-	wl := testRequest(t, KindAdvise)
-	prog, err := gpusim.Load(wl.Module)
+	prog, err := gpusim.Load(base().Module)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +114,89 @@ func TestStageKeysFactorThePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	others := map[reflect.Type]any{
+		reflect.TypeOf(otherMod):                       otherMod,
+		reflect.TypeOf(prog):                           prog,
+		reflect.TypeOf(arch.TuringT4()):                arch.TuringT4(),
+		reflect.TypeOf((*gpusim.Workload)(nil)).Elem(): bound,
+	}
+	want := keysOf(t, base())
+
+	rt := reflect.TypeOf(Request{})
+	for i := 0; i < rt.NumField(); i++ {
+		field := rt.Field(i).Name
+		first, keyed := enters[field]
+		_, skipped := excluded[field]
+		switch {
+		case field == "Kind" || field == "Workload":
+			continue // not fields of the list; see below
+		case keyed == skipped:
+			t.Errorf("Request.%s must be in exactly one of the test's enters table and the lint exclusion table", field)
+			continue
+		case skipped:
+			first = numStages // changes nothing
+		}
+		paths, names := leaves(rt.Field(i).Type, []int{i}, field)
+		for j, path := range paths {
+			r := base()
+			flip(t, reflect.ValueOf(r).Elem().FieldByIndex(path), others)
+			got := keysOf(t, r)
+			for s := range got {
+				if changed, should := got[s] != want[s], stageID(s) >= first; changed != should {
+					t.Errorf("flipping %s: %s key changed=%v, want %v", names[j], stageNames[s], changed, should)
+				}
+			}
+		}
+	}
+
+	// Kind writes nothing: it selects the terminal stage, whose key is
+	// the request's digest.
+	for _, k := range []Kind{KindMeasure, KindProfile, KindAdvise} {
+		r := base()
+		r.Kind = k
+		km, _, err := r.keyMaterial(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if km.keys() != want {
+			t.Errorf("%v: Kind changed a stage key", k)
+		}
+		digest, err := r.Digest()
+		if key := want[stageOf(k)]; err != nil || km.terminal != stageOf(k) || digest != hex.EncodeToString(key[:]) {
+			t.Errorf("%v: terminal stage %d, digest %.16s (%v); want stage %d and its key", k, km.terminal, digest, err, stageOf(k))
+		}
+	}
+
+	// A Workload is named by its key: with one it changes nothing, and
+	// without one the request has no stable identity at all.
+	wl := base()
 	wl.Workload = bound
-	nwl := wl.normalized()
-	if _, ok, _ := nwl.stageKeys(); ok {
-		t.Error("workload without key must be uncacheable for stages too")
+	if keysOf(t, wl) != want {
+		t.Error("a keyed Workload changed a stage key")
+	}
+	wl.WorkloadKey = ""
+	if _, ok, err := wl.keyMaterial(nil); ok || err != nil {
+		t.Errorf("workload without key: cacheable=%v err=%v, want uncacheable", ok, err)
+	}
+}
+
+// TestModulePackedOncePerRequest: a request that leaves ModuleHash zero
+// has its module packed and hashed by the key derivation — once, on the
+// cold path (every stage key comes out of that one derivation) as on
+// the warm one.
+func TestModulePackedOncePerRequest(t *testing.T) {
+	packs := 0
+	packModule = func(m *sass.Module) ([]byte, error) { packs++; return cubin.Pack(m) }
+	defer func() { packModule = cubin.Pack }()
+
+	e := newDiskEngine(t, t.TempDir())
+	for i, want := range []int{1, 2} { // a cold run, then a warm hit
+		if _, err := e.Do(context.Background(), testRequest(t, KindAdvise)); err != nil {
+			t.Fatal(err)
+		}
+		if packs != want {
+			t.Errorf("after request %d: module packed %d times, want %d", i+1, packs, want)
+		}
 	}
 }
 
@@ -122,11 +211,11 @@ func TestSweepStructureAnalysisOnce(t *testing.T) {
 		t.Skip("needs at least two registered architectures")
 	}
 
-	// Cold per-arch baselines on stage-cache-free engines.
+	// Cold per-arch baselines, each on an engine of its own.
 	want := make([]string, len(gpus))
 	wantDigest := make([]string, len(gpus))
 	for i, g := range gpus {
-		e := New(Options{Workers: 1, StageEntries: -1})
+		e := New(Options{Workers: 1})
 		r := testRequest(t, KindAdvise)
 		r.GPU = g
 		resp, err := e.Do(context.Background(), r)
@@ -141,7 +230,7 @@ func TestSweepStructureAnalysisOnce(t *testing.T) {
 		}
 	}
 
-	// The sweep: one engine, stage caching on, all archs concurrently.
+	// The sweep: one engine, all archs concurrently.
 	// Each request assembles its own content-equal module, so reuse
 	// must come from content addressing, not pointer identity.
 	e := New(Options{Workers: 4})
@@ -182,8 +271,8 @@ func TestSweepStructureAnalysisOnce(t *testing.T) {
 // arriving after a profile job over the same inputs reuses the stored
 // profile instead of re-simulating.
 func TestProfileFeedsAdvise(t *testing.T) {
-	// The cold advise baseline (separate engine, no stage caching).
-	cold := New(Options{Workers: 1, StageEntries: -1})
+	// The cold advise baseline (separate engine, nothing kept in memory).
+	cold := New(Options{Workers: 1, CacheEntries: -1})
 	coldResp, err := cold.Do(context.Background(), testRequest(t, KindAdvise))
 	if err != nil {
 		t.Fatal(err)
@@ -352,18 +441,14 @@ func TestStoreServedProfileVanishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := testRequest(t, KindAdvise).normalized()
-	sk, _, err := n.stageKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sk := keysOf(t, testRequest(t, KindAdvise))
 
 	e := newDiskEngine(t, dir)
 	warm, err := e.Do(context.Background(), testRequest(t, KindAdvise))
 	if err != nil || !warm.Cached {
 		t.Fatalf("restart: err=%v cached=%v", err, warm != nil && warm.Cached)
 	}
-	if err := os.Remove(e.disk.Path(store.StageProfile, sk.profile)); err != nil {
+	if err := os.Remove(e.disk.Path(store.StageProfile, sk[stProfile])); err != nil {
 		t.Fatal(err)
 	}
 	for range 2 { // the failure is memoized like a success
@@ -417,7 +502,7 @@ func frame(t *testing.T, h payloadHeader, body []byte) []byte {
 func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 	// Store-free cold references, one per kind (the simulator is
 	// deterministic, so these are THE right answers everywhere).
-	coldEng := New(Options{Workers: 1, StageEntries: -1})
+	coldEng := New(Options{Workers: 1, CacheEntries: -1})
 	stages := []struct {
 		stage string
 		kind  Kind
@@ -531,17 +616,7 @@ func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 				if _, err := New(Options{Workers: 1, Disk: d}).Do(context.Background(), testRequest(t, sc.kind)); err != nil {
 					t.Fatal(err)
 				}
-				n := testRequest(t, sc.kind).normalized()
-				sk, ok, err := n.stageKeys()
-				if err != nil || !ok {
-					t.Fatalf("stageKeys: %v, ok=%v", err, ok)
-				}
-				keys := map[string]store.Key{
-					store.StageMeasure: sk.measure,
-					store.StageProfile: sk.profile,
-					store.StageAdvice:  sk.advice,
-				}
-				mutate(t, d, sc.stage, keys[sc.stage])
+				mutate(t, d, sc.stage, keysOf(t, testRequest(t, sc.kind))[stageOf(sc.kind)])
 
 				// A fresh engine over the damaged store must recompute and
 				// still answer byte-identically.

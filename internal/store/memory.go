@@ -7,9 +7,10 @@ import (
 )
 
 // Memory is the in-process artifact backend: one bounded LRU per
-// stage, holding decoded artifacts (any). It fronts the Disk backend —
-// a disk hit is decoded once and re-added here — and is the only home
-// for stage artifacts that cannot be serialized. Safe for concurrent
+// stage, holding artifacts (any) in the form their consumer serves. It
+// fronts the Disk backend — a disk hit is decoded once and re-added
+// here — and is the only home for stage artifacts that cannot be
+// serialized. Safe for concurrent
 // use.
 type Memory struct {
 	cap int

@@ -7,9 +7,10 @@
 //
 // Two backends share one contract:
 //
-//   - Memory: a bounded per-stage LRU of decoded artifacts. Cheap,
-//     process-local, and the only backend for artifacts that cannot be
-//     serialized (the module front-end's Program/Structure memo).
+//   - Memory: a bounded per-stage LRU of artifacts in the form they are
+//     served in. Cheap, process-local, the engine's one cache, and the
+//     only backend for artifacts that cannot be serialized (the module
+//     front-end's Program/Structure memo).
 //   - Disk: digest-named blobs under a versioned directory layout.
 //     Writes are atomic (temp file + rename in the same directory), so
 //     concurrent writers and a crash mid-write can never publish a
@@ -27,9 +28,9 @@
 package store
 
 // Key is a content-addressed artifact key: a raw SHA-256 of the
-// stage's inputs. The producing layer (internal/service) derives it
-// with the same labeled length-prefixed field encoding as the result-
-// cache digest, so keys from different layouts can never alias.
+// stage's inputs. The producing layer (internal/service) derives every
+// stage's from one labeled, length-prefixed field list under a
+// versioned schema, so keys from different layouts can never alias.
 type Key [32]byte
 
 // Stage names for the Figure 2 pipeline artifacts. Stage names are

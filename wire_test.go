@@ -110,45 +110,55 @@ func TestEncodeResultMatchesReferenceEncoder(t *testing.T) {
 }
 
 // TestEncodeResultAfterEviction pins the memo's lifetime: the encoded
-// tail belongs to the cached response, not to its digest, so evicting
-// the entry drops it, and the next requests for the same kernel —
-// served from stage artifacts as a fresh response — re-encode, to the
-// same bytes.
+// tail belongs to the artifact in the memory tier, not to its key, so
+// evicting the artifact drops it, and the next requests for the same
+// kernel — served from the store as a fresh artifact — encode again, to
+// the same bytes.
 func TestEncodeResultAfterEviction(t *testing.T) {
 	ctx := context.Background()
-	eng := gpa.NewEngine(&gpa.EngineOptions{Workers: 1, CacheEntries: 1})
+	st, err := gpa.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := gpa.NewEngine(&gpa.EngineOptions{Workers: 1, CacheEntries: 1, Store: st})
 	rows := kernels.All()
-	a, other := benchJob(t, rows[0], gpa.JobAdvise), benchJob(t, rows[1], gpa.JobAdvise)
-	// memoized encodes twice: the second encoding is the one kept.
-	memoized := func(res gpa.JobResult) (head, tail []byte) {
-		encodeWire(t, a, res, "t1")
-		return encodeWire(t, a, res, "t1")
-	}
+	for _, kind := range []gpa.JobKind{gpa.JobAdvise, gpa.JobProfile} {
+		a, other := benchJob(t, rows[0], kind), benchJob(t, rows[1], kind)
+		// memoized encodes twice: the second encoding is the one kept.
+		memoized := func(res gpa.JobResult) (head, tail []byte) {
+			encodeWire(t, a, res, "t1")
+			return encodeWire(t, a, res, "t1")
+		}
 
-	first := eng.Do(ctx, a)
-	if first.Err != nil {
-		t.Fatal(first.Err)
-	}
-	_, firstTail := memoized(first)
-	if res := eng.Do(ctx, other); res.Err != nil { // evicts a
-		t.Fatal(res.Err)
-	}
-	if ev := eng.Stats().Evictions; ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
-	}
-	again := eng.Do(ctx, a)
-	if again.Err != nil {
-		t.Fatal(again.Err)
-	}
-	head, tail := memoized(again)
-	if &tail[0] == &firstTail[0] {
-		t.Error("the evicted response's tail outlived its cache entry")
-	}
-	if !bytes.Equal(tail, firstTail) {
-		t.Error("re-encoded tail differs from the evicted one")
-	}
-	if got, want := append(head, tail...), referenceWire(t, a, again, "t1"); !bytes.Equal(got, want) {
-		t.Errorf("post-eviction wire encoding differs from reference\n got: %.300s\nwant: %.300s", got, want)
+		if res := eng.Do(ctx, a); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		hit := eng.Do(ctx, a) // the artifact's shared view, which owns the memo
+		if hit.Err != nil || !hit.Cached {
+			t.Fatalf("%v: repeat: err=%v cached=%v", kind, hit.Err, hit.Cached)
+		}
+		_, firstTail := memoized(hit)
+		before := eng.Stats().StageEvictions
+		if res := eng.Do(ctx, other); res.Err != nil { // evicts a
+			t.Fatal(res.Err)
+		}
+		if ev := eng.Stats().StageEvictions; ev == before {
+			t.Fatalf("%v: nothing was evicted", kind)
+		}
+		again := eng.Do(ctx, a)
+		if again.Err != nil || !again.Cached {
+			t.Fatalf("%v: after eviction: err=%v cached=%v", kind, again.Err, again.Cached)
+		}
+		head, tail := memoized(again)
+		if &tail[0] == &firstTail[0] {
+			t.Errorf("%v: the evicted artifact's tail outlived it", kind)
+		}
+		if !bytes.Equal(tail, firstTail) {
+			t.Errorf("%v: re-encoded tail differs from the evicted one", kind)
+		}
+		if got, want := append(head, tail...), referenceWire(t, a, again, "t1"); !bytes.Equal(got, want) {
+			t.Errorf("%v: post-eviction wire encoding differs from reference\n got: %.300s\nwant: %.300s", kind, got, want)
+		}
 	}
 }
 
