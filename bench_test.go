@@ -7,7 +7,8 @@
 //   - BenchmarkFigure7/<app> measures the blame-graph construction and
 //     reports the before/after pruning coverage of Figure 7.
 //   - BenchmarkPruningAblation toggles the blamer's three pruning rules
-//     individually (the design-choice ablation DESIGN.md calls out).
+//     individually (the design-choice ablations of README.md,
+//     "Benchmarks and the performance trajectory").
 //   - BenchmarkApportionAblation toggles Equation 1's two weighting
 //     heuristics.
 //   - BenchmarkPipeline* measure the stages in isolation (simulator,

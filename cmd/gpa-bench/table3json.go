@@ -4,14 +4,19 @@ import (
 	"encoding/json"
 	"os"
 
+	"gpa/internal/arch"
 	"gpa/internal/kernels"
 )
 
 // table3JSON is the -json serialization of a Table 3 sweep.
 type table3JSON struct {
-	Seed uint64          `json:"seed"`
-	Rows []table3RowJSON `json:"rows"`
-	// Geomeans over all rows.
+	// Arch is the model's registry key ("t4"), Model its full name.
+	Arch  string          `json:"arch"`
+	Model string          `json:"model"`
+	Seed  uint64          `json:"seed"`
+	Rows  []table3RowJSON `json:"rows"`
+	// The printed footer: achieved geomean over all rows, estimated
+	// geomean and mean error over matched (rank != 0) rows.
 	GeomeanAchieved  float64 `json:"geomeanAchieved"`
 	GeomeanEstimated float64 `json:"geomeanEstimated"`
 	MeanError        float64 `json:"meanError"`
@@ -31,10 +36,11 @@ type table3RowJSON struct {
 	OptCycles      int64   `json:"optCycles"`
 }
 
-func writeTable3JSON(path string, seed uint64, rows []*kernels.Benchmark, outs []*kernels.Outcome) error {
-	doc := table3JSON{Seed: seed}
-	var achieved, estimated []float64
-	var errSum float64
+func newTable3JSON(ro kernels.RunOptions, rows []*kernels.Benchmark, outs []*kernels.Outcome, sum table3Summary) table3JSON {
+	doc := table3JSON{
+		Arch: arch.KeyOf(ro.GPU), Model: ro.GPU.Name, Seed: ro.Seed,
+		GeomeanAchieved: sum.achieved, GeomeanEstimated: sum.estimated, MeanError: sum.meanErr,
+	}
 	for i, b := range rows {
 		out := outs[i]
 		doc.Rows = append(doc.Rows, table3RowJSON{
@@ -44,16 +50,12 @@ func writeTable3JSON(path string, seed uint64, rows []*kernels.Benchmark, outs [
 			Error: out.Error, Rank: out.Rank,
 			BaseCycles: out.BaseCycles, OptCycles: out.OptCycles,
 		})
-		achieved = append(achieved, out.Achieved)
-		estimated = append(estimated, out.Estimated)
-		errSum += out.Error
 	}
-	doc.GeomeanAchieved = kernels.GeoMean(achieved)
-	doc.GeomeanEstimated = kernels.GeoMean(estimated)
-	if len(rows) > 0 {
-		doc.MeanError = errSum / float64(len(rows))
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
+	return doc
+}
+
+func writeTable3JSON(path string, ro kernels.RunOptions, rows []*kernels.Benchmark, outs []*kernels.Outcome, sum table3Summary) error {
+	data, err := json.MarshalIndent(newTable3JSON(ro, rows, outs, sum), "", "  ")
 	if err != nil {
 		return err
 	}

@@ -130,12 +130,7 @@ func postTenant(t *testing.T, url, tenant string, body any) (*http.Response, []b
 // its shed is billed to it alone at /statsz, and other tenants keep
 // being served.
 func TestQuotaMapsTo429(t *testing.T) {
-	cfg, err := gpa.NewQoSConfig().
-		Tenant("metered", gpa.NewTenantQoSConfig().Quota(0.001, 1)).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := gpa.QoSConfig{Tenants: map[string]gpa.TenantQoSConfig{"metered": {RatePerSec: 0.001, Burst: 1}}}
 	ts := httptest.NewServer(newServer(gpa.NewEngine(&gpa.EngineOptions{QoS: &cfg})))
 	t.Cleanup(ts.Close)
 

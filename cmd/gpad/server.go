@@ -584,7 +584,7 @@ func (s *server) handleArchs(w http.ResponseWriter, r *http.Request) {
 }
 
 // statszSchemaVersion versions the /statsz payload shape so machine
-// consumers (dashboards, the loadgen harness) can dispatch on it.
+// consumers (dashboards, scrapers such as bench/) can dispatch on it.
 const statszSchemaVersion = "gpa-statsz/1"
 
 // statszResponse is the /statsz payload: the engine's cache and

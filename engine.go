@@ -16,9 +16,9 @@ import (
 // worker pool over a content-addressed per-stage artifact store, with
 // singleflight deduplication (see internal/service). One engine is meant to be
 // shared by everything that fans work out — cmd/gpad serves HTTP
-// traffic through one, cmd/gpa-bench routes Table 3 sweeps through
-// one, and library callers batch through AdviseAll/DoAll — so a
-// machine-wide simulation budget is enforced in exactly one place.
+// traffic through one, cmd/drift-check -store-dir replays the corpus
+// through one, and library callers batch through AdviseAll/DoAll — so
+// a machine-wide simulation budget is enforced in exactly one place.
 //
 // Every method takes a context.Context and honors cancellation
 // end-to-end: a caller abandoning a queued job detaches before a
@@ -69,7 +69,8 @@ type EngineOptions struct {
 	// token-bucket quotas, the interactive-lane reserve, and the
 	// brownout controller (nil = every caller shares one equal-weight
 	// "default" tenant and nothing is metered). The config must
-	// validate; build one with NewQoSConfig or ParseQoSConfig.
+	// validate (NewEngine panics otherwise): write a QoSConfig literal
+	// or parse operator JSON with ParseQoSConfig.
 	QoS *QoSConfig
 }
 
@@ -84,8 +85,8 @@ type TenantStats = service.TenantStats
 
 // QoSConfig configures tenant-fair admission (see EngineOptions.QoS).
 // The zero value is valid: one equal-weight default tenant, no quotas,
-// brownout disabled. Build richer configs fluently with NewQoSConfig
-// or parse operator JSON with ParseQoSConfig.
+// brownout disabled. Richer configs are struct literals (checked by
+// Validate) or operator JSON parsed with ParseQoSConfig.
 type QoSConfig = qos.Config
 
 // TenantQoSConfig is one tenant's admission policy: DWRR weight and an
@@ -95,12 +96,6 @@ type TenantQoSConfig = qos.TenantConfig
 // BrownoutConfig tunes the overload controller that sheds batch-lane
 // work when the queue-delay p99 crosses a threshold.
 type BrownoutConfig = qos.BrownoutConfig
-
-// NewQoSConfig starts a fluent, self-validating QoSConfig builder.
-func NewQoSConfig() *qos.ConfigBuilder { return qos.NewConfig() }
-
-// NewTenantQoSConfig starts a fluent TenantQoSConfig builder.
-func NewTenantQoSConfig() *qos.TenantConfigBuilder { return qos.NewTenantConfig() }
 
 // ParseQoSConfig parses and validates an operator-supplied JSON QoS
 // config (unknown fields are rejected). cmd/gpad loads -qos-config

@@ -194,38 +194,3 @@ func TestEngineTable3CacheByteIdentical(t *testing.T) {
 		}
 	}
 }
-
-func TestRunOptionsEngineMatchesSequential(t *testing.T) {
-	rows := kernels.All()[:3]
-	eng := gpa.NewEngine(nil)
-	for _, b := range rows {
-		seq, err := b.Run(context.Background(), kernels.RunOptions{Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		routed, err := b.Run(context.Background(), kernels.RunOptions{Seed: 11, Engine: eng})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.BaseCycles != routed.BaseCycles || seq.OptCycles != routed.OptCycles {
-			t.Errorf("%s: engine-routed cycles (%d/%d) differ from sequential (%d/%d)",
-				b.ID(), routed.BaseCycles, routed.OptCycles, seq.BaseCycles, seq.OptCycles)
-		}
-		if seq.Report.String() != routed.Report.String() {
-			t.Errorf("%s: engine-routed report differs from sequential", b.ID())
-		}
-		if seq.Estimated != routed.Estimated || seq.Rank != routed.Rank {
-			t.Errorf("%s: engine-routed outcome differs", b.ID())
-		}
-	}
-	// Re-running the same rows through the same engine is pure cache.
-	before := eng.Stats().Runs
-	for _, b := range rows {
-		if _, err := b.Run(context.Background(), kernels.RunOptions{Seed: 11, Engine: eng}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after := eng.Stats().Runs; after != before {
-		t.Errorf("repeat engine-routed rows re-simulated (%d -> %d runs)", before, after)
-	}
-}

@@ -18,9 +18,7 @@ func Coverage(ctx context.Context, b *Benchmark, ro RunOptions) (before, after f
 	if err != nil {
 		return 0, 0, err
 	}
-	opts := ro.options()
-	opts.Workload = wl
-	prof, err := k.Profile(ctx, opts)
+	prof, err := k.Profile(ctx, ro.options(wl))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -15,7 +15,7 @@
 // cannot run without a GPU, but each pair triggers the same stall
 // signature through the same simulator mechanics, so optimizer matching,
 // speedup estimation, and achieved-speedup measurement run end to end
-// (see DESIGN.md, "Substitutions").
+// (see README.md, "Notes").
 //
 // The rows drive the whole Figure 2 pipeline: Benchmark.Run measures
 // baseline and optimized variants and extracts the advisor's estimate,
@@ -24,10 +24,9 @@
 // paper's V100 by default, or any registered model for cross-arch
 // sweeps (the kernels assemble as sm_70 modules; the launch shapes were
 // tuned on V100 geometry but run on every model whose limits they fit).
-// RunOptions.Engine routes the row's measurements through a shared
-// gpa.Engine — one machine-wide worker pool with a content-addressed
-// cache — instead of per-row goroutines; results are identical either
-// way.
+// The harness is a plain client of the library: a row is two
+// Kernel.Measure calls and one Kernel.Advise, in order, on one
+// simulated SM.
 package kernels
 
 import (
@@ -39,7 +38,6 @@ import (
 
 	"gpa"
 	"gpa/internal/arch"
-	"gpa/internal/par"
 )
 
 // Variant is one concrete kernel build: assembly, launch configuration,
@@ -155,57 +153,29 @@ type Outcome struct {
 	Report *gpa.Report
 }
 
-// RunOptions tunes a reproduction run.
+// RunOptions selects what a reproduction run simulates.
 type RunOptions struct {
 	// GPU selects the architecture model the row runs on (nil = the
 	// paper's V100). Every measurement and the advice report use the
 	// same model.
-	GPU          *arch.GPU
-	SimSMs       int
-	SamplePeriod int
-	Seed         uint64
-	// Parallel runs the row's three measurements (baseline measure,
-	// optimized measure, baseline advise) concurrently. Results are
-	// identical to the sequential order.
-	Parallel bool
-	// Parallelism bounds concurrent SM simulation inside each
-	// measurement. Unlike gpa.Options, the zero value means 1
-	// (sequential SMs): the harness layers its own row- and
-	// measurement-level concurrency on top, and nesting a
-	// GOMAXPROCS-wide SM pool under those would oversubscribe the
-	// machine and make "sequential" timings dishonest.
-	Parallelism int
-	// Engine routes the row's measurements through a shared scheduler
-	// with content-addressed caching (gpa.NewEngine) instead of ad-hoc
-	// goroutines, so a whole-table sweep funnels every simulation
-	// through one machine-wide worker pool and repeated rows hit the
-	// cache. Takes precedence over Parallel. Results are identical on
-	// every path.
-	Engine *gpa.Engine
+	GPU  *arch.GPU
+	Seed uint64
 }
 
-func (o RunOptions) options() *gpa.Options {
-	simSMs := o.SimSMs
-	if simSMs == 0 {
-		simSMs = 1
-	}
-	parallelism := o.Parallelism
-	if parallelism == 0 {
-		parallelism = 1
-	}
-	return &gpa.Options{
-		GPU:    o.GPU,
-		SimSMs: simSMs, SamplePeriod: o.SamplePeriod, Seed: o.Seed,
-		Parallelism: parallelism,
-	}
+// options is the gpa.Options every harness run uses: one simulated SM,
+// simulated sequentially. The whole evaluation regenerates in well
+// under a second this way, so the harness layers no concurrency of its
+// own on top of the library.
+func (o RunOptions) options(wl gpa.Workload) *gpa.Options {
+	return &gpa.Options{GPU: o.GPU, SimSMs: 1, Seed: o.Seed, Parallelism: 1, Workload: wl}
 }
 
 // Run measures the baseline and optimized variants and extracts the
-// advisor's estimate for the expected optimizer. A canceled ctx aborts
-// whichever of the row's three measurements are still running and
-// returns an error wrapping gpa.ErrCanceled.
+// advisor's estimate for the expected optimizer, stopping at the first
+// failure (which can have cost a full MaxCycles simulation). A canceled
+// ctx aborts the measurement in flight and returns an error wrapping
+// gpa.ErrCanceled.
 func (b *Benchmark) Run(ctx context.Context, ro RunOptions) (*Outcome, error) {
-	opts := ro.options()
 	baseK, baseWL, err := b.Base.Build()
 	if err != nil {
 		return nil, fmt.Errorf("%s: base: %w", b.ID(), err)
@@ -214,78 +184,18 @@ func (b *Benchmark) Run(ctx context.Context, ro RunOptions) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: opt: %w", b.ID(), err)
 	}
-	baseOpts := *opts
-	baseOpts.Workload = baseWL
-	optOpts := *opts
-	optOpts.Workload = optWL
-
-	var baseCycles, optCycles int64
-	var report *gpa.Report
-	if ro.Engine != nil {
-		// Shared-scheduler path: the three measurements become engine
-		// jobs, bounded by the engine's machine-wide worker pool and
-		// deduplicated by its content-addressed cache. The workload
-		// keys name each variant's Spec binding stably (the Spec is
-		// deterministic per benchmark definition), which is what makes
-		// the jobs cacheable at all.
-		results := ro.Engine.DoAll(ctx, []gpa.Job{
-			{Kind: gpa.JobMeasure, Kernel: baseK, Options: &baseOpts, WorkloadKey: b.ID() + "/base"},
-			{Kind: gpa.JobMeasure, Kernel: optK, Options: &optOpts, WorkloadKey: b.ID() + "/opt"},
-			{Kind: gpa.JobAdvise, Kernel: baseK, Options: &baseOpts, WorkloadKey: b.ID() + "/base"},
-		})
-		for i, step := range []string{"base measure", "opt measure", "advise"} {
-			if err := results[i].Err; err != nil {
-				return nil, fmt.Errorf("%s: %s: %w", b.ID(), step, err)
-			}
-		}
-		baseCycles, optCycles = results[0].Cycles, results[1].Cycles
-		if report, err = results[2].Report(); err != nil {
-			return nil, fmt.Errorf("%s: advise: %w", b.ID(), err)
-		}
-		return b.outcome(baseCycles, optCycles, report), nil
+	baseOpts := ro.options(baseWL)
+	baseCycles, err := baseK.Measure(ctx, baseOpts)
+	if err != nil {
+		return nil, fmt.Errorf("%s: base measure: %w", b.ID(), err)
 	}
-	measureBase := func() error {
-		c, err := baseK.Measure(ctx, &baseOpts)
-		if err != nil {
-			return fmt.Errorf("%s: base measure: %w", b.ID(), err)
-		}
-		baseCycles = c
-		return nil
+	optCycles, err := optK.Measure(ctx, ro.options(optWL))
+	if err != nil {
+		return nil, fmt.Errorf("%s: opt measure: %w", b.ID(), err)
 	}
-	measureOpt := func() error {
-		c, err := optK.Measure(ctx, &optOpts)
-		if err != nil {
-			return fmt.Errorf("%s: opt measure: %w", b.ID(), err)
-		}
-		optCycles = c
-		return nil
-	}
-	advise := func() error {
-		r, err := baseK.Advise(ctx, &baseOpts)
-		if err != nil {
-			return fmt.Errorf("%s: advise: %w", b.ID(), err)
-		}
-		report = r
-		return nil
-	}
-	steps := []func() error{measureBase, measureOpt, advise}
-	if ro.Parallel {
-		errs := make([]error, len(steps))
-		par.Do(len(steps), len(steps), func(i int) { errs[i] = steps[i]() })
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// Sequential mode short-circuits on the first failure (a failing
-		// measurement can be a full MaxCycles simulation; don't repeat
-		// it twice more).
-		for _, step := range steps {
-			if err := step(); err != nil {
-				return nil, err
-			}
-		}
+	report, err := baseK.Advise(ctx, baseOpts)
+	if err != nil {
+		return nil, fmt.Errorf("%s: advise: %w", b.ID(), err)
 	}
 	return b.outcome(baseCycles, optCycles, report), nil
 }

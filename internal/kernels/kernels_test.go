@@ -3,6 +3,8 @@ package kernels
 import (
 	"context"
 	"testing"
+
+	"gpa/internal/arch"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -79,6 +81,37 @@ func TestTable3Shape(t *testing.T) {
 	if len(achieved) == len(All()) {
 		t.Logf("geomean achieved %.3fx (paper 1.22x), estimated %.3fx (paper 1.26x)",
 			GeoMean(achieved), GeoMean(estimated))
+	}
+}
+
+// TestTable3EveryArch runs all 26 rows on every registered model. The
+// V100 shapes above are the paper's claims; here the contract is only
+// that each row runs and reports coherently wherever its launch shape
+// fits: a real speedup ratio, a rendered report, and an estimate exactly
+// when the row's optimizer made the report.
+func TestTable3EveryArch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full table per arch in short mode")
+	}
+	for _, g := range arch.All() {
+		t.Run(arch.KeyOf(g), func(t *testing.T) {
+			for _, b := range All() {
+				out, err := b.Run(context.Background(), RunOptions{GPU: g, Seed: 11})
+				if err != nil {
+					t.Errorf("%v", err)
+					continue
+				}
+				if out.Achieved <= 0 {
+					t.Errorf("%s: achieved %.3fx", b.ID(), out.Achieved)
+				}
+				if out.Report == nil || out.Report.String() == "" {
+					t.Errorf("%s: empty report", b.ID())
+				}
+				if (out.Rank == 0) != (out.Estimated == 0) {
+					t.Errorf("%s: rank %d with estimate %.3fx", b.ID(), out.Rank, out.Estimated)
+				}
+			}
+		})
 	}
 }
 

@@ -236,95 +236,3 @@ func ParseConfig(data []byte) (Config, error) {
 	}
 	return c, nil
 }
-
-// TenantConfigBuilder builds a validated TenantConfig fluently; Build
-// is the single exit and refuses invalid combinations, so callers can
-// chain setters without checking each one.
-type TenantConfigBuilder struct {
-	tc TenantConfig
-}
-
-// NewTenantConfig starts a tenant config builder (weight 1, no quota).
-func NewTenantConfig() *TenantConfigBuilder { return &TenantConfigBuilder{} }
-
-// Weight sets the DWRR share.
-func (b *TenantConfigBuilder) Weight(w int) *TenantConfigBuilder {
-	b.tc.Weight = w
-	return b
-}
-
-// Quota sets the token-bucket rate and burst.
-func (b *TenantConfigBuilder) Quota(ratePerSec, burst float64) *TenantConfigBuilder {
-	b.tc.RatePerSec = ratePerSec
-	b.tc.Burst = burst
-	return b
-}
-
-// Build validates and returns the config.
-func (b *TenantConfigBuilder) Build() (TenantConfig, error) {
-	if err := b.tc.Validate(); err != nil {
-		return TenantConfig{}, err
-	}
-	return b.tc, nil
-}
-
-// ConfigBuilder builds a validated Config fluently.
-type ConfigBuilder struct {
-	cfg Config
-	err error
-}
-
-// NewConfig starts a config builder.
-func NewConfig() *ConfigBuilder { return &ConfigBuilder{} }
-
-// Tenant adds one tenant built from its own builder.
-func (b *ConfigBuilder) Tenant(name string, tb *TenantConfigBuilder) *ConfigBuilder {
-	tc, err := tb.Build()
-	if err != nil && b.err == nil {
-		b.err = fmt.Errorf("tenant %q: %w", name, err)
-	}
-	if b.cfg.Tenants == nil {
-		b.cfg.Tenants = map[string]TenantConfig{}
-	}
-	b.cfg.Tenants[name] = tc
-	return b
-}
-
-// DefaultTenant sets the config applied to unlisted tenants.
-func (b *ConfigBuilder) DefaultTenant(tb *TenantConfigBuilder) *ConfigBuilder {
-	tc, err := tb.Build()
-	if err != nil && b.err == nil {
-		b.err = fmt.Errorf("defaultTenant: %w", err)
-	}
-	b.cfg.DefaultTenant = tc
-	return b
-}
-
-// InteractiveReserve sets the batch-excluded worker slots.
-func (b *ConfigBuilder) InteractiveReserve(n int) *ConfigBuilder {
-	b.cfg.InteractiveReserve = n
-	return b
-}
-
-// MaxTenants bounds dynamic tenant-state cardinality.
-func (b *ConfigBuilder) MaxTenants(n int) *ConfigBuilder {
-	b.cfg.MaxTenants = n
-	return b
-}
-
-// Brownout sets the overload controller config.
-func (b *ConfigBuilder) Brownout(bc BrownoutConfig) *ConfigBuilder {
-	b.cfg.Brownout = bc
-	return b
-}
-
-// Build validates and returns the config.
-func (b *ConfigBuilder) Build() (Config, error) {
-	if b.err != nil {
-		return Config{}, b.err
-	}
-	if err := b.cfg.Validate(); err != nil {
-		return Config{}, err
-	}
-	return b.cfg, nil
-}

@@ -51,24 +51,29 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestBuilderValidates: a Config built in Go is a struct literal, and
+// Validate (what service.New and ParseConfig gate on) is the one check
+// it passes through, nested tenant errors included.
 func TestBuilderValidates(t *testing.T) {
-	if _, err := NewTenantConfig().Weight(-1).Build(); err == nil {
-		t.Fatal("builder accepted a negative weight")
+	if err := (TenantConfig{Weight: -1}).Validate(); err == nil {
+		t.Fatal("Validate accepted a negative weight")
 	}
-	if _, err := NewConfig().Tenant("a", NewTenantConfig().Quota(0, 5)).Build(); err == nil {
-		t.Fatal("builder accepted burst without rate")
+	bad := Config{Tenants: map[string]TenantConfig{"a": {Burst: 5}}}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("Validate accepted burst without rate")
 	}
-	cfg, err := NewConfig().
-		Tenant("a", NewTenantConfig().Weight(3).Quota(100, 200)).
-		DefaultTenant(NewTenantConfig().Weight(1)).
-		InteractiveReserve(2).
-		Brownout(BrownoutConfig{P99ThresholdMs: 100}).
-		Build()
-	if err != nil {
+	bad = Config{DefaultTenant: TenantConfig{RatePerSec: -1}}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("Validate accepted a negative default-tenant rate")
+	}
+	good := Config{
+		Tenants:            map[string]TenantConfig{"a": {Weight: 3, RatePerSec: 100, Burst: 200}},
+		DefaultTenant:      TenantConfig{Weight: 1},
+		InteractiveReserve: 2,
+		Brownout:           BrownoutConfig{P99ThresholdMs: 100},
+	}
+	if err := good.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if cfg.Tenants["a"].Weight != 3 || cfg.Tenants["a"].Burst != 200 {
-		t.Fatalf("builder lost fields: %+v", cfg.Tenants["a"])
 	}
 }
 
@@ -87,6 +92,6 @@ func TestWithDefaults(t *testing.T) {
 
 func TestLaneString(t *testing.T) {
 	if LaneInteractive.String() != "interactive" || LaneBatch.String() != "batch" {
-		t.Fatal("lane names changed; gpad metric labels and loadgen summaries depend on them")
+		t.Fatal("lane names changed; they are the names operators see wherever a Lane is printed")
 	}
 }

@@ -116,13 +116,7 @@ func TestDWRRFairnessUnderImbalance(t *testing.T) {
 // TestDWRRWeightedShare pins the weighted grant pattern: weight 3 vs
 // weight 1, both backlogged, grants 3:1 per round.
 func TestDWRRWeightedShare(t *testing.T) {
-	cfg, err := NewConfig().
-		Tenant("heavy", NewTenantConfig().Weight(3)).
-		Tenant("light", NewTenantConfig().Weight(1)).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Tenants: map[string]TenantConfig{"heavy": {Weight: 3}, "light": {Weight: 1}}}
 	s := NewScheduler(1, 0, cfg)
 	done := hog(t, s, "heavy", LaneInteractive)
 
@@ -190,10 +184,7 @@ func TestInteractivePreemptsQueuedBatch(t *testing.T) {
 // TestInteractiveReserve: with workers=2 and reserve=1, batch may
 // occupy at most one slot even when the second sits idle.
 func TestInteractiveReserve(t *testing.T) {
-	cfg, err := NewConfig().InteractiveReserve(1).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{InteractiveReserve: 1}
 	s := NewScheduler(2, 0, cfg)
 
 	releaseB1 := hog(t, s, "a", LaneBatch)
@@ -333,12 +324,7 @@ func TestDrainAbandonsBatchKeepsInteractive(t *testing.T) {
 // then exhaustion with a usable Retry-After, refill after waiting, and
 // complete isolation of an in-quota tenant.
 func TestQuotaBilling(t *testing.T) {
-	cfg, err := NewConfig().
-		Tenant("metered", NewTenantConfig().Quota(2, 2)).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Tenants: map[string]TenantConfig{"metered": {RatePerSec: 2, Burst: 2}}}
 	s := NewScheduler(4, 0, cfg)
 	now := time.Unix(1000, 0)
 	s.now = func() time.Time { return now }
@@ -348,7 +334,7 @@ func TestQuotaBilling(t *testing.T) {
 			t.Fatalf("charge %d within burst: %v", i, err)
 		}
 	}
-	err = s.Charge("metered")
+	err := s.Charge("metered")
 	if !errors.Is(err, apierr.ErrQuotaExceeded) {
 		t.Fatalf("over-burst charge: err=%v, want ErrQuotaExceeded", err)
 	}
@@ -383,10 +369,7 @@ func TestQuotaBilling(t *testing.T) {
 // TestTenantCardinalityBound: past MaxTenants, fresh IDs collapse into
 // the shared overflow class instead of growing scheduler state.
 func TestTenantCardinalityBound(t *testing.T) {
-	cfg, err := NewConfig().MaxTenants(4).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{MaxTenants: 4}
 	s := NewScheduler(1, 0, cfg)
 	for _, id := range []string{"t1", "t2", "t3", "t4", "t5", "t6"} {
 		s.Served(id)

@@ -15,6 +15,12 @@
 // in SM order; Counter keeps only the per-SM counters and a sample
 // count, which is all the analysis reads, and takes the SMs in any
 // order — the profiler collects through it.
+//
+// Buffer, Drain and AggregateSamples (and gpusim's sliceSink, the
+// replay buffer an ordered sink needs under concurrent SMs) are the
+// stream oracle: tests compare Counter against them and bench/'s layers
+// pass prices them, but no served path reaches them — everything gpad,
+// gpa.Engine and the direct API collect goes through Counter.
 package sampling
 
 import (

@@ -245,15 +245,6 @@ type Function struct {
 	Labels map[string]int
 }
 
-// InstrAt returns the instruction at byte address pc, or nil.
-func (f *Function) InstrAt(pc uint32) *Instruction {
-	i := int(pc) / InstrBytes
-	if i < 0 || i >= len(f.Instrs) {
-		return nil
-	}
-	return &f.Instrs[i]
-}
-
 // LineAt returns the source mapping at byte address pc.
 func (f *Function) LineAt(pc uint32) LineInfo {
 	i := int(pc) / InstrBytes

@@ -270,14 +270,6 @@ func (op Opcode) IsMemory() bool {
 	return false
 }
 
-// IsGlobalMemory reports whether the opcode accesses global memory
-// (including generic loads, which may resolve to global space, and
-// atomics).
-func (op Opcode) IsGlobalMemory() bool {
-	c := op.Info().Class
-	return c == ClassMemGlobal || c == ClassMemGeneric
-}
-
 // IsSync reports whether the opcode is a synchronization instruction.
 func (op Opcode) IsSync() bool { return op.Info().Class == ClassSync }
 

@@ -190,12 +190,7 @@ func waitForQueued(t *testing.T, e *Engine, n int64) {
 // TestQuotaIsolation: an over-quota tenant is shed with a usable
 // Retry-After while an in-quota tenant is never shed — not once.
 func TestQuotaIsolation(t *testing.T) {
-	cfg, err := qos.NewConfig().
-		Tenant("metered", qos.NewTenantConfig().Quota(0.001, 1)).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := qos.Config{Tenants: map[string]qos.TenantConfig{"metered": {RatePerSec: 0.001, Burst: 1}}}
 	e := New(Options{Workers: 2, QoS: &cfg})
 
 	r := testRequest(t, KindMeasure)
@@ -203,7 +198,7 @@ func TestQuotaIsolation(t *testing.T) {
 	if _, err := e.Do(context.Background(), r); err != nil {
 		t.Fatalf("first metered request (within burst): %v", err)
 	}
-	_, err = e.Do(context.Background(), r)
+	_, err := e.Do(context.Background(), r)
 	if !errors.Is(err, apierr.ErrQuotaExceeded) {
 		t.Fatalf("over-quota request: err=%v, want ErrQuotaExceeded", err)
 	}
@@ -293,16 +288,13 @@ func TestShutdownDrainsInteractiveAbandonsBatch(t *testing.T) {
 // saturated engine starts refusing batch work with ErrOverloaded while
 // interactive work keeps flowing.
 func TestBrownoutShedsBatchThroughEngine(t *testing.T) {
-	cfg, err := qos.NewConfig().Brownout(qos.BrownoutConfig{
+	cfg := qos.Config{Brownout: qos.BrownoutConfig{
 		P99ThresholdMs:       1e-6, // any nonzero queued wait trips it
 		Window:               64,
 		ReevalEvery:          1,
 		MaxLevel:             1,
 		InteractiveShedDepth: 1000,
-	}).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}}
 	e := New(Options{Workers: 1, QoS: &cfg})
 	release, err := e.adm.Acquire(context.Background(), "hog", qos.LaneInteractive)
 	if err != nil {

@@ -128,7 +128,3 @@ func (f *FuncStructure) SourceContext(i int) string {
 	}
 	return fmt.Sprintf("%s at %s:%d", name, file, line)
 }
-
-// LoopsOf lists the loops of a function, outermost-first order by
-// header.
-func (f *FuncStructure) LoopsOf() []*cfg.Loop { return f.CFG.Loops() }
