@@ -14,9 +14,9 @@
 // -qos-config assigns tenants deficit-weighted round-robin weights and
 // token-bucket quotas, so one flooding tenant cannot starve the rest.
 // Work runs in two priority lanes — interactive (advise/profile) ahead
-// of batch (batch/sweep), with -interactive-reserve worker slots batch
-// can never occupy — and a brownout controller (-brownout-p99-ms)
-// sheds batch-lane work first when queue delay degrades. Over-quota
+// of batch (batch/sweep), with the config's interactiveReserve worker
+// slots batch can never occupy — and its brownout controller sheds
+// batch-lane work first when queue delay degrades. Over-quota
 // requests answer 429 quota_exceeded and brownout sheds answer 503
 // overloaded; every shed response carries a computed, jittered
 // Retry-After. Tenant IDs never affect results: identical requests
@@ -64,18 +64,19 @@
 //	                  code (gpa_http_requests_total), and Go runtime
 //	                  gauges.
 //	GET  /statsz      Engine counters: hits, misses, coalesced,
-//	                  canceled, shed, inflight, runs, plus
-//	                  the serving-efficiency gauges poolGets/poolHits
-//	                  (simulator state-arena reuse), allocsPerJob, and
-//	                  the steady-state memoization counters
-//	                  ffPeriodsDetected/ffCyclesSkipped/ffFallbacks,
+//	                  canceled, shed, inflight, runs, allocsPerJob,
+//	                  the summed work records of this engine's
+//	                  simulations — poolGets/poolHits (state-arena
+//	                  reuse) and ffPeriodsDetected/ffCyclesSkipped/
+//	                  ffFallbacks (steady-state memoization) —
 //	                  and the artifact-store counters: sims,
 //	                  stageServed, structureBuilds, stageHits/Misses/
 //	                  Evictions (the in-memory stage LRUs, which
 //	                  -cache-entries bounds), storeHits/Misses/
 //	                  Puts/Corrupt/Errors (the -store-dir disk store)
-//	                  and stageDecodes (stored payloads decoded into
-//	                  structs; serving a stored advise decodes none),
+//	                  and stageDecodes (stage payloads decoded into
+//	                  structs; serving decodes none, whatever the
+//	                  endpoint and the tier),
 //	                  and panics (runs that panicked and were
 //	                  contained: only their own waiters got a 500).
 //	                  Also served at /v1/statsz.
@@ -142,12 +143,6 @@ func main() {
 		"tenant admission policy JSON file: per-tenant DWRR weights and token-bucket "+
 			"quotas, the interactive-lane reserve, and the brownout controller "+
 			"(empty = one equal-weight default tenant, nothing metered)")
-	interactiveReserve := flag.Int("interactive-reserve", 0,
-		"worker slots reserved for the interactive lane (advise/profile); batch and "+
-			"sweep jobs never occupy more than workers minus this (overrides -qos-config)")
-	brownoutP99 := flag.Float64("brownout-p99-ms", 0,
-		"queue-delay p99 threshold in ms above which batch-lane work is shed "+
-			"(0 = disabled; overrides -qos-config)")
 	logFormat := flag.String("log-format", "text",
 		"request/lifecycle log encoding: text (key=value) or json (one object per line)")
 	logLevel := flag.String("log-level", "info",
@@ -182,16 +177,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	reserveSet, brownoutSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "interactive-reserve":
-			reserveSet = true
-		case "brownout-p99-ms":
-			brownoutSet = true
-		}
-	})
-	qos, err := loadQoSConfig(*qosConfig, *interactiveReserve, reserveSet, *brownoutP99, brownoutSet)
+	qos, err := loadQoSConfig(*qosConfig)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpad: bad qos config:", err)
 		os.Exit(2)

@@ -190,7 +190,6 @@ var engineGauges = map[string]bool{
 	"inflight": true, "queued": true, "queueCapacity": true,
 	"workers": true, "allocsPerJob": true,
 	"interactiveQueued": true, "batchQueued": true, "brownoutLevel": true,
-	"gpuModelHashes": true,
 }
 
 // writeEngineMetrics renders every EngineStats field as

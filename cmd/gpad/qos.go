@@ -52,38 +52,20 @@ func clientTenant(r *http.Request) string {
 	return id
 }
 
-// loadQoSConfig builds the engine's QoS config from the -qos-config
-// file (strict JSON, unknown fields rejected) with the supplementary
-// flags layered on top when explicitly set on the command line.
-func loadQoSConfig(path string, reserve int, reserveSet bool, brownoutMs float64, brownoutSet bool) (*gpa.QoSConfig, error) {
-	var cfg gpa.QoSConfig
-	loaded := false
-	if path != "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		if cfg, err = gpa.ParseQoSConfig(data); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		loaded = true
-	}
-	if reserveSet {
-		if reserve < 0 {
-			return nil, fmt.Errorf("-interactive-reserve must be >= 0")
-		}
-		cfg.InteractiveReserve = reserve
-		loaded = true
-	}
-	if brownoutSet {
-		if brownoutMs < 0 {
-			return nil, fmt.Errorf("-brownout-p99-ms must be >= 0")
-		}
-		cfg.Brownout.P99ThresholdMs = brownoutMs
-		loaded = true
-	}
-	if !loaded {
+// loadQoSConfig reads the engine's QoS config from the -qos-config file
+// (strict JSON, unknown fields rejected); no file means the engine's
+// defaults.
+func loadQoSConfig(path string) (*gpa.QoSConfig, error) {
+	if path == "" {
 		return nil, nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := gpa.ParseQoSConfig(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &cfg, nil
 }

@@ -59,42 +59,34 @@ func TestJitterSecondsClamps(t *testing.T) {
 }
 
 func TestLoadQoSConfig(t *testing.T) {
-	if cfg, err := loadQoSConfig("", 0, false, 0, false); err != nil || cfg != nil {
-		t.Fatalf("no flags must yield nil config: %v %v", cfg, err)
+	if cfg, err := loadQoSConfig(""); err != nil || cfg != nil {
+		t.Fatalf("no file must yield nil config: %v %v", cfg, err)
 	}
 
 	path := filepath.Join(t.TempDir(), "qos.json")
 	if err := os.WriteFile(path, []byte(`{
 		"tenants": {"acme": {"weight": 3, "ratePerSec": 10, "burst": 20}},
-		"interactiveReserve": 1
+		"interactiveReserve": 1,
+		"brownout": {"p99ThresholdMs": 150}
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := loadQoSConfig(path, 0, false, 0, false)
+	cfg, err := loadQoSConfig(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Tenants["acme"].Weight != 3 || cfg.InteractiveReserve != 1 {
+	if cfg.Tenants["acme"].Weight != 3 || cfg.InteractiveReserve != 1 || cfg.Brownout.P99ThresholdMs != 150 {
 		t.Fatalf("file config lost fields: %+v", cfg)
-	}
-
-	// Explicit flags override the file; unset flags do not.
-	cfg, err = loadQoSConfig(path, 2, true, 150, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.InteractiveReserve != 2 || cfg.Brownout.P99ThresholdMs != 150 {
-		t.Fatalf("flags did not override file: %+v", cfg)
-	}
-	if cfg.Tenants["acme"].Weight != 3 {
-		t.Fatalf("flag override dropped file tenants: %+v", cfg)
 	}
 
 	// A typoed key in the file fails loudly at startup, not at runtime.
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	os.WriteFile(bad, []byte(`{"tenant": {}}`), 0o644)
-	if _, err := loadQoSConfig(bad, 0, false, 0, false); err == nil {
+	if _, err := loadQoSConfig(bad); err == nil {
 		t.Fatal("unknown field accepted")
+	}
+	if _, err := loadQoSConfig(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Fatal("a missing file accepted")
 	}
 }
 

@@ -45,13 +45,8 @@ type server struct {
 	// version is the build version stamped on /healthz and
 	// gpa_build_info.
 	version string
-	// allGPUs is the server's one instance of every registered model, in
-	// sweep order; gpus resolves request names onto those instances (see
-	// lookupGPU). Everything that hands the engine a model goes through
-	// them, so the engine's pointer-keyed model-hash memo holds one entry
-	// per registered model however many requests arrive.
-	allGPUs []*arch.GPU
-	gpus    sync.Map // string -> *arch.GPU
+	// gpus memoizes architecture-name resolution (see lookupGPU).
+	gpus sync.Map // string -> *arch.GPU
 	// kernels shares built kernels between equal asm/binary submissions.
 	kernels *kernelCache
 	// benches resolves "bench" names to bundled rows (see indexBenches).
@@ -88,7 +83,6 @@ func newServerCfg(cfg serverConfig) http.Handler {
 		log:     logger,
 		metrics: obs.NewRequestMetrics(),
 		version: buildVersion(),
-		allGPUs: gpa.GPUs(),
 		kernels: newKernelCache(),
 		benches: indexBenches(),
 	}
@@ -105,12 +99,11 @@ func newServerCfg(cfg serverConfig) http.Handler {
 	return s.withObs(mux)
 }
 
-// lookupGPU resolves an architecture name through a per-server cache,
-// so every request naming the same model — by key, alias or full name —
-// shares the server's one *arch.GPU instance of it. Sharing the pointer
-// keeps the engine's per-model digest memo hot (a fresh model per
-// request would re-hash its constant table every time); the resolved
-// models are treated as immutable.
+// lookupGPU resolves an architecture name — a key, an alias or a full
+// name — through a per-server cache, so a request does not build a
+// model to name one. The engine keys a model by its value, so which
+// instance a request carries does not matter; the resolved models are
+// treated as immutable.
 func (s *server) lookupGPU(name string) (*arch.GPU, error) {
 	if g, ok := s.gpus.Load(name); ok {
 		return g.(*arch.GPU), nil
@@ -118,13 +111,6 @@ func (s *server) lookupGPU(name string) (*arch.GPU, error) {
 	g, err := gpa.LookupGPU(name)
 	if err != nil {
 		return nil, err
-	}
-	key := gpa.GPUName(g)
-	for _, shared := range s.allGPUs {
-		if gpa.GPUName(shared) == key {
-			g = shared
-			break
-		}
 	}
 	actual, _ := s.gpus.LoadOrStore(name, g)
 	return actual.(*arch.GPU), nil
@@ -172,7 +158,7 @@ type kernelRequest struct {
 }
 
 // job converts the request to an engine job; s resolves architecture
-// names through the server's shared model cache.
+// and benchmark names.
 func (r *kernelRequest) job(s *server) (gpa.Job, error) {
 	var job gpa.Job
 	kind, err := service.ParseKind(r.Kind)
@@ -417,11 +403,10 @@ func (s *server) handleOne(w http.ResponseWriter, r *http.Request, kind gpa.JobK
 // writeResult answers a single-kernel request without re-encoding what
 // earlier requests already encoded: a small per-request head (trace ID,
 // cached flag) appended into a pooled buffer, then the tail — advice,
-// report text, profile — written as the engine hands it out: the bytes
-// of the stored advice blob when the response came from the artifact
-// store, else the encoding gpa memoizes on the engine's cached response
-// and every hit on that entry shares. The bytes are exactly what
-// writeJSON would produce for job.Result(res).
+// report text, profile — written as the engine hands it out: for an
+// advise, the bytes of the advice artifact itself, the same from a cold
+// run, a memory hit and a restarted daemon's disk hit. The bytes are
+// exactly the reference encoding of job.Result(res).
 func (s *server) writeResult(w http.ResponseWriter, job gpa.Job, res gpa.JobResult) {
 	bufp := scratchPool.Get().(*[]byte)
 	head, tail, err := job.EncodeResult((*bufp)[:0], res, traceIDOf(w))
@@ -493,14 +478,20 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // resultEntry is one slot of a batch or sweep envelope: the job's v2
-// Result, or the errorBody of whatever kept it from having one.
+// Result in the encoding writeResult serves — head and tail, which the
+// envelope's encoder re-indents in place, so an entry decodes no stored
+// artifact either — or the errorBody of whatever kept it from having
+// one. Entries carry no trace ID; the envelope does.
 func resultEntry(job gpa.Job, res gpa.JobResult) any {
-	out, err := job.Result(res)
-	if err != nil {
-		_, body := errorBodyOf(err)
-		return body
+	err := res.Err
+	if err == nil {
+		var head, tail []byte
+		if head, tail, err = job.EncodeResult(nil, res, ""); err == nil {
+			return json.RawMessage(append(head, tail...))
+		}
 	}
-	return out
+	_, body := errorBodyOf(err)
+	return body
 }
 
 // sweepRequest advises one kernel on several architecture models.
@@ -530,19 +521,14 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// A lone arch is a one-model sweep.
 		req.Archs = []string{req.Arch}
 	}
-	// Either way the engine gets the server's shared model instances,
-	// never fresh ones (see allGPUs).
-	gpus := s.allGPUs
-	if len(req.Archs) > 0 {
-		gpus = make([]*arch.GPU, 0, len(req.Archs))
-		for _, name := range req.Archs {
-			g, err := s.lookupGPU(name)
-			if err != nil {
-				writeRequestError(w, err)
-				return
-			}
-			gpus = append(gpus, g)
+	var gpus []*arch.GPU // none named: Sweep takes every registered model
+	for _, name := range req.Archs {
+		g, err := s.lookupGPU(name)
+		if err != nil {
+			writeRequestError(w, err)
+			return
 		}
+		gpus = append(gpus, g)
 	}
 	req.Arch = "" // per-arch options are set by Sweep
 	job, err := s.buildJob(w, r, &req.kernelRequest)
@@ -647,15 +633,12 @@ func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 var jsonContentType = []string{"application/json"}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	// One choke point stamps the trace ID onto every body shape and
-	// captures the stable error code for the request log and metrics.
-	// Result structs are freshly allocated per request (cache hits share
-	// advice/report pointers, not the Result), so stamping never leaks a
-	// trace ID across requests.
+	// One choke point stamps the trace ID onto every body shape it
+	// serves (writeResult appends its own) and captures the stable error
+	// code for the request log and metrics. The bodies are freshly built
+	// per request, so stamping never leaks a trace ID across requests.
 	if ow, ok := w.(*obsWriter); ok {
 		switch b := v.(type) {
-		case *gpa.Result:
-			b.TraceID = ow.trace
 		case *errorBody:
 			b.TraceID = ow.trace
 			ow.code = b.Error.Code

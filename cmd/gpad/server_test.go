@@ -402,36 +402,6 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
-// TestSweepSharesModelInstances pins the model-hash memo at one entry
-// per registered model: however a sweep names its models — all of them
-// by default, by key, alias, SM flag or full name in any case — the
-// engine must see the server's one instance of each, never a freshly
-// built one that re-marshals and re-hashes the model and grows the
-// pointer-keyed memo until it is wiped.
-func TestSweepSharesModelInstances(t *testing.T) {
-	ts := newTestServer(t)
-	memo := func() int {
-		var st gpa.EngineStats
-		getJSON(t, ts.URL+"/statsz", &st)
-		return st.GPUModelHashes
-	}
-	before := memo()
-	for i := 0; i < 4; i++ {
-		for _, body := range []map[string]any{
-			{"bench": "rodinia/hotspot"},
-			{"bench": "rodinia/hotspot", "archs": []string{"v100", "volta", "sm_75", "A100", "Tesla T4"}},
-			{"bench": "rodinia/hotspot", "arch": "ampere"},
-		} {
-			if resp, out := postJSON(t, ts.URL+"/v1/sweep", body); resp.StatusCode != http.StatusOK {
-				t.Fatalf("sweep %v: status %d: %s", body, resp.StatusCode, out)
-			}
-		}
-	}
-	if grew, want := memo()-before, len(gpa.GPUs()); grew != want {
-		t.Errorf("12 sweeps memoized %d model hashes, want %d (one per registered model)", grew, want)
-	}
-}
-
 func TestArchsHealthzStatsz(t *testing.T) {
 	ts := newTestServer(t)
 	var archs []archInfo

@@ -140,9 +140,10 @@ func TestQueueFullMapsTo503(t *testing.T) {
 }
 
 // TestStatszPoolCounters pins the serving-efficiency surface: /v1/statsz
-// (the /statsz alias included) reports the simulator's state-arena pool
-// counters and the engine's allocations-per-job rate, so a production
-// gpad can alert on warm-path allocation regressions.
+// (the /statsz alias included) reports the summed work records of the
+// engine's own simulations — one state arena per simulation, reused or
+// not — and its allocations-per-job rate, so a production gpad can alert
+// on warm-path allocation regressions.
 func TestStatszPoolCounters(t *testing.T) {
 	ts := newTestServer(t)
 	body := map[string]any{"asm": testKernelSrc, "gridX": 4, "blockX": 64}
@@ -152,16 +153,23 @@ func TestStatszPoolCounters(t *testing.T) {
 			t.Fatalf("advise %d: status %d: %s", i, resp.StatusCode, out)
 		}
 	}
+	// Another seed over the same kernel: a second simulation, on the
+	// program the front cache shares.
+	body["seed"] = 12
+	if resp, out := postJSON(t, ts.URL+"/v1/advise", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("second seed: status %d: %s", resp.StatusCode, out)
+	}
 	for _, path := range []string{"/statsz", "/v1/statsz"} {
 		var st statszResponse
 		getJSON(t, ts.URL+path, &st)
-		if st.Hits != 1 || st.Runs != 1 {
-			t.Errorf("%s: hits=%d runs=%d after 1 cold + 1 warm advise, want 1/1", path, st.Hits, st.Runs)
+		if st.Hits != 1 || st.Runs != 2 {
+			t.Errorf("%s: hits=%d runs=%d after 2 cold + 1 warm advise, want 1/2", path, st.Hits, st.Runs)
 		}
-		// Pool counters are process-wide; this server's run must have
-		// moved them past zero.
-		if st.PoolGets <= 0 {
-			t.Errorf("%s: poolGets = %d, want > 0", path, st.PoolGets)
+		// The counters are this engine's own: nothing another server in
+		// the process simulates moves them. (The second arena is reused
+		// unless the collector emptied the pool in between.)
+		if st.PoolGets != 2 || st.Sims != 2 || st.PoolHits > 1 {
+			t.Errorf("%s: poolGets=%d poolHits=%d sims=%d, want 2 arenas for 2 simulations, at most 1 reused", path, st.PoolGets, st.PoolHits, st.Sims)
 		}
 		if st.AllocsPerJob <= 0 {
 			t.Errorf("%s: allocsPerJob = %v, want > 0 (cold runs allocate)", path, st.AllocsPerJob)

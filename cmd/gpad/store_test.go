@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
@@ -111,11 +112,11 @@ func TestRestartWarmFromStore(t *testing.T) {
 				i+1, st2.StoreHits, st2.StageDecodes, st2.StorePuts, i+1)
 		}
 	}
-	// A profile response is indented from the struct: the one decode a
-	// single-kernel endpoint pays.
+	// A profile response is the stored body, re-indented: no decode
+	// either.
 	served(requests[0])
-	if st2.StoreHits != 3 || st2.StageDecodes != 1 {
-		t.Errorf("after the stored profile hit: storeHits=%d stageDecodes=%d, want 3/1", st2.StoreHits, st2.StageDecodes)
+	if st2.StoreHits != 3 || st2.StageDecodes != 0 {
+		t.Errorf("after the stored profile hit: storeHits=%d stageDecodes=%d, want 3/0", st2.StoreHits, st2.StageDecodes)
 	}
 	if st2.Runs != 0 || st2.Sims != 0 {
 		t.Errorf("restarted server ran the pipeline: runs=%d sims=%d, want 0/0", st2.Runs, st2.Sims)
@@ -124,9 +125,9 @@ func TestRestartWarmFromStore(t *testing.T) {
 		t.Errorf("stageServed = %d, want %d", st2.StageServed, len(requests))
 	}
 
-	// A batch entry is built from the structs, so it calls the advice
-	// accessor of the (by now memory-resident) stored response: the decode
-	// counter moves exactly then, once, and no blob is read for it.
+	// A batch entry is the same head and tail inside an envelope: over
+	// the (by now memory-resident) stored response it reads no blob and
+	// decodes nothing.
 	batch := map[string]any{"requests": []map[string]any{{"bench": "rodinia/hotspot"}}}
 	for range 2 {
 		if resp, body := postJSON(t, ts2.URL+"/v1/batch", batch); resp.StatusCode != 200 {
@@ -134,8 +135,99 @@ func TestRestartWarmFromStore(t *testing.T) {
 		}
 	}
 	getJSON(t, ts2.URL+"/statsz", &st2)
-	if st2.StoreHits != 3 || st2.StageDecodes != 2 {
-		t.Errorf("after two batches over a stored result: storeHits=%d stageDecodes=%d, want 3/2", st2.StoreHits, st2.StageDecodes)
+	if st2.StoreHits != 3 || st2.StageDecodes != 0 {
+		t.Errorf("after two batches over a stored result: storeHits=%d stageDecodes=%d, want 3/0", st2.StoreHits, st2.StageDecodes)
+	}
+}
+
+// TestEnvelopesMatchReferenceEncoder pins gpad's one renderer against
+// the encoder the wire format is defined by. A restarted daemon over a
+// stored working set serves an advise, a profile, a batch (every kind,
+// a request that cannot be built, a job the engine fails) and a sweep
+// without decoding one stored artifact; and the batch and sweep bodies
+// equal, byte for byte, the reference encoding of an envelope around
+// Job.Result's structs and the error bodies — the path entries took
+// before they were rendered as head + tail.
+func TestEnvelopesMatchReferenceEncoder(t *testing.T) {
+	dir := t.TempDir()
+	asm := kernelRequest{Asm: testKernelSrc, GridX: 160, BlockX: 256}
+	kind := func(r kernelRequest, k string) kernelRequest { r.Kind = k; return r }
+	batch := batchRequest{Requests: []kernelRequest{
+		{Bench: "rodinia/hotspot"},
+		kind(asm, "profile"),
+		kind(asm, "measure"),
+		{Bench: "no-such-bench"},           // never becomes a job
+		{Asm: testKernelSrc, BlockX: 4096}, // the engine fails it, without simulating
+	}}
+	sweep := sweepRequest{kernelRequest: kernelRequest{Bench: "rodinia/hotspot"}}
+
+	eng1, ts1 := newStoreServer(t, dir)
+	for path, body := range map[string]any{"/v1/batch": batch, "/v1/sweep": sweep} {
+		if resp, out := postJSON(t, ts1.URL+path, body); resp.StatusCode != 200 {
+			t.Fatalf("populate %s: status %d: %s", path, resp.StatusCode, out)
+		}
+	}
+	drain(t, eng1, ts1)
+
+	eng2, ts2 := newStoreServer(t, dir)
+	for path, body := range map[string]any{"/v1/advise": batch.Requests[0], "/v1/profile": asm} {
+		if resp, out := postJSON(t, ts2.URL+path, body); resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, out)
+		}
+	}
+	respB, gotBatch := postJSON(t, ts2.URL+"/v1/batch", batch)
+	respS, gotSweep := postJSON(t, ts2.URL+"/v1/sweep", sweep)
+	if respB.StatusCode != 200 || respS.StatusCode != 200 {
+		t.Fatalf("batch status %d, sweep status %d", respB.StatusCode, respS.StatusCode)
+	}
+	var st statszResponse
+	getJSON(t, ts2.URL+"/statsz", &st)
+	if st.StageDecodes != 0 || st.Sims != 0 || st.StoreHits == 0 {
+		t.Errorf("advise, profile, batch and sweep over a stored working set: stageDecodes=%d sims=%d storeHits=%d, want 0, 0, some",
+			st.StageDecodes, st.Sims, st.StoreHits)
+	}
+
+	// The reference: the same jobs on the same engine (memory hits by
+	// now), through Job.Result and the struct encoder.
+	s := &server{kernels: newKernelCache(), benches: indexBenches()}
+	entry := func(req kernelRequest, gpu string) any {
+		req.Arch = gpu
+		job, err := req.job(s)
+		if err != nil {
+			_, body := requestErrorBody(err)
+			return body
+		}
+		out, err := job.Result(eng2.Do(context.Background(), job))
+		if err != nil {
+			_, body := errorBodyOf(err)
+			return body
+		}
+		return out
+	}
+	reference := func(trace string, results []any) []byte {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(batchResponse{SchemaVersion: gpa.ResultSchemaVersion, TraceID: trace, Results: results}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var wantBatch, wantSweep []any
+	for _, req := range batch.Requests {
+		wantBatch = append(wantBatch, entry(req, ""))
+	}
+	for _, g := range gpa.GPUs() {
+		wantSweep = append(wantSweep, entry(sweep.kernelRequest, gpa.GPUName(g)))
+	}
+	if _, failed := wantBatch[4].(*errorBody); !failed || len(wantSweep) < 2 {
+		t.Fatalf("the working set lost its engine-failed entry (%T) or its models (%d)", wantBatch[4], len(wantSweep))
+	}
+	if want := reference(respB.Header.Get(traceHeader), wantBatch); !bytes.Equal(gotBatch, want) {
+		t.Errorf("batch envelope differs from the reference encoding\n got: %s\nwant: %s", gotBatch, want)
+	}
+	if want := reference(respS.Header.Get(traceHeader), wantSweep); !bytes.Equal(gotSweep, want) {
+		t.Errorf("sweep envelope differs from the reference encoding\n got: %s\nwant: %s", gotSweep, want)
 	}
 }
 

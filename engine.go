@@ -214,49 +214,32 @@ type JobResult struct {
 	resp *service.Response
 }
 
-// reportMemo is the Report wrapper built once per engine response,
-// however many cache hits the response serves. It hangs off the
-// response's memo slot, so LRU eviction frees it with the response.
-type reportMemo struct {
-	report *Report
-	err    error
-}
-
 // Report returns the advice report of a JobAdvise result — report text,
 // advice and profile, as returned by Kernel.Advise — and nil for other
-// kinds. Every cached or coalesced result of one engine response shares
-// one *Report, without a Context; treat it as read-only. The result of
-// the job that led the run gets a Report of its own that carries the
-// run's Context (see Report.Context). On a result served from the
-// artifact store the first call decodes the stored advice and reads the
-// stored profile, and an artifact that has vanished or no longer
-// decodes yields an error wrapping ErrInternal.
+// kinds. The wrapper is built per call; what it points at is not. The
+// result of the job that led the run has that run's own advice and
+// profile and carries its Context (see Report.Context). Every cached or
+// coalesced result of one engine response shares the structs the
+// response's stored bytes decode to — on the first call, once, reading
+// the stored profile — without a Context; treat them as read-only. An
+// artifact that has vanished or no longer decodes yields an error
+// wrapping ErrInternal.
 func (r JobResult) Report() (*Report, error) {
 	if r.resp == nil || r.resp.Kind != JobAdvise {
 		return nil, r.Err
 	}
-	m := r.resp.Memo(func() any {
-		advice, err := r.resp.Advice()
-		if err != nil {
-			return &reportMemo{err: err}
-		}
-		prof, err := r.resp.Profile()
-		if err != nil {
-			return &reportMemo{err: err}
-		}
-		rep := &Report{Advice: advice, Profile: prof}
-		// The service rendered the same text when it produced the advice.
-		text, _ := r.resp.Report() // decoded with the advice above
-		rep.text.Store(&text)
-		return &reportMemo{report: rep}
-	}).(*reportMemo)
-	if m.err != nil || r.resp.Context == nil {
-		return m.report, m.err
+	advice, err := r.resp.Advice()
+	if err != nil {
+		return nil, err
 	}
-	// The leader's response: the memo is shared with the cached view,
-	// which must not pin the Context, so the leader's Report is its own.
-	rep := &Report{Advice: m.report.Advice, Profile: m.report.Profile, Context: r.resp.Context}
-	rep.text.Store(m.report.text.Load())
+	prof, err := r.resp.Profile()
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{Advice: advice, Profile: prof, Context: r.resp.Context}
+	// The service rendered the same text when it produced the advice.
+	text, _ := r.resp.Report() // decoded with the advice above
+	rep.text.Store(&text)
 	return rep, nil
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // reportOf is JobResult.Report for results that must have one: the
-// accessor can fail only on results served from a persistent store.
+// accessor can fail only on cached results whose stored artifact is gone.
 func reportOf(t testing.TB, res gpa.JobResult) *gpa.Report {
 	t.Helper()
 	rep, err := res.Report()
@@ -55,8 +55,16 @@ func TestEngineAdviseMatchesDirectAPI(t *testing.T) {
 	if ctx := reportOf(t, res).Context; ctx == nil || ctx.Profile == nil {
 		t.Error("the leader's report lost its Context")
 	}
-	if reportOf(t, res).Advice != reportOf(t, warm).Advice {
-		t.Error("leader and cache hit do not share one advice")
+	// The leader's report points at its run's structs, the hit's at what
+	// the stored bytes decode to: equal content, and every hit shares one
+	// decode.
+	mustEqualJSON(t, "advice", reportOf(t, res).Advice, reportOf(t, warm).Advice)
+	mustEqualJSON(t, "profile", reportOf(t, res).Profile, reportOf(t, warm).Profile)
+	if reportOf(t, warm).Advice != reportOf(t, warm).Advice {
+		t.Error("two reports of one cache hit do not share one advice")
+	}
+	if n := eng.Stats().StageDecodes; n != 2 {
+		t.Errorf("stageDecodes = %d, want 2 (the hit's advice and profile, once each)", n)
 	}
 }
 

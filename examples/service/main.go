@@ -115,8 +115,8 @@ func runInProcess() error {
 	if repeat.Err != nil {
 		return repeat.Err
 	}
-	// Report is an accessor that can fail: a result served from a
-	// persistent artifact store decodes its report only when asked.
+	// Report is an accessor that can fail: a cached result holds the
+	// bytes it is served as and decodes its report only when asked.
 	first, err := results[0].Report()
 	if err != nil {
 		return err

@@ -290,8 +290,8 @@ type Report struct {
 	// not keep one alive per cached result.
 	Context *adv.Context
 
-	// text memoizes String. An engine serves one Report to every cache
-	// hit on a result, and each of them wants the same 10 KB of text.
+	// text memoizes String; an engine result seeds it with the text the
+	// service rendered beside the advice.
 	text atomic.Pointer[string]
 }
 

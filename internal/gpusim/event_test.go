@@ -231,9 +231,12 @@ func TestRunReusesPooledState(t *testing.T) {
 	}
 }
 
-// TestPoolStatsCount sanity-checks the arena counters gpad surfaces.
-func TestPoolStatsCount(t *testing.T) {
-	gets0, hits0 := PoolStats()
+// TestArenaReuseRecorded: a run's work record says whether its state
+// arena came out of the program's pool — what gpad sums into poolHits.
+// The first run on a program cannot have reused one; with the collector
+// off (it may empty a sync.Pool) the next two must, except under the
+// race detector, where sync.Pool drops a share of what is put back.
+func TestArenaReuseRecorded(t *testing.T) {
 	m := sass.MustAssemble(memBoundSrc)
 	p, err := Load(m)
 	if err != nil {
@@ -241,19 +244,16 @@ func TestPoolStatsCount(t *testing.T) {
 	}
 	launch := LaunchConfig{Entry: "membound", Grid: Dim(1), Block: Dim(64), RegsPerThread: 16}
 	cfg := Config{GPU: arch.VoltaV100(), SimSMs: 1, Seed: 1, Parallelism: 1}
-	for i := 0; i < 3; i++ {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i, want := range []bool{false, true, true} {
 		res, err := Run(context.Background(), p, launch, NopWorkload{}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if res.ArenaReused != want && !(raceEnabled && want) {
+			t.Errorf("run %d: ArenaReused = %v, want %v", i, res.ArenaReused, want)
+		}
 		p.Recycle(res)
-	}
-	gets, hits := PoolStats()
-	if gets-gets0 != 3 {
-		t.Errorf("PoolStats gets grew by %d, want 3", gets-gets0)
-	}
-	if hits-hits0 < 1 {
-		t.Errorf("PoolStats hits grew by %d, want >= 1 (second run must reuse the arena)", hits-hits0)
 	}
 }
 

@@ -124,7 +124,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			seqRes, seqSamples := run(1)
 			check := func(name string, par int, parRes *Result, parSamples []Sample) {
 				t.Helper()
-				if !reflect.DeepEqual(seqRes, parRes) {
+				if !sameRun(seqRes, parRes) {
 					t.Errorf("%s Parallelism=%d result differs:\nseq: %+v\npar: %+v", name, par, seqRes, parRes)
 				}
 				if len(seqSamples) != len(parSamples) {
@@ -287,7 +287,7 @@ func TestParallelPanicReraisedOnCaller(t *testing.T) {
 		// next run on the same program must be unaffected by it.
 		want, _ := run(NopWorkload{}, 1)
 		got, recovered := run(NopWorkload{}, par)
-		if recovered != nil || !reflect.DeepEqual(got, want) {
+		if recovered != nil || !sameRun(got, want) {
 			t.Errorf("Parallelism=%d run after a panic: recovered %v, result %+v, want %+v", par, recovered, got, want)
 		}
 	}

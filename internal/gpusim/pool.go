@@ -47,43 +47,13 @@ type arena struct {
 	wg     sync.WaitGroup
 }
 
-// poolGets/poolHits count arena acquisitions and how many were served
-// from a pool instead of freshly allocated; gpad surfaces them in
-// /statsz so warm-path reuse is observable in production.
-var (
-	poolGets atomic.Int64
-	poolHits atomic.Int64
-)
-
-// PoolStats reports how many per-run state arenas have been acquired
-// process-wide and how many of those were recycled pool hits.
-func PoolStats() (gets, hits int64) {
-	return poolGets.Load(), poolHits.Load()
-}
-
-// ffPeriods/ffCycles/ffFallbacks accumulate the steady-state memoizer's
-// counters process-wide (see steady.go); gpad surfaces them in /statsz
-// alongside the pool counters.
-var (
-	ffPeriods   atomic.Int64
-	ffCycles    atomic.Int64
-	ffFallbacks atomic.Int64
-)
-
-// FFStats reports process-wide steady-state fast-forward activity:
-// period templates locked in, SM-cycles skipped analytically, and
-// candidates abandoned to the normal stepping fallback.
-func FFStats() (periods, cycles, fallbacks int64) {
-	return ffPeriods.Load(), ffCycles.Load(), ffFallbacks.Load()
-}
-
-func (p *Program) getArena() *arena {
-	poolGets.Add(1)
+// getArena takes an arena from the program's pool, or allocates one;
+// reused says which (Work.ArenaReused).
+func (p *Program) getArena() (a *arena, reused bool) {
 	if a, _ := p.arenaPool.Get().(*arena); a != nil {
-		poolHits.Add(1)
-		return a
+		return a, true
 	}
-	return &arena{}
+	return &arena{}, false
 }
 
 func (p *Program) putArena(a *arena) { p.arenaPool.Put(a) }

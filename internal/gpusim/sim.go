@@ -106,28 +106,47 @@ type Result struct {
 	// ThreadsPerBlock echoes the launch config.
 	ThreadsPerBlock int
 
+	// Work records how the run computed the result; it never changes
+	// what the result is.
+	Work
+}
+
+// Work is one run's record of the work it did, summed over simulated
+// SMs. The memoizer and the event-driven loop never change results:
+// Cycles, IssuedPerPC, and the sample stream are bit-identical with or
+// without them. Every counter repeats exactly for a given input at
+// every parallelism level — WORK.txt pins them per Table 3 row — and
+// service.Engine sums the records of the runs it makes for /statsz.
+type Work struct {
 	// PeriodsDetected counts steady-state period templates the loop
-	// memoizer locked onto across simulated SMs (see steady.go).
-	// The memoizer never changes results: Cycles, IssuedPerPC, and the
-	// sample stream are bit-identical with or without fast-forwarding.
+	// memoizer locked onto (see steady.go).
 	PeriodsDetected int64
 	// CyclesFastForwarded counts SM-cycles skipped analytically instead
-	// of stepped (summed over simulated SMs).
+	// of stepped.
 	CyclesFastForwarded int64
 	// FastForwardFallbacks counts abandoned period candidates and
 	// zero-length fast-forward attempts that fell back to normal
 	// event-skipped stepping.
 	FastForwardFallbacks int64
-	// LoopIterations and ReadyCalls are the run's deterministic work
-	// record, summed over simulated SMs: run-loop iterations (cycles
-	// the simulator visited instead of skipping) and full readiness
+	// LoopIterations counts run-loop iterations (cycles the simulator
+	// visited instead of skipping) and ReadyCalls full readiness
 	// evaluations (sm.ready: one per sample taken and per entry of a
 	// recorded observation table; the event-driven scan makes none).
-	// Like the fast-forward counters they describe how the result was
-	// computed, never what it is, and repeat exactly for a given input
-	// at every parallelism level — WORK.txt pins them per Table 3 row.
 	LoopIterations int64
 	ReadyCalls     int64
+	// ArenaReused reports whether the run's state arena came out of the
+	// program's pool instead of being allocated (see pool.go). Unlike
+	// the counters it depends on what ran before, not on the input.
+	ArenaReused bool
+}
+
+// add folds one SM's, or one worker's, counters into w.
+func (w *Work) add(o Work) {
+	w.PeriodsDetected += o.PeriodsDetected
+	w.CyclesFastForwarded += o.CyclesFastForwarded
+	w.FastForwardFallbacks += o.FastForwardFallbacks
+	w.LoopIterations += o.LoopIterations
+	w.ReadyCalls += o.ReadyCalls
 }
 
 // Run simulates a kernel launch to completion. The context is honored
@@ -201,8 +220,9 @@ func Run(ctx context.Context, p *Program, launch LaunchConfig, wl Workload, cfg 
 	// The arena holds every piece of per-run mutable state (see
 	// pool.go); it is recycled when Run returns — on success, error and
 	// panic alike — and nothing that escapes Run aliases it.
-	ar := p.getArena()
+	ar, reused := p.getArena()
 	defer p.putArena(ar)
+	res.ArenaReused = reused
 	workers := effectiveParallelism(cfg.Parallelism, simSMs)
 	ar.job = smJob{
 		ctx: ctx, p: p, wl: wl, cfg: cfg, launch: launch, occ: occ, entry: entry,
@@ -261,9 +281,6 @@ func Run(ctx context.Context, p *Program, launch LaunchConfig, wl Workload, cfg 
 	for _, w := range ar.workers[:workers] {
 		res.merge(&w.partial)
 	}
-	ffPeriods.Add(res.PeriodsDetected)
-	ffCycles.Add(res.CyclesFastForwarded)
-	ffFallbacks.Add(res.FastForwardFallbacks)
 	return res, nil
 }
 
@@ -375,21 +392,18 @@ func blocksForSM(buf []int, smID, blocks, numSMs int) []int {
 	return out
 }
 
-// smWork is one SM's share of the Result's fast-forward and work
-// counters.
-type smWork struct {
-	detected, ffCycles, fallbacks int64
-	loopIters, readyCalls         int64
-}
-
-func (s *sm) work() smWork {
+// work is one SM's share of the run's work record.
+func (s *sm) work() Work {
 	st := &s.steady
-	return smWork{st.detected, st.ffCycles, st.fallbacks, s.loopIters, s.readyCalls}
+	return Work{
+		PeriodsDetected: st.detected, CyclesFastForwarded: st.ffCycles, FastForwardFallbacks: st.fallbacks,
+		LoopIterations: s.loopIters, ReadyCalls: s.readyCalls,
+	}
 }
 
 // addSM folds one SM's completion cycle, issue counts, and work
 // counters into a result (order-independent: sums and a max).
-func (r *Result) addSM(cycles int64, issuedPerPC []int64, w smWork) {
+func (r *Result) addSM(cycles int64, issuedPerPC []int64, w Work) {
 	if cycles > r.Cycles {
 		r.Cycles = cycles
 	}
@@ -397,19 +411,12 @@ func (r *Result) addSM(cycles int64, issuedPerPC []int64, w smWork) {
 		r.IssuedPerPC[pc] += n
 		r.TotalIssued += n
 	}
-	r.PeriodsDetected += w.detected
-	r.CyclesFastForwarded += w.ffCycles
-	r.FastForwardFallbacks += w.fallbacks
-	r.LoopIterations += w.loopIters
-	r.ReadyCalls += w.readyCalls
+	r.Work.add(w)
 }
 
 // merge folds a worker's partial into the run's result.
 func (r *Result) merge(part *Result) {
-	r.addSM(part.Cycles, part.IssuedPerPC, smWork{
-		part.PeriodsDetected, part.CyclesFastForwarded, part.FastForwardFallbacks,
-		part.LoopIterations, part.ReadyCalls,
-	})
+	r.addSM(part.Cycles, part.IssuedPerPC, part.Work)
 }
 
 // sliceSink buffers one SM's samples for in-order replay to an ordered

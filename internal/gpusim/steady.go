@@ -172,7 +172,7 @@ type steadyState struct {
 	// drifting) should not pay the capture cost forever.
 	dry int64
 
-	// Counters surfaced through Result and FFStats.
+	// Counters surfaced through Result.Work.
 	detected  int64
 	ffCycles  int64
 	fallbacks int64

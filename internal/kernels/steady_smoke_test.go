@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gpa"
-	"gpa/internal/gpusim"
 )
 
 // TestSteadyFastForwardFiresOnCorpus pins that the steady-state
@@ -14,8 +13,9 @@ import (
 // wavefront loop, periodic at the SM level) must detect a period and
 // skip cycles — and so must profiling it the way gpad serves every
 // request (PC sampling at period 64, 4 SMs), since a sampled run is the
-// only simulation an advise pays for. The FF counters are process-wide
-// (gpusim.FFStats), so the test asserts on deltas around each run.
+// only simulation an advise pays for. The unsampled run goes through an
+// engine, whose Stats sum the work records of the runs it makes; the
+// sampled one carries its own record on the profile.
 func TestSteadyFastForwardFiresOnCorpus(t *testing.T) {
 	rows := Find("rodinia/nw")
 	if len(rows) == 0 {
@@ -25,34 +25,33 @@ func TestSteadyFastForwardFiresOnCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0, c0, _ := gpusim.FFStats()
-	cycles, err := k.Measure(context.Background(), &gpa.Options{
-		Workload: wl, Seed: 11, SimSMs: 4, Parallelism: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	eng := gpa.NewEngine(&gpa.EngineOptions{Workers: 1})
+	res := eng.Do(ctx, gpa.Job{Kind: gpa.JobMeasure, Kernel: k, WorkloadKey: "nw/base",
+		Options: &gpa.Options{Workload: wl, Seed: 11, SimSMs: 4, Parallelism: 1}})
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	p1, c1, _ := gpusim.FFStats()
-	if p1-p0 <= 0 || c1-c0 <= 0 {
-		t.Errorf("fast-forward did not fire on rodinia/nw: periods=%d cyclesSkipped=%d",
-			p1-p0, c1-c0)
+	st := eng.Stats()
+	if st.Sims != 1 || st.FFPeriodsDetected <= 0 || st.FFCyclesSkipped <= 0 {
+		t.Errorf("fast-forward did not fire on rodinia/nw: sims=%d periods=%d cyclesSkipped=%d",
+			st.Sims, st.FFPeriodsDetected, st.FFCyclesSkipped)
 	}
-	if skipped := c1 - c0; skipped >= cycles*4 {
-		t.Errorf("skipped %d cycles but 4 SMs only simulate %d total", skipped, cycles*4)
+	if st.FFCyclesSkipped >= res.Cycles*4 {
+		t.Errorf("skipped %d cycles but 4 SMs only simulate %d total", st.FFCyclesSkipped, res.Cycles*4)
 	}
 
-	prof, err := k.Profile(context.Background(), &gpa.Options{
+	prof, err := k.Profile(ctx, &gpa.Options{
 		Workload: wl, Seed: 11, SimSMs: 4, SamplePeriod: 64, Parallelism: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, c2, _ := gpusim.FFStats()
-	if p2-p1 <= 0 || c2-c1 <= 0 {
+	if w := prof.Work; w.PeriodsDetected <= 0 || w.CyclesFastForwarded <= 0 {
 		t.Errorf("fast-forward did not fire on a sampled rodinia/nw run: periods=%d cyclesSkipped=%d",
-			p2-p1, c2-c1)
+			w.PeriodsDetected, w.CyclesFastForwarded)
 	}
-	if prof.Cycles != cycles {
-		t.Errorf("sampled run took %d cycles, unsampled %d", prof.Cycles, cycles)
+	if prof.Cycles != res.Cycles {
+		t.Errorf("sampled run took %d cycles, unsampled %d", prof.Cycles, res.Cycles)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // overhead), and a value drawn from a pool must either be released in
 // the same function or escape it (returned, stored, or passed on, i.e.
 // ownership transferred to a caller who releases it, the pattern
-// Program.Recycle and profiler.Recycle follow). A drawn value that
+// gpusim's Program.Recycle follows). A drawn value that
 // provably stays local without a Put is a leak on every path.
 func PoolPair() *Analyzer {
 	a := &Analyzer{

@@ -38,9 +38,6 @@ type Options struct {
 	GPU *arch.GPU
 	// SamplePeriod in cycles; 0 uses 64.
 	SamplePeriod int
-	// BufferCap is the per-SM sample buffer capacity (0 uses the
-	// sampling default).
-	BufferCap int
 	// SimSMs bounds detailed SM simulation (0 uses the gpusim default).
 	SimSMs int
 	Seed   uint64
@@ -105,9 +102,9 @@ type Profile struct {
 
 	Records []PCRecord `json:"records"`
 
-	// freeMaps stashes cleared StallCounts maps harvested by Recycle so
-	// a recycled profile's records repopulate without allocating.
-	freeMaps []StallCounts
+	// Work is the record of the simulation that took the profile: how it
+	// was computed, never part of what it is (no encoding, no digest).
+	Work gpusim.Work `json:"-"`
 }
 
 // Collect profiles one launch of the module's entry kernel. The
@@ -140,9 +137,9 @@ func CollectProgram(ctx context.Context, prog *gpusim.Program, launch gpusim.Lau
 	}
 	// The per-SM sample counters are pure scratch: nothing in the
 	// returned Profile aliases them, so they recycle through a pool
-	// alongside the simulator's per-run arenas (Profile itself is
-	// retained by callers and caches, and is always fresh).
-	ctr := getCounter(opts.BufferCap, len(prog.Instrs))
+	// alongside the simulator's per-run arenas (the Profile itself is
+	// the caller's, and always fresh).
+	ctr := getCounter(len(prog.Instrs))
 	defer counterPool.Put(ctr)
 	res, err := gpusim.Run(ctx, prog, launch, wl, gpusim.Config{
 		GPU:          opts.GPU,
@@ -162,8 +159,7 @@ func CollectProgram(ctx context.Context, prog *gpusim.Program, launch gpusim.Lau
 	if gpuKey == defaultGPUKey {
 		gpuKey = "" // default model: omitted for digest stability
 	}
-	p := getProfile()
-	*p = Profile{
+	p := &Profile{
 		Kernel:            launch.Entry,
 		Arch:              mod.Arch,
 		GPU:               gpuKey,
@@ -181,9 +177,7 @@ func CollectProgram(ctx context.Context, prog *gpusim.Program, launch gpusim.Lau
 		ActiveSamples:     agg.Active,
 		LatencySamples:    agg.Latency,
 		IssueRatio:        agg.IssueRatio(),
-
-		Records:  p.Records[:0],
-		freeMaps: p.freeMaps,
+		Work:              res.Work,
 	}
 	for flat, st := range agg.PerPC {
 		if st.Total == 0 && res.IssuedPerPC[flat] == 0 {
@@ -203,13 +197,13 @@ func CollectProgram(ctx context.Context, prog *gpusim.Program, launch gpusim.Lau
 		for r := gpusim.StallReason(1); r < gpusim.NumReasons; r++ {
 			if st.Stalls[r] > 0 {
 				if rec.Stalls == nil {
-					rec.Stalls = p.takeMap()
+					rec.Stalls = StallCounts{}
 				}
 				rec.Stalls[r.String()] = st.Stalls[r]
 			}
 			if st.LatencyStalls[r] > 0 {
 				if rec.LatencyStalls == nil {
-					rec.LatencyStalls = p.takeMap()
+					rec.LatencyStalls = StallCounts{}
 				}
 				rec.LatencyStalls[r.String()] = st.LatencyStalls[r]
 			}
@@ -220,66 +214,20 @@ func CollectProgram(ctx context.Context, prog *gpusim.Program, launch gpusim.Lau
 }
 
 // defaultGPUKey is the registry key of the default model, resolved once
-// (VoltaV100 constructs a fresh model per call; the warm profiling path
-// must not allocate).
+// (VoltaV100 constructs a fresh model per call).
 var defaultGPUKey = arch.KeyOf(arch.VoltaV100())
 
 // counterPool recycles the per-collection scratch state (the per-SM
 // sample counters and their merged aggregate) between profiling runs.
 var counterPool sync.Pool // *sampling.Counter
 
-func getCounter(bufferCap, numPCs int) *sampling.Counter {
+func getCounter(numPCs int) *sampling.Counter {
 	c, _ := counterPool.Get().(*sampling.Counter)
 	if c == nil {
 		c = &sampling.Counter{}
 	}
-	c.Reset(bufferCap, numPCs)
+	c.Reset(0, numPCs) // 0: the default per-SM buffer capacity
 	return c
-}
-
-var profilePool sync.Pool // *Profile
-
-func getProfile() *Profile {
-	p, _ := profilePool.Get().(*Profile)
-	if p == nil {
-		p = &Profile{}
-	}
-	return p
-}
-
-// takeMap hands out a cleared recycled StallCounts map when one is
-// stashed, or a fresh one.
-func (p *Profile) takeMap() StallCounts {
-	if n := len(p.freeMaps); n > 0 {
-		m := p.freeMaps[n-1]
-		p.freeMaps = p.freeMaps[:n-1]
-		return m
-	}
-	return StallCounts{}
-}
-
-// Recycle returns a profile produced by Collect/CollectProgram to the
-// package pool so the next collection reuses its record storage and
-// stall-count maps. It is optional — callers that retain profiles (the
-// advice pipeline keeps them inside Reports) simply never recycle
-// them. After Recycle the profile must not be used.
-func Recycle(p *Profile) {
-	if p == nil {
-		return
-	}
-	for i := range p.Records {
-		rec := &p.Records[i]
-		if rec.Stalls != nil {
-			clear(rec.Stalls)
-			p.freeMaps = append(p.freeMaps, rec.Stalls)
-		}
-		if rec.LatencyStalls != nil {
-			clear(rec.LatencyStalls)
-			p.freeMaps = append(p.freeMaps, rec.LatencyStalls)
-		}
-	}
-	*p = Profile{Records: p.Records[:0], freeMaps: p.freeMaps}
-	profilePool.Put(p)
 }
 
 // Save writes the profile as JSON.

@@ -97,8 +97,8 @@ var packModule = cubin.Pack
 // identity — a Workload (an opaque callback) without a WorkloadKey —
 // which bypasses the store and singleflight.
 // The two variable-size inputs, the module and the GPU model table,
-// enter by their own cached digests (Request.ModuleHash and a
-// per-model memo), so a warm engine never re-encodes either.
+// enter by their own cached digests (Request.ModuleHash and a memo
+// keyed by the model's value), so a warm engine never re-encodes either.
 func (r *Request) keyMaterial(buf []byte) (km keyMaterial, cacheable bool, err error) {
 	if r.Workload != nil && r.WorkloadKey == "" {
 		return km, false, nil
@@ -166,20 +166,20 @@ func (r *Request) Digest() (string, error) {
 }
 
 // gpuHashes memoizes the SHA-256 of each GPU model's JSON encoding,
-// keyed by pointer. Models handed out by the arch registry or reused
-// across requests (gpa.Engine jobs, gpad's per-name model cache) hit
-// the memo; the size cap guards against callers that mint a fresh GPU
-// per request degrading it into a leak.
+// keyed by the model's value: arch.GPU is plain comparable data, so a
+// model changed after its first use is another key, and equal models
+// share one entry whoever minted them. The size cap keeps a caller that
+// varies a model per request from growing it without bound.
 var gpuHashes struct {
 	sync.RWMutex
-	m map[*arch.GPU][32]byte
+	m map[arch.GPU][32]byte
 }
 
 const gpuHashCap = 4096
 
 func gpuModelHash(g *arch.GPU) ([32]byte, error) {
 	gpuHashes.RLock()
-	h, ok := gpuHashes.m[g]
+	h, ok := gpuHashes.m[*g]
 	gpuHashes.RUnlock()
 	if ok {
 		return h, nil
@@ -191,9 +191,9 @@ func gpuModelHash(g *arch.GPU) ([32]byte, error) {
 	h = sha256.Sum256(data)
 	gpuHashes.Lock()
 	if gpuHashes.m == nil || len(gpuHashes.m) >= gpuHashCap {
-		gpuHashes.m = make(map[*arch.GPU][32]byte, 16)
+		gpuHashes.m = make(map[arch.GPU][32]byte, 16)
 	}
-	gpuHashes.m[g] = h
+	gpuHashes.m[*g] = h
 	gpuHashes.Unlock()
 	return h, nil
 }

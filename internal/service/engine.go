@@ -202,19 +202,21 @@ func (r *Request) normalized() Request {
 }
 
 // Response is the result of one request, and the form a served stage's
-// artifact takes in the store's memory tier: every hit on a stage
-// returns the one Response that stage's run or blob produced, Cached
-// set. Responses are shared: a store or singleflight hit returns the
-// same inner pointers to every caller, so whatever Profile, Advice and
-// Context hand out must be treated as read-only.
+// artifact takes in the store's memory tier. A shared response — every
+// hit on a stage, every coalesced follower — is built one way, from the
+// stage's payload bytes (Engine.publish), whether a run just framed them
+// or the disk store held them; it has Cached set and whatever Profile
+// and Advice hand out of it must be treated as read-only. The response
+// of the caller that led a run is that run's own: Cached unset, the
+// structs it computed, and its Context.
 //
 // The scalar fields are always set. Profile, Advice and Report are
-// accessors because a response served from the on-disk artifact store
-// holds the bytes it will be encoded as, not the structs: they decode
-// on first use, once per artifact, and fail with an error wrapping
-// apierr.ErrInternal when the stored artifact has vanished or does not
-// decode to what its header declared. On a response a pipeline run
-// produced they return that run's values and cannot fail.
+// accessors because a shared response holds the bytes it is encoded as,
+// not the structs: they decode on first use, once per artifact, and
+// fail with an error wrapping apierr.ErrInternal when a stored artifact
+// has vanished or does not decode to what its header declared. On the
+// response of the caller that led the run they return that run's values
+// and cannot fail.
 type Response struct {
 	// Key is the request digest — the terminal stage's key, in hex — and
 	// "" for uncacheable requests.
@@ -236,60 +238,21 @@ type Response struct {
 	// Context is the analysis context of the run that produced the
 	// advice (KindAdvise): the blamer's per-function results and the
 	// profile's function views, about as large again as everything else
-	// a response holds. Only the caller that led that run gets it. It
-	// is nil on every shared view — store hits and coalesced followers
-	// (asCached drops it, so a stored response does not pin it until
-	// eviction) — and on a response decoded from a blob, which never
-	// had one.
+	// a response holds. Only the caller that led that run gets it, and
+	// it dies with that request; payload bytes never had one, so it is
+	// nil on every shared response.
 	Context *adv.Context
 
-	// prof (KindProfile) and adv (KindAdvise) are the lazy halves behind
-	// the accessors; eng resolves and counts them.
+	// prof (KindProfile) and adv (KindAdvise) are the artifacts behind
+	// the accessors and the tail; eng resolves and counts their decodes.
 	prof *profileArtifact
 	adv  *adviceArtifact
 	eng  *Engine
-
-	// freshTail is the wire tail a cold run encoded for its advice put.
-	// Only the flight leader's own copy carries it (asCached drops it):
-	// it saves that caller's encode and dies with its request, so a
-	// stored response pins no tail nobody asked for twice.
-	freshTail []byte
-
-	// shared is what every copy of one response has in common; it is a
-	// pointer so the leader's copy and the stored view share it, and it
-	// is evicted with the view.
-	shared *respShared
-}
-
-// respShared holds what is derived from a response at most once however
-// many hits it serves.
-type respShared struct {
-	memoOnce sync.Once
-	memo     any
-
-	// encodes counts Tail calls. The tail is kept from the second one
-	// on: a response that is encoded once — a cold run nobody asks for
-	// again — would otherwise pin ~15 KB until eviction for no later
-	// request to use.
-	encodes  atomic.Uint32
-	tailOnce sync.Once
-	tail     []byte
-	tailErr  error
-}
-
-// Memo returns a value derived from this response, building it at most
-// once per underlying response (store hits and coalesced copies share
-// the memo). The gpa layer uses it to avoid re-materializing its Report
-// wrapper on every warm hit.
-func (r *Response) Memo(build func() any) any {
-	m := r.shared
-	m.memoOnce.Do(func() { m.memo = build() })
-	return m.memo
 }
 
 // Profile returns the sampled profile (KindProfile and KindAdvise; nil
-// for KindMeasure). For a store-served advise response this is the one
-// access that reads the profile stage.
+// for KindMeasure). For a shared advise response this is the one access
+// that reads the profile stage.
 func (r *Response) Profile() (*profiler.Profile, error) {
 	pa := r.prof
 	if pa == nil {
@@ -327,53 +290,25 @@ func (r *Response) Report() (string, error) {
 // Tail returns the response's wire tail: the gpa-result/2 encoding from
 // "cycles" through the closing brace and newline, the part shared by
 // every request this response serves (the caller writes its own head in
-// front; see gpa.Job.EncodeResult). The slice is read-only. A
-// store-served advise response returns the bytes its blob holds; any
-// other encodes, and keeps the encoding from its second call on.
+// front; see gpa.Job.EncodeResult). An advise response returns the
+// bytes of its artifact's document, read-only. A profile or measure
+// response encodes its scalars around the profile's canonical body,
+// which encoding/json re-indents to the reference encoder's bytes: no
+// struct is decoded, and nothing is kept.
 func (r *Response) Tail() ([]byte, error) {
-	if r.adv != nil && r.adv.doc != nil {
+	if r.adv != nil {
 		return r.adv.doc[len(tailOpen):], nil
 	}
-	m := r.shared
-	n := m.encodes.Add(1)
-	if r.freshTail != nil {
-		return r.freshTail, nil
+	t := wireTail{Cycles: r.Cycles, ElapsedMS: r.ElapsedMS, ProfileDigest: r.ProfileDigest}
+	if r.prof != nil {
+		// Advise results leave the raw samples out to stay compact.
+		t.Profile = r.prof.body
 	}
-	if n == 1 {
-		return r.encodeTail()
-	}
-	m.tailOnce.Do(func() { m.tail, m.tailErr = r.encodeTail() })
-	return m.tail, m.tailErr
-}
-
-// encodeTail encodes the tail afresh.
-func (r *Response) encodeTail() ([]byte, error) {
-	doc, err := r.tailDoc()
+	doc, err := t.encode()
 	if err != nil {
 		return nil, err
 	}
 	return doc[len(tailOpen):], nil
-}
-
-// tailDoc is the one definition of the tail encoding: the document the
-// advice put stores, and, after tailOpen, what the wire carries.
-func (r *Response) tailDoc() ([]byte, error) {
-	t := wireTail{Cycles: r.Cycles, ElapsedMS: r.ElapsedMS, ProfileDigest: r.ProfileDigest}
-	switch r.Kind {
-	case KindAdvise:
-		advice, report, err := r.adv.decoded(r.eng)
-		if err != nil {
-			return nil, err
-		}
-		t.Advice, t.Report = advice.Entries, report
-	case KindProfile:
-		// Advise results leave the raw samples out to stay compact.
-		var err error
-		if t.Profile, err = r.prof.profile(r.eng); err != nil {
-			return nil, err
-		}
-	}
-	return t.encode()
 }
 
 // Stats is a point-in-time snapshot of the engine's counters. The
@@ -451,19 +386,19 @@ type Stats struct {
 	BrownoutLevel int64 `json:"brownoutLevel"`
 	// Workers is the engine's worker-pool bound.
 	Workers int `json:"workers"`
-	// PoolGets / PoolHits are the simulator's per-run state-arena
-	// counters (gpusim.PoolStats): how many arenas were acquired
-	// process-wide and how many were recycled pool hits. A warm engine
-	// should show PoolHits tracking PoolGets.
+	// PoolGets / PoolHits sum the work records (gpusim.Work) of this
+	// engine's simulations: how many state arenas they acquired — one
+	// each, so PoolGets equals Sims — and how many of those came out of
+	// a program's pool (Work.ArenaReused). A warm engine should show
+	// PoolHits tracking PoolGets.
 	PoolGets int64 `json:"poolGets"`
 	PoolHits int64 `json:"poolHits"`
-	// FFPeriodsDetected / FFCyclesSkipped / FFFallbacks are the
-	// simulator's process-wide steady-state memoization counters
-	// (gpusim.FFStats): periods locked and fast-forwarded, simulated
-	// cycles skipped analytically instead of stepped, and detected
-	// periods abandoned without skipping. Periodic workloads show
-	// FFCyclesSkipped dwarfing stepped cycles; aperiodic ones show all
-	// three near zero.
+	// FFPeriodsDetected / FFCyclesSkipped / FFFallbacks sum the same
+	// records' steady-state memoization counters: periods locked and
+	// fast-forwarded, simulated cycles skipped analytically instead of
+	// stepped, and detected periods abandoned without skipping. Periodic
+	// workloads show FFCyclesSkipped dwarfing stepped cycles; aperiodic
+	// ones show all three near zero.
 	FFPeriodsDetected int64 `json:"ffPeriodsDetected"`
 	FFCyclesSkipped   int64 `json:"ffCyclesSkipped"`
 	FFFallbacks       int64 `json:"ffFallbacks"`
@@ -484,17 +419,11 @@ type Stats struct {
 	StoreCorrupt int64 `json:"storeCorrupt"`
 	StoreErrors  int64 `json:"storeErrors"`
 	// StageDecodes counts stage payloads decoded into their struct form
-	// (a profile, or an advice with its report). Serving a stored advise
-	// response decodes nothing; the counter moves when a run needs a
-	// stored profile, a profile response is encoded, or a caller asks a
-	// store-served response for Profile, Advice or Report.
+	// (a profile, or an advice with its report). Serving decodes nothing,
+	// whatever the kind and the tier; the counter moves when a run blames
+	// a profile another request left behind, or a caller asks a shared
+	// response for Profile, Advice or Report.
 	StageDecodes int64 `json:"stageDecodes"`
-	// GPUModelHashes is the number of distinct *arch.GPU instances whose
-	// model digest is memoized, process-wide. A server that shares one
-	// instance per model holds it at the number of models in use; growth
-	// with traffic means some caller mints a fresh model per request and
-	// pays a marshal and a hash for it every time.
-	GPUModelHashes int `json:"gpuModelHashes"`
 	// AllocsPerJob is the mean number of heap allocations per served
 	// job (hits, coalesced, bypassed, and executed alike) since the
 	// engine was created, measured from runtime.MemStats.Mallocs. It is
@@ -597,6 +526,8 @@ type Engine struct {
 	n struct {
 		hits, misses, coalesced, bypass, runs, errors, canceled, shed, inflight atomic.Int64
 		sims, stageServed, structureBuilds, stageDecodes, panics                atomic.Int64
+		// The summed gpusim.Work records of the engine's simulations.
+		poolHits, ffPeriods, ffCycles, ffFallbacks atomic.Int64
 	}
 }
 
@@ -875,20 +806,13 @@ func (e *Engine) StageLatency() *obs.StageLatency { return e.lat }
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
 	allocs := heapAllocObjects()
-	poolGets, poolHits := gpusim.PoolStats()
-	ffPeriods, ffCycles, ffFallbacks := gpusim.FFStats()
 	stageStats := e.stages.Stats() // nil-safe: zero Stats without a memory tier
 	var diskStats store.Stats
 	if e.disk != nil {
 		diskStats = e.disk.Stats()
 	}
 	adm := e.adm.Snapshot()
-	gpuHashes.RLock()
-	gpuModelHashes := len(gpuHashes.m)
-	gpuHashes.RUnlock()
 	st := Stats{
-		GPUModelHashes: gpuModelHashes,
-
 		Hits:          e.n.hits.Load(),
 		Misses:        e.n.misses.Load(),
 		Coalesced:     e.n.coalesced.Load(),
@@ -913,12 +837,12 @@ func (e *Engine) Stats() Stats {
 		Tenants:           adm.Tenants,
 
 		Workers:  e.adm.Workers(),
-		PoolGets: poolGets,
-		PoolHits: poolHits,
+		PoolGets: e.n.sims.Load(),
+		PoolHits: e.n.poolHits.Load(),
 
-		FFPeriodsDetected: ffPeriods,
-		FFCyclesSkipped:   ffCycles,
-		FFFallbacks:       ffFallbacks,
+		FFPeriodsDetected: e.n.ffPeriods.Load(),
+		FFCyclesSkipped:   e.n.ffCycles.Load(),
+		FFFallbacks:       e.n.ffFallbacks.Load(),
 
 		StructureBuilds: e.n.structureBuilds.Load(),
 		StageHits:       stageStats.Hits,
@@ -938,22 +862,25 @@ func (e *Engine) Stats() Stats {
 }
 
 // stage is one row of the pipeline's stage table: what a served stage
-// needs, and how its artifact is decoded from a blob, computed by a run,
-// and framed into a blob. In the memory tier the artifact is the
-// Response it serves.
+// needs, and how its artifact is computed by a run, framed into a
+// payload, and decoded from one. A payload is the only form a shared
+// artifact has — on disk, and in the memory tier as the Response
+// decoded from it (Engine.publish).
 type stage struct {
 	// needs is the stage whose response compute takes (stFrontend: only
 	// the module front-end, which every stage reaches through its run).
 	needs stageID
-	// decode validates a blob payload and builds the response it serves;
-	// profKey is the request's profile-stage key.
+	// decode validates a payload and builds the shared response it
+	// serves, decoding no struct; profKey is the request's profile-stage
+	// key.
 	decode func(payload []byte, profKey store.Key) (*Response, error)
 	// compute runs the stage over dep, the response of the stage it
-	// needs, and returns the leader's response: Cached unset, and for
-	// advice the analysis Context.
+	// needs, and returns the leader's response: Cached unset, the structs
+	// beside the bytes they encode to, and for advice the analysis
+	// Context.
 	compute func(e *Engine, ctx context.Context, r *run, dep *Response) (*Response, error)
-	// frame encodes the computed response as the stage's blob payload.
-	frame func(r *run, resp *Response) ([]byte, error)
+	// frame encodes the computed response as the stage's payload.
+	frame func(resp *Response) ([]byte, error)
 }
 
 // stages is the table. The module front-end is a stage too — it has a
@@ -992,16 +919,13 @@ type run struct {
 	sk    *stageKeys
 	start time.Time
 	fa    *frontendArtifact
-	// profJSON is the canonical encoding computeProfile hashed, kept for
-	// frameProfile.
-	profJSON []byte
 }
 
-// lookup is the read half of the driver: memory, then disk — decoding
-// the blob into the response it serves and warming memory with it. A
-// blob whose payload fails stage-level validation is reported corrupt
-// and removed: checksum-valid framing proves the bytes survived, not
-// that they decode to a well-formed artifact.
+// lookup is the read half of the driver: memory, then disk — publishing
+// the blob's payload to memory as the response it serves. A blob whose
+// payload fails stage-level validation is reported corrupt and removed:
+// checksum-valid framing proves the bytes survived, not that they decode
+// to a well-formed artifact.
 func (e *Engine) lookup(s stageID, sk *stageKeys, from tier) *Response {
 	name, key := stageNames[s], sk[s]
 	if from <= tierMemory {
@@ -1016,21 +940,38 @@ func (e *Engine) lookup(s stageID, sk *stageKeys, from tier) *Response {
 	if !ok {
 		return nil
 	}
-	view, err := stages[s].decode(payload, sk[stProfile])
+	view, err := e.publish(s, sk, payload)
 	if err != nil {
 		e.disk.NoteCorrupt(name, key)
 		return nil
 	}
-	view.Key, view.Cached, view.eng, view.shared = hex.EncodeToString(key[:]), true, e, &respShared{}
-	return e.stages.Add(name, key, view).(*Response)
+	return view
+}
+
+// publish is the one constructor of a shared response: it validates a
+// stage payload — read from disk, or framed by the run that just
+// computed the stage — builds the response the payload serves, and adds
+// it to the memory tier, returning the response under the key (an
+// earlier one on a race).
+func (e *Engine) publish(s stageID, sk *stageKeys, payload []byte) (*Response, error) {
+	view, err := stages[s].decode(payload, sk[stProfile])
+	if err != nil {
+		return nil, err
+	}
+	key := sk[s]
+	view.Key, view.Cached, view.eng = hex.EncodeToString(key[:]), true, e
+	return e.stages.Add(stageNames[s], key, view).(*Response), nil
 }
 
 // resolve is the one stage driver: memory → disk → compute, over the
-// resolved stage it needs → put. It returns the stage's shared view
-// and, when this call computed it, the leader's own response beside it.
-// An uncacheable run has no keys: it only computes, and its view is the
-// leader's response itself. Publishing failures cost persistence, never
-// the request.
+// resolved stage it needs → frame → publish → put. It returns the
+// stage's shared response and, when this call computed the stage, the
+// leader's own beside it. A stage that depends on another takes the
+// run's own lead when this run computed it — it holds the struct — and
+// the shared response otherwise, decoding its body once. An uncacheable
+// run has no keys: it only computes, and shares nothing. A payload the
+// stage's own decoder rejects fails the run, so nothing is ever served
+// from memory that would not be served from disk.
 func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (view, lead *Response, err error) {
 	if r.sk != nil {
 		if view = e.lookup(s, r.sk, from); view != nil {
@@ -1040,8 +981,12 @@ func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (vie
 	st := &stages[s]
 	var dep *Response
 	if st.needs != stFrontend {
-		if dep, _, err = e.resolve(ctx, r, st.needs, tierMemory); err != nil {
+		depView, depLead, err := e.resolve(ctx, r, st.needs, tierMemory)
+		if err != nil {
 			return nil, nil, err
+		}
+		if dep = depLead; dep == nil {
+			dep = depView
 		}
 		if err := apierr.CtxErr(ctx); err != nil {
 			return nil, nil, fmt.Errorf("service: %w", err)
@@ -1050,32 +995,22 @@ func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (vie
 	if lead, err = st.compute(e, ctx, r, dep); err != nil {
 		return nil, nil, err
 	}
-	lead.eng, lead.shared = e, &respShared{}
+	lead.eng = e
 	if r.sk == nil {
 		return lead, lead, nil
 	}
-	name, key := stageNames[s], r.sk[s]
-	lead.Key = hex.EncodeToString(key[:])
-	view = asCached(lead)
-	e.stages.Add(name, key, view)
+	payload, err := st.frame(lead)
+	if err == nil {
+		view, err = e.publish(s, r.sk, payload)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: %w: the %s stage computed an artifact it cannot serve: %v", apierr.ErrInternal, stageNames[s], err)
+	}
+	lead.Key = view.Key
 	if e.disk != nil {
-		if payload, err := st.frame(r, lead); err == nil {
-			e.disk.Put(name, key, payload)
-		}
+		e.disk.Put(stageNames[s], r.sk[s], payload)
 	}
 	return view, lead, nil
-}
-
-// asCached shallow-copies a response with the Cached flag set; the
-// inner pointers stay shared (read-only by contract), except what only
-// the flight leader's own request has a use for: its encoded tail and
-// its analysis Context.
-func asCached(r *Response) *Response {
-	c := *r
-	c.Cached = true
-	c.freshTail = nil
-	c.Context = nil
-	return &c
 }
 
 // execute answers one request that missed the memory tier: the disk
@@ -1193,7 +1128,7 @@ func (e *Engine) computeMeasure(ctx context.Context, r *run, _ *Response) (*Resp
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	e.n.sims.Add(1)
+	e.noteSim(res.Work)
 	resp := &Response{Kind: KindMeasure, Cycles: res.Cycles}
 	prog.Recycle(res)
 	resp.ElapsedMS = elapsedMS(r.start)
@@ -1217,25 +1152,37 @@ func (e *Engine) computeProfile(ctx context.Context, r *run, _ *Response) (*Resp
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	e.n.sims.Add(1)
+	e.noteSim(prof.Work)
 	// The canonical JSON encoding is hashed directly (identical to
-	// Profile.Digest) and doubles as the blob body.
-	if r.profJSON, err = json.Marshal(prof); err != nil {
+	// Profile.Digest) and is the payload body.
+	body, err := json.Marshal(prof)
+	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	sum := sha256.Sum256(r.profJSON)
+	sum := sha256.Sum256(body)
 	// ElapsedMS is what a profile response replays, so a warm hit stays
 	// byte-identical to this cold run.
 	return &Response{
 		Kind: KindProfile, Cycles: prof.Cycles, ElapsedMS: elapsedMS(r.start), ProfileDigest: hex.EncodeToString(sum[:]),
-		prof: &profileArtifact{kernel: prof.Kernel, cycles: prof.Cycles, prof: prof},
+		prof: &profileArtifact{kernel: prof.Kernel, cycles: prof.Cycles, body: body, prof: prof},
 	}, nil
 }
 
+// noteSim adds one simulation's work record to the engine's counters.
+func (e *Engine) noteSim(w gpusim.Work) {
+	e.n.sims.Add(1)
+	if w.ArenaReused {
+		e.n.poolHits.Add(1)
+	}
+	e.n.ffPeriods.Add(w.PeriodsDetected)
+	e.n.ffCycles.Add(w.CyclesFastForwarded)
+	e.n.ffFallbacks.Add(w.FastForwardFallbacks)
+}
+
 // computeAdvice blames and advises over pv, the profile stage's
-// response: a stored one (e.g. a prior /v1/profile) has skipped the
-// simulation entirely, and is decoded here, because blaming needs the
-// profile as a struct.
+// response: this run's own, or a shared one (e.g. a prior /v1/profile),
+// which has skipped the simulation entirely and is decoded here,
+// because blaming needs the profile as a struct.
 func (e *Engine) computeAdvice(ctx context.Context, r *run, pv *Response) (*Response, error) {
 	prof, err := pv.prof.profile(e)
 	if err != nil {
@@ -1255,14 +1202,24 @@ func (e *Engine) computeAdvice(ctx context.Context, r *run, pv *Response) (*Resp
 	}
 	adviseStart := time.Now()
 	advice := adv.Advise(actx, adv.DefaultOptimizers()...)
-	aa := &adviceArtifact{
-		kernel: advice.Kernel, digest: pv.ProfileDigest,
-		advice: advice, report: advice.String(), pa: pv.prof,
-	}
+	report := advice.String()
 	e.lat.Since(obs.StageAdvise, adviseStart)
+	// The document is the response's wire tail and the payload body: one
+	// encoding, whoever is served it.
+	t := wireTail{
+		Cycles: pv.Cycles, ElapsedMS: elapsedMS(r.start), ProfileDigest: pv.ProfileDigest,
+		Advice: advice.Entries, Report: report,
+	}
+	doc, err := t.encode()
+	if err != nil {
+		return nil, err
+	}
 	return &Response{
-		Kind: KindAdvise, Cycles: pv.Cycles, ElapsedMS: elapsedMS(r.start), ProfileDigest: pv.ProfileDigest,
-		Context: actx, adv: aa,
+		Kind: KindAdvise, Cycles: t.Cycles, ElapsedMS: t.ElapsedMS, ProfileDigest: t.ProfileDigest, Context: actx,
+		adv: &adviceArtifact{
+			kernel: advice.Kernel, digest: pv.ProfileDigest, doc: doc,
+			advice: advice, report: report, pa: pv.prof,
+		},
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -16,6 +17,34 @@ import (
 // fuzzEngine counts the lazy decodes the fuzz targets trigger; it runs
 // nothing.
 var fuzzEngine = New(Options{Workers: 1})
+
+// runPayloads returns the payload of every stage as real runs frame it
+// — what an engine publishes to memory and puts on disk — read back
+// from the store those runs filled.
+func runPayloads(f *testing.F) [][]byte {
+	f.Helper()
+	d, err := OpenDisk(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	e := New(Options{Workers: 1, Disk: d})
+	// An advise run frames the profile it blames too.
+	for _, k := range []Kind{KindMeasure, KindAdvise} {
+		if _, err := e.Do(context.Background(), testRequest(f, k)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	sk := keysOf(f, testRequest(f, KindAdvise))
+	var payloads [][]byte
+	for s := stMeasure; s <= stAdvice; s++ {
+		payload, ok := d.Get(stageNames[s], sk[s])
+		if !ok {
+			f.Fatalf("the runs put no %s blob", stageNames[s])
+		}
+		payloads = append(payloads, payload)
+	}
+	return payloads
+}
 
 // FuzzStageEnvelopeDecode throws arbitrary payload bytes at all three
 // stage-artifact decoders and at the lazy struct decode behind them:
@@ -32,6 +61,9 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 	f.Add([]byte(`{"elapsedMs":0,"cycles":-1,"bodyLen":0}` + "\n"))
 	f.Add([]byte(`{"elapsedMs":0,"cycles":1,"bodyLen":0}{"cycles":2}` + "\n")) // trailing header data
 	f.Add([]byte(`{"elapsedMs":0,"cycles":1,"bodyLen":0,"unknown":true}` + "\n"))
+	for _, payload := range runPayloads(f) {
+		f.Add(payload)
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if ma, err := decodeMeasure(payload, store.Key{}); err == nil {
@@ -68,6 +100,13 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 func FuzzStagePayloadFraming(f *testing.F) {
 	f.Add(1.25, int64(1280), "", "", []byte(nil), uint16(7))
 	f.Add(0.0, int64(9), "", "vecscale", []byte(`{"kernel":"vecscale","cycles":9}`), uint16(60))
+	for _, payload := range runPayloads(f) {
+		h, body, err := splitPayload(payload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(h.ElapsedMS, h.Cycles, h.ProfileDigest, h.Kernel, body, uint16(len(payload)/2))
+	}
 
 	f.Fuzz(func(t *testing.T, elapsed float64, cycles int64, digest, kernel string, body []byte, cut uint16) {
 		if !utf8.ValidString(digest) || !utf8.ValidString(kernel) {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"regexp"
 	"runtime"
 	"sync"
 	"testing"
 
 	"gpa/internal/apierr"
+	"gpa/internal/arch"
 	"gpa/internal/gpusim"
 	"gpa/internal/profiler"
 	"gpa/internal/sass"
@@ -39,7 +41,7 @@ BR0:	@P0 BRA LOOP {S:5}
 
 // reportOf, adviceOf and profileOf are the Response accessors for
 // responses that must have the value: the accessors can fail only on
-// store-served responses whose artifact is gone or malformed.
+// shared responses whose stored artifact is gone or malformed.
 func reportOf(t testing.TB, r *Response) string {
 	t.Helper()
 	text, err := r.Report()
@@ -67,7 +69,7 @@ func profileOf(t testing.TB, r *Response) *profiler.Profile {
 	return p
 }
 
-func testRequest(t *testing.T, kind Kind) *Request {
+func testRequest(t testing.TB, kind Kind) *Request {
 	t.Helper()
 	mod, err := sass.Assemble(testKernelSrc)
 	if err != nil {
@@ -134,6 +136,52 @@ func TestDigestStableAndSensitive(t *testing.T) {
 		if k == key1 {
 			t.Errorf("mutating %s did not change the key", name)
 		}
+	}
+}
+
+// TestGPUModelMutatedAfterFirstUse: the model enters the key by the
+// digest of its whole constant table, memoized by the model's value, so
+// a model changed after its first use — same pointer, same registry
+// key — is another model: another key, another run, another result.
+// Changing it back is the first model again.
+func TestGPUModelMutatedAfterFirstUse(t *testing.T) {
+	ctx := context.Background()
+	e := New(Options{Workers: 1})
+	r := testRequest(t, KindMeasure)
+	r.GPU = arch.VoltaV100()
+	key64, err := r.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp64, err := e.Do(ctx, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mshrs := r.GPU.MSHRsPerSM
+	r.GPU.MSHRsPerSM = 1
+	key1, err := r.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key1 == key64 {
+		t.Fatal("a model mutated after its first digest kept its key")
+	}
+	resp1, err := e.Do(ctx, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp1.Cached || resp1.Cycles <= resp64.Cycles {
+		t.Errorf("the %d-MSHR model answered for the 1-MSHR one: cached=%v cycles=%d (with %d MSHRs: %d)",
+			mshrs, resp1.Cached, resp1.Cycles, mshrs, resp64.Cycles)
+	}
+
+	r.GPU.MSHRsPerSM = mshrs
+	if key, _ := r.Digest(); key != key64 {
+		t.Error("the model changed back digests differently than it first did")
+	}
+	if back, err := e.Do(ctx, r); err != nil || !back.Cached || back.Cycles != resp64.Cycles {
+		t.Errorf("the model changed back: %+v, %v; want the first result, from memory", back, err)
 	}
 }
 
@@ -397,12 +445,15 @@ func testPanicContained(t *testing.T, simSMs, parallelism int, buggy gpusim.Work
 	if reportOf(t, got) != reportOf(t, want) || got.ProfileDigest != want.ProfileDigest || got.Cycles != want.Cycles {
 		t.Error("bystander's result differs from an undisturbed run's")
 	}
-	// Its wire bytes too, once the one field that times the run is equal.
-	got.ElapsedMS = want.ElapsedMS
+	// Its wire bytes too, but for the one field that times the run.
+	elapsed := regexp.MustCompile(`"elapsedMs": [^,]+,`)
 	gt, err1 := got.Tail()
 	wt, err2 := want.Tail()
-	if err1 != nil || err2 != nil || !bytes.Equal(gt, wt) {
+	if err1 != nil || err2 != nil || !bytes.Equal(elapsed.ReplaceAll(gt, nil), elapsed.ReplaceAll(wt, nil)) {
 		t.Errorf("bystander's wire tail differs from an undisturbed run's (%v, %v)", err1, err2)
+	}
+	if n := len(elapsed.FindAll(gt, -1)); n != 1 {
+		t.Errorf("masked %d elapsedMs fields of the tail, want 1", n)
 	}
 
 	if _, err := e.Do(ctx, keyed); !errors.Is(err, apierr.ErrInternal) {
@@ -496,9 +547,9 @@ func TestAdviseFeedsProfile(t *testing.T) {
 		t.Errorf("profile after advise: cached=%v kind=%v digest match=%v", profResp.Cached, profResp.Kind,
 			profResp.ProfileDigest == advResp.ProfileDigest)
 	}
-	if profileOf(t, profResp) != profileOf(t, advResp) {
-		t.Error("the profile response holds another profile than the advice blamed")
-	}
+	// The leader's profile is its run's struct, the hit's what the
+	// published bytes decode to.
+	mustEqualJSON(t, "the profile the advice blamed", profileOf(t, advResp), profileOf(t, profResp))
 	if want, _ := testRequest(t, KindProfile).Digest(); profResp.Key != want || profResp.Key == advResp.Key {
 		t.Errorf("profile response key %.16s, want the profile stage's %.16s", profResp.Key, want)
 	}

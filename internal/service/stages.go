@@ -43,9 +43,10 @@ type frontendArtifact struct {
 
 // Stage blob payloads share one framing: a header — one line of strict
 // compact JSON — a newline, then exactly BodyLen raw body bytes. The
-// header carries every scalar a response needs, so serving a blob
-// parses some hundred bytes whatever the body weighs, and the body is
-// stored in the form its consumer wants it in:
+// header carries every scalar a response needs, so building the shared
+// response parses some hundred bytes whatever the body weighs, and the
+// body is kept — in memory as on disk — in the form its consumer wants
+// it in:
 //
 //	measure: cycles, elapsedMs; no body
 //	profile: cycles, elapsedMs, kernel; the body is the canonical
@@ -84,7 +85,7 @@ func encodePayload(h payloadHeader, body []byte) ([]byte, error) {
 // are corruption, not forward compatibility — cross-version
 // compatibility is the schema string's job. body aliases payload.
 //
-//gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup; they never cross the service boundary
+//gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup, and resolve wraps the one a run's own payload could raise in ErrInternal; none crosses the service boundary untyped
 func splitPayload(payload []byte) (h payloadHeader, body []byte, err error) {
 	nl := bytes.IndexByte(payload, '\n')
 	if nl < 0 || nl > maxHeaderBytes {
@@ -118,7 +119,10 @@ type wireTail struct {
 	ProfileDigest string            `json:"profileDigest,omitempty"`
 	Advice        []adv.AdviceEntry `json:"advice,omitempty"`
 	Report        string            `json:"report,omitempty"`
-	Profile       *profiler.Profile `json:"profile,omitempty"`
+	// Profile is the profile's canonical compact encoding (the profile
+	// payload's body): encoding/json re-indents a RawMessage in place, to
+	// the bytes it would give the struct.
+	Profile json.RawMessage `json:"profile,omitempty"`
 }
 
 const (
@@ -134,55 +138,52 @@ const (
 )
 
 // encode renders t as gpad's reference encoder renders a result: two
-// spaces of indent, the newline json.Encoder ends a value with. The
-// slice is sized exactly, because a memoized tail is kept for as long
-// as the engine caches the response.
+// spaces of indent, the newline json.Encoder ends a value with.
 func (t *wireTail) encode() ([]byte, error) {
 	enc, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("service: encode result: %w", err)
 	}
-	doc := make([]byte, 0, len(enc)+1)
-	return append(append(doc, enc...), '\n'), nil
+	return append(enc, '\n'), nil
 }
 
-// profileArtifact is the profile-stage artifact. A run builds it around
-// the profile it collected; one loaded from disk holds the profile's
-// canonical JSON and decodes it when somebody first asks for the struct
-// (an advise response never does).
+// profileArtifact is the profile-stage artifact: the profile's
+// canonical JSON, always, and the struct once somebody has asked for it.
+// The leader's artifact is built with the profile its run collected; a
+// shared one decodes its body on first use (serving never does).
 type profileArtifact struct {
-	// kernel and cycles are what a loaded body must decode to.
+	// kernel and cycles are what the body must decode to.
 	kernel string
 	cycles int64
 
-	// body is nil when a run set prof; once guards the one decode.
 	body []byte
+	// prof is "already decoded"; once guards the one decode.
 	once sync.Once
 	prof *profiler.Profile
 	err  error
 }
 
-// adviceArtifact is the advice-stage artifact. A run builds it around
-// the advice it computed; one loaded from disk holds the response tail
-// it will be served as, and decodes it only for callers that want the
-// struct form.
+// adviceArtifact is the advice-stage artifact: the response tail it is
+// served as, always, and the structs for callers that want them. The
+// leader's artifact is built with the advice its run computed; a shared
+// one decodes its document on first use.
 type adviceArtifact struct {
 	kernel string
 	digest string // of the profile the advice blames
 
-	// doc is the stored wireTail document (nil when a run set advice and
-	// report); once guards the one decode.
+	// doc is the wireTail document; advice and report are "already
+	// decoded", and once guards the one decode.
 	doc    []byte
 	once   sync.Once
 	advice *adv.Advice
-	// report is the rendered text, stored verbatim rather than
-	// re-rendered on load, so a store-served report is byte-identical to
-	// the cold run's by construction.
+	// report is the rendered text, decoded from the document rather than
+	// re-rendered, so a shared report is byte-identical to the cold run's
+	// by construction.
 	report string
 	err    error
 
 	// profKey names the blamed profile in the profile stage. A run sets
-	// pa outright; a loaded artifact resolves it on first use, guarded by
+	// pa outright; a shared artifact resolves it on first use, guarded by
 	// paOnce.
 	profKey store.Key
 	paOnce  sync.Once
@@ -190,13 +191,14 @@ type adviceArtifact struct {
 	paErr   error
 }
 
-// The stage decoders validate a stored payload and build the response it
+// The stage decoders validate a payload and build the shared response it
 // serves, without decoding any struct. They share one signature (the
-// stage table's); only decodeAdvice has a use for profKey.
+// stage table's); only decodeAdvice has a use for profKey, and only
+// Engine.publish calls them.
 
 // decodeMeasure validates a measure-stage payload.
 //
-//gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup; they never cross the service boundary
+//gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup, and resolve wraps the one a run's own payload could raise in ErrInternal; none crosses the service boundary untyped
 func decodeMeasure(payload []byte, _ store.Key) (*Response, error) {
 	h, body, err := splitPayload(payload)
 	if err != nil {
@@ -213,7 +215,7 @@ func decodeMeasure(payload []byte, _ store.Key) (*Response, error) {
 // name the header declares, and its digest is the SHA-256 of its bytes,
 // byte-identical to Profile.Digest() on the profile that produced them.
 //
-//gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup; they never cross the service boundary
+//gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup, and resolve wraps the one a run's own payload could raise in ErrInternal; none crosses the service boundary untyped
 func decodeProfile(payload []byte, _ store.Key) (*Response, error) {
 	h, body, err := splitPayload(payload)
 	if err != nil {
@@ -239,7 +241,7 @@ func decodeProfile(payload []byte, _ store.Key) (*Response, error) {
 // tail says cannot differ) and carries a non-empty report. profKey
 // names the profile the advice blames, for the day somebody asks.
 //
-//gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup; they never cross the service boundary
+//gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup, and resolve wraps the one a run's own payload could raise in ErrInternal; none crosses the service boundary untyped
 func decodeAdvice(payload []byte, profKey store.Key) (*Response, error) {
 	h, body, err := splitPayload(payload)
 	if err != nil {
@@ -266,29 +268,21 @@ func decodeAdvice(payload []byte, profKey store.Key) (*Response, error) {
 }
 
 // The stage framers encode a freshly computed response as its stage's
-// blob payload.
+// payload, around the bytes the run already made: the profile body it
+// hashed for the digest, the advice document it serves as its own tail.
 
-func frameMeasure(_ *run, resp *Response) ([]byte, error) {
+func frameMeasure(resp *Response) ([]byte, error) {
 	return encodePayload(payloadHeader{Cycles: resp.Cycles, ElapsedMS: resp.ElapsedMS}, nil)
 }
 
-// frameProfile reuses the canonical encoding the run hashed for the
-// digest, so a store round-trip reproduces that digest byte-for-byte.
-func frameProfile(r *run, resp *Response) ([]byte, error) {
-	return encodePayload(payloadHeader{Cycles: resp.Cycles, ElapsedMS: resp.ElapsedMS, Kernel: resp.prof.kernel}, r.profJSON)
+func frameProfile(resp *Response) ([]byte, error) {
+	return encodePayload(payloadHeader{Cycles: resp.Cycles, ElapsedMS: resp.ElapsedMS, Kernel: resp.prof.kernel}, resp.prof.body)
 }
 
-// frameAdvice stores the response tail itself; the put and the run's
-// own wire response share the one encoding.
-func frameAdvice(_ *run, resp *Response) ([]byte, error) {
-	doc, err := resp.tailDoc()
-	if err != nil {
-		return nil, err
-	}
-	resp.freshTail = doc[len(tailOpen):]
+func frameAdvice(resp *Response) ([]byte, error) {
 	return encodePayload(payloadHeader{
 		Cycles: resp.Cycles, ElapsedMS: resp.ElapsedMS, ProfileDigest: resp.ProfileDigest, Kernel: resp.adv.kernel,
-	}, doc)
+	}, resp.adv.doc)
 }
 
 // errArtifact is the typed failure of an on-demand accessor: the store
@@ -297,11 +291,11 @@ func errArtifact(format string, args ...any) error {
 	return fmt.Errorf("service: %w: stored %s", apierr.ErrInternal, fmt.Sprintf(format, args...))
 }
 
-// profile returns the artifact's profile, decoding a loaded body on
-// first use. The decoded profile must be the one the header described.
+// profile returns the artifact's profile, decoding the body on first
+// use. The decoded profile must be the one the header described.
 func (pa *profileArtifact) profile(e *Engine) (*profiler.Profile, error) {
 	pa.once.Do(func() {
-		if pa.body == nil {
+		if pa.prof != nil {
 			return
 		}
 		e.n.stageDecodes.Add(1)
@@ -315,17 +309,16 @@ func (pa *profileArtifact) profile(e *Engine) (*profiler.Profile, error) {
 				prof.Kernel, prof.Cycles, pa.kernel, pa.cycles)
 			return
 		}
-		// The digest is taken; the struct replaces the bytes.
-		pa.prof, pa.body = &prof, nil
+		pa.prof = &prof
 	})
 	return pa.prof, pa.err
 }
 
-// decoded returns the artifact's advice and report text, decoding a
-// loaded document on first use.
+// decoded returns the artifact's advice and report text, decoding the
+// document on first use.
 func (aa *adviceArtifact) decoded(e *Engine) (*adv.Advice, string, error) {
 	aa.once.Do(func() {
-		if aa.doc == nil {
+		if aa.advice != nil {
 			return
 		}
 		e.n.stageDecodes.Add(1)
@@ -344,7 +337,7 @@ func (aa *adviceArtifact) decoded(e *Engine) (*adv.Advice, string, error) {
 }
 
 // profileArtifact returns the artifact of the profile this advice
-// blames, fetching a loaded artifact's from the profile stage on first
+// blames, fetching a shared artifact's from the profile stage on first
 // use: serving advice never touches that stage.
 func (aa *adviceArtifact) profileArtifact(e *Engine) (*profileArtifact, error) {
 	aa.paOnce.Do(func() {

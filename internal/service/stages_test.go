@@ -420,7 +420,8 @@ func TestDiskStoreRestartWarm(t *testing.T) {
 
 	// The accessors decode: the profile once (the advise response finds
 	// the profile response's artifact in the memory stage) and the
-	// advice once, however often they are called.
+	// advice once, however often they are called; the tails in between
+	// decode nothing.
 	for range 2 {
 		for i, k := range kinds {
 			mustEqualServed(t, k.String(), colds[i], warms[i])

@@ -77,9 +77,11 @@ func (r *Result) MarshalIndent() ([]byte, error) {
 // that carry the per-request trace ID and cached flag, appended by hand.
 // Everything from it on (cycles … the closing brace and newline) is the
 // tail: the advice, report text and profile, the same bytes for every
-// request one engine response serves. internal/service encodes it, once,
-// with encoding/json (service.Response.Tail), and stores it as the
-// advice blob, so a restarted gpad serves it without encoding at all.
+// request one engine response serves. internal/service owns it
+// (service.Response.Tail): an advise tail is the advice stage's stored
+// document, encoded once by the run that computed it and served as it
+// is from memory and from disk; a profile tail is re-indented per
+// response from the profile stage's stored body.
 
 // appendHead appends the head of r's wire encoding to dst.
 func (r *Result) appendHead(dst []byte) []byte {
@@ -213,13 +215,12 @@ func (j Job) resultHead(res JobResult) Result {
 // EncodeResult renders j.Result(res), stamped with traceID, in the gpad
 // wire encoding — the bytes of Result.MarshalIndent plus the newline
 // json.Encoder appends — as two slices to be written back to back. head
-// is appended to dst and is the caller's. tail is read-only and belongs
-// to the engine response behind res (service.Response.Tail): a result
-// served from the artifact store hands out the bytes its advice blob
-// holds, any other is encoded, and from its second encoding on memoized
-// on the response, so every further cache hit on the entry shares one
-// slice and evicting the entry frees it. res must come from this engine
-// job and carry no error.
+// is appended to dst and is the caller's. tail comes from the engine
+// response behind res (service.Response.Tail) and is read-only: for an
+// advise result it is the advice artifact's own bytes, shared by every
+// hit on the entry and freed when the entry is evicted. No stored
+// artifact is decoded. res must come from this engine job and carry no
+// error.
 func (j Job) EncodeResult(dst []byte, res JobResult, traceID string) (head, tail []byte, err error) {
 	if res.Err != nil {
 		return nil, nil, fmt.Errorf("gpa: encode result of a failed job: %w", res.Err)

@@ -55,17 +55,19 @@ func benchJob(t *testing.T, b *kernels.Benchmark, kind gpa.JobKind) gpa.Job {
 }
 
 // TestEncodeResultMatchesReferenceEncoder is the differential pin on
-// the split wire encoding: for every Table 3 row, both served kinds,
-// and every combination of the fields the hand-appended head carries
-// (cached flag, trace ID present or omitted, cache key present or
-// omitted), head + tail must equal the reference encoding byte for
-// byte, and the memoized tail must be one shared slice.
+// the split wire encoding: for every Table 3 row, every kind, the run's
+// own result and a memory hit, and every combination of the fields the
+// hand-appended head carries (cached flag, trace ID present or omitted,
+// cache key present or omitted), head + tail must equal the reference
+// encoding byte for byte; and the leader's tail and the hit's, built
+// from the run's structs and from the stage's payload bytes, are the
+// same bytes.
 func TestEncodeResultMatchesReferenceEncoder(t *testing.T) {
 	ctx := context.Background()
 	eng := gpa.NewEngine(&gpa.EngineOptions{Workers: 2})
 	traces := []string{"", "req-7f3a.0:1", "quote\" <tag> & café \x01"}
 	for _, b := range kernels.All() {
-		for _, kind := range []gpa.JobKind{gpa.JobAdvise, gpa.JobProfile} {
+		for _, kind := range []gpa.JobKind{gpa.JobAdvise, gpa.JobProfile, gpa.JobMeasure} {
 			job := benchJob(t, b, kind)
 			cold := eng.Do(ctx, job)
 			if cold.Err != nil {
@@ -75,16 +77,10 @@ func TestEncodeResultMatchesReferenceEncoder(t *testing.T) {
 			if warm.Err != nil || !warm.Cached {
 				t.Fatalf("%s %v: second run not a cache hit (err %v)", b.ID(), kind, warm.Err)
 			}
-			// The first encoding of a response is not kept; from the second
-			// on, the response and its cached copy share one slice.
-			_, first := encodeWire(t, job, cold, "")
-			_, second := encodeWire(t, job, warm, "")
-			_, third := encodeWire(t, job, cold, "")
-			if &second[0] != &third[0] || &first[0] == &second[0] {
-				t.Errorf("%s %v: want the tail memoized from the second encoding on, shared by cold and cached results", b.ID(), kind)
-			}
-			if !bytes.Equal(first, second) {
-				t.Errorf("%s %v: unmemoized and memoized tails differ", b.ID(), kind)
+			_, leaderTail := encodeWire(t, job, cold, "")
+			_, hitTail := encodeWire(t, job, warm, "")
+			if !bytes.Equal(leaderTail, hitTail) {
+				t.Errorf("%s %v: the leader's tail and a memory hit's differ", b.ID(), kind)
 			}
 			for _, res := range []gpa.JobResult{cold, warm} {
 				for _, cached := range []bool{false, true} {
@@ -109,11 +105,11 @@ func TestEncodeResultMatchesReferenceEncoder(t *testing.T) {
 	}
 }
 
-// TestEncodeResultAfterEviction pins the memo's lifetime: the encoded
-// tail belongs to the artifact in the memory tier, not to its key, so
-// evicting the artifact drops it, and the next requests for the same
-// kernel — served from the store as a fresh artifact — encode again, to
-// the same bytes.
+// TestEncodeResultAfterEviction pins the tail's lifetime: the bytes
+// belong to the artifact in the memory tier, not to its key, so evicting
+// the artifact drops them, and the next request for the same kernel —
+// served from the store as a fresh artifact — gets other bytes that say
+// the same.
 func TestEncodeResultAfterEviction(t *testing.T) {
 	ctx := context.Background()
 	st, err := gpa.OpenStore(t.TempDir())
@@ -124,20 +120,14 @@ func TestEncodeResultAfterEviction(t *testing.T) {
 	rows := kernels.All()
 	for _, kind := range []gpa.JobKind{gpa.JobAdvise, gpa.JobProfile} {
 		a, other := benchJob(t, rows[0], kind), benchJob(t, rows[1], kind)
-		// memoized encodes twice: the second encoding is the one kept.
-		memoized := func(res gpa.JobResult) (head, tail []byte) {
-			encodeWire(t, a, res, "t1")
-			return encodeWire(t, a, res, "t1")
-		}
-
 		if res := eng.Do(ctx, a); res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		hit := eng.Do(ctx, a) // the artifact's shared view, which owns the memo
+		hit := eng.Do(ctx, a) // the artifact's shared view
 		if hit.Err != nil || !hit.Cached {
 			t.Fatalf("%v: repeat: err=%v cached=%v", kind, hit.Err, hit.Cached)
 		}
-		_, firstTail := memoized(hit)
+		_, firstTail := encodeWire(t, a, hit, "t1")
 		before := eng.Stats().StageEvictions
 		if res := eng.Do(ctx, other); res.Err != nil { // evicts a
 			t.Fatal(res.Err)
@@ -149,12 +139,12 @@ func TestEncodeResultAfterEviction(t *testing.T) {
 		if again.Err != nil || !again.Cached {
 			t.Fatalf("%v: after eviction: err=%v cached=%v", kind, again.Err, again.Cached)
 		}
-		head, tail := memoized(again)
+		head, tail := encodeWire(t, a, again, "t1")
 		if &tail[0] == &firstTail[0] {
 			t.Errorf("%v: the evicted artifact's tail outlived it", kind)
 		}
 		if !bytes.Equal(tail, firstTail) {
-			t.Errorf("%v: re-encoded tail differs from the evicted one", kind)
+			t.Errorf("%v: the store-served tail differs from the evicted one", kind)
 		}
 		if got, want := append(head, tail...), referenceWire(t, a, again, "t1"); !bytes.Equal(got, want) {
 			t.Errorf("%v: post-eviction wire encoding differs from reference\n got: %.300s\nwant: %.300s", kind, got, want)
@@ -162,14 +152,16 @@ func TestEncodeResultAfterEviction(t *testing.T) {
 	}
 }
 
-// TestRestartServesStoredBytes is the restart half of the wire pin: for
-// every Table 3 row and every kind, an engine started over the store a
-// cold engine filled serves head + tail byte-equal to the cold run's
-// (the cached flag, set equal here, and the trace ID are the permitted
-// differences), one blob read per request and no struct decoded for an
-// advise; Report and Profile of the served result equal the cold run's;
-// and a profile blob deleted between the serve and the access turns the
-// access into a typed error while the stored advice still serves.
+// TestRestartServesStoredBytes is the three-tier half of the wire pin:
+// for every Table 3 row and every kind, head + tail from the cold
+// leader, from a memory hit on the same engine, and from an engine
+// restarted over the store the first one filled are byte-identical once
+// the cached flag — the one permitted difference — is set equal, and
+// equal the reference encoding of Job.Result. Serving decodes no struct
+// whatever the kind, and an advise is one blob read; Report and Profile
+// of the served result equal the cold run's; and a profile blob deleted
+// between the serve and the access turns the access into a typed error
+// while the stored advice still serves.
 func TestRestartServesStoredBytes(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -196,8 +188,22 @@ func TestRestartServesStoredBytes(t *testing.T) {
 				t.Fatalf("%s %v: %v", b.ID(), kind, res.Err)
 			}
 			head, tail := encodeWire(t, job, res, "cold")
-			colds = append(colds, coldRun{job, res, append(head, tail...)})
+			wire := append(head, tail...)
+			colds = append(colds, coldRun{job, res, wire})
+
+			hit := eng1.Do(ctx, job)
+			if hit.Err != nil || !hit.Cached {
+				t.Fatalf("%s %v: repeat: err=%v cached=%v", b.ID(), kind, hit.Err, hit.Cached)
+			}
+			hit.Cached = res.Cached
+			head, tail = encodeWire(t, job, hit, "cold")
+			if got := append(head, tail...); !bytes.Equal(got, wire) {
+				t.Fatalf("%s %v: memory-served bytes differ from the cold run's\n got: %.300s\nwant: %.300s", b.ID(), kind, got, wire)
+			}
 		}
+	}
+	if n := eng1.Stats().StageDecodes; n != 0 {
+		t.Errorf("a cold run and a memory hit per request decoded %d payloads, want 0", n)
 	}
 	// An advise run puts a profile and an advice, a profile run finds the
 	// profile put, a measure run puts its own: 3 puts per row.
@@ -219,13 +225,13 @@ func TestRestartServesStoredBytes(t *testing.T) {
 		if got := append(head, tail...); !bytes.Equal(got, c.wire) {
 			t.Fatalf("%s: store-served bytes differ from the cold run's\n got: %.300s\nwant: %.300s", label, got, c.wire)
 		}
-		// One blob read and nothing decoded to serve an advise; the
-		// reference encoder and the accessors below then decode it, and
-		// read its profile, which the row's profile request finds in
-		// memory.
+		// Nothing decoded to serve any kind, and one blob read for an
+		// advise; the reference encoder and the accessors below then
+		// decode it, and read its profile, which the row's profile
+		// request finds in memory.
 		after := eng2.Stats()
-		if c.job.Kind == gpa.JobAdvise && (after.StoreHits != before.StoreHits+1 || after.StageDecodes != before.StageDecodes) {
-			t.Errorf("%s: served with storeHits +%d, stageDecodes +%d; want +1, +0",
+		if after.StageDecodes != before.StageDecodes || (c.job.Kind == gpa.JobAdvise && after.StoreHits != before.StoreHits+1) {
+			t.Errorf("%s: served with storeHits +%d, stageDecodes +%d; want +1 for an advise, +0",
 				label, after.StoreHits-before.StoreHits, after.StageDecodes-before.StageDecodes)
 		}
 
