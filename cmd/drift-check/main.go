@@ -63,6 +63,7 @@ func run(ctx context.Context, storeDir string) error {
 		if err != nil {
 			return err
 		}
+		defer st.Close()
 		eng = gpa.NewEngine(&gpa.EngineOptions{Store: st})
 	}
 	for _, b := range kernels.All() {

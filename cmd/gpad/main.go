@@ -255,6 +255,12 @@ func main() {
 		if err := <-engErr; err != nil {
 			logger.Warn("gpad: engine shutdown", "err", err)
 		}
+		// The engine has drained: nothing reads or appends any more.
+		if st != nil {
+			if err := st.Close(); err != nil {
+				logger.Warn("gpad: store close", "err", err)
+			}
+		}
 		logger.Info("gpad: shutdown complete")
 	}
 }

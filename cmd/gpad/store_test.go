@@ -22,7 +22,10 @@ func newStoreServer(t *testing.T, dir string) (*gpa.Engine, *httptest.Server) {
 	}
 	eng := gpa.NewEngine(&gpa.EngineOptions{Store: st})
 	ts := httptest.NewServer(newServerCfg(serverConfig{engine: eng, store: st}))
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		st.Close()
+	})
 	return eng, ts
 }
 

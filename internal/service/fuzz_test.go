@@ -27,6 +27,7 @@ func runPayloads(f *testing.F) [][]byte {
 	if err != nil {
 		f.Fatal(err)
 	}
+	defer d.Close()
 	e := New(Options{Workers: 1, Disk: d})
 	// An advise run frames the profile it blames too.
 	for _, k := range []Kind{KindMeasure, KindAdvise} {

@@ -311,14 +311,41 @@ func TestProfileFeedsAdvise(t *testing.T) {
 	}
 }
 
-// newDiskEngine builds an engine backed by an on-disk store at dir.
-func newDiskEngine(t *testing.T, dir string) *Engine {
+// openDisk opens the on-disk store at dir and closes it with the test.
+func openDisk(t *testing.T, dir string) *store.Disk {
 	t.Helper()
 	d, err := OpenDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(Options{Workers: 2, Disk: d})
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// newDiskEngine builds an engine backed by an on-disk store at dir.
+func newDiskEngine(t *testing.T, dir string) *Engine {
+	t.Helper()
+	return New(Options{Workers: 2, Disk: openDisk(t, dir)})
+}
+
+// editFrame rewrites, where it lies in its stage's log, the frame that
+// holds a stored blob: what edit returns (of any length) takes the
+// frame's place, the rest of the log stays. The log is rewritten in
+// place, so a handle that has it open reads the edit.
+func editFrame(t *testing.T, d *store.Disk, stage string, key store.Key, edit func(frame []byte) []byte) {
+	t.Helper()
+	path, off, n, ok := d.Locate(stage, key)
+	if !ok {
+		t.Fatalf("no %s blob to damage", stage)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append(bytes.Clone(data[:off]), edit(bytes.Clone(data[off:off+n]))...)
+	if err := os.WriteFile(path, append(out, data[off+n:]...), 0o666); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // mustEqualServed asserts a store-served response matches the cold
@@ -433,8 +460,8 @@ func TestDiskStoreRestartWarm(t *testing.T) {
 }
 
 // TestStoreServedProfileVanishes: a stored advise response is served
-// from the advice blob alone, so the profile blob can go missing behind
-// it. Asking for the profile then is a typed error — not a panic, not a
+// from the advice blob alone, so the profile blob can go bad behind it
+// (here: its frame zeroed in the log the engine has open). Asking for the profile then is a typed error — not a panic, not a
 // recompute — and everything the advice blob holds still serves.
 func TestStoreServedProfileVanishes(t *testing.T) {
 	dir := t.TempDir()
@@ -449,9 +476,9 @@ func TestStoreServedProfileVanishes(t *testing.T) {
 	if err != nil || !warm.Cached {
 		t.Fatalf("restart: err=%v cached=%v", err, warm != nil && warm.Cached)
 	}
-	if err := os.Remove(e.disk.Path(store.StageProfile, sk[stProfile])); err != nil {
-		t.Fatal(err)
-	}
+	editFrame(t, e.disk, store.StageProfile, sk[stProfile], func(frame []byte) []byte {
+		return make([]byte, len(frame))
+	})
 	for range 2 { // the failure is memoized like a success
 		if p, err := warm.Profile(); !errors.Is(err, apierr.ErrInternal) || p != nil {
 			t.Fatalf("Profile() over a vanished blob = %v, %v; want nil and ErrInternal", p, err)
@@ -468,21 +495,6 @@ func TestStoreServedProfileVanishes(t *testing.T) {
 	if _, err := hit.Profile(); !errors.Is(err, apierr.ErrInternal) {
 		t.Errorf("cache hit Profile() err = %v, want ErrInternal", err)
 	}
-}
-
-// reframe rewrites the payload of one stored blob under a valid
-// checksum, so only artifact-level validation can object to it.
-func reframe(t *testing.T, d *store.Disk, stage string, key store.Key, edit func(h payloadHeader, body []byte) []byte) {
-	t.Helper()
-	payload, ok := d.Get(stage, key)
-	if !ok {
-		t.Fatalf("no %s blob to corrupt", stage)
-	}
-	h, body, err := splitPayload(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Put(stage, key, edit(h, body))
 }
 
 // frame is encodePayload with the header's BodyLen left as given.
@@ -521,144 +533,161 @@ func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 		stages[i].cold = resp
 	}
 
-	rewrite := func(t *testing.T, path string, edit func(data []byte) []byte) {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, edit(data), 0o666); err != nil {
-			t.Fatal(err)
+	// A corruption may return what puts the store back in working
+	// order where recomputing cannot.
+	type corruption func(t *testing.T, d *store.Disk, stage string, key store.Key) (repair func())
+	damage := func(edit func(stage string, key store.Key, frame []byte) []byte) corruption {
+		return func(t *testing.T, d *store.Disk, stage string, key store.Key) func() {
+			editFrame(t, d, stage, key, func(frame []byte) []byte { return edit(stage, key, frame) })
+			return nil
 		}
 	}
-	corruptions := map[string]func(t *testing.T, d *store.Disk, stage string, key store.Key){
-		"truncated": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
-			rewrite(t, d.Path(stage, key), func(data []byte) []byte { return data[:len(data)/3] })
-		},
-		"flipped-byte": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
-			rewrite(t, d.Path(stage, key), func(data []byte) []byte {
-				data[len(data)/2] ^= 0x04 // inside the payload
-				return data
-			})
-		},
-		"wrong-schema": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
-			// A well-formed, checksum-valid blob framed under an alien
-			// payload schema (as a build with a different encoding would
-			// have written): rejected by the framing's schema check.
-			rewrite(t, d.Path(stage, key), func([]byte) []byte {
-				return store.EncodeBlob("gpa-stage/0+ancient", stage, key, []byte(`{}`))
-			})
-		},
-		"unreadable": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
-			// Root ignores permission bits, so force the read error
-			// structurally: a directory where the blob should be.
-			path := d.Path(stage, key)
+	// repay stores, under a valid checksum, another payload made from
+	// the stored one, so only artifact-level validation can object.
+	repay := func(edit func(t *testing.T, stage string, h payloadHeader, body []byte) []byte) corruption {
+		return func(t *testing.T, d *store.Disk, stage string, key store.Key) func() {
+			payload, ok := d.Get(stage, key)
+			if !ok {
+				t.Fatalf("no %s blob to corrupt", stage)
+			}
+			h, body, err := splitPayload(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Put(stage, key, edit(t, stage, h, body))
+			return nil
+		}
+	}
+	corruptions := map[string]corruption{
+		"truncated": damage(func(_ string, _ store.Key, frame []byte) []byte { return frame[:len(frame)/3] }),
+		"flipped-byte": damage(func(_ string, _ store.Key, frame []byte) []byte {
+			frame[len(frame)/2] ^= 0x04 // inside the payload
+			return frame
+		}),
+		// A well-formed, checksum-valid blob framed under an alien
+		// payload schema (as a build with a different encoding would
+		// have written): rejected by the framing's schema check.
+		"wrong-schema": damage(func(stage string, key store.Key, _ []byte) []byte {
+			return store.EncodeBlob("gpa-stage/0+ancient", stage, key, []byte(`{}`))
+		}),
+		"unreadable": func(t *testing.T, d *store.Disk, stage string, key store.Key) func() {
+			// Root ignores permission bits, so force the open error
+			// structurally: a directory where the stage's log should
+			// be. Nothing can be stored there until it is gone.
+			path, _, _, _ := d.Locate(stage, key)
 			if err := os.Remove(path); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.Mkdir(path, 0o777); err != nil {
 				t.Fatal(err)
 			}
+			return func() {
+				if err := os.Remove(path); err != nil {
+					t.Fatal(err)
+				}
+			}
 		},
 		// From here on the blob is checksum-valid and its payload is not
 		// a well-formed artifact: caught by artifact validation, which
-		// decodes no struct.
-		"garbage-payload": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
-			d.Put(stage, key, []byte(`{"not":"a header"}`))
-		},
-		"truncated-body": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
-			// The tail half of the body is lost and the header agrees
-			// about the length (a measure payload has only a header to lose).
-			reframe(t, d, stage, key, func(h payloadHeader, body []byte) []byte {
-				if len(body) == 0 {
-					p := frame(t, h, nil)
-					return p[:len(p)/2]
-				}
-				h.BodyLen = len(body) / 2
-				return frame(t, h, body[:h.BodyLen])
-			})
-		},
-		"length-mismatch": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
-			reframe(t, d, stage, key, func(h payloadHeader, body []byte) []byte {
-				h.BodyLen++
-				return frame(t, h, body)
-			})
-		},
-		"wrong-marker": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
-			// Valid JSON that is not the document the header declares:
-			// another stage's body, or any body at all for a measure.
-			reframe(t, d, stage, key, func(h payloadHeader, _ []byte) []byte {
-				body := []byte(`{"kernel":"vecscale","cycles":1}`)
-				if stage == store.StageProfile {
-					body = []byte("{\n  \"elapsedMs\": 1,\n  \"report\": \"r\"\n}\n")
-				}
-				h.BodyLen = len(body)
-				return frame(t, h, body)
-			})
-		},
-		"garbage-body": func(t *testing.T, d *store.Disk, stage string, key store.Key) {
-			reframe(t, d, stage, key, func(h payloadHeader, body []byte) []byte {
-				body = []byte(strings.Repeat("\x00garbage", 1+len(body)/8))
-				h.BodyLen = len(body)
-				return frame(t, h, body)
-			})
-		},
+		// decodes no struct. The bad blob is stored after the good one,
+		// as the newer frame of its key.
+		"garbage-payload": repay(func(*testing.T, string, payloadHeader, []byte) []byte {
+			return []byte(`{"not":"a header"}`)
+		}),
+		// The tail half of the body is lost and the header agrees about
+		// the length (a measure payload has only a header to lose).
+		"truncated-body": repay(func(t *testing.T, _ string, h payloadHeader, body []byte) []byte {
+			if len(body) == 0 {
+				p := frame(t, h, nil)
+				return p[:len(p)/2]
+			}
+			h.BodyLen = len(body) / 2
+			return frame(t, h, body[:h.BodyLen])
+		}),
+		"length-mismatch": repay(func(t *testing.T, _ string, h payloadHeader, body []byte) []byte {
+			h.BodyLen++
+			return frame(t, h, body)
+		}),
+		// Valid JSON that is not the document the header declares:
+		// another stage's body, or any body at all for a measure.
+		"wrong-marker": repay(func(t *testing.T, stage string, h payloadHeader, _ []byte) []byte {
+			body := []byte(`{"kernel":"vecscale","cycles":1}`)
+			if stage == store.StageProfile {
+				body = []byte("{\n  \"elapsedMs\": 1,\n  \"report\": \"r\"\n}\n")
+			}
+			h.BodyLen = len(body)
+			return frame(t, h, body)
+		}),
+		"garbage-body": repay(func(t *testing.T, _ string, h payloadHeader, body []byte) []byte {
+			body = []byte(strings.Repeat("\x00garbage", 1+len(body)/8))
+			h.BodyLen = len(body)
+			return frame(t, h, body)
+		}),
 	}
 
 	for _, sc := range stages {
 		for name, mutate := range corruptions {
 			t.Run(sc.stage+"/"+name, func(t *testing.T) {
 				dir := t.TempDir()
-				d, err := OpenDisk(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
+				d := openDisk(t, dir)
 				// Populate.
 				if _, err := New(Options{Workers: 1, Disk: d}).Do(context.Background(), testRequest(t, sc.kind)); err != nil {
 					t.Fatal(err)
 				}
-				mutate(t, d, sc.stage, keysOf(t, testRequest(t, sc.kind))[stageOf(sc.kind)])
+				repair := mutate(t, d, sc.stage, keysOf(t, testRequest(t, sc.kind))[stageOf(sc.kind)])
+				d.Close()
 
 				// A fresh engine over the damaged store must recompute and
 				// still answer byte-identically.
-				d2, err := OpenDisk(dir)
-				if err != nil {
-					t.Fatal(err)
+				recompute := func() *Engine {
+					t.Helper()
+					e := New(Options{Workers: 1, Disk: openDisk(t, dir)})
+					resp, err := e.Do(context.Background(), testRequest(t, sc.kind))
+					if err != nil {
+						t.Fatalf("corrupted store surfaced an error: %v", err)
+					}
+					if resp.Cached {
+						t.Error("damaged blob was served")
+					}
+					if reportOf(t, resp) != reportOf(t, sc.cold) {
+						t.Error("recomputed report differs from cold run")
+					}
+					if resp.ProfileDigest != sc.cold.ProfileDigest {
+						t.Error("recomputed profile digest differs from cold run")
+					}
+					if resp.Cycles != sc.cold.Cycles {
+						t.Errorf("recomputed cycles = %d, want %d", resp.Cycles, sc.cold.Cycles)
+					}
+					return e
 				}
-				e := New(Options{Workers: 1, Disk: d2})
-				resp, err := e.Do(context.Background(), testRequest(t, sc.kind))
-				if err != nil {
-					t.Fatalf("corrupted store surfaced an error: %v", err)
-				}
-				if resp.Cached {
-					t.Error("damaged blob was served")
-				}
-				if reportOf(t, resp) != reportOf(t, sc.cold) {
-					t.Error("recomputed report differs from cold run")
-				}
-				if resp.ProfileDigest != sc.cold.ProfileDigest {
-					t.Error("recomputed profile digest differs from cold run")
-				}
-				if resp.Cycles != sc.cold.Cycles {
-					t.Errorf("recomputed cycles = %d, want %d", resp.Cycles, sc.cold.Cycles)
-				}
+				e := recompute()
 				// Rejection decodes no struct; recomputing the advice then
 				// decodes the one stored profile it blames.
 				wantDecodes := int64(0)
 				if sc.stage == store.StageAdvice {
 					wantDecodes = 1
 				}
-				if st := e.Stats(); st.StoreCorrupt == 0 || st.StageDecodes != wantDecodes {
-					t.Errorf("storeCorrupt=%d stageDecodes=%d, want the corruption counted and %d decodes",
-						st.StoreCorrupt, st.StageDecodes, wantDecodes)
+				if st := e.Stats(); st.StageDecodes != wantDecodes {
+					t.Errorf("stageDecodes=%d, want %d", st.StageDecodes, wantDecodes)
+				}
+				corrupt := e.Stats().StoreCorrupt
+				if repair != nil {
+					// Where the recomputed artifact could not be stored,
+					// that was counted too, and the store takes it as
+					// soon as it can.
+					if st := e.Stats(); st.StoreErrors == 0 || st.StorePuts != 0 {
+						t.Errorf("storeErrors=%d storePuts=%d over a store that cannot be written", st.StoreErrors, st.StorePuts)
+					}
+					repair()
+					recompute()
 				}
 				// The corruption healed: the recomputed artifact was
-				// rewritten, so one more fresh engine serves it whole.
-				d3, err := OpenDisk(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e3 := New(Options{Workers: 1, Disk: d3})
+				// appended behind the damage, so one more fresh engine
+				// serves it whole. By now the damage has been counted: by
+				// the read that rejected it, or — a frame that never
+				// framed, so was never read — by the scan that stepped
+				// over it to the recomputed one.
+				e3 := New(Options{Workers: 1, Disk: openDisk(t, dir)})
 				healed, err := e3.Do(context.Background(), testRequest(t, sc.kind))
 				if err != nil {
 					t.Fatal(err)
@@ -668,6 +697,9 @@ func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 				}
 				if reportOf(t, healed) != reportOf(t, sc.cold) {
 					t.Error("healed report differs from cold run")
+				}
+				if corrupt+e3.Stats().StoreCorrupt == 0 {
+					t.Error("the corruption was never counted")
 				}
 			})
 		}

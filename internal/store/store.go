@@ -11,20 +11,36 @@
 //     served in. Cheap, process-local, the engine's one cache, and the
 //     only backend for artifacts that cannot be serialized (the module
 //     front-end's Program/Structure memo).
-//   - Disk: digest-named blobs under a versioned directory layout.
-//     Writes are atomic (temp file + rename in the same directory), so
-//     concurrent writers and a crash mid-write can never publish a
-//     torn blob; reads verify a framed, schema-versioned envelope with
-//     a SHA-256 checksum trailer before a single payload byte is
-//     believed.
+//   - Disk: one append-only log per stage under a versioned directory
+//     (<dir>/v2/<schema>/<stage>.log), each blob one frame in it: a
+//     schema-versioned envelope with a SHA-256 checksum trailer. A Put
+//     is a single O_APPEND write on a descriptor opened once — creating
+//     a file per blob (temp file, rename, a fan-out directory) was the
+//     costliest thing a cold request did outside the simulator, 0.4 to
+//     1.3 ms a blob against ~55 us for the same bytes appended (bench/'s
+//     store.disk_put_us, docs/ARCHITECTURE.md). A Get looks
+//     the key up in an in-memory index (key -> the span of its newest
+//     frame, ~100 B a blob), preads exactly that span, and verifies the
+//     whole frame — checksum, schema, stage, key — before a single
+//     payload byte is believed. The index is never written down: it is
+//     built from frame headers alone, by the one scan that also picks
+//     up this handle's and other processes' appends (when a lookup
+//     misses and the log has grown), so there is nothing to keep in
+//     step with the log and a restart costs one header-only pass at a
+//     stage's first use. A Disk holds its logs open: Close it.
 //
 // Corruption contract: the disk store is a cache, not a database. A
-// blob that is truncated, bit-flipped, framed under the wrong schema
-// or stage, checksum-mismatched, or simply unreadable is reported as a
-// miss (and counted in Stats.Corrupt), never as an error and never as
-// wrong bytes; the caller recomputes and rewrites it. Callers that
-// decode payloads further must uphold the same rule and call
-// Disk.NoteCorrupt when a payload fails their own validation.
+// blob that is torn, truncated, bit-flipped, framed under the wrong
+// schema or stage, checksum-mismatched, or in a log that is simply
+// unreadable is reported as a miss (and counted in Stats.Corrupt —
+// by the read that rejects it, or by the scan that has to step over
+// it to the next frame), never as an error and never as wrong bytes;
+// the caller recomputes and Puts it again, and the new frame, being
+// later in the log, is the one every later lookup and scan finds. A
+// failed or short append is a counted Errors and at worst one more
+// torn frame. Callers that decode payloads further must uphold the
+// same rule and call Disk.NoteCorrupt when a payload fails their own
+// validation.
 package store
 
 // Key is a content-addressed artifact key: a raw SHA-256 of the
@@ -33,8 +49,8 @@ package store
 // versioned schema, so keys from different layouts can never alias.
 type Key [32]byte
 
-// Stage names for the Figure 2 pipeline artifacts. Stage names are
-// part of both the on-disk layout and the blob framing, so a blob can
+// Stage names for the Figure 2 pipeline artifacts. A stage name names
+// the stage's log and rides in every blob's framing, so a blob can
 // never be replayed as a different stage's artifact.
 const (
 	// StageFrontend is the arch-independent module front-end (flattened
@@ -59,9 +75,10 @@ type Stats struct {
 	Misses int64 `json:"misses"`
 	// Puts counts artifacts written.
 	Puts int64 `json:"puts"`
-	// Corrupt counts blobs rejected by verification — truncated,
+	// Corrupt counts blobs rejected by verification — torn, truncated,
 	// bit-flipped, wrong schema, wrong stage or key, unreadable — and
-	// degraded to misses. (Memory backend: always 0.)
+	// degraded to misses, and damaged stretches of a log a scan stepped
+	// over. (Memory backend: always 0.)
 	Corrupt int64 `json:"corrupt"`
 	// Errors counts write-side failures (a full disk loses cache
 	// entries, never correctness).

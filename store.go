@@ -9,7 +9,7 @@ import (
 
 // Store is a persistent per-stage artifact store: every pipeline stage
 // the engine runs — simulation cycles, sampled profiles, ranked advice
-// — is written as a digest-named, checksum-framed blob under one
+// — is appended as a checksum-framed blob to its stage's log under one
 // directory, so a restarted daemon (or a second engine pointed at the
 // same directory) starts warm instead of re-paying every cold miss.
 //
@@ -20,15 +20,16 @@ import (
 // surfaced as errors and never served as wrong bytes. Results served
 // through a store are byte-identical to cold runs.
 //
-// A Store is safe for concurrent use by any number of engines and
-// processes (writes are atomic renames). It holds no open file
-// handles, so it needs no Close.
+// A Store is safe for concurrent use by any number of engines and, on a
+// local filesystem, processes (every write is one O_APPEND write of a
+// whole blob). It holds one open file per stage: Close it once the
+// engines using it have shut down.
 type Store struct {
 	disk *store.Disk
 }
 
 // OpenStore opens (creating if needed) an artifact store rooted at
-// dir. Blobs are laid out under a versioned subdirectory keyed by the
+// dir. The stage logs live in a versioned subdirectory keyed by the
 // engine's stage schema; opening a directory written by an
 // incompatible build simply starts cold.
 func OpenStore(dir string) (*Store, error) {
@@ -42,7 +43,7 @@ func OpenStore(dir string) (*Store, error) {
 // Stats snapshots the store's hit/miss/put/corrupt counters.
 func (s *Store) Stats() store.Stats { return s.disk.Stats() }
 
-// Dir reports the store's resolved blob root directory.
+// Dir reports the resolved directory the store's stage logs live in.
 func (s *Store) Dir() string { return s.disk.Dir() }
 
 // Check probes whether the store directory is still writable (the
@@ -50,3 +51,9 @@ func (s *Store) Dir() string { return s.disk.Dir() }
 // silent, so an unwritable store otherwise just degrades to
 // pass-through).
 func (s *Store) Check() error { return s.disk.CheckWritable() }
+
+// Close closes the store's files. Call it after Engine.Shutdown has
+// returned for every engine on the store: a stage an engine looks up
+// afterwards is a miss, a stage it computes is not stored (counted in
+// StoreErrors), and neither is an error. Closing twice is harmless.
+func (s *Store) Close() error { return s.disk.Close() }

@@ -116,6 +116,7 @@ func TestEncodeResultAfterEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	eng := gpa.NewEngine(&gpa.EngineOptions{Workers: 1, CacheEntries: 1, Store: st})
 	rows := kernels.All()
 	for _, kind := range []gpa.JobKind{gpa.JobAdvise, gpa.JobProfile} {
@@ -159,7 +160,7 @@ func TestEncodeResultAfterEviction(t *testing.T) {
 // the cached flag — the one permitted difference — is set equal, and
 // equal the reference encoding of Job.Result. Serving decodes no struct
 // whatever the kind, and an advise is one blob read; Report and Profile
-// of the served result equal the cold run's; and a profile blob deleted
+// of the served result equal the cold run's; and a profile blob lost
 // between the serve and the access turns the access into a typed error
 // while the stored advice still serves.
 func TestRestartServesStoredBytes(t *testing.T) {
@@ -170,6 +171,7 @@ func TestRestartServesStoredBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { st.Close() })
 		return gpa.NewEngine(&gpa.EngineOptions{Workers: 2, Store: st}), st
 	}
 	kinds := []gpa.JobKind{gpa.JobAdvise, gpa.JobProfile, gpa.JobMeasure}
@@ -267,8 +269,8 @@ func TestRestartServesStoredBytes(t *testing.T) {
 			st.StoreHits, st.StageDecodes, st.StorePuts, st.Sims, 3*rows, 2*rows)
 	}
 
-	// Serve every advise from a third engine, delete the profile stage,
-	// then ask.
+	// Serve every advise from a third engine, cut the profile stage's
+	// log to nothing under it, then ask.
 	eng3, st3 := open()
 	var served []gpa.JobResult
 	for _, c := range colds {
@@ -283,15 +285,15 @@ func TestRestartServesStoredBytes(t *testing.T) {
 	if n := eng3.Stats().StageDecodes; n != 0 {
 		t.Errorf("serving stored advice decoded %d payloads, want 0", n)
 	}
-	if err := os.RemoveAll(filepath.Join(st3.Dir(), "profile")); err != nil {
+	if err := os.Truncate(filepath.Join(st3.Dir(), "profile.log"), 0); err != nil {
 		t.Fatal(err)
 	}
 	for i, res := range served {
 		if p, err := res.Profile(); !errors.Is(err, gpa.ErrInternal) || p != nil {
-			t.Fatalf("advise %d: Profile() over a deleted blob = %v, %v; want nil and ErrInternal", i, p, err)
+			t.Fatalf("advise %d: Profile() over a lost blob = %v, %v; want nil and ErrInternal", i, p, err)
 		}
 		if rep, err := res.Report(); !errors.Is(err, gpa.ErrInternal) || rep != nil {
-			t.Fatalf("advise %d: Report() over a deleted profile blob = %v, %v; want nil and ErrInternal", i, rep, err)
+			t.Fatalf("advise %d: Report() over a lost profile blob = %v, %v; want nil and ErrInternal", i, rep, err)
 		}
 		if _, _, err := colds[3*i].job.EncodeResult(nil, res, ""); err != nil {
 			t.Errorf("advise %d: the stored response stopped serving: %v", i, err)
