@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -18,40 +20,105 @@ import (
 // nothing.
 var fuzzEngine = New(Options{Workers: 1})
 
-// runPayloads returns the payload of every stage as real runs frame it
-// — what an engine publishes to memory and puts on disk — read back
-// from the store those runs filled.
-func runPayloads(f *testing.F) [][]byte {
-	f.Helper()
-	d, err := OpenDisk(f.TempDir())
+// storeRuns runs reqs through one engine over a fresh store and returns
+// the store, open until the test ends.
+func storeRuns(tb testing.TB, reqs ...*Request) *store.Disk {
+	tb.Helper()
+	d, err := OpenDisk(tb.TempDir())
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer d.Close()
+	tb.Cleanup(func() { d.Close() })
 	e := New(Options{Workers: 1, Disk: d})
-	// An advise run frames the profile it blames too.
-	for _, k := range []Kind{KindMeasure, KindAdvise} {
-		if _, err := e.Do(context.Background(), testRequest(f, k)); err != nil {
-			f.Fatal(err)
+	for _, r := range reqs {
+		if _, err := e.Do(context.Background(), r); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	sk := keysOf(f, testRequest(f, KindAdvise))
+	return d
+}
+
+// storedPayloads returns the payloads of stages from through to that d
+// holds under r's keys: what an engine publishes to memory and puts on
+// disk, as real runs frame it.
+func storedPayloads(tb testing.TB, d *store.Disk, r *Request, from, to stageID) [][]byte {
+	tb.Helper()
+	sk := keysOf(tb, r)
 	var payloads [][]byte
-	for s := stMeasure; s <= stAdvice; s++ {
+	for s := from; s <= to; s++ {
 		payload, ok := d.Get(stageNames[s], sk[s])
 		if !ok {
-			f.Fatalf("the runs put no %s blob", stageNames[s])
+			tb.Fatalf("the runs put no %s blob", stageNames[s])
 		}
 		payloads = append(payloads, payload)
 	}
 	return payloads
 }
 
+// runPayloads returns the payload of every stage, read back from the
+// store a measure run and an advise run filled (an advise run frames the
+// profile it blames too).
+func runPayloads(f *testing.F) [][]byte {
+	f.Helper()
+	advise := testRequest(f, KindAdvise)
+	d := storeRuns(f, testRequest(f, KindMeasure), advise)
+	return storedPayloads(f, d, advise, stMeasure, stAdvice)
+}
+
+// decodeProfileRef and decodeAdviceRef are the stage decoders as they
+// were before validJSON and lastReportMark: encoding/json.Valid and
+// bytes.LastIndex. FuzzStageEnvelopeDecode holds the decoders to
+// accepting exactly what these accept.
+func decodeProfileRef(payload []byte, _ store.Key) (*Response, error) {
+	h, body, err := splitPayload(payload)
+	if err != nil {
+		return nil, err
+	}
+	if h.Kernel == "" || h.ProfileDigest != "" {
+		return nil, fmt.Errorf("service: profile artifact names no kernel")
+	}
+	name, _ := json.Marshal(h.Kernel) // a string always marshals
+	if !bytes.HasPrefix(body, append([]byte(`{"kernel":`), name...)) || !json.Valid(body) {
+		return nil, fmt.Errorf("service: profile artifact body is not a profile of %q", h.Kernel)
+	}
+	sum := sha256.Sum256(body)
+	return &Response{
+		Kind: KindProfile, Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: hex.EncodeToString(sum[:]),
+		prof: &profileArtifact{kernel: h.Kernel, cycles: h.Cycles, body: body},
+	}, nil
+}
+
+func decodeAdviceRef(payload []byte, profKey store.Key) (*Response, error) {
+	h, body, err := splitPayload(payload)
+	if err != nil {
+		return nil, err
+	}
+	if h.Kernel == "" || h.ProfileDigest == "" {
+		return nil, fmt.Errorf("service: advice artifact names no kernel or profile")
+	}
+	open, err := (&wireTail{Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest}).encode()
+	if err != nil {
+		return nil, err
+	}
+	rest, ok := bytes.CutPrefix(body, open[:len(open)-len(tailClose)])
+	if !ok || !bytes.HasPrefix(rest, []byte(",\n")) || !json.Valid(body) {
+		return nil, fmt.Errorf("service: advice artifact body is not the tail its header declares")
+	}
+	if i := bytes.LastIndex(rest, []byte(reportMark)); i < 0 || rest[i+len(reportMark)] == '"' {
+		return nil, fmt.Errorf("service: advice artifact has no report")
+	}
+	return &Response{
+		Kind: KindAdvise, Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest,
+		adv: &adviceArtifact{kernel: h.Kernel, digest: h.ProfileDigest, doc: body, profKey: profKey},
+	}, nil
+}
+
 // FuzzStageEnvelopeDecode throws arbitrary payload bytes at all three
 // stage-artifact decoders and at the lazy struct decode behind them:
-// none may panic, and anything accepted must be internally consistent
-// (the validation invariants the engine relies on before trusting a
-// store-served artifact).
+// none may panic, the profile and advice decoders accept exactly what
+// their references do, and anything accepted must be internally
+// consistent (the validation invariants the engine relies on before
+// trusting a store-served artifact).
 func FuzzStageEnvelopeDecode(f *testing.F) {
 	f.Add([]byte(`{"elapsedMs":1.5,"cycles":120,"bodyLen":0}` + "\n"))
 	f.Add([]byte(`{"elapsedMs":2,"cycles":9,"kernel":"vecscale","bodyLen":32}` + "\n" + `{"kernel":"vecscale","cycles":9}`))
@@ -62,6 +129,18 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 	f.Add([]byte(`{"elapsedMs":0,"cycles":-1,"bodyLen":0}` + "\n"))
 	f.Add([]byte(`{"elapsedMs":0,"cycles":1,"bodyLen":0}{"cycles":2}` + "\n")) // trailing header data
 	f.Add([]byte(`{"elapsedMs":0,"cycles":1,"bodyLen":0,"unknown":true}` + "\n"))
+	// An advice document that ends exactly at the report mark: the report
+	// check indexes past the mark, so run before validity it panics.
+	h := payloadHeader{ElapsedMS: 0.5, Cycles: 7, ProfileDigest: "d", Kernel: "k"}
+	open, err := (&wireTail{Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest}).encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	atMark, err := encodePayload(h, append(open[:len(open)-len(tailClose):len(open)-len(tailClose)], reportMark...))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(atMark)
 	for _, payload := range runPayloads(f) {
 		f.Add(payload)
 	}
@@ -72,7 +151,12 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 				t.Fatal("decodeMeasure accepted an invalid artifact")
 			}
 		}
-		if pv, err := decodeProfile(payload, store.Key{}); err == nil {
+		_, errRef := decodeProfileRef(payload, store.Key{})
+		pv, err := decodeProfile(payload, store.Key{})
+		if (err == nil) != (errRef == nil) {
+			t.Fatalf("decodeProfile says %v, its reference %v", err, errRef)
+		}
+		if err == nil {
 			if pv == nil || pv.prof.kernel == "" || pv.ProfileDigest == "" || !json.Valid(pv.prof.body) {
 				t.Fatal("decodeProfile accepted an invalid artifact")
 			}
@@ -81,7 +165,12 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 				t.Fatal("a stored profile decoded to another than its header declared")
 			}
 		}
-		if av, err := decodeAdvice(payload, store.Key{}); err == nil {
+		_, errRef = decodeAdviceRef(payload, store.Key{})
+		av, err := decodeAdvice(payload, store.Key{})
+		if (err == nil) != (errRef == nil) {
+			t.Fatalf("decodeAdvice says %v, its reference %v", err, errRef)
+		}
+		if err == nil {
 			if av == nil || av.adv.kernel == "" || av.ProfileDigest == "" || !json.Valid(av.adv.doc) || !bytes.HasPrefix(av.adv.doc, []byte(tailOpen+"  \"cycles\": ")) {
 				t.Fatal("decodeAdvice accepted an invalid artifact")
 			}
@@ -89,6 +178,75 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 			if advice, report, err := aa.decoded(fuzzEngine); err == nil && (advice.Kernel != aa.kernel || report == "") {
 				t.Fatal("a stored advice decoded to no report")
 			}
+		}
+	})
+}
+
+// FuzzValidJSON holds validJSON to encoding/json.Valid on any input. The
+// seeds are the real stage bodies and every edge of the grammar: each
+// is one that a validator wrong in one respect — a control byte let
+// through, a leading zero, a string tail left unchecked, one nesting
+// level too many — gets wrong.
+func FuzzValidJSON(f *testing.F) {
+	for _, payload := range runPayloads(f) {
+		_, body, err := splitPayload(payload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, n := range []int{maxNesting, maxNesting + 1} {
+		f.Add([]byte(strings.Repeat("[", n) + strings.Repeat("]", n)))
+		f.Add([]byte(strings.Repeat("[", n) + "0" + strings.Repeat("]", n)))
+		f.Add([]byte(strings.Repeat(`{"a":`, n-1) + "{}" + strings.Repeat("}", n-1)))
+		f.Add([]byte(strings.Repeat(`{"a":`, n) + "0" + strings.Repeat("}", n)))
+		f.Add([]byte(strings.Repeat(`[{"a":`, n/2) + "[]" + strings.Repeat("}]", n/2)))
+	}
+	u := `\` + "u" // a \u escape, spelled so that no editor folds it into its character
+	for _, s := range []string{
+		// Whitespace, and nothing.
+		"", " ", " \t\r\n", "\v", "\f0", " 0 ", "\xc2\xa00", // the last a no-break space
+		// Literals.
+		"true", "false", "null", "tru", "fals", "nul", "trUe", "truex", "nulll", "[true,false,null]",
+		// Numbers.
+		"-", "-0", "01", "1.", "1e", "1E+9", "0", "-01", "00", "[01]", `{"a":01}`, "1.5e-3", ".5", "+1", "1e+",
+		"--1", "0x10", "1 2", "[-]", "[1.]", "[1e]", "-0.0e0", "1.e5", "0e", "0E-0", "123456789012345678901234567890",
+		// Escapes, whole and cut short.
+		`"\b\f\n\r\t\\\/\""`, `"` + u + "00e9" + u + "D83D" + u + "DE00" + u + "ABCD" + u + `abcd"`,
+		`"\u"`, `"\u0"`, `"\u00"`, `"\u000"`, `"\u`, `"\u1`, `"\u12`, `"\u123`, `"` + u + "1234",
+		`"\`, `"\x"`, `"\U0041"`, `"\u00G0"`, `"\u00g0"`, `"\'"`, `"\a"`,
+		// Raw bytes: control bytes are not string bytes, invalid UTF-8 is.
+		"\"\x00\"", "\"a\tb\"", "\"a\nb\"", "\"\x1f\"", "\"\x7f\"", "\" \"", "\"\xff\"", "\"\xc3\x28\"", "\xff", "\x00",
+		"[1,\x0b2]", "\"abc",
+		// Structure.
+		"{}", "[]", " { } ", "[[]]", `{"a":1,}`, "[1,]", "[,1]", `{"a" 1}`, "{1:2}", `{"a":1 "b":2}`, "[1 2]", "]", "}",
+		"[}", "{]", `{"a":}`, `{"a"}`, "{,}", "[[]", "[]]", `{"a":[1,{"b":null}],"c":"d"}`, `"a" "b"`, "{}{}", "[] x",
+		`{"a":1,"a":2}`, `{"":""}`, `{ "a" : [ 1 , 2 ] }`,
+	} {
+		f.Add([]byte(s))
+	}
+	// A string's bytes go a word at a time, then one at a time: put the
+	// byte that matters at every offset across two words.
+	for off := 0; off <= 17; off++ {
+		pad := strings.Repeat("a", off)
+		for _, s := range []string{
+			`"` + pad + `"`,
+			`"` + pad + "\x1f" + `"`,
+			`"` + pad + "\x01bcdefghijkl" + `"`,
+			`"` + pad + `\"` + `"`, // an escaped quote, straddling a word boundary at some offset
+			`"` + pad + `\\` + `"`,
+			`"` + pad + "\xc3\xa9" + `"`,
+			`"` + pad + `\q` + `"`,
+			`"` + pad,
+			`["` + pad + `","` + pad + `"]`,
+		} {
+			f.Add([]byte(s))
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := validJSON(data), json.Valid(data); got != want {
+			t.Fatalf("validJSON(%.200q) = %v, encoding/json.Valid says %v", data, got, want)
 		}
 	})
 }
