@@ -290,7 +290,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Writable:     true,
 			CorruptBlobs: s.store.Stats().Corrupt,
 		}
-		if err := s.store.Check(); err != nil {
+		if err := s.store.CheckWritable(); err != nil {
 			sh.Writable = false
 			sh.Error = err.Error()
 			out.Status = "degraded"

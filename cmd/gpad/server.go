@@ -161,6 +161,12 @@ type kernelRequest struct {
 // and benchmark names.
 func (r *kernelRequest) job(s *server) (gpa.Job, error) {
 	var job gpa.Job
+	// A negative timeout would mean "no deadline" to the engine, escaping
+	// -job-timeout; a negative simSMs would simulate the default 4 SMs
+	// under a key of its own.
+	if r.TimeoutMS < 0 || r.SimSMs < 0 {
+		return job, fmt.Errorf("timeoutMs and simSMs must not be negative")
+	}
 	kind, err := service.ParseKind(r.Kind)
 	if err != nil {
 		return job, err
@@ -536,16 +542,12 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeRequestError(w, err)
 		return
 	}
-	gpus, results := s.eng.Sweep(r.Context(), job, gpus)
+	jobs, results := s.eng.Sweep(r.Context(), job, gpus)
 	out := sweepResponse{
 		SchemaVersion: gpa.ResultSchemaVersion,
-		Results:       make([]any, len(gpus)),
+		Results:       make([]any, len(jobs)),
 	}
-	for i, g := range gpus {
-		jg := job
-		o := *job.Options
-		o.GPU = g
-		jg.Options = &o
+	for i, jg := range jobs {
 		out.Results[i] = resultEntry(jg, results[i])
 	}
 	writeJSON(w, http.StatusOK, out)

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gpa"
 	"gpa/internal/kernels"
@@ -477,6 +478,26 @@ func TestBadRequests(t *testing.T) {
 	resp2, _ := postJSON(t, ts.URL+"/statsz", map[string]any{})
 	if resp2.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /statsz = %d, want 405", resp2.StatusCode)
+	}
+}
+
+// TestNegativeOptionsRejected: a negative timeoutMs would run with no
+// deadline at all, past the operator's -job-timeout, and a negative
+// simSMs would simulate the default SM count under a key of its own;
+// both are malformed requests, and neither reaches the engine.
+func TestNegativeOptionsRejected(t *testing.T) {
+	eng := gpa.NewEngine(&gpa.EngineOptions{DefaultTimeout: time.Nanosecond})
+	ts := httptest.NewServer(newServer(eng))
+	t.Cleanup(ts.Close)
+	for _, field := range []string{"timeoutMs", "simSMs"} {
+		resp, body := postJSON(t, ts.URL+"/v1/advise", map[string]any{"bench": "rodinia/hotspot", field: -1})
+		var out errorBody
+		if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusBadRequest || out.Error.Code != "bad_request" {
+			t.Errorf("%s -1: status %d, body %s; want 400 bad_request", field, resp.StatusCode, body)
+		}
+	}
+	if st := eng.Stats(); st.Runs != 0 || st.Canceled != 0 {
+		t.Errorf("rejected requests reached the engine: runs=%d canceled=%d", st.Runs, st.Canceled)
 	}
 }
 

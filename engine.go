@@ -17,7 +17,7 @@ import (
 // singleflight deduplication (see internal/service). One engine is meant to be
 // shared by everything that fans work out — cmd/gpad serves HTTP
 // traffic through one, cmd/drift-check -store-dir replays the corpus
-// through one, and library callers batch through AdviseAll/DoAll — so
+// through one, and library callers batch through DoAll/Sweep — so
 // a machine-wide simulation budget is enforced in exactly one place.
 //
 // Every method takes a context.Context and honors cancellation
@@ -40,39 +40,13 @@ type Engine struct {
 	svc *service.Engine
 }
 
-// EngineOptions configures an Engine.
-type EngineOptions struct {
-	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
-	Workers int
-	// CacheEntries bounds each pipeline stage's in-memory artifact LRU
-	// (0 = 512 per stage; negative keeps nothing in memory: a repeat is
-	// served from Store, when there is one, or re-runs; identical
-	// in-flight jobs still coalesce). Every served result is its
-	// terminal stage's artifact, and a run reuses the artifacts of the
-	// stages before it — an arch sweep analyzes the module once, a
-	// profile job's output feeds a later advise job without
-	// re-simulation.
-	CacheEntries int
-	// MaxQueue bounds how many jobs may wait for a worker slot beyond
-	// the Workers already running; excess jobs fail fast with
-	// ErrQueueFull (0 = unbounded, negative = no queue at all).
-	MaxQueue int
-	// DefaultTimeout is the per-job deadline applied to every job whose
-	// own Timeout is zero (0 = none). Deadline expiry returns an error
-	// wrapping both ErrCanceled and context.DeadlineExceeded.
-	DefaultTimeout time.Duration
-	// Store is the persistent artifact store (see OpenStore): stage
-	// outputs survive restarts and are shared between engines pointed
-	// at the same directory. nil = in-memory only.
-	Store *Store
-	// QoS configures tenant-fair admission: per-tenant DWRR weights,
-	// token-bucket quotas, the interactive-lane reserve, and the
-	// brownout controller (nil = every caller shares one equal-weight
-	// "default" tenant and nothing is metered). The config must
-	// validate (NewEngine panics otherwise): write a QoSConfig literal
-	// or parse operator JSON with ParseQoSConfig.
-	QoS *QoSConfig
-}
+// EngineOptions configures an Engine: Workers, CacheEntries, MaxQueue,
+// DefaultTimeout, Store (see OpenStore) and QoS (a QoSConfig literal or
+// ParseQoSConfig's output; NewEngine panics on one that does not
+// validate). Every run reuses the stored artifacts of the stages before
+// it: an arch sweep analyzes the module once, and a profile job's output
+// feeds a later advise job without re-simulation.
+type EngineOptions = service.Options
 
 // EngineStats is a snapshot of the engine's cache and scheduling
 // counters (the numbers gpad exposes at /statsz).
@@ -92,10 +66,6 @@ type QoSConfig = qos.Config
 // TenantQoSConfig is one tenant's admission policy: DWRR weight and an
 // optional token-bucket quota (requests/second + burst).
 type TenantQoSConfig = qos.TenantConfig
-
-// BrownoutConfig tunes the overload controller that sheds batch-lane
-// work when the queue-delay p99 crosses a threshold.
-type BrownoutConfig = qos.BrownoutConfig
 
 // ParseQoSConfig parses and validates an operator-supplied JSON QoS
 // config (unknown fields are rejected). cmd/gpad loads -qos-config
@@ -122,17 +92,7 @@ func NewEngine(opts *EngineOptions) *Engine {
 	if opts != nil {
 		o = *opts
 	}
-	svcOpts := service.Options{
-		Workers:        o.Workers,
-		CacheEntries:   o.CacheEntries,
-		MaxQueue:       o.MaxQueue,
-		DefaultTimeout: o.DefaultTimeout,
-		QoS:            o.QoS,
-	}
-	if o.Store != nil {
-		svcOpts.Disk = o.Store.disk
-	}
-	return &Engine{svc: service.New(svcOpts)}
+	return &Engine{svc: service.New(o)}
 }
 
 // JobKind selects which pipeline stage a job runs.
@@ -184,34 +144,18 @@ type Job struct {
 	Lane Lane
 }
 
-// JobResult is the outcome of one job. Exactly one of Err or the
-// kind's payload is meaningful. The scalars are fields; the report and
-// the profile are the accessors Report and Profile, because a result
-// served from the artifact store (EngineOptions.Store) holds its
-// encoded bytes and builds the structs only for a caller that asks.
+// JobResult is the outcome of one job: the engine's response — Key,
+// Cached, Cycles, ElapsedMS, ProfileDigest — or Err, never both. The
+// report and the profile are the accessors Report and Profile, because a
+// result served from the artifact store (EngineOptions.Store) holds its
+// encoded bytes and builds the structs only for a caller that asks. The
+// response is embedded by value: setting a result's fields never reaches
+// the response the engine shares with other callers.
 type JobResult struct {
-	// ProfileDigest is the profile's stable content digest.
-	ProfileDigest string
-	// Cycles is the simulated kernel duration (all kinds).
-	Cycles int64
-	// ElapsedMS is the wall-clock cost in milliseconds of the pipeline
-	// run that produced the result; cache hits report the original
-	// run's cost (the time the cache avoided).
-	ElapsedMS float64
-	// Cached reports whether the result was served without a new
-	// simulation (cache hit or coalesced with an identical in-flight
-	// job).
-	Cached bool
-	// Key is the content-addressed cache key ("" when the job was
-	// uncacheable).
-	Key string
+	service.Response
 	// Err wraps one of the typed sentinels in errors.go (ErrCanceled,
 	// ErrQueueFull, ErrBadKernel, ...); classify with errors.Is.
 	Err error
-
-	// resp is the engine response behind the accessors (nil for a failed
-	// or hand-built JobResult).
-	resp *service.Response
 }
 
 // Report returns the advice report of a JobAdvise result — report text,
@@ -225,20 +169,20 @@ type JobResult struct {
 // artifact that has vanished or no longer decodes yields an error
 // wrapping ErrInternal.
 func (r JobResult) Report() (*Report, error) {
-	if r.resp == nil || r.resp.Kind != JobAdvise {
+	if r.Kind != JobAdvise { // a failed result's Kind is the zero JobMeasure
 		return nil, r.Err
 	}
-	advice, err := r.resp.Advice()
+	advice, err := r.Advice()
 	if err != nil {
 		return nil, err
 	}
-	prof, err := r.resp.Profile()
+	prof, err := r.Response.Profile()
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Advice: advice, Profile: prof, Context: r.resp.Context}
+	rep := &Report{Advice: advice, Profile: prof, Context: r.Context}
 	// The service rendered the same text when it produced the advice.
-	text, _ := r.resp.Report() // decoded with the advice above
+	text, _ := r.Response.Report() // decoded with the advice above
 	rep.text.Store(&text)
 	return rep, nil
 }
@@ -247,10 +191,10 @@ func (r JobResult) Report() (*Report, error) {
 // result (nil for JobMeasure). It is lazy and can fail exactly as
 // Report can.
 func (r JobResult) Profile() (*profiler.Profile, error) {
-	if r.resp == nil {
+	if r.Err != nil {
 		return nil, r.Err
 	}
-	return r.resp.Profile()
+	return r.Response.Profile()
 }
 
 // request converts a job to a service request. The request is returned
@@ -295,14 +239,7 @@ func resultOf(resp *service.Response, err error) JobResult {
 	if err != nil {
 		return JobResult{Err: err}
 	}
-	return JobResult{
-		ProfileDigest: resp.ProfileDigest,
-		Cycles:        resp.Cycles,
-		ElapsedMS:     resp.ElapsedMS,
-		Cached:        resp.Cached,
-		Key:           resp.Key,
-		resp:          resp,
-	}
+	return JobResult{Response: *resp}
 }
 
 // Do resolves one job through the engine's cache and worker pool. A
@@ -339,24 +276,14 @@ func (e *Engine) DoAll(ctx context.Context, jobs []Job) []JobResult {
 	return results
 }
 
-// AdviseAll runs the full advise pipeline over every kernel with the
-// same options (the Table 3 fan-out shape). For per-kernel options or
-// workload keys, build Jobs and call DoAll.
-func (e *Engine) AdviseAll(ctx context.Context, kernels []*Kernel, opts *Options) []JobResult {
-	jobs := make([]Job, len(kernels))
-	for i, k := range kernels {
-		jobs[i] = Job{Kind: JobAdvise, Kernel: k, Options: opts}
-	}
-	return e.DoAll(ctx, jobs)
-}
-
 // Sweep runs the job template once per listed architecture model
 // concurrently, overriding Options.GPU per run (nil or empty gpus =
-// every registered model, in registry order). Results are positionally
-// aligned with the returned model list. Sweeps are bulk work by
-// definition, so every job runs on LaneBatch regardless of the
-// template's Lane; the lane never affects results.
-func (e *Engine) Sweep(ctx context.Context, j Job, gpus []*arch.GPU) ([]*arch.GPU, []JobResult) {
+// every registered model, in registry order), and returns the jobs it
+// ran and their results, positionally aligned: jobs[i].Arch() names the
+// model of results[i], and jobs[i].EncodeResult encodes it. Sweeps are
+// bulk work by definition, so every job runs on LaneBatch regardless of
+// the template's Lane; the lane never affects results.
+func (e *Engine) Sweep(ctx context.Context, j Job, gpus []*arch.GPU) ([]Job, []JobResult) {
 	if len(gpus) == 0 {
 		gpus = arch.All()
 	}
@@ -365,12 +292,11 @@ func (e *Engine) Sweep(ctx context.Context, j Job, gpus []*arch.GPU) ([]*arch.GP
 		// Job.request() applies the remaining defaults.
 		o := normalize(j.Options)
 		o.GPU = g
-		jg := j
-		jg.Options = &o
-		jg.Lane = LaneBatch
-		jobs[i] = jg
+		jobs[i] = j
+		jobs[i].Options = &o
+		jobs[i].Lane = LaneBatch
 	}
-	return gpus, e.DoAll(ctx, jobs)
+	return jobs, e.DoAll(ctx, jobs)
 }
 
 // Shutdown drains the engine: new jobs are rejected with

@@ -119,21 +119,25 @@ func TestEngineWorkloadWithoutKeyBypasses(t *testing.T) {
 func TestEngineSweep(t *testing.T) {
 	k, opts := apiKernel(t)
 	eng := gpa.NewEngine(nil)
-	gpus, res := eng.Sweep(context.Background(), gpa.Job{Kind: gpa.JobAdvise, Kernel: k, Options: opts,
+	jobs, res := eng.Sweep(context.Background(), gpa.Job{Kind: gpa.JobAdvise, Kernel: k, Options: opts,
 		WorkloadKey: "api"}, nil)
-	if len(gpus) != len(gpa.GPUs()) || len(res) != len(gpus) {
+	if len(jobs) != len(gpa.GPUs()) || len(res) != len(jobs) {
 		t.Fatalf("sweep covered %d archs, want %d", len(res), len(gpa.GPUs()))
 	}
 	seen := map[string]bool{}
 	for i, r := range res {
+		arch := jobs[i].Arch()
+		if want := gpa.GPUName(gpa.GPUs()[i]); arch != want || jobs[i].Lane != gpa.LaneBatch {
+			t.Fatalf("job %d runs on %s, lane %v; want %s, the batch lane", i, arch, jobs[i].Lane, want)
+		}
 		if r.Err != nil {
-			t.Fatalf("%s: %v", gpa.GPUName(gpus[i]), r.Err)
+			t.Fatalf("%s: %v", arch, r.Err)
 		}
 		if rep := reportOf(t, r); rep == nil || len(rep.Advice.Entries) == 0 {
-			t.Fatalf("%s: no advice", gpa.GPUName(gpus[i]))
+			t.Fatalf("%s: no advice", arch)
 		}
 		if seen[r.Key] {
-			t.Fatalf("%s: duplicate cache key across architectures", gpa.GPUName(gpus[i]))
+			t.Fatalf("%s: duplicate cache key across architectures", arch)
 		}
 		seen[r.Key] = true
 	}

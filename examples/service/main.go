@@ -129,22 +129,23 @@ func runInProcess() error {
 		repeat.Cached, again.String() == first.String())
 
 	// Phase 3: sweep the kernel across every registered architecture.
-	gpus, sweep := eng.Sweep(context.Background(), job, nil)
+	// Sweep returns the per-model jobs it ran beside their results.
+	jobs, sweep := eng.Sweep(context.Background(), job, nil)
 	fmt.Println("\nsweep across registered architectures:")
 	for i, r := range sweep {
 		if r.Err != nil {
-			return fmt.Errorf("%s: %w", gpa.GPUName(gpus[i]), r.Err)
+			return fmt.Errorf("%s: %w", jobs[i].Arch(), r.Err)
 		}
 		rep, err := r.Report()
 		if err != nil {
-			return fmt.Errorf("%s: %w", gpa.GPUName(gpus[i]), err)
+			return fmt.Errorf("%s: %w", jobs[i].Arch(), err)
 		}
 		top := "-"
 		if es := rep.Top(1); len(es) > 0 {
 			top = fmt.Sprintf("%s (%.3fx)", es[0].Optimizer, es[0].Speedup)
 		}
 		fmt.Printf("  %-6s %8d cycles   top advice: %s\n",
-			gpa.GPUName(gpus[i]), r.Cycles, top)
+			jobs[i].Arch(), r.Cycles, top)
 	}
 	printStats(eng)
 

@@ -43,8 +43,10 @@
 //
 // For batch and serving workloads, NewEngine builds a shared scheduler
 // with a content-addressed artifact store and singleflight deduplication
-// (Engine.AdviseAll, Engine.DoAll, Engine.Sweep); cmd/gpad serves the
-// same engine over HTTP.
+// (Engine.Do, Engine.DoAll, Engine.Sweep); cmd/gpad serves the same
+// engine over HTTP. Its options, results and store are the serving
+// layer's own types (EngineOptions, JobResult's embedded response,
+// Store), so nothing is copied between the two.
 package gpa
 
 import (
@@ -372,11 +374,12 @@ func (k *Kernel) Structure() (*structure.Structure, error) {
 	return k.st, k.stErr
 }
 
-// defaultGPU is the shared default architecture model: one immutable
-// instance, so the nil-GPU fast path neither allocates a fresh model
-// per call nor defeats the engine's per-model digest memo. Nothing in
-// the pipeline mutates an Options.GPU; callers wanting a model to
-// tweak get their own copy from V100()/LookupGPU.
+// defaultGPU is the shared default architecture model that normalize
+// puts in place of a nil Options.GPU, because gpusim.Run rejects a nil
+// GPU: one immutable instance, so the nil-GPU fast path does not
+// allocate a fresh model per call. Nothing in the pipeline mutates an
+// Options.GPU; callers wanting a model to tweak get their own copy from
+// V100()/LookupGPU.
 var defaultGPU = arch.VoltaV100()
 
 func normalize(opts *Options) Options {

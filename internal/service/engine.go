@@ -457,10 +457,10 @@ type Options struct {
 	// DefaultTimeout is the per-request deadline applied to every
 	// request whose own Timeout is zero (0 = none).
 	DefaultTimeout time.Duration
-	// Disk is the persistent artifact backend (internal/store): stage
-	// outputs survive restarts and are shared across engines pointed at
-	// one directory. nil = in-memory stages only.
-	Disk *store.Disk
+	// Store is the persistent artifact backend (OpenDisk): stage outputs
+	// survive restarts and are shared across engines pointed at one
+	// directory. nil = in-memory stages only.
+	Store *store.Disk
 	// QoS is the tenant-aware admission configuration (nil = one
 	// default tenant, no quotas, no interactive reserve, brownout off —
 	// the flat pre-tenancy behaviour plus FIFO fairness). It must be
@@ -567,7 +567,7 @@ func New(opts Options) *Engine {
 		drainCh:        make(chan struct{}),
 		flight:         make(map[store.Key]*flightCall),
 		stages:         store.NewMemory(opts.CacheEntries), // nil for CacheEntries < 0
-		disk:           opts.Disk,
+		disk:           opts.Store,
 		baseMallocs:    heapAllocObjects(),
 		lat:            obs.NewStageLatency(),
 	}

@@ -29,7 +29,7 @@ func storeRuns(tb testing.TB, reqs ...*Request) *store.Disk {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { d.Close() })
-	e := New(Options{Workers: 1, Disk: d})
+	e := New(Options{Workers: 1, Store: d})
 	for _, r := range reqs {
 		if _, err := e.Do(context.Background(), r); err != nil {
 			tb.Fatal(err)

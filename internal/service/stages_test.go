@@ -325,7 +325,7 @@ func openDisk(t *testing.T, dir string) *store.Disk {
 // newDiskEngine builds an engine backed by an on-disk store at dir.
 func newDiskEngine(t *testing.T, dir string) *Engine {
 	t.Helper()
-	return New(Options{Workers: 2, Disk: openDisk(t, dir)})
+	return New(Options{Workers: 2, Store: openDisk(t, dir)})
 }
 
 // editFrame rewrites, where it lies in its stage's log, the frame that
@@ -631,7 +631,7 @@ func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 				dir := t.TempDir()
 				d := openDisk(t, dir)
 				// Populate.
-				if _, err := New(Options{Workers: 1, Disk: d}).Do(context.Background(), testRequest(t, sc.kind)); err != nil {
+				if _, err := New(Options{Workers: 1, Store: d}).Do(context.Background(), testRequest(t, sc.kind)); err != nil {
 					t.Fatal(err)
 				}
 				repair := mutate(t, d, sc.stage, keysOf(t, testRequest(t, sc.kind))[stageOf(sc.kind)])
@@ -641,7 +641,7 @@ func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 				// still answer byte-identically.
 				recompute := func() *Engine {
 					t.Helper()
-					e := New(Options{Workers: 1, Disk: openDisk(t, dir)})
+					e := New(Options{Workers: 1, Store: openDisk(t, dir)})
 					resp, err := e.Do(context.Background(), testRequest(t, sc.kind))
 					if err != nil {
 						t.Fatalf("corrupted store surfaced an error: %v", err)
@@ -687,7 +687,7 @@ func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 				// the read that rejected it, or — a frame that never
 				// framed, so was never read — by the scan that stepped
 				// over it to the recomputed one.
-				e3 := New(Options{Workers: 1, Disk: openDisk(t, dir)})
+				e3 := New(Options{Workers: 1, Store: openDisk(t, dir)})
 				healed, err := e3.Do(context.Background(), testRequest(t, sc.kind))
 				if err != nil {
 					t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gpa/internal/profiler"
+	"gpa/internal/service"
 
 	adv "gpa/internal/advisor"
 )
@@ -169,20 +170,19 @@ func (j Job) Result(res JobResult) (*Result, error) {
 	out.Cycles = res.Cycles
 	out.ElapsedMS = res.ElapsedMS
 	out.ProfileDigest = res.ProfileDigest
-	if res.resp == nil {
-		return &out, nil
-	}
-	// The same fields, under the same conditions, as the tail encodes.
-	switch j.Kind {
+	// The same fields, under the same conditions, as the tail encodes: a
+	// hand-built result's Kind is the zero JobMeasure, which has only the
+	// scalars.
+	switch res.Kind {
 	case JobAdvise:
-		advice, err := res.resp.Advice()
+		advice, err := res.Advice()
 		if err != nil {
 			return nil, err
 		}
 		out.Advice = advice.Entries
-		out.ReportText, _ = res.resp.Report() // decoded with the advice
+		out.ReportText, _ = res.Response.Report() // decoded with the advice
 	case JobProfile:
-		prof, err := res.resp.Profile()
+		prof, err := res.Response.Profile()
 		if err != nil {
 			return nil, err
 		}
@@ -225,10 +225,10 @@ func (j Job) EncodeResult(dst []byte, res JobResult, traceID string) (head, tail
 	if res.Err != nil {
 		return nil, nil, fmt.Errorf("gpa: encode result of a failed job: %w", res.Err)
 	}
-	if res.resp == nil {
+	if res.Response == (service.Response{}) {
 		return nil, nil, fmt.Errorf("gpa: %w: encode result: not an engine result", ErrInternal)
 	}
-	if tail, err = res.resp.Tail(); err != nil {
+	if tail, err = res.Tail(); err != nil {
 		return nil, nil, err
 	}
 	h := j.resultHead(res)

@@ -22,11 +22,13 @@ import (
 //
 // A Store is safe for concurrent use by any number of engines and, on a
 // local filesystem, processes (every write is one O_APPEND write of a
-// whole blob). It holds one open file per stage: Close it once the
-// engines using it have shut down.
-type Store struct {
-	disk *store.Disk
-}
+// whole blob). Stats snapshots its counters, Dir reports where its logs
+// live and CheckWritable probes that directory (gpad's /healthz). It
+// holds one open file per stage: Close it after Engine.Shutdown has
+// returned for every engine on it. A stage an engine looks up afterwards
+// is a miss, a stage it computes is not stored (counted in StoreErrors),
+// and neither is an error.
+type Store = store.Disk
 
 // OpenStore opens (creating if needed) an artifact store rooted at
 // dir. The stage logs live in a versioned subdirectory keyed by the
@@ -37,23 +39,5 @@ func OpenStore(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gpa: %w", err)
 	}
-	return &Store{disk: d}, nil
+	return d, nil
 }
-
-// Stats snapshots the store's hit/miss/put/corrupt counters.
-func (s *Store) Stats() store.Stats { return s.disk.Stats() }
-
-// Dir reports the resolved directory the store's stage logs live in.
-func (s *Store) Dir() string { return s.disk.Dir() }
-
-// Check probes whether the store directory is still writable (the
-// signal gpad's /healthz surfaces: Put failures are deliberately
-// silent, so an unwritable store otherwise just degrades to
-// pass-through).
-func (s *Store) Check() error { return s.disk.CheckWritable() }
-
-// Close closes the store's files. Call it after Engine.Shutdown has
-// returned for every engine on the store: a stage an engine looks up
-// afterwards is a miss, a stage it computes is not stored (counted in
-// StoreErrors), and neither is an error. Closing twice is harmless.
-func (s *Store) Close() error { return s.disk.Close() }

@@ -316,6 +316,46 @@ func mustEqualJSON(t *testing.T, label string, cold, warm any) {
 	}
 }
 
+// TestJobResultIsACopy: a result embeds the engine's response by value,
+// so writing a result's fields never reaches the response the engine
+// shares with the next hit; and a hand-built result has no response
+// behind it, so it encodes to an ErrInternal and converts to its
+// scalars only.
+func TestJobResultIsACopy(t *testing.T) {
+	ctx := context.Background()
+	eng := gpa.NewEngine(&gpa.EngineOptions{Workers: 1})
+	job := benchJob(t, kernels.All()[0], gpa.JobAdvise)
+	if res := eng.Do(ctx, job); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	hit := eng.Do(ctx, job)
+	if hit.Err != nil || !hit.Cached || hit.Key == "" {
+		t.Fatalf("repeat: err=%v cached=%v key=%q", hit.Err, hit.Cached, hit.Key)
+	}
+	head, tail := encodeWire(t, job, hit, "")
+	want := append(head, tail...)
+	hit.Cached, hit.Key = false, ""
+	next := eng.Do(ctx, job)
+	if next.Err != nil {
+		t.Fatal(next.Err)
+	}
+	head, tail = encodeWire(t, job, next, "")
+	if got := append(head, tail...); !bytes.Equal(got, want) {
+		t.Errorf("editing one result changed the next hit's bytes\n got: %.300s\nwant: %.300s", got, want)
+	}
+
+	if _, _, err := job.EncodeResult(nil, gpa.JobResult{}, ""); !errors.Is(err, gpa.ErrInternal) {
+		t.Errorf("EncodeResult of a hand-built result: %v, want ErrInternal", err)
+	}
+	r, err := job.Result(gpa.JobResult{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Kind != "advise" || r.Cycles != 0 || r.Advice != nil || r.ReportText != "" || r.Profile != nil {
+		t.Errorf("Result of a hand-built result = %+v, want the job's head and zero scalars only", r)
+	}
+}
+
 // TestEncodeResultRejectsFailedJob: a failed job has no result to
 // encode (Job.Result returns nil for it).
 func TestEncodeResultRejectsFailedJob(t *testing.T) {
