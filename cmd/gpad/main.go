@@ -26,10 +26,13 @@
 // Responses follow the versioned structured result schema
 // (gpa.ResultSchemaVersion): schemaVersion, structured advice entries,
 // the profile digest, the architecture key, and run timing, with the
-// legacy Figure 8 text riding along in "report". Failures map the
-// typed error taxonomy (gpa.ErrUnknownArch, ErrBadKernel, ErrAssemble,
-// ErrCanceled, ErrQueueFull, ...) to HTTP status codes with stable
-// machine-readable "code" fields.
+// legacy Figure 8 text riding along in "report". Every body gpad
+// writes is compact JSON ending in one newline — json.Encoder's output,
+// which a result's per-request head and stored tail reproduce byte for
+// byte (gpa-result/3; /2 carried the same values indented). Failures
+// map the typed error taxonomy (gpa.ErrUnknownArch, ErrBadKernel,
+// ErrAssemble, ErrCanceled, ErrQueueFull, ...) to HTTP status codes
+// with stable machine-readable "code" fields.
 //
 // Cancellation runs end-to-end: a client that disconnects cancels its
 // queued or in-flight simulation (coalesced duplicates only detach the

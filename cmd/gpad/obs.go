@@ -31,12 +31,20 @@ const traceHeader = "X-Request-Id"
 const maxTraceIDLen = 64
 
 // clientTraceID returns the client-supplied trace ID when it is safe
-// to echo into logs and headers (short, printable, no separators that
-// could forge log fields), else mints a fresh one.
+// to echo into logs and headers, else mints a fresh one.
 func clientTraceID(r *http.Request) string {
-	id := r.Header.Get(traceHeader)
-	if id == "" || len(id) > maxTraceIDLen {
-		return newTraceID()
+	if id := r.Header.Get(traceHeader); safeID(id, maxTraceIDLen) {
+		return id
+	}
+	return newTraceID()
+}
+
+// safeID reports whether a client-supplied ID is safe to echo into
+// logs, headers and metric labels: non-empty, at most maxLen bytes, and
+// printable with no separator that could forge a log field.
+func safeID(id string, maxLen int) bool {
+	if id == "" || len(id) > maxLen {
+		return false
 	}
 	for i := 0; i < len(id); i++ {
 		c := id[i]
@@ -44,10 +52,10 @@ func clientTraceID(r *http.Request) string {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
 			c == '-', c == '_', c == '.', c == ':':
 		default:
-			return newTraceID()
+			return false
 		}
 	}
-	return id
+	return true
 }
 
 // newTraceID mints a 16-hex-char random trace ID. Randomness here is

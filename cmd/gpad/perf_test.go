@@ -71,7 +71,7 @@ func TestWarmAdviseWirePathAllocations(t *testing.T) {
 	}
 	h := quietServer()
 	serveAdvise(t, h, warmAdviseBody) // cold: simulate and fill the cache
-	if rec := serveAdvise(t, h, warmAdviseBody); !strings.Contains(rec.Body.String(), `"cached": true`) {
+	if rec := serveAdvise(t, h, warmAdviseBody); !strings.Contains(rec.Body.String(), `"cached":true`) {
 		t.Fatal("second request must be a cache hit")
 	}
 
@@ -174,7 +174,7 @@ func TestDiskWarmAdviseWirePathAllocations(t *testing.T) {
 		serveAdviseInto(t, h, body, &out)
 	}
 	runtime.ReadMemStats(&after)
-	if !strings.Contains(out.String(), `"cached": true`) {
+	if !strings.Contains(out.String(), `"cached":true`) {
 		t.Fatal("a request over the populated store must be served from it")
 	}
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(len(bodies))

@@ -33,23 +33,12 @@ const tenantHeader = "X-Tenant-Id"
 const maxTenantIDLen = 64
 
 // clientTenant returns the request's tenant ID when it is safe to echo
-// into logs and metric labels (the clientTraceID charset), else "" —
-// the engine's default tenant.
+// into logs and metric labels, else "" — the engine's default tenant.
 func clientTenant(r *http.Request) string {
-	id := r.Header.Get(tenantHeader)
-	if id == "" || len(id) > maxTenantIDLen {
-		return ""
+	if id := r.Header.Get(tenantHeader); safeID(id, maxTenantIDLen) {
+		return id
 	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '-', c == '_', c == '.', c == ':':
-		default:
-			return ""
-		}
-	}
-	return id
+	return ""
 }
 
 // loadQoSConfig reads the engine's QoS config from the -qos-config file

@@ -409,10 +409,10 @@ func (s *server) handleOne(w http.ResponseWriter, r *http.Request, kind gpa.JobK
 // writeResult answers a single-kernel request without re-encoding what
 // earlier requests already encoded: a small per-request head (trace ID,
 // cached flag) appended into a pooled buffer, then the tail — advice,
-// report text, profile — written as the engine hands it out: for an
-// advise, the bytes of the advice artifact itself, the same from a cold
-// run, a memory hit and a restarted daemon's disk hit. The bytes are
-// exactly the reference encoding of job.Result(res).
+// report text, profile — written as the engine hands it out: the bytes
+// of the stage artifact itself, the same from a cold run, a memory hit
+// and a restarted daemon's disk hit. The bytes are exactly what
+// json.Encoder writes for job.Result(res).
 func (s *server) writeResult(w http.ResponseWriter, job gpa.Job, res gpa.JobResult) {
 	bufp := scratchPool.Get().(*[]byte)
 	head, tail, err := job.EncodeResult((*bufp)[:0], res, traceIDOf(w))
@@ -438,10 +438,11 @@ type batchRequest struct {
 	Requests []kernelRequest `json:"requests"`
 }
 
-// batchResponse carries one v2 Result or one errorBody per entry,
-// positionally aligned with the request list; the envelope itself is
-// always 200 for an admissible batch.
-type batchResponse struct {
+// envelope is the body of a batch or a sweep: one Result or one
+// errorBody per entry, positionally aligned with the request list (or
+// the swept models); the envelope itself is always 200 for an
+// admissible request.
+type envelope struct {
 	SchemaVersion string `json:"schemaVersion"`
 	// TraceID is the request's trace ID; entries share the envelope's.
 	TraceID string `json:"traceId,omitempty"`
@@ -457,7 +458,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, fmt.Errorf("empty batch"))
 		return
 	}
-	out := batchResponse{
+	out := envelope{
 		SchemaVersion: gpa.ResultSchemaVersion,
 		Results:       make([]any, len(req.Requests)),
 	}
@@ -485,7 +486,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // resultEntry is one slot of a batch or sweep envelope: the job's v2
 // Result in the encoding writeResult serves — head and tail, which the
-// envelope's encoder re-indents in place, so an entry decodes no stored
+// envelope's encoder copies in place, so an entry decodes no stored
 // artifact either — or the errorBody of whatever kept it from having
 // one. Entries carry no trace ID; the envelope does.
 func resultEntry(job gpa.Job, res gpa.JobResult) any {
@@ -505,13 +506,6 @@ type sweepRequest struct {
 	kernelRequest
 	// Archs lists model names (empty = every registered model).
 	Archs []string `json:"archs,omitempty"`
-}
-
-type sweepResponse struct {
-	SchemaVersion string `json:"schemaVersion"`
-	// TraceID is the request's trace ID; entries share the envelope's.
-	TraceID string `json:"traceId,omitempty"`
-	Results []any  `json:"results"`
 }
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -543,7 +537,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jobs, results := s.eng.Sweep(r.Context(), job, gpus)
-	out := sweepResponse{
+	out := envelope{
 		SchemaVersion: gpa.ResultSchemaVersion,
 		Results:       make([]any, len(jobs)),
 	}
@@ -644,19 +638,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		case *errorBody:
 			b.TraceID = ow.trace
 			ow.code = b.Error.Code
-		case batchResponse:
-			b.TraceID = ow.trace
-			v = b
-		case sweepResponse:
+		case envelope:
 			b.TraceID = ow.trace
 			v = b
 		}
 	}
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeTypedError maps err through the taxonomy table and writes the

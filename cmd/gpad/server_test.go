@@ -132,15 +132,15 @@ func TestAdviseAsmAndCacheHit(t *testing.T) {
 	}
 }
 
-// traceIDLine matches the indented traceId field of an encoded result.
-var traceIDLine = regexp.MustCompile(`\s*"traceId": "[^"]*",`)
+// traceIDField matches the traceId member of an encoded result.
+var traceIDField = regexp.MustCompile(`"traceId":"[^"]*",`)
 
 // normTransport strips the per-request transport fields — the trace ID
 // (unique per request by design) and the cached flag — so response
 // bodies can be byte-compared under the determinism contract.
 func normTransport(b []byte) string {
-	s := traceIDLine.ReplaceAllString(string(b), "")
-	return strings.Replace(s, `"cached": true`, `"cached": false`, 1)
+	s := traceIDField.ReplaceAllString(string(b), "")
+	return strings.Replace(s, `"cached":true`, `"cached":false`, 1)
 }
 
 func TestAdviseBenchKernel(t *testing.T) {

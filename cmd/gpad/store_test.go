@@ -115,8 +115,7 @@ func TestRestartWarmFromStore(t *testing.T) {
 				i+1, st2.StoreHits, st2.StageDecodes, st2.StorePuts, i+1)
 		}
 	}
-	// A profile response is the stored body, re-indented: no decode
-	// either.
+	// A profile response is the stored body too: no decode either.
 	served(requests[0])
 	if st2.StoreHits != 3 || st2.StageDecodes != 0 {
 		t.Errorf("after the stored profile hit: storeHits=%d stageDecodes=%d, want 3/0", st2.StoreHits, st2.StageDecodes)
@@ -209,9 +208,7 @@ func TestEnvelopesMatchReferenceEncoder(t *testing.T) {
 	}
 	reference := func(trace string, results []any) []byte {
 		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(batchResponse{SchemaVersion: gpa.ResultSchemaVersion, TraceID: trace, Results: results}); err != nil {
+		if err := json.NewEncoder(&buf).Encode(envelope{SchemaVersion: gpa.ResultSchemaVersion, TraceID: trace, Results: results}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

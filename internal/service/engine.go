@@ -243,8 +243,10 @@ type Response struct {
 	// nil on every shared response.
 	Context *adv.Context
 
+	// doc is the response's wireTail document, the stage payload's body.
 	// prof (KindProfile) and adv (KindAdvise) are the artifacts behind
-	// the accessors and the tail; eng resolves and counts their decodes.
+	// the accessors; eng resolves and counts their decodes.
+	doc  []byte
 	prof *profileArtifact
 	adv  *adviceArtifact
 	eng  *Engine
@@ -272,7 +274,7 @@ func (r *Response) Advice() (*adv.Advice, error) {
 	if r.adv == nil {
 		return nil, nil
 	}
-	advice, _, err := r.adv.decoded(r.eng)
+	advice, _, err := r.adv.decoded(r.eng, r.doc)
 	return advice, err
 }
 
@@ -283,32 +285,21 @@ func (r *Response) Report() (string, error) {
 	if r.adv == nil {
 		return "", nil
 	}
-	_, report, err := r.adv.decoded(r.eng)
+	_, report, err := r.adv.decoded(r.eng, r.doc)
 	return report, err
 }
 
-// Tail returns the response's wire tail: the gpa-result/2 encoding from
+// Tail returns the response's wire tail: the gpa-result/3 encoding from
 // "cycles" through the closing brace and newline, the part shared by
 // every request this response serves (the caller writes its own head in
-// front; see gpa.Job.EncodeResult). An advise response returns the
-// bytes of its artifact's document, read-only. A profile or measure
-// response encodes its scalars around the profile's canonical body,
-// which encoding/json re-indents to the reference encoder's bytes: no
-// struct is decoded, and nothing is kept.
-func (r *Response) Tail() ([]byte, error) {
-	if r.adv != nil {
-		return r.adv.doc[len(tailOpen):], nil
+// front; see gpa.Job.EncodeResult). It is the stage payload's document,
+// read-only, less its opening brace: nothing is encoded or decoded. A
+// Response not built by an engine has none.
+func (r *Response) Tail() []byte {
+	if len(r.doc) < len(tailOpen) {
+		return nil
 	}
-	t := wireTail{Cycles: r.Cycles, ElapsedMS: r.ElapsedMS, ProfileDigest: r.ProfileDigest}
-	if r.prof != nil {
-		// Advise results leave the raw samples out to stay compact.
-		t.Profile = r.prof.body
-	}
-	doc, err := t.encode()
-	if err != nil {
-		return nil, err
-	}
-	return doc[len(tailOpen):], nil
+	return r.doc[len(tailOpen):]
 }
 
 // Stats is a point-in-time snapshot of the engine's counters. The
@@ -862,34 +853,28 @@ func (e *Engine) Stats() Stats {
 }
 
 // stage is one row of the pipeline's stage table: what a served stage
-// needs, and how its artifact is computed by a run, framed into a
-// payload, and decoded from one. A payload is the only form a shared
-// artifact has — on disk, and in the memory tier as the Response
-// decoded from it (Engine.publish).
+// needs, and how its artifact is computed by a run. A run frames what it
+// computed into a payload (frameStage), and a payload is the only form
+// a shared artifact has — on disk, and in the memory tier as the
+// Response decoded from it (decodeStage, in Engine.publish).
 type stage struct {
 	// needs is the stage whose response compute takes (stFrontend: only
 	// the module front-end, which every stage reaches through its run).
 	needs stageID
-	// decode validates a payload and builds the shared response it
-	// serves, decoding no struct; profKey is the request's profile-stage
-	// key.
-	decode func(payload []byte, profKey store.Key) (*Response, error)
 	// compute runs the stage over dep, the response of the stage it
 	// needs, and returns the leader's response: Cached unset, the structs
-	// beside the bytes they encode to, and for advice the analysis
+	// beside the document they encode to, and for advice the analysis
 	// Context.
 	compute func(e *Engine, ctx context.Context, r *run, dep *Response) (*Response, error)
-	// frame encodes the computed response as the stage's payload.
-	frame func(resp *Response) ([]byte, error)
 }
 
 // stages is the table. The module front-end is a stage too — it has a
 // key and a memory LRU — but serves no request and has no blob form;
 // see Engine.frontend.
 var stages = [numStages]stage{
-	stMeasure: {stFrontend, decodeMeasure, (*Engine).computeMeasure, frameMeasure},
-	stProfile: {stFrontend, decodeProfile, (*Engine).computeProfile, frameProfile},
-	stAdvice:  {stProfile, decodeAdvice, (*Engine).computeAdvice, frameAdvice},
+	stMeasure: {stFrontend, (*Engine).computeMeasure},
+	stProfile: {stFrontend, (*Engine).computeProfile},
+	stAdvice:  {stProfile, (*Engine).computeAdvice},
 }
 
 // stageOf returns the stage a request of kind k terminates in. A kind
@@ -954,7 +939,7 @@ func (e *Engine) lookup(s stageID, sk *stageKeys, from tier) *Response {
 // it to the memory tier, returning the response under the key (an
 // earlier one on a race).
 func (e *Engine) publish(s stageID, sk *stageKeys, payload []byte) (*Response, error) {
-	view, err := stages[s].decode(payload, sk[stProfile])
+	view, err := decodeStage(s, payload, sk[stProfile])
 	if err != nil {
 		return nil, err
 	}
@@ -970,7 +955,7 @@ func (e *Engine) publish(s stageID, sk *stageKeys, payload []byte) (*Response, e
 // run's own lead when this run computed it — it holds the struct — and
 // the shared response otherwise, decoding its body once. An uncacheable
 // run has no keys: it only computes, and shares nothing. A payload the
-// stage's own decoder rejects fails the run, so nothing is ever served
+// decoder rejects fails the run, so nothing is ever served
 // from memory that would not be served from disk.
 func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (view, lead *Response, err error) {
 	if r.sk != nil {
@@ -999,7 +984,7 @@ func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (vie
 	if r.sk == nil {
 		return lead, lead, nil
 	}
-	payload, err := st.frame(lead)
+	payload, err := frameStage(lead)
 	if err == nil {
 		view, err = e.publish(s, r.sk, payload)
 	}
@@ -1129,10 +1114,10 @@ func (e *Engine) computeMeasure(ctx context.Context, r *run, _ *Response) (*Resp
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	e.noteSim(res.Work)
-	resp := &Response{Kind: KindMeasure, Cycles: res.Cycles}
+	t := wireTail{Cycles: res.Cycles}
 	prog.Recycle(res)
-	resp.ElapsedMS = elapsedMS(r.start)
-	return resp, nil
+	t.ElapsedMS = elapsedMS(r.start)
+	return t.response(KindMeasure)
 }
 
 func (e *Engine) computeProfile(ctx context.Context, r *run, _ *Response) (*Response, error) {
@@ -1162,10 +1147,12 @@ func (e *Engine) computeProfile(ctx context.Context, r *run, _ *Response) (*Resp
 	sum := sha256.Sum256(body)
 	// ElapsedMS is what a profile response replays, so a warm hit stays
 	// byte-identical to this cold run.
-	return &Response{
-		Kind: KindProfile, Cycles: prof.Cycles, ElapsedMS: elapsedMS(r.start), ProfileDigest: hex.EncodeToString(sum[:]),
-		prof: &profileArtifact{kernel: prof.Kernel, cycles: prof.Cycles, body: body, prof: prof},
-	}, nil
+	t := wireTail{Cycles: prof.Cycles, ElapsedMS: elapsedMS(r.start), ProfileDigest: hex.EncodeToString(sum[:]), Profile: body}
+	resp, err := t.response(KindProfile)
+	if err == nil {
+		resp.prof = &profileArtifact{kernel: prof.Kernel, cycles: prof.Cycles, body: body, prof: prof}
+	}
+	return resp, err
 }
 
 // noteSim adds one simulation's work record to the engine's counters.
@@ -1204,23 +1191,27 @@ func (e *Engine) computeAdvice(ctx context.Context, r *run, pv *Response) (*Resp
 	advice := adv.Advise(actx, adv.DefaultOptimizers()...)
 	report := advice.String()
 	e.lat.Since(obs.StageAdvise, adviseStart)
-	// The document is the response's wire tail and the payload body: one
-	// encoding, whoever is served it.
 	t := wireTail{
 		Cycles: pv.Cycles, ElapsedMS: elapsedMS(r.start), ProfileDigest: pv.ProfileDigest,
 		Advice: advice.Entries, Report: report,
 	}
+	resp, err := t.response(KindAdvise)
+	if err == nil {
+		resp.Context = actx
+		resp.adv = &adviceArtifact{kernel: advice.Kernel, digest: pv.ProfileDigest, advice: advice, report: report, pa: pv.prof}
+	}
+	return resp, err
+}
+
+// response returns the leader's response of kind k that t describes:
+// its document is t's encoding, the response's wire tail and its stage
+// payload's body — one encoding, whoever is served it.
+func (t *wireTail) response(k Kind) (*Response, error) {
 	doc, err := t.encode()
 	if err != nil {
 		return nil, err
 	}
-	return &Response{
-		Kind: KindAdvise, Cycles: t.Cycles, ElapsedMS: t.ElapsedMS, ProfileDigest: t.ProfileDigest, Context: actx,
-		adv: &adviceArtifact{
-			kernel: advice.Kernel, digest: pv.ProfileDigest, doc: doc,
-			advice: advice, report: report, pa: pv.prof,
-		},
-	}, nil
+	return &Response{Kind: k, Cycles: t.Cycles, ElapsedMS: t.ElapsedMS, ProfileDigest: t.ProfileDigest, doc: doc}, nil
 }
 
 // elapsedMS renders a stage duration in milliseconds with microsecond

@@ -1,16 +1,25 @@
 package service
 
-import "testing"
+import (
+	"testing"
+
+	"gpa/internal/store"
+)
 
 // What corpus_test.go, an external test package, reaches inside this
 // one for. It is external because the Table 3 corpus (internal/kernels)
 // imports this package through the root one, so no file of this
 // package can import it.
-var (
-	ValidJSON     = validJSON
-	DecodeProfile = decodeProfile
-	DecodeAdvice  = decodeAdvice
-)
+var ValidJSON = validJSON
+
+// DecodeProfile and DecodeAdvice are decodeStage for one stage.
+func DecodeProfile(payload []byte, profKey store.Key) (*Response, error) {
+	return decodeStage(stProfile, payload, profKey)
+}
+
+func DecodeAdvice(payload []byte, profKey store.Key) (*Response, error) {
+	return decodeStage(stAdvice, payload, profKey)
+}
 
 // StagePayloads runs reqs, advise requests, through one engine over a
 // fresh store and returns the profile and advice payloads each one's

@@ -58,125 +58,192 @@ func storedPayloads(tb testing.TB, d *store.Disk, r *Request, from, to stageID) 
 // runPayloads returns the payload of every stage, read back from the
 // store a measure run and an advise run filled (an advise run frames the
 // profile it blames too).
-func runPayloads(f *testing.F) [][]byte {
+func runPayloads(f testing.TB) [][]byte {
 	f.Helper()
 	advise := testRequest(f, KindAdvise)
 	d := storeRuns(f, testRequest(f, KindMeasure), advise)
 	return storedPayloads(f, d, advise, stMeasure, stAdvice)
 }
 
-// decodeProfileRef and decodeAdviceRef are the stage decoders as they
-// were before validJSON and lastReportMark: encoding/json.Valid and
-// bytes.LastIndex. FuzzStageEnvelopeDecode holds the decoders to
-// accepting exactly what these accept.
-func decodeProfileRef(payload []byte, _ store.Key) (*Response, error) {
-	h, body, err := splitPayload(payload)
+// decodeStageRef is what decodeStage accepts, spelled with
+// encoding/json.Valid in place of validJSON and bytes.LastIndex in
+// place of hasReport's backward scan: FuzzStageEnvelopeDecode holds
+// decodeStage to accepting exactly what it accepts. An advice must end
+// in the last ,"report":" of its document, a string that encoding/json
+// finds whole and non-empty.
+func decodeStageRef(s stageID, payload []byte) bool {
+	h, doc, err := splitPayload(payload)
+	if err != nil || (h.Kernel == "") != (s == stMeasure) || (h.ProfileDigest == "") != (s == stMeasure) {
+		return false
+	}
+	open, err := json.Marshal(wireTail{Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest})
 	if err != nil {
-		return nil, err
+		return false
 	}
-	if h.Kernel == "" || h.ProfileDigest != "" {
-		return nil, fmt.Errorf("service: profile artifact names no kernel")
+	rest, ok := bytes.CutPrefix(doc, open[:len(open)-1])
+	switch {
+	case !ok:
+		return false
+	case s == stMeasure:
+		return string(rest) == "}\n"
+	case s == stProfile:
+		name, _ := json.Marshal(h.Kernel)
+		body := strings.TrimSuffix(strings.TrimPrefix(string(rest), `,"profile":`), "}\n")
+		sum := sha256.Sum256([]byte(body))
+		return len(rest) == len(body)+len(`,"profile":}`+"\n") && strings.HasPrefix(body, `{"kernel":`+string(name)) &&
+			json.Valid([]byte(body)) && hex.EncodeToString(sum[:]) == h.ProfileDigest
 	}
-	name, _ := json.Marshal(h.Kernel) // a string always marshals
-	if !bytes.HasPrefix(body, append([]byte(`{"kernel":`), name...)) || !json.Valid(body) {
-		return nil, fmt.Errorf("service: profile artifact body is not a profile of %q", h.Kernel)
-	}
-	sum := sha256.Sum256(body)
-	return &Response{
-		Kind: KindProfile, Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: hex.EncodeToString(sum[:]),
-		prof: &profileArtifact{kernel: h.Kernel, cycles: h.Cycles, body: body},
-	}, nil
+	mark := []byte(`,"report":"`)
+	i := bytes.LastIndex(doc, mark)
+	return json.Valid(doc) && bytes.HasSuffix(doc, []byte(`"}`+"\n")) && i >= 0 &&
+		doc[i+len(mark)] != '"' && json.Valid(doc[i+len(mark)-1:len(doc)-2])
 }
 
-func decodeAdviceRef(payload []byte, profKey store.Key) (*Response, error) {
-	h, body, err := splitPayload(payload)
+// stagePayload frames doc under h, failing tb if it cannot.
+func stagePayload(tb testing.TB, h payloadHeader, doc string) []byte {
+	tb.Helper()
+	payload, err := encodePayload(h, []byte(doc))
 	if err != nil {
-		return nil, err
+		tb.Fatal(err)
 	}
-	if h.Kernel == "" || h.ProfileDigest == "" {
-		return nil, fmt.Errorf("service: advice artifact names no kernel or profile")
-	}
-	open, err := (&wireTail{Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest}).encode()
-	if err != nil {
-		return nil, err
-	}
-	rest, ok := bytes.CutPrefix(body, open[:len(open)-len(tailClose)])
-	if !ok || !bytes.HasPrefix(rest, []byte(",\n")) || !json.Valid(body) {
-		return nil, fmt.Errorf("service: advice artifact body is not the tail its header declares")
-	}
-	if i := bytes.LastIndex(rest, []byte(reportMark)); i < 0 || rest[i+len(reportMark)] == '"' {
-		return nil, fmt.Errorf("service: advice artifact has no report")
-	}
-	return &Response{
-		Kind: KindAdvise, Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest,
-		adv: &adviceArtifact{kernel: h.Kernel, digest: h.ProfileDigest, doc: body, profKey: profKey},
-	}, nil
+	return payload
 }
 
-// FuzzStageEnvelopeDecode throws arbitrary payload bytes at all three
-// stage-artifact decoders and at the lazy struct decode behind them:
-// none may panic, the profile and advice decoders accept exactly what
-// their references do, and anything accepted must be internally
-// consistent (the validation invariants the engine relies on before
-// trusting a store-served artifact).
+// adviceSeeds are advice payloads whose report ends each way the
+// backward quote scan must get right, an empty report, and a document
+// that stops at the report's key.
+func adviceSeeds(tb testing.TB) [][]byte {
+	h := payloadHeader{ElapsedMS: 0.5, Cycles: 7, ProfileDigest: "d", Kernel: "k"}
+	open := `{"cycles":7,"elapsedMs":0.5,"profileDigest":"d"`
+	var seeds [][]byte
+	for _, report := range []string{`GPA`, `a \"quoted\"`, `\"`, `\\`, `\\\"`, `\\\\`, ``, `\"\",\"report\":\"`} {
+		seeds = append(seeds, stagePayload(tb, h, open+`,"report":"`+report+`"}`+"\n"))
+	}
+	seeds = append(seeds,
+		stagePayload(tb, h, open+`,"report":`),
+		stagePayload(tb, h, open+`,"report":"x","more":"y"}`+"\n"),
+		stagePayload(tb, h, open+`,"advice":[{"report":"x"}],"report":"y" }`+"\n"),
+		stagePayload(tb, h, open+`,"advice":[],"x":"\\",`+`"report":"y"}`+"\n"))
+	return seeds
+}
+
+// TestDecodeStageChecks pins one payload per check decodeStage makes:
+// each is a real payload, edited so that exactly that check fails.
+func TestDecodeStageChecks(t *testing.T) {
+	payloads := runPayloads(t)
+	for _, p := range payloads {
+		for s := stMeasure; s <= stAdvice; s++ {
+			if _, err := decodeStage(s, p, store.Key{}); (err == nil) != bytes.Equal(p, payloads[s-stMeasure]) {
+				t.Errorf("decodeStage(%s) of a real %s payload: %v", stageNames[s], stageNames[s], err)
+			}
+		}
+	}
+	edit := func(s stageID, f func(h *payloadHeader, doc string) string) []byte {
+		h, doc, err := splitPayload(payloads[s-stMeasure])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stagePayload(t, h, f(&h, string(doc)))
+	}
+	prof := func(doc string) string { return doc[strings.Index(doc, `,"profile":`)+len(`,"profile":`) : len(doc)-2] }
+	for name, c := range map[string]struct {
+		s       stageID
+		payload []byte
+		ok      bool
+	}{
+		"measure/extra field": {stMeasure, edit(stMeasure, func(_ *payloadHeader, doc string) string {
+			return strings.TrimSuffix(doc, "}\n") + `,"report":"r"}` + "\n"
+		}), false},
+		"measure/other cycles": {stMeasure, edit(stMeasure, func(h *payloadHeader, doc string) string { h.Cycles++; return doc }), false},
+		"profile/digest": {stProfile, edit(stProfile, func(h *payloadHeader, doc string) string {
+			d := strings.Repeat("0", 64)
+			doc = strings.Replace(doc, h.ProfileDigest, d, 1)
+			h.ProfileDigest = d
+			return doc
+		}), false},
+		"profile/kernel": {stProfile, edit(stProfile, func(h *payloadHeader, doc string) string { h.Kernel += "x"; return doc }), false},
+		"profile/not one value": {stProfile, edit(stProfile, func(h *payloadHeader, doc string) string {
+			p := prof(doc)
+			sum := sha256.Sum256([]byte(p + `,"x":1`))
+			d := hex.EncodeToString(sum[:])
+			return strings.Replace(strings.Replace(doc, p, p+`,"x":1`, 1), h.ProfileDigest, d, 1)
+		}), false},
+		"advice/empty report": {stAdvice, edit(stAdvice, func(_ *payloadHeader, doc string) string {
+			return doc[:strings.LastIndex(doc, `,"report":"`)] + `,"report":""}` + "\n"
+		}), false},
+		"advice/report ends in an escaped quote": {stAdvice, edit(stAdvice, func(_ *payloadHeader, doc string) string {
+			return doc[:strings.LastIndex(doc, `,"report":"`)] + `,"report":"say \"GPA\""}` + "\n"
+		}), true},
+		"advice/no report": {stAdvice, edit(stAdvice, func(_ *payloadHeader, doc string) string {
+			return doc[:strings.LastIndex(doc, `,"report":"`)] + "}\n"
+		}), false},
+		"advice/unfinished": {stAdvice, edit(stAdvice, func(_ *payloadHeader, doc string) string { return doc[:len(doc)-3] }), false},
+	} {
+		if _, err := decodeStage(c.s, c.payload, store.Key{}); (err == nil) != c.ok {
+			t.Errorf("%s: decodeStage says %v, want accepted=%v", name, err, c.ok)
+		}
+		if decodeStageRef(c.s, c.payload) != c.ok {
+			t.Errorf("%s: decodeStageRef disagrees, want accepted=%v", name, c.ok)
+		}
+	}
+}
+
+// FuzzStageEnvelopeDecode throws arbitrary payload bytes at the stage
+// decoder, as each stage, and at the lazy struct decode behind it: it
+// may not panic, it accepts exactly what decodeStageRef does, and
+// anything accepted must be internally consistent (the validation
+// invariants the engine relies on before trusting a store-served
+// artifact): a document that is valid JSON, opens as the header
+// declares and is served as its own tail.
 func FuzzStageEnvelopeDecode(f *testing.F) {
+	f.Add([]byte(`{"elapsedMs":1.5,"cycles":120,"bodyLen":32}` + "\n" + `{"cycles":120,"elapsedMs":1.5}` + "\n"))
 	f.Add([]byte(`{"elapsedMs":1.5,"cycles":120,"bodyLen":0}` + "\n"))
-	f.Add([]byte(`{"elapsedMs":2,"cycles":9,"kernel":"vecscale","bodyLen":32}` + "\n" + `{"kernel":"vecscale","cycles":9}`))
-	f.Add([]byte(`{"elapsedMs":0.5,"cycles":7,"profileDigest":"d","kernel":"k","bodyLen":76}` + "\n" +
-		"{\n  \"cycles\": 7,\n  \"elapsedMs\": 0.5,\n  \"profileDigest\": \"d\",\n  \"report\": \"GPA\"\n}\n"))
+	prof := `{"kernel":"vecscale","cycles":9}`
+	sum := sha256.Sum256([]byte(prof))
+	d := hex.EncodeToString(sum[:])
+	f.Add(stagePayload(f, payloadHeader{ElapsedMS: 2, Cycles: 9, ProfileDigest: d, Kernel: "vecscale"},
+		`{"cycles":9,"elapsedMs":2,"profileDigest":"`+d+`","profile":`+prof+"}\n"))
 	f.Add([]byte(`{}`))
 	f.Add([]byte("null\n"))
 	f.Add([]byte(`{"elapsedMs":0,"cycles":-1,"bodyLen":0}` + "\n"))
 	f.Add([]byte(`{"elapsedMs":0,"cycles":1,"bodyLen":0}{"cycles":2}` + "\n")) // trailing header data
 	f.Add([]byte(`{"elapsedMs":0,"cycles":1,"bodyLen":0,"unknown":true}` + "\n"))
-	// An advice document that ends exactly at the report mark: the report
-	// check indexes past the mark, so run before validity it panics.
-	h := payloadHeader{ElapsedMS: 0.5, Cycles: 7, ProfileDigest: "d", Kernel: "k"}
-	open, err := (&wireTail{Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest}).encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	atMark, err := encodePayload(h, append(open[:len(open)-len(tailClose):len(open)-len(tailClose)], reportMark...))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(atMark)
-	for _, payload := range runPayloads(f) {
+	for _, payload := range append(adviceSeeds(f), runPayloads(f)...) {
 		f.Add(payload)
 	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if ma, err := decodeMeasure(payload, store.Key{}); err == nil {
-			if ma == nil || ma.Cycles < 0 {
-				t.Fatal("decodeMeasure accepted an invalid artifact")
+		for s := stMeasure; s <= stAdvice; s++ {
+			resp, err := decodeStage(s, payload, store.Key{})
+			if ref := decodeStageRef(s, payload); (err == nil) != ref {
+				t.Fatalf("decodeStage(%s) says %v, its reference accepted=%v", stageNames[s], err, ref)
 			}
-		}
-		_, errRef := decodeProfileRef(payload, store.Key{})
-		pv, err := decodeProfile(payload, store.Key{})
-		if (err == nil) != (errRef == nil) {
-			t.Fatalf("decodeProfile says %v, its reference %v", err, errRef)
-		}
-		if err == nil {
-			if pv == nil || pv.prof.kernel == "" || pv.ProfileDigest == "" || !json.Valid(pv.prof.body) {
-				t.Fatal("decodeProfile accepted an invalid artifact")
+			if err != nil {
+				continue
 			}
-			pa := pv.prof
-			if prof, err := pa.profile(fuzzEngine); err == nil && (prof.Kernel != pa.kernel || prof.Cycles != pv.Cycles) {
-				t.Fatal("a stored profile decoded to another than its header declared")
+			open := fmt.Sprintf(`{"cycles":%d,`, resp.Cycles)
+			if resp.Kind != Kind(s-stMeasure) || resp.Cycles < 0 || !json.Valid(resp.doc) ||
+				!bytes.HasPrefix(resp.doc, []byte(open)) || !bytes.Equal(resp.Tail(), resp.doc[1:]) {
+				t.Fatalf("decodeStage(%s) accepted an invalid artifact", stageNames[s])
 			}
-		}
-		_, errRef = decodeAdviceRef(payload, store.Key{})
-		av, err := decodeAdvice(payload, store.Key{})
-		if (err == nil) != (errRef == nil) {
-			t.Fatalf("decodeAdvice says %v, its reference %v", err, errRef)
-		}
-		if err == nil {
-			if av == nil || av.adv.kernel == "" || av.ProfileDigest == "" || !json.Valid(av.adv.doc) || !bytes.HasPrefix(av.adv.doc, []byte(tailOpen+"  \"cycles\": ")) {
-				t.Fatal("decodeAdvice accepted an invalid artifact")
-			}
-			aa := av.adv
-			if advice, report, err := aa.decoded(fuzzEngine); err == nil && (advice.Kernel != aa.kernel || report == "") {
-				t.Fatal("a stored advice decoded to no report")
+			switch s {
+			case stProfile:
+				pa := resp.prof
+				sum := sha256.Sum256(pa.body)
+				if pa.kernel == "" || !json.Valid(pa.body) || hex.EncodeToString(sum[:]) != resp.ProfileDigest {
+					t.Fatal("decodeStage accepted an invalid profile")
+				}
+				if prof, err := pa.profile(fuzzEngine); err == nil && (prof.Kernel != pa.kernel || prof.Cycles != resp.Cycles) {
+					t.Fatal("a stored profile decoded to another than its header declared")
+				}
+			case stAdvice:
+				aa := resp.adv
+				if aa.kernel == "" || resp.ProfileDigest == "" {
+					t.Fatal("decodeStage accepted an advice of nothing")
+				}
+				if advice, report, err := aa.decoded(fuzzEngine, resp.doc); err == nil && (advice.Kernel != aa.kernel || report == "") {
+					t.Fatal("a stored advice decoded to no report")
+				}
 			}
 		}
 	})
@@ -318,19 +385,24 @@ func FuzzProfileEnvelopeRoundTrip(f *testing.F) {
 		if json.Unmarshal([]byte(profileJSON), &prof) != nil {
 			return // not a profile: nothing would have put it
 		}
-		payload, err := encodePayload(payloadHeader{ElapsedMS: elapsed, Cycles: prof.Cycles, Kernel: prof.Kernel}, []byte(profileJSON))
+		sum := sha256.Sum256([]byte(profileJSON))
+		h := payloadHeader{ElapsedMS: elapsed, Cycles: prof.Cycles, ProfileDigest: hex.EncodeToString(sum[:]), Kernel: prof.Kernel}
+		open, err := json.Marshal(wireTail{Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest})
 		if err != nil {
 			return
 		}
-		pv, err := decodeProfile(payload, store.Key{})
+		payload, err := encodePayload(h, append(open[:len(open)-1], `,"profile":`+profileJSON+"}\n"...))
+		if err != nil {
+			return
+		}
+		pv, err := decodeStage(stProfile, payload, store.Key{})
 		if err != nil {
 			return // decoder rejected it (no kernel name, not canonical): fine
 		}
 		if pv.ElapsedMS != elapsed || pv.Cycles != prof.Cycles {
 			t.Fatalf("header mutated: %v, %d -> %v, %d", elapsed, prof.Cycles, pv.ElapsedMS, pv.Cycles)
 		}
-		sum := sha256.Sum256([]byte(profileJSON))
-		if pv.ProfileDigest != hex.EncodeToString(sum[:]) {
+		if pv.ProfileDigest != h.ProfileDigest || !bytes.Equal(pv.prof.body, []byte(profileJSON)) {
 			t.Fatal("digest is not the SHA-256 of the stored profile bytes")
 		}
 		if got, err := pv.prof.profile(fuzzEngine); err != nil || got.Kernel != prof.Kernel {

@@ -23,7 +23,7 @@ import (
 // field encoding invalidates stored artifacts. Blobs written under
 // another schema are misses by construction (the framing rejects them),
 // never misreads.
-const stageSchema = "gpa-stage/2+" + digestSchema
+const stageSchema = "gpa-stage/3+" + digestSchema
 
 // OpenDisk opens (creating if needed) an on-disk artifact store at dir
 // under this build's stage schema.
@@ -44,16 +44,17 @@ type frontendArtifact struct {
 // Stage blob payloads share one framing: a header — one line of strict
 // compact JSON — a newline, then exactly BodyLen raw body bytes. The
 // header carries every scalar a response needs, so building the shared
-// response parses some hundred bytes whatever the body weighs, and the
-// body is kept — in memory as on disk — in the form its consumer wants
-// it in:
+// response parses some hundred bytes whatever the body weighs. The body
+// is the stage's wire tail document (a wireTail, compactly encoded), so
+// every response — measure, profile or advice, leader or hit, from
+// memory or from disk — serves the bytes after tailOpen as they are:
 //
-//	measure: cycles, elapsedMs; no body
-//	profile: cycles, elapsedMs, kernel; the body is the canonical
-//	         compact profile JSON, whose SHA-256 is the profile digest
-//	advice:  cycles, elapsedMs, profileDigest, kernel; the body is the
-//	         reference encoding of the advise response's wireTail, so
-//	         the bytes after tailOpen go onto the wire as they are
+//	measure: cycles, elapsedMs; the body is {"cycles":…,"elapsedMs":…}
+//	profile: cycles, elapsedMs, profileDigest, kernel; the body ends in
+//	         "profile":<the canonical compact profile JSON>, whose
+//	         SHA-256 is the profile digest
+//	advice:  cycles, elapsedMs, profileDigest, kernel; the body ends in
+//	         the advice entries and the report text
 type payloadHeader struct {
 	ElapsedMS     float64 `json:"elapsedMs"`
 	Cycles        int64   `json:"cycles"`
@@ -109,59 +110,70 @@ func splitPayload(payload []byte) (h payloadHeader, body []byte, err error) {
 	return h, body, nil
 }
 
-// wireTail is the part of a gpa-result/2 body that no request can
+// wireTail is the part of a gpa-result/3 body that no request can
 // change: gpa.Result's fields from "cycles" on, under the same names in
 // the same order (TestEncodeResultMatchesReferenceEncoder holds the two
-// together). It is defined here because the advice blob stores it.
+// together). It is defined here because every stage payload stores it.
 type wireTail struct {
 	Cycles        int64             `json:"cycles"`
 	ElapsedMS     float64           `json:"elapsedMs"`
 	ProfileDigest string            `json:"profileDigest,omitempty"`
 	Advice        []adv.AdviceEntry `json:"advice,omitempty"`
 	Report        string            `json:"report,omitempty"`
-	// Profile is the profile's canonical compact encoding (the profile
-	// payload's body): encoding/json re-indents a RawMessage in place, to
-	// the bytes it would give the struct.
+	// Profile is the profile's canonical compact encoding, which
+	// encoding/json copies as it is: the bytes it would give the struct.
 	Profile json.RawMessage `json:"profile,omitempty"`
 }
 
 const (
-	// tailOpen is what the reference encoding of a wireTail opens with
-	// and the wire tail leaves out: the per-request head stands there.
-	tailOpen = "{\n"
-	// tailClose ends every reference encoding.
-	tailClose = "\n}\n"
-	// reportMark opens the report text, the advice document's last
-	// field. Nothing nested is indented this little and the text itself
-	// holds no raw newline, so the mark matches the field alone.
-	reportMark = ",\n  \"report\": \""
+	// tailOpen is what a wireTail document opens with and the wire tail
+	// leaves out: the per-request head stands there.
+	tailOpen = "{"
+	// tailClose ends every document: json.Encoder ends a value with a
+	// newline.
+	tailClose = "}\n"
+	// profileMark opens the profile, a profile document's last field.
+	profileMark = `,"profile":`
+	// reportMark precedes the report text, an advice document's last
+	// field.
+	reportMark = `,"report":`
 )
 
-// lastReportMark returns bytes.LastIndex(doc, reportMark) by testing
-// only the raw newlines, walking back from the end: every occurrence of
-// the mark has its newline at offset 1. In an advice document the walk
-// crosses the report text — which holds no raw newline — and its close.
-func lastReportMark(doc []byte) int {
-	for end := len(doc); ; {
-		nl := bytes.LastIndexByte(doc[:end], '\n')
-		if nl < 1 {
-			return -1
-		}
-		if bytes.HasPrefix(doc[nl-1:], []byte(reportMark)) {
-			return nl - 1
-		}
-		end = nl
-	}
-}
-
-// encode renders t as gpad's reference encoder renders a result: two
-// spaces of indent, the newline json.Encoder ends a value with.
+// encode renders t as gpad's reference encoder renders a result:
+// compact, with the newline json.Encoder ends a value with.
 func (t *wireTail) encode() ([]byte, error) {
-	enc, err := json.MarshalIndent(t, "", "  ")
+	enc, err := json.Marshal(t)
 	if err != nil {
 		return nil, fmt.Errorf("service: encode result: %w", err)
 	}
 	return append(enc, '\n'), nil
+}
+
+// hasReport reports whether doc, a valid JSON document, ends in a
+// non-empty "report" string member: it must end with `"}` and a
+// newline, and the last unescaped quote before that closing one must
+// open the string behind reportMark. No quote inside a string is
+// unescaped, so walking back over the quotes that an odd number of
+// backslashes precede crosses the report text alone.
+func hasReport(doc []byte) bool {
+	end := len(doc) - len(`"`+tailClose)
+	if end < 0 || string(doc[end:]) != `"`+tailClose {
+		return false
+	}
+	for i := end; ; {
+		q := bytes.LastIndexByte(doc[:i], '"')
+		if q < 0 {
+			return false
+		}
+		bs := q
+		for bs > 0 && doc[bs-1] == '\\' {
+			bs--
+		}
+		if (q-bs)%2 == 0 {
+			return q+1 < end && bytes.HasSuffix(doc[:q], []byte(reportMark))
+		}
+		i = bs
+	}
 }
 
 // profileArtifact is the profile-stage artifact: the profile's
@@ -180,17 +192,16 @@ type profileArtifact struct {
 	err  error
 }
 
-// adviceArtifact is the advice-stage artifact: the response tail it is
-// served as, always, and the structs for callers that want them. The
+// adviceArtifact is the advice-stage artifact: the structs for callers
+// that want them (the response's document is what it is served as). The
 // leader's artifact is built with the advice its run computed; a shared
-// one decodes its document on first use.
+// one decodes the document on first use.
 type adviceArtifact struct {
 	kernel string
 	digest string // of the profile the advice blames
 
-	// doc is the wireTail document; advice and report are "already
-	// decoded", and once guards the one decode.
-	doc    []byte
+	// advice and report are "already decoded", and once guards the one
+	// decode.
 	once   sync.Once
 	advice *adv.Advice
 	// report is the rendered text, decoded from the document rather than
@@ -208,107 +219,71 @@ type adviceArtifact struct {
 	paErr   error
 }
 
-// The stage decoders validate a payload and build the shared response it
-// serves, without decoding any struct. They share one signature (the
-// stage table's); only decodeAdvice has a use for profKey, and only
-// Engine.publish calls them. A body's JSON validity is checked by
-// validJSON, which accepts exactly what encoding/json.Valid does at a
-// fraction of its cost: on a disk hit the decode is most of what gpad
-// does per request.
-
-// decodeMeasure validates a measure-stage payload.
+// decodeStage validates a payload of stage s and builds the shared
+// response it serves, without decoding any struct; only Engine.publish
+// calls it. The document must open exactly as the header's scalars
+// encode (so what the response reports and what its tail says cannot
+// differ) and be one JSON value; past that opening a measure carries
+// nothing, a profile carries a profile of the header's kernel whose
+// SHA-256 is the digest the header declares, and an advice ends in a
+// non-empty report. profKey names the profile an advice blames, for the
+// day somebody asks. JSON validity is checked by validJSON, which
+// accepts exactly what encoding/json.Valid does at a fraction of its
+// cost: on a disk hit the decode is most of what gpad does per request.
 //
 //gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup, and resolve wraps the one a run's own payload could raise in ErrInternal; none crosses the service boundary untyped
-func decodeMeasure(payload []byte, _ store.Key) (*Response, error) {
-	h, body, err := splitPayload(payload)
+func decodeStage(s stageID, payload []byte, profKey store.Key) (*Response, error) {
+	h, doc, err := splitPayload(payload)
 	if err != nil {
 		return nil, err
 	}
-	if len(body) != 0 || h.Kernel != "" || h.ProfileDigest != "" {
-		return nil, fmt.Errorf("service: measure artifact carries more than cycles")
-	}
-	return &Response{Kind: KindMeasure, Cycles: h.Cycles, ElapsedMS: h.ElapsedMS}, nil
-}
-
-// decodeProfile validates a profile-stage payload without decoding the
-// profile: the body must open with the kernel name the header declares
-// and be one JSON value (checked in that order), and its digest is the
-// SHA-256 of its bytes, byte-identical to Profile.Digest() on the
-// profile that produced them.
-//
-//gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup, and resolve wraps the one a run's own payload could raise in ErrInternal; none crosses the service boundary untyped
-func decodeProfile(payload []byte, _ store.Key) (*Response, error) {
-	h, body, err := splitPayload(payload)
-	if err != nil {
-		return nil, err
-	}
-	if h.Kernel == "" || h.ProfileDigest != "" {
-		return nil, fmt.Errorf("service: profile artifact names no kernel")
-	}
-	name, _ := json.Marshal(h.Kernel) // a string always marshals
-	if !bytes.HasPrefix(body, append([]byte(`{"kernel":`), name...)) || !validJSON(body) {
-		return nil, fmt.Errorf("service: profile artifact body is not a profile of %q", h.Kernel)
-	}
-	sum := sha256.Sum256(body)
-	return &Response{
-		Kind: KindProfile, Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: hex.EncodeToString(sum[:]),
-		prof: &profileArtifact{kernel: h.Kernel, cycles: h.Cycles, body: body},
-	}, nil
-}
-
-// decodeAdvice validates an advice-stage payload without decoding the
-// advice: the body must open exactly as the header's scalars encode (so
-// what the response reports and what its tail says cannot differ), be
-// one JSON value, and carry a non-empty report, checked in that order.
-// profKey names the profile the advice blames, for the day somebody
-// asks.
-//
-//gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup, and resolve wraps the one a run's own payload could raise in ErrInternal; none crosses the service boundary untyped
-func decodeAdvice(payload []byte, profKey store.Key) (*Response, error) {
-	h, body, err := splitPayload(payload)
-	if err != nil {
-		return nil, err
-	}
-	if h.Kernel == "" || h.ProfileDigest == "" {
-		return nil, fmt.Errorf("service: advice artifact names no kernel or profile")
+	if scalarOnly := s == stMeasure; (h.Kernel == "") != scalarOnly || (h.ProfileDigest == "") != scalarOnly {
+		return nil, fmt.Errorf("service: %s artifact header names the wrong fields", stageNames[s])
 	}
 	open, err := (&wireTail{Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest}).encode()
 	if err != nil {
 		return nil, err
 	}
-	rest, ok := bytes.CutPrefix(body, open[:len(open)-len(tailClose)])
-	if !ok || !bytes.HasPrefix(rest, []byte(",\n")) || !validJSON(body) {
-		return nil, fmt.Errorf("service: advice artifact body is not the tail its header declares")
+	rest, ok := bytes.CutPrefix(doc, open[:len(open)-len(tailClose)])
+	resp := &Response{Kind: Kind(s - stMeasure), Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest, doc: doc}
+	switch {
+	case !ok: // rejected below
+	case s == stMeasure:
+		ok = string(rest) == tailClose
+	case s == stProfile:
+		body, closed := bytes.CutSuffix(rest, []byte(tailClose))
+		body, ok = bytes.CutPrefix(body, []byte(profileMark))
+		name, _ := json.Marshal(h.Kernel) // a string always marshals
+		// A valid profile between a fixed opening and close makes the
+		// document valid.
+		ok = ok && closed && bytes.HasPrefix(body, append([]byte(`{"kernel":`), name...)) && validJSON(body)
+		if ok {
+			sum := sha256.Sum256(body)
+			ok = hex.EncodeToString(sum[:]) == h.ProfileDigest
+		}
+		resp.prof = &profileArtifact{kernel: h.Kernel, cycles: h.Cycles, body: body}
+	default:
+		// hasReport reads a valid document only.
+		ok = validJSON(doc) && hasReport(doc)
+		resp.adv = &adviceArtifact{kernel: h.Kernel, digest: h.ProfileDigest, profKey: profKey}
 	}
-	// rest[i+len(reportMark)] is in range only because the body was found
-	// valid above: the mark ends by opening a string, which a valid
-	// document closes. Swap the two checks and a document that ends at the
-	// mark panics (a FuzzStageEnvelopeDecode seed).
-	if i := lastReportMark(rest); i < 0 || rest[i+len(reportMark)] == '"' {
-		return nil, fmt.Errorf("service: advice artifact has no report")
+	if !ok {
+		return nil, fmt.Errorf("service: %s artifact body is not the document its header declares", stageNames[s])
 	}
-	return &Response{
-		Kind: KindAdvise, Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest,
-		adv: &adviceArtifact{kernel: h.Kernel, digest: h.ProfileDigest, doc: body, profKey: profKey},
-	}, nil
+	return resp, nil
 }
 
-// The stage framers encode a freshly computed response as its stage's
-// payload, around the bytes the run already made: the profile body it
-// hashed for the digest, the advice document it serves as its own tail.
-
-func frameMeasure(resp *Response) ([]byte, error) {
-	return encodePayload(payloadHeader{Cycles: resp.Cycles, ElapsedMS: resp.ElapsedMS}, nil)
-}
-
-func frameProfile(resp *Response) ([]byte, error) {
-	return encodePayload(payloadHeader{Cycles: resp.Cycles, ElapsedMS: resp.ElapsedMS, Kernel: resp.prof.kernel}, resp.prof.body)
-}
-
-func frameAdvice(resp *Response) ([]byte, error) {
-	return encodePayload(payloadHeader{
-		Cycles: resp.Cycles, ElapsedMS: resp.ElapsedMS, ProfileDigest: resp.ProfileDigest, Kernel: resp.adv.kernel,
-	}, resp.adv.doc)
+// frameStage encodes a freshly computed response as its stage's
+// payload, around the document the run already made.
+func frameStage(resp *Response) ([]byte, error) {
+	h := payloadHeader{Cycles: resp.Cycles, ElapsedMS: resp.ElapsedMS, ProfileDigest: resp.ProfileDigest}
+	if resp.prof != nil {
+		h.Kernel = resp.prof.kernel
+	}
+	if resp.adv != nil {
+		h.Kernel = resp.adv.kernel
+	}
+	return encodePayload(h, resp.doc)
 }
 
 // errArtifact is the typed failure of an on-demand accessor: the store
@@ -342,14 +317,14 @@ func (pa *profileArtifact) profile(e *Engine) (*profiler.Profile, error) {
 
 // decoded returns the artifact's advice and report text, decoding the
 // document on first use.
-func (aa *adviceArtifact) decoded(e *Engine) (*adv.Advice, string, error) {
+func (aa *adviceArtifact) decoded(e *Engine, doc []byte) (*adv.Advice, string, error) {
 	aa.once.Do(func() {
 		if aa.advice != nil {
 			return
 		}
 		e.n.stageDecodes.Add(1)
 		var t wireTail
-		if err := json.Unmarshal(aa.doc, &t); err != nil {
+		if err := json.Unmarshal(doc, &t); err != nil {
 			aa.err = errArtifact("advice does not decode: %v", err)
 			return
 		}

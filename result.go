@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"gpa/internal/profiler"
-	"gpa/internal/service"
 
 	adv "gpa/internal/advisor"
 )
@@ -16,7 +15,7 @@ import (
 // loops, multi-deployment drift checks) can dispatch on it instead of
 // sniffing fields. cmd/gpad stamps it on every response body, success
 // and error alike.
-const ResultSchemaVersion = "gpa-result/2"
+const ResultSchemaVersion = "gpa-result/3"
 
 // Result is the versioned, machine-readable outcome of one pipeline
 // run: the structured form of a Report that the library returns and
@@ -66,9 +65,11 @@ type Result struct {
 	Profile *profiler.Profile `json:"profile,omitempty"`
 }
 
-// MarshalIndent renders the result as indented JSON (the gpad wire
-// encoding, less its trailing newline). It is the reference encoder:
-// Job.EncodeResult's head + tail must reproduce it byte for byte.
+// MarshalIndent renders the result as indented JSON, for people to
+// read. It is not the wire encoding — gpad serves the compact one, what
+// json.Encoder writes and Job.EncodeResult's head + tail reproduce byte
+// for byte — and no serve path calls it; json.Compact of its output is
+// the wire bytes less the trailing newline.
 func (r *Result) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
@@ -79,33 +80,32 @@ func (r *Result) MarshalIndent() ([]byte, error) {
 // Everything from it on (cycles … the closing brace and newline) is the
 // tail: the advice, report text and profile, the same bytes for every
 // request one engine response serves. internal/service owns it
-// (service.Response.Tail): an advise tail is the advice stage's stored
-// document, encoded once by the run that computed it and served as it
-// is from memory and from disk; a profile tail is re-indented per
-// response from the profile stage's stored body.
+// (service.Response.Tail): every stage stores its response's tail
+// document as its payload, encoded once by the run that computed it and
+// served as it is from memory and from disk.
 
 // appendHead appends the head of r's wire encoding to dst.
 func (r *Result) appendHead(dst []byte) []byte {
-	dst = append(dst, "{\n  \"schemaVersion\": "...)
+	dst = append(dst, `{"schemaVersion":`...)
 	dst = appendJSONString(dst, r.SchemaVersion)
-	dst = append(dst, ",\n  \"kernel\": "...)
+	dst = append(dst, `,"kernel":`...)
 	dst = appendJSONString(dst, r.Kernel)
-	dst = append(dst, ",\n  \"arch\": "...)
+	dst = append(dst, `,"arch":`...)
 	dst = appendJSONString(dst, r.Arch)
-	dst = append(dst, ",\n  \"kind\": "...)
+	dst = append(dst, `,"kind":`...)
 	dst = appendJSONString(dst, r.Kind)
 	if r.TraceID != "" {
-		dst = append(dst, ",\n  \"traceId\": "...)
+		dst = append(dst, `,"traceId":`...)
 		dst = appendJSONString(dst, r.TraceID)
 	}
 	if r.Key != "" {
-		dst = append(dst, ",\n  \"key\": "...)
+		dst = append(dst, `,"key":`...)
 		dst = appendJSONString(dst, r.Key)
 	}
 	if r.Cached {
-		return append(dst, ",\n  \"cached\": true,\n"...)
+		return append(dst, `,"cached":true,`...)
 	}
-	return append(dst, ",\n  \"cached\": false,\n"...)
+	return append(dst, `,"cached":false,`...)
 }
 
 // appendJSONString appends s as encoding/json renders a string. The
@@ -213,23 +213,19 @@ func (j Job) resultHead(res JobResult) Result {
 }
 
 // EncodeResult renders j.Result(res), stamped with traceID, in the gpad
-// wire encoding — the bytes of Result.MarshalIndent plus the newline
-// json.Encoder appends — as two slices to be written back to back. head
-// is appended to dst and is the caller's. tail comes from the engine
-// response behind res (service.Response.Tail) and is read-only: for an
-// advise result it is the advice artifact's own bytes, shared by every
-// hit on the entry and freed when the entry is evicted. No stored
-// artifact is decoded. res must come from this engine job and carry no
-// error.
+// wire encoding — the bytes json.Encoder writes for it — as two slices
+// to be written back to back. head is appended to dst and is the
+// caller's. tail comes from the engine response behind res
+// (service.Response.Tail) and is read-only: it is the stage artifact's
+// own bytes, shared by every hit on the entry and freed when the entry
+// is evicted. Nothing is encoded but the head, and no stored artifact
+// is decoded. res must come from this engine job and carry no error.
 func (j Job) EncodeResult(dst []byte, res JobResult, traceID string) (head, tail []byte, err error) {
 	if res.Err != nil {
 		return nil, nil, fmt.Errorf("gpa: encode result of a failed job: %w", res.Err)
 	}
-	if res.Response == (service.Response{}) {
+	if tail = res.Tail(); tail == nil {
 		return nil, nil, fmt.Errorf("gpa: %w: encode result: not an engine result", ErrInternal)
-	}
-	if tail, err = res.Tail(); err != nil {
-		return nil, nil, err
 	}
 	h := j.resultHead(res)
 	h.TraceID = traceID

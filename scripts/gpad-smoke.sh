@@ -8,8 +8,27 @@
 # Retry-After and accounts two tenants under their own names; SIGTERM
 # drains cleanly; a gpad restarted over a -store-dir serves the stored
 # bytes. Load is bench/'s job (go run -C bench . -smoke drives all five
-# workloads and checks every response). Run from the repo root.
+# workloads and checks every response). Bodies are compact JSON;
+# values are asserted with jq. Run from the repo root.
 set -eu
+
+# expect DOC FILTER MESSAGE fails the smoke unless jq's FILTER holds on
+# the JSON document DOC. Documents go through printf, not echo: some
+# shells' echo expands the escapes inside JSON strings.
+expect() {
+    printf '%s\n' "$1" | jq -e "$2" >/dev/null 2>&1 || {
+        echo "gpad-smoke: $3" >&2
+        printf '%s\n' "$1" | head -c 2000 >&2
+        exit 1
+    }
+}
+
+# transport_free blanks the per-request transport fields of a result
+# body in place — the cached value, the "traceId":"…", member — so two
+# bodies can be compared byte for byte under the determinism contract.
+transport_free() {
+    printf '%s\n' "$1" | sed -e 's/"cached":[a-z]*/"cached":null/' -e 's/"traceId":"[^"]*",//'
+}
 
 ADDR=${GPAD_ADDR:-127.0.0.1:8377}
 TMP=$(mktemp -d)
@@ -36,38 +55,21 @@ REQ='{"bench":"rodinia/hotspot"}'
 R1=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$REQ" "http://$ADDR/v1/advise")
 R2=$(curl -sf -X POST -H 'Content-Type: application/json' -d "$REQ" "http://$ADDR/v1/advise")
 
-echo "$R1" | grep -q '"schemaVersion": "gpa-result/2"' || {
-    echo "gpad-smoke: response is not a v2 structured result" >&2
-    echo "$R1" >&2
-    exit 1
-}
-echo "$R1" | grep -q '"cached": false' || {
-    echo "gpad-smoke: first response was not a cache miss" >&2
-    echo "$R1" >&2
-    exit 1
-}
+expect "$R1" '.schemaVersion == "gpa-result/3"' "response is not a gpa-result/3 structured result"
+expect "$R1" '.cached == false' "first response was not a cache miss"
 # A ranked advice response: the Figure 8 report header plus at least
 # one ranked entry.
-echo "$R1" | grep -q 'GPA performance report for kernel' || {
-    echo "gpad-smoke: no advice report in response" >&2
-    exit 1
-}
-echo "$R1" | grep -q '"optimizer":' || {
-    echo "gpad-smoke: no ranked advice entries in response" >&2
-    exit 1
-}
-echo "$R2" | grep -q '"cached": true' || {
-    echo "gpad-smoke: second response was not a cache hit" >&2
-    echo "$R2" >&2
-    exit 1
-}
+expect "$R1" '.report | contains("GPA performance report for kernel")' "no advice report in response"
+expect "$R1" '.advice[0].optimizer | length > 0' "no ranked advice entries in response"
+expect "$R2" '.cached == true' "second response was not a cache hit"
 
 # The determinism contract: modulo the transport-level fields (cached
 # flag, per-request trace ID), the cold and cached response bodies are
 # byte-identical (a cache hit reports the original run's elapsedMs, so
 # even the timing field matches).
-N1=$(echo "$R1" | sed -e 's/"cached": false/"cached": X/' -e '/"traceId":/d')
-N2=$(echo "$R2" | sed -e 's/"cached": true/"cached": X/' -e '/"traceId":/d')
+N1=$(transport_free "$R1")
+N2=$(transport_free "$R2")
+expect "$N1" '.traceId == null and .cached == null and .report != null' "transport fields not blanked in place"
 if [ "$N1" != "$N2" ]; then
     echo "gpad-smoke: cached response differs from cold response" >&2
     exit 1
@@ -81,36 +83,24 @@ if [ "$EC" != "400" ]; then
     echo "gpad-smoke: unknown arch returned status $EC, want 400" >&2
     exit 1
 fi
-curl -s -X POST -H 'Content-Type: application/json' \
-    -d '{"bench":"rodinia/hotspot","arch":"sm_999"}' "http://$ADDR/v1/advise" \
-    | grep -q '"code": "unknown_arch"' || {
-    echo "gpad-smoke: unknown arch error body missing code" >&2
-    exit 1
-}
+EB=$(curl -s -X POST -H 'Content-Type: application/json' \
+    -d '{"bench":"rodinia/hotspot","arch":"sm_999"}' "http://$ADDR/v1/advise")
+expect "$EB" '.error.code == "unknown_arch"' "unknown arch error body missing code"
 
 # /statsz: one simulation, one hit.
 STATS=$(curl -sf "http://$ADDR/statsz")
-echo "$STATS" | grep -q '"runs": 1' || {
-    echo "gpad-smoke: expected exactly one simulation, got: $STATS" >&2
-    exit 1
-}
-echo "$STATS" | grep -q '"hits": 1' || {
-    echo "gpad-smoke: expected one cache hit, got: $STATS" >&2
-    exit 1
-}
+expect "$STATS" '.runs == 1' "expected exactly one simulation"
+expect "$STATS" '.hits == 1' "expected one cache hit"
 
 # Trace IDs: a client-supplied X-Request-Id is echoed in the response
 # header and the result body.
 TRACE=$(curl -sf -X POST -H 'Content-Type: application/json' -H 'X-Request-Id: smoke-trace-1' \
-    -d "$REQ" -D - "http://$ADDR/v1/advise")
-echo "$TRACE" | grep -qi '^X-Request-Id: smoke-trace-1' || {
+    -d "$REQ" -D "$TMP/trace.headers" "http://$ADDR/v1/advise")
+grep -qi '^X-Request-Id: smoke-trace-1' "$TMP/trace.headers" || {
     echo "gpad-smoke: trace ID not echoed in response header" >&2
     exit 1
 }
-echo "$TRACE" | grep -q '"traceId": "smoke-trace-1"' || {
-    echo "gpad-smoke: trace ID not echoed in result body" >&2
-    exit 1
-}
+expect "$TRACE" '.traceId == "smoke-trace-1"' "trace ID not echoed in result body"
 
 # /metrics: a well-formed Prometheus scrape whose engine counters agree
 # with /statsz, including the per-stage latency histograms and the
@@ -144,10 +134,7 @@ grep -q '"trace":"smoke-trace-1"' "$LOG" || {
 curl -sf -X POST -H 'Content-Type: application/json' -d '{"bench":"rodinia/nw"}' \
     "http://$ADDR/v1/advise" >/dev/null
 FFSTATS=$(curl -sf "http://$ADDR/statsz")
-echo "$FFSTATS" | grep -Eq '"ffCyclesSkipped": [1-9]' || {
-    echo "gpad-smoke: advise of rodinia/nw fast-forwarded nothing: $FFSTATS" >&2
-    exit 1
-}
+expect "$FFSTATS" '.ffCyclesSkipped > 0' "advise of rodinia/nw fast-forwarded nothing"
 
 # Tenant-fair admission: a second gpad with one worker and a QoS
 # config. The over-quota tenant answers 429 quota_exceeded with a
@@ -202,11 +189,7 @@ case "$RETRY" in
     exit 1
     ;;
 esac
-grep -q '"code": "quota_exceeded"' "$TMP/429.json" || {
-    echo "gpad-smoke: 429 body missing quota_exceeded code" >&2
-    cat "$TMP/429.json" >&2
-    exit 1
-}
+expect "$(cat "$TMP/429.json")" '.error.code == "quota_exceeded"' "429 body missing quota_exceeded code"
 
 # Two tenants, a fresh seed per request so every one is a miss that
 # reaches the one worker: both must be served and accounted under their
@@ -222,11 +205,7 @@ for TENANT in smoke-a smoke-b smoke-a smoke-b smoke-a smoke-b; do
 done
 QSTATS=$(curl -sf "http://$QADDR/statsz")
 for TENANT in smoke-a smoke-b; do
-    SERVED=$(echo "$QSTATS" | sed -n "/\"$TENANT\"/,/}/p" | grep '"served"' | tr -dc '0-9')
-    if [ -z "$SERVED" ] || [ "$SERVED" -eq 0 ]; then
-        echo "gpad-smoke: tenant $TENANT has no served count at /statsz: $QSTATS" >&2
-        exit 1
-    fi
+    expect "$QSTATS" ".tenants[\"$TENANT\"].served > 0" "tenant $TENANT has no served count at /statsz"
 done
 kill -TERM $QPID 2>/dev/null || true
 wait $QPID || true
@@ -280,17 +259,15 @@ SSTATS=$(curl -sf "http://$SADDR/statsz")
 kill -TERM $SPID
 wait $SPID || true
 trap - EXIT INT TERM
-M1=$(echo "$S1" | sed -e 's/"cached": false/"cached": X/' -e '/"traceId":/d')
-M2=$(echo "$S2" | sed -e 's/"cached": true/"cached": X/' -e '/"traceId":/d')
+expect "$S1" '.cached == false' "the store gpad's first response was not a miss"
+expect "$S2" '.cached == true' "the restarted gpad's response was not a hit"
+M1=$(transport_free "$S1")
+M2=$(transport_free "$S2")
 if [ "$M1" != "$M2" ]; then
     echo "gpad-smoke: restarted gpad's response differs from the cold run's" >&2
     exit 1
 fi
-for WANT in '"sims": 0' '"storeHits": 1' '"storePuts": 0' '"stageDecodes": 0' '"stageServed": 1'; do
-    echo "$SSTATS" | grep -q "$WANT" || {
-        echo "gpad-smoke: restarted gpad's /statsz lacks $WANT: $SSTATS" >&2
-        exit 1
-    }
-done
+expect "$SSTATS" '.sims == 0 and .storeHits == 1 and .storePuts == 0 and .stageDecodes == 0 and .stageServed == 1' \
+    "restarted gpad's /statsz is not one stored hit with nothing simulated, decoded or written"
 
 echo "gpad-smoke: OK (one simulation, byte-identical cache hit, typed errors, metrics, traced logs, fast-forward on the served path, tenant quotas and per-tenant accounting, clean shutdown, restart served from the store)"

@@ -15,8 +15,8 @@ import (
 )
 
 // referenceWire is the encoder the gpad wire format is defined by: the
-// structured Result through encoding/json with two-space indentation,
-// exactly what cmd/gpad's writeJSON does for every other body shape.
+// structured Result through json.Encoder, exactly what cmd/gpad's
+// writeJSON does for every other body shape.
 func referenceWire(t *testing.T, job gpa.Job, res gpa.JobResult, trace string) []byte {
 	t.Helper()
 	r, err := job.Result(res)
@@ -25,9 +25,26 @@ func referenceWire(t *testing.T, job gpa.Job, res gpa.JobResult, trace string) [
 	}
 	r.TraceID = trace
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
+	if err := json.NewEncoder(&buf).Encode(r); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// compactIndented returns Result.MarshalIndent of job.Result(res),
+// compacted: the indented rendering for people says what the wire says.
+func compactIndented(t *testing.T, job gpa.Job, res gpa.JobResult) []byte {
+	t.Helper()
+	r, err := job.Result(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := r.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, indented); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -61,7 +78,8 @@ func benchJob(t *testing.T, b *kernels.Benchmark, kind gpa.JobKind) gpa.Job {
 // cache key present or omitted), head + tail must equal the reference
 // encoding byte for byte; and the leader's tail and the hit's, built
 // from the run's structs and from the stage's payload bytes, are the
-// same bytes.
+// same bytes. Result.MarshalIndent, compacted, is the wire less its
+// newline.
 func TestEncodeResultMatchesReferenceEncoder(t *testing.T) {
 	ctx := context.Background()
 	eng := gpa.NewEngine(&gpa.EngineOptions{Workers: 2})
@@ -81,6 +99,10 @@ func TestEncodeResultMatchesReferenceEncoder(t *testing.T) {
 			_, hitTail := encodeWire(t, job, warm, "")
 			if !bytes.Equal(leaderTail, hitTail) {
 				t.Errorf("%s %v: the leader's tail and a memory hit's differ", b.ID(), kind)
+			}
+			head, tail := encodeWire(t, job, warm, "")
+			if wire := append(head, tail...); !bytes.Equal(compactIndented(t, job, warm), bytes.TrimSuffix(wire, []byte("\n"))) {
+				t.Errorf("%s %v: Result.MarshalIndent, compacted, is not the wire less its newline", b.ID(), kind)
 			}
 			for _, res := range []gpa.JobResult{cold, warm} {
 				for _, cached := range []bool{false, true} {
