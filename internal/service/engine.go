@@ -524,7 +524,8 @@ type Engine struct {
 
 // flightCall tracks one in-flight resolution joined by duplicates.
 // waiters is guarded by Engine.mu; when it drops to zero every caller
-// has detached and cancel reclaims the run.
+// has detached and cancel reclaims the run. cancel is set by the leader
+// before it waits, and only when the disk tier missed and a run began.
 type flightCall struct {
 	done    chan struct{}
 	cancel  context.CancelFunc
@@ -643,9 +644,14 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 			c.waiters++
 			e.n.coalesced.Add(1)
 		} else if e.landed.Load() == landed {
-			c = e.startFlight(req, &km)
+			c = &flightCall{done: make(chan struct{}), waiters: 1}
+			e.flight[key] = c
+			e.n.misses.Add(1)
 		} // else a flight landed since the probe: it may have been ours
 		e.mu.Unlock()
+	}
+	if !joined {
+		e.lead(req, &km, key, c)
 	}
 
 	select {
@@ -664,42 +670,62 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 	}
 }
 
-// startFlight starts a flight for req under e.mu, which the caller
-// holds. The run is owned by the flight, not by the caller: it keeps
-// going if the caller detaches while other waiters remain, and dies
-// (via cancelRun) when the last waiter detaches. The request and its
-// keys are copied so the caller's own (often on its stack) never escape
-// on the hit paths.
-func (e *Engine) startFlight(req *Request, km *keyMaterial) *flightCall {
+// lead resolves the flight c that req's caller has just registered
+// under key, outside e.mu. The disk tier is probed here, on the
+// caller's own goroutine: a hit lands the flight with no run context
+// and no goroutine. On a miss the flight gets its run, which is owned
+// by the flight, not by the caller: it keeps going if the caller
+// detaches while other waiters remain, and dies (via c.cancel) when the
+// last waiter detaches. The run gets copies of the request and its
+// keys, so the caller's own (often on its stack) never escape on the
+// hit paths.
+func (e *Engine) lead(req *Request, km *keyMaterial, key store.Key, c *flightCall) {
+	sk := km.keys()
+	if view, err := e.probe(stageOf(req.Kind), &sk); view != nil || err != nil {
+		e.land(key, c, view, nil, err)
+		return
+	}
 	runCtx, cancelRun := context.WithCancel(e.baseCtx)
-	c := &flightCall{done: make(chan struct{}), cancel: cancelRun, waiters: 1}
-	reqCopy, sk := *req, km.keys()
-	key := sk[km.terminal]
-	e.flight[key] = c
-	e.n.misses.Add(1)
+	c.cancel = cancelRun
+	reqCopy, skCopy := *req, sk
 	go func() {
-		view, lead, err := e.execute(runCtx, &reqCopy, &sk)
+		view, lead, err := e.execute(runCtx, &reqCopy, &skCopy)
 		cancelRun()
-		e.landed.Add(1)
-		e.mu.Lock()
-		// detach may already have removed an abandoned flight and a
-		// fresh caller may have installed a new one under the same
-		// key; only remove our own entry.
-		if e.flight[key] == c {
-			delete(e.flight, key)
-		}
-		c.view, c.lead, c.err = view, lead, err
-		e.mu.Unlock()
-		close(c.done)
+		e.land(key, c, view, lead, err)
 	}()
-	return c
+}
+
+// probe is a flight leader's disk-tier lookup: a hit costs no admission
+// slot and no run. It is inside the flight boundary, as a run is.
+func (e *Engine) probe(s stageID, sk *stageKeys) (view *Response, err error) {
+	defer e.contain(&err)
+	if view = e.lookup(s, sk, tierDisk); view != nil {
+		e.n.stageServed.Add(1)
+	}
+	return view, nil
+}
+
+// land finishes flight c with its outcome and wakes its waiters.
+func (e *Engine) land(key store.Key, c *flightCall, view, lead *Response, err error) {
+	e.landed.Add(1)
+	e.mu.Lock()
+	// detach may already have removed an abandoned flight and a fresh
+	// caller may have installed a new one under the same key; only
+	// remove our own entry.
+	if e.flight[key] == c {
+		delete(e.flight, key)
+	}
+	c.view, c.lead, c.err = view, lead, err
+	e.mu.Unlock()
+	close(c.done)
 }
 
 // detach removes one waiter from a flight; the last waiter out cancels
 // the shared run (nobody is left to consume its result) and unlinks
 // the flight immediately, so a fresh caller arriving while the
 // canceled run unwinds starts a new run instead of inheriting the
-// abandoned flight's cancellation error.
+// abandoned flight's cancellation error. A flight the disk tier
+// answered has no run to cancel.
 func (e *Engine) detach(key store.Key, c *flightCall) {
 	e.n.canceled.Add(1)
 	e.mu.Lock()
@@ -709,7 +735,7 @@ func (e *Engine) detach(key store.Key, c *flightCall) {
 		delete(e.flight, key)
 	}
 	e.mu.Unlock()
-	if last {
+	if last && c.cancel != nil {
 		c.cancel()
 	}
 }
@@ -933,18 +959,22 @@ func (e *Engine) lookup(s stageID, sk *stageKeys, from tier) *Response {
 	return view
 }
 
+// decodePayload is decodeStage; a variable so a test can make it panic.
+var decodePayload = decodeStage
+
 // publish is the one constructor of a shared response: it validates a
 // stage payload — read from disk, or framed by the run that just
 // computed the stage — builds the response the payload serves, and adds
 // it to the memory tier, returning the response under the key (an
 // earlier one on a race).
 func (e *Engine) publish(s stageID, sk *stageKeys, payload []byte) (*Response, error) {
-	view, err := decodeStage(s, payload, sk[stProfile])
+	view, err := decodePayload(s, payload, sk[stProfile])
 	if err != nil {
 		return nil, err
 	}
 	key := sk[s]
-	view.Key, view.Cached, view.eng = hex.EncodeToString(key[:]), true, e
+	var hexKey [2 * len(key)]byte
+	view.Key, view.Cached, view.eng = string(hex.AppendEncode(hexKey[:0], key[:])), true, e
 	return e.stages.Add(stageNames[s], key, view).(*Response), nil
 }
 
@@ -998,29 +1028,25 @@ func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (vie
 	return view, lead, nil
 }
 
-// execute answers one request that missed the memory tier: the disk
-// tier first (a hit costs no admission slot and no run), then the
-// admission queue, then a worker slot (abandoned early if ctx dies or
-// the engine drains), then the driver under the run context. sk is nil
-// for an uncacheable request.
-func (e *Engine) execute(ctx context.Context, req *Request, sk *stageKeys) (view, lead *Response, err error) {
-	// The flight boundary: a panic below — in a stage, or in the
-	// caller-supplied Workload the simulator calls into — fails this
-	// run's waiters and nobody else. Deferred first, so it runs after
-	// the slot release and the counters below have unwound.
-	defer func() {
-		if p := recover(); p != nil {
-			e.n.panics.Add(1)
-			view, lead, err = nil, nil, fmt.Errorf("service: %w: pipeline run panicked: %v", apierr.ErrInternal, p)
-		}
-	}()
-	s := stageOf(req.Kind)
-	if sk != nil {
-		if view := e.lookup(s, sk, tierDisk); view != nil {
-			e.n.stageServed.Add(1)
-			return view, nil, nil
-		}
+// contain is the flight boundary, deferred by whatever a flight runs: a
+// panic below it — in a stage, in the stage decoder, or in the
+// caller-supplied Workload the simulator calls into — fails this
+// flight's waiters with *err and nobody else.
+func (e *Engine) contain(err *error) {
+	if p := recover(); p != nil {
+		e.n.panics.Add(1)
+		*err = fmt.Errorf("service: %w: pipeline run panicked: %v", apierr.ErrInternal, p)
 	}
+}
+
+// execute runs one request that no tier could answer: the admission
+// queue, then a worker slot (abandoned early if ctx dies or the engine
+// drains), then the driver under the run context. sk is nil for an
+// uncacheable request.
+func (e *Engine) execute(ctx context.Context, req *Request, sk *stageKeys) (view, lead *Response, err error) {
+	// Deferred first, so it runs after the slot release and the counters
+	// below have unwound.
+	defer e.contain(&err)
 	e.n.inflight.Add(1)
 	defer e.n.inflight.Add(-1)
 	release, aerr := e.adm.Acquire(ctx, req.Tenant, req.Lane)
@@ -1053,7 +1079,7 @@ func (e *Engine) execute(ctx context.Context, req *Request, sk *stageKeys) (view
 		return nil, nil, fmt.Errorf("service: %w", err)
 	}
 	r := &run{n: req.normalized(), sk: sk, start: time.Now()}
-	return e.resolve(ctx, r, s, tierCompute)
+	return e.resolve(ctx, r, stageOf(req.Kind), tierCompute)
 }
 
 // frontend returns the run's module front-end artifact: the one every

@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -65,15 +66,95 @@ func runPayloads(f testing.TB) [][]byte {
 	return storedPayloads(f, d, advise, stMeasure, stAdvice)
 }
 
-// decodeStageRef is what decodeStage accepts, spelled with
+// splitPayloadRef is splitPayload spelled with the strict encoding/json
+// decoder: unknown fields and trailing data rejected, but whitespace,
+// any key order, case-folded and duplicate keys, null and any number
+// form that decodes accepted. splitPayload accepts the subset of it
+// that is canonical (canonicalHeader); checkHeader holds the two
+// together.
+func splitPayloadRef(payload []byte) (h payloadHeader, body []byte, err error) {
+	nl := bytes.IndexByte(payload, '\n')
+	if nl < 0 || nl > maxHeaderBytes {
+		return h, nil, fmt.Errorf("no header line")
+	}
+	dec := json.NewDecoder(bytes.NewReader(payload[:nl]))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&h); err != nil {
+		return h, nil, err
+	}
+	if dec.More() {
+		return h, nil, fmt.Errorf("trailing data after the header")
+	}
+	body = payload[nl+1:]
+	if h.BodyLen != len(body) {
+		return h, nil, fmt.Errorf("body is %d bytes, header declares %d", len(body), h.BodyLen)
+	}
+	if h.Cycles < 0 {
+		return h, nil, fmt.Errorf("negative cycle count")
+	}
+	return h, body, nil
+}
+
+// canonicalHeader reports whether payload's header line is what
+// encoding/json.Marshal writes for h.
+func canonicalHeader(payload []byte, h payloadHeader) bool {
+	hdr, err := json.Marshal(h)
+	return err == nil && bytes.HasPrefix(payload, append(hdr, '\n'))
+}
+
+// checkHeader holds splitPayload to splitPayloadRef on payload: what it
+// accepts the strict decoder accepts, as the same header and body, and
+// it accepts every header the strict decoder reads that is canonical.
+func checkHeader(t *testing.T, payload []byte) {
+	t.Helper()
+	h, body, err := splitPayload(payload)
+	ref, refBody, refErr := splitPayloadRef(payload)
+	if err == nil && (refErr != nil || h != ref || !bytes.Equal(body, refBody)) {
+		t.Fatalf("splitPayload accepted %.200q as %+v; the strict decoder says %+v, %v", payload, h, ref, refErr)
+	}
+	if err != nil && refErr == nil && canonicalHeader(payload, ref) {
+		t.Fatalf("splitPayload rejected the canonical %.200q: %v", payload, err)
+	}
+}
+
+// hasReportRef is hasReport as a backward scan, which needs no offset
+// from the validator: the document must end with `"}` and a newline,
+// and the last unescaped quote before that closing one must open the
+// string behind reportMark. No quote inside a string is unescaped, so
+// walking back over the quotes that an odd number of backslashes
+// precede crosses the report text alone. It reads valid documents only.
+func hasReportRef(doc []byte) bool {
+	end := len(doc) - len(`"`+tailClose)
+	if end < 0 || string(doc[end:]) != `"`+tailClose {
+		return false
+	}
+	for i := end; ; {
+		q := bytes.LastIndexByte(doc[:i], '"')
+		if q < 0 {
+			return false
+		}
+		bs := q
+		for bs > 0 && doc[bs-1] == '\\' {
+			bs--
+		}
+		if (q-bs)%2 == 0 {
+			return q+1 < end && bytes.HasSuffix(doc[:q], []byte(reportMark))
+		}
+		i = bs
+	}
+}
+
+// decodeStageRef is what decodeStage accepts, spelled with the strict
+// header decoder and a canonical-form check in place of parseHeader,
+// json.Marshal in place of appendOpen and appendString,
 // encoding/json.Valid in place of validJSON and bytes.LastIndex in
-// place of hasReport's backward scan: FuzzStageEnvelopeDecode holds
-// decodeStage to accepting exactly what it accepts. An advice must end
-// in the last ,"report":" of its document, a string that encoding/json
-// finds whole and non-empty.
+// place of hasReport: FuzzStageEnvelopeDecode holds decodeStage to
+// accepting exactly what it accepts. An advice must end in the last
+// ,"report":" of its document, a string that encoding/json finds whole
+// and non-empty.
 func decodeStageRef(s stageID, payload []byte) bool {
-	h, doc, err := splitPayload(payload)
-	if err != nil || (h.Kernel == "") != (s == stMeasure) || (h.ProfileDigest == "") != (s == stMeasure) {
+	h, doc, err := splitPayloadRef(payload)
+	if err != nil || !canonicalHeader(payload, h) || (h.Kernel == "") != (s == stMeasure) || (h.ProfileDigest == "") != (s == stMeasure) {
 		return false
 	}
 	open, err := json.Marshal(wireTail{Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest})
@@ -123,7 +204,74 @@ func adviceSeeds(tb testing.TB) [][]byte {
 		stagePayload(tb, h, open+`,"report":`),
 		stagePayload(tb, h, open+`,"report":"x","more":"y"}`+"\n"),
 		stagePayload(tb, h, open+`,"advice":[{"report":"x"}],"report":"y" }`+"\n"),
-		stagePayload(tb, h, open+`,"advice":[],"x":"\\",`+`"report":"y"}`+"\n"))
+		stagePayload(tb, h, open+`,"advice":[],"x":"\\",`+`"report":"y"}`+"\n"),
+		// The last member's value as the validator's offset finds it: one
+		// that is no string, one whose "report" is nested, and one after
+		// an earlier "report".
+		stagePayload(tb, h, open+`,"report":1}`+"\n"),
+		stagePayload(tb, h, open+`,"report":["x"]}`+"\n"),
+		stagePayload(tb, h, open+`,"advice":{"report":"x"}}`+"\n"),
+		stagePayload(tb, h, open+`,"advice":[{"a":"b","report":"x"}]}`+"\n"),
+		stagePayload(tb, h, open+`,"report":"x","advice":"y"}`+"\n"),
+		stagePayload(tb, h, open+`,"report" :"x"}`+"\n"),
+		stagePayload(tb, h, open+`,"report": "x"}`+"\n"),
+		stagePayload(tb, h, open+`, "report":"x"}`+"\n"))
+	return seeds
+}
+
+// headerSeeds are payloads whose header the strict decoder reads but
+// encodePayload never writes, or writes only one way: each is a header
+// that a hand parser wrong in one respect gets wrong. The bodies fit,
+// so a header that passes leaves the rest of the decode to run.
+func headerSeeds() [][]byte {
+	u := `\` + "u" // a \u escape, spelled so that no editor folds it into its character
+	measure := `{"cycles":120,"elapsedMs":1.5}` + "\n"
+	var seeds [][]byte
+	for _, hdr := range []string{
+		`{"elapsedMs":1.5,"cycles":120,"bodyLen":31}`, // canonical
+		`{"elapsedMs": 1.5,"cycles":120,"bodyLen":31}`,
+		` {"elapsedMs":1.5,"cycles":120,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":120,"bodyLen":31} `,
+		"{\"elapsedMs\":1.5,\"cycles\":120,\t\"bodyLen\":31}",
+		`{"cycles":120,"elapsedMs":1.5,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"bodyLen":31,"cycles":120}`,
+		`{"elapsedMs":1.5,"Cycles":120,"bodyLen":31}`,
+		`{"ElapsedMs":1.5,"cycles":120,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":120,"cycles":120,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":7,"cycles":120,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":120,"bodyLen":31,"bodyLen":31}`,
+		`{"elapsedMs":null,"cycles":120,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":120,"profileDigest":null,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":120,"kernel":"","bodyLen":31}`,
+		`{"elapsedMs":-0,"cycles":120,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":-0,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":120,"bodyLen":-0}`,
+		`{"elapsedMs":1.50,"cycles":120,"bodyLen":31}`,
+		`{"elapsedMs":15e-1,"cycles":120,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":1E2,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":1.2e2,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":120,"bodyLen":31.0}`,
+		`{"elapsedMs":1.5,"cycles":120,"bodyLen":3.1e1}`,
+		`{"elapsedMs":1.5,"cycles":9223372036854775807,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":9223372036854775808,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":120,"bodyLen":18446744073709551647}`,
+		`{"elapsedMs":1e999,"cycles":120,"bodyLen":31}`,
+		`{"elapsedMs":1.5,"cycles":120,"bodyLen":31}{}`,
+		`{"elapsedMs":1.5,"cycles":120,"bodyLen":31`,
+	} {
+		seeds = append(seeds, []byte(hdr+"\n"+measure))
+	}
+	advice := `{"cycles":7,"elapsedMs":0.5,"profileDigest":"d","report":"GPA"}` + "\n"
+	for _, kernel := range []string{
+		`"k"`, `"a\"b"`, `"a\\b"`, `"a\/b"`, "\"\xc3\xa9\"", `"` + u + `00e9"`, `"` + u + `00E9"`,
+		`"a&b"`, `"a` + u + `0026b"`, `"a<b>"`, `"a` + u + `003cb` + u + `003e"`, `"a` + u + `003Cb"`,
+		"\"a\xffb\"", `"a` + u + `fffdb"`, "\"\xef\xbf\xbd\"", `"` + u + `d83d` + u + `de00"`, `"` + u + `d83d"`,
+		"\"\xe2\x80\xa8\"", `"` + u + `2028"`, `"\n"`, `"` + u + `000a"`, `"` + u + `001f"`, `"` + u + `007f"`, "\"\x7f\"",
+		`""`, `null`, `7`,
+	} {
+		hdr := `{"elapsedMs":0.5,"cycles":7,"profileDigest":"d","kernel":` + kernel + fmt.Sprintf(`,"bodyLen":%d}`, len(advice))
+		seeds = append(seeds, []byte(hdr+"\n"+advice))
+	}
 	return seeds
 }
 
@@ -194,7 +342,9 @@ func TestDecodeStageChecks(t *testing.T) {
 // anything accepted must be internally consistent (the validation
 // invariants the engine relies on before trusting a store-served
 // artifact): a document that is valid JSON, opens as the header
-// declares and is served as its own tail.
+// declares and is served as its own tail. On the way it holds the
+// header parse to the strict decoder (checkHeader) and, on any valid
+// body, hasReport at the validator's offset to the backward scan.
 func FuzzStageEnvelopeDecode(f *testing.F) {
 	f.Add([]byte(`{"elapsedMs":1.5,"cycles":120,"bodyLen":32}` + "\n" + `{"cycles":120,"elapsedMs":1.5}` + "\n"))
 	f.Add([]byte(`{"elapsedMs":1.5,"cycles":120,"bodyLen":0}` + "\n"))
@@ -208,11 +358,18 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 	f.Add([]byte(`{"elapsedMs":0,"cycles":-1,"bodyLen":0}` + "\n"))
 	f.Add([]byte(`{"elapsedMs":0,"cycles":1,"bodyLen":0}{"cycles":2}` + "\n")) // trailing header data
 	f.Add([]byte(`{"elapsedMs":0,"cycles":1,"bodyLen":0,"unknown":true}` + "\n"))
-	for _, payload := range append(adviceSeeds(f), runPayloads(f)...) {
+	for _, payload := range append(append(adviceSeeds(f), headerSeeds()...), runPayloads(f)...) {
 		f.Add(payload)
 	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkHeader(t, payload)
+		body := payload[bytes.IndexByte(payload, '\n')+1:] // all of it without a header line
+		if last, ok := validDoc(body); ok {
+			if got, want := hasReport(body, last), hasReportRef(body); got != want {
+				t.Fatalf("hasReport(%.200q) at %d = %v, the backward scan says %v", body, last, got, want)
+			}
+		}
 		for s := stMeasure; s <= stAdvice; s++ {
 			resp, err := decodeStage(s, payload, store.Key{})
 			if ref := decodeStageRef(s, payload); (err == nil) != ref {
@@ -322,7 +479,11 @@ func FuzzValidJSON(f *testing.F) {
 // what encodePayload frames, splitPayload returns — the same header,
 // the same body bytes, aliased, not copied — and no other length of the
 // same bytes is accepted, so a torn or padded blob can never be taken
-// for a shorter or longer artifact.
+// for a shorter or longer artifact. What encodePayload and a decoded
+// document's opening write, with strconv and by hand, is what
+// encoding/json writes for the same values, and neither writes a value
+// that has no JSON form. The body, taken as a payload of its own, holds
+// the header parse to the strict decoder (checkHeader).
 func FuzzStagePayloadFraming(f *testing.F) {
 	f.Add(1.25, int64(1280), "", "", []byte(nil), uint16(7))
 	f.Add(0.0, int64(9), "", "vecscale", []byte(`{"kernel":"vecscale","cycles":9}`), uint16(60))
@@ -333,15 +494,41 @@ func FuzzStagePayloadFraming(f *testing.F) {
 		}
 		f.Add(h.ElapsedMS, h.Cycles, h.ProfileDigest, h.Kernel, body, uint16(len(payload)/2))
 	}
+	// Each side of encoding/json's exponent cutoffs, negative zero,
+	// subnormals, the extremes, and what has no JSON form.
+	for _, elapsed := range []float64{1e-6, 1e-7, 9.999999999999999e-7, 1e20, 1e21, 123456789e13, -1e21, -1.5e-9,
+		math.Copysign(0, -1), 5e-324, 2.2250738585072009e-308, math.SmallestNonzeroFloat64 * 3, math.MaxFloat64, -math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(elapsed, int64(math.MinInt64), "", "", []byte(nil), uint16(0))
+	}
+	f.Add(0.5, int64(math.MaxInt64), "d<>&", "k\"\\\x00\x1f\x7f\xe2\x80\xa8\xe2\x80\xa9\xc3\xa9\xff", []byte(nil), uint16(3))
+	for _, payload := range headerSeeds() {
+		f.Add(1.0, int64(1), "", "", payload, uint16(0))
+	}
 
 	f.Fuzz(func(t *testing.T, elapsed float64, cycles int64, digest, kernel string, body []byte, cut uint16) {
-		if !utf8.ValidString(digest) || !utf8.ValidString(kernel) {
-			return // encoding/json would rewrite them; names reach a header out of JSON or the assembler's ASCII
-		}
+		checkHeader(t, body)
+		open, jsonErr := json.Marshal(wireTail{Cycles: cycles, ElapsedMS: elapsed, ProfileDigest: digest})
 		want := payloadHeader{ElapsedMS: elapsed, Cycles: cycles, ProfileDigest: digest, Kernel: kernel}
 		payload, err := encodePayload(want, body)
+		if (err == nil) != (jsonErr == nil) {
+			t.Fatalf("encodePayload of elapsedMs %v says %v, encoding/json says %v", elapsed, err, jsonErr)
+		}
 		if err != nil {
 			return // a NaN or infinite elapsed has no JSON form: never put
+		}
+		if got := appendOpen(nil, cycles, elapsed, digest); !bytes.Equal(got, open[:len(open)-len("}")]) {
+			t.Fatalf("appendOpen wrote %q, encoding/json %q", got, open)
+		}
+		if name, _ := json.Marshal(kernel); !bytes.Equal(appendString(nil, kernel), name) {
+			t.Fatalf("appendString wrote %q, encoding/json %q", appendString(nil, kernel), name)
+		}
+		checkHeader(t, payload)
+		if !utf8.ValidString(digest) || !utf8.ValidString(kernel) {
+			// Invalid UTF-8 is written as U+FFFD's escape, which reads back
+			// as U+FFFD, written raw: never canonical, so never read back.
+			// Names reach a header out of JSON or the assembler's ASCII.
+			return
 		}
 		h, got, err := splitPayload(payload)
 		headerLen := len(payload) - len(body) - 1

@@ -14,6 +14,7 @@ import (
 	"gpa/internal/gpusim"
 	"gpa/internal/profiler"
 	"gpa/internal/sass"
+	"gpa/internal/store"
 
 	adv "gpa/internal/advisor"
 )
@@ -393,15 +394,16 @@ type smPanicWorkload struct{ gpusim.NopWorkload }
 func (smPanicWorkload) Taken(gpusim.WarpCtx, int, int) bool  { panic("workload bug") }
 func (smPanicWorkload) Latency(gpusim.WarpCtx, int, int) int { panic("workload bug") }
 
-// TestPanicContainedAtFlightBoundary: a run that panics — here inside
-// the Workload the simulator calls into — fails its own waiters with a
-// typed error and nothing else. Both execute paths are covered (the
-// flight goroutine of a cacheable request, the direct call of an
-// uncacheable one), and both places the simulator calls a Workload from
-// (the goroutine that called it, and the SM worker goroutines of a
-// fanned-out run); the panic is counted and never cached; an unrelated
-// request running beside them answers exactly as on an undisturbed
-// engine.
+// TestPanicContainedAtFlightBoundary: a flight that panics fails its
+// own waiters with a typed error and nothing else. Every path a flight
+// runs is covered: both execute paths (the flight goroutine of a
+// cacheable request, the direct call of an uncacheable one), with the
+// panic inside the Workload the simulator calls into from either place
+// it does (the goroutine that called it, and the SM worker goroutines of
+// a fanned-out run), and the leader's disk probe on the caller's own
+// goroutine, with the panic in the stage decoder. The panic is counted
+// and never cached; an unrelated request running beside a run answers
+// exactly as on an undisturbed engine.
 func TestPanicContainedAtFlightBoundary(t *testing.T) {
 	t.Run("caller goroutine", func(t *testing.T) {
 		testPanicContained(t, 1, 1, panicWorkload{})
@@ -410,6 +412,26 @@ func TestPanicContainedAtFlightBoundary(t *testing.T) {
 		prev := runtime.GOMAXPROCS(2) // Parallelism is capped by it
 		defer runtime.GOMAXPROCS(prev)
 		testPanicContained(t, 4, 2, smPanicWorkload{})
+	})
+	t.Run("disk probe", func(t *testing.T) {
+		const n = 4
+		e, resps, errs := diskOnlyFlight(t, n, func(stageID, []byte, store.Key) (*Response, error) { panic("decoder bug") })
+		for i, err := range errs {
+			if !errors.Is(err, apierr.ErrInternal) || resps[i] != nil {
+				t.Errorf("waiter %d = %v, %v; want nil and ErrInternal", i, resps[i], err)
+			}
+		}
+		if st := e.Stats(); st.Panics != 1 || st.Misses != 1 || st.Coalesced != n-1 || st.StageServed != 0 || st.Inflight != 0 {
+			t.Errorf("panics=%d misses=%d coalesced=%d stageServed=%d inflight=%d, want one contained panic shared by %d waiters",
+				st.Panics, st.Misses, st.Coalesced, st.StageServed, st.Inflight, n)
+		}
+		// Nothing was cached: the repeat reads the blob again and serves it.
+		if resp, err := e.Do(context.Background(), testRequest(t, KindAdvise)); err != nil || !resp.Cached {
+			t.Fatalf("repeat after the contained panic: %v", err)
+		}
+		if st := e.Stats(); st.Hits != 0 || st.StoreHits != 2 || st.StageServed != 1 || st.Runs != 0 {
+			t.Errorf("repeat: hits=%d storeHits=%d stageServed=%d runs=%d, want 0/2/1/0", st.Hits, st.StoreHits, st.StageServed, st.Runs)
+		}
 	})
 }
 

@@ -6,7 +6,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"gpa/internal/apierr"
 	"gpa/internal/gpusim"
@@ -41,13 +45,14 @@ type frontendArtifact struct {
 	structure func() (*structure.Structure, error)
 }
 
-// Stage blob payloads share one framing: a header — one line of strict
-// compact JSON — a newline, then exactly BodyLen raw body bytes. The
-// header carries every scalar a response needs, so building the shared
-// response parses some hundred bytes whatever the body weighs. The body
-// is the stage's wire tail document (a wireTail, compactly encoded), so
-// every response — measure, profile or advice, leader or hit, from
-// memory or from disk — serves the bytes after tailOpen as they are:
+// Stage blob payloads share one framing: a header — one line of compact
+// JSON in the one form appendHeader writes — a newline, then exactly
+// BodyLen raw body bytes. The header carries every scalar a response
+// needs, so building the shared response parses some hundred bytes
+// whatever the body weighs. The body is the stage's wire tail document
+// (a wireTail, compactly encoded), so every response — measure, profile
+// or advice, leader or hit, from memory or from disk — serves the bytes
+// after tailOpen as they are:
 //
 //	measure: cycles, elapsedMs; the body is {"cycles":…,"elapsedMs":…}
 //	profile: cycles, elapsedMs, profileDigest, kernel; the body ends in
@@ -64,26 +69,163 @@ type payloadHeader struct {
 }
 
 // maxHeaderBytes bounds the header line (a mangled kernel name is its
-// only part of variable size), so a forged blob cannot make the strict
-// decoder chew on megabytes.
+// only part of variable size), so a forged blob cannot make the parser
+// chew on megabytes.
 const maxHeaderBytes = 4096
 
 // encodePayload frames body under h.
 func encodePayload(h payloadHeader, body []byte) ([]byte, error) {
-	h.BodyLen = len(body)
-	hdr, err := json.Marshal(h)
-	if err != nil {
-		return nil, fmt.Errorf("service: stage payload header: %w", err)
+	if math.IsNaN(h.ElapsedMS) || math.IsInf(h.ElapsedMS, 0) {
+		return nil, fmt.Errorf("service: %w: stage payload header: elapsedMs %v has no JSON form", apierr.ErrInternal, h.ElapsedMS)
 	}
-	out := make([]byte, 0, len(hdr)+1+len(body))
-	out = append(out, hdr...)
+	h.BodyLen = len(body)
+	out := appendHeader(make([]byte, 0, 192+len(body)), h)
 	out = append(out, '\n')
 	return append(out, body...), nil
 }
 
-// splitPayload undoes encodePayload. Unknown header fields, trailing
-// header data and a body of another length than the header declares
-// are corruption, not forward compatibility — cross-version
+// appendHeader appends h as encoding/json.Marshal writes it: the fields
+// in declaration order, the empty strings left out.
+func appendHeader(dst []byte, h payloadHeader) []byte {
+	dst = appendFloat(append(dst, `{"elapsedMs":`...), h.ElapsedMS)
+	dst = strconv.AppendInt(append(dst, `,"cycles":`...), h.Cycles, 10)
+	if h.ProfileDigest != "" {
+		dst = appendString(append(dst, `,"profileDigest":`...), h.ProfileDigest)
+	}
+	if h.Kernel != "" {
+		dst = appendString(append(dst, `,"kernel":`...), h.Kernel)
+	}
+	dst = strconv.AppendInt(append(dst, `,"bodyLen":`...), int64(h.BodyLen), 10)
+	return append(dst, '}')
+}
+
+// parseHeader reads a header line in the one form appendHeader writes:
+// the keys in order, no whitespace, every number and string as
+// encoding/json renders it. It cuts each token out with the validator's
+// scanners and parses it leniently, then accepts the line only if
+// re-encoding the values gives back its bytes exactly, so it need not
+// know what else JSON allows. A header the strict encoding/json decoder
+// accepts in another form — reordered, spaced, escaped otherwise — is
+// rejected: the store's writers never wrote one.
+func parseHeader(line []byte) (h payloadHeader, ok bool) {
+	elapsed, rest := headerToken(line, `{"elapsedMs":`, false)
+	cycles, rest := headerToken(rest, `,"cycles":`, false)
+	digest, rest := headerToken(rest, `,"profileDigest":`, true)
+	kernel, rest := headerToken(rest, `,"kernel":`, true)
+	bodyLen, _ := headerToken(rest, `,"bodyLen":`, false)
+	// A token that is missing or out of range does not re-encode to
+	// itself, so the comparison below is the only check the parses need.
+	h.ElapsedMS, _ = strconv.ParseFloat(string(elapsed), 64)
+	h.Cycles, _ = strconv.ParseInt(string(cycles), 10, 64)
+	h.BodyLen, _ = strconv.Atoi(string(bodyLen))
+	h.ProfileDigest, h.Kernel = unquote(digest), unquote(kernel)
+	var buf [256]byte
+	return h, bytes.Equal(appendHeader(buf[:0], h), line)
+}
+
+// headerToken cuts key and the token behind it, a string if str and a
+// number otherwise, off the front of line; if line does not open so, the
+// token is nil and rest is line.
+func headerToken(line []byte, key string, str bool) (tok, rest []byte) {
+	rest, ok := bytes.CutPrefix(line, []byte(key))
+	n := -1
+	switch {
+	case !ok || len(rest) == 0:
+	case !str:
+		n = scanNumber(rest, 0)
+	case rest[0] == '"':
+		n = scanString(rest, 1)
+	}
+	if n < 0 {
+		return nil, line
+	}
+	return rest[:n], rest[n:]
+}
+
+// unquote decodes tok, a string token scanString accepted, or nil for
+// "". It decodes every escape appendString writes; what else it is
+// given it decodes to a string whose encoding is not tok — a lone
+// surrogate to U+FFFD, "\/" to "/" — which parseHeader then rejects.
+func unquote(tok []byte) string {
+	if len(tok) < 2 {
+		return ""
+	}
+	s := tok[1 : len(tok)-1]
+	if bytes.IndexByte(s, '\\') < 0 {
+		return string(s)
+	}
+	out := make([]byte, 0, len(s))
+	for i := 0; i < len(s); i++ {
+		if s[i] != '\\' {
+			out = append(out, s[i])
+			continue
+		}
+		switch i++; s[i] {
+		case 'u':
+			r, _ := strconv.ParseUint(string(s[i+1:i+5]), 16, 32)
+			out = utf8.AppendRune(out, rune(r))
+			i += 4
+		case 'b', 'f', 'n', 'r', 't':
+			out = append(out, "\b\f\n\r\t"[strings.IndexByte("bfnrt", s[i])])
+		default: // '"', '\\', '/'
+			out = append(out, s[i])
+		}
+	}
+	return string(out)
+}
+
+// appendString appends s as encoding/json writes a string: '<', '>' and
+// '&' escaped for HTML, invalid UTF-8 as U+FFFD, and U+2028 and U+2029
+// escaped.
+func appendString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, n := utf8.DecodeRuneInString(s[i:])
+			switch {
+			case r == utf8.RuneError && n == 1:
+				dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
+			case r == 0x2028 || r == 0x2029:
+				dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
+			default:
+				dst = append(dst, s[i:i+n]...)
+			}
+			i += n
+			continue
+		}
+		i++
+		if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			dst = append(dst, c)
+		} else if k := strings.IndexByte("\"\\\b\f\n\r\t", c); k >= 0 {
+			dst = append(dst, '\\', `"\bfnrt`[k])
+		} else {
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+		}
+	}
+	return append(dst, '"')
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// form that reads back as f, in exponent form below 1e-6 and from 1e21
+// on, with no leading zero in a negative exponent. f is finite.
+func appendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// splitPayload undoes encodePayload. A header in any form but the one
+// encodePayload writes, and a body of another length than the header
+// declares, are corruption, not forward compatibility — cross-version
 // compatibility is the schema string's job. body aliases payload.
 //
 //gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup, and resolve wraps the one a run's own payload could raise in ErrInternal; none crosses the service boundary untyped
@@ -92,13 +234,9 @@ func splitPayload(payload []byte) (h payloadHeader, body []byte, err error) {
 	if nl < 0 || nl > maxHeaderBytes {
 		return h, nil, fmt.Errorf("service: stage payload has no header line")
 	}
-	dec := json.NewDecoder(bytes.NewReader(payload[:nl]))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&h); err != nil {
-		return h, nil, err
-	}
-	if dec.More() {
-		return h, nil, fmt.Errorf("service: trailing data after stage payload header")
+	h, ok := parseHeader(payload[:nl])
+	if !ok {
+		return h, nil, fmt.Errorf("service: stage payload header is not in its canonical form")
 	}
 	body = payload[nl+1:]
 	if h.BodyLen != len(body) {
@@ -149,31 +287,27 @@ func (t *wireTail) encode() ([]byte, error) {
 	return append(enc, '\n'), nil
 }
 
-// hasReport reports whether doc, a valid JSON document, ends in a
-// non-empty "report" string member: it must end with `"}` and a
-// newline, and the last unescaped quote before that closing one must
-// open the string behind reportMark. No quote inside a string is
-// unescaped, so walking back over the quotes that an odd number of
-// backslashes precede crosses the report text alone.
-func hasReport(doc []byte) bool {
+// appendOpen appends what the document of a response with these scalars
+// opens with: the encoding of wireTail{Cycles: cycles, ElapsedMS:
+// elapsed, ProfileDigest: digest}, less its closing brace.
+func appendOpen(dst []byte, cycles int64, elapsed float64, digest string) []byte {
+	dst = strconv.AppendInt(append(dst, `{"cycles":`...), cycles, 10)
+	dst = appendFloat(append(dst, `,"elapsedMs":`...), elapsed)
+	if digest != "" {
+		dst = appendString(append(dst, `,"profileDigest":`...), digest)
+	}
+	return dst
+}
+
+// hasReport reports whether doc, a valid JSON document whose last value
+// starts at last (validDoc), ends in a non-empty "report" string member.
+// A valid document that ends in `"}` and a newline ends in a string
+// member, whose value — the last value to start — opens at last and
+// closes at end; reportMark must stand right before it.
+func hasReport(doc []byte, last int) bool {
 	end := len(doc) - len(`"`+tailClose)
-	if end < 0 || string(doc[end:]) != `"`+tailClose {
-		return false
-	}
-	for i := end; ; {
-		q := bytes.LastIndexByte(doc[:i], '"')
-		if q < 0 {
-			return false
-		}
-		bs := q
-		for bs > 0 && doc[bs-1] == '\\' {
-			bs--
-		}
-		if (q-bs)%2 == 0 {
-			return q+1 < end && bytes.HasSuffix(doc[:q], []byte(reportMark))
-		}
-		i = bs
-	}
+	return end > last+1 && string(doc[end:]) == `"`+tailClose &&
+		last >= len(reportMark) && string(doc[last-len(reportMark):last]) == reportMark
 }
 
 // profileArtifact is the profile-stage artifact: the profile's
@@ -229,7 +363,9 @@ type adviceArtifact struct {
 // non-empty report. profKey names the profile an advice blames, for the
 // day somebody asks. JSON validity is checked by validJSON, which
 // accepts exactly what encoding/json.Valid does at a fraction of its
-// cost: on a disk hit the decode is most of what gpad does per request.
+// cost, and the report is found in the same forward pass (validDoc):
+// on a disk hit the decode is most of what gpad does per request, and
+// none of it goes through encoding/json.
 //
 //gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup, and resolve wraps the one a run's own payload could raise in ErrInternal; none crosses the service boundary untyped
 func decodeStage(s stageID, payload []byte, profKey store.Key) (*Response, error) {
@@ -240,11 +376,8 @@ func decodeStage(s stageID, payload []byte, profKey store.Key) (*Response, error
 	if scalarOnly := s == stMeasure; (h.Kernel == "") != scalarOnly || (h.ProfileDigest == "") != scalarOnly {
 		return nil, fmt.Errorf("service: %s artifact header names the wrong fields", stageNames[s])
 	}
-	open, err := (&wireTail{Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest}).encode()
-	if err != nil {
-		return nil, err
-	}
-	rest, ok := bytes.CutPrefix(doc, open[:len(open)-len(tailClose)])
+	var buf [256]byte
+	rest, ok := bytes.CutPrefix(doc, appendOpen(buf[:0], h.Cycles, h.ElapsedMS, h.ProfileDigest))
 	resp := &Response{Kind: Kind(s - stMeasure), Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest, doc: doc}
 	switch {
 	case !ok: // rejected below
@@ -253,18 +386,18 @@ func decodeStage(s stageID, payload []byte, profKey store.Key) (*Response, error
 	case s == stProfile:
 		body, closed := bytes.CutSuffix(rest, []byte(tailClose))
 		body, ok = bytes.CutPrefix(body, []byte(profileMark))
-		name, _ := json.Marshal(h.Kernel) // a string always marshals
 		// A valid profile between a fixed opening and close makes the
 		// document valid.
-		ok = ok && closed && bytes.HasPrefix(body, append([]byte(`{"kernel":`), name...)) && validJSON(body)
+		ok = ok && closed && bytes.HasPrefix(body, appendString(append(buf[:0], `{"kernel":`...), h.Kernel)) && validJSON(body)
 		if ok {
 			sum := sha256.Sum256(body)
-			ok = hex.EncodeToString(sum[:]) == h.ProfileDigest
+			ok = string(hex.AppendEncode(buf[:0], sum[:])) == h.ProfileDigest
 		}
 		resp.prof = &profileArtifact{kernel: h.Kernel, cycles: h.Cycles, body: body}
 	default:
 		// hasReport reads a valid document only.
-		ok = validJSON(doc) && hasReport(doc)
+		last, valid := validDoc(doc)
+		ok = valid && hasReport(doc, last)
 		resp.adv = &adviceArtifact{kernel: h.Kernel, digest: h.ProfileDigest, profKey: profKey}
 	}
 	if !ok {

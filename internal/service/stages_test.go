@@ -8,6 +8,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -451,6 +452,47 @@ func TestDiskStoreRestartWarm(t *testing.T) {
 	}
 	if st := e2.Stats(); st.StageDecodes != 2 || st.StoreHits != int64(len(kinds)) {
 		t.Errorf("after every accessor: stageDecodes=%d storeHits=%d, want 2/%d", st.StageDecodes, st.StoreHits, len(kinds))
+	}
+}
+
+// diskOnlyFlight sends n identical advise requests at once to a fresh
+// engine over a store that holds their artifacts on disk only. The
+// stage decoder the leader's disk probe calls waits until the other n-1
+// have joined the leader's flight, then runs decode.
+func diskOnlyFlight(t *testing.T, n int, decode func(stageID, []byte, store.Key) (*Response, error)) (*Engine, []*Response, []error) {
+	t.Helper()
+	e := New(Options{Workers: 1, Store: storeRuns(t, testRequest(t, KindAdvise))})
+	decodePayload = func(s stageID, payload []byte, profKey store.Key) (*Response, error) {
+		for e.n.coalesced.Load() < int64(n-1) {
+			runtime.Gosched()
+		}
+		return decode(s, payload, profKey)
+	}
+	defer func() { decodePayload = decodeStage }()
+	reqs := make([]*Request, n)
+	for i := range reqs {
+		reqs[i] = testRequest(t, KindAdvise)
+	}
+	resps, errs := e.DoAll(context.Background(), reqs)
+	return e, resps, errs
+}
+
+// TestDiskStoreHitCoalesces: a flight's leader probes the disk on its
+// own goroutine, and the requests that join its flight meanwhile share
+// its one read — one miss, one store hit served without a run, the rest
+// coalesced onto it, every one handed the same response.
+func TestDiskStoreHitCoalesces(t *testing.T) {
+	const n = 8
+	e, resps, errs := diskOnlyFlight(t, n, decodeStage)
+	for i, err := range errs {
+		if err != nil || resps[i] != resps[0] || !resps[i].Cached {
+			t.Fatalf("request %d: %v; want the one shared response", i, err)
+		}
+	}
+	st := e.Stats()
+	if st.StoreHits != 1 || st.Misses != 1 || st.Coalesced != n-1 || st.StageServed != 1 || st.Runs != 0 || st.Sims != 0 {
+		t.Errorf("storeHits=%d misses=%d coalesced=%d stageServed=%d runs=%d sims=%d, want 1/1/%d/1/0/0",
+			st.StoreHits, st.Misses, st.Coalesced, st.StageServed, st.Runs, st.Sims, n-1)
 	}
 }
 

@@ -18,6 +18,14 @@ const maxNesting = 10000
 // at a time: here string bodies, nearly all of a stage document, are
 // scanned a word at a time.
 func validJSON(data []byte) bool {
+	_, ok := validDoc(data)
+	return ok
+}
+
+// validDoc is validJSON that also returns where the last value in data
+// to start starts — in a document that ends in an object member whose
+// value is a string, that string. last means nothing when ok is false.
+func validDoc(data []byte) (last int, ok bool) {
 	// The open containers, '{' or '[', innermost last: a fixed buffer on
 	// the stack covers any nesting a stage document has.
 	var buf [64]byte
@@ -26,12 +34,13 @@ func validJSON(data []byte) bool {
 	for {
 		// A value starts at i.
 		if i = skipSpace(data, i); i == len(data) {
-			return false
+			return 0, false
 		}
+		last = i
 		switch c := data[i]; c {
 		case '{', '[':
 			if len(stack) == maxNesting {
-				return false
+				return 0, false
 			}
 			// '}' is '{'+2 and ']' is '['+2.
 			if i = skipSpace(data, i+1); i < len(data) && data[i] == c+2 {
@@ -43,7 +52,7 @@ func validJSON(data []byte) bool {
 				i = scanKey(data, i)
 			}
 			if i < 0 {
-				return false
+				return 0, false
 			}
 			continue
 		case '"':
@@ -58,17 +67,17 @@ func validJSON(data []byte) bool {
 			i = scanNumber(data, i)
 		}
 		if i < 0 {
-			return false
+			return 0, false
 		}
 		// A value ends before i: close the containers it completes, then
 		// take the comma before the next value, or the end of the input.
 		for {
 			i = skipSpace(data, i)
 			if len(stack) == 0 {
-				return i == len(data)
+				return last, i == len(data)
 			}
 			if i == len(data) {
-				return false
+				return 0, false
 			}
 			top := stack[len(stack)-1]
 			if data[i] == top+2 {
@@ -77,11 +86,11 @@ func validJSON(data []byte) bool {
 				continue
 			}
 			if data[i] != ',' {
-				return false
+				return 0, false
 			}
 			if i++; top == '{' {
 				if i = scanKey(data, i); i < 0 {
-					return false
+					return 0, false
 				}
 			}
 			break
