@@ -62,13 +62,14 @@ func TestErrorTaxonomyStatusTable(t *testing.T) {
 
 func TestDeadlineExceededMapsTo504(t *testing.T) {
 	ts := newTestServer(t)
-	// A fresh seed forces a real simulation; simSMs 4 with per-cycle
-	// sampling makes it long enough (tens of ms) that the deadline
-	// timer is always observed, even on a single-CPU runner where a
-	// very short CPU-bound run can finish before timers are serviced.
+	// A fresh seed forces a real simulation. simSMs 80 simulates the
+	// whole V100 with per-cycle sampling (about 250 ms uncanceled, 12×
+	// the work of simSMs 4), so the run cannot finish before the 2 ms
+	// deadline timer is serviced, even on a single CPU, and the deadline
+	// cancels it at its next checkpoint.
 	resp, body := postJSON(t, ts.URL+"/v1/advise", map[string]any{
 		"bench": "rodinia/hotspot", "seed": 987654, "timeoutMs": 2,
-		"simSMs": 4, "samplePeriod": 1,
+		"simSMs": 80, "samplePeriod": 1,
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504: %s", resp.StatusCode, body)

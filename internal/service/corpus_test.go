@@ -1,7 +1,6 @@
 package service_test
 
 import (
-	"bytes"
 	"testing"
 
 	"gpa/internal/gpusim"
@@ -12,8 +11,9 @@ import (
 
 // corpusPayloads returns the profile and advice payloads of every
 // Table 3 row's baseline kernel, advised as gpad advises a bundled row
-// (one simulated SM), as a disk hit reads them back.
-func corpusPayloads(tb testing.TB) (profiles, advice [][]byte) {
+// (one simulated SM), as a disk hit reads them back, and each row's
+// entry.
+func corpusPayloads(tb testing.TB) (profiles, advice [][]byte, entries []string) {
 	tb.Helper()
 	var reqs []*service.Request
 	for _, b := range kernels.All() {
@@ -22,6 +22,7 @@ func corpusPayloads(tb testing.TB) (profiles, advice [][]byte) {
 			tb.Fatal(err)
 		}
 		l := k.Launch
+		entries = append(entries, l.Entry)
 		reqs = append(reqs, &service.Request{
 			Kind:   service.KindAdvise,
 			Module: k.Module,
@@ -35,7 +36,8 @@ func corpusPayloads(tb testing.TB) (profiles, advice [][]byte) {
 			SimSMs: 1, Seed: 11, Parallelism: 1, Workload: wl, WorkloadKey: b.ID(),
 		})
 	}
-	return service.StagePayloads(tb, reqs)
+	profiles, advice = service.StagePayloads(tb, reqs)
+	return profiles, advice, entries
 }
 
 // BenchmarkStageDecode prices the part of a disk hit that no bench/
@@ -43,10 +45,10 @@ func corpusPayloads(tb testing.TB) (profiles, advice [][]byte) {
 // over the corpus: one op decodes every payload of the stage, and MB/s
 // is payload bytes.
 func BenchmarkStageDecode(b *testing.B) {
-	profiles, advice := corpusPayloads(b)
+	profiles, advice, entries := corpusPayloads(b)
 	for _, c := range []struct {
 		name     string
-		decode   func([]byte, store.Key) (*service.Response, error)
+		decode   func([]byte, string, store.Key) (*service.Response, error)
 		payloads [][]byte
 	}{
 		{"profile", service.DecodeProfile, profiles},
@@ -60,8 +62,8 @@ func BenchmarkStageDecode(b *testing.B) {
 			b.SetBytes(int64(n))
 			b.ReportAllocs()
 			for b.Loop() {
-				for _, p := range c.payloads {
-					if _, err := c.decode(p, store.Key{}); err != nil {
+				for i, p := range c.payloads {
+					if _, err := c.decode(p, entries[i], store.Key{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -70,17 +72,16 @@ func BenchmarkStageDecode(b *testing.B) {
 	}
 }
 
-// TestValidJSONAllocationFree pins that validating a stage body
+// TestValidJSONAllocationFree pins that validating a stage document
 // allocates nothing: the nesting stack stays in its fixed buffer.
 func TestValidJSONAllocationFree(t *testing.T) {
-	profiles, advice := corpusPayloads(t)
+	profiles, advice, _ := corpusPayloads(t)
 	for _, p := range append(profiles, advice...) {
-		body := p[bytes.IndexByte(p, '\n')+1:] // after the one-line header
-		if !service.ValidJSON(body) {
-			t.Fatalf("a stored body is not valid: %.80q", body)
+		if !service.ValidJSON(p) {
+			t.Fatalf("a stored document is not valid: %.80q", p)
 		}
-		if avg := testing.AllocsPerRun(20, func() { service.ValidJSON(body) }); avg != 0 {
-			t.Fatalf("validJSON allocates %.1f times over a %d-byte body", avg, len(body))
+		if avg := testing.AllocsPerRun(20, func() { service.ValidJSON(p) }); avg != 0 {
+			t.Fatalf("validJSON allocates %.1f times over a %d-byte document", avg, len(p))
 		}
 	}
 }

@@ -204,8 +204,8 @@ func (r *Request) normalized() Request {
 // Response is the result of one request, and the form a served stage's
 // artifact takes in the store's memory tier. A shared response — every
 // hit on a stage, every coalesced follower — is built one way, from the
-// stage's payload bytes (Engine.publish), whether a run just framed them
-// or the disk store held them; it has Cached set and whatever Profile
+// stage's payload bytes (Engine.publish), whether a run just encoded
+// them or the disk store held them; it has Cached set and whatever Profile
 // and Advice hand out of it must be treated as read-only. The response
 // of the caller that led a run is that run's own: Cached unset, the
 // structs it computed, and its Context.
@@ -214,7 +214,7 @@ func (r *Request) normalized() Request {
 // accessors because a shared response holds the bytes it is encoded as,
 // not the structs: they decode on first use, once per artifact, and
 // fail with an error wrapping apierr.ErrInternal when a stored artifact
-// has vanished or does not decode to what its header declared. On the
+// has vanished or does not decode to what its document declared. On the
 // response of the caller that led the run they return that run's values
 // and cannot fail.
 type Response struct {
@@ -243,7 +243,7 @@ type Response struct {
 	// nil on every shared response.
 	Context *adv.Context
 
-	// doc is the response's wireTail document, the stage payload's body.
+	// doc is the response's wireTail document, its stage's payload.
 	// prof (KindProfile) and adv (KindAdvise) are the artifacts behind
 	// the accessors; eng resolves and counts their decodes.
 	doc  []byte
@@ -302,11 +302,7 @@ func (r *Response) Tail() []byte {
 	return r.doc[len(tailOpen):]
 }
 
-// Stats is a point-in-time snapshot of the engine's counters. The
-// result cache that Evictions and CacheEntries used to describe is gone
-// — a warm hit is a memory hit on the request's terminal stage — and
-// both went with it: StageEvictions counts what the one memory store
-// evicts.
+// Stats is a point-in-time snapshot of the engine's counters.
 type Stats struct {
 	// Hits counts requests answered from the memory tier of their
 	// terminal stage, before any flight (no simulation, no waiting).
@@ -681,7 +677,7 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 // hit paths.
 func (e *Engine) lead(req *Request, km *keyMaterial, key store.Key, c *flightCall) {
 	sk := km.keys()
-	if view, err := e.probe(stageOf(req.Kind), &sk); view != nil || err != nil {
+	if view, err := e.probe(stageOf(req.Kind), &sk, req.Launch.Entry); view != nil || err != nil {
 		e.land(key, c, view, nil, err)
 		return
 	}
@@ -697,9 +693,9 @@ func (e *Engine) lead(req *Request, km *keyMaterial, key store.Key, c *flightCal
 
 // probe is a flight leader's disk-tier lookup: a hit costs no admission
 // slot and no run. It is inside the flight boundary, as a run is.
-func (e *Engine) probe(s stageID, sk *stageKeys) (view *Response, err error) {
+func (e *Engine) probe(s stageID, sk *stageKeys, kernel string) (view *Response, err error) {
 	defer e.contain(&err)
-	if view = e.lookup(s, sk, tierDisk); view != nil {
+	if view = e.lookup(s, sk, kernel, tierDisk); view != nil {
 		e.n.stageServed.Add(1)
 	}
 	return view, nil
@@ -879,10 +875,10 @@ func (e *Engine) Stats() Stats {
 }
 
 // stage is one row of the pipeline's stage table: what a served stage
-// needs, and how its artifact is computed by a run. A run frames what it
-// computed into a payload (frameStage), and a payload is the only form
-// a shared artifact has — on disk, and in the memory tier as the
-// Response decoded from it (decodeStage, in Engine.publish).
+// needs, and how its artifact is computed by a run. The document a run
+// encoded is its stage's payload, and a payload is the only form a
+// shared artifact has — on disk, and in the memory tier as the Response
+// decoded from it (decodeStage, in Engine.publish).
 type stage struct {
 	// needs is the stage whose response compute takes (stFrontend: only
 	// the module front-end, which every stage reaches through its run).
@@ -933,11 +929,12 @@ type run struct {
 }
 
 // lookup is the read half of the driver: memory, then disk — publishing
-// the blob's payload to memory as the response it serves. A blob whose
-// payload fails stage-level validation is reported corrupt and removed:
-// checksum-valid framing proves the bytes survived, not that they decode
-// to a well-formed artifact.
-func (e *Engine) lookup(s stageID, sk *stageKeys, from tier) *Response {
+// the blob's payload to memory as the response it serves. kernel is the
+// entry the request launches. A blob whose payload fails stage-level
+// validation is reported corrupt and removed: checksum-valid framing
+// proves the bytes survived, not that they decode to a well-formed
+// artifact.
+func (e *Engine) lookup(s stageID, sk *stageKeys, kernel string, from tier) *Response {
 	name, key := stageNames[s], sk[s]
 	if from <= tierMemory {
 		if v, ok := e.stages.Get(name, key); ok {
@@ -951,7 +948,7 @@ func (e *Engine) lookup(s stageID, sk *stageKeys, from tier) *Response {
 	if !ok {
 		return nil
 	}
-	view, err := e.publish(s, sk, payload)
+	view, err := e.publish(s, sk, kernel, payload)
 	if err != nil {
 		e.disk.NoteCorrupt(name, key)
 		return nil
@@ -963,12 +960,12 @@ func (e *Engine) lookup(s stageID, sk *stageKeys, from tier) *Response {
 var decodePayload = decodeStage
 
 // publish is the one constructor of a shared response: it validates a
-// stage payload — read from disk, or framed by the run that just
+// stage payload — read from disk, or the document of the run that just
 // computed the stage — builds the response the payload serves, and adds
 // it to the memory tier, returning the response under the key (an
 // earlier one on a race).
-func (e *Engine) publish(s stageID, sk *stageKeys, payload []byte) (*Response, error) {
-	view, err := decodePayload(s, payload, sk[stProfile])
+func (e *Engine) publish(s stageID, sk *stageKeys, kernel string, payload []byte) (*Response, error) {
+	view, err := decodePayload(s, payload, kernel, sk[stProfile])
 	if err != nil {
 		return nil, err
 	}
@@ -979,7 +976,7 @@ func (e *Engine) publish(s stageID, sk *stageKeys, payload []byte) (*Response, e
 }
 
 // resolve is the one stage driver: memory → disk → compute, over the
-// resolved stage it needs → frame → publish → put. It returns the
+// resolved stage it needs → publish → put. It returns the
 // stage's shared response and, when this call computed the stage, the
 // leader's own beside it. A stage that depends on another takes the
 // run's own lead when this run computed it — it holds the struct — and
@@ -989,7 +986,7 @@ func (e *Engine) publish(s stageID, sk *stageKeys, payload []byte) (*Response, e
 // from memory that would not be served from disk.
 func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (view, lead *Response, err error) {
 	if r.sk != nil {
-		if view = e.lookup(s, r.sk, from); view != nil {
+		if view = e.lookup(s, r.sk, r.n.Launch.Entry, from); view != nil {
 			return view, nil, nil
 		}
 	}
@@ -1014,16 +1011,12 @@ func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (vie
 	if r.sk == nil {
 		return lead, lead, nil
 	}
-	payload, err := frameStage(lead)
-	if err == nil {
-		view, err = e.publish(s, r.sk, payload)
-	}
-	if err != nil {
+	if view, err = e.publish(s, r.sk, r.n.Launch.Entry, lead.doc); err != nil {
 		return nil, nil, fmt.Errorf("service: %w: the %s stage computed an artifact it cannot serve: %v", apierr.ErrInternal, stageNames[s], err)
 	}
 	lead.Key = view.Key
 	if e.disk != nil {
-		e.disk.Put(stageNames[s], r.sk[s], payload)
+		e.disk.Put(stageNames[s], r.sk[s], lead.doc)
 	}
 	return view, lead, nil
 }

@@ -13,12 +13,12 @@ import (
 var ValidJSON = validJSON
 
 // DecodeProfile and DecodeAdvice are decodeStage for one stage.
-func DecodeProfile(payload []byte, profKey store.Key) (*Response, error) {
-	return decodeStage(stProfile, payload, profKey)
+func DecodeProfile(payload []byte, kernel string, profKey store.Key) (*Response, error) {
+	return decodeStage(stProfile, payload, kernel, profKey)
 }
 
-func DecodeAdvice(payload []byte, profKey store.Key) (*Response, error) {
-	return decodeStage(stAdvice, payload, profKey)
+func DecodeAdvice(payload []byte, kernel string, profKey store.Key) (*Response, error) {
+	return decodeStage(stAdvice, payload, kernel, profKey)
 }
 
 // StagePayloads runs reqs, advise requests, through one engine over a

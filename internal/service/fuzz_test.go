@@ -7,11 +7,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"gpa/internal/profiler"
 	"gpa/internal/store"
@@ -41,7 +40,7 @@ func storeRuns(tb testing.TB, reqs ...*Request) *store.Disk {
 
 // storedPayloads returns the payloads of stages from through to that d
 // holds under r's keys: what an engine publishes to memory and puts on
-// disk, as real runs frame it.
+// disk, as real runs encode it.
 func storedPayloads(tb testing.TB, d *store.Disk, r *Request, from, to stageID) [][]byte {
 	tb.Helper()
 	sk := keysOf(tb, r)
@@ -57,7 +56,7 @@ func storedPayloads(tb testing.TB, d *store.Disk, r *Request, from, to stageID) 
 }
 
 // runPayloads returns the payload of every stage, read back from the
-// store a measure run and an advise run filled (an advise run frames the
+// store a measure run and an advise run filled (an advise run stores the
 // profile it blames too).
 func runPayloads(f testing.TB) [][]byte {
 	f.Helper()
@@ -66,54 +65,65 @@ func runPayloads(f testing.TB) [][]byte {
 	return storedPayloads(f, d, advise, stMeasure, stAdvice)
 }
 
-// splitPayloadRef is splitPayload spelled with the strict encoding/json
-// decoder: unknown fields and trailing data rejected, but whitespace,
-// any key order, case-folded and duplicate keys, null and any number
-// form that decodes accepted. splitPayload accepts the subset of it
-// that is canonical (canonicalHeader); checkHeader holds the two
-// together.
-func splitPayloadRef(payload []byte) (h payloadHeader, body []byte, err error) {
-	nl := bytes.IndexByte(payload, '\n')
-	if nl < 0 || nl > maxHeaderBytes {
-		return h, nil, fmt.Errorf("no header line")
+// openRef is parseOpen spelled with the strict encoding/json decoder:
+// it reads the opening's tokens as encoding/json reads them — any
+// whitespace, any number form that decodes, any escape — and accepts
+// them only if json.Marshal writes exactly those bytes for the values
+// and the digest needs no escape. n is the opening's length.
+func openRef(doc []byte) (cycles int64, elapsed float64, digest string, n int, ok bool) {
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	next := func() json.Token {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil
+		}
+		return tok
 	}
-	dec := json.NewDecoder(bytes.NewReader(payload[:nl]))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&h); err != nil {
-		return h, nil, err
+	if next() != json.Delim('{') || next() != "cycles" {
+		return 0, 0, "", 0, false
 	}
-	if dec.More() {
-		return h, nil, fmt.Errorf("trailing data after the header")
+	c, _ := next().(json.Number)
+	if next() != "elapsedMs" {
+		return 0, 0, "", 0, false
 	}
-	body = payload[nl+1:]
-	if h.BodyLen != len(body) {
-		return h, nil, fmt.Errorf("body is %d bytes, header declares %d", len(body), h.BodyLen)
+	e, _ := next().(json.Number)
+	n = int(dec.InputOffset())
+	cycles, cErr := strconv.ParseInt(string(c), 10, 64)
+	elapsed, eErr := strconv.ParseFloat(string(e), 64)
+	if next() == "profileDigest" {
+		if d, isString := next().(string); isString {
+			digest, n = d, int(dec.InputOffset())
+		}
 	}
-	if h.Cycles < 0 {
-		return h, nil, fmt.Errorf("negative cycle count")
-	}
-	return h, body, nil
+	open, err := json.Marshal(wireTail{Cycles: cycles, ElapsedMS: elapsed, ProfileDigest: digest})
+	quoted, _ := json.Marshal(digest)
+	ok = cErr == nil && eErr == nil && err == nil && string(doc[:n]) == string(open[:len(open)-1]) &&
+		(digest == "" || string(quoted) == `"`+digest+`"`)
+	return cycles, elapsed, digest, n, ok
 }
 
-// canonicalHeader reports whether payload's header line is what
-// encoding/json.Marshal writes for h.
-func canonicalHeader(payload []byte, h payloadHeader) bool {
-	hdr, err := json.Marshal(h)
-	return err == nil && bytes.HasPrefix(payload, append(hdr, '\n'))
-}
-
-// checkHeader holds splitPayload to splitPayloadRef on payload: what it
-// accepts the strict decoder accepts, as the same header and body, and
-// it accepts every header the strict decoder reads that is canonical.
-func checkHeader(t *testing.T, payload []byte) {
+// checkOpen holds parseOpen to openRef on doc: an opening the strict
+// decoder accepts, parseOpen reads as the same values and length, and
+// what parseOpen accepts is what json.Marshal writes for the values it
+// returns. (Where the strict decoder finds a spaced or escaped digest,
+// parseOpen reads a shorter opening without one, which no stage accepts
+// a document of; FuzzStageEnvelopeDecode holds the whole decode to
+// decodeStageRef.)
+func checkOpen(t *testing.T, doc []byte) {
 	t.Helper()
-	h, body, err := splitPayload(payload)
-	ref, refBody, refErr := splitPayloadRef(payload)
-	if err == nil && (refErr != nil || h != ref || !bytes.Equal(body, refBody)) {
-		t.Fatalf("splitPayload accepted %.200q as %+v; the strict decoder says %+v, %v", payload, h, ref, refErr)
+	cycles, elapsed, digest, rest, ok := parseOpen(doc)
+	if ok {
+		open, err := json.Marshal(wireTail{Cycles: cycles, ElapsedMS: elapsed, ProfileDigest: digest})
+		if err != nil || string(doc[:len(doc)-len(rest)]) != string(open[:len(open)-1]) {
+			t.Fatalf("parseOpen read %.200q as %d, %v, %q; encoding/json writes %q for them (%v)", doc, cycles, elapsed, digest, open, err)
+		}
 	}
-	if err != nil && refErr == nil && canonicalHeader(payload, ref) {
-		t.Fatalf("splitPayload rejected the canonical %.200q: %v", payload, err)
+	refCycles, refElapsed, refDigest, n, refOK := openRef(doc)
+	if refOK && (!ok || cycles != refCycles || math.Float64bits(elapsed) != math.Float64bits(refElapsed) ||
+		digest != refDigest || len(doc)-len(rest) != n) {
+		t.Fatalf("parseOpen read %.200q as %d, %v, %q, %d bytes (%v); the strict decoder says %d, %v, %q, %d bytes",
+			doc, cycles, elapsed, digest, len(doc)-len(rest), ok, refCycles, refElapsed, refDigest, n)
 	}
 }
 
@@ -145,34 +155,27 @@ func hasReportRef(doc []byte) bool {
 }
 
 // decodeStageRef is what decodeStage accepts, spelled with the strict
-// header decoder and a canonical-form check in place of parseHeader,
-// json.Marshal in place of appendOpen and appendString,
-// encoding/json.Valid in place of validJSON and bytes.LastIndex in
-// place of hasReport: FuzzStageEnvelopeDecode holds decodeStage to
-// accepting exactly what it accepts. An advice must end in the last
-// ,"report":" of its document, a string that encoding/json finds whole
-// and non-empty.
-func decodeStageRef(s stageID, payload []byte) bool {
-	h, doc, err := splitPayloadRef(payload)
-	if err != nil || !canonicalHeader(payload, h) || (h.Kernel == "") != (s == stMeasure) || (h.ProfileDigest == "") != (s == stMeasure) {
+// decoder and a canonical-form check in place of parseOpen (openRef),
+// json.Marshal in place of AppendString, encoding/json.Valid in place
+// of validJSON and bytes.LastIndex in place of hasReport:
+// FuzzStageEnvelopeDecode holds decodeStage to accepting exactly what it
+// accepts. An advice must end in the last ,"report":" of its document, a
+// string that encoding/json finds whole and non-empty.
+func decodeStageRef(s stageID, doc []byte, kernel string) bool {
+	cycles, _, digest, n, ok := openRef(doc)
+	if !ok || cycles < 0 || (digest == "") != (s == stMeasure) {
 		return false
 	}
-	open, err := json.Marshal(wireTail{Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest})
-	if err != nil {
-		return false
-	}
-	rest, ok := bytes.CutPrefix(doc, open[:len(open)-1])
-	switch {
-	case !ok:
-		return false
-	case s == stMeasure:
+	rest := doc[n:]
+	switch s {
+	case stMeasure:
 		return string(rest) == "}\n"
-	case s == stProfile:
-		name, _ := json.Marshal(h.Kernel)
+	case stProfile:
+		name, _ := json.Marshal(kernel)
 		body := strings.TrimSuffix(strings.TrimPrefix(string(rest), `,"profile":`), "}\n")
 		sum := sha256.Sum256([]byte(body))
 		return len(rest) == len(body)+len(`,"profile":}`+"\n") && strings.HasPrefix(body, `{"kernel":`+string(name)) &&
-			json.Valid([]byte(body)) && hex.EncodeToString(sum[:]) == h.ProfileDigest
+			json.Valid([]byte(body)) && hex.EncodeToString(sum[:]) == digest
 	}
 	mark := []byte(`,"report":"`)
 	i := bytes.LastIndex(doc, mark)
@@ -180,225 +183,217 @@ func decodeStageRef(s stageID, payload []byte) bool {
 		doc[i+len(mark)] != '"' && json.Valid(doc[i+len(mark)-1:len(doc)-2])
 }
 
-// stagePayload frames doc under h, failing tb if it cannot.
-func stagePayload(tb testing.TB, h payloadHeader, doc string) []byte {
-	tb.Helper()
-	payload, err := encodePayload(h, []byte(doc))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return payload
-}
-
-// adviceSeeds are advice payloads whose report ends each way the
+// adviceSeeds are advice documents whose report ends each way the
 // backward quote scan must get right, an empty report, and a document
 // that stops at the report's key.
-func adviceSeeds(tb testing.TB) [][]byte {
-	h := payloadHeader{ElapsedMS: 0.5, Cycles: 7, ProfileDigest: "d", Kernel: "k"}
+func adviceSeeds() [][]byte {
 	open := `{"cycles":7,"elapsedMs":0.5,"profileDigest":"d"`
 	var seeds [][]byte
 	for _, report := range []string{`GPA`, `a \"quoted\"`, `\"`, `\\`, `\\\"`, `\\\\`, ``, `\"\",\"report\":\"`} {
-		seeds = append(seeds, stagePayload(tb, h, open+`,"report":"`+report+`"}`+"\n"))
+		seeds = append(seeds, []byte(open+`,"report":"`+report+`"}`+"\n"))
 	}
-	seeds = append(seeds,
-		stagePayload(tb, h, open+`,"report":`),
-		stagePayload(tb, h, open+`,"report":"x","more":"y"}`+"\n"),
-		stagePayload(tb, h, open+`,"advice":[{"report":"x"}],"report":"y" }`+"\n"),
-		stagePayload(tb, h, open+`,"advice":[],"x":"\\",`+`"report":"y"}`+"\n"),
+	for _, rest := range []string{
+		`,"report":`,
+		`,"report":"x","more":"y"}` + "\n",
+		`,"advice":[{"report":"x"}],"report":"y" }` + "\n",
+		`,"advice":[],"x":"\\",` + `"report":"y"}` + "\n",
 		// The last member's value as the validator's offset finds it: one
 		// that is no string, one whose "report" is nested, and one after
 		// an earlier "report".
-		stagePayload(tb, h, open+`,"report":1}`+"\n"),
-		stagePayload(tb, h, open+`,"report":["x"]}`+"\n"),
-		stagePayload(tb, h, open+`,"advice":{"report":"x"}}`+"\n"),
-		stagePayload(tb, h, open+`,"advice":[{"a":"b","report":"x"}]}`+"\n"),
-		stagePayload(tb, h, open+`,"report":"x","advice":"y"}`+"\n"),
-		stagePayload(tb, h, open+`,"report" :"x"}`+"\n"),
-		stagePayload(tb, h, open+`,"report": "x"}`+"\n"),
-		stagePayload(tb, h, open+`, "report":"x"}`+"\n"))
+		`,"report":1}` + "\n",
+		`,"report":["x"]}` + "\n",
+		`,"advice":{"report":"x"}}` + "\n",
+		`,"advice":[{"a":"b","report":"x"}]}` + "\n",
+		`,"report":"x","advice":"y"}` + "\n",
+		`,"report" :"x"}` + "\n",
+		`,"report": "x"}` + "\n",
+		`, "report":"x"}` + "\n",
+	} {
+		seeds = append(seeds, []byte(open+rest))
+	}
 	return seeds
 }
 
-// headerSeeds are payloads whose header the strict decoder reads but
-// encodePayload never writes, or writes only one way: each is a header
-// that a hand parser wrong in one respect gets wrong. The bodies fit,
-// so a header that passes leaves the rest of the decode to run.
-func headerSeeds() [][]byte {
+// openingSeeds are documents whose opening the strict decoder reads but
+// no run writes, or writes only one way: each is an opening that a hand
+// parser wrong in one respect gets wrong. The rest of each document
+// fits, so an opening that passes leaves the rest of the decode to run.
+func openingSeeds() [][]byte {
 	u := `\` + "u" // a \u escape, spelled so that no editor folds it into its character
-	measure := `{"cycles":120,"elapsedMs":1.5}` + "\n"
 	var seeds [][]byte
-	for _, hdr := range []string{
-		`{"elapsedMs":1.5,"cycles":120,"bodyLen":31}`, // canonical
-		`{"elapsedMs": 1.5,"cycles":120,"bodyLen":31}`,
-		` {"elapsedMs":1.5,"cycles":120,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":120,"bodyLen":31} `,
-		"{\"elapsedMs\":1.5,\"cycles\":120,\t\"bodyLen\":31}",
-		`{"cycles":120,"elapsedMs":1.5,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"bodyLen":31,"cycles":120}`,
-		`{"elapsedMs":1.5,"Cycles":120,"bodyLen":31}`,
-		`{"ElapsedMs":1.5,"cycles":120,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":120,"cycles":120,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":7,"cycles":120,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":120,"bodyLen":31,"bodyLen":31}`,
-		`{"elapsedMs":null,"cycles":120,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":120,"profileDigest":null,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":120,"kernel":"","bodyLen":31}`,
-		`{"elapsedMs":-0,"cycles":120,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":-0,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":120,"bodyLen":-0}`,
-		`{"elapsedMs":1.50,"cycles":120,"bodyLen":31}`,
-		`{"elapsedMs":15e-1,"cycles":120,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":1E2,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":1.2e2,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":120,"bodyLen":31.0}`,
-		`{"elapsedMs":1.5,"cycles":120,"bodyLen":3.1e1}`,
-		`{"elapsedMs":1.5,"cycles":9223372036854775807,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":9223372036854775808,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":120,"bodyLen":18446744073709551647}`,
-		`{"elapsedMs":1e999,"cycles":120,"bodyLen":31}`,
-		`{"elapsedMs":1.5,"cycles":120,"bodyLen":31}{}`,
-		`{"elapsedMs":1.5,"cycles":120,"bodyLen":31`,
+	for _, measure := range []string{
+		`{"cycles":120,"elapsedMs":1.5}`, // canonical
+		`{"cycles": 120,"elapsedMs":1.5}`,
+		` {"cycles":120,"elapsedMs":1.5}`,
+		`{"cycles":120,"elapsedMs":1.5} `,
+		"{\"cycles\":120,\t\"elapsedMs\":1.5}",
+		`{"elapsedMs":1.5,"cycles":120}`,
+		`{"Cycles":120,"elapsedMs":1.5}`,
+		`{"cycles":120,"ElapsedMs":1.5}`,
+		`{"cycles":120,"cycles":120,"elapsedMs":1.5}`,
+		`{"cycles":7,"cycles":120,"elapsedMs":1.5}`,
+		`{"cycles":120,"elapsedMs":1.5,"elapsedMs":1.5}`,
+		`{"cycles":null,"elapsedMs":1.5}`,
+		`{"cycles":120,"elapsedMs":null}`,
+		`{"cycles":120,"elapsedMs":1.5,"profileDigest":null}`,
+		`{"cycles":120,"elapsedMs":1.5,"profileDigest":""}`,
+		`{"cycles":120,"elapsedMs":-0}`,
+		`{"cycles":-0,"elapsedMs":1.5}`,
+		`{"cycles":120,"elapsedMs":1.50}`,
+		`{"cycles":120,"elapsedMs":15e-1}`,
+		`{"cycles":1E2,"elapsedMs":1.5}`,
+		`{"cycles":1.2e2,"elapsedMs":1.5}`,
+		`{"cycles":120.0,"elapsedMs":1.5}`,
+		`{"cycles":9223372036854775807,"elapsedMs":1.5}`,
+		`{"cycles":9223372036854775808,"elapsedMs":1.5}`,
+		`{"cycles":18446744073709551736,"elapsedMs":1.5}`,
+		`{"cycles":120,"elapsedMs":1e999}`,
+		`{"cycles":120,"elapsedMs":1e-7}`,
+		`{"cycles":120,"elapsedMs":1e-07}`,
+		// The longest number a run writes, and one digit more.
+		`{"cycles":120,"elapsedMs":-0.0000012345678901234567}`,
+		`{"cycles":120,"elapsedMs":-0.00000123456789012345678}`,
+		`{"cycles":120,"elapsedMs":1.5}{}`,
+		`{"cycles":120,"elapsedMs":1.5`,
 	} {
-		seeds = append(seeds, []byte(hdr+"\n"+measure))
+		seeds = append(seeds, []byte(measure+"\n"))
 	}
-	advice := `{"cycles":7,"elapsedMs":0.5,"profileDigest":"d","report":"GPA"}` + "\n"
-	for _, kernel := range []string{
-		`"k"`, `"a\"b"`, `"a\\b"`, `"a\/b"`, "\"\xc3\xa9\"", `"` + u + `00e9"`, `"` + u + `00E9"`,
+	for _, digest := range []string{
+		`"d"`, `"a\"b"`, `"a\\b"`, `"a\/b"`, "\"\xc3\xa9\"", `"` + u + `00e9"`, `"` + u + `00E9"`,
 		`"a&b"`, `"a` + u + `0026b"`, `"a<b>"`, `"a` + u + `003cb` + u + `003e"`, `"a` + u + `003Cb"`,
 		"\"a\xffb\"", `"a` + u + `fffdb"`, "\"\xef\xbf\xbd\"", `"` + u + `d83d` + u + `de00"`, `"` + u + `d83d"`,
 		"\"\xe2\x80\xa8\"", `"` + u + `2028"`, `"\n"`, `"` + u + `000a"`, `"` + u + `001f"`, `"` + u + `007f"`, "\"\x7f\"",
 		`""`, `null`, `7`,
 	} {
-		hdr := `{"elapsedMs":0.5,"cycles":7,"profileDigest":"d","kernel":` + kernel + fmt.Sprintf(`,"bodyLen":%d}`, len(advice))
-		seeds = append(seeds, []byte(hdr+"\n"+advice))
+		seeds = append(seeds, []byte(`{"cycles":7,"elapsedMs":0.5,"profileDigest":`+digest+`,"report":"GPA"}`+"\n"))
 	}
 	return seeds
 }
 
 // TestDecodeStageChecks pins one payload per check decodeStage makes:
-// each is a real payload, edited so that exactly that check fails.
+// each is a real payload, edited — or decoded under another entry — so
+// that exactly that check fails.
 func TestDecodeStageChecks(t *testing.T) {
 	payloads := runPayloads(t)
+	kernel := testRequest(t, KindAdvise).Launch.Entry
 	for _, p := range payloads {
 		for s := stMeasure; s <= stAdvice; s++ {
-			if _, err := decodeStage(s, p, store.Key{}); (err == nil) != bytes.Equal(p, payloads[s-stMeasure]) {
+			if _, err := decodeStage(s, p, kernel, store.Key{}); (err == nil) != bytes.Equal(p, payloads[s-stMeasure]) {
 				t.Errorf("decodeStage(%s) of a real %s payload: %v", stageNames[s], stageNames[s], err)
 			}
 		}
 	}
-	edit := func(s stageID, f func(h *payloadHeader, doc string) string) []byte {
-		h, doc, err := splitPayload(payloads[s-stMeasure])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stagePayload(t, h, f(&h, string(doc)))
-	}
+	edit := func(s stageID, f func(doc string) string) []byte { return []byte(f(string(payloads[s-stMeasure]))) }
+	digestOf := func(doc string) string { _, _, d, _, _ := parseOpen([]byte(doc)); return d }
 	prof := func(doc string) string { return doc[strings.Index(doc, `,"profile":`)+len(`,"profile":`) : len(doc)-2] }
 	for name, c := range map[string]struct {
 		s       stageID
 		payload []byte
+		kernel  string
 		ok      bool
 	}{
-		"measure/extra field": {stMeasure, edit(stMeasure, func(_ *payloadHeader, doc string) string {
+		"measure/extra field": {stMeasure, edit(stMeasure, func(doc string) string {
 			return strings.TrimSuffix(doc, "}\n") + `,"report":"r"}` + "\n"
-		}), false},
-		"measure/other cycles": {stMeasure, edit(stMeasure, func(h *payloadHeader, doc string) string { h.Cycles++; return doc }), false},
-		"profile/digest": {stProfile, edit(stProfile, func(h *payloadHeader, doc string) string {
-			d := strings.Repeat("0", 64)
-			doc = strings.Replace(doc, h.ProfileDigest, d, 1)
-			h.ProfileDigest = d
-			return doc
-		}), false},
-		"profile/kernel": {stProfile, edit(stProfile, func(h *payloadHeader, doc string) string { h.Kernel += "x"; return doc }), false},
-		"profile/not one value": {stProfile, edit(stProfile, func(h *payloadHeader, doc string) string {
+		}), kernel, false},
+		"measure/non-canonical opening": {stMeasure, edit(stMeasure, func(doc string) string {
+			return strings.Replace(doc, `"cycles":`, `"cycles": `, 1)
+		}), kernel, false},
+		"profile/digest": {stProfile, edit(stProfile, func(doc string) string {
+			return strings.Replace(doc, digestOf(doc), strings.Repeat("0", 64), 1)
+		}), kernel, false},
+		"profile/kernel": {stProfile, payloads[stProfile-stMeasure], kernel + "x", false},
+		"profile/not one value": {stProfile, edit(stProfile, func(doc string) string {
 			p := prof(doc)
 			sum := sha256.Sum256([]byte(p + `,"x":1`))
-			d := hex.EncodeToString(sum[:])
-			return strings.Replace(strings.Replace(doc, p, p+`,"x":1`, 1), h.ProfileDigest, d, 1)
-		}), false},
-		"advice/empty report": {stAdvice, edit(stAdvice, func(_ *payloadHeader, doc string) string {
+			return strings.Replace(strings.Replace(doc, p, p+`,"x":1`, 1), digestOf(doc), hex.EncodeToString(sum[:]), 1)
+		}), kernel, false},
+		"advice/empty report": {stAdvice, edit(stAdvice, func(doc string) string {
 			return doc[:strings.LastIndex(doc, `,"report":"`)] + `,"report":""}` + "\n"
-		}), false},
-		"advice/report ends in an escaped quote": {stAdvice, edit(stAdvice, func(_ *payloadHeader, doc string) string {
+		}), kernel, false},
+		"advice/report ends in an escaped quote": {stAdvice, edit(stAdvice, func(doc string) string {
 			return doc[:strings.LastIndex(doc, `,"report":"`)] + `,"report":"say \"GPA\""}` + "\n"
-		}), true},
-		"advice/no report": {stAdvice, edit(stAdvice, func(_ *payloadHeader, doc string) string {
+		}), kernel, true},
+		"advice/no report": {stAdvice, edit(stAdvice, func(doc string) string {
 			return doc[:strings.LastIndex(doc, `,"report":"`)] + "}\n"
-		}), false},
-		"advice/unfinished": {stAdvice, edit(stAdvice, func(_ *payloadHeader, doc string) string { return doc[:len(doc)-3] }), false},
+		}), kernel, false},
+		"advice/unfinished": {stAdvice, edit(stAdvice, func(doc string) string { return doc[:len(doc)-3] }), kernel, false},
 	} {
-		if _, err := decodeStage(c.s, c.payload, store.Key{}); (err == nil) != c.ok {
+		if _, err := decodeStage(c.s, c.payload, c.kernel, store.Key{}); (err == nil) != c.ok {
 			t.Errorf("%s: decodeStage says %v, want accepted=%v", name, err, c.ok)
 		}
-		if decodeStageRef(c.s, c.payload) != c.ok {
+		if decodeStageRef(c.s, c.payload, c.kernel) != c.ok {
 			t.Errorf("%s: decodeStageRef disagrees, want accepted=%v", name, c.ok)
 		}
 	}
 }
 
-// FuzzStageEnvelopeDecode throws arbitrary payload bytes at the stage
-// decoder, as each stage, and at the lazy struct decode behind it: it
-// may not panic, it accepts exactly what decodeStageRef does, and
-// anything accepted must be internally consistent (the validation
-// invariants the engine relies on before trusting a store-served
-// artifact): a document that is valid JSON, opens as the header
-// declares and is served as its own tail. On the way it holds the
-// header parse to the strict decoder (checkHeader) and, on any valid
-// body, hasReport at the validator's offset to the backward scan.
+// FuzzStageEnvelopeDecode throws arbitrary documents at the stage
+// decoder, as each stage under an arbitrary entry, and at the lazy
+// struct decode behind it: it may not panic, it accepts exactly what
+// decodeStageRef does, and anything accepted must be internally
+// consistent (the validation invariants the engine relies on before
+// trusting a store-served artifact): a document that is valid JSON,
+// opens with the values the response reports and is served, uncopied,
+// as its own tail. On the way it holds the opening parse to the strict
+// decoder (checkOpen) and, on any valid document, hasReport at the
+// validator's offset to the backward scan.
 func FuzzStageEnvelopeDecode(f *testing.F) {
-	f.Add([]byte(`{"elapsedMs":1.5,"cycles":120,"bodyLen":32}` + "\n" + `{"cycles":120,"elapsedMs":1.5}` + "\n"))
-	f.Add([]byte(`{"elapsedMs":1.5,"cycles":120,"bodyLen":0}` + "\n"))
 	prof := `{"kernel":"vecscale","cycles":9}`
 	sum := sha256.Sum256([]byte(prof))
 	d := hex.EncodeToString(sum[:])
-	f.Add(stagePayload(f, payloadHeader{ElapsedMS: 2, Cycles: 9, ProfileDigest: d, Kernel: "vecscale"},
-		`{"cycles":9,"elapsedMs":2,"profileDigest":"`+d+`","profile":`+prof+"}\n"))
-	f.Add([]byte(`{}`))
-	f.Add([]byte("null\n"))
-	f.Add([]byte(`{"elapsedMs":0,"cycles":-1,"bodyLen":0}` + "\n"))
-	f.Add([]byte(`{"elapsedMs":0,"cycles":1,"bodyLen":0}{"cycles":2}` + "\n")) // trailing header data
-	f.Add([]byte(`{"elapsedMs":0,"cycles":1,"bodyLen":0,"unknown":true}` + "\n"))
-	for _, payload := range append(append(adviceSeeds(f), headerSeeds()...), runPayloads(f)...) {
-		f.Add(payload)
+	for _, doc := range []string{
+		`{"cycles":120,"elapsedMs":1.5}` + "\n",
+		`{"cycles":120,"elapsedMs":1.5}`,
+		`{"cycles":9,"elapsedMs":2,"profileDigest":"` + d + `","profile":` + prof + "}\n",
+		`{}`,
+		"null\n",
+		`{"cycles":-1,"elapsedMs":0}` + "\n",
+		`{"cycles":1,"elapsedMs":0}{"cycles":2}` + "\n", // trailing data
+		`{"cycles":1,"elapsedMs":0,"unknown":true}` + "\n",
+	} {
+		f.Add([]byte(doc), "vecscale")
+	}
+	for _, doc := range append(append(adviceSeeds(), openingSeeds()...), runPayloads(f)...) {
+		f.Add(doc, "vecscale")
 	}
 
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		checkHeader(t, payload)
-		body := payload[bytes.IndexByte(payload, '\n')+1:] // all of it without a header line
-		if last, ok := validDoc(body); ok {
-			if got, want := hasReport(body, last), hasReportRef(body); got != want {
-				t.Fatalf("hasReport(%.200q) at %d = %v, the backward scan says %v", body, last, got, want)
+	f.Fuzz(func(t *testing.T, doc []byte, kernel string) {
+		checkOpen(t, doc)
+		if last, ok := validDoc(doc); ok {
+			if got, want := hasReport(doc, last), hasReportRef(doc); got != want {
+				t.Fatalf("hasReport(%.200q) at %d = %v, the backward scan says %v", doc, last, got, want)
 			}
 		}
 		for s := stMeasure; s <= stAdvice; s++ {
-			resp, err := decodeStage(s, payload, store.Key{})
-			if ref := decodeStageRef(s, payload); (err == nil) != ref {
+			resp, err := decodeStage(s, doc, kernel, store.Key{})
+			if ref := decodeStageRef(s, doc, kernel); (err == nil) != ref {
 				t.Fatalf("decodeStage(%s) says %v, its reference accepted=%v", stageNames[s], err, ref)
 			}
 			if err != nil {
 				continue
 			}
-			open := fmt.Sprintf(`{"cycles":%d,`, resp.Cycles)
-			if resp.Kind != Kind(s-stMeasure) || resp.Cycles < 0 || !json.Valid(resp.doc) ||
-				!bytes.HasPrefix(resp.doc, []byte(open)) || !bytes.Equal(resp.Tail(), resp.doc[1:]) {
+			cycles, elapsed, digest, _, _ := openRef(doc)
+			if resp.Kind != Kind(s-stMeasure) || resp.Cycles < 0 || !json.Valid(resp.doc) || resp.Cycles != cycles ||
+				math.Float64bits(resp.ElapsedMS) != math.Float64bits(elapsed) || resp.ProfileDigest != digest ||
+				&resp.Tail()[0] != &doc[1] {
 				t.Fatalf("decodeStage(%s) accepted an invalid artifact", stageNames[s])
 			}
 			switch s {
 			case stProfile:
 				pa := resp.prof
 				sum := sha256.Sum256(pa.body)
-				if pa.kernel == "" || !json.Valid(pa.body) || hex.EncodeToString(sum[:]) != resp.ProfileDigest {
+				if pa.kernel != kernel || !json.Valid(pa.body) || hex.EncodeToString(sum[:]) != resp.ProfileDigest {
 					t.Fatal("decodeStage accepted an invalid profile")
 				}
-				if prof, err := pa.profile(fuzzEngine); err == nil && (prof.Kernel != pa.kernel || prof.Cycles != resp.Cycles) {
-					t.Fatal("a stored profile decoded to another than its header declared")
+				if prof, err := pa.profile(fuzzEngine); err == nil && (prof.Kernel != kernel || prof.Cycles != resp.Cycles) {
+					t.Fatal("a stored profile decoded to another than its document declared")
 				}
 			case stAdvice:
 				aa := resp.adv
-				if aa.kernel == "" || resp.ProfileDigest == "" {
+				if aa.kernel != kernel || resp.ProfileDigest == "" {
 					t.Fatal("decodeStage accepted an advice of nothing")
 				}
-				if advice, report, err := aa.decoded(fuzzEngine, resp.doc); err == nil && (advice.Kernel != aa.kernel || report == "") {
+				if advice, report, err := aa.decoded(fuzzEngine, resp.doc); err == nil && (advice.Kernel != kernel || report == "") {
 					t.Fatal("a stored advice decoded to no report")
 				}
 			}
@@ -407,17 +402,13 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 }
 
 // FuzzValidJSON holds validJSON to encoding/json.Valid on any input. The
-// seeds are the real stage bodies and every edge of the grammar: each
+// seeds are the real stage documents and every edge of the grammar: each
 // is one that a validator wrong in one respect — a control byte let
 // through, a leading zero, a string tail left unchecked, one nesting
 // level too many — gets wrong.
 func FuzzValidJSON(f *testing.F) {
 	for _, payload := range runPayloads(f) {
-		_, body, err := splitPayload(payload)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(body)
+		f.Add(payload)
 	}
 	for _, n := range []int{maxNesting, maxNesting + 1} {
 		f.Add([]byte(strings.Repeat("[", n) + strings.Repeat("]", n)))
@@ -475,86 +466,80 @@ func FuzzValidJSON(f *testing.F) {
 	})
 }
 
-// FuzzStagePayloadFraming pins the framing every stage payload shares:
-// what encodePayload frames, splitPayload returns — the same header,
-// the same body bytes, aliased, not copied — and no other length of the
-// same bytes is accepted, so a torn or padded blob can never be taken
-// for a shorter or longer artifact. What encodePayload and a decoded
-// document's opening write, with strconv and by hand, is what
-// encoding/json writes for the same values, and neither writes a value
-// that has no JSON form. The body, taken as a payload of its own, holds
-// the header parse to the strict decoder (checkHeader).
+// FuzzStagePayloadFraming pins the opening every stage payload shares:
+// what appendOpen writes, with strconv and by hand, is what encoding/json
+// writes for the same values, and so is what AppendString writes for any
+// string; parseOpen reads it back as the same values, in the document of
+// a measure or of an advice, which decodeStage serves uncopied; a count
+// below zero or a digest that needs an escape is never read back; and no
+// torn or padded copy of the document is accepted. doc, taken as a
+// document of its own, holds parseOpen to the strict decoder
+// (checkOpen).
 func FuzzStagePayloadFraming(f *testing.F) {
 	f.Add(1.25, int64(1280), "", "", []byte(nil), uint16(7))
-	f.Add(0.0, int64(9), "", "vecscale", []byte(`{"kernel":"vecscale","cycles":9}`), uint16(60))
+	f.Add(0.0, int64(9), strings.Repeat("ab", 32), "vecscale", []byte(`{"cycles":9,"elapsedMs":0}`+"\n"), uint16(60))
 	for _, payload := range runPayloads(f) {
-		h, body, err := splitPayload(payload)
-		if err != nil {
-			f.Fatal(err)
+		cycles, elapsed, digest, _, ok := parseOpen(payload)
+		if !ok {
+			f.Fatalf("a run wrote the non-canonical opening of %.80q", payload)
 		}
-		f.Add(h.ElapsedMS, h.Cycles, h.ProfileDigest, h.Kernel, body, uint16(len(payload)/2))
+		f.Add(elapsed, cycles, digest, "vecscale", payload, uint16(len(payload)/2))
 	}
 	// Each side of encoding/json's exponent cutoffs, negative zero,
-	// subnormals, the extremes, and what has no JSON form.
+	// subnormals, the extremes, the longest a float64 is written, and what
+	// has no JSON form.
 	for _, elapsed := range []float64{1e-6, 1e-7, 9.999999999999999e-7, 1e20, 1e21, 123456789e13, -1e21, -1.5e-9,
 		math.Copysign(0, -1), 5e-324, 2.2250738585072009e-308, math.SmallestNonzeroFloat64 * 3, math.MaxFloat64, -math.MaxFloat64,
-		math.NaN(), math.Inf(1), math.Inf(-1)} {
+		-1.2345678901234567e-6, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		f.Add(elapsed, int64(math.MinInt64), "", "", []byte(nil), uint16(0))
 	}
 	f.Add(0.5, int64(math.MaxInt64), "d<>&", "k\"\\\x00\x1f\x7f\xe2\x80\xa8\xe2\x80\xa9\xc3\xa9\xff", []byte(nil), uint16(3))
-	for _, payload := range headerSeeds() {
-		f.Add(1.0, int64(1), "", "", payload, uint16(0))
+	// Each byte or rune a string encoder must escape, or must not, alone.
+	for _, r := range []string{"<", ">", "&", `"`, `\`, "\x00", "\x1f", "\x7f", "\xc3\xa9", "\xff", "\xe2\x80\xa8", "\xe2\x80\xa9"} {
+		f.Add(1.5, int64(120), "d"+r, "k"+r, []byte(nil), uint16(5))
+	}
+	for _, doc := range openingSeeds() {
+		f.Add(1.0, int64(1), "", "", doc, uint16(0))
 	}
 
-	f.Fuzz(func(t *testing.T, elapsed float64, cycles int64, digest, kernel string, body []byte, cut uint16) {
-		checkHeader(t, body)
-		open, jsonErr := json.Marshal(wireTail{Cycles: cycles, ElapsedMS: elapsed, ProfileDigest: digest})
-		want := payloadHeader{ElapsedMS: elapsed, Cycles: cycles, ProfileDigest: digest, Kernel: kernel}
-		payload, err := encodePayload(want, body)
-		if (err == nil) != (jsonErr == nil) {
-			t.Fatalf("encodePayload of elapsedMs %v says %v, encoding/json says %v", elapsed, err, jsonErr)
-		}
+	f.Fuzz(func(t *testing.T, elapsed float64, cycles int64, digest, kernel string, doc []byte, cut uint16) {
+		checkOpen(t, doc)
+		ref, err := json.Marshal(wireTail{Cycles: cycles, ElapsedMS: elapsed, ProfileDigest: digest})
 		if err != nil {
-			return // a NaN or infinite elapsed has no JSON form: never put
+			return // a NaN or infinite elapsed has no JSON form: no run writes one
 		}
-		if got := appendOpen(nil, cycles, elapsed, digest); !bytes.Equal(got, open[:len(open)-len("}")]) {
-			t.Fatalf("appendOpen wrote %q, encoding/json %q", got, open)
+		open := appendOpen(nil, cycles, elapsed, digest)
+		if !bytes.Equal(open, ref[:len(ref)-len("}")]) {
+			t.Fatalf("appendOpen wrote %q, encoding/json %q", open, ref)
 		}
-		if name, _ := json.Marshal(kernel); !bytes.Equal(appendString(nil, kernel), name) {
-			t.Fatalf("appendString wrote %q, encoding/json %q", appendString(nil, kernel), name)
-		}
-		checkHeader(t, payload)
-		if !utf8.ValidString(digest) || !utf8.ValidString(kernel) {
-			// Invalid UTF-8 is written as U+FFFD's escape, which reads back
-			// as U+FFFD, written raw: never canonical, so never read back.
-			// Names reach a header out of JSON or the assembler's ASCII.
-			return
-		}
-		h, got, err := splitPayload(payload)
-		headerLen := len(payload) - len(body) - 1
-		if cycles < 0 || headerLen > maxHeaderBytes {
-			if err == nil {
-				t.Fatalf("accepted a payload of %d cycles under a %d-byte header", cycles, headerLen)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("round trip: %v", err)
-		}
-		want.BodyLen = len(body)
-		if h != want {
-			t.Fatalf("header mutated: %+v -> %+v", want, h)
-		}
-		if !bytes.Equal(got, body) || (len(body) > 0 && &got[0] != &payload[headerLen+1]) {
-			t.Fatal("body mutated or copied")
-		}
-		if n := int(cut) % len(payload); n < len(payload) {
-			if _, _, err := splitPayload(payload[:n]); err == nil {
-				t.Fatalf("accepted the payload torn at %d of %d bytes", n, len(payload))
+		for _, s := range []string{digest, kernel} {
+			if want, _ := json.Marshal(s); !bytes.Equal(AppendString(nil, s), want) {
+				t.Fatalf("AppendString wrote %q, encoding/json %q", AppendString(nil, s), want)
 			}
 		}
-		if _, _, err := splitPayload(append(payload[:len(payload):len(payload)], 'x')); err == nil {
-			t.Fatal("accepted the payload with a byte appended")
+		s, own := stMeasure, append(open, tailClose...)
+		if digest != "" {
+			s, own = stAdvice, append(open, `,"report":"GPA"`+tailClose...)
+		}
+		checkOpen(t, own)
+		resp, err := decodeStage(s, own, kernel, store.Key{})
+		verbatim := string(AppendString(nil, digest)) == `"`+digest+`"`
+		if (err == nil) != (cycles >= 0 && verbatim) {
+			t.Fatalf("decodeStage(%s) of %q says %v", stageNames[s], own, err)
+		}
+		if err == nil && (resp.Cycles != cycles || math.Float64bits(resp.ElapsedMS) != math.Float64bits(elapsed) ||
+			resp.ProfileDigest != digest || &resp.doc[0] != &own[0]) {
+			t.Fatalf("round trip: %d, %v, %q -> %d, %v, %q, or the document was copied",
+				cycles, elapsed, digest, resp.Cycles, resp.ElapsedMS, resp.ProfileDigest)
+		}
+		n := int(cut) % len(own)
+		if _, err := decodeStage(s, own[:n], kernel, store.Key{}); err == nil {
+			t.Fatalf("accepted the document torn at %d of %d bytes", n, len(own))
+		}
+		for _, padded := range [][]byte{append(own[:len(own):len(own)], 'x'), append([]byte(" "), own...)} {
+			if _, err := decodeStage(s, padded, kernel, store.Key{}); err == nil {
+				t.Fatalf("accepted the padded document %q", padded)
+			}
 		}
 	})
 }
@@ -573,23 +558,19 @@ func FuzzProfileEnvelopeRoundTrip(f *testing.F) {
 			return // not a profile: nothing would have put it
 		}
 		sum := sha256.Sum256([]byte(profileJSON))
-		h := payloadHeader{ElapsedMS: elapsed, Cycles: prof.Cycles, ProfileDigest: hex.EncodeToString(sum[:]), Kernel: prof.Kernel}
-		open, err := json.Marshal(wireTail{Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest})
+		digest := hex.EncodeToString(sum[:])
+		open, err := json.Marshal(wireTail{Cycles: prof.Cycles, ElapsedMS: elapsed, ProfileDigest: digest})
 		if err != nil {
 			return
 		}
-		payload, err := encodePayload(h, append(open[:len(open)-1], `,"profile":`+profileJSON+"}\n"...))
+		pv, err := decodeStage(stProfile, append(open[:len(open)-1], `,"profile":`+profileJSON+"}\n"...), prof.Kernel, store.Key{})
 		if err != nil {
-			return
-		}
-		pv, err := decodeStage(stProfile, payload, store.Key{})
-		if err != nil {
-			return // decoder rejected it (no kernel name, not canonical): fine
+			return // decoder rejected it (not canonical, not one value): fine
 		}
 		if pv.ElapsedMS != elapsed || pv.Cycles != prof.Cycles {
-			t.Fatalf("header mutated: %v, %d -> %v, %d", elapsed, prof.Cycles, pv.ElapsedMS, pv.Cycles)
+			t.Fatalf("opening mutated: %v, %d -> %v, %d", elapsed, prof.Cycles, pv.ElapsedMS, pv.Cycles)
 		}
-		if pv.ProfileDigest != h.ProfileDigest || !bytes.Equal(pv.prof.body, []byte(profileJSON)) {
+		if pv.ProfileDigest != digest || !bytes.Equal(pv.prof.body, []byte(profileJSON)) {
 			t.Fatal("digest is not the SHA-256 of the stored profile bytes")
 		}
 		if got, err := pv.prof.profile(fuzzEngine); err != nil || got.Kernel != prof.Kernel {

@@ -415,7 +415,7 @@ func TestPanicContainedAtFlightBoundary(t *testing.T) {
 	})
 	t.Run("disk probe", func(t *testing.T) {
 		const n = 4
-		e, resps, errs := diskOnlyFlight(t, n, func(stageID, []byte, store.Key) (*Response, error) { panic("decoder bug") })
+		e, resps, errs := diskOnlyFlight(t, n, func(stageID, []byte, string, store.Key) (*Response, error) { panic("decoder bug") })
 		for i, err := range errs {
 			if !errors.Is(err, apierr.ErrInternal) || resps[i] != nil {
 				t.Errorf("waiter %d = %v, %v; want nil and ErrInternal", i, resps[i], err)

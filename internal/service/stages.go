@@ -8,9 +8,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 	"sync"
-	"unicode/utf8"
 
 	"gpa/internal/apierr"
 	"gpa/internal/gpusim"
@@ -27,7 +25,7 @@ import (
 // field encoding invalidates stored artifacts. Blobs written under
 // another schema are misses by construction (the framing rejects them),
 // never misreads.
-const stageSchema = "gpa-stage/3+" + digestSchema
+const stageSchema = "gpa-stage/4+" + digestSchema
 
 // OpenDisk opens (creating if needed) an on-disk artifact store at dir
 // under this build's stage schema.
@@ -45,165 +43,85 @@ type frontendArtifact struct {
 	structure func() (*structure.Structure, error)
 }
 
-// Stage blob payloads share one framing: a header — one line of compact
-// JSON in the one form appendHeader writes — a newline, then exactly
-// BodyLen raw body bytes. The header carries every scalar a response
-// needs, so building the shared response parses some hundred bytes
-// whatever the body weighs. The body is the stage's wire tail document
-// (a wireTail, compactly encoded), so every response — measure, profile
-// or advice, leader or hit, from memory or from disk — serves the bytes
-// after tailOpen as they are:
+// A stage payload is the document of the response it serves: the
+// stage's wire tail (a wireTail, compactly encoded) with its opening
+// brace, so every response — measure, profile or advice, leader or hit,
+// from memory or from disk — serves the bytes after tailOpen as they
+// are, and a run stores the bytes it encoded. The scalars a response
+// reports are read back from the document's opening (parseOpen); the
+// store's frame carries the payload's length and checksum, and the
+// kernel is the request's entry, which every stage key hashes:
 //
-//	measure: cycles, elapsedMs; the body is {"cycles":…,"elapsedMs":…}
-//	profile: cycles, elapsedMs, profileDigest, kernel; the body ends in
-//	         "profile":<the canonical compact profile JSON>, whose
-//	         SHA-256 is the profile digest
-//	advice:  cycles, elapsedMs, profileDigest, kernel; the body ends in
-//	         the advice entries and the report text
-type payloadHeader struct {
-	ElapsedMS     float64 `json:"elapsedMs"`
-	Cycles        int64   `json:"cycles"`
-	ProfileDigest string  `json:"profileDigest,omitempty"`
-	Kernel        string  `json:"kernel,omitempty"`
-	BodyLen       int     `json:"bodyLen"`
-}
+//	measure: {"cycles":…,"elapsedMs":…}
+//	profile: the opening and its profileDigest, then "profile":<the
+//	         canonical compact profile JSON>, whose SHA-256 is the digest
+//	advice:  the opening and its profileDigest, then the advice entries
+//	         and the report text
 
-// maxHeaderBytes bounds the header line (a mangled kernel name is its
-// only part of variable size), so a forged blob cannot make the parser
-// chew on megabytes.
-const maxHeaderBytes = 4096
+// maxNumberBytes bounds a number token in a document's opening: the
+// longest a float64 is written is 25 bytes, "-0.0000012345678901234567",
+// so a forged blob cannot make the parser chew on megabytes of digits.
+const maxNumberBytes = 25
 
-// encodePayload frames body under h.
-func encodePayload(h payloadHeader, body []byte) ([]byte, error) {
-	if math.IsNaN(h.ElapsedMS) || math.IsInf(h.ElapsedMS, 0) {
-		return nil, fmt.Errorf("service: %w: stage payload header: elapsedMs %v has no JSON form", apierr.ErrInternal, h.ElapsedMS)
-	}
-	h.BodyLen = len(body)
-	out := appendHeader(make([]byte, 0, 192+len(body)), h)
-	out = append(out, '\n')
-	return append(out, body...), nil
-}
-
-// appendHeader appends h as encoding/json.Marshal writes it: the fields
-// in declaration order, the empty strings left out.
-func appendHeader(dst []byte, h payloadHeader) []byte {
-	dst = appendFloat(append(dst, `{"elapsedMs":`...), h.ElapsedMS)
-	dst = strconv.AppendInt(append(dst, `,"cycles":`...), h.Cycles, 10)
-	if h.ProfileDigest != "" {
-		dst = appendString(append(dst, `,"profileDigest":`...), h.ProfileDigest)
-	}
-	if h.Kernel != "" {
-		dst = appendString(append(dst, `,"kernel":`...), h.Kernel)
-	}
-	dst = strconv.AppendInt(append(dst, `,"bodyLen":`...), int64(h.BodyLen), 10)
-	return append(dst, '}')
-}
-
-// parseHeader reads a header line in the one form appendHeader writes:
-// the keys in order, no whitespace, every number and string as
+// parseOpen reads the scalars doc opens with, in the one form appendOpen
+// writes: the keys in order, no whitespace, every number and string as
 // encoding/json renders it. It cuts each token out with the validator's
-// scanners and parses it leniently, then accepts the line only if
-// re-encoding the values gives back its bytes exactly, so it need not
-// know what else JSON allows. A header the strict encoding/json decoder
-// accepts in another form — reordered, spaced, escaped otherwise — is
-// rejected: the store's writers never wrote one.
-func parseHeader(line []byte) (h payloadHeader, ok bool) {
-	elapsed, rest := headerToken(line, `{"elapsedMs":`, false)
-	cycles, rest := headerToken(rest, `,"cycles":`, false)
-	digest, rest := headerToken(rest, `,"profileDigest":`, true)
-	kernel, rest := headerToken(rest, `,"kernel":`, true)
-	bodyLen, _ := headerToken(rest, `,"bodyLen":`, false)
+// scanners and parses it leniently, then accepts the opening only if
+// appendOpen gives back its bytes exactly, so it need not know what else
+// JSON allows. An opening the strict encoding/json decoder reads in
+// another form — reordered, spaced, escaped otherwise — is rejected: no
+// run wrote one. The digest is taken as it stands between its quotes;
+// any escape in it fails the comparison. rest is what follows the
+// opening.
+func parseOpen(doc []byte) (cycles int64, elapsed float64, digest string, rest []byte, ok bool) {
+	c, rest := openToken(doc, `{"cycles":`, false)
+	e, rest := openToken(rest, `,"elapsedMs":`, false)
+	d, rest := openToken(rest, `,"profileDigest":`, true)
 	// A token that is missing or out of range does not re-encode to
 	// itself, so the comparison below is the only check the parses need.
-	h.ElapsedMS, _ = strconv.ParseFloat(string(elapsed), 64)
-	h.Cycles, _ = strconv.ParseInt(string(cycles), 10, 64)
-	h.BodyLen, _ = strconv.Atoi(string(bodyLen))
-	h.ProfileDigest, h.Kernel = unquote(digest), unquote(kernel)
-	var buf [256]byte
-	return h, bytes.Equal(appendHeader(buf[:0], h), line)
+	cycles, _ = strconv.ParseInt(string(c), 10, 64)
+	elapsed, _ = strconv.ParseFloat(string(e), 64)
+	if len(d) >= len(`""`) {
+		digest = string(d[1 : len(d)-1])
+	}
+	var buf [128]byte
+	open := appendOpen(buf[:0], cycles, elapsed, digest)
+	return cycles, elapsed, digest, rest, len(open) == len(doc)-len(rest) && bytes.HasPrefix(doc, open)
 }
 
-// headerToken cuts key and the token behind it, a string if str and a
-// number otherwise, off the front of line; if line does not open so, the
-// token is nil and rest is line.
-func headerToken(line []byte, key string, str bool) (tok, rest []byte) {
-	rest, ok := bytes.CutPrefix(line, []byte(key))
+// openToken cuts key and the token behind it, a string if str and a
+// number of at most maxNumberBytes otherwise, off the front of doc; if
+// doc does not open so, the token is nil and rest is doc.
+func openToken(doc []byte, key string, str bool) (tok, rest []byte) {
+	rest, ok := bytes.CutPrefix(doc, []byte(key))
 	n := -1
 	switch {
 	case !ok || len(rest) == 0:
 	case !str:
-		n = scanNumber(rest, 0)
+		n = scanNumber(rest[:min(len(rest), maxNumberBytes)], 0)
 	case rest[0] == '"':
 		n = scanString(rest, 1)
 	}
 	if n < 0 {
-		return nil, line
+		return nil, doc
 	}
 	return rest[:n], rest[n:]
 }
 
-// unquote decodes tok, a string token scanString accepted, or nil for
-// "". It decodes every escape appendString writes; what else it is
-// given it decodes to a string whose encoding is not tok — a lone
-// surrogate to U+FFFD, "\/" to "/" — which parseHeader then rejects.
-func unquote(tok []byte) string {
-	if len(tok) < 2 {
-		return ""
-	}
-	s := tok[1 : len(tok)-1]
-	if bytes.IndexByte(s, '\\') < 0 {
-		return string(s)
-	}
-	out := make([]byte, 0, len(s))
+// AppendString appends s as encoding/json writes a string. The strings
+// this is given (entry names, registry keys, validated trace IDs, hex
+// digests) are plain ASCII in practice and are copied between quotes;
+// anything else goes through encoding/json itself, so escaping can never
+// disagree with it.
+func AppendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if s[i] != '\\' {
-			out = append(out, s[i])
-			continue
-		}
-		switch i++; s[i] {
-		case 'u':
-			r, _ := strconv.ParseUint(string(s[i+1:i+5]), 16, 32)
-			out = utf8.AppendRune(out, rune(r))
-			i += 4
-		case 'b', 'f', 'n', 'r', 't':
-			out = append(out, "\b\f\n\r\t"[strings.IndexByte("bfnrt", s[i])])
-		default: // '"', '\\', '/'
-			out = append(out, s[i])
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(dst, quoted...)
 		}
 	}
-	return string(out)
-}
-
-// appendString appends s as encoding/json writes a string: '<', '>' and
-// '&' escaped for HTML, invalid UTF-8 as U+FFFD, and U+2028 and U+2029
-// escaped.
-func appendString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c >= utf8.RuneSelf {
-			r, n := utf8.DecodeRuneInString(s[i:])
-			switch {
-			case r == utf8.RuneError && n == 1:
-				dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			case r == 0x2028 || r == 0x2029:
-				dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
-			default:
-				dst = append(dst, s[i:i+n]...)
-			}
-			i += n
-			continue
-		}
-		i++
-		if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-			dst = append(dst, c)
-		} else if k := strings.IndexByte("\"\\\b\f\n\r\t", c); k >= 0 {
-			dst = append(dst, '\\', `"\bfnrt`[k])
-		} else {
-			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-		}
-	}
+	dst = append(dst, s...)
 	return append(dst, '"')
 }
 
@@ -221,31 +139,6 @@ func appendFloat(dst []byte, f float64) []byte {
 		dst = dst[:n-1]
 	}
 	return dst
-}
-
-// splitPayload undoes encodePayload. A header in any form but the one
-// encodePayload writes, and a body of another length than the header
-// declares, are corruption, not forward compatibility — cross-version
-// compatibility is the schema string's job. body aliases payload.
-//
-//gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup, and resolve wraps the one a run's own payload could raise in ErrInternal; none crosses the service boundary untyped
-func splitPayload(payload []byte) (h payloadHeader, body []byte, err error) {
-	nl := bytes.IndexByte(payload, '\n')
-	if nl < 0 || nl > maxHeaderBytes {
-		return h, nil, fmt.Errorf("service: stage payload has no header line")
-	}
-	h, ok := parseHeader(payload[:nl])
-	if !ok {
-		return h, nil, fmt.Errorf("service: stage payload header is not in its canonical form")
-	}
-	body = payload[nl+1:]
-	if h.BodyLen != len(body) {
-		return h, nil, fmt.Errorf("service: stage payload body is %d bytes, header declares %d", len(body), h.BodyLen)
-	}
-	if h.Cycles < 0 {
-		return h, nil, fmt.Errorf("service: negative cycle count in stage payload")
-	}
-	return h, body, nil
 }
 
 // wireTail is the part of a gpa-result/3 body that no request can
@@ -294,7 +187,7 @@ func appendOpen(dst []byte, cycles int64, elapsed float64, digest string) []byte
 	dst = strconv.AppendInt(append(dst, `{"cycles":`...), cycles, 10)
 	dst = appendFloat(append(dst, `,"elapsedMs":`...), elapsed)
 	if digest != "" {
-		dst = appendString(append(dst, `,"profileDigest":`...), digest)
+		dst = AppendString(append(dst, `,"profileDigest":`...), digest)
 	}
 	return dst
 }
@@ -353,13 +246,14 @@ type adviceArtifact struct {
 	paErr   error
 }
 
-// decodeStage validates a payload of stage s and builds the shared
-// response it serves, without decoding any struct; only Engine.publish
-// calls it. The document must open exactly as the header's scalars
-// encode (so what the response reports and what its tail says cannot
-// differ) and be one JSON value; past that opening a measure carries
-// nothing, a profile carries a profile of the header's kernel whose
-// SHA-256 is the digest the header declares, and an advice ends in a
+// decodeStage validates doc, a payload of stage s, and builds the
+// shared response it serves, without decoding any struct or copying the
+// document; only Engine.publish calls it. The document must open in its
+// canonical form (parseOpen), with the fields its stage has (so what the
+// response reports and what its tail says cannot differ), and be one
+// JSON value; past that opening a measure carries nothing, a profile
+// carries a profile of kernel — the entry the request launches — whose
+// SHA-256 is the digest the opening declares, and an advice ends in a
 // non-empty report. profKey names the profile an advice blames, for the
 // day somebody asks. JSON validity is checked by validJSON, which
 // accepts exactly what encoding/json.Valid does at a fraction of its
@@ -368,55 +262,42 @@ type adviceArtifact struct {
 // none of it goes through encoding/json.
 //
 //gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup, and resolve wraps the one a run's own payload could raise in ErrInternal; none crosses the service boundary untyped
-func decodeStage(s stageID, payload []byte, profKey store.Key) (*Response, error) {
-	h, doc, err := splitPayload(payload)
-	if err != nil {
-		return nil, err
-	}
-	if scalarOnly := s == stMeasure; (h.Kernel == "") != scalarOnly || (h.ProfileDigest == "") != scalarOnly {
-		return nil, fmt.Errorf("service: %s artifact header names the wrong fields", stageNames[s])
-	}
-	var buf [256]byte
-	rest, ok := bytes.CutPrefix(doc, appendOpen(buf[:0], h.Cycles, h.ElapsedMS, h.ProfileDigest))
-	resp := &Response{Kind: Kind(s - stMeasure), Cycles: h.Cycles, ElapsedMS: h.ElapsedMS, ProfileDigest: h.ProfileDigest, doc: doc}
+func decodeStage(s stageID, doc []byte, kernel string, profKey store.Key) (*Response, error) {
+	cycles, elapsed, digest, rest, ok := parseOpen(doc)
 	switch {
-	case !ok: // rejected below
-	case s == stMeasure:
+	case !ok:
+		return nil, fmt.Errorf("service: %s artifact does not open in its canonical form", stageNames[s])
+	case cycles < 0:
+		return nil, fmt.Errorf("service: negative cycle count in %s artifact", stageNames[s])
+	case (digest == "") != (s == stMeasure):
+		return nil, fmt.Errorf("service: %s artifact opens with the wrong fields", stageNames[s])
+	}
+	resp := &Response{Kind: Kind(s - stMeasure), Cycles: cycles, ElapsedMS: elapsed, ProfileDigest: digest, doc: doc}
+	switch s {
+	case stMeasure:
 		ok = string(rest) == tailClose
-	case s == stProfile:
+	case stProfile:
 		body, closed := bytes.CutSuffix(rest, []byte(tailClose))
 		body, ok = bytes.CutPrefix(body, []byte(profileMark))
 		// A valid profile between a fixed opening and close makes the
 		// document valid.
-		ok = ok && closed && bytes.HasPrefix(body, appendString(append(buf[:0], `{"kernel":`...), h.Kernel)) && validJSON(body)
+		var buf [256]byte
+		ok = ok && closed && bytes.HasPrefix(body, AppendString(append(buf[:0], `{"kernel":`...), kernel)) && validJSON(body)
 		if ok {
 			sum := sha256.Sum256(body)
-			ok = string(hex.AppendEncode(buf[:0], sum[:])) == h.ProfileDigest
+			ok = string(hex.AppendEncode(buf[:0], sum[:])) == digest
 		}
-		resp.prof = &profileArtifact{kernel: h.Kernel, cycles: h.Cycles, body: body}
+		resp.prof = &profileArtifact{kernel: kernel, cycles: cycles, body: body}
 	default:
 		// hasReport reads a valid document only.
 		last, valid := validDoc(doc)
 		ok = valid && hasReport(doc, last)
-		resp.adv = &adviceArtifact{kernel: h.Kernel, digest: h.ProfileDigest, profKey: profKey}
+		resp.adv = &adviceArtifact{kernel: kernel, digest: digest, profKey: profKey}
 	}
 	if !ok {
-		return nil, fmt.Errorf("service: %s artifact body is not the document its header declares", stageNames[s])
+		return nil, fmt.Errorf("service: %s artifact is not the document its opening declares", stageNames[s])
 	}
 	return resp, nil
-}
-
-// frameStage encodes a freshly computed response as its stage's
-// payload, around the document the run already made.
-func frameStage(resp *Response) ([]byte, error) {
-	h := payloadHeader{Cycles: resp.Cycles, ElapsedMS: resp.ElapsedMS, ProfileDigest: resp.ProfileDigest}
-	if resp.prof != nil {
-		h.Kernel = resp.prof.kernel
-	}
-	if resp.adv != nil {
-		h.Kernel = resp.adv.kernel
-	}
-	return encodePayload(h, resp.doc)
 }
 
 // errArtifact is the typed failure of an on-demand accessor: the store
@@ -426,7 +307,8 @@ func errArtifact(format string, args ...any) error {
 }
 
 // profile returns the artifact's profile, decoding the body on first
-// use. The decoded profile must be the one the header described.
+// use. The decoded profile must be of the request's kernel and the
+// cycles the document opens with.
 func (pa *profileArtifact) profile(e *Engine) (*profiler.Profile, error) {
 	pa.once.Do(func() {
 		if pa.prof != nil {
@@ -439,7 +321,7 @@ func (pa *profileArtifact) profile(e *Engine) (*profiler.Profile, error) {
 			return
 		}
 		if prof.Kernel != pa.kernel || prof.Cycles != pa.cycles {
-			pa.err = errArtifact("profile decodes to %q at %d cycles, its header declares %q at %d",
+			pa.err = errArtifact("profile decodes to %q at %d cycles, want %q at %d",
 				prof.Kernel, prof.Cycles, pa.kernel, pa.cycles)
 			return
 		}
@@ -478,7 +360,7 @@ func (aa *adviceArtifact) profileArtifact(e *Engine) (*profileArtifact, error) {
 		if aa.pa != nil {
 			return
 		}
-		pv := e.lookup(stProfile, &stageKeys{stProfile: aa.profKey}, tierMemory)
+		pv := e.lookup(stProfile, &stageKeys{stProfile: aa.profKey}, aa.kernel, tierMemory)
 		switch {
 		case pv == nil:
 			aa.paErr = errArtifact("profile is gone from under the advice that blames it")

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -459,14 +460,14 @@ func TestDiskStoreRestartWarm(t *testing.T) {
 // engine over a store that holds their artifacts on disk only. The
 // stage decoder the leader's disk probe calls waits until the other n-1
 // have joined the leader's flight, then runs decode.
-func diskOnlyFlight(t *testing.T, n int, decode func(stageID, []byte, store.Key) (*Response, error)) (*Engine, []*Response, []error) {
+func diskOnlyFlight(t *testing.T, n int, decode func(stageID, []byte, string, store.Key) (*Response, error)) (*Engine, []*Response, []error) {
 	t.Helper()
 	e := New(Options{Workers: 1, Store: storeRuns(t, testRequest(t, KindAdvise))})
-	decodePayload = func(s stageID, payload []byte, profKey store.Key) (*Response, error) {
+	decodePayload = func(s stageID, payload []byte, kernel string, profKey store.Key) (*Response, error) {
 		for e.n.coalesced.Load() < int64(n-1) {
 			runtime.Gosched()
 		}
-		return decode(s, payload, profKey)
+		return decode(s, payload, kernel, profKey)
 	}
 	defer func() { decodePayload = decodeStage }()
 	reqs := make([]*Request, n)
@@ -534,16 +535,6 @@ func TestStoreServedProfileVanishes(t *testing.T) {
 	}
 }
 
-// frame is encodePayload with the header's BodyLen left as given.
-func frame(t *testing.T, h payloadHeader, body []byte) []byte {
-	t.Helper()
-	hdr, err := json.Marshal(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(append(hdr, '\n'), body...)
-}
-
 // TestDiskStoreFaultInjectionRecomputes drives every corruption
 // scenario through the ENGINE: a damaged blob of any stage must
 // degrade to a recomputed miss whose output is byte-identical to the
@@ -580,25 +571,29 @@ func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 		}
 	}
 	// repay stores, under a valid checksum, another payload made from
-	// the stored one, so only artifact-level validation can object.
-	repay := func(edit func(t *testing.T, stage string, h payloadHeader, body []byte) []byte) corruption {
+	// the stored one — split into its opening and the rest — so only
+	// artifact-level validation can object.
+	repay := func(edit func(stage string, open, rest []byte) []byte) corruption {
 		return func(t *testing.T, d *store.Disk, stage string, key store.Key) func() {
 			payload, ok := d.Get(stage, key)
 			if !ok {
 				t.Fatalf("no %s blob to corrupt", stage)
 			}
-			h, body, err := splitPayload(payload)
-			if err != nil {
-				t.Fatal(err)
+			_, _, _, rest, ok := parseOpen(payload)
+			if !ok {
+				t.Fatalf("the stored %s payload opens in another form", stage)
 			}
-			d.Put(stage, key, edit(t, stage, h, body))
+			open := len(payload) - len(rest)
+			d.Put(stage, key, edit(stage, payload[:open:open], rest))
 			return nil
 		}
 	}
 	corruptions := map[string]corruption{
 		"truncated": damage(func(_ string, _ store.Key, frame []byte) []byte { return frame[:len(frame)/3] }),
 		"flipped-byte": damage(func(_ string, _ store.Key, frame []byte) []byte {
-			frame[len(frame)/2] ^= 0x04 // inside the payload
+			// A payload byte: the payload ends where the frame's checksum
+			// starts.
+			frame[len(frame)-sha256.Size-2] ^= 0x04
 			return frame
 		}),
 		// A well-formed, checksum-valid blob framed under an alien
@@ -628,37 +623,25 @@ func TestDiskStoreFaultInjectionRecomputes(t *testing.T) {
 		// a well-formed artifact: caught by artifact validation, which
 		// decodes no struct. The bad blob is stored after the good one,
 		// as the newer frame of its key.
-		"garbage-payload": repay(func(*testing.T, string, payloadHeader, []byte) []byte {
-			return []byte(`{"not":"a header"}`)
+		"garbage-payload": repay(func(string, []byte, []byte) []byte {
+			return []byte(`{"not":"an opening"}`)
 		}),
-		// The tail half of the body is lost and the header agrees about
-		// the length (a measure payload has only a header to lose).
-		"truncated-body": repay(func(t *testing.T, _ string, h payloadHeader, body []byte) []byte {
-			if len(body) == 0 {
-				p := frame(t, h, nil)
-				return p[:len(p)/2]
+		// The tail half of the document is lost.
+		"truncated-body": repay(func(_ string, open, rest []byte) []byte {
+			doc := append(open, rest...)
+			return doc[:len(doc)/2]
+		}),
+		// Valid JSON that is not the document its opening declares: another
+		// stage's rest.
+		"wrong-marker": repay(func(stage string, open, _ []byte) []byte {
+			rest := `,"report":"r"}` + "\n"
+			if stage == store.StageAdvice {
+				rest = `,"profile":{"kernel":"vecscale","cycles":1}}` + "\n"
 			}
-			h.BodyLen = len(body) / 2
-			return frame(t, h, body[:h.BodyLen])
+			return append(open, rest...)
 		}),
-		"length-mismatch": repay(func(t *testing.T, _ string, h payloadHeader, body []byte) []byte {
-			h.BodyLen++
-			return frame(t, h, body)
-		}),
-		// Valid JSON that is not the document the header declares:
-		// another stage's body, or any body at all for a measure.
-		"wrong-marker": repay(func(t *testing.T, stage string, h payloadHeader, _ []byte) []byte {
-			body := []byte(`{"kernel":"vecscale","cycles":1}`)
-			if stage == store.StageProfile {
-				body = []byte(`{"elapsedMs":1,"report":"r"}` + "\n")
-			}
-			h.BodyLen = len(body)
-			return frame(t, h, body)
-		}),
-		"garbage-body": repay(func(t *testing.T, _ string, h payloadHeader, body []byte) []byte {
-			body = []byte(strings.Repeat("\x00garbage", 1+len(body)/8))
-			h.BodyLen = len(body)
-			return frame(t, h, body)
+		"garbage-body": repay(func(_ string, open, rest []byte) []byte {
+			return append(open, strings.Repeat("\x00garbage", 1+len(rest)/8)...)
 		}),
 	}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gpa/internal/profiler"
+	"gpa/internal/service"
 
 	adv "gpa/internal/advisor"
 )
@@ -87,42 +88,25 @@ func (r *Result) MarshalIndent() ([]byte, error) {
 // appendHead appends the head of r's wire encoding to dst.
 func (r *Result) appendHead(dst []byte) []byte {
 	dst = append(dst, `{"schemaVersion":`...)
-	dst = appendJSONString(dst, r.SchemaVersion)
+	dst = service.AppendString(dst, r.SchemaVersion)
 	dst = append(dst, `,"kernel":`...)
-	dst = appendJSONString(dst, r.Kernel)
+	dst = service.AppendString(dst, r.Kernel)
 	dst = append(dst, `,"arch":`...)
-	dst = appendJSONString(dst, r.Arch)
+	dst = service.AppendString(dst, r.Arch)
 	dst = append(dst, `,"kind":`...)
-	dst = appendJSONString(dst, r.Kind)
+	dst = service.AppendString(dst, r.Kind)
 	if r.TraceID != "" {
 		dst = append(dst, `,"traceId":`...)
-		dst = appendJSONString(dst, r.TraceID)
+		dst = service.AppendString(dst, r.TraceID)
 	}
 	if r.Key != "" {
 		dst = append(dst, `,"key":`...)
-		dst = appendJSONString(dst, r.Key)
+		dst = service.AppendString(dst, r.Key)
 	}
 	if r.Cached {
 		return append(dst, `,"cached":true,`...)
 	}
 	return append(dst, `,"cached":false,`...)
-}
-
-// appendJSONString appends s as encoding/json renders a string. The
-// strings a head carries (entry names, registry keys, validated trace
-// IDs, hex digests) are plain ASCII in practice and are copied between
-// quotes; anything else goes through encoding/json itself, so escaping
-// can never disagree with the reference.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(dst, quoted...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
 // Result converts a direct-API report into the versioned structured

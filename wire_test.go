@@ -3,6 +3,7 @@ package gpa_test
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 
 	"gpa"
 	"gpa/internal/kernels"
+	"gpa/internal/store"
 )
 
 // referenceWire is the encoder the gpad wire format is defined by: the
@@ -180,9 +182,11 @@ func TestEncodeResultAfterEviction(t *testing.T) {
 // leader, from a memory hit on the same engine, and from an engine
 // restarted over the store the first one filled are byte-identical once
 // the cached flag — the one permitted difference — is set equal, and
-// equal the reference encoding of Job.Result. Serving decodes no struct
-// whatever the kind, and an advise is one blob read; Report and Profile
-// of the served result equal the cold run's; and a profile blob lost
+// equal the reference encoding of Job.Result. What the store holds for
+// each is the response's own document, "{" + Tail(). Serving decodes no
+// struct whatever the kind, and an advise is one blob read; Report,
+// Profile and Advice of the served result — the kernel they name
+// included — equal the cold run's; and a profile blob lost
 // between the serve and the access turns the access into a typed error
 // while the stored advice still serves.
 func TestRestartServesStoredBytes(t *testing.T) {
@@ -203,13 +207,21 @@ func TestRestartServesStoredBytes(t *testing.T) {
 		wire []byte
 	}
 	var colds []coldRun
-	eng1, _ := open()
+	eng1, st1 := open()
+	stageOf := map[gpa.JobKind]string{gpa.JobAdvise: store.StageAdvice, gpa.JobProfile: store.StageProfile, gpa.JobMeasure: store.StageMeasure}
 	for _, b := range kernels.All() {
 		for _, kind := range kinds {
 			job := benchJob(t, b, kind)
 			res := eng1.Do(ctx, job)
 			if res.Err != nil {
 				t.Fatalf("%s %v: %v", b.ID(), kind, res.Err)
+			}
+			var key store.Key
+			if n, err := hex.Decode(key[:], []byte(res.Key)); err != nil || n != len(key) {
+				t.Fatalf("%s %v: key %q: %v", b.ID(), kind, res.Key, err)
+			}
+			if payload, ok := st1.Get(stageOf[kind], key); !ok || string(payload) != "{"+string(res.Tail()) {
+				t.Fatalf("%s %v: the stored payload is not the response's document\n got: %.300s\nwant: {%.300s", b.ID(), kind, payload, res.Tail())
 			}
 			head, tail := encodeWire(t, job, res, "cold")
 			wire := append(head, tail...)
@@ -283,6 +295,17 @@ func TestRestartServesStoredBytes(t *testing.T) {
 			t.Fatalf("%s: Profile(): %v, %v", label, err1, err2)
 		}
 		mustEqualJSON(t, label+": profile", coldProf, warmProf)
+		coldAdv, err1 := c.res.Advice()
+		warmAdv, err2 := warm.Advice()
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: Advice(): %v, %v", label, err1, err2)
+		}
+		if (coldAdv == nil) != (warmAdv == nil) || (coldAdv != nil && warmAdv.Kernel != coldAdv.Kernel) {
+			t.Errorf("%s: the store-served advice names another kernel: %+v, cold %+v", label, warmAdv, coldAdv)
+		}
+		if (coldProf == nil) != (warmProf == nil) || (coldProf != nil && warmProf.Kernel != coldProf.Kernel) {
+			t.Errorf("%s: the store-served profile names another kernel", label)
+		}
 	}
 
 	rows := int64(len(kernels.All()))
