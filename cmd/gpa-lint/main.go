@@ -1,13 +1,11 @@
 // Command gpa-lint runs the repo's invariant analyzer suite
 // (internal/lint) over the module: detlint (no clock, randomness,
 // environment, or map-order leaks in determinism-critical packages),
-// digestfields (every field feeding a content-addressed key is
-// digested or explicitly excluded), ctxfirst (context-first
-// cancellation), apierrlint (taxonomy-tagged errors at origin),
-// poolpair (sync.Pool acquire/release pairing), and pkgdoc (package
-// docs state their Figure 2 role). It is the CI gate that fails the
-// build the moment a determinism contract is violated, before any
-// simulation runs.
+// ctxfirst (context-first cancellation), apierrlint (taxonomy-tagged
+// errors at origin), poolpair (sync.Pool acquire/release pairing), and
+// pkgdoc (package docs state their Figure 2 role). It is the CI gate
+// that fails the build the moment a determinism contract is violated,
+// before any simulation runs.
 //
 // Usage:
 //
@@ -61,21 +59,11 @@ func main() {
 		fmt.Printf("%s:%d:%d: %s: %s\n", rel(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 	}
 	fmt.Printf("gpa-lint: %d finding(s), %d waiver(s) across %d package(s)\n",
-		len(res.Diagnostics), len(res.Waivers), countAnalyzed(pkgs))
+		len(res.Diagnostics), len(res.Waivers), len(pkgs))
 	for _, w := range res.Waivers {
 		fmt.Printf("  waiver %s:%d: %s: %s\n", rel(w.Pos.Filename), w.Pos.Line, w.Analyzer, w.Reason)
 	}
 	if len(res.Diagnostics) > 0 {
 		os.Exit(1)
 	}
-}
-
-func countAnalyzed(pkgs []*lint.Package) int {
-	n := 0
-	for _, p := range pkgs {
-		if !p.DepOnly {
-			n++
-		}
-	}
-	return n
 }

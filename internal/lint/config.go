@@ -2,44 +2,8 @@ package lint
 
 // This file is the repo's contract table: the concrete configuration
 // binding each analyzer to the runtime invariant it mechanizes. When a
-// contract widens (a new determinism-critical package, a new field on
-// service.Request, a new taxonomy-origin package), this is the one
-// place to extend — and digestfields/detlint diagnostics will demand
-// it, because an unclassified addition is a build failure.
-
-// ServiceDigest is the digestfields contract for internal/service. It
-// is exported because the service's own key-factoring test
-// (TestStageKeysFactorThePipeline) reads the same exclusion table: the
-// analyzer proves every field is classified, the test proves each
-// classification is true of the keys.
-var ServiceDigest = DigestConfig{
-	Pkg: "gpa/internal/service",
-	// Request.keyMaterial is the one key derivation: a field read
-	// anywhere inside it counts as digested. gpuModelHash canonically
-	// JSON-encodes the whole arch.GPU table, covering its fields
-	// wholesale.
-	Funcs: []string{"Request.keyMaterial", "gpuModelHash"},
-	Structs: []TrackedStruct{
-		{
-			Type: "gpa/internal/service.Request",
-			Exclude: map[string]string{
-				// Transport- and execution-only state. Each entry is
-				// a proof obligation: adding a field here asserts it
-				// can never change result bytes.
-				"Prog":        "derived cache of Module; the keys cover the module content it derives from",
-				"Parallelism": "simulator results are bit-identical at every parallelism level (TestParallelMatchesSequential)",
-				"Timeout":     "deadlines abort work; they never alter a completed result",
-				"TraceID":     "transport-only observability; pinned by TestTraceIDExcludedFromDigest",
-				"Tenant":      "admission metadata: decides who runs next and who is billed, never what a run computes; two tenants share one artifact and one flight — pinned by TestTenantExcludedFromDigest",
-				"Lane":        "admission priority; scheduling order cannot change a completed result — pinned by TestTenantExcludedFromDigest",
-			},
-		},
-		{Type: "gpa/internal/blamer.Options"},
-		{Type: "gpa/internal/gpusim.LaunchConfig"},
-		{Type: "gpa/internal/gpusim.Dim3"},
-		{Type: "gpa/internal/arch.GPU"},
-	},
-}
+// contract widens (a new determinism-critical package, a new
+// taxonomy-origin package), this is the one place to extend.
 
 // DefaultSuite returns the analyzer suite for this repository, the
 // set cmd/gpa-lint runs in CI.
@@ -67,7 +31,6 @@ func DefaultSuite() []*Analyzer {
 				"gpa/internal/service":   {"digest.go", "stages.go"},
 			},
 		}),
-		DigestFields(ServiceDigest),
 		CtxFirst(CtxConfig{
 			// The packages whose exported API simulates or blocks; the v2
 			// cancellation contract (ctx-first, checkpointed simulator)

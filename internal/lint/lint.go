@@ -3,13 +3,12 @@
 // golang.org/x/tools) that mechanizes the contracts the test suite
 // otherwise pins at runtime. It sits beside the Figure 2 pipeline
 // rather than inside it: every analyzer guards a property the pipeline
-// depends on — determinism of the simulator packages (detlint), the
-// digest-exclusion contract of the serving layer's content-addressed
-// keys (digestfields), context-first cancellation (ctxfirst), the
-// apierr error taxonomy at its origin packages (apierrlint), pooled
-// arena pairing (poolpair), and the package documentation contract
-// (pkgdoc). cmd/gpa-lint wires the suite into CI so a violation fails
-// the build before any simulation runs.
+// depends on — determinism of the simulator packages (detlint),
+// context-first cancellation (ctxfirst), the apierr error taxonomy at
+// its origin packages (apierrlint), pooled arena pairing (poolpair), and
+// the package documentation contract (pkgdoc). cmd/gpa-lint wires the
+// suite into CI so a violation fails the build before any simulation
+// runs.
 //
 // Audited exceptions are written in the source as
 //
@@ -45,14 +44,10 @@ type Analyzer struct {
 	Run func(*Pass)
 }
 
-// Pass is one analyzer's view of one package plus the full load set
-// (digestfields resolves tracked struct types across package
-// boundaries).
+// Pass is one analyzer's view of one package.
 type Pass struct {
 	// Pkg is the package under analysis.
 	Pkg *Package
-	// Pkgs indexes every loaded package by import path.
-	Pkgs map[string]*Package
 
 	analyzer *Analyzer
 	diags    *[]Diagnostic
@@ -188,20 +183,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer) *Result {
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	byPath := map[string]*Package{}
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-
 	var raw []Diagnostic
 	var dirs []*directive
 	for _, pkg := range pkgs {
-		if pkg.DepOnly {
-			continue
-		}
 		dirs = append(dirs, parseDirectives(pkg, known)...)
 		for _, a := range analyzers {
-			pass := &Pass{Pkg: pkg, Pkgs: byPath, analyzer: a, diags: &raw}
+			pass := &Pass{Pkg: pkg, analyzer: a, diags: &raw}
 			a.Run(pass)
 		}
 	}

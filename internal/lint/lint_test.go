@@ -93,27 +93,6 @@ func TestDetLintFileScope(t *testing.T) {
 	}
 }
 
-func TestDigestFieldsFixture(t *testing.T) {
-	checkFixture(t, "digestbad", []*Analyzer{
-		DigestFields(DigestConfig{
-			Pkg:   "digest.example",
-			Funcs: []string{"Request.digest", "modelHash", "vanishedFunc"},
-			Structs: []TrackedStruct{
-				{
-					Type: "digest.example.Request",
-					Exclude: map[string]string{
-						"Trace": "transport-only",
-						"Skew":  "claimed excluded, but digest reads it",
-						"Gone":  "names a field that no longer exists",
-					},
-				},
-				{Type: "digest.example.Model"},
-				{Type: "digest.example.Vanished"},
-			},
-		}),
-	})
-}
-
 func TestCtxFirstFixture(t *testing.T) {
 	checkFixture(t, "ctxbad", []*Analyzer{
 		CtxFirst(CtxConfig{NoSyntheticCtx: []string{"ctx.example"}}),

@@ -24,10 +24,6 @@ type Package struct {
 	Dir string
 	// Main reports a command (package main).
 	Main bool
-	// DepOnly reports a package loaded only as a dependency of the
-	// requested patterns; analyzers still see it (for type resolution)
-	// but the driver does not run them over it.
-	DepOnly bool
 	// Fset is the file set shared by every package of one load.
 	Fset *token.FileSet
 	// Files holds the parsed non-test source files, with comments.
@@ -58,8 +54,9 @@ type listPackage struct {
 // order. Standard-library imports are resolved through their compiler
 // export data (go/importer with a lookup into the build cache), so the
 // loader needs no third-party machinery and the module stays
-// dependency-free. The returned slice is in dependency order;
-// dependency-only packages are marked DepOnly.
+// dependency-free. The returned slice holds the packages the patterns
+// match, in dependency order; a non-standard package loaded only as
+// their dependency is type-checked for them but not returned.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -164,15 +161,17 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("lint: type-checking %s: %v", ip, err)
 		}
 		checked[ip] = tp
+		if lp.DepOnly {
+			continue
+		}
 		loaded = append(loaded, &Package{
-			Path:    ip,
-			Dir:     lp.Dir,
-			Main:    lp.Name == "main",
-			DepOnly: lp.DepOnly,
-			Fset:    fset,
-			Files:   files,
-			Types:   tp,
-			Info:    info,
+			Path:  ip,
+			Dir:   lp.Dir,
+			Main:  lp.Name == "main",
+			Fset:  fset,
+			Files: files,
+			Types: tp,
+			Info:  info,
 		})
 	}
 	return loaded, nil

@@ -57,8 +57,9 @@ type stageKeys [numStages]store.Key
 // key — is that stage's key. A profile request and an advise request
 // over the same inputs therefore share one profile artifact.
 // Parallelism is excluded because results are bit-identical at every
-// level; the other excluded fields are transport metadata (see
-// internal/lint/config.go for the audited list).
+// level; the other excluded fields are transport metadata.
+// TestStageKeysFactorThePipeline holds the audited list and checks every
+// field against it.
 type keyMaterial struct {
 	fields   []byte
 	cut      [numStages]int // cut[s]: where stage s's label ends

@@ -18,7 +18,6 @@ import (
 	"gpa/internal/arch"
 	"gpa/internal/cubin"
 	"gpa/internal/gpusim"
-	"gpa/internal/lint"
 	"gpa/internal/sass"
 	"gpa/internal/store"
 )
@@ -35,8 +34,12 @@ func keysOf(t testing.TB, r *Request) stageKeys {
 
 // leaves lists the index paths of the scalar fields under a struct
 // type, descending into nested structs (LaunchConfig, Dim3,
-// blamer.Options), each with its dotted name.
+// blamer.Options) and through the GPU model pointer, whose table the
+// keys cover by value; each with its dotted name.
 func leaves(typ reflect.Type, path []int, name string) (paths [][]int, names []string) {
+	if typ == reflect.TypeOf((*arch.GPU)(nil)) {
+		typ = typ.Elem()
+	}
 	if typ.Kind() != reflect.Struct {
 		return [][]int{path}, []string{name}
 	}
@@ -72,14 +75,15 @@ func flip(t *testing.T, v reflect.Value, others map[reflect.Type]any) {
 	}
 }
 
-// TestStageKeysFactorThePipeline pins the single key derivation against
-// the structs it reads, field by field, by reflection: flipping a
-// result-affecting field changes exactly the stage keys at and
-// downstream of where it enters the pipeline, and no upstream key;
-// flipping a field of the digestfields exclusion table (the one
-// gpa-lint enforces) changes none; Kind changes only which key is
-// terminal. A field added to Request, LaunchConfig, Dim3 or
-// blamer.Options fails here until it is classified and keyed.
+// TestStageKeysFactorThePipeline is the key contract, checked field by
+// field by reflection: every Request field is either result-affecting
+// or in the exclusion table; flipping a result-affecting field — down to
+// each scalar of LaunchConfig, Dim3, blamer.Options and the arch.GPU
+// table — changes exactly the stage keys at and downstream of where it
+// enters the pipeline, and no upstream key; flipping an excluded field
+// changes none; Kind changes only which key is terminal. A field added
+// to any of those structs fails here until it is classified and keyed,
+// and a table entry naming no field fails too.
 func TestStageKeysFactorThePipeline(t *testing.T) {
 	// enters names the first stage each result-affecting Request field
 	// can change; nested structs enter whole.
@@ -89,19 +93,35 @@ func TestStageKeysFactorThePipeline(t *testing.T) {
 		"SamplePeriod": stProfile,
 		"Blamer":       stAdvice,
 	}
-	var excluded map[string]string
-	for _, ts := range lint.ServiceDigest.Structs {
-		if ts.Type == "gpa/internal/service.Request" {
-			excluded = ts.Exclude
-		}
+	// excluded is the transport- and execution-only state no key covers.
+	// Each entry is a proof obligation: it asserts the field can never
+	// change result bytes.
+	excluded := map[string]string{
+		"Prog":        "derived cache of Module; the keys cover the module content it derives from",
+		"Parallelism": "simulator results are bit-identical at every parallelism level (TestParallelMatchesSequential)",
+		"Timeout":     "deadlines abort work; they never alter a completed result",
+		"TraceID":     "transport-only observability (TestTraceIDExcludedFromDigest)",
+		"Tenant":      "admission metadata: who runs next and who is billed, never what a run computes (TestTenantExcludedFromDigest)",
+		"Lane":        "admission priority; scheduling order cannot change a completed result (TestTenantExcludedFromDigest)",
 	}
-	if len(excluded) == 0 {
-		t.Fatal("no digestfields exclusion table for service.Request")
+	rt := reflect.TypeOf(Request{})
+	var named []string
+	for name := range enters {
+		named = append(named, name)
+	}
+	for name := range excluded {
+		named = append(named, name)
+	}
+	for _, name := range named {
+		if _, ok := rt.FieldByName(name); !ok {
+			t.Errorf("a table names Request.%s, which no longer exists", name)
+		}
 	}
 
 	base := func() *Request {
 		r := testRequest(t, KindAdvise)
 		r.WorkloadKey = "wl" // so a Workload may come and go
+		r.GPU = arch.VoltaV100()
 		return r
 	}
 	otherMod, err := sass.Assemble(strings.Replace(testKernelSrc, "0x40", "0x20", 1))
@@ -119,12 +139,10 @@ func TestStageKeysFactorThePipeline(t *testing.T) {
 	others := map[reflect.Type]any{
 		reflect.TypeOf(otherMod):                       otherMod,
 		reflect.TypeOf(prog):                           prog,
-		reflect.TypeOf(arch.TuringT4()):                arch.TuringT4(),
 		reflect.TypeOf((*gpusim.Workload)(nil)).Elem(): bound,
 	}
 	want := keysOf(t, base())
 
-	rt := reflect.TypeOf(Request{})
 	for i := 0; i < rt.NumField(); i++ {
 		field := rt.Field(i).Name
 		first, keyed := enters[field]
@@ -133,7 +151,7 @@ func TestStageKeysFactorThePipeline(t *testing.T) {
 		case field == "Kind" || field == "Workload":
 			continue // not fields of the list; see below
 		case keyed == skipped:
-			t.Errorf("Request.%s must be in exactly one of the test's enters table and the lint exclusion table", field)
+			t.Errorf("Request.%s must be in exactly one of the enters and excluded tables", field)
 			continue
 		case skipped:
 			first = numStages // changes nothing
