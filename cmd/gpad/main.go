@@ -32,7 +32,12 @@
 // byte (gpa-result/3; /2 carried the same values indented). Failures
 // map the typed error taxonomy (gpa.ErrUnknownArch, ErrBadKernel,
 // ErrAssemble, ErrCanceled, ErrQueueFull, ...) to HTTP status codes
-// with stable machine-readable "code" fields.
+// with stable machine-readable "code" fields. A /v1/advise or
+// /v1/profile body is read once and decoded in one forward pass when it
+// is in the plain subset clients send; any other body (a case-variant
+// or unknown key, null, a \u escape, non-ASCII text, a fraction,
+// "binary", trailing data, a read error) goes to encoding/json, which
+// answers it exactly as it always has.
 //
 // Cancellation runs end-to-end: a client that disconnects cancels its
 // queued or in-flight simulation (coalesced duplicates only detach the

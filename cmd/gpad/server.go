@@ -389,7 +389,7 @@ func (s *server) buildJob(w http.ResponseWriter, r *http.Request, req *kernelReq
 // handleOne serves the fixed-kind single-kernel endpoints.
 func (s *server) handleOne(w http.ResponseWriter, r *http.Request, kind gpa.JobKind) {
 	var req kernelRequest
-	if !decode(w, r, &req) {
+	if !decodeKernel(w, r, &req) {
 		return
 	}
 	req.Kind = kind.String()
@@ -609,7 +609,12 @@ func (s *server) get(h http.HandlerFunc) http.HandlerFunc {
 // decode reads a bounded JSON body holding exactly one value; on
 // failure it writes the error response and returns false.
 func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return decodeFrom(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
+}
+
+// decodeFrom is decode over the body reader rd.
+func decodeFrom(w http.ResponseWriter, rd io.Reader, dst any) bool {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		writeBadRequest(w, fmt.Errorf("bad request body: %w", err))

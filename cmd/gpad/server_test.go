@@ -479,6 +479,102 @@ func TestBadRequests(t *testing.T) {
 	if resp2.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /statsz = %d, want 405", resp2.StatusCode)
 	}
+
+	// The bodies the one-pass decoder leaves to encoding/json are
+	// answered as decode answers them: status, code and message.
+	h := newServer(gpa.NewEngine(nil))
+	for _, tc := range kernelBodyRows {
+		var req kernelRequest
+		if fast := len(tc.body) <= maxBodyBytes && parseKernelRequest([]byte(tc.body), &req); fast != tc.fast {
+			t.Errorf("%s: decoded in one pass = %v, want %v", tc.name, fast, tc.fast)
+		}
+		got := serveBody(t, h, tc.body)
+		if got.status != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, got.status, tc.status, got.body)
+		}
+		if want := referenceAnswer(t, h, tc.body); got.status != want.status ||
+			got.Error != want.Error || got.Key != want.Key {
+			t.Errorf("%s: answered %d %+v key %q, decode's answer %d %+v key %q",
+				tc.name, got.status, got.Error, got.Key, want.status, want.Error, want.Key)
+		}
+	}
+}
+
+// kernelBodyRows holds a body per class parseKernelRequest declines, a
+// valid one and an invalid one where both exist, and a repeated key,
+// which it reads (the last value wins, as in encoding/json).
+var kernelBodyRows = []struct {
+	name   string
+	body   string
+	status int
+	fast   bool // decoded in one pass: read whole and parseKernelRequest reads it
+}{
+	{"plain asm", `{"asm":` + string(mustMarshal(testKernelSrc)) + `}`, http.StatusOK, true},
+	{"escaped backslash before the closing quote", `{"bench":"rodinia/hotspot","entry":"k\\"}`, http.StatusBadRequest, true},
+	{"case-variant key", `{"ASM":"garbage"}`, http.StatusUnprocessableEntity, false},
+	{"case-variant key is accepted", `{"ASM":` + string(mustMarshal(testKernelSrc)) + `}`, http.StatusOK, false},
+	{"null", `{"bench":"rodinia/hotspot","seed":null}`, http.StatusOK, false},
+	{`\u escape`, `{"bench":"rodinia/hotspo\u0074"}`, http.StatusOK, false},
+	{`\u escape naming nothing`, `{"bench":"rodinia/\u0041"}`, http.StatusBadRequest, false},
+	{"fraction", `{"bench":"rodinia/hotspot","gridX":1.5}`, http.StatusBadRequest, false},
+	{"exponent", `{"bench":"rodinia/hotspot","gridX":1e3}`, http.StatusBadRequest, false},
+	{"leading zero", `{"bench":"rodinia/hotspot","gridX":01}`, http.StatusBadRequest, false},
+	{"overflow", `{"bench":"rodinia/hotspot","seed":18446744073709551616}`, http.StatusBadRequest, false},
+	{"negative seed", `{"bench":"rodinia/hotspot","seed":-1}`, http.StatusBadRequest, false},
+	{"duplicate key", `{"bench":"rodinia/nope","bench":"rodinia/hotspot"}`, http.StatusOK, true},
+	{"invalid UTF-8", "{\"asm\":\".func k global\\n\\tMOV\xff R0, 0x0\\n\"}", http.StatusUnprocessableEntity, false},
+	{"non-ASCII", `{"bench":"rodinia/hotspot","arch":"vólta"}`, http.StatusBadRequest, false},
+	{"binary", `{"binary":"AAAA"}`, http.StatusUnprocessableEntity, false},
+	{"unknown key", `{"bench":"rodinia/hotspot","bogus":1}`, http.StatusBadRequest, false},
+	{"null body", `null`, http.StatusBadRequest, false},
+	{"empty body", ``, http.StatusBadRequest, false},
+	{"over 8 MB", `{"asm":"` + strings.Repeat("a", maxBodyBytes) + `"}`, http.StatusBadRequest, false},
+	{"trailing data", `{"bench":"rodinia/hotspot"} junk`, http.StatusBadRequest, false},
+	{"second value", `{"bench":"rodinia/hotspot"}{}`, http.StatusBadRequest, false},
+}
+
+func mustMarshal(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// answer is what a client learns from a single-kernel response: its
+// status, its error, and the digest a result carries.
+type answer struct {
+	status int
+	body   string
+	Error  errInfo `json:"error"`
+	Key    string  `json:"key"`
+}
+
+// serveBody POSTs body to /v1/advise in process.
+func serveBody(t *testing.T, h http.Handler, body string) answer {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/advise", strings.NewReader(body)))
+	return answerOf(t, rec)
+}
+
+func answerOf(t *testing.T, rec *httptest.ResponseRecorder) answer {
+	a := answer{status: rec.Code, body: rec.Body.String()}
+	if err := json.Unmarshal(rec.Body.Bytes(), &a); err != nil {
+		t.Fatalf("non-JSON body %q: %v", a.body, err)
+	}
+	return a
+}
+
+// referenceAnswer is the answer of gpad before the one-pass decoder: the
+// error decode writes for body, or, when decode reads it, the answer to
+// the request it read (posted as json.Marshal writes it).
+func referenceAnswer(t *testing.T, h http.Handler, body string) answer {
+	rec := httptest.NewRecorder()
+	var req kernelRequest
+	if !decode(rec, httptest.NewRequest(http.MethodPost, "/v1/advise", strings.NewReader(body)), &req) {
+		return answerOf(t, rec)
+	}
+	return serveBody(t, h, string(mustMarshal(req)))
 }
 
 // TestNegativeOptionsRejected: a negative timeoutMs would run with no

@@ -115,6 +115,48 @@ func TestTable3EveryArch(t *testing.T) {
 	}
 }
 
+// TestSamplingOnlyObserves states that PC sampling observes a run and
+// never steers it, so one simulation can serve both a measurement and a
+// profile: on every registered arch, every row's Base and Opt kernel
+// profiled at the default period 64 and at 37 (a prime, so samples drift
+// across loop bodies instead of locking to one phase) runs exactly the
+// cycles Measure runs unsampled.
+func TestSamplingOnlyObserves(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full table per arch in short mode")
+	}
+	ctx := context.Background()
+	for _, g := range arch.All() {
+		t.Run(arch.KeyOf(g), func(t *testing.T) {
+			for _, b := range All() {
+				for i, v := range []*Variant{&b.Base, &b.Opt} {
+					name := [...]string{"base", "opt"}[i]
+					k, wl, err := v.Build()
+					if err != nil {
+						t.Fatalf("%s %s: %v", b.ID(), name, err)
+					}
+					opts := RunOptions{GPU: g, Seed: 11}.options(wl)
+					want, err := k.Measure(ctx, opts)
+					if err != nil {
+						t.Fatalf("%s %s: measure: %v", b.ID(), name, err)
+					}
+					for _, period := range []int{64, 37} {
+						sampled := *opts
+						sampled.SamplePeriod = period
+						prof, err := k.Profile(ctx, &sampled)
+						if err != nil {
+							t.Fatalf("%s %s: profile at period %d: %v", b.ID(), name, period, err)
+						}
+						if prof.Cycles != want {
+							t.Errorf("%s %s: %d cycles sampled every %d, %d unsampled", b.ID(), name, prof.Cycles, period, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestFigure7Shape: after pruning, single-dependency coverage exceeds
 // 0.8 for most Rodinia benchmarks, with bfs and nw as the low outliers,
 // and pruning never lowers coverage.
