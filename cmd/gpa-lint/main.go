@@ -2,10 +2,9 @@
 // (internal/lint) over the module: detlint (no clock, randomness,
 // environment, or map-order leaks in determinism-critical packages),
 // ctxfirst (context-first cancellation), apierrlint (taxonomy-tagged
-// errors at origin), poolpair (sync.Pool acquire/release pairing), and
-// pkgdoc (package docs state their Figure 2 role). It is the CI gate
-// that fails the build the moment a determinism contract is violated,
-// before any simulation runs.
+// errors at origin), and pkgdoc (package docs state their Figure 2
+// role). It is the CI gate that fails the build the moment a
+// determinism contract is violated, before any simulation runs.
 //
 // Usage:
 //

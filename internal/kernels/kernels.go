@@ -170,11 +170,11 @@ func (o RunOptions) options(wl gpa.Workload) *gpa.Options {
 	return &gpa.Options{GPU: o.GPU, SimSMs: 1, Seed: o.Seed, Parallelism: 1, Workload: wl}
 }
 
-// Run measures the baseline and optimized variants and extracts the
-// advisor's estimate for the expected optimizer, stopping at the first
-// failure (which can have cost a full MaxCycles simulation). A canceled
-// ctx aborts the measurement in flight and returns an error wrapping
-// gpa.ErrCanceled.
+// Run advises on the baseline, measures the optimized variant and
+// extracts the advisor's estimate for the expected optimizer: two
+// simulations, stopping at the first failure (which can have cost a
+// full MaxCycles simulation). A canceled ctx aborts the simulation in
+// flight and returns an error wrapping gpa.ErrCanceled.
 func (b *Benchmark) Run(ctx context.Context, ro RunOptions) (*Outcome, error) {
 	baseK, baseWL, err := b.Base.Build()
 	if err != nil {
@@ -184,24 +184,23 @@ func (b *Benchmark) Run(ctx context.Context, ro RunOptions) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: opt: %w", b.ID(), err)
 	}
-	baseOpts := ro.options(baseWL)
-	baseCycles, err := baseK.Measure(ctx, baseOpts)
+	report, err := baseK.Advise(ctx, ro.options(baseWL))
 	if err != nil {
-		return nil, fmt.Errorf("%s: base measure: %w", b.ID(), err)
+		return nil, fmt.Errorf("%s: advise: %w", b.ID(), err)
 	}
 	optCycles, err := optK.Measure(ctx, ro.options(optWL))
 	if err != nil {
 		return nil, fmt.Errorf("%s: opt measure: %w", b.ID(), err)
 	}
-	report, err := baseK.Advise(ctx, baseOpts)
-	if err != nil {
-		return nil, fmt.Errorf("%s: advise: %w", b.ID(), err)
-	}
-	return b.outcome(baseCycles, optCycles, report), nil
+	return b.outcome(optCycles, report), nil
 }
 
-// outcome assembles the row's Outcome from its three measurements.
-func (b *Benchmark) outcome(baseCycles, optCycles int64, report *gpa.Report) *Outcome {
+// outcome assembles the row's Outcome from its two simulations. The
+// base cycles are the advise run's: sampling only observes, so the
+// profiled run takes exactly the cycles an unsampled Measure would
+// (TestSamplingOnlyObserves).
+func (b *Benchmark) outcome(optCycles int64, report *gpa.Report) *Outcome {
+	baseCycles := report.Profile.Cycles
 	out := &Outcome{
 		Bench:      b,
 		BaseCycles: baseCycles,

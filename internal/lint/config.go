@@ -54,7 +54,6 @@ func DefaultSuite() []*Analyzer {
 				"gpa/internal/service",
 			},
 		}),
-		PoolPair(),
 		PkgDoc(PkgDocConfig{
 			Figure2Prefixes: []string{"gpa/internal/"},
 			ExamplePrefixes: []string{"gpa/examples/"},

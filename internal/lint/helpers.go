@@ -26,34 +26,17 @@ func pkgFunc(info *types.Info, call *ast.CallExpr) (path, name string, ok bool) 
 	return pn.Imported().Path(), sel.Sel.Name, true
 }
 
-// namedOf unwraps pointers and aliases down to the defined type of t,
-// or nil when t does not resolve to one.
-func namedOf(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	t = types.Unalias(t)
-	if p, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(p.Elem())
-	}
-	n, _ := t.(*types.Named)
-	return n
-}
-
-// typeKey names a defined type as "importpath.Name" (the form analyzer
-// configs use).
-func typeKey(n *types.Named) string {
-	obj := n.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// isContext reports whether t is context.Context.
+// isContext reports whether t is context.Context (or a pointer to it),
+// seen through aliases.
 func isContext(t types.Type) bool {
-	n := namedOf(t)
-	return n != nil && typeKey(n) == "context.Context"
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := types.Unalias(t).(*types.Named)
+	if n == nil || n.Obj().Pkg() == nil {
+		return false
+	}
+	return n.Obj().Pkg().Path() == "context" && n.Obj().Name() == "Context"
 }
 
 // hasPath reports whether list contains path.

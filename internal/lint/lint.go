@@ -5,10 +5,9 @@
 // rather than inside it: every analyzer guards a property the pipeline
 // depends on — determinism of the simulator packages (detlint),
 // context-first cancellation (ctxfirst), the apierr error taxonomy at
-// its origin packages (apierrlint), pooled arena pairing (poolpair), and
-// the package documentation contract (pkgdoc). cmd/gpa-lint wires the
-// suite into CI so a violation fails the build before any simulation
-// runs.
+// its origin packages (apierrlint), and the package documentation
+// contract (pkgdoc). cmd/gpa-lint wires the suite into CI so a
+// violation fails the build before any simulation runs.
 //
 // Audited exceptions are written in the source as
 //

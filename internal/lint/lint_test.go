@@ -105,10 +105,6 @@ func TestAPIErrLintFixture(t *testing.T) {
 	})
 }
 
-func TestPoolPairFixture(t *testing.T) {
-	checkFixture(t, "poolbad", []*Analyzer{PoolPair()})
-}
-
 func TestPkgDocFixture(t *testing.T) {
 	checkFixture(t, "pkgdocbad", []*Analyzer{
 		PkgDoc(PkgDocConfig{
