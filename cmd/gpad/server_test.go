@@ -613,6 +613,19 @@ func TestAnalysisErrorIsUnprocessable(t *testing.T) {
 	}
 }
 
+// TestGridPastCUDALimitsIsUnprocessable: a grid past CUDA's limits is a
+// bad_kernel, refused before anything is simulated.
+func TestGridPastCUDALimitsIsUnprocessable(t *testing.T) {
+	ts := newTestServer(t)
+	resp, body := postJSON(t, ts.URL+"/v1/advise", map[string]any{
+		"asm": testKernelSrc, "gridX": 1, "gridY": 65536, "blockX": 64,
+	})
+	var out errorBody
+	if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusUnprocessableEntity || out.Error.Code != "bad_kernel" {
+		t.Errorf("gridY 65536: status %d, body %s; want 422 bad_kernel", resp.StatusCode, body)
+	}
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	ts := newTestServer(t)
 	k, err := gpa.LoadKernelAsm(testKernelSrc, gpa.Launch{GridX: 160, BlockX: 256})

@@ -112,9 +112,12 @@ type Job struct {
 	Kind   JobKind
 	Kernel *Kernel
 	// Options tunes the run exactly as for Kernel.Advise (nil =
-	// defaults), Options.Parallelism included: set it to 1 for a
-	// Workload that is not safe for concurrent use. Parallelism never
-	// affects results.
+	// defaults), Options.Parallelism included, except that 0 is resolved
+	// when the job is granted a worker slot: max(1, GOMAXPROCS - others),
+	// others being the jobs holding another slot, so a lone job fans out
+	// over every core and concurrent ones share them out. Set it to 1
+	// for a Workload that is not safe for concurrent use. Parallelism
+	// never affects results.
 	Options *Options
 	// Timeout is this job's deadline, measured from admission (0 = the
 	// engine's DefaultTimeout; negative = none even when a default is

@@ -102,8 +102,11 @@ type Options struct {
 	// SimSMs bounds detailed SM simulation (0 = 4).
 	SimSMs int
 	// Parallelism bounds how many SMs are simulated concurrently
-	// (0 = GOMAXPROCS). Results are bit-identical at every level; with
-	// Parallelism > 1 the Workload must be safe for concurrent use.
+	// (0 = GOMAXPROCS for a Kernel method; an Engine resolves 0 when the
+	// job is granted a worker slot, to the cores the jobs holding the
+	// other slots leave free). Results are bit-identical at every
+	// level; with Parallelism > 1 the Workload must be safe for
+	// concurrent use.
 	// WorkloadSpec binding is itself read-only, but the callback
 	// closures a spec carries (TripFunc, Taken, Latency) are invoked
 	// concurrently too and must not mutate shared state — set

@@ -3,11 +3,13 @@ package gpusim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
+	"time"
 
 	"gpa/internal/apierr"
 	"gpa/internal/arch"
@@ -143,10 +145,27 @@ func TestEventSkipMatchesCycleStepper(t *testing.T) {
 	}
 }
 
-// TestRunReusesPooledState pins the per-program arena: once a program
-// has run (and its Result was recycled), further runs must not allocate
-// on the hot path — sequential or fanned out, where the arena holds one
-// SM shell per worker however many SMs the run simulates.
+// emptyPools empties the package's pools: a sync.Pool survives one
+// collection in its victim cache and not two.
+func emptyPools() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// mallocsOf counts the heap objects f allocates.
+func mallocsOf(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestRunReusesPooledState pins the package-wide arena: once any
+// program has run (and its Result was recycled), further runs must not
+// allocate on the hot path — on that program, on one that has never
+// run, sequential or fanned out, where the arena holds one SM shell per
+// worker however many SMs the run simulates.
 func TestRunReusesPooledState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector (its runtime allocates inside the measured window)")
@@ -180,27 +199,37 @@ func TestRunReusesPooledState(t *testing.T) {
 		t.Errorf("warm gpusim.Run allocates %.1f objects/op, want ~0", avg)
 	}
 
-	// The fanned-out path: 4 SMs over 2 workers into a sharded sink.
-	// AllocsPerRun pins GOMAXPROCS to 1, which would cap the run back to
-	// one worker, so this window counts mallocs itself.
-	withGOMAXPROCS(t, 2)
-	if p, err = Load(m); err != nil { // a program whose pools are still empty
+	// A program that has never run takes the arena and the Result the
+	// first one left: its first run allocates nothing either. One P, so
+	// the Get meets the Put.
+	withGOMAXPROCS(t, 1)
+	if p, err = Load(m); err != nil {
 		t.Fatal(err)
 	}
 	if wl, err = spec.Bind(p); err != nil {
 		t.Fatal(err)
 	}
+	if n := mallocsOf(do); n != 0 {
+		t.Errorf("the first gpusim.Run of a new program allocates %d objects, want 0 (the pools are the package's)", n)
+	}
+
+	// The fanned-out path: 4 SMs over 2 workers into a sharded sink.
+	// AllocsPerRun pins GOMAXPROCS to 1, which would cap the run back to
+	// one worker, so this window counts mallocs itself.
+	withGOMAXPROCS(t, 2)
 	launch.Grid = Dim(8)
 	cfg = Config{GPU: arch.VoltaV100(), SimSMs: 4, Seed: 3, Parallelism: 2,
 		SamplePeriod: 32, Sink: &shardCapture{t: t}}
 	cfg.GPU.NumSMs = 4
-	// Seed the pool with an arena the test can inspect afterwards (a
-	// sync.Pool is per-P: retry should the goroutine migrate between
-	// the Put and Run's Get and leave the seeded arena unused).
+	// Seed the emptied pool with an arena the test can inspect
+	// afterwards (a sync.Pool is per-P: retry should the goroutine
+	// migrate between the Put and Run's Get and leave the seeded arena
+	// unused).
 	var ar *arena
 	for try := 0; try < 10 && (ar == nil || len(ar.workers) == 0); try++ {
+		emptyPools()
 		ar = &arena{}
-		p.putArena(ar)
+		arenaPool.Put(ar)
 		do()
 	}
 	if n := len(ar.workers); n != 2 {
@@ -214,16 +243,12 @@ func TestRunReusesPooledState(t *testing.T) {
 	// allocates a g for a worker goroutine whenever the starting P's
 	// free list is dry (exited workers return theirs to the P they
 	// finished on).
-	var before, after runtime.MemStats
 	mallocs := make([]uint64, 11)
 	for i := range mallocs {
 		for _, sh := range sink.shards {
 			sh.samples = sh.samples[:0]
 		}
-		runtime.ReadMemStats(&before)
-		do()
-		runtime.ReadMemStats(&after)
-		mallocs[i] = after.Mallocs - before.Mallocs
+		mallocs[i] = mallocsOf(do)
 	}
 	slices.Sort(mallocs)
 	if median := mallocs[len(mallocs)/2]; median > 1 {
@@ -232,34 +257,164 @@ func TestRunReusesPooledState(t *testing.T) {
 }
 
 // TestArenaReuseRecorded: a run's work record says whether its state
-// arena came out of the program's pool — what gpad sums into poolHits.
-// The first run on a program cannot have reused one; with the collector
-// off (it may empty a sync.Pool) the next two must, except under the
+// arena came out of the package pool — what gpad sums into poolHits.
+// Once the pool is emptied, the first run cannot have reused one, and
+// every later run must, whichever program ran before it: the same one,
+// another load of its module that has never run, or a different
+// kernel. One P keeps every Get on the pool the last Put filled and
+// the collector is off (it may empty a sync.Pool), except under the
 // race detector, where sync.Pool drops a share of what is put back.
 func TestArenaReuseRecorded(t *testing.T) {
-	m := sass.MustAssemble(memBoundSrc)
-	p, err := Load(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	launch := LaunchConfig{Entry: "membound", Grid: Dim(1), Block: Dim(64), RegsPerThread: 16}
-	cfg := Config{GPU: arch.VoltaV100(), SimSMs: 1, Seed: 1, Parallelism: 1}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i, want := range []bool{false, true, true} {
-		res, err := Run(context.Background(), p, launch, NopWorkload{}, cfg)
+	withGOMAXPROCS(t, 1)
+	load := func(src string) *Program {
+		p, err := Load(sass.MustAssemble(src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.ArenaReused != want && !(raceEnabled && want) {
-			t.Errorf("run %d: ArenaReused = %v, want %v", i, res.ArenaReused, want)
+		return p
+	}
+	mb := load(memBoundSrc)
+	runs := []struct {
+		p     *Program
+		entry string
+		want  bool
+	}{
+		{mb, "membound", false},
+		{mb, "membound", true},
+		{load(memBoundSrc), "membound", true},
+		{load(syncSrc), "syncy", true},
+	}
+	cfg := Config{GPU: arch.VoltaV100(), SimSMs: 1, Seed: 1, Parallelism: 1}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	emptyPools()
+	for i, r := range runs {
+		launch := LaunchConfig{Entry: r.entry, Grid: Dim(1), Block: Dim(64), RegsPerThread: 16}
+		res, err := Run(context.Background(), r.p, launch, NopWorkload{}, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		p.Recycle(res)
+		if res.ArenaReused != r.want && !(raceEnabled && r.want) {
+			t.Errorf("run %d (%s): ArenaReused = %v, want %v", i, r.entry, res.ArenaReused, r.want)
+		}
+		r.p.Recycle(res)
+	}
+}
+
+// TestArenasSharedAcrossPrograms: arenas and Results recycled by one
+// program serve another without leaking into what it computes. A long
+// program (three kernels in one module, run from the last, so its
+// branches sit past the short program's last PC) and a short one
+// alternate through the package pools at Parallelism 1 and 2, into an
+// ordered and a sharded sink; every Result and sample stream must
+// equal the one the same launch gave on an arena fresh from an emptied
+// pool.
+func TestArenasSharedAcrossPrograms(t *testing.T) {
+	withGOMAXPROCS(t, 2)
+	type program struct {
+		p      *Program
+		wl     Workload
+		launch LaunchConfig
+		g      *arch.GPU
+		simSMs int
+	}
+	load := func(src string, spec *Spec, launch LaunchConfig, numSMs, simSMs int) program {
+		p, err := Load(sass.MustAssemble(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl, err := spec.Bind(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := arch.VoltaV100()
+		g.NumSMs = numSMs
+		return program{p, wl, launch, g, simSMs}
+	}
+	long := load(memBoundSrc+syncSrc+longSyncSrc,
+		&Spec{Trips: map[Site]TripFunc{{"longsync", "BR0"}: UniformTrips(40)}},
+		LaunchConfig{Entry: "longsync", Grid: Dim(24), Block: Dim(512), RegsPerThread: 16, SharedMemPerBlock: 32 * 1024},
+		4, 4)
+	short := load(tailLoadSrc,
+		&Spec{Trips: map[Site]TripFunc{{"tailload", "BR0"}: UniformTrips(5)}},
+		LaunchConfig{Entry: "tailload", Grid: Dim(3), Block: Dim(64), RegsPerThread: 16},
+		80, 2)
+	if len(long.p.Instrs) <= len(short.p.Instrs) {
+		t.Fatalf("long program has %d instructions, short %d", len(long.p.Instrs), len(short.p.Instrs))
+	}
+
+	type outcome struct {
+		res     Result
+		samples [][]Sample // per SM for a sharded sink, one stream otherwise
+	}
+	run := func(pr program, parallelism int, sharded bool) outcome {
+		t.Helper()
+		var sink SampleSink = &captureSink{}
+		if sharded {
+			sink = &shardCapture{t: t}
+		}
+		res, err := Run(context.Background(), pr.p, pr.launch, pr.wl, Config{
+			GPU: pr.g, SimSMs: pr.simSMs, SamplePeriod: 16, Sink: sink, Seed: 5, Parallelism: parallelism,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{res: *res}
+		out.res.IssuedPerPC = slices.Clone(res.IssuedPerPC)
+		pr.p.Recycle(res)
+		if sharded {
+			for _, sh := range sink.(*shardCapture).shards {
+				out.samples = append(out.samples, sh.samples)
+			}
+		} else {
+			out.samples = [][]Sample{sink.(*captureSink).samples}
+		}
+		return out
+	}
+	for _, parallelism := range []int{1, 2} {
+		for _, sharded := range []bool{false, true} {
+			t.Run(fmt.Sprintf("P%d/sharded=%v", parallelism, sharded), func(t *testing.T) {
+				var want [2]outcome
+				for i, pr := range []program{long, short} {
+					emptyPools()
+					want[i] = run(pr, parallelism, sharded)
+					if want[i].res.ArenaReused {
+						t.Fatalf("reference run %d reused an arena from an emptied pool", i)
+					}
+				}
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				reused := 0
+				for round := 0; round < 4; round++ {
+					for i, pr := range []program{long, short} {
+						got := run(pr, parallelism, sharded)
+						if got.res.ArenaReused {
+							reused++
+						}
+						got.res.ArenaReused = false
+						if !reflect.DeepEqual(got.res, want[i].res) {
+							t.Errorf("round %d program %d: Result on a shared arena\n%+v\nwant (fresh arena)\n%+v", round, i, got.res, want[i].res)
+						}
+						if !reflect.DeepEqual(got.samples, want[i].samples) {
+							t.Errorf("round %d program %d: sample streams on a shared arena differ from a fresh arena's", round, i)
+						}
+					}
+				}
+				// Most runs must have shared an arena, or the test proves
+				// nothing (a goroutine that migrates between Ps can miss
+				// one now and then; under the race detector sync.Pool
+				// drops a share on purpose).
+				if reused < 4 && !raceEnabled {
+					t.Errorf("%d of 8 runs reused an arena, want most", reused)
+				}
+			})
+		}
 	}
 }
 
 // TestNegativeLaunchDimensions pins the Dim3 validation: negative grid
 // or block components must fail with ErrBadKernel instead of being
-// silently treated as 1.
+// silently treated as 1, and so must grid components past CUDA's limits
+// (x 2^31-1, y and z 65535), before anything is simulated, so
+// Dim3.Count never overflows.
 func TestNegativeLaunchDimensions(t *testing.T) {
 	m := sass.MustAssemble(memBoundSrc)
 	p, err := Load(m)
@@ -271,11 +426,48 @@ func TestNegativeLaunchDimensions(t *testing.T) {
 		{Entry: "membound", Grid: Dim3{X: -1}, Block: Dim(32)},
 		{Entry: "membound", Grid: Dim(1), Block: Dim3{X: 32, Y: -2}},
 		{Entry: "membound", Grid: Dim3{X: 2, Z: -7}, Block: Dim(32)},
+		{Entry: "membound", Grid: Dim(maxGridX + 1), Block: Dim(32)},
+		{Entry: "membound", Grid: Dim3{X: 1, Y: maxGridYZ + 1}, Block: Dim(32)},
+		{Entry: "membound", Grid: Dim3{X: 1, Z: maxGridYZ + 1}, Block: Dim(32)},
+		{Entry: "membound", Grid: Dim3{X: maxGridX, Y: 1 << 40, Z: 1 << 40}, Block: Dim(32)},
 	} {
 		_, err := Run(context.Background(), p, launch, nil, cfg)
 		if !errors.Is(err, apierr.ErrBadKernel) {
 			t.Errorf("Run(grid %+v, block %+v) = %v, want ErrBadKernel", launch.Grid, launch.Block, err)
 		}
+	}
+}
+
+// TestHugeGridHonorsDeadline: the largest grid CUDA allows runs in
+// memory independent of its size — an SM's block queue is the
+// arithmetic progression it is, not a list — and stops at its
+// deadline within one cancellation checkpoint.
+func TestHugeGridHonorsDeadline(t *testing.T) {
+	p, err := Load(sass.MustAssemble(memBoundSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := LaunchConfig{Entry: "membound", Grid: Dim(maxGridX), Block: Dim(256), RegsPerThread: 16}
+	cfg := Config{GPU: arch.VoltaV100(), Seed: 1, Parallelism: 1}
+	const deadline = 300 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err = Run(ctx, p, launch, nil, cfg)
+	late := time.Since(start) - deadline
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, apierr.ErrCanceled) {
+		t.Fatalf("Run(grid x %d) under a %v deadline = %v, want ErrCanceled", maxGridX, deadline, err)
+	}
+	// A checkpoint is cancelCheckInterval loop iterations: milliseconds,
+	// even under the race detector.
+	if late > 150*time.Millisecond {
+		t.Errorf("Run returned %v after its deadline, want within one checkpoint", late)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("Run(grid x %d) allocated %d bytes, want < 1 MB", maxGridX, n)
 	}
 }
 

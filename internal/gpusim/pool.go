@@ -9,25 +9,29 @@ import (
 
 // Per-run state recycling. Every piece of mutable state a Run call
 // needs — one SM shell per worker with its warp/scheduler/icache
-// slices, block list and partial result, the per-PC run tables, the
-// per-SM sink table, and the replay buffers an ordered sink needs in
-// parallel mode — lives in an arena recycled through a sync.Pool hung
-// off the Program. Shells are per worker, not per SM: a run at
-// parallelism w holds w shells however many SMs it simulates, each
-// reused for every SM its worker takes. A Program is the natural pool
-// key: every per-PC slice is sized by len(p.Instrs), so an arena
-// recycled under the same program re-slices its backing arrays without
-// allocating, and gpa.Kernel (which caches one Program per kernel)
-// makes a warm serving engine reuse the same arenas run after run.
+// slices, the per-PC run tables, the per-SM sink table, and the replay
+// buffers an ordered sink needs in parallel mode — lives in an arena
+// recycled through one package-wide sync.Pool. Shells are per worker,
+// not per SM: a run at parallelism w holds w shells however many SMs it
+// simulates, each reused for every SM its worker takes. An arena is not
+// tied to a program: every per-PC slice is resized to len(p.Instrs)
+// when a run takes it (resizeInt64, resizeInt32, a warp's visits in
+// startBlock), reusing its backing array when that is large enough, so
+// every program in the process draws on one pool and a program that
+// has never run reuses an arena another one left.
 //
 // Ownership contract: everything inside an arena is owned by exactly
 // one Run call and is recycled when Run returns, so nothing that
 // escapes a Run (the Result, recorded Samples) may alias arena memory.
-// Results come from a second per-program pool instead: Run hands
+// Results come from a second package-wide pool instead: Run hands
 // ownership of the returned *Result to the caller, and the caller MAY
 // hand it back with Program.Recycle once it has copied what it needs.
 // After Recycle the Result must not be touched; callers that retain
 // results simply never recycle them.
+
+// arenaPool and resultPool are the package's two pools (*arena and
+// *Result), shared by every program.
+var arenaPool, resultPool sync.Pool
 
 // arena is one Run call's worth of reusable simulator state.
 type arena struct {
@@ -47,16 +51,14 @@ type arena struct {
 	wg     sync.WaitGroup
 }
 
-// getArena takes an arena from the program's pool, or allocates one;
-// reused says which (Work.ArenaReused).
-func (p *Program) getArena() (a *arena, reused bool) {
-	if a, _ := p.arenaPool.Get().(*arena); a != nil {
+// getArena takes an arena from the pool, or allocates one; reused
+// says which (Work.ArenaReused).
+func getArena() (a *arena, reused bool) {
+	if a, _ := arenaPool.Get().(*arena); a != nil {
 		return a, true
 	}
 	return &arena{}, false
 }
-
-func (p *Program) putArena(a *arena) { p.arenaPool.Put(a) }
 
 // grow readies n workers, each with a cleared partial result over
 // numPCs instructions, and rewinds the SM counter.
@@ -140,19 +142,19 @@ func (a *arena) buildRunTables(p *Program, wl Workload, g *arch.GPU) *runTables 
 	return rt
 }
 
-// getResult takes a Result from the program's pool (or allocates one)
-// with IssuedPerPC sized and cleared; all other fields are zero.
-func (p *Program) getResult() *Result {
-	r, _ := p.resultPool.Get().(*Result)
+// getResult takes a Result from the pool (or allocates one) with
+// IssuedPerPC sized to numPCs and cleared; all other fields are zero.
+func getResult(numPCs int) *Result {
+	r, _ := resultPool.Get().(*Result)
 	if r == nil {
 		r = &Result{}
 	}
-	*r = Result{IssuedPerPC: resizeInt64(r.IssuedPerPC, len(p.Instrs))}
+	*r = Result{IssuedPerPC: resizeInt64(r.IssuedPerPC, numPCs)}
 	return r
 }
 
-// Recycle returns a Result produced by Run on this program to the
-// per-program pool so the next Run reuses its storage. It is optional:
+// Recycle returns a Result produced by Run to the pool so a later Run,
+// on this program or any other, reuses its storage. It is optional:
 // callers that retain the Result just let the GC have it. After
 // Recycle the Result (including its IssuedPerPC slice) must not be
 // used.
@@ -160,7 +162,7 @@ func (p *Program) Recycle(res *Result) {
 	if res == nil {
 		return
 	}
-	p.resultPool.Put(res)
+	resultPool.Put(res)
 }
 
 // resizeInt64 returns s resized to n entries, reusing its backing
@@ -219,11 +221,4 @@ func growSlot(slots []blockSlot) []blockSlot {
 		return slots
 	}
 	return append(slots, blockSlot{})
-}
-
-// poolsOf is the set of sync.Pools a Program carries; split into its
-// own struct so Program's exported surface stays data-only.
-type poolsOf struct {
-	arenaPool  sync.Pool // *arena
-	resultPool sync.Pool // *Result
 }

@@ -52,11 +52,6 @@ type Program struct {
 	// the per-cycle scheduler loops never re-decode opcodes or control
 	// bits (see instrMeta).
 	meta []instrMeta
-
-	// poolsOf recycles per-run simulator state between Run calls on
-	// this program (see pool.go). A Program must not be copied by value
-	// after first use.
-	poolsOf
 }
 
 // instrMeta flattens the per-instruction facts the simulator's issue and

@@ -13,8 +13,10 @@ import (
 type Dim3 struct{ X, Y, Z int }
 
 // Count returns the total element count (zero components count as one,
-// as CUDA's dim3 does). Negative components are invalid; Run rejects
-// them with ErrBadKernel before Count is consulted.
+// as CUDA's dim3 does). Negative components are invalid, and so are
+// grid components past CUDA's limits; Run rejects both with
+// ErrBadKernel before Count is consulted, and within those limits a
+// grid's Count fits an int.
 func (d Dim3) Count() int {
 	c := 1
 	for _, v := range []int{d.X, d.Y, d.Z} {
@@ -27,6 +29,15 @@ func (d Dim3) Count() int {
 
 // valid reports whether every component is non-negative.
 func (d Dim3) valid() bool { return d.X >= 0 && d.Y >= 0 && d.Z >= 0 }
+
+// CUDA's grid dimension limits.
+const maxGridX, maxGridYZ = 1<<31 - 1, 65535
+
+// withinGridLimits reports whether no component exceeds CUDA's grid
+// limits.
+func (d Dim3) withinGridLimits() bool {
+	return d.X <= maxGridX && d.Y <= maxGridYZ && d.Z <= maxGridYZ
+}
 
 // Dim returns a 1-D Dim3.
 func Dim(x int) Dim3 { return Dim3{X: x} }
@@ -135,8 +146,9 @@ type Work struct {
 	LoopIterations int64
 	ReadyCalls     int64
 	// ArenaReused reports whether the run's state arena came out of the
-	// program's pool instead of being allocated (see pool.go). Unlike
-	// the counters it depends on what ran before, not on the input.
+	// package's pool instead of being allocated (see pool.go). Unlike
+	// the counters it depends on what ran before, on any program, not
+	// on the input.
 	ArenaReused bool
 }
 
@@ -173,6 +185,10 @@ func Run(ctx context.Context, p *Program, launch LaunchConfig, wl Workload, cfg 
 		return nil, fmt.Errorf("gpusim: %w: negative launch dimension (grid %+v, block %+v)",
 			apierr.ErrBadKernel, launch.Grid, launch.Block)
 	}
+	if !launch.Grid.withinGridLimits() {
+		return nil, fmt.Errorf("gpusim: %w: grid %+v exceeds CUDA's limits (x <= %d, y and z <= %d)",
+			apierr.ErrBadKernel, launch.Grid, maxGridX, maxGridYZ)
+	}
 	threads := launch.Block.Count()
 	occ, err := cfg.GPU.ComputeOccupancy(threads, launch.RegsPerThread, launch.SharedMemPerBlock)
 	if err != nil {
@@ -201,7 +217,7 @@ func Run(ctx context.Context, p *Program, launch LaunchConfig, wl Workload, cfg 
 		maxCycles = 50_000_000
 	}
 
-	res := p.getResult()
+	res := getResult(len(p.Instrs))
 	res.Occupancy = occ
 	res.ActiveSMs = activeSMs
 	res.SimulatedSMs = simSMs
@@ -220,8 +236,8 @@ func Run(ctx context.Context, p *Program, launch LaunchConfig, wl Workload, cfg 
 	// The arena holds every piece of per-run mutable state (see
 	// pool.go); it is recycled when Run returns — on success, error and
 	// panic alike — and nothing that escapes Run aliases it.
-	ar, reused := p.getArena()
-	defer p.putArena(ar)
+	ar, reused := getArena()
+	defer arenaPool.Put(ar)
 	res.ArenaReused = reused
 	workers := effectiveParallelism(cfg.Parallelism, simSMs)
 	ar.job = smJob{
@@ -308,7 +324,6 @@ type smJob struct {
 type smWorker struct {
 	ar      *arena
 	shell   sm
-	blocks  []int
 	partial Result
 	// cur is the SM id being simulated; failSM the id whose run failed
 	// (-1: none), with its error or the value it panicked with.
@@ -331,11 +346,7 @@ func (w *smWorker) drain() {
 			return
 		}
 		w.cur = smID
-		w.blocks = blocksForSM(w.blocks, smID, j.blocks, j.cfg.GPU.NumSMs)
-		if len(w.blocks) == 0 {
-			continue
-		}
-		s := newSM(&w.shell, smID, j, w.blocks, ar.sinks[smID])
+		s := newSM(&w.shell, smID, j, ar.sinks[smID])
 		cycles, err := s.run(j.ctx, j.maxCycles)
 		if err != nil {
 			w.fail(err, nil)
@@ -381,15 +392,11 @@ func effectiveParallelism(requested, simSMs int) int {
 	return p
 }
 
-// blocksForSM lists the grid blocks SM smID executes — blocks smID,
-// smID+NumSMs, smID+2*NumSMs, ... — appending into buf's backing
-// storage.
-func blocksForSM(buf []int, smID, blocks, numSMs int) []int {
-	out := buf[:0]
-	for b := smID; b < blocks; b += numSMs {
-		out = append(out, b)
-	}
-	return out
+// blocksOnSM counts the grid blocks SM smID executes — blocks smID,
+// smID+NumSMs, smID+2*NumSMs, ... below blocks. Every simulated SM
+// has one: simSMs never exceeds the block count.
+func blocksOnSM(smID, blocks, numSMs int) int {
+	return (blocks - smID + numSMs - 1) / numSMs
 }
 
 // work is one SM's share of the run's work record.

@@ -130,8 +130,10 @@ type sm struct {
 	warps  []warpState
 	slots  []blockSlot
 
-	blockQueue []int // global block IDs still to run
-	nextBlock  int
+	// The SM runs grid blocks id, id+NumSMs, id+2·NumSMs, ...: blocks
+	// of them, nextBlock of which have started.
+	blocks    int
+	nextBlock int
 	// doneSlots counts block slots that have drained with the queue
 	// empty; allDone is O(1) against it instead of walking the slots.
 	doneSlots int
@@ -176,10 +178,10 @@ type sm struct {
 }
 
 // newSM (re)initializes an SM shell for one run. The shell comes from
-// the program's run-state arena: every slice it carries is resized in
-// place and reused, so a warm shell initializes without heap
-// allocations (see pool.go for the recycling contract).
-func newSM(shell *sm, id int, j *smJob, blocks []int, sink SampleSink) *sm {
+// a run-state arena: every slice it carries is resized in place and
+// reused, so a warm shell initializes without heap allocations (see
+// pool.go for the recycling contract).
+func newSM(shell *sm, id int, j *smJob, sink SampleSink) *sm {
 	s := shell
 	p, cfg := j.p, j.cfg
 	lines := (len(p.Instrs) + cfg.GPU.ICacheLineInstrs - 1) / cfg.GPU.ICacheLineInstrs
@@ -189,7 +191,7 @@ func newSM(shell *sm, id int, j *smJob, blocks []int, sink SampleSink) *sm {
 		scheds:      resetScheds(s.scheds, cfg.GPU.SchedulersPerSM),
 		warps:       s.warps[:0],
 		slots:       s.slots[:0],
-		blockQueue:  blocks,
+		blocks:      blocksOnSM(id, j.blocks, cfg.GPU.NumSMs),
 		mshrFree:    cfg.GPU.MSHRsPerSM,
 		releases:    s.releases[:0],
 		minRelease:  farFuture,
@@ -203,10 +205,7 @@ func newSM(shell *sm, id int, j *smJob, blocks []int, sink SampleSink) *sm {
 	if sink != nil {
 		s.period = int64(cfg.SamplePeriod)
 	}
-	resident := j.occ.BlocksPerSM
-	if resident > len(blocks) {
-		resident = len(blocks)
-	}
+	resident := min(j.occ.BlocksPerSM, s.blocks)
 	for slot := 0; slot < resident; slot++ {
 		s.slots = growSlot(s.slots)
 		s.startBlock(slot, 0)
@@ -227,14 +226,14 @@ func (s *sm) wakeAll() {
 // startBlock (re)fills a block slot with the next queued block at the
 // given cycle; it returns false when the queue is empty.
 func (s *sm) startBlock(slot int, now int64) bool {
-	if s.nextBlock >= len(s.blockQueue) {
+	if s.nextBlock >= s.blocks {
 		if !s.slots[slot].done {
 			s.slots[slot].done = true
 			s.doneSlots++
 		}
 		return false
 	}
-	blockID := s.blockQueue[s.nextBlock]
+	blockID := s.id + s.nextBlock*s.gpu.NumSMs
 	s.nextBlock++
 	bs := &s.slots[slot]
 	bs.arrived = 0
@@ -254,12 +253,9 @@ func (s *sm) startBlock(slot int, now int64) bool {
 	}
 	for wi, widx := range bs.warps {
 		w := &s.warps[widx]
-		visits := w.visits
-		if visits == nil {
-			visits = make([]int32, len(s.p.Instrs))
-		} else {
-			clear(visits)
-		}
+		// A recycled warp may come from another program's run: resize,
+		// not just clear.
+		visits := resizeInt32(w.visits, len(s.p.Instrs))
 		*w = warpState{
 			slot: slot,
 			ctx: WarpCtx{
@@ -316,7 +312,7 @@ func (s *sm) setGateAt(sc *scheduler, slot int, w *warpState) {
 }
 
 func (s *sm) allDone() bool {
-	return s.nextBlock >= len(s.blockQueue) && s.doneSlots == len(s.slots)
+	return s.nextBlock >= s.blocks && s.doneSlots == len(s.slots)
 }
 
 // ready reports whether warp w can issue at cycle now and the stall

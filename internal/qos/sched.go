@@ -198,6 +198,15 @@ func NewScheduler(workers, maxQueue int, cfg Config) *Scheduler {
 // Workers is the worker-slot bound.
 func (s *Scheduler) Workers() int { return s.workers }
 
+// Running is how many worker slots are held now. A run that has just
+// been granted a slot counts itself in it; the engine sizes the run's
+// default fan-out by the others.
+func (s *Scheduler) Running() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.running
+}
+
 // QueueCapacity is the admission bound beyond the worker pool
 // (0 = unbounded, matching the old Stats semantics).
 func (s *Scheduler) QueueCapacity() int64 {

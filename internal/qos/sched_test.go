@@ -60,6 +60,44 @@ func hog(t *testing.T, s *Scheduler, tenant string, lane Lane) func() {
 	return release
 }
 
+// TestRunningCountsHeldSlots: Running counts the worker slots held at
+// the moment, whether a grant was immediate or came off the queue when
+// a slot freed.
+func TestRunningCountsHeldSlots(t *testing.T) {
+	s := NewScheduler(2, 0, Config{})
+	if n := s.Running(); n != 0 {
+		t.Errorf("idle: Running = %d, want 0", n)
+	}
+	first := hog(t, s, "a", LaneInteractive)
+	if n := s.Running(); n != 1 {
+		t.Errorf("one grant: Running = %d, want 1", n)
+	}
+	second := hog(t, s, "a", LaneInteractive)
+	queued := make(chan int, 1)
+	go func() {
+		release, err := s.Acquire(context.Background(), "a", LaneInteractive)
+		if err != nil {
+			queued <- -1
+			return
+		}
+		n := s.Running()
+		release()
+		queued <- n
+	}()
+	waitQueued(t, s, 1)
+	if n := s.Running(); n != 2 {
+		t.Errorf("two grants and one queued: Running = %d, want 2", n)
+	}
+	first()
+	if n := <-queued; n != 2 {
+		t.Errorf("queued grant beside one run: Running = %d, want 2", n)
+	}
+	second()
+	if n := s.Running(); n != 0 {
+		t.Errorf("after every release: Running = %d, want 0", n)
+	}
+}
+
 // TestDWRRFairnessUnderImbalance is the scheduler half of the ISSUE's
 // fairness pin: two equal-weight tenants with a 10:1 queued backlog
 // imbalance are granted slots alternately while both stay backlogged —

@@ -137,11 +137,12 @@ type Request struct {
 	SimSMs int
 	Seed   uint64
 	// Parallelism bounds concurrent SM simulation inside this one run
-	// (0 = gpusim's default: GOMAXPROCS, capped by SimSMs — a run takes
-	// whatever cores the other workers leave idle, and when none are
-	// idle the Go scheduler shares them out). Set 1 for a Workload that
-	// is not safe for concurrent use. Excluded from every key — results
-	// are identical at every level.
+	// (0 = resolved when the run is granted a worker slot to the cores
+	// the other slot holders leave free, max(1, GOMAXPROCS - others),
+	// and capped by SimSMs: a lone run fans out over every core, two
+	// concurrent runs on two cores take one each). Set 1 for a Workload
+	// that is not safe for concurrent use. Excluded from every key —
+	// results are identical at every level.
 	Parallelism int
 	// Timeout is this request's deadline, measured from admission
 	// (0 = the engine's DefaultTimeout; negative = none even when a
@@ -1072,7 +1073,21 @@ func (e *Engine) execute(ctx context.Context, req *Request, sk *stageKeys) (view
 		return nil, nil, fmt.Errorf("service: %w", err)
 	}
 	r := &run{n: req.normalized(), sk: sk, start: time.Now()}
+	r.n.Parallelism = fanOut(r.n.Parallelism, e.adm.Running()-1)
 	return e.resolve(ctx, r, stageOf(req.Kind), tierCompute)
+}
+
+// fanOut resolves a run's Parallelism when it is granted a worker
+// slot: an explicit level stands, and 0 takes the cores the other
+// runs holding a slot leave free — every core for a lone run, one when
+// the others fill the machine — so concurrent runs do not oversubscribe
+// the cores between them. A run keeps its level to the end: it does
+// not grow when another finishes. Results are identical at every level.
+func fanOut(requested, others int) int {
+	if requested > 0 {
+		return requested
+	}
+	return max(1, runtime.GOMAXPROCS(0)-others)
 }
 
 // frontend returns the run's module front-end artifact: the one every

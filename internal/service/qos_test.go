@@ -9,6 +9,8 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -334,5 +336,92 @@ func TestBrownoutShedsBatchThroughEngine(t *testing.T) {
 	st := e.Stats()
 	if st.BrownoutShed != 1 || st.BrownoutLevel != 1 {
 		t.Fatalf("brownoutShed=%d level=%d, want 1/1", st.BrownoutShed, st.BrownoutLevel)
+	}
+}
+
+// fanOutProbe is a Workload that tells whether a run fanned its SMs
+// out. gpusim reads Transactions on the goroutine that called Run while
+// it builds the run tables, then simulates the SMs there when one
+// worker takes them all, or on worker goroutines of their own when
+// several do; Latency runs wherever an SM is simulated.
+type fanOutProbe struct {
+	gpusim.NopWorkload
+	mu     sync.Mutex
+	runG   string
+	fanned bool
+}
+
+// goroutineID is the calling goroutine's number, read off the first
+// line of its stack trace ("goroutine 12 [running]:").
+func goroutineID() string {
+	var buf [32]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+func (f *fanOutProbe) Transactions(pc int) int {
+	f.mu.Lock()
+	f.runG = goroutineID()
+	f.mu.Unlock()
+	return f.NopWorkload.Transactions(pc)
+}
+
+func (f *fanOutProbe) Latency(w gpusim.WarpCtx, pc, visit int) int {
+	f.mu.Lock()
+	f.fanned = f.fanned || goroutineID() != f.runG
+	f.mu.Unlock()
+	return f.NopWorkload.Latency(w, pc, visit)
+}
+
+// TestFanOutRule pins how a run's default Parallelism is resolved at
+// grant time: max(1, GOMAXPROCS - others), with others the runs
+// holding another worker slot, and gpusim capping it by SimSMs. On two
+// procs a lone run fans out (also under -workers 1, where a 1 + idle
+// slots rule would not), a run granted beside another takes one core,
+// and an explicit Parallelism is never changed.
+func TestFanOutRule(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, c := range []struct{ requested, others, want int }{
+		{0, 0, 2}, {0, 1, 1}, {0, 3, 1}, {2, 1, 2}, {1, 0, 1}, {5, 0, 5},
+	} {
+		if got := fanOut(c.requested, c.others); got != c.want {
+			t.Errorf("fanOut(%d, %d) = %d on 2 procs, want %d", c.requested, c.others, got, c.want)
+		}
+	}
+
+	cases := []struct {
+		name                      string
+		workers, simSMs, parallel int
+		hog                       bool // another run holds a slot
+		fanned                    bool
+	}{
+		{"lone run", 2, 2, 0, false, true},
+		{"lone run over one SM", 2, 1, 0, false, false},
+		{"beside another run", 2, 2, 0, true, false},
+		{"lone run, one worker slot", 1, 2, 0, false, true},
+		{"explicit 2 beside another run", 2, 2, 2, true, true},
+		{"explicit 1, lone", 2, 2, 1, false, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := New(Options{Workers: c.workers})
+			if c.hog {
+				release, err := e.adm.Acquire(context.Background(), "hog", qos.LaneInteractive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer release()
+			}
+			r := testRequest(t, KindMeasure)
+			r.SimSMs, r.Parallelism = c.simSMs, c.parallel
+			probe := &fanOutProbe{} // a Workload also makes the run uncacheable
+			r.Workload = probe
+			if _, err := e.Do(context.Background(), r); err != nil {
+				t.Fatal(err)
+			}
+			if probe.fanned != c.fanned {
+				t.Errorf("run fanned out = %v, want %v", probe.fanned, c.fanned)
+			}
+		})
 	}
 }
