@@ -1,13 +1,16 @@
 // Command drift-check prints a digest of simulator-visible behavior for
-// comparing builds: per-row measured cycles and a hash of the full
-// profile (sample counters included) for a few representative rows.
-// Ctrl-C / SIGTERM cancels the in-flight simulation and exits non-zero.
+// comparing builds: per Table 3 row, the measured cycles and a hash of
+// the full profile (sample counters included); then, per row again, a
+// hash of the advice — its entries and its report text — with the
+// estimated speedup and rank of the optimizer the row expects, so a
+// change to blaming or advising is a diff too. Ctrl-C / SIGTERM cancels
+// the in-flight simulation and exits non-zero.
 //
 // With -store-dir the rows are resolved through a store-backed engine
 // instead of the direct library calls, so CI can run the tool twice
 // against one directory — cold, then warm from disk — and diff both
-// outputs against DRIFT.txt to prove store-served artifacts are
-// byte-identical to recomputation.
+// outputs against DRIFT.txt to prove store-served artifacts, advice
+// included, are byte-identical to recomputation.
 //
 // With -work it prints the other golden, WORK.txt: per row, the
 // simulator's deterministic work record for the run gpad serves (a
@@ -19,6 +22,8 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -66,7 +71,9 @@ func run(ctx context.Context, storeDir string) error {
 		defer st.Close()
 		eng = gpa.NewEngine(&gpa.EngineOptions{Store: st})
 	}
-	for _, b := range kernels.All() {
+	rows := kernels.All()
+	reps := make([]*gpa.Report, len(rows))
+	for i, b := range rows {
 		k, wl, err := b.Base.Build()
 		if err != nil {
 			return err
@@ -89,6 +96,9 @@ func run(ctx context.Context, storeDir string) error {
 				return p.Err
 			}
 			cycles, digest = m.Cycles, p.ProfileDigest
+			if reps[i], err = eng.Do(ctx, gpa.Job{Kind: gpa.JobAdvise, Kernel: k, Options: opts, WorkloadKey: key}).Report(); err != nil {
+				return err
+			}
 		} else {
 			if cycles, err = k.Measure(ctx, opts); err != nil {
 				return err
@@ -100,8 +110,31 @@ func run(ctx context.Context, storeDir string) error {
 			if digest, err = prof.Digest(); err != nil {
 				return err
 			}
+			if reps[i], err = k.AdviseFromProfile(ctx, prof, opts); err != nil {
+				return err
+			}
 		}
 		fmt.Printf("%-60s cycles=%-10d profile=%s\n", b.ID(), cycles, digest[:16])
+	}
+	// The advice block: per row, the first 8 bytes of the SHA-256 of the
+	// entries' JSON followed by the report text, and the estimated
+	// speedup and 1-based rank of the optimizer the row expects (0 and 0
+	// when no entry is that optimizer's). Its lines have no " cycles="
+	// column, so readers of the first block (bench/'s pins) skip them.
+	for i, b := range rows {
+		entries, err := json.Marshal(reps[i].Advice.Entries)
+		if err != nil {
+			return err
+		}
+		sum := sha256.Sum256(append(entries, reps[i].String()...))
+		est, rank := 0.0, 0
+		for j, e := range reps[i].Advice.Entries {
+			if e.Optimizer == b.Optimizer {
+				est, rank = e.Speedup, j+1
+				break
+			}
+		}
+		fmt.Printf("%-60s advice=%x est=%.6f rank=%d\n", b.ID(), sum[:8], est, rank)
 	}
 	return nil
 }

@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sync"
+	"time"
 
 	"gpa"
 	"gpa/internal/lru"
+	"gpa/internal/obs"
 )
 
 // The kernel front cache does for raw asm/binary submissions what
@@ -35,14 +37,16 @@ const (
 type kernelDigest = [sha256.Size]byte
 
 // kernelCache maps a submission's kernelDigest to the shared
-// *gpa.Kernel built from it. Cached kernels are read-only.
+// *gpa.Kernel built from it. Cached kernels are read-only. lat receives
+// the assemble stage's latency: one observation per build, none per hit.
 type kernelCache struct {
 	mu  sync.Mutex
 	lru *lru.Cache[kernelDigest, *gpa.Kernel]
+	lat *obs.StageLatency
 }
 
-func newKernelCache() *kernelCache {
-	return &kernelCache{lru: lru.New[kernelDigest, *gpa.Kernel](kernelCacheEntries, kernelCacheBytes)}
+func newKernelCache(lat *obs.StageLatency) *kernelCache {
+	return &kernelCache{lru: lru.New[kernelDigest, *gpa.Kernel](kernelCacheEntries, kernelCacheBytes), lat: lat}
 }
 
 // scratchPool recycles the per-request byte buffers: the key material
@@ -82,14 +86,17 @@ func kernelKey[S string | []byte](kind kernelSource, src S, l gpa.Launch) kernel
 }
 
 // cachedKernel returns the kernel load builds from src, shared with
-// every equal submission still in the cache.
+// every equal submission still in the cache. Only a miss runs load, and
+// only a miss is timed as the assemble stage, failed builds included.
 func cachedKernel[S string | []byte](c *kernelCache, kind kernelSource, src S, l gpa.Launch,
 	load func(S, gpa.Launch) (*gpa.Kernel, error)) (*gpa.Kernel, error) {
 	key := kernelKey(kind, src, l)
 	if k, ok := c.load(key); ok {
 		return k, nil
 	}
+	start := time.Now()
 	k, err := load(src, l)
+	c.lat.Since(obs.StageAssemble, start)
 	if err != nil {
 		return nil, err
 	}

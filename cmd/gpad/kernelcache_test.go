@@ -34,7 +34,7 @@ func asmKernel(t *testing.T, c *kernelCache, src string, l gpa.Launch) *gpa.Kern
 // kernel; changing any launch field (the kernel carries its launch)
 // or the loader must not.
 func TestKernelCacheKeysOnLaunch(t *testing.T) {
-	c := newKernelCache()
+	c := newKernelCache(nil)
 	base := gpa.Launch{Entry: "first", GridX: 4, BlockX: 64, RegsPerThread: 16}
 	k := asmKernel(t, c, twoKernelSrc, base)
 	if again := asmKernel(t, c, twoKernelSrc, base); again != k {
@@ -71,7 +71,7 @@ func TestKernelCacheKeysOnLaunch(t *testing.T) {
 }
 
 func TestKernelCacheNeverCachesErrors(t *testing.T) {
-	c := newKernelCache()
+	c := newKernelCache(nil)
 	for i := 0; i < 2; i++ {
 		_, err := cachedKernel(c, sourceAsm, "garbage", gpa.Launch{GridX: 1, BlockX: 32}, gpa.LoadKernelAsm)
 		if !errors.Is(err, gpa.ErrAssemble) {
@@ -113,7 +113,7 @@ func TestKernelCacheByteBoundEvicts(t *testing.T) {
 // CI: equal submissions racing on a cold cache may each assemble, but
 // all of them leave with the same *Kernel.
 func TestKernelCacheConcurrentSubmissionsShareOneKernel(t *testing.T) {
-	c := newKernelCache()
+	c := newKernelCache(nil)
 	l := gpa.Launch{Entry: "vecscale", GridX: 160, BlockX: 256, RegsPerThread: 32}
 	const n = 16
 	got := make([]*gpa.Kernel, n)

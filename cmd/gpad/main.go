@@ -7,7 +7,11 @@
 // requests cost none; a bounded worker pool caps concurrent
 // simulations machine-wide, and -max-queue turns the daemon into a
 // load-shedding server that answers 503 queue_full instead of queueing
-// without bound.
+// without bound. The engine caches only the responses it serves. A
+// submitted kernel is memoized in front of it by a byte-bounded kernel
+// cache keyed by source and launch: assembled once, which is when the
+// assemble stage is timed, with its program and module hash built once
+// behind the kernel. A bundled row is built once per process.
 //
 // Admission is tenant-fair: every request may carry an X-Tenant-Id
 // header (absent or unsafe IDs share the "default" tenant), and
@@ -78,7 +82,8 @@
 //	                  reuse) and ffPeriodsDetected/ffCyclesSkipped/
 //	                  ffFallbacks (steady-state memoization) —
 //	                  and the artifact-store counters: sims,
-//	                  stageServed, structureBuilds, stageHits/Misses/
+//	                  stageServed, structureBuilds (one per advice
+//	                  computed), stageHits/Misses/
 //	                  Evictions (the in-memory stage LRUs, which
 //	                  -cache-entries bounds), storeHits/Misses/
 //	                  Puts/Corrupt/Errors (the -store-dir disk store)

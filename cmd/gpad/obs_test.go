@@ -166,7 +166,9 @@ func TestMetricsStageAndRequestSeries(t *testing.T) {
 
 	text := scrape(t, ts.URL)
 	for _, want := range []string{
-		`gpa_stage_duration_seconds_count{stage="assemble"} `,
+		// The first request assembles and the third fails to; the second
+		// fails on its arch before its kernel is built.
+		`gpa_stage_duration_seconds_count{stage="assemble"} 2`,
 		`gpa_stage_duration_seconds_count{stage="simulate"} 1`,
 		`gpa_stage_duration_seconds_count{stage="blame"} 1`,
 		`gpa_stage_duration_seconds_count{stage="advise"} 1`,
@@ -310,6 +312,28 @@ func TestRequestLogGatedByLevel(t *testing.T) {
 		if !strings.Contains(rec.Body.String(), `gpa_http_requests_total{route="/v1/advise",status="200",code=""} 1`) {
 			t.Errorf("level %v: the unlogged request is missing from the request metrics", level)
 		}
+	}
+}
+
+// TestBatchLogNotesTenantOnce: a batch's request line names its tenant
+// once, however many entries the batch carries.
+func TestBatchLogNotesTenantOnce(t *testing.T) {
+	var logs bytes.Buffer
+	h := newServerCfg(serverConfig{
+		engine: gpa.NewEngine(&gpa.EngineOptions{Workers: 1}),
+		logger: slog.New(slog.NewJSONHandler(&logs, nil)),
+	})
+	entry := `{"bench":"rodinia/hotspot","kind":"measure"}`
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch",
+		strings.NewReader(`{"requests":[`+entry+`,`+entry+`,`+entry+`]}`))
+	req.Header.Set("X-Tenant-Id", "acme")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if n := strings.Count(logs.String(), `"tenant":`); n != 1 {
+		t.Errorf("batch request line has %d tenant keys, want 1: %s", n, logs.String())
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"os"
@@ -33,12 +34,16 @@ const tenantHeader = "X-Tenant-Id"
 const maxTenantIDLen = 64
 
 // clientTenant returns the request's tenant ID when it is safe to echo
-// into logs and metric labels, else "" — the engine's default tenant.
-func clientTenant(r *http.Request) string {
-	if id := r.Header.Get(tenantHeader); safeID(id, maxTenantIDLen) {
-		return id
+// into logs and metric labels, else "" — the engine's default tenant —
+// and notes a named tenant on the request's log line. A handler calls it
+// once per request, however many jobs the request carries.
+func clientTenant(w http.ResponseWriter, r *http.Request) string {
+	id := r.Header.Get(tenantHeader)
+	if !safeID(id, maxTenantIDLen) {
+		return ""
 	}
-	return ""
+	note(w, slog.String("tenant", id))
+	return id
 }
 
 // loadQoSConfig reads the engine's QoS config from the -qos-config file

@@ -38,7 +38,7 @@ func TestClientTenant(t *testing.T) {
 		if tc.header != "" {
 			r.Header.Set(tenantHeader, tc.header)
 		}
-		if got := clientTenant(r); got != tc.want {
+		if got := clientTenant(nil, r); got != tc.want {
 			t.Errorf("clientTenant(%q) = %q, want %q", tc.header, got, tc.want)
 		}
 	}

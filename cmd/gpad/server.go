@@ -83,7 +83,7 @@ func newServerCfg(cfg serverConfig) http.Handler {
 		log:     logger,
 		metrics: obs.NewRequestMetrics(),
 		version: buildVersion(),
-		kernels: newKernelCache(),
+		kernels: newKernelCache(cfg.engine.StageLatency()),
 		benches: indexBenches(),
 	}
 	mux := http.NewServeMux()
@@ -370,19 +370,11 @@ func (s *server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	s.handleOne(w, r, gpa.JobProfile)
 }
 
-// buildJob converts a kernel request to a job, timing kernel
-// construction (parse/assemble/pack) into the engine's assemble-stage
-// histogram — gpad pre-builds programs before submission, so the
-// service-side assemble timer never sees HTTP traffic's real cost —
-// and stamping the request's trace ID and tenant onto the job.
-func (s *server) buildJob(w http.ResponseWriter, r *http.Request, req *kernelRequest) (gpa.Job, error) {
-	start := time.Now()
+// buildJob converts a kernel request to a job of the request's tenant,
+// stamping the request's trace ID onto it.
+func (s *server) buildJob(w http.ResponseWriter, tenant string, req *kernelRequest) (gpa.Job, error) {
 	job, err := req.job(s)
-	s.eng.StageLatency().Since(obs.StageAssemble, start)
-	job.TraceID = traceIDOf(w)
-	if job.Tenant = clientTenant(r); job.Tenant != "" {
-		note(w, slog.String("tenant", job.Tenant))
-	}
+	job.TraceID, job.Tenant = traceIDOf(w), tenant
 	return job, err
 }
 
@@ -393,7 +385,7 @@ func (s *server) handleOne(w http.ResponseWriter, r *http.Request, kind gpa.JobK
 		return
 	}
 	req.Kind = kind.String()
-	job, err := s.buildJob(w, r, &req)
+	job, err := s.buildJob(w, clientTenant(w, r), &req)
 	if err != nil {
 		writeRequestError(w, err)
 		return
@@ -464,8 +456,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	live := make([]int, 0, len(req.Requests))
 	liveJobs := make([]gpa.Job, 0, len(req.Requests))
+	tenant := clientTenant(w, r)
 	for i := range req.Requests {
-		job, err := s.buildJob(w, r, &req.Requests[i])
+		job, err := s.buildJob(w, tenant, &req.Requests[i])
 		if err != nil {
 			_, body := requestErrorBody(err)
 			out.Results[i] = body
@@ -531,7 +524,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		gpus = append(gpus, g)
 	}
 	req.Arch = "" // per-arch options are set by Sweep
-	job, err := s.buildJob(w, r, &req.kernelRequest)
+	job, err := s.buildJob(w, clientTenant(w, r), &req.kernelRequest)
 	if err != nil {
 		writeRequestError(w, err)
 		return

@@ -191,7 +191,7 @@ func TestEnvelopesMatchReferenceEncoder(t *testing.T) {
 
 	// The reference: the same jobs on the same engine (memory hits by
 	// now), through Job.Result and the struct encoder.
-	s := &server{kernels: newKernelCache(), benches: indexBenches()}
+	s := &server{kernels: newKernelCache(nil), benches: indexBenches()}
 	entry := func(req kernelRequest, gpu string) any {
 		req.Arch = gpu
 		job, err := req.job(s)

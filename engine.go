@@ -44,8 +44,8 @@ type Engine struct {
 // DefaultTimeout, Store (see OpenStore) and QoS (a QoSConfig literal or
 // ParseQoSConfig's output; NewEngine panics on one that does not
 // validate). Every run reuses the stored artifacts of the stages before
-// it: an arch sweep analyzes the module once, and a profile job's output
-// feeds a later advise job without re-simulation.
+// it: a profile job's output feeds a later advise job without
+// re-simulation.
 type EngineOptions = service.Options
 
 // EngineStats is a snapshot of the engine's cache and scheduling

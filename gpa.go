@@ -161,8 +161,9 @@ type Kernel struct {
 
 	// st caches the recovered program structure (CFG, loop nests, line
 	// maps). Structure is architecture-independent, so one analysis
-	// serves every Advise call — a cross-architecture sweep shares the
-	// whole front-end (module, program, hash, structure) per kernel.
+	// serves every Advise and AdviseFromProfile call on the kernel. (An
+	// Engine shares the module, program and hash of a kernel across a
+	// sweep, and analyzes the structure once per advice it computes.)
 	st     *structure.Structure
 	stErr  error
 	stOnce sync.Once

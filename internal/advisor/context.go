@@ -73,10 +73,9 @@ func BuildContext(mod *sass.Module, prof *profiler.Profile, gpu *arch.GPU,
 
 // BuildContextWithStructure is BuildContext with the program structure
 // supplied by the caller. The structure is the arch-independent half of
-// the front-end; gpa.Kernel memoizes it, so a cross-architecture sweep
-// analyzes the CFG and loop nests once and shares them across every
-// per-model advice run. st must have been analyzed from mod and is only
-// read.
+// the front-end; gpa.Kernel memoizes it, so its advice calls on every
+// architecture model share one analysis of the CFG and loop nests. st
+// must have been analyzed from mod and is only read.
 func BuildContextWithStructure(mod *sass.Module, st *structure.Structure, prof *profiler.Profile,
 	gpu *arch.GPU, opts blamer.Options) (*Context, error) {
 	if gpu == nil {

@@ -111,9 +111,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 type Stage int
 
 const (
-	// StageAssemble is the module front-end: SASS/CUBIN decode plus the
-	// flattened-program build (wherever it happens — the gpa layer's
-	// kernel construction or the engine's on-demand load).
+	// StageAssemble is the module front-end, timed where it runs: a
+	// SASS/CUBIN decode on a gpad kernel-cache miss, or the engine's
+	// flattened-program load for a request that brings no program.
 	StageAssemble Stage = iota
 	// StageSimulate is a gpusim run or a sampling-profiler collection —
 	// the simulator invocations Stats.Sims counts.

@@ -10,11 +10,11 @@
 // stage key (tenant and lane are transport-only metadata, excluded
 // from every content-addressed key exactly like TraceID).
 //
-// The configuration surface follows the self-validating config/builder
-// idiom: a Config (or TenantConfig) is either built through its
-// builder, which validates at Build time, or parsed from JSON and
-// validated by ParseConfig, so a Scheduler never observes an invalid
-// or half-defaulted configuration.
+// The configuration surface is plain data with one check: a Config (or
+// TenantConfig) is a struct literal in Go or parsed from JSON by
+// ParseConfig, and either way it passes Validate before a Scheduler sees
+// it (ParseConfig and service.New call it), so a Scheduler never
+// observes an invalid or half-defaulted configuration.
 package qos
 
 import (

@@ -16,25 +16,27 @@ import (
 // digestSchema versions the key layout: bump it whenever the set or
 // order of key fields changes, so stale keys from older layouts can
 // never alias a new request (the on-disk store is rooted under it, so a
-// bump starts cold by construction). Layout /3 made every key a prefix
-// of one field list and the request's result key its terminal stage's
-// key; /2 had replaced the inline module bytes and GPU-model JSON with
-// their SHA-256 digests.
-const digestSchema = "gpa-service-key/3"
+// bump starts cold by construction). Layout /4 dropped the module
+// front-end's label, so the module enters at measure; /3 made every key a
+// prefix of one field list and the request's result key its terminal
+// stage's key; /2 had replaced the inline module bytes and GPU-model
+// JSON with their SHA-256 digests.
+const digestSchema = "gpa-service-key/4"
 
 // stageID indexes the Figure 2 pipeline's stages in dependency order.
 type stageID int
 
 const (
-	stFrontend stageID = iota
-	stMeasure
+	stMeasure stageID = iota
 	stProfile
 	stAdvice
 	numStages
+	// noStage is what a stage that depends on no other needs.
+	noStage stageID = -1
 )
 
 // stageNames are the stages' names in the artifact store.
-var stageNames = [numStages]string{store.StageFrontend, store.StageMeasure, store.StageProfile, store.StageAdvice}
+var stageNames = [numStages]string{store.StageMeasure, store.StageProfile, store.StageAdvice}
 
 // stageKeys holds one request's content-addressed key per stage.
 type stageKeys [numStages]store.Key
@@ -47,8 +49,8 @@ type stageKeys [numStages]store.Key
 // field can only ever change the keys at and downstream of where it
 // enters:
 //
-//	schema, module                               frontend: Program, Structure
-//	launch, arch model, sim options, workload    measure: cycles
+//	schema, module, launch, arch model,
+//	sim options, workload                        measure: cycles
 //	sample period                                profile: sampled profile
 //	blamer options                               advice: ranked advice, report
 //
@@ -123,7 +125,6 @@ func (r *Request) keyMaterial(buf []byte) (km keyMaterial, cacheable bool, err e
 	}
 	b := appendBytes(buf, "schema", stageSchema)
 	b = appendBytes(b, "module", mh[:])
-	b = km.closeStage(b, stFrontend)
 	b = appendBytes(b, "entry", n.Launch.Entry)
 	b = appendI64(b, "gridX", int64(n.Launch.Grid.X))
 	b = appendI64(b, "gridY", int64(n.Launch.Grid.Y))

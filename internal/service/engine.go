@@ -69,7 +69,6 @@ import (
 	"gpa/internal/qos"
 	"gpa/internal/sass"
 	"gpa/internal/store"
-	"gpa/internal/structure"
 
 	adv "gpa/internal/advisor"
 )
@@ -119,8 +118,8 @@ type Request struct {
 	Kind   Kind
 	Module *sass.Module
 	// Prog optionally supplies the module's already-flattened program
-	// (gpa.Kernel caches one); nil loads it on demand. It must belong
-	// to Module.
+	// (gpa.Kernel caches one); nil loads it for the one run that
+	// simulates, timed as the assemble stage. It must belong to Module.
 	Prog *gpusim.Program
 	// ModuleHash optionally supplies the SHA-256 of the module's
 	// canonical cubin encoding (gpa.Kernel caches one); zero means the
@@ -330,8 +329,9 @@ type Stats struct {
 	// StageServed counts flight leaders answered from the disk tier
 	// without a pipeline run (no worker slot, no Runs increment).
 	StageServed int64 `json:"stageServed"`
-	// StructureBuilds counts module front-end structure analyses. An
-	// arch sweep over one module performs exactly one.
+	// StructureBuilds counts structure analyses of a module: one per
+	// advice computation, so a sweep over N architecture models performs
+	// N. Nothing keeps an analysis once its advice is computed.
 	StructureBuilds int64 `json:"structureBuilds"`
 	// Errors counts failed pipeline executions (errors are not cached).
 	Errors int64 `json:"errors"`
@@ -452,9 +452,8 @@ type Options struct {
 	// QoS is the tenant-aware admission configuration (nil = one
 	// default tenant, no quotas, no interactive reserve, brownout off —
 	// the flat pre-tenancy behaviour plus FIFO fairness). It must be
-	// Validate-clean; qos.ParseConfig and the qos builders guarantee
-	// that, and New panics on an invalid config (a programmer error,
-	// not a runtime condition).
+	// Validate-clean; qos.ParseConfig guarantees that, and New panics on
+	// an invalid config (a programmer error, not a runtime condition).
 	QoS *qos.Config
 }
 
@@ -881,8 +880,8 @@ func (e *Engine) Stats() Stats {
 // shared artifact has — on disk, and in the memory tier as the Response
 // decoded from it (decodeStage, in Engine.publish).
 type stage struct {
-	// needs is the stage whose response compute takes (stFrontend: only
-	// the module front-end, which every stage reaches through its run).
+	// needs is the stage whose response compute takes (noStage: none,
+	// the stage reads the request alone).
 	needs stageID
 	// compute runs the stage over dep, the response of the stage it
 	// needs, and returns the leader's response: Cached unset, the structs
@@ -891,12 +890,10 @@ type stage struct {
 	compute func(e *Engine, ctx context.Context, r *run, dep *Response) (*Response, error)
 }
 
-// stages is the table. The module front-end is a stage too — it has a
-// key and a memory LRU — but serves no request and has no blob form;
-// see Engine.frontend.
+// stages is the table.
 var stages = [numStages]stage{
-	stMeasure: {stFrontend, (*Engine).computeMeasure},
-	stProfile: {stFrontend, (*Engine).computeProfile},
+	stMeasure: {noStage, (*Engine).computeMeasure},
+	stProfile: {noStage, (*Engine).computeProfile},
 	stAdvice:  {stProfile, (*Engine).computeAdvice},
 }
 
@@ -926,7 +923,6 @@ type run struct {
 	// which computes every stage it needs and stores nothing.
 	sk    *stageKeys
 	start time.Time
-	fa    *frontendArtifact
 }
 
 // lookup is the read half of the driver: memory, then disk — publishing
@@ -993,7 +989,7 @@ func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (vie
 	}
 	st := &stages[s]
 	var dep *Response
-	if st.needs != stFrontend {
+	if st.needs != noStage {
 		depView, depLead, err := e.resolve(ctx, r, st.needs, tierMemory)
 		if err != nil {
 			return nil, nil, err
@@ -1090,40 +1086,17 @@ func fanOut(requested, others int) int {
 	return max(1, runtime.GOMAXPROCS(0)-others)
 }
 
-// frontend returns the run's module front-end artifact: the one every
-// request and architecture over the same module content shares (one
-// program load, one structure analysis, even under a concurrent arch
-// sweep), or a private one for an uncacheable run. Content-equal
-// modules are interchangeable everywhere downstream (the whole pipeline
-// is a pure function of module content), so building against the
-// first-seen *sass.Module is sound.
-func (e *Engine) frontend(r *run) *frontendArtifact {
-	if r.fa == nil {
-		mod := r.n.Module
-		r.fa = &frontendArtifact{
-			mod:     mod,
-			program: sync.OnceValues(func() (*gpusim.Program, error) { return gpusim.Load(mod) }),
-			structure: sync.OnceValues(func() (*structure.Structure, error) {
-				e.n.structureBuilds.Add(1)
-				return structure.Analyze(mod)
-			}),
-		}
-		if r.sk != nil {
-			r.fa = e.stages.Add(store.StageFrontend, r.sk[stFrontend], r.fa).(*frontendArtifact)
-		}
-	}
-	return r.fa
-}
-
 // program returns the run's flattened program: the request's own
-// (gpa.Kernel memoizes one) or the front-end's, timed as the assemble
-// stage.
+// (gpa.Kernel memoizes one) or one loaded for this run alone, timed as
+// the assemble stage. The engine keeps no module front end: the callers
+// that repeat a module memoize it above the engine (gpa.Kernel, gpad's
+// kernel cache).
 func (e *Engine) program(r *run) (*gpusim.Program, error) {
 	if r.n.Prog != nil {
 		return r.n.Prog, nil
 	}
 	start := time.Now()
-	prog, err := e.frontend(r).program()
+	prog, err := gpusim.Load(r.n.Module)
 	e.lat.Since(obs.StageAssemble, start)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
@@ -1209,14 +1182,11 @@ func (e *Engine) computeAdvice(ctx context.Context, r *run, pv *Response) (*Resp
 	if err != nil {
 		return nil, err
 	}
+	// BuildContext analyzes the module's structure: once per advice, as
+	// nothing keeps an analysis.
 	blameStart := time.Now()
-	fa := e.frontend(r)
-	st, err := fa.structure()
-	if err != nil {
-		e.lat.Since(obs.StageBlame, blameStart)
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	actx, err := adv.BuildContextWithStructure(fa.mod, st, prof, r.n.GPU, r.n.Blamer)
+	e.n.structureBuilds.Add(1)
+	actx, err := adv.BuildContext(r.n.Module, prof, r.n.GPU, r.n.Blamer)
 	e.lat.Since(obs.StageBlame, blameStart)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)

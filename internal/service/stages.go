@@ -11,11 +11,8 @@ import (
 	"sync"
 
 	"gpa/internal/apierr"
-	"gpa/internal/gpusim"
 	"gpa/internal/profiler"
-	"gpa/internal/sass"
 	"gpa/internal/store"
-	"gpa/internal/structure"
 
 	adv "gpa/internal/advisor"
 )
@@ -31,16 +28,6 @@ const stageSchema = "gpa-stage/4+" + digestSchema
 // under this build's stage schema.
 func OpenDisk(dir string) (*store.Disk, error) {
 	return store.Open(dir, stageSchema)
-}
-
-// frontendArtifact is the memory-only stage artifact for the module
-// front-end: the first module seen under a content hash, and its
-// flattened program and CFG/loop structure, each built on first use and
-// at most once (see Engine.frontend).
-type frontendArtifact struct {
-	mod       *sass.Module
-	program   func() (*gpusim.Program, error)
-	structure func() (*structure.Structure, error)
 }
 
 // A stage payload is the document of the response it serves: the

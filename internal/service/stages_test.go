@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"gpa/internal/apierr"
 	"gpa/internal/arch"
@@ -88,7 +89,7 @@ func TestStageKeysFactorThePipeline(t *testing.T) {
 	// enters names the first stage each result-affecting Request field
 	// can change; nested structs enter whole.
 	enters := map[string]stageID{
-		"Module": stFrontend, "ModuleHash": stFrontend,
+		"Module": stMeasure, "ModuleHash": stMeasure,
 		"Launch": stMeasure, "GPU": stMeasure, "SimSMs": stMeasure, "Seed": stMeasure, "WorkloadKey": stMeasure,
 		"SamplePeriod": stProfile,
 		"Blamer":       stAdvice,
@@ -220,12 +221,35 @@ func TestModulePackedOncePerRequest(t *testing.T) {
 	}
 }
 
-// TestSweepStructureAnalysisOnce pins the sweep-reuse contract: a
-// concurrent sweep of one module across every registered architecture
-// performs the arch-independent front-end (structure analysis) exactly
-// once, while producing per-arch results byte-identical to isolated
-// cold runs.
-func TestSweepStructureAnalysisOnce(t *testing.T) {
+// TestEngineRetainsNoModule pins what the memory tier holds: the
+// responses of served stages, and nothing of the request behind them.
+// Once an advise request is answered and its caller lets go, its module
+// is garbage, however warm the engine is.
+func TestEngineRetainsNoModule(t *testing.T) {
+	e := New(Options{Workers: 1})
+	req := testRequest(t, KindAdvise)
+	mod := weak.Make(req.Module)
+	if _, err := e.Do(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	req = nil
+	// Two collections: the first may only move pooled simulator state
+	// into sync.Pool's victim cache.
+	runtime.GC()
+	runtime.GC()
+	if mod.Value() != nil {
+		t.Error("the engine still references the module of a finished request")
+	}
+	if st := e.Stats(); st.StageHits+st.StageMisses == 0 {
+		t.Error("the engine has no memory tier to test")
+	}
+}
+
+// TestSweepMatchesIsolatedRuns pins the sweep contract: a concurrent
+// sweep of one module across every registered architecture runs once per
+// model, analyzing the module's structure once per advice it computes,
+// and produces per-arch results byte-identical to isolated cold runs.
+func TestSweepMatchesIsolatedRuns(t *testing.T) {
 	gpus := arch.All()
 	if len(gpus) < 2 {
 		t.Skip("needs at least two registered architectures")
@@ -245,14 +269,13 @@ func TestSweepStructureAnalysisOnce(t *testing.T) {
 		want[i] = reportOf(t, resp)
 		wantDigest[i] = resp.ProfileDigest
 		if st := e.Stats(); st.StructureBuilds != 1 {
-			t.Fatalf("%s: stage-cache-free engine built structure %d times, want 1",
+			t.Fatalf("%s: one advise built structure %d times, want 1",
 				arch.KeyOf(g), st.StructureBuilds)
 		}
 	}
 
-	// The sweep: one engine, all archs concurrently.
-	// Each request assembles its own content-equal module, so reuse
-	// must come from content addressing, not pointer identity.
+	// The sweep: one engine, all archs concurrently, each request with
+	// its own content-equal module.
 	e := New(Options{Workers: 4})
 	var wg sync.WaitGroup
 	resps := make([]*Response, len(gpus))
@@ -279,8 +302,8 @@ func TestSweepStructureAnalysisOnce(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if st.StructureBuilds != 1 {
-		t.Errorf("sweep built structure %d times for one module, want 1", st.StructureBuilds)
+	if st.StructureBuilds != int64(len(gpus)) {
+		t.Errorf("sweep built structure %d times, want %d (one per advice)", st.StructureBuilds, len(gpus))
 	}
 	if st.Runs != int64(len(gpus)) {
 		t.Errorf("sweep runs = %d, want %d (one per arch)", st.Runs, len(gpus))

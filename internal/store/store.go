@@ -1,16 +1,15 @@
 // Package store is the per-stage content-addressed artifact store
 // behind the service engine. Each Figure 2 pipeline stage — measure,
 // profile, blame/advise — caches its output independently under a
-// SHA-256 stage key, so later requests (or a restarted daemon, or the
-// arch-dependent half of a sweep) reuse everything upstream of the
-// first stage whose inputs actually changed.
+// SHA-256 stage key, so later requests (or a restarted daemon) reuse
+// everything upstream of the first stage whose inputs actually changed.
 //
 // Two backends share one contract:
 //
 //   - Memory: a bounded per-stage LRU of artifacts in the form they are
-//     served in. Cheap, process-local, the engine's one cache, and the
-//     only backend for artifacts that cannot be serialized (the module
-//     front-end's Program/Structure memo).
+//     served in. Cheap, process-local, and the engine's one cache. It
+//     holds served stages only, each artifact built from the payload
+//     bytes the Disk backend stores.
 //   - Disk: one append-only log per stage under a versioned directory
 //     (<dir>/v2/<schema>/<stage>.log), each blob one frame in it: a
 //     schema-versioned envelope with a SHA-256 checksum trailer. A Put
@@ -53,10 +52,6 @@ type Key [32]byte
 // the stage's log and rides in every blob's framing, so a blob can
 // never be replayed as a different stage's artifact.
 const (
-	// StageFrontend is the arch-independent module front-end (flattened
-	// Program + CFG/loop Structure). Memory-only: the artifacts are
-	// pointer graphs into the module and are rebuilt, not deserialized.
-	StageFrontend = "frontend"
 	// StageMeasure is a cycles-only simulation result.
 	StageMeasure = "measure"
 	// StageProfile is a sampled profile (canonical JSON payload).

@@ -818,10 +818,10 @@ func TestMemoryLoadOrStore(t *testing.T) {
 	k := testKey("k")
 	first := &struct{ n int }{1}
 	second := &struct{ n int }{2}
-	if got := m.Add(StageFrontend, k, first); got != first {
+	if got := m.Add(StageAdvice, k, first); got != first {
 		t.Fatal("first Add did not store its value")
 	}
-	if got := m.Add(StageFrontend, k, second); got != first {
+	if got := m.Add(StageAdvice, k, second); got != first {
 		t.Error("second Add replaced the existing artifact")
 	}
 }
