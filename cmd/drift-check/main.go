@@ -18,6 +18,11 @@
 // fast-forwarded, fallbacks, run-loop iterations and readiness
 // evaluations. The counts repeat exactly, so a change to how much work
 // a simulation takes is a diff of that file, not a timing argument.
+//
+// With -arch NAME both outputs are for another registered GPU model
+// (default v100, the paper's). The V100 digest is DRIFT.txt; the other
+// models' are pinned one file each (DRIFT.t4.txt, DRIFT.a100.txt)
+// because bench/ reads DRIFT.txt's cycles= lines keyed by row ID alone.
 package main
 
 import (
@@ -32,6 +37,7 @@ import (
 	"syscall"
 
 	"gpa"
+	"gpa/internal/arch"
 	"gpa/internal/gpusim"
 	"gpa/internal/kernels"
 )
@@ -42,14 +48,17 @@ func main() {
 			"(empty = direct library calls)")
 	work := flag.Bool("work", false,
 		"print the per-row simulator work record (WORK.txt) instead of the behavior digest")
+	archName := flag.String("arch", "v100", "GPU architecture model (see `gpa archs`)")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var err error
-	if *work {
-		err = runWork(ctx)
-	} else {
-		err = run(ctx, *storeDir)
+	gpu, err := gpa.LookupGPU(*archName)
+	if err == nil {
+		if *work {
+			err = runWork(ctx, gpu)
+		} else {
+			err = run(ctx, *storeDir, gpu)
+		}
 	}
 	if err != nil {
 		if errors.Is(err, gpa.ErrCanceled) {
@@ -61,7 +70,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, storeDir string) error {
+func run(ctx context.Context, storeDir string, gpu *arch.GPU) error {
 	var eng *gpa.Engine
 	if storeDir != "" {
 		st, err := gpa.OpenStore(storeDir)
@@ -78,7 +87,7 @@ func run(ctx context.Context, storeDir string) error {
 		if err != nil {
 			return err
 		}
-		opts := &gpa.Options{Workload: wl, Seed: 11, SimSMs: 4}
+		opts := &gpa.Options{Workload: wl, GPU: gpu, Seed: 11, SimSMs: 4}
 		var (
 			cycles int64
 			digest string
@@ -148,7 +157,7 @@ func (discard) Record(gpusim.Sample) {}
 // runWork simulates each row as a profile request does — sampling on at
 // the default period of 64, the first 4 SMs, seed 11 as in run — and
 // prints the run's work counters.
-func runWork(ctx context.Context) error {
+func runWork(ctx context.Context, gpu *arch.GPU) error {
 	for _, b := range kernels.All() {
 		k, wl, err := b.Base.Build()
 		if err != nil {
@@ -166,7 +175,7 @@ func runWork(ctx context.Context) error {
 			RegsPerThread:     l.RegsPerThread,
 			SharedMemPerBlock: l.SharedMemPerBlock,
 		}, wl, gpusim.Config{
-			GPU: gpa.V100(), SimSMs: 4, Seed: 11, Parallelism: 1,
+			GPU: gpu, SimSMs: 4, Seed: 11, Parallelism: 1,
 			SamplePeriod: 64, Sink: discard{},
 		})
 		if err != nil {

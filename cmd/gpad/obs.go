@@ -11,12 +11,15 @@ package main
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"gpa"
@@ -200,35 +203,64 @@ var engineGauges = map[string]bool{
 	"interactiveQueued": true, "batchQueued": true, "brownoutLevel": true,
 }
 
-// writeEngineMetrics renders every EngineStats field as
-// gpa_engine_<snake_case_name>[_total]. Driving the export off the
-// JSON encoding keeps /metrics and /statsz mechanically in sync: a new
-// counter added to service.Stats appears in both with no gpad change
-// (pinned by TestMetricsMatchesStatsz).
-func writeEngineMetrics(p *obs.PromWriter, st gpa.EngineStats) {
-	raw, err := json.Marshal(st)
-	if err != nil {
-		return
-	}
-	var fields map[string]any
-	if err := json.Unmarshal(raw, &fields); err != nil {
-		return
-	}
-	names := make([]string, 0, len(fields))
-	for name := range fields {
-		if _, ok := fields[name].(float64); ok {
-			names = append(names, name)
+// engineField is one numeric EngineStats field as /metrics renders it.
+type engineField struct {
+	key   string // the field's /statsz JSON name
+	index int    // its index in EngineStats
+	name  string // gpa_engine_<snake_case key>[_total]
+	help  string
+	typ   string // "counter" or "gauge"
+}
+
+// engineFields is every numeric EngineStats field, sorted by JSON name,
+// read once from the struct's json tags: a counter added to
+// service.Stats appears at /metrics and /statsz alike with no gpad
+// change (pinned by TestMetricsMatchesStatsz and
+// TestEngineFieldsCoverStatsz).
+var engineFields = func() []engineField {
+	t := reflect.TypeFor[gpa.EngineStats]()
+	var fields []engineField
+	for i := range t.NumField() {
+		sf := t.Field(i)
+		key, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		if !sf.IsExported() || key == "-" {
+			continue
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := fields[name].(float64)
-		metric := "gpa_engine_" + obs.MetricName(name)
-		if engineGauges[name] {
-			p.Gauge(metric, "Engine gauge "+name+"; see /statsz.", nil, v)
+		if key == "" {
+			key = sf.Name
+		}
+		if z := reflect.Zero(sf.Type); !z.CanInt() && !z.CanUint() && !z.CanFloat() {
+			continue // json.Marshal emits no number for it (Tenants is a map)
+		}
+		f := engineField{key: key, index: i, name: "gpa_engine_" + obs.MetricName(key)}
+		if engineGauges[key] {
+			f.help, f.typ = "Engine gauge "+key+"; see /statsz.", "gauge"
 		} else {
-			p.Counter(metric+"_total", "Engine counter "+name+"; see /statsz.", nil, v)
+			f.name += "_total"
+			f.help, f.typ = "Engine counter "+key+"; see /statsz.", "counter"
 		}
+		fields = append(fields, f)
+	}
+	slices.SortFunc(fields, func(a, b engineField) int { return strings.Compare(a.key, b.key) })
+	return fields
+}()
+
+// writeEngineMetrics renders every numeric EngineStats field as
+// gpa_engine_<snake_case_name>[_total], in JSON-name order.
+func writeEngineMetrics(p *obs.PromWriter, st *gpa.EngineStats) {
+	v := reflect.ValueOf(st).Elem()
+	for _, f := range engineFields {
+		var x float64
+		switch fv := v.Field(f.index); {
+		case fv.CanInt():
+			x = float64(fv.Int())
+		case fv.CanUint():
+			x = float64(fv.Uint())
+		default:
+			x = fv.Float()
+		}
+		p.Header(f.name, f.help, f.typ)
+		p.Metric(f.name, nil, x)
 	}
 }
 
@@ -241,22 +273,40 @@ func buildVersion() string {
 	return "unknown"
 }
 
+// scrapePool holds the writers /metrics renders into, so a steady
+// scraper reuses one buffer (and its scratch) instead of growing a new
+// one each scrape.
+var scrapePool = sync.Pool{New: func() any { return new(obs.PromWriter) }}
+
+// handleMetrics renders the whole exposition into a pooled buffer and
+// writes it once, with its Content-Length.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := obs.NewPromWriter(w)
-	p.Gauge("gpa_build_info",
-		"Build metadata; the value is always 1.",
-		[]obs.Label{{Name: "version", Value: s.version}, {Name: "go", Value: runtime.Version()}}, 1)
-	p.Gauge("gpa_uptime_seconds", "Seconds since the server started.",
-		nil, time.Since(s.started).Seconds())
+	p := scrapePool.Get().(*obs.PromWriter)
+	p.Reset()
 	// One snapshot for both, so the engine and tenant series of a scrape
 	// agree with each other.
 	st := s.eng.Stats()
+	writeScrape(p, []obs.Label{{Name: "version", Value: s.version}, {Name: "go", Value: runtime.Version()}},
+		time.Since(s.started).Seconds(), &st, s.eng.StageLatency(), s.metrics)
+	obs.WriteGoRuntime(p)
+	h := w.Header()
+	h.Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(p.Bytes())))
+	w.Write(p.Bytes())
+	scrapePool.Put(p)
+}
+
+// writeScrape renders everything a scrape carries but the Go runtime
+// gauges: build info, uptime, the engine and tenant series of one
+// Stats snapshot, stage latency and the request metrics.
+func writeScrape(p *obs.PromWriter, build []obs.Label, uptime float64, st *gpa.EngineStats,
+	stages *obs.StageLatency, reqs *obs.RequestMetrics) {
+	p.Gauge("gpa_build_info", "Build metadata; the value is always 1.", build, 1)
+	p.Gauge("gpa_uptime_seconds", "Seconds since the server started.", nil, uptime)
 	writeEngineMetrics(p, st)
 	writeTenantMetrics(p, st)
-	obs.WriteStageLatency(p, s.eng.StageLatency())
-	s.metrics.Write(p)
-	obs.WriteGoRuntime(p)
+	obs.WriteStageLatency(p, stages)
+	reqs.Write(p)
 }
 
 // storeHealth is the /healthz view of the persistent artifact store.

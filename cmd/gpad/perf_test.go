@@ -88,26 +88,34 @@ func TestWarmAdviseWirePathAllocations(t *testing.T) {
 // growing a fresh buffer to the response's size each time.
 func pinWirePath(t *testing.T, name string, h http.Handler, bodies []string, passes int, maxAllocs, maxKB float64) string {
 	t.Helper()
+	var out bytes.Buffer
+	i := 0
+	pinAllocs(t, name, passes*len(bodies), func() {
+		out.Reset()
+		serveAdviseInto(t, h, bodies[i%len(bodies)], &out)
+		i++
+	}, maxAllocs, maxKB)
+	return out.String()
+}
+
+// pinAllocs calls serve n times with the collector off and fails unless
+// one call cost at most maxAllocs allocations (rounded) and maxKB.
+func pinAllocs(t *testing.T, name string, n int, serve func(), maxAllocs, maxKB float64) {
+	t.Helper()
 	gcOff := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(gcOff)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	var out bytes.Buffer
-	for range passes {
-		for _, body := range bodies {
-			out.Reset()
-			serveAdviseInto(t, h, body, &out)
-		}
+	for range n {
+		serve()
 	}
 	runtime.ReadMemStats(&after)
-	n := float64(passes * len(bodies))
-	allocs := float64(after.Mallocs-before.Mallocs) / n
-	kb := float64(after.TotalAlloc-before.TotalAlloc) / n / 1024
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(n)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / float64(n) / 1024
 	t.Logf("%s: %.1f allocs, %.1f KB per request", name, allocs, kb)
 	if math.Round(allocs) > maxAllocs || kb > maxKB {
 		t.Errorf("%s costs %.1f allocs / %.1f KB per request, want <= %g allocs / %g KB", name, allocs, kb, maxAllocs, maxKB)
 	}
-	return out.String()
 }
 
 // discardWriter is a ResponseWriter that drops the body, so the

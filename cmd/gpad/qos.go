@@ -16,7 +16,7 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -134,11 +134,32 @@ func (s *server) retryAfterFor(err error) int {
 	return s.hints.overloadSeconds(s.eng.Stats())
 }
 
+// tenantFields are the per-tenant series, one family each.
+var tenantFields = []struct {
+	metric, help, typ string
+	value             func(gpa.TenantStats) float64
+}{
+	{"gpa_tenant_weight", "Tenant DWRR weight.", "gauge",
+		func(t gpa.TenantStats) float64 { return float64(t.Weight) }},
+	{"gpa_tenant_queued", "Jobs queued for admission by tenant.", "gauge",
+		func(t gpa.TenantStats) float64 { return float64(t.Queued) }},
+	{"gpa_tenant_served_total", "Requests served by tenant (cache hits and coalesced followers included).", "counter",
+		func(t gpa.TenantStats) float64 { return float64(t.Served) }},
+	{"gpa_tenant_shed_total", "Jobs shed at the queue bound by tenant.", "counter",
+		func(t gpa.TenantStats) float64 { return float64(t.Shed) }},
+	{"gpa_tenant_quota_shed_total", "Jobs shed over quota by tenant.", "counter",
+		func(t gpa.TenantStats) float64 { return float64(t.QuotaShed) }},
+	{"gpa_tenant_brownout_shed_total", "Jobs shed by the brownout controller by tenant.", "counter",
+		func(t gpa.TenantStats) float64 { return float64(t.BrownoutShed) }},
+	{"gpa_tenant_dropped_total", "Queued jobs abandoned by their callers by tenant.", "counter",
+		func(t gpa.TenantStats) float64 { return float64(t.Dropped) }},
+}
+
 // writeTenantMetrics renders the per-tenant admission series. The
 // label set is closed by the engine itself: past the configured
 // MaxTenants, unknown IDs collapse into the "other" tenant, so scrape
 // cardinality is bounded no matter what clients send.
-func writeTenantMetrics(p *obs.PromWriter, st gpa.EngineStats) {
+func writeTenantMetrics(p *obs.PromWriter, st *gpa.EngineStats) {
 	if len(st.Tenants) == 0 {
 		return
 	}
@@ -146,29 +167,8 @@ func writeTenantMetrics(p *obs.PromWriter, st gpa.EngineStats) {
 	for name := range st.Tenants {
 		names = append(names, name)
 	}
-	sort.Strings(names)
-
-	type field struct {
-		metric, help, typ string
-		value             func(gpa.TenantStats) float64
-	}
-	fields := []field{
-		{"gpa_tenant_weight", "Tenant DWRR weight.", "gauge",
-			func(t gpa.TenantStats) float64 { return float64(t.Weight) }},
-		{"gpa_tenant_queued", "Jobs queued for admission by tenant.", "gauge",
-			func(t gpa.TenantStats) float64 { return float64(t.Queued) }},
-		{"gpa_tenant_served_total", "Requests served by tenant (cache hits and coalesced followers included).", "counter",
-			func(t gpa.TenantStats) float64 { return float64(t.Served) }},
-		{"gpa_tenant_shed_total", "Jobs shed at the queue bound by tenant.", "counter",
-			func(t gpa.TenantStats) float64 { return float64(t.Shed) }},
-		{"gpa_tenant_quota_shed_total", "Jobs shed over quota by tenant.", "counter",
-			func(t gpa.TenantStats) float64 { return float64(t.QuotaShed) }},
-		{"gpa_tenant_brownout_shed_total", "Jobs shed by the brownout controller by tenant.", "counter",
-			func(t gpa.TenantStats) float64 { return float64(t.BrownoutShed) }},
-		{"gpa_tenant_dropped_total", "Queued jobs abandoned by their callers by tenant.", "counter",
-			func(t gpa.TenantStats) float64 { return float64(t.Dropped) }},
-	}
-	for _, f := range fields {
+	slices.Sort(names)
+	for _, f := range tenantFields {
 		p.Header(f.metric, f.help, f.typ)
 		for _, name := range names {
 			p.Metric(f.metric, []obs.Label{{Name: "tenant", Value: name}}, f.value(st.Tenants[name]))

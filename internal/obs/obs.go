@@ -9,9 +9,15 @@
 // the standard library and the serving hot path must not allocate to
 // record an observation. A Histogram is a fixed array of atomic bucket
 // counters; Observe is two atomic adds and a branch-free bucket search
-// over a couple dozen bounds. Everything here is safe for concurrent
-// use; Write* methods render a point-in-time snapshot and never block
-// recorders.
+// over a couple dozen bounds. Everything here but a PromWriter is safe
+// for concurrent use; Write* methods render a point-in-time snapshot
+// and never block recorders.
+//
+// Reading the metrics must stay cheap too: a PromWriter appends the
+// whole exposition into one byte buffer (strconv appends, byte-loop
+// escapes, no fmt) and keeps the scratch a scrape needs, so gpad renders
+// a scrape into a pooled writer with a few dozen allocations, none of
+// them per series.
 //
 // Contract with the determinism story: nothing in this package ever
 // feeds a digest. Trace IDs, timings, and scrape output are transport-
@@ -21,6 +27,7 @@
 package obs
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -42,7 +49,6 @@ type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1; the last bucket is +Inf
 	sumNS  atomic.Int64
-	count  atomic.Int64
 }
 
 // NewHistogram builds a histogram over the given ascending upper
@@ -72,7 +78,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.counts[i].Add(1)
 	h.sumNS.Add(int64(d))
-	h.count.Add(1)
 }
 
 // Since records the elapsed time from start to now.
@@ -80,9 +85,12 @@ func (h *Histogram) Since(start time.Time) { h.Observe(time.Since(start)) }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's state.
 // Counts are per-bucket (not cumulative); the last entry is the +Inf
-// bucket. The snapshot is internally consistent enough for monitoring
-// — buckets are read one atomic at a time, so a scrape racing an
-// Observe may be off by the in-flight observation, never corrupt.
+// bucket. Buckets are read one atomic at a time, so a scrape racing an
+// Observe may miss the in-flight observation, never corrupt a bucket;
+// Count is the sum of Counts, so a rendered _count always equals its
+// own le="+Inf" bucket, as the exposition format requires. SumSeconds
+// is read after the buckets and may or may not include an observation
+// in flight.
 type HistogramSnapshot struct {
 	Bounds     []float64
 	Counts     []int64
@@ -91,19 +99,20 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot copies the histogram's current state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
+func (h *Histogram) Snapshot() HistogramSnapshot { return h.snapshot(nil) }
+
+// snapshot is Snapshot reading the bucket counts into dst's storage.
+func (h *Histogram) snapshot(dst []int64) HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	s := HistogramSnapshot{
-		Bounds:     h.bounds,
-		Counts:     make([]int64, len(h.counts)),
-		Count:      h.count.Load(),
-		SumSeconds: float64(h.sumNS.Load()) / 1e9,
-	}
+	s := HistogramSnapshot{Bounds: h.bounds, Counts: slices.Grow(dst[:0], len(h.counts))}
 	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
+		c := h.counts[i].Load()
+		s.Counts = append(s.Counts, c)
+		s.Count += c
 	}
+	s.SumSeconds = float64(h.sumNS.Load()) / 1e9
 	return s
 }
 

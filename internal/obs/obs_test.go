@@ -118,8 +118,7 @@ func checkExposition(t *testing.T, text string) []string {
 }
 
 func TestPromWriterFormat(t *testing.T) {
-	var b strings.Builder
-	p := NewPromWriter(&b)
+	var p PromWriter
 	p.Counter("gpa_engine_hits_total", "Cache hits.", nil, 42)
 	p.Gauge("gpa_engine_inflight", "In-flight jobs.", []Label{{"pool", `a"b\c`}}, 3)
 	h := NewHistogram([]float64{0.001, 0.01})
@@ -128,10 +127,7 @@ func TestPromWriterFormat(t *testing.T) {
 	h.Observe(time.Second)
 	p.HistogramFamily("gpa_stage_duration_seconds", "Stage latency.",
 		[]Label{{"stage", "simulate"}}, h.Snapshot())
-	if err := p.Err(); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := string(p.Bytes())
 
 	for _, want := range []string{
 		"# TYPE gpa_engine_hits_total counter",
@@ -147,6 +143,77 @@ func TestPromWriterFormat(t *testing.T) {
 		}
 	}
 	checkExposition(t, out)
+
+	// The escapes, byte for byte: a label value escapes a backslash, a
+	// double quote and a newline; HELP text escapes a backslash and a
+	// newline and keeps its double quotes. An unlabeled histogram's
+	// buckets carry le alone.
+	p.Reset()
+	p.Gauge("esc", "Help with C:\\path, \"quotes\" and a\nsecond line.",
+		[]Label{{"v", "back\\slash \"quoted\"\nnext"}, {"plain", "x"}}, 0.25)
+	one := NewHistogram([]float64{0.5})
+	one.Observe(time.Second)
+	p.HistogramFamily("bare", "B.", nil, one.Snapshot())
+	want := `# HELP esc Help with C:\\path, "quotes" and a\nsecond line.
+# TYPE esc gauge
+esc{v="back\\slash \"quoted\"\nnext",plain="x"} 0.25
+# HELP bare B.
+# TYPE bare histogram
+bare_bucket{le="0.5"} 0
+bare_bucket{le="+Inf"} 1
+bare_sum 1
+bare_count 1
+`
+	if got := string(p.Bytes()); got != want {
+		t.Errorf("escaped exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestHistogramSnapshotCountMatchesBuckets snapshots while other
+// goroutines observe: every snapshot's Count must equal the sum of its
+// bucket counts, so a rendered _count can never disagree with its own
+// le="+Inf" bucket. Run it under -race.
+func TestHistogramSnapshotCountMatchesBuckets(t *testing.T) {
+	h := NewHistogram(nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(time.Duration(g*1000+i%5000) * time.Microsecond)
+			}
+		}()
+	}
+	var p PromWriter
+	for range 2000 {
+		s := h.Snapshot()
+		sum := int64(0)
+		for _, c := range s.Counts {
+			sum += c
+		}
+		if s.Count != sum {
+			t.Errorf("snapshot Count = %d, buckets sum to %d", s.Count, sum)
+			break
+		}
+		p.Reset()
+		p.histogramOf("h", nil, h)
+		out := string(p.Bytes())
+		inf := out[strings.Index(out, `le="+Inf"} `)+len(`le="+Inf"} `):]
+		count := out[strings.Index(out, "h_count ")+len("h_count "):]
+		if inf[:strings.IndexByte(inf, '\n')] != count[:strings.IndexByte(count, '\n')] {
+			t.Errorf("rendered +Inf bucket and _count differ:\n%s", out)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestRequestMetrics(t *testing.T) {
@@ -163,13 +230,9 @@ func TestRequestMetrics(t *testing.T) {
 		t.Errorf("advise queue_full count = %d, want 1", n)
 	}
 
-	var b strings.Builder
-	p := NewPromWriter(&b)
-	m.Write(p)
-	if err := p.Err(); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	var p PromWriter
+	m.Write(&p)
+	out := string(p.Bytes())
 	for _, want := range []string{
 		`gpa_http_requests_total{route="/v1/advise",status="200",code=""} 2`,
 		`gpa_http_requests_total{route="/v1/advise",status="503",code="queue_full"} 1`,
@@ -192,8 +255,9 @@ func TestRequestMetricsConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				m.Record(fmt.Sprintf("/r%d", g%3), 200, "", time.Microsecond)
 				if i%10 == 0 {
-					var b strings.Builder
-					m.Write(NewPromWriter(&b))
+					var p PromWriter
+					m.Write(&p)
+					checkExposition(t, string(p.Bytes()))
 				}
 			}
 		}(g)
@@ -209,13 +273,9 @@ func TestRequestMetricsConcurrent(t *testing.T) {
 }
 
 func TestWriteGoRuntime(t *testing.T) {
-	var b strings.Builder
-	p := NewPromWriter(&b)
-	WriteGoRuntime(p)
-	if err := p.Err(); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	var p PromWriter
+	WriteGoRuntime(&p)
+	out := string(p.Bytes())
 	for _, want := range []string{"go_goroutines ", "go_gomaxprocs_threads ",
 		"go_gc_heap_allocs_objects_total "} {
 		if !strings.Contains(out, want) {

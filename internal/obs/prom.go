@@ -1,12 +1,13 @@
 package obs
 
 import (
-	"fmt"
-	"io"
-	"sort"
+	"cmp"
+	"runtime/metrics"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -17,35 +18,43 @@ type Label struct {
 }
 
 // PromWriter renders metrics in the Prometheus text exposition format
-// (version 0.0.4). Errors stick: the first write failure is kept and
-// all further output is dropped, so callers check Err once at the end.
+// (version 0.0.4) by appending to one byte buffer; Bytes is the
+// exposition rendered since the last Reset. The zero value is ready to
+// use. A PromWriter also carries the scratch a scrape needs (histogram
+// bucket counts, runtime samples), so a pooled writer renders a whole
+// scrape without allocating. It is not safe for concurrent use.
 type PromWriter struct {
-	w   io.Writer
-	err error
+	buf     []byte
+	counts  []int64
+	samples []metrics.Sample
 }
 
-// NewPromWriter wraps w.
-func NewPromWriter(w io.Writer) *PromWriter { return &PromWriter{w: w} }
+// Bytes returns the rendered exposition. It aliases the writer's
+// buffer: it is valid until the next Reset.
+func (p *PromWriter) Bytes() []byte { return p.buf }
 
-// Err returns the first write error, if any.
-func (p *PromWriter) Err() error { return p.err }
-
-func (p *PromWriter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
-}
+// Reset empties the writer and keeps its buffer for the next scrape.
+func (p *PromWriter) Reset() { p.buf = p.buf[:0] }
 
 // Header writes the # HELP and # TYPE lines for a metric family.
 func (p *PromWriter) Header(name, help, typ string) {
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, typ)
+	b := append(p.buf, "# HELP "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = appendEscaped(b, help, false)
+	b = append(b, "\n# TYPE "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = append(b, typ...)
+	p.buf = append(b, '\n')
 }
 
 // Metric writes one sample line. An empty label list renders a bare
 // metric name.
 func (p *PromWriter) Metric(name string, labels []Label, v float64) {
-	p.printf("%s%s %s\n", name, renderLabels(labels), formatFloat(v))
+	b := appendSample(p.buf, name, "", labels)
+	b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	p.buf = append(b, '\n')
 }
 
 // Counter writes a complete single-sample counter family.
@@ -64,18 +73,31 @@ func (p *PromWriter) Gauge(name, help string, labels []Label, v float64) {
 // counts, then _sum and _count) under an already-written Header. Use
 // HistogramFamily for the common one-series case.
 func (p *PromWriter) Histogram(name string, labels []Label, s HistogramSnapshot) {
+	b := p.buf
 	cum := int64(0)
 	for i, c := range s.Counts {
 		cum += c
-		le := "+Inf"
-		if i < len(s.Bounds) {
-			le = formatFloat(s.Bounds[i])
+		b = append(b, name...)
+		b = append(b, "_bucket"...)
+		b = appendLabels(b, labels)
+		if len(labels) > 0 {
+			b = append(b, ',')
 		}
-		bl := append(append(make([]Label, 0, len(labels)+1), labels...), Label{"le", le})
-		p.printf("%s_bucket%s %d\n", name, renderLabels(bl), cum)
+		b = append(b, `le="`...)
+		if i < len(s.Bounds) {
+			b = strconv.AppendFloat(b, s.Bounds[i], 'g', -1, 64)
+		} else {
+			b = append(b, "+Inf"...)
+		}
+		b = append(b, `"} `...)
+		b = strconv.AppendInt(b, cum, 10)
+		b = append(b, '\n')
 	}
-	p.printf("%s_sum%s %s\n", name, renderLabels(labels), formatFloat(s.SumSeconds))
-	p.printf("%s_count%s %d\n", name, renderLabels(labels), s.Count)
+	b = appendSample(b, name, "_sum", labels)
+	b = strconv.AppendFloat(b, s.SumSeconds, 'g', -1, 64)
+	b = appendSample(append(b, '\n'), name, "_count", labels)
+	b = strconv.AppendInt(b, s.Count, 10)
+	p.buf = append(b, '\n')
 }
 
 // HistogramFamily writes header plus one histogram series.
@@ -84,39 +106,66 @@ func (p *PromWriter) HistogramFamily(name, help string, labels []Label, s Histog
 	p.Histogram(name, labels, s)
 }
 
-func renderLabels(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+// histogramOf writes h's series from a snapshot taken into the
+// writer's scratch counts.
+func (p *PromWriter) histogramOf(name string, labels []Label, h *Histogram) {
+	s := h.snapshot(p.counts[:0])
+	p.counts = s.Counts
+	p.Histogram(name, labels, s)
+}
+
+// appendSample appends a sample line's name, suffix and label set, and
+// the space before its value.
+func appendSample(b []byte, name, suffix string, labels []Label) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if len(labels) > 0 {
+		b = append(appendLabels(b, labels), '}')
 	}
-	var b strings.Builder
-	b.WriteByte('{')
+	return append(b, ' ')
+}
+
+// appendLabels appends an opening brace and the label pairs, leaving
+// the set open so a histogram bucket can add its le label.
+func appendLabels(b []byte, labels []Label) []byte {
+	b = append(b, '{')
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(l.Name)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
-		b.WriteByte('"')
+		b = append(b, l.Name...)
+		b = append(b, `="`...)
+		b = appendEscaped(b, l.Value, true)
+		b = append(b, '"')
 	}
-	b.WriteByte('}')
-	return b.String()
+	return b
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
-
-func escapeHelp(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(v)
-}
-
-// formatFloat renders a sample value the way Prometheus parsers expect
-// (shortest round-trip representation; integers stay integral).
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// appendEscaped appends v with the exposition format's escapes: a
+// backslash and a newline always, a double quote only in a label value
+// (quote set) — HELP text keeps its quotes as they are.
+func appendEscaped(b []byte, v string, quote bool) []byte {
+	start := 0
+	for i := 0; i < len(v); i++ {
+		var esc string
+		switch v[i] {
+		case '\\':
+			esc = `\\`
+		case '\n':
+			esc = `\n`
+		case '"':
+			if !quote {
+				continue
+			}
+			esc = `\"`
+		default:
+			continue
+		}
+		b = append(b, v[start:i]...)
+		b = append(b, esc...)
+		start = i + 1
+	}
+	return append(b, v[start:]...)
 }
 
 // MetricName converts a camelCase counter name (the /statsz JSON field
@@ -144,10 +193,17 @@ func MetricName(camel string) string {
 // latency histogram. Routes come from the fixed mux table (never raw
 // URLs), so cardinality is bounded by construction; maxSeries is a
 // backstop against a bug violating that.
+//
+// Record finds a series through the maps; Write renders the same
+// series from lists kept in render order. Record replaces a list when
+// it adds a series and never edits one in place, so Write renders the
+// list it read under the lock without holding it, sorting or copying.
 type RequestMetrics struct {
 	mu     sync.Mutex
-	counts map[requestKey]int64
+	counts map[requestKey]*atomic.Int64
 	dur    map[string]*Histogram
+	series []requestSeries // counts, sorted by requestKey
+	routes []routeSeries   // dur, sorted by route
 }
 
 const maxSeries = 4096
@@ -158,10 +214,23 @@ type requestKey struct {
 	Code   string
 }
 
+// requestSeries is one request counter with its labels rendered once.
+type requestSeries struct {
+	key    requestKey
+	labels [3]Label
+	n      *atomic.Int64
+}
+
+// routeSeries is one route's latency histogram with its label.
+type routeSeries struct {
+	labels [1]Label
+	h      *Histogram
+}
+
 // NewRequestMetrics builds an empty recorder.
 func NewRequestMetrics() *RequestMetrics {
 	return &RequestMetrics{
-		counts: make(map[requestKey]int64),
+		counts: make(map[requestKey]*atomic.Int64),
 		dur:    make(map[string]*Histogram),
 	}
 }
@@ -175,16 +244,31 @@ func (m *RequestMetrics) Record(route string, status int, code string, d time.Du
 	if m == nil {
 		return
 	}
+	k := requestKey{route, status, code}
 	m.mu.Lock()
-	if len(m.counts) < maxSeries {
-		m.counts[requestKey{route, status, code}]++
+	n := m.counts[k]
+	if n == nil && len(m.counts) < maxSeries {
+		n = new(atomic.Int64)
+		m.counts[k] = n
+		i, _ := slices.BinarySearchFunc(m.series, k, func(s requestSeries, k requestKey) int {
+			a := s.key
+			return cmp.Or(strings.Compare(a.Route, k.Route), cmp.Compare(a.Status, k.Status), strings.Compare(a.Code, k.Code))
+		})
+		m.series = slices.Insert(slices.Clip(m.series), i, requestSeries{key: k, n: n, labels: [3]Label{
+			{"route", route}, {"status", strconv.Itoa(status)}, {"code", code},
+		}})
 	}
 	h := m.dur[route]
 	if h == nil && len(m.dur) < maxSeries {
 		h = NewHistogram(nil)
 		m.dur[route] = h
+		i, _ := slices.BinarySearchFunc(m.routes, route, func(s routeSeries, r string) int { return strings.Compare(s.labels[0].Value, r) })
+		m.routes = slices.Insert(slices.Clip(m.routes), i, routeSeries{labels: [1]Label{{"route", route}}, h: h})
 	}
 	m.mu.Unlock()
+	if n != nil {
+		n.Add(1)
+	}
 	h.Observe(d)
 }
 
@@ -193,8 +277,8 @@ func (m *RequestMetrics) Counts() map[requestKey]int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make(map[requestKey]int64, len(m.counts))
-	for k, v := range m.counts {
-		out[k] = v
+	for k, n := range m.counts {
+		out[k] = n.Load()
 	}
 	return out
 }
@@ -203,57 +287,32 @@ func (m *RequestMetrics) Counts() map[requestKey]int64 {
 // series.
 func (m *RequestMetrics) CountFor(route string, status int, code string) int64 {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counts[requestKey{route, status, code}]
+	n := m.counts[requestKey{route, status, code}]
+	m.mu.Unlock()
+	if n == nil {
+		return 0
+	}
+	return n.Load()
 }
 
 // Write renders the request counter and per-route latency histograms.
 // Series are sorted so scrapes are stable and diffable.
 func (m *RequestMetrics) Write(p *PromWriter) {
 	m.mu.Lock()
-	keys := make([]requestKey, 0, len(m.counts))
-	for k := range m.counts {
-		keys = append(keys, k)
-	}
-	routes := make([]string, 0, len(m.dur))
-	snaps := make(map[string]HistogramSnapshot, len(m.dur))
-	for r, h := range m.dur {
-		routes = append(routes, r)
-		snaps[r] = h.Snapshot()
-	}
-	counts := make(map[requestKey]int64, len(m.counts))
-	for k, v := range m.counts {
-		counts[k] = v
-	}
+	series, routes := m.series, m.routes
 	m.mu.Unlock()
-
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Route != b.Route {
-			return a.Route < b.Route
-		}
-		if a.Status != b.Status {
-			return a.Status < b.Status
-		}
-		return a.Code < b.Code
-	})
-	sort.Strings(routes)
 
 	p.Header("gpa_http_requests_total",
 		"Requests served, by route, HTTP status, and stable error code (empty code = success).",
 		"counter")
-	for _, k := range keys {
-		p.Metric("gpa_http_requests_total", []Label{
-			{"route", k.Route},
-			{"status", strconv.Itoa(k.Status)},
-			{"code", k.Code},
-		}, float64(counts[k]))
+	for i := range series {
+		p.Metric("gpa_http_requests_total", series[i].labels[:], float64(series[i].n.Load()))
 	}
 	p.Header("gpa_http_request_duration_seconds",
 		"End-to-end request latency by route, cache hits and errors included.",
 		"histogram")
-	for _, r := range routes {
-		p.Histogram("gpa_http_request_duration_seconds", []Label{{"route", r}}, snaps[r])
+	for i := range routes {
+		p.histogramOf("gpa_http_request_duration_seconds", routes[i].labels[:], routes[i].h)
 	}
 }
 
@@ -267,7 +326,6 @@ func WriteStageLatency(p *PromWriter, l *StageLatency) {
 		return
 	}
 	for s := Stage(0); s < NumStages; s++ {
-		p.Histogram("gpa_stage_duration_seconds",
-			[]Label{{"stage", s.String()}}, l.h[s].Snapshot())
+		p.histogramOf("gpa_stage_duration_seconds", []Label{{"stage", s.String()}}, l.h[s])
 	}
 }

@@ -5,8 +5,9 @@ import "runtime/metrics"
 // runtimeExports is the curated set of Go runtime/metrics samples the
 // /metrics endpoint exports. Curated rather than exhaustive: these are
 // the gauges a gpad operator alerts on (goroutine leaks, heap growth,
-// GC pressure, scheduler width); runtime/metrics histograms and the
-// long tail of allocator size classes stay out of the scrape.
+// GC pressure, scheduler width); runtime/metrics histograms (such as
+// /gc/pauses:seconds) and the long tail of allocator size classes stay
+// out of the scrape.
 var runtimeExports = []struct {
 	sample  string // runtime/metrics key
 	name    string // exported metric name
@@ -27,24 +28,20 @@ var runtimeExports = []struct {
 		"Cumulative heap bytes allocated.", true},
 	{"/gc/cycles/total:gc-cycles", "go_gc_cycles_total",
 		"Completed GC cycles.", true},
-	{"/gc/pauses:seconds", "", "", false}, // histogram: skipped, kept here as documentation
 }
 
 // WriteGoRuntime samples the curated runtime metrics in one
-// metrics.Read call and renders them.
+// metrics.Read call, into the writer's scratch, and renders them.
 func WriteGoRuntime(p *PromWriter) {
-	samples := make([]metrics.Sample, 0, len(runtimeExports))
-	idx := make([]int, 0, len(runtimeExports))
-	for i, e := range runtimeExports {
-		if e.name == "" {
-			continue
+	if len(p.samples) != len(runtimeExports) {
+		p.samples = make([]metrics.Sample, len(runtimeExports))
+		for i, e := range runtimeExports {
+			p.samples[i].Name = e.sample
 		}
-		samples = append(samples, metrics.Sample{Name: e.sample})
-		idx = append(idx, i)
 	}
-	metrics.Read(samples)
-	for n, s := range samples {
-		e := runtimeExports[idx[n]]
+	metrics.Read(p.samples)
+	for i, s := range p.samples {
+		e := runtimeExports[i]
 		var v float64
 		switch s.Value.Kind() {
 		case metrics.KindUint64:

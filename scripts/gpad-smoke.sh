@@ -105,8 +105,32 @@ expect "$TRACE" '.traceId == "smoke-trace-1"' "trace ID not echoed in result bod
 # /metrics: a well-formed Prometheus scrape whose engine counters agree
 # with /statsz, including the per-stage latency histograms and the
 # per-route request counters (the unknown-arch 400 above must be
-# counted under its stable code).
-METRICS=$(curl -sf "http://$ADDR/metrics")
+# counted under its stable code). The exposition goes out in one piece
+# with its Content-Length, and every histogram's _count equals its own
+# le="+Inf" bucket.
+curl -sf -D "$TMP/metrics.h" -o "$TMP/metrics" "http://$ADDR/metrics"
+METRICS=$(cat "$TMP/metrics")
+LEN=$(tr -d '\r' <"$TMP/metrics.h" | awk 'tolower($1) == "content-length:" { print $2 }')
+[ "$LEN" = "$(wc -c <"$TMP/metrics" | tr -d ' ')" ] || {
+    echo "gpad-smoke: /metrics Content-Length '$LEN' for $(wc -c <"$TMP/metrics") bytes" >&2
+    cat "$TMP/metrics.h" >&2
+    exit 1
+}
+printf '%s\n' "$METRICS" | awk '
+/^#/ { next }
+$1 ~ /_bucket\{.*le="\+Inf"\}$/ {
+    s = $1; sub(/_bucket\{/, "{", s); sub(/,?le="\+Inf"\}$/, "}", s); sub(/\{\}$/, "", s)
+    inf[s] = $2; next
+}
+$1 ~ /_count(\{|$)/ { s = $1; sub(/_count\{/, "{", s); sub(/_count$/, "", s); count[s] = $2 }
+END {
+    for (s in inf) {
+        n++
+        if (!(s in count) || count[s] != inf[s]) { print "gpad-smoke: " s "_count " count[s] " != +Inf bucket " inf[s]; bad = 1 }
+    }
+    if (n == 0) { print "gpad-smoke: /metrics has no histogram"; bad = 1 }
+    exit bad
+}' >&2
 for SERIES in \
     'gpa_engine_runs_total 1' \
     'gpa_stage_duration_seconds_count{stage="simulate"} 1' \
