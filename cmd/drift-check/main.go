@@ -32,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -55,9 +56,9 @@ func main() {
 	gpu, err := gpa.LookupGPU(*archName)
 	if err == nil {
 		if *work {
-			err = runWork(ctx, gpu)
+			err = runWork(ctx, os.Stdout, gpu)
 		} else {
-			err = run(ctx, *storeDir, gpu)
+			err = run(ctx, os.Stdout, *storeDir, gpu)
 		}
 	}
 	if err != nil {
@@ -70,7 +71,8 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, storeDir string, gpu *arch.GPU) error {
+// run writes the behavior digest (DRIFT.txt for the V100) to w.
+func run(ctx context.Context, w io.Writer, storeDir string, gpu *arch.GPU) error {
 	var eng *gpa.Engine
 	if storeDir != "" {
 		st, err := gpa.OpenStore(storeDir)
@@ -123,7 +125,7 @@ func run(ctx context.Context, storeDir string, gpu *arch.GPU) error {
 				return err
 			}
 		}
-		fmt.Printf("%-60s cycles=%-10d profile=%s\n", b.ID(), cycles, digest[:16])
+		fmt.Fprintf(w, "%-60s cycles=%-10d profile=%s\n", b.ID(), cycles, digest[:16])
 	}
 	// The advice block: per row, the first 8 bytes of the SHA-256 of the
 	// entries' JSON followed by the report text, and the estimated
@@ -143,7 +145,7 @@ func run(ctx context.Context, storeDir string, gpu *arch.GPU) error {
 				break
 			}
 		}
-		fmt.Printf("%-60s advice=%x est=%.6f rank=%d\n", b.ID(), sum[:8], est, rank)
+		fmt.Fprintf(w, "%-60s advice=%x est=%.6f rank=%d\n", b.ID(), sum[:8], est, rank)
 	}
 	return nil
 }
@@ -156,8 +158,8 @@ func (discard) Record(gpusim.Sample) {}
 
 // runWork simulates each row as a profile request does — sampling on at
 // the default period of 64, the first 4 SMs, seed 11 as in run — and
-// prints the run's work counters.
-func runWork(ctx context.Context, gpu *arch.GPU) error {
+// writes the run's work counters to w.
+func runWork(ctx context.Context, w io.Writer, gpu *arch.GPU) error {
 	for _, b := range kernels.All() {
 		k, wl, err := b.Base.Build()
 		if err != nil {
@@ -181,7 +183,7 @@ func runWork(ctx context.Context, gpu *arch.GPU) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-60s periodsDetected=%-3d cyclesFastForwarded=%-8d fastForwardFallbacks=%-4d loopIterations=%-8d readyCalls=%d\n",
+		fmt.Fprintf(w, "%-60s periodsDetected=%-3d cyclesFastForwarded=%-8d fastForwardFallbacks=%-4d loopIterations=%-8d readyCalls=%d\n",
 			b.ID(), res.PeriodsDetected, res.CyclesFastForwarded, res.FastForwardFallbacks,
 			res.LoopIterations, res.ReadyCalls)
 	}

@@ -927,10 +927,10 @@ type run struct {
 
 // lookup is the read half of the driver: memory, then disk — publishing
 // the blob's payload to memory as the response it serves. kernel is the
-// entry the request launches. A blob whose payload fails stage-level
-// validation is reported corrupt and removed: checksum-valid framing
-// proves the bytes survived, not that they decode to a well-formed
-// artifact.
+// entry the request launches. A blob whose payload decodeStage rejects
+// is reported corrupt and removed: the frame's checksum proves the bytes
+// are the ones written, and a frame that holds no document of its stage
+// — planted by hand, or written by a broken encoder — is not served.
 func (e *Engine) lookup(s stageID, sk *stageKeys, kernel string, from tier) *Response {
 	name, key := stageNames[s], sk[s]
 	if from <= tierMemory {
@@ -956,11 +956,11 @@ func (e *Engine) lookup(s stageID, sk *stageKeys, kernel string, from tier) *Res
 // decodePayload is decodeStage; a variable so a test can make it panic.
 var decodePayload = decodeStage
 
-// publish is the one constructor of a shared response: it validates a
-// stage payload — read from disk, or the document of the run that just
-// computed the stage — builds the response the payload serves, and adds
-// it to the memory tier, returning the response under the key (an
-// earlier one on a race).
+// publish is the one constructor of a shared response: it checks a
+// stage payload (decodeStage) — read from disk, or the document of the
+// run that just computed the stage — builds the response the payload
+// serves, and adds it to the memory tier, returning the response under
+// the key (an earlier one on a race).
 func (e *Engine) publish(s stageID, sk *stageKeys, kernel string, payload []byte) (*Response, error) {
 	view, err := decodePayload(s, payload, kernel, sk[stProfile])
 	if err != nil {

@@ -127,65 +127,34 @@ func checkOpen(t *testing.T, doc []byte) {
 	}
 }
 
-// hasReportRef is hasReport as a backward scan, which needs no offset
-// from the validator: the document must end with `"}` and a newline,
-// and the last unescaped quote before that closing one must open the
-// string behind reportMark. No quote inside a string is unescaped, so
-// walking back over the quotes that an odd number of backslashes
-// precede crosses the report text alone. It reads valid documents only.
-func hasReportRef(doc []byte) bool {
-	end := len(doc) - len(`"`+tailClose)
-	if end < 0 || string(doc[end:]) != `"`+tailClose {
-		return false
-	}
-	for i := end; ; {
-		q := bytes.LastIndexByte(doc[:i], '"')
-		if q < 0 {
-			return false
-		}
-		bs := q
-		for bs > 0 && doc[bs-1] == '\\' {
-			bs--
-		}
-		if (q-bs)%2 == 0 {
-			return q+1 < end && bytes.HasSuffix(doc[:q], []byte(reportMark))
-		}
-		i = bs
-	}
-}
-
 // decodeStageRef is what decodeStage accepts, spelled with the strict
-// decoder and a canonical-form check in place of parseOpen (openRef),
-// json.Marshal in place of AppendString, encoding/json.Valid in place
-// of validJSON and bytes.LastIndex in place of hasReport:
-// FuzzStageEnvelopeDecode holds decodeStage to accepting exactly what it
-// accepts. An advice must end in the last ,"report":" of its document, a
-// string that encoding/json finds whole and non-empty.
+// decoder and a canonical-form check in place of parseOpen (openRef) and
+// json.Marshal in place of AppendString: FuzzStageEnvelopeDecode holds
+// decodeStage to accepting exactly what it accepts. Past the opening it
+// reads the fixed bytes of each stage alone — a measure's rest is the
+// close, a profile's opens its profile of kernel and ends in the close,
+// an advice's ends in a string and the close — because the store frame's
+// checksum, not the decoder, vouches for the bytes between.
 func decodeStageRef(s stageID, doc []byte, kernel string) bool {
 	cycles, _, digest, n, ok := openRef(doc)
 	if !ok || cycles < 0 || (digest == "") != (s == stMeasure) {
 		return false
 	}
-	rest := doc[n:]
+	rest := string(doc[n:])
 	switch s {
 	case stMeasure:
-		return string(rest) == "}\n"
+		return rest == "}\n"
 	case stProfile:
 		name, _ := json.Marshal(kernel)
-		body := strings.TrimSuffix(strings.TrimPrefix(string(rest), `,"profile":`), "}\n")
-		sum := sha256.Sum256([]byte(body))
-		return len(rest) == len(body)+len(`,"profile":}`+"\n") && strings.HasPrefix(body, `{"kernel":`+string(name)) &&
-			json.Valid([]byte(body)) && hex.EncodeToString(sum[:]) == digest
+		open := `,"profile":{"kernel":` + string(name)
+		return strings.HasPrefix(rest, open) && strings.HasSuffix(rest, "}\n") && len(rest) >= len(open)+len("}\n")
 	}
-	mark := []byte(`,"report":"`)
-	i := bytes.LastIndex(doc, mark)
-	return json.Valid(doc) && bytes.HasSuffix(doc, []byte(`"}`+"\n")) && i >= 0 &&
-		doc[i+len(mark)] != '"' && json.Valid(doc[i+len(mark)-1:len(doc)-2])
+	return strings.HasSuffix(rest, `"}`+"\n")
 }
 
-// adviceSeeds are advice documents whose report ends each way the
-// backward quote scan must get right, an empty report, and a document
-// that stops at the report's key.
+// adviceSeeds are advice documents whose report ends each way a check
+// of the document's closing bytes must get right, an empty report, and
+// a document that stops at the report's key.
 func adviceSeeds() [][]byte {
 	open := `{"cycles":7,"elapsedMs":0.5,"profileDigest":"d"`
 	var seeds [][]byte
@@ -197,9 +166,8 @@ func adviceSeeds() [][]byte {
 		`,"report":"x","more":"y"}` + "\n",
 		`,"advice":[{"report":"x"}],"report":"y" }` + "\n",
 		`,"advice":[],"x":"\\",` + `"report":"y"}` + "\n",
-		// The last member's value as the validator's offset finds it: one
-		// that is no string, one whose "report" is nested, and one after
-		// an earlier "report".
+		// A last member whose value is no string, one whose "report" is
+		// nested, and one after an earlier "report".
 		`,"report":1}` + "\n",
 		`,"report":["x"]}` + "\n",
 		`,"advice":{"report":"x"}}` + "\n",
@@ -284,8 +252,6 @@ func TestDecodeStageChecks(t *testing.T) {
 		}
 	}
 	edit := func(s stageID, f func(doc string) string) []byte { return []byte(f(string(payloads[s-stMeasure]))) }
-	digestOf := func(doc string) string { _, _, d, _, _ := parseOpen([]byte(doc)); return d }
-	prof := func(doc string) string { return doc[strings.Index(doc, `,"profile":`)+len(`,"profile":`) : len(doc)-2] }
 	for name, c := range map[string]struct {
 		s       stageID
 		payload []byte
@@ -298,18 +264,7 @@ func TestDecodeStageChecks(t *testing.T) {
 		"measure/non-canonical opening": {stMeasure, edit(stMeasure, func(doc string) string {
 			return strings.Replace(doc, `"cycles":`, `"cycles": `, 1)
 		}), kernel, false},
-		"profile/digest": {stProfile, edit(stProfile, func(doc string) string {
-			return strings.Replace(doc, digestOf(doc), strings.Repeat("0", 64), 1)
-		}), kernel, false},
 		"profile/kernel": {stProfile, payloads[stProfile-stMeasure], kernel + "x", false},
-		"profile/not one value": {stProfile, edit(stProfile, func(doc string) string {
-			p := prof(doc)
-			sum := sha256.Sum256([]byte(p + `,"x":1`))
-			return strings.Replace(strings.Replace(doc, p, p+`,"x":1`, 1), digestOf(doc), hex.EncodeToString(sum[:]), 1)
-		}), kernel, false},
-		"advice/empty report": {stAdvice, edit(stAdvice, func(doc string) string {
-			return doc[:strings.LastIndex(doc, `,"report":"`)] + `,"report":""}` + "\n"
-		}), kernel, false},
 		"advice/report ends in an escaped quote": {stAdvice, edit(stAdvice, func(doc string) string {
 			return doc[:strings.LastIndex(doc, `,"report":"`)] + `,"report":"say \"GPA\""}` + "\n"
 		}), kernel, true},
@@ -330,13 +285,13 @@ func TestDecodeStageChecks(t *testing.T) {
 // FuzzStageEnvelopeDecode throws arbitrary documents at the stage
 // decoder, as each stage under an arbitrary entry, and at the lazy
 // struct decode behind it: it may not panic, it accepts exactly what
-// decodeStageRef does, and anything accepted must be internally
-// consistent (the validation invariants the engine relies on before
-// trusting a store-served artifact): a document that is valid JSON,
-// opens with the values the response reports and is served, uncopied,
-// as its own tail. On the way it holds the opening parse to the strict
-// decoder (checkOpen) and, on any valid document, hasReport at the
-// validator's offset to the backward scan.
+// decodeStageRef does, and anything accepted must be consistent with
+// its opening: the response reports the values the document opens with
+// and serves the document, uncopied, as its own tail; a profile's body
+// is the document's bytes between its mark and its close; and a lazy
+// decode that succeeds finds the kernel, cycles and report the document
+// declared. On the way it holds the opening parse to the strict decoder
+// (checkOpen).
 func FuzzStageEnvelopeDecode(f *testing.F) {
 	prof := `{"kernel":"vecscale","cycles":9}`
 	sum := sha256.Sum256([]byte(prof))
@@ -359,11 +314,6 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, doc []byte, kernel string) {
 		checkOpen(t, doc)
-		if last, ok := validDoc(doc); ok {
-			if got, want := hasReport(doc, last), hasReportRef(doc); got != want {
-				t.Fatalf("hasReport(%.200q) at %d = %v, the backward scan says %v", doc, last, got, want)
-			}
-		}
 		for s := stMeasure; s <= stAdvice; s++ {
 			resp, err := decodeStage(s, doc, kernel, store.Key{})
 			if ref := decodeStageRef(s, doc, kernel); (err == nil) != ref {
@@ -373,7 +323,7 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 				continue
 			}
 			cycles, elapsed, digest, _, _ := openRef(doc)
-			if resp.Kind != Kind(s-stMeasure) || resp.Cycles < 0 || !json.Valid(resp.doc) || resp.Cycles != cycles ||
+			if resp.Kind != Kind(s-stMeasure) || resp.Cycles < 0 || resp.Cycles != cycles ||
 				math.Float64bits(resp.ElapsedMS) != math.Float64bits(elapsed) || resp.ProfileDigest != digest ||
 				&resp.Tail()[0] != &doc[1] {
 				t.Fatalf("decodeStage(%s) accepted an invalid artifact", stageNames[s])
@@ -381,9 +331,9 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 			switch s {
 			case stProfile:
 				pa := resp.prof
-				sum := sha256.Sum256(pa.body)
-				if pa.kernel != kernel || !json.Valid(pa.body) || hex.EncodeToString(sum[:]) != resp.ProfileDigest {
-					t.Fatal("decodeStage accepted an invalid profile")
+				if pa.kernel != kernel || &pa.body[0] != &doc[len(doc)-len(tailClose)-len(pa.body)] ||
+					!bytes.HasSuffix(doc[:len(doc)-len(tailClose)-len(pa.body)], []byte(profileMark)) {
+					t.Fatal("decodeStage took another profile than the document's")
 				}
 				if prof, err := pa.profile(fuzzEngine); err == nil && (prof.Kernel != kernel || prof.Cycles != resp.Cycles) {
 					t.Fatal("a stored profile decoded to another than its document declared")
@@ -401,21 +351,41 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 	})
 }
 
-// FuzzValidJSON holds validJSON to encoding/json.Valid on any input. The
-// seeds are the real stage documents and every edge of the grammar: each
-// is one that a validator wrong in one respect — a control byte let
-// through, a leading zero, a string tail left unchecked, one nesting
-// level too many — gets wrong.
+// tokenEnd is where the strict encoding/json decoder ends the string or
+// number data opens with, or -1 where data opens with neither or with
+// one the decoder rejects.
+func tokenEnd(data []byte) int {
+	if len(data) == 0 || !(data[0] == '"' || data[0] == '-' || '0' <= data[0] && data[0] <= '9') {
+		return -1
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	if _, err := dec.Token(); err != nil {
+		return -1
+	}
+	return int(dec.InputOffset())
+}
+
+// FuzzValidJSON holds the token cutters parseOpen takes an opening apart
+// with — scanString, which steps a word at a time, and scanNumber — to
+// encoding/json on any input: each ends the string or number data opens
+// with where the strict decoder ends it, and rejects what the decoder
+// rejects. The seeds are the real stage documents and every edge of the
+// JSON grammar: each is one that a cutter wrong in one respect — a
+// control byte let through, a leading zero, an escape cut short, a
+// string tail left unchecked past a word — gets wrong.
 func FuzzValidJSON(f *testing.F) {
 	for _, payload := range runPayloads(f) {
 		f.Add(payload)
 	}
-	for _, n := range []int{maxNesting, maxNesting + 1} {
-		f.Add([]byte(strings.Repeat("[", n) + strings.Repeat("]", n)))
-		f.Add([]byte(strings.Repeat("[", n) + "0" + strings.Repeat("]", n)))
-		f.Add([]byte(strings.Repeat(`{"a":`, n-1) + "{}" + strings.Repeat("}", n-1)))
-		f.Add([]byte(strings.Repeat(`{"a":`, n) + "0" + strings.Repeat("}", n)))
-		f.Add([]byte(strings.Repeat(`[{"a":`, n/2) + "[]" + strings.Repeat("}]", n/2)))
+	// Long tokens: the longest number a run writes and one digit more, a
+	// digest, and strings and numbers far past any word or bound.
+	for _, s := range []string{
+		"-0.0000012345678901234567", "-0.00000123456789012345678", `"` + strings.Repeat("0123456789abcdef", 4) + `"`,
+		`"` + strings.Repeat("a", 60000) + `"`, `"` + strings.Repeat("a", 60000), `"` + strings.Repeat(`\"`, 1000) + `"`,
+		strings.Repeat("9", 1000), "1" + strings.Repeat("0", 1000) + "e-1000", "1.5e-3x", `"a"b`,
+	} {
+		f.Add([]byte(s))
 	}
 	u := `\` + "u" // a \u escape, spelled so that no editor folds it into its character
 	for _, s := range []string{
@@ -460,8 +430,15 @@ func FuzzValidJSON(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if got, want := validJSON(data), json.Valid(data); got != want {
-			t.Fatalf("validJSON(%.200q) = %v, encoding/json.Valid says %v", data, got, want)
+		got := -1
+		switch {
+		case len(data) > 0 && data[0] == '"':
+			got = scanString(data, 1)
+		case len(data) > 0:
+			got = scanNumber(data, 0)
+		}
+		if want := tokenEnd(data); got != want {
+			t.Fatalf("the cutters end %.200q's first token at %d, encoding/json at %d", data, got, want)
 		}
 	})
 }

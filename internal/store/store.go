@@ -37,9 +37,12 @@
 // the caller recomputes and Puts it again, and the new frame, being
 // later in the log, is the one every later lookup and scan finds. A
 // failed or short append is a counted Errors and at worst one more
-// torn frame. Callers that decode payloads further must uphold the
-// same rule and call Disk.NoteCorrupt when a payload fails their own
-// validation.
+// torn frame. The frame's checksum is a payload's one integrity check:
+// a hit's bytes are the bytes that were Put, so a caller need not
+// re-validate them. A caller whose decode still rejects a
+// checksum-valid payload — a frame planted by hand, or written by a
+// broken encoder — calls Disk.NoteCorrupt, so the blob is counted and
+// recomputed, never served.
 package store
 
 // Key is a content-addressed artifact key: a raw SHA-256 of the
