@@ -1,8 +1,8 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
+	"hash/maphash"
 	"sync"
 	"time"
 
@@ -18,39 +18,55 @@ import (
 // Kernel's sync.Onces — instead of paying assemble, pack, hash and Load
 // again before the engine is even consulted. Both bounds are
 // constants: as many kernels as a stage's LRU holds artifacts by
-// default, and as many source bytes as one request body may carry.
+// default, and as many kept source bytes as one request body may carry.
 const (
 	kernelCacheEntries = 512
 	kernelCacheBytes   = maxBodyBytes
 )
 
-// kernelSource tags which loader a cached kernel came from, so an asm
-// text and a binary blob of equal bytes can never share an entry.
+// kernelSource tags how a cached kernel's source was spelled and which
+// loader built it, so an asm text and a binary blob of equal bytes —
+// or an asm string before and after its JSON escapes are undone — can
+// never share an entry.
 type kernelSource byte
 
 const (
+	// sourceAsm is asm text as encoding/json decoded it (a body the
+	// one-pass decoder declined, a batch or sweep entry).
 	sourceAsm kernelSource = iota + 1
+	// sourceAsmRaw is asm text as the body spelled it: the JSON
+	// string's bytes between its quotes, escapes included.
+	sourceAsmRaw
 	sourceBinary
 )
 
-// kernelDigest is a kernelKey: SHA-256 over (loader, launch, source).
-type kernelDigest = [sha256.Size]byte
+// kernelSeed seeds every kernel key of the process.
+var kernelSeed = maphash.MakeSeed()
 
-// kernelCache maps a submission's kernelDigest to the shared
-// *gpa.Kernel built from it. Cached kernels are read-only. lat receives
-// the assemble stage's latency: one observation per build, none per hit.
+// kernelEntry is a cached kernel and the material its key was derived
+// from, which a hit must equal byte for byte: the key is only a hash.
+type kernelEntry struct {
+	kind   kernelSource
+	launch gpa.Launch
+	src    string
+	kernel *gpa.Kernel
+}
+
+// kernelCache maps a submission's kernelKey to the shared *gpa.Kernel
+// built from it. Cached kernels are read-only. lat receives the
+// assemble stage's latency: one observation per build, none per hit.
 type kernelCache struct {
 	mu  sync.Mutex
-	lru *lru.Cache[kernelDigest, *gpa.Kernel]
+	lru *lru.Cache[uint64, kernelEntry]
 	lat *obs.StageLatency
 }
 
 func newKernelCache(lat *obs.StageLatency) *kernelCache {
-	return &kernelCache{lru: lru.New[kernelDigest, *gpa.Kernel](kernelCacheEntries, kernelCacheBytes), lat: lat}
+	return &kernelCache{lru: lru.New[uint64, kernelEntry](kernelCacheEntries, kernelCacheBytes), lat: lat}
 }
 
-// scratchPool recycles the per-request byte buffers: the key material
-// hashed here and the response head handleOne appends.
+// scratchPool recycles the per-request byte buffers: the request body
+// decodeKernel reads and the response head handleOne appends.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledScratch keeps one multi-megabyte submission from pinning a
@@ -64,61 +80,75 @@ func putScratch(bufp *[]byte, used []byte) {
 	}
 }
 
-// kernelKey digests everything the built kernel depends on: which
-// loader, the launch as resolved by the request defaults (the entry as
-// submitted: the loader resolves an empty one from the source alone),
-// and the source bytes, each variable-length field length-prefixed.
-func kernelKey[S string | []byte](kind kernelSource, src S, l gpa.Launch) kernelDigest {
-	bufp := scratchPool.Get().(*[]byte)
-	b := append((*bufp)[:0], byte(kind))
-	for _, v := range [...]int{
+// kernelKey hashes everything the built kernel depends on: how the
+// source is spelled, the launch as resolved by the request defaults
+// (the entry as submitted: the loader resolves an empty one from the
+// source alone), and the source bytes, each variable-length field
+// length-prefixed. One pass over src; nothing is copied.
+func kernelKey[S string | []byte](kind kernelSource, l gpa.Launch, src S) uint64 {
+	var h maphash.Hash
+	h.SetSeed(kernelSeed)
+	var b [1 + 10*8]byte
+	b[0] = byte(kind)
+	for i, v := range [...]int{
 		l.GridX, l.GridY, l.GridZ, l.BlockX, l.BlockY, l.BlockZ,
-		l.RegsPerThread, l.SharedMemPerBlock, len(l.Entry),
+		l.RegsPerThread, l.SharedMemPerBlock, len(l.Entry), len(src),
 	} {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		binary.LittleEndian.PutUint64(b[1+8*i:], uint64(v))
 	}
-	b = append(b, l.Entry...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(src)))
-	b = append(b, src...)
-	key := sha256.Sum256(b)
-	putScratch(bufp, b)
-	return key
+	h.Write(b[:])
+	h.WriteString(l.Entry)
+	switch s := any(src).(type) {
+	case string:
+		h.WriteString(s)
+	case []byte:
+		h.Write(s)
+	}
+	return h.Sum64()
 }
 
-// cachedKernel returns the kernel load builds from src, shared with
-// every equal submission still in the cache. Only a miss runs load, and
-// only a miss is timed as the assemble stage, failed builds included.
-func cachedKernel[S string | []byte](c *kernelCache, kind kernelSource, src S, l gpa.Launch,
-	load func(S, gpa.Launch) (*gpa.Kernel, error)) (*gpa.Kernel, error) {
-	key := kernelKey(kind, src, l)
-	if k, ok := c.load(key); ok {
+// probe returns the kernel cached for exactly (kind, l, src), or nil,
+// and the key the submission hashes to.
+func probe[S string | []byte](c *kernelCache, kind kernelSource, l gpa.Launch, src S) (*gpa.Kernel, uint64) {
+	key := kernelKey(kind, l, src)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.lru.Get(key); ok && e.kind == kind && e.launch == l && e.src == string(src) {
+		return e.kernel, key
+	}
+	return nil, key
+}
+
+// cachedKernel returns the kernel load builds, shared with every
+// submission of equal (kind, l, src) still in the cache. Only a miss
+// runs load, and only a miss is timed as the assemble stage, failed
+// builds included.
+func cachedKernel[S string | []byte](c *kernelCache, kind kernelSource, l gpa.Launch, src S,
+	load func() (*gpa.Kernel, error)) (*gpa.Kernel, error) {
+	k, key := probe(c, kind, l, src)
+	if k != nil {
 		return k, nil
 	}
 	start := time.Now()
-	k, err := load(src, l)
+	k, err := load()
 	c.lat.Since(obs.StageAssemble, start)
 	if err != nil {
 		return nil, err
 	}
-	return c.store(key, k, len(src)), nil
-}
-
-func (c *kernelCache) load(key kernelDigest) (*gpa.Kernel, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Get(key)
+	return c.store(key, kernelEntry{kind: kind, launch: l, src: string(src), kernel: k}), nil
 }
 
 // store publishes a successfully built kernel and returns the one to
 // use: when a concurrent equal submission got there first, its kernel,
 // so all of them share one program and one set of memos. Failed builds
-// never get here, so errors are never cached.
-func (c *kernelCache) store(key kernelDigest, k *gpa.Kernel, sourceBytes int) *gpa.Kernel {
+// never get here, so errors are never cached. An entry costs the
+// source and entry bytes it keeps.
+func (c *kernelCache) store(key uint64, e kernelEntry) *gpa.Kernel {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if resident, ok := c.lru.Get(key); ok {
-		return resident
+	if resident, ok := c.lru.Get(key); ok && resident.kind == e.kind && resident.launch == e.launch && resident.src == e.src {
+		return resident.kernel
 	}
-	c.lru.Add(key, k, int64(sourceBytes))
-	return k
+	c.lru.Add(key, e, int64(len(e.src)+len(e.launch.Entry)))
+	return e.kernel
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -21,9 +22,15 @@ const twoKernelSrc = `
 	EXIT
 `
 
+// loadAsm resolves src as the encoding/json path does: keyed on the
+// decoded text.
+func loadAsm(c *kernelCache, src string, l gpa.Launch) (*gpa.Kernel, error) {
+	return cachedKernel(c, sourceAsm, l, src, func() (*gpa.Kernel, error) { return gpa.LoadKernelAsm(src, l) })
+}
+
 func asmKernel(t *testing.T, c *kernelCache, src string, l gpa.Launch) *gpa.Kernel {
 	t.Helper()
-	k, err := cachedKernel(c, sourceAsm, src, l, gpa.LoadKernelAsm)
+	k, err := loadAsm(c, src, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +72,8 @@ func TestKernelCacheKeysOnLaunch(t *testing.T) {
 
 	// The same bytes through the other loader are a different submission
 	// (and here, not a CUBIN at all).
-	if _, err := cachedKernel(c, sourceBinary, []byte(twoKernelSrc), base, gpa.LoadKernelBinary); err == nil {
+	blob := []byte(twoKernelSrc)
+	if _, err := cachedKernel(c, sourceBinary, base, blob, func() (*gpa.Kernel, error) { return gpa.LoadKernelBinary(blob, base) }); err == nil {
 		t.Error("asm text served as a binary from the asm entry")
 	}
 }
@@ -73,13 +81,13 @@ func TestKernelCacheKeysOnLaunch(t *testing.T) {
 func TestKernelCacheNeverCachesErrors(t *testing.T) {
 	c := newKernelCache(nil)
 	for i := 0; i < 2; i++ {
-		_, err := cachedKernel(c, sourceAsm, "garbage", gpa.Launch{GridX: 1, BlockX: 32}, gpa.LoadKernelAsm)
+		_, err := loadAsm(c, "garbage", gpa.Launch{GridX: 1, BlockX: 32})
 		if !errors.Is(err, gpa.ErrAssemble) {
 			t.Fatalf("attempt %d: err = %v, want ErrAssemble", i, err)
 		}
 	}
 	// A missing entry fails after a successful assembly; still not cached.
-	if _, err := cachedKernel(c, sourceAsm, twoKernelSrc, gpa.Launch{Entry: "third"}, gpa.LoadKernelAsm); !errors.Is(err, gpa.ErrBadKernel) {
+	if _, err := loadAsm(c, twoKernelSrc, gpa.Launch{Entry: "third"}); !errors.Is(err, gpa.ErrBadKernel) {
 		t.Fatalf("err = %v, want ErrBadKernel", err)
 	}
 	if c.lru.Len() != 0 {
@@ -88,10 +96,11 @@ func TestKernelCacheNeverCachesErrors(t *testing.T) {
 }
 
 func TestKernelCacheByteBoundEvicts(t *testing.T) {
-	// Room for any number of kernels but only two of these sources.
+	// Room for any number of kernels but only two of these sources: an
+	// entry costs the source and entry bytes it keeps.
 	src := func(pad int) string { return twoKernelSrc + strings.Repeat("\n", pad) }
-	c := &kernelCache{lru: lru.New[kernelDigest, *gpa.Kernel](1000, int64(2*len(twoKernelSrc)+3))}
 	l := gpa.Launch{Entry: "first", GridX: 1, BlockX: 32}
+	c := &kernelCache{lru: lru.New[uint64, kernelEntry](1000, int64(2*(len(twoKernelSrc)+len(l.Entry))+3))}
 	k0 := asmKernel(t, c, src(0), l)
 	asmKernel(t, c, src(1), l)
 	if asmKernel(t, c, src(0), l) != k0 {
@@ -104,7 +113,7 @@ func TestKernelCacheByteBoundEvicts(t *testing.T) {
 	if asmKernel(t, c, src(0), l) != k0 {
 		t.Error("the byte bound evicted the most recently used kernel")
 	}
-	if _, ok := c.load(kernelKey(sourceAsm, src(1), l)); ok {
+	if k, _ := probe(c, sourceAsm, l, src(1)); k != nil {
 		t.Error("the least recently used kernel survived the byte bound")
 	}
 }
@@ -125,7 +134,7 @@ func TestKernelCacheConcurrentSubmissionsShareOneKernel(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
-			got[i], errs[i] = cachedKernel(c, sourceAsm, testKernelSrc, l, gpa.LoadKernelAsm)
+			got[i], errs[i] = loadAsm(c, testKernelSrc, l)
 		}(i)
 	}
 	start.Done()
@@ -140,5 +149,54 @@ func TestKernelCacheConcurrentSubmissionsShareOneKernel(t *testing.T) {
 	}
 	if c.lru.Len() != 1 {
 		t.Errorf("cache holds %d kernels, want 1", c.lru.Len())
+	}
+}
+
+// TestKernelCacheComparesMaterial: the key is a hash, so a hit must
+// equal the stored material byte for byte; an entry under the same key
+// with other material — as a hash collision would leave it — is a miss.
+// And one source under two spellings is two entries.
+func TestKernelCacheComparesMaterial(t *testing.T) {
+	c := newKernelCache(nil)
+	l := gpa.Launch{Entry: "first", GridX: 1, BlockX: 32}
+	k := asmKernel(t, c, twoKernelSrc, l)
+	other := twoKernelSrc[:len(twoKernelSrc)-1] + " "
+	c.lru.Add(kernelKey(sourceAsm, l, other), kernelEntry{kind: sourceAsm, launch: l, src: twoKernelSrc, kernel: k}, 0)
+	if got, _ := probe(c, sourceAsm, l, other); got != nil {
+		t.Error("a key match with other source bytes was served")
+	}
+	if got, _ := probe(c, sourceAsm, l, []byte(twoKernelSrc)); got != k {
+		t.Error("the source as a byte slice missed its entry")
+	}
+	if got, _ := probe(c, sourceAsmRaw, l, twoKernelSrc); got != nil {
+		t.Error("the raw spelling of a source shares the decoded spelling's entry")
+	}
+}
+
+// TestKernelCacheKeepsMaterialWithinBound: an entry keeps its source,
+// so the byte bound is a bound on kept bytes. Many distinct large
+// sources leave entries whose kept source and entry bytes sum to at
+// most kernelCacheBytes, and to more than that less one source: the
+// cache stays full.
+func TestKernelCacheKeepsMaterialWithinBound(t *testing.T) {
+	c := newKernelCache(nil)
+	l := gpa.Launch{Entry: "first", GridX: 1, BlockX: 32}
+	const size = 300 << 10
+	var srcs []string
+	for i := range 3 * kernelCacheBytes / size {
+		src := fmt.Sprintf("// %d\n%s", i, strings.Repeat(" ", size))
+		srcs = append(srcs, src)
+		if _, err := cachedKernel(c, sourceAsmRaw, l, src, func() (*gpa.Kernel, error) { return new(gpa.Kernel), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept := 0
+	for _, src := range srcs {
+		if k, _ := probe(c, sourceAsmRaw, l, src); k != nil {
+			kept += len(src) + len(l.Entry)
+		}
+	}
+	if kept > kernelCacheBytes || kept <= kernelCacheBytes-size-len(l.Entry)-10 {
+		t.Errorf("entries keep %d bytes, want at most %d and within one source of it", kept, kernelCacheBytes)
 	}
 }

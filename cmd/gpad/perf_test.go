@@ -102,20 +102,27 @@ func pinWirePath(t *testing.T, name string, h http.Handler, bodies []string, pas
 // one call cost at most maxAllocs allocations (rounded) and maxKB.
 func pinAllocs(t *testing.T, name string, n int, serve func(), maxAllocs, maxKB float64) {
 	t.Helper()
+	allocs, kb := measureAllocs(n, serve)
+	t.Logf("%s: %.1f allocs, %.1f KB per request", name, allocs, kb)
+	if math.Round(allocs) > maxAllocs || kb > maxKB {
+		t.Errorf("%s costs %.1f allocs / %.1f KB per request, want <= %g allocs / %g KB", name, allocs, kb, maxAllocs, maxKB)
+	}
+}
+
+// measureAllocs calls serve n times with the collector off and returns
+// what one call allocated: objects and KB. One unmeasured call first
+// refills the pools a collection may have emptied.
+func measureAllocs(n int, serve func()) (allocs, kb float64) {
 	gcOff := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(gcOff)
+	serve()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range n {
 		serve()
 	}
 	runtime.ReadMemStats(&after)
-	allocs := float64(after.Mallocs-before.Mallocs) / float64(n)
-	kb := float64(after.TotalAlloc-before.TotalAlloc) / float64(n) / 1024
-	t.Logf("%s: %.1f allocs, %.1f KB per request", name, allocs, kb)
-	if math.Round(allocs) > maxAllocs || kb > maxKB {
-		t.Errorf("%s costs %.1f allocs / %.1f KB per request, want <= %g allocs / %g KB", name, allocs, kb, maxAllocs, maxKB)
-	}
+	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n) / 1024
 }
 
 // discardWriter is a ResponseWriter that drops the body, so the
@@ -242,21 +249,63 @@ func warmAsmServer(tb testing.TB) (http.Handler, []string) {
 }
 
 // TestWarmAsmWirePathAllocations pins what a warm POST /v1/advise of
-// raw SASS costs, over the 52 bodies bench/'s warm_asm sends: 28.0
-// allocations and 10.0 KB measured. That is the warm wire path
-// (TestWarmAdviseWirePathAllocations: 27) with the asm text — a ~3 KB
-// string copied out of the pooled body with its escapes undone, which
-// the kernel cache may keep — and the entry name in place of the bench
-// name. When encoding/json decoded the body it cost 36.6 allocations and
-// 21.5 KB: its decoder's buffer and state, and the asm text scanned,
-// rescanned and unquoted into a second copy.
+// raw SASS costs, over the 52 bodies bench/'s warm_asm sends: 27.0
+// allocations and 6.6 KB measured, the warm wire path
+// (TestWarmAdviseWirePathAllocations: 27) with the entry name in place
+// of the bench name. The asm string is never copied: the kernel cache
+// is probed with its span in the pooled body, as the body spells it.
+// While the string was copied out of the body with its escapes undone
+// and keyed by a SHA-256 of that copy this path cost 28.0 allocations
+// and 10.0 KB; when encoding/json decoded the body, 36.6 and 21.5 KB —
+// its decoder's buffer and state, and the asm text scanned, rescanned
+// and unquoted into a second copy.
 func TestWarmAsmWirePathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector (its runtime allocates inside the measured window)")
 	}
 	h, bodies := warmAsmServer(t)
-	if out := pinWirePath(t, "warm asm /v1/advise", h, bodies, 4, 28, 11); !strings.Contains(out, `"cached":true`) {
+	if out := pinWirePath(t, "warm asm /v1/advise", h, bodies, 4, 27, 7); !strings.Contains(out, `"cached":true`) {
 		t.Fatal("a repeated asm request must be a cache hit")
+	}
+}
+
+// TestWarmAsmHitFlatInSourceSize pins that a kernel-cache hit allocates
+// nothing per byte of its source: the same kernel behind a ~3 KB and a
+// ~48 KB source (padded with comment lines, so both assemble to one
+// module and share one cached answer; both bodies fit the buffers the
+// pool keeps) costs the same allocations, and bytes within a tenth of
+// the 45 KB between the sources. Each size is measured in five rounds
+// and its cheapest taken, so a round in which a request finds the
+// pooled buffer on another P and grows a new one does not count
+// (measured 26.0 allocations and 6.6 KB both).
+func TestWarmAsmHitFlatInSourceSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector (its runtime allocates inside the measured window)")
+	}
+	h := quietServer()
+	const padLine = "// padding that sizes the source\n"
+	sizes := [2]int{3 << 10, 48 << 10}
+	var allocs, kb [2]float64
+	for i, size := range sizes {
+		src := testKernelSrc + strings.Repeat(padLine, (size-len(testKernelSrc))/len(padLine))
+		b := string(mustMarshal(kernelRequest{Asm: src, GridX: 4, BlockX: 128, SimSMs: 1}))
+		serveAdvise(t, h, b) // a kernel-cache miss
+		var out bytes.Buffer
+		allocs[i], kb[i] = math.Inf(1), math.Inf(1)
+		for range 5 {
+			a, k := measureAllocs(50, func() {
+				out.Reset()
+				serveAdviseInto(t, h, b, &out)
+			})
+			allocs[i], kb[i] = min(allocs[i], a), min(kb[i], k)
+		}
+		t.Logf("%.1f KB body: %.1f allocs, %.1f KB per request", float64(len(b))/1024, allocs[i], kb[i])
+		if !strings.Contains(out.String(), `"cached":true`) {
+			t.Fatal("a repeated asm request must be a cache hit")
+		}
+	}
+	if math.Round(allocs[1]) != math.Round(allocs[0]) || kb[1]-kb[0] > float64(sizes[1]-sizes[0])/1024/10 {
+		t.Errorf("a ~48 KB source costs %.1f allocs / %.1f KB per hit, a ~3 KB one %.1f / %.1f", allocs[1], kb[1], allocs[0], kb[0])
 	}
 }
 

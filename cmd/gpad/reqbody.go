@@ -12,10 +12,12 @@ import (
 // decodeKernel reads a single-kernel request body into req. The body is
 // read once, through the same limit decode applies, into a pooled
 // buffer. A body in the plain subset parseKernelRequest reads is
-// decoded in one forward pass; any other is replayed, as it was read,
-// to decode, so it gets exactly the answer encoding/json gave it. On
-// failure it writes the error response and returns false.
-func decodeKernel(w http.ResponseWriter, r *http.Request, req *kernelRequest) bool {
+// decoded in one forward pass, its asm source resolved against s's
+// kernel cache while the buffer is still alive; any other is replayed,
+// as it was read, to decode, so it gets exactly the answer
+// encoding/json gave it. On failure it writes the error response and
+// returns false.
+func (s *server) decodeKernel(w http.ResponseWriter, r *http.Request, req *kernelRequest) bool {
 	bufp := scratchPool.Get().(*[]byte)
 	// Room for the announced length up to what the pool keeps: a longer
 	// body grows as it arrives, so announcing bytes it never sends cannot
@@ -23,7 +25,7 @@ func decodeKernel(w http.ResponseWriter, r *http.Request, req *kernelRequest) bo
 	b := bytes.NewBuffer(slices.Grow((*bufp)[:0], int(min(max(r.ContentLength, 0), maxPooledScratch))+bytes.MinRead))
 	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	body := b.Bytes()
-	ok := err == nil && parseKernelRequest(body, req)
+	ok := err == nil && parseKernelRequest(body, req, s.kernels)
 	if !ok {
 		*req = kernelRequest{}
 		ok = decodeFrom(w, &replay{body, err}, req)
@@ -57,33 +59,60 @@ func (r *replay) Read(p []byte) (int, error) {
 // the two-character ones, no "binary" — and reports whether it did.
 // What it accepts, it decodes as encoding/json does (a repeated key's
 // last value wins); it declines everything else, valid or not, an
-// escaped key included.
-func parseKernelRequest(b []byte, req *kernelRequest) bool {
+// escaped key and a repeated "asm" key included.
+//
+// The asm string is kept as the body spells it until the whole object
+// is accepted; then it and the resolved launch probe kernels. A hit
+// hands req the cached kernel and leaves Asm empty: the span was stored
+// only after it passed the checks below, so an equal span passes them
+// too, and it is neither checked nor unescaped again. A miss checks and
+// unescapes it into Asm, and sets asmRaw, the span's own copy, which
+// job stores the kernel under.
+func parseKernelRequest(b []byte, req *kernelRequest, kernels *kernelCache) bool {
 	p := reqParser{b: b}
 	if !p.eat('{') {
 		return false
 	}
-	if p.eat('}') {
-		return p.end()
+	if !p.eat('}') {
+		for {
+			key, ok := p.raw()
+			if !ok || !p.eat(':') || !p.field(key, req) {
+				return false
+			}
+			if p.eat('}') {
+				break
+			}
+			if !p.eat(',') {
+				return false
+			}
+		}
 	}
-	for {
-		key, escaped, ok := p.raw()
-		if !ok || escaped || !p.eat(':') || !p.field(key, req) {
-			return false
-		}
-		if p.eat('}') {
-			return p.end()
-		}
-		if !p.eat(',') {
-			return false
-		}
+	if !p.end() {
+		return false
 	}
+	if len(p.asm) == 0 {
+		return true
+	}
+	if req.kernel, _ = probe(kernels, sourceAsmRaw, req.launch(), p.asm); req.kernel != nil {
+		return true
+	}
+	asm, ok := unquote(p.asm)
+	if !ok {
+		return false
+	}
+	req.Asm, req.asmRaw = asm, asm
+	if len(asm) != len(p.asm) {
+		req.asmRaw = string(p.asm)
+	}
+	return true
 }
 
-// reqParser is parseKernelRequest's cursor over the body.
+// reqParser is parseKernelRequest's cursor over the body; asm is the
+// "asm" value's span.
 type reqParser struct {
-	b []byte
-	i int
+	b   []byte
+	i   int
+	asm []byte
 }
 
 // ws skips JSON whitespace.
@@ -114,45 +143,54 @@ func (p *reqParser) end() bool {
 	return p.i == len(p.b)
 }
 
-// raw consumes a string and returns its body as it stands in b, and
-// whether it holds an escape. It declines control, non-ASCII and
-// unterminated strings.
-func (p *reqParser) raw() (s []byte, escaped, ok bool) {
+// raw consumes a string and returns its body as it stands in b, after
+// one search for its closing quote: its bytes are not looked at. A
+// key's need no check, as it must equal a json tag; every value's but
+// asm's go through unquote at once.
+func (p *reqParser) raw() ([]byte, bool) {
 	if !p.eat('"') {
-		return nil, false, false
+		return nil, false
 	}
 	start := p.i
 	for {
 		q := bytes.IndexByte(p.b[p.i:], '"')
 		if q < 0 {
-			return nil, false, false
+			return nil, false
 		}
 		p.i += q + 1
 		// The quote ends the string unless an odd run of backslashes
-		// escapes it (str checks every escape).
+		// escapes it (unquote checks every escape).
 		n := 0
 		for p.i-2-n >= start && p.b[p.i-2-n] == '\\' {
 			n++
 		}
 		if n%2 == 0 {
-			break
+			return p.b[start : p.i-1], true
 		}
 	}
-	s = p.b[start : p.i-1]
-	for _, c := range s {
-		if c-0x20 >= 0x60 { // below 0x20 or above 0x7f
-			return nil, false, false
-		}
-	}
-	return s, bytes.IndexByte(s, '\\') >= 0, true
 }
 
 // str consumes a string value into a fresh string: it must not alias
-// the pooled body, because the kernel cache keeps the asm text.
+// the pooled body, which the next request reuses.
 func (p *reqParser) str() (string, bool) {
-	s, escaped, ok := p.raw()
-	if !ok || !escaped {
-		return string(s), ok
+	s, ok := p.raw()
+	if !ok {
+		return "", false
+	}
+	return unquote(s)
+}
+
+// unquote returns a string's body as a fresh string with its escapes
+// undone. It declines control and non-ASCII bytes, \u and every invalid
+// escape.
+func unquote(s []byte) (string, bool) {
+	for _, c := range s {
+		if c-0x20 >= 0x60 { // below 0x20 or above 0x7f
+			return "", false
+		}
+	}
+	if bytes.IndexByte(s, '\\') < 0 {
+		return string(s), true
 	}
 	var sb strings.Builder
 	sb.Grow(len(s))
@@ -203,9 +241,19 @@ var kernelFields = func() map[string]int {
 }()
 
 // field consumes the value of key into its kernelRequest field: a
-// string, an int or the uint64 seed. Any other key — "binary", a case
-// variant, an unknown one — is declined.
+// string, an int or the uint64 seed; asm's span is kept in p.asm. Any
+// other key — "binary", a case variant, an escaped or unknown one — is
+// declined, and so is a second "asm": only the span that is kept is
+// ever checked, and encoding/json checks every one.
 func (p *reqParser) field(key []byte, r *kernelRequest) bool {
+	if string(key) == "asm" {
+		if p.asm != nil {
+			return false
+		}
+		var ok bool
+		p.asm, ok = p.raw()
+		return ok
+	}
 	i, ok := kernelFields[string(key)]
 	if !ok {
 		return false

@@ -155,6 +155,36 @@ type kernelRequest struct {
 	// admission (0 = the server's -job-timeout default). Expiry returns
 	// 504 with code "deadline_exceeded".
 	TimeoutMS int `json:"timeoutMs,omitempty"`
+
+	// kernel is the asm kernel parseKernelRequest found in the kernel
+	// cache; Asm is then left empty. asmRaw is, on its miss, the asm
+	// string as the body spelled it, which the built kernel is cached
+	// under. encoding/json sets neither.
+	kernel *gpa.Kernel
+	asmRaw string
+}
+
+// launch is the request's launch with the CLI's defaults for an
+// unspecified shape: what an asm or binary kernel is built for and
+// cached under.
+func (r *kernelRequest) launch() gpa.Launch {
+	l := gpa.Launch{
+		Entry: r.Entry,
+		GridX: r.GridX, GridY: r.GridY, GridZ: r.GridZ,
+		BlockX: r.BlockX, BlockY: r.BlockY, BlockZ: r.BlockZ,
+		RegsPerThread:     r.RegsPerThread,
+		SharedMemPerBlock: r.SharedMemPerBlock,
+	}
+	if l.GridX == 0 && l.GridY == 0 && l.GridZ == 0 {
+		l.GridX = 640
+	}
+	if l.BlockX == 0 && l.BlockY == 0 && l.BlockZ == 0 {
+		l.BlockX = 256
+	}
+	if l.RegsPerThread == 0 {
+		l.RegsPerThread = 32
+	}
+	return l
 }
 
 // job converts the request to an engine job; s resolves architecture
@@ -195,7 +225,7 @@ func (r *kernelRequest) job(s *server) (gpa.Job, error) {
 	job.Options = opts
 
 	sources := 0
-	for _, set := range []bool{r.Bench != "", r.Asm != "", len(r.Binary) > 0} {
+	for _, set := range []bool{r.Bench != "", r.Asm != "" || r.kernel != nil, len(r.Binary) > 0} {
 		if set {
 			sources++
 		}
@@ -227,27 +257,22 @@ func (r *kernelRequest) job(s *server) (gpa.Job, error) {
 		return job, nil
 	}
 
-	launch := gpa.Launch{
-		Entry: r.Entry,
-		GridX: r.GridX, GridY: r.GridY, GridZ: r.GridZ,
-		BlockX: r.BlockX, BlockY: r.BlockY, BlockZ: r.BlockZ,
-		RegsPerThread:     r.RegsPerThread,
-		SharedMemPerBlock: r.SharedMemPerBlock,
-	}
-	// CLI-equivalent defaults for an unspecified launch shape.
-	if launch.GridX == 0 && launch.GridY == 0 && launch.GridZ == 0 {
-		launch.GridX = 640
-	}
-	if launch.BlockX == 0 && launch.BlockY == 0 && launch.BlockZ == 0 {
-		launch.BlockX = 256
-	}
-	if launch.RegsPerThread == 0 {
-		launch.RegsPerThread = 32
-	}
-	if r.Asm != "" {
-		job.Kernel, err = cachedKernel(s.kernels, sourceAsm, r.Asm, launch, gpa.LoadKernelAsm)
-	} else {
-		job.Kernel, err = cachedKernel(s.kernels, sourceBinary, r.Binary, launch, gpa.LoadKernelBinary)
+	launch := r.launch()
+	switch {
+	case r.kernel != nil:
+		job.Kernel = r.kernel
+	case r.Asm != "":
+		kind, src := sourceAsm, r.Asm
+		if r.asmRaw != "" {
+			kind, src = sourceAsmRaw, r.asmRaw
+		}
+		job.Kernel, err = cachedKernel(s.kernels, kind, launch, src, func() (*gpa.Kernel, error) {
+			return gpa.LoadKernelAsm(r.Asm, launch)
+		})
+	default:
+		job.Kernel, err = cachedKernel(s.kernels, sourceBinary, launch, r.Binary, func() (*gpa.Kernel, error) {
+			return gpa.LoadKernelBinary(r.Binary, launch)
+		})
 	}
 	return job, err
 }
@@ -381,7 +406,7 @@ func (s *server) buildJob(w http.ResponseWriter, tenant string, req *kernelReque
 // handleOne serves the fixed-kind single-kernel endpoints.
 func (s *server) handleOne(w http.ResponseWriter, r *http.Request, kind gpa.JobKind) {
 	var req kernelRequest
-	if !decodeKernel(w, r, &req) {
+	if !s.decodeKernel(w, r, &req) {
 		return
 	}
 	req.Kind = kind.String()

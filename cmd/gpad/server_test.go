@@ -485,7 +485,7 @@ func TestBadRequests(t *testing.T) {
 	h := newServer(gpa.NewEngine(nil))
 	for _, tc := range kernelBodyRows {
 		var req kernelRequest
-		if fast := len(tc.body) <= maxBodyBytes && parseKernelRequest([]byte(tc.body), &req); fast != tc.fast {
+		if fast := len(tc.body) <= maxBodyBytes && parseKernelRequest([]byte(tc.body), &req, newKernelCache(nil)); fast != tc.fast {
 			t.Errorf("%s: decoded in one pass = %v, want %v", tc.name, fast, tc.fast)
 		}
 		got := serveBody(t, h, tc.body)
@@ -502,7 +502,9 @@ func TestBadRequests(t *testing.T) {
 
 // kernelBodyRows holds a body per class parseKernelRequest declines, a
 // valid one and an invalid one where both exist, and a repeated key,
-// which it reads (the last value wins, as in encoding/json).
+// which it reads (the last value wins, as in encoding/json) unless the
+// key is "asm": encoding/json checks every asm value, the one-pass
+// decoder only the one it keeps.
 var kernelBodyRows = []struct {
 	name   string
 	body   string
@@ -522,6 +524,9 @@ var kernelBodyRows = []struct {
 	{"overflow", `{"bench":"rodinia/hotspot","seed":18446744073709551616}`, http.StatusBadRequest, false},
 	{"negative seed", `{"bench":"rodinia/hotspot","seed":-1}`, http.StatusBadRequest, false},
 	{"duplicate key", `{"bench":"rodinia/nope","bench":"rodinia/hotspot"}`, http.StatusOK, true},
+	{"duplicate asm key", `{"asm":"garbage","asm":` + string(mustMarshal(testKernelSrc)) + `}`, http.StatusOK, false},
+	{"duplicate asm key, bad escape first", `{"asm":"a\qb","asm":` + string(mustMarshal(testKernelSrc)) + `}`, http.StatusBadRequest, false},
+	{"duplicate asm key, control byte first", "{\"asm\":\"a\x01b\",\"asm\":" + string(mustMarshal(testKernelSrc)) + "}", http.StatusBadRequest, false},
 	{"invalid UTF-8", "{\"asm\":\".func k global\\n\\tMOV\xff R0, 0x0\\n\"}", http.StatusUnprocessableEntity, false},
 	{"non-ASCII", `{"bench":"rodinia/hotspot","arch":"vólta"}`, http.StatusBadRequest, false},
 	{"binary", `{"binary":"AAAA"}`, http.StatusUnprocessableEntity, false},
@@ -531,6 +536,7 @@ var kernelBodyRows = []struct {
 	{"over 8 MB", `{"asm":"` + strings.Repeat("a", maxBodyBytes) + `"}`, http.StatusBadRequest, false},
 	{"trailing data", `{"bench":"rodinia/hotspot"} junk`, http.StatusBadRequest, false},
 	{"second value", `{"bench":"rodinia/hotspot"}{}`, http.StatusBadRequest, false},
+	{"assembles but cannot be encoded", `{"asm":".func k global\nA:ISETP 0,[R0],0\nEXIT","gridX":2,"blockX":64}`, http.StatusUnprocessableEntity, true},
 }
 
 func mustMarshal(v any) []byte {

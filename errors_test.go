@@ -17,6 +17,11 @@ func TestLoadErrorsAreTyped(t *testing.T) {
 	if _, err := gpa.LoadKernelAsm("garbage", gpa.Launch{}); !errors.Is(err, gpa.ErrAssemble) {
 		t.Errorf("bad asm err = %v, want ErrAssemble", err)
 	}
+	// Parses, but its operand stream overflows the 128-bit word: the
+	// module could never be packed, keyed or saved.
+	if _, err := gpa.LoadKernelAsm(".func k global\nA:ISETP 0,[R0],0\nEXIT", gpa.Launch{}); !errors.Is(err, gpa.ErrAssemble) {
+		t.Errorf("unencodable asm err = %v, want ErrAssemble", err)
+	}
 	if _, err := gpa.LoadKernelAsm(apiKernelSrc, gpa.Launch{Entry: "missing"}); !errors.Is(err, gpa.ErrBadKernel) {
 		t.Errorf("missing entry err = %v, want ErrBadKernel", err)
 	}

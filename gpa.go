@@ -192,11 +192,18 @@ func (k *Kernel) moduleHash() ([32]byte, error) {
 	return k.modHash, k.modHashErr
 }
 
-// LoadKernelAsm assembles SASS text into a kernel. Assembly failures
-// wrap ErrAssemble; launch validation failures wrap ErrBadKernel.
+// LoadKernelAsm assembles SASS text into a kernel. Assembly failures,
+// an instruction the 128-bit encoding cannot hold included, wrap
+// ErrAssemble; launch validation failures wrap ErrBadKernel.
 func LoadKernelAsm(src string, launch Launch) (*Kernel, error) {
 	mod, err := sass.Assemble(src)
 	if err != nil {
+		return nil, fmt.Errorf("gpa: %w: %w", ErrAssemble, err)
+	}
+	k := &Kernel{Module: mod}
+	// Packing the module now memoizes the hash the engine keys on and
+	// refuses a module that assembles but does not encode.
+	if _, err := k.moduleHash(); err != nil {
 		return nil, fmt.Errorf("gpa: %w: %w", ErrAssemble, err)
 	}
 	if launch.Entry == "" {
@@ -210,7 +217,8 @@ func LoadKernelAsm(src string, launch Launch) (*Kernel, error) {
 	if mod.Function(launch.Entry) == nil {
 		return nil, fmt.Errorf("gpa: %w: no kernel %q in module", ErrBadKernel, launch.Entry)
 	}
-	return &Kernel{Module: mod, Launch: launch}, nil
+	k.Launch = launch
+	return k, nil
 }
 
 // LoadKernelBinary unpacks a CUBIN blob produced by SaveBinary.

@@ -89,6 +89,10 @@ type Config struct {
 	// as the oracle the event-skip loop is checked against (results must
 	// be bit-identical) and is deliberately unexported.
 	stepEveryCycle bool
+	// noSteady is a test hook: it turns off steady-state fast-forward
+	// alone, keeping the event skip, so a benchmark can price what
+	// fast-forward buys (stepEveryCycle turns off both).
+	noSteady bool
 }
 
 // Result summarizes one simulated launch.

@@ -200,7 +200,7 @@ func newSM(shell *sm, id int, j *smJob, sink SampleSink) *sm {
 		issuedPerPC: resizeInt64(s.issuedPerPC, len(p.Instrs)),
 		warpsPerBlk: j.warpsPerBlock,
 		sink:        sink,
-		steady:      resetSteady(s.steady, j.wl, cfg.stepEveryCycle),
+		steady:      resetSteady(s.steady, j.wl, cfg.stepEveryCycle || cfg.noSteady),
 	}
 	if sink != nil {
 		s.period = int64(cfg.SamplePeriod)

@@ -180,11 +180,11 @@ type steadyState struct {
 
 // resetSteady reinitializes the detector for a run, keeping every
 // backing array so a recycled SM shell detects without allocating.
-func resetSteady(st steadyState, wl Workload, step bool) steadyState {
+func resetSteady(st steadyState, wl Workload, off bool) steadyState {
 	stab, _ := wl.(TakenStability)
 	out := steadyState{
 		stab:     stab,
-		enabled:  stab != nil && !step,
+		enabled:  stab != nil && !off,
 		brentPow: 1,
 		cur:      snapshot{words: st.cur.words[:0]},
 		prev:     snapshot{words: st.prev.words[:0]},

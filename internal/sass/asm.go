@@ -27,6 +27,9 @@ import (
 // default to {S:1}.
 //
 // Comments run from "//" or "#" to end of line.
+//
+// It copies every name it keeps, so a module kept for long — a server's
+// kernel cache holds many — does not pin the text it was assembled from.
 func Assemble(src string) (*Module, error) {
 	a := &assembler{mod: &Module{Arch: 70}}
 	for i, raw := range strings.Split(src, "\n") {
@@ -92,7 +95,7 @@ func (a *assembler) line(raw string) error {
 		if a.fn == nil {
 			return fmt.Errorf("label %q outside function", s[:i])
 		}
-		name := s[:i]
+		name := strings.Clone(s[:i])
 		if _, dup := a.fn.Labels[name]; dup {
 			return fmt.Errorf("duplicate label %q", name)
 		}
@@ -133,7 +136,7 @@ func (a *assembler) directive(s string) error {
 		default:
 			return fmt.Errorf("unknown visibility %q", fields[2])
 		}
-		a.fn = &Function{Name: fields[1], Visibility: vis, Labels: map[string]int{}}
+		a.fn = &Function{Name: strings.Clone(fields[1]), Visibility: vis, Labels: map[string]int{}}
 		a.file, a.lineNo, a.inline = "", 0, nil
 		return nil
 	case ".line":
@@ -144,7 +147,7 @@ func (a *assembler) directive(s string) error {
 		if err != nil {
 			return fmt.Errorf(".line: %v", err)
 		}
-		a.file, a.lineNo = fields[1], n
+		a.file, a.lineNo = strings.Clone(fields[1]), n
 		return nil
 	case ".inline":
 		if len(fields) != 4 {
@@ -154,7 +157,7 @@ func (a *assembler) directive(s string) error {
 		if err != nil {
 			return fmt.Errorf(".inline: %v", err)
 		}
-		a.inline = append(a.inline, InlineFrame{Function: fields[3], File: fields[1], Line: n})
+		a.inline = append(a.inline, InlineFrame{Function: strings.Clone(fields[3]), File: strings.Clone(fields[1]), Line: n})
 		return nil
 	case ".inlineend":
 		if len(a.inline) == 0 {
@@ -347,7 +350,7 @@ func (a *assembler) parseOperand(tok string, op Opcode) (Operand, error) {
 		}
 		return ImmOp(v), nil
 	case isIdent(tok):
-		return LabelOp(tok), nil
+		return LabelOp(strings.Clone(tok)), nil
 	}
 	return Operand{}, fmt.Errorf("cannot parse operand %q", tok)
 }

@@ -3,6 +3,7 @@ package sass
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 const vecaddSrc = `
@@ -302,4 +303,50 @@ func regSetEq(a, b []Reg) bool {
 		}
 	}
 	return true
+}
+
+// TestAssembleKeepsNoSourceText: no string a module keeps — a function,
+// label, file, inline frame or symbol name — points into the source
+// text, so a cached module does not keep its source alive.
+func TestAssembleKeepsNoSourceText(t *testing.T) {
+	src := strings.Clone(`
+.func helper device
+	RET
+.func k global
+.line k.cu 3
+.inline lib.cu 7 helper
+	MOV R0, 0x0 {S:2}
+.inlineend
+L0:	CAL helper
+	BRA L0
+	EXIT
+`)
+	m, err := Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	check := func(what, s string) {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); s != "" && p >= lo && p < lo+uintptr(len(src)) {
+			t.Errorf("%s %q points into the source text", what, s)
+		}
+	}
+	for _, f := range m.Functions {
+		check("function", f.Name)
+		for l := range f.Labels {
+			check("label", l)
+		}
+		for _, li := range f.Lines {
+			check("file", li.File)
+			for _, fr := range li.Inline {
+				check("inline file", fr.File)
+				check("inline function", fr.Function)
+			}
+		}
+		for _, in := range f.Instrs {
+			for _, o := range in.Ops {
+				check("symbol", o.Sym)
+			}
+		}
+	}
 }

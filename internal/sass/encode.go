@@ -59,6 +59,12 @@ func (b *bitBuf) put(width int, v uint64) {
 }
 
 func (b *bitBuf) get(width int) uint64 {
+	if b.pos+width > 128 {
+		// Overflow: as in put, advance pos so the caller's budget check
+		// fails, and read nothing out of bounds.
+		b.pos += width
+		return 0
+	}
 	var v uint64
 	for i := 0; i < width; i++ {
 		if b.w[(b.pos+i)/64]&(1<<uint((b.pos+i)%64)) != 0 {
@@ -158,12 +164,18 @@ func DecodeInstruction(word [InstrBytes]byte, pc uint32, fnName func(int) (strin
 	in.Ctrl.WaitMask = uint8(b.get(6))
 	in.Mods = ModMask(b.get(12))
 	n := int(b.get(3))
+	if n > 5 {
+		return in, fmt.Errorf("sass: decode at 0x%x: %d operands (max 5)", pc, n)
+	}
 	for i := 0; i < n; i++ {
 		o, err := decodeOperand(&b, fnName)
 		if err != nil {
 			return in, fmt.Errorf("sass: decode at 0x%x: %w", pc, err)
 		}
 		in.Ops = append(in.Ops, o)
+	}
+	if b.pos > 128 {
+		return in, fmt.Errorf("sass: decode at 0x%x: operand stream overruns the 128-bit word", pc)
 	}
 	return in, nil
 }

@@ -1,6 +1,7 @@
 package sass
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -97,6 +98,34 @@ func TestDecodeRejectsBadOpcode(t *testing.T) {
 	w[0] = 0xff // opcode 255 does not exist
 	if _, err := DecodeInstruction(w, 0, nil); err == nil {
 		t.Fatal("DecodeInstruction accepted an invalid opcode")
+	}
+}
+
+// TestDecodeRejectsOverrun: a word whose operand count or operand kinds
+// call for more than an instruction encodes is an error, never a read
+// past the word.
+func TestDecodeRejectsOverrun(t *testing.T) {
+	word := func(n int, kind OperandKind, width int) [InstrBytes]byte {
+		var b bitBuf
+		b.put(8, uint64(OpIADD3))
+		b.put(3+1+4+1+3+3+6+12, 0)
+		b.put(3, uint64(n))
+		for b.pos+3+width <= 128 {
+			b.put(3, uint64(kind))
+			b.put(width, 0)
+		}
+		var w [InstrBytes]byte
+		binary.LittleEndian.PutUint64(w[0:8], b.w[0])
+		binary.LittleEndian.PutUint64(w[8:16], b.w[1])
+		return w
+	}
+	// Five 35-bit immediates: the third runs past the word.
+	if _, err := DecodeInstruction(word(5, KindImm, 32), 0, nil); err == nil {
+		t.Error("DecodeInstruction accepted an operand stream past the word")
+	}
+	// Six 13-bit registers fit the word, but no instruction encodes six.
+	if _, err := DecodeInstruction(word(6, KindReg, 10), 0, nil); err == nil {
+		t.Error("DecodeInstruction accepted more operands than an instruction encodes")
 	}
 }
 
