@@ -16,9 +16,10 @@
 // tier (a restarted daemon starts warm), and finally a worker-bounded
 // run that computes the stage — resolving the stages it depends on
 // through the same driver, so an advise over a stored profile simulates
-// nothing — and publishes every artifact it computed. Worker slots are
-// granted by
-// a tenant-aware admission scheduler (internal/qos): per-tenant queues
+// nothing — and publishes what it computed: the stage it serves to both
+// tiers, a stage it only consumed to disk alone (to memory too when the
+// engine has no disk). Worker slots are granted by a tenant-aware
+// admission scheduler (internal/qos): per-tenant queues
 // under deficit-weighted round robin, an interactive lane that
 // preempts queued batch work, per-tenant token-bucket quotas shedding
 // over-quota callers with ErrQuotaExceeded, and a brownout controller
@@ -479,10 +480,11 @@ type Engine struct {
 	drainOnce sync.Once
 
 	// stages/disk are the artifact store's two tiers (see internal/store
-	// and the driver below). stages holds, per served stage, the
-	// prebuilt Cached response of every artifact in memory, so a warm hit
-	// returns the same pointer without copying; it is nil when
-	// CacheEntries is negative. disk is nil without a -store-dir.
+	// and the driver below). stages holds, per stage, the prebuilt Cached
+	// response of every artifact a request was served (with no disk, of
+	// every artifact), so a warm hit returns the same pointer without
+	// copying; it is nil when CacheEntries is negative. disk is nil
+	// without a -store-dir.
 	stages *store.Memory
 	disk   *store.Disk
 
@@ -695,7 +697,7 @@ func (e *Engine) lead(req *Request, km *keyMaterial, key store.Key, c *flightCal
 // slot and no run. It is inside the flight boundary, as a run is.
 func (e *Engine) probe(s stageID, sk *stageKeys, kernel string) (view *Response, err error) {
 	defer e.contain(&err)
-	if view = e.lookup(s, sk, kernel, tierDisk); view != nil {
+	if view = e.lookup(s, sk, kernel, tierDisk, true); view != nil {
 		e.n.stageServed.Add(1)
 	}
 	return view, nil
@@ -925,13 +927,14 @@ type run struct {
 	start time.Time
 }
 
-// lookup is the read half of the driver: memory, then disk — publishing
-// the blob's payload to memory as the response it serves. kernel is the
-// entry the request launches. A blob whose payload decodeStage rejects
-// is reported corrupt and removed: the frame's checksum proves the bytes
-// are the ones written, and a frame that holds no document of its stage
-// — planted by hand, or written by a broken encoder — is not served.
-func (e *Engine) lookup(s stageID, sk *stageKeys, kernel string, from tier) *Response {
+// lookup is the read half of the driver: memory, then disk. kernel is
+// the entry the request launches. A disk hit is published as the
+// response it serves, into the memory tier only if keep (see resolve). A
+// blob whose payload decodeStage rejects is reported corrupt and
+// removed: the frame's checksum proves the bytes are the ones written,
+// and a frame that holds no document of its stage — planted by hand, or
+// written by a broken encoder — is not served.
+func (e *Engine) lookup(s stageID, sk *stageKeys, kernel string, from tier, keep bool) *Response {
 	name, key := stageNames[s], sk[s]
 	if from <= tierMemory {
 		if v, ok := e.stages.Get(name, key); ok {
@@ -945,7 +948,7 @@ func (e *Engine) lookup(s stageID, sk *stageKeys, kernel string, from tier) *Res
 	if !ok {
 		return nil
 	}
-	view, err := e.publish(s, sk, kernel, payload)
+	view, err := e.publish(s, sk, kernel, payload, keep, nil)
 	if err != nil {
 		e.disk.NoteCorrupt(name, key)
 		return nil
@@ -958,10 +961,12 @@ var decodePayload = decodeStage
 
 // publish is the one constructor of a shared response: it checks a
 // stage payload (decodeStage) — read from disk, or the document of the
-// run that just computed the stage — builds the response the payload
-// serves, and adds it to the memory tier, returning the response under
-// the key (an earlier one on a race).
-func (e *Engine) publish(s stageID, sk *stageKeys, kernel string, payload []byte) (*Response, error) {
+// run that just computed the stage — and builds the response the
+// payload serves. An advice gets pa, when given, as the profile it
+// blames. If keep, the response goes into the memory tier and publish
+// returns the one under the key (an earlier one on a race); otherwise it
+// serves its caller alone.
+func (e *Engine) publish(s stageID, sk *stageKeys, kernel string, payload []byte, keep bool, pa *profileArtifact) (*Response, error) {
 	view, err := decodePayload(s, payload, kernel, sk[stProfile])
 	if err != nil {
 		return nil, err
@@ -969,26 +974,44 @@ func (e *Engine) publish(s stageID, sk *stageKeys, kernel string, payload []byte
 	key := sk[s]
 	var hexKey [2 * len(key)]byte
 	view.Key, view.Cached, view.eng = string(hex.AppendEncode(hexKey[:0], key[:])), true, e
+	if pa != nil {
+		view.adv.pa = pa
+	}
+	if !keep {
+		return view, nil
+	}
 	return e.stages.Add(stageNames[s], key, view).(*Response), nil
 }
 
 // resolve is the one stage driver: memory → disk → compute, over the
-// resolved stage it needs → publish → put. It returns the
-// stage's shared response and, when this call computed the stage, the
-// leader's own beside it. A stage that depends on another takes the
-// run's own lead when this run computed it — it holds the struct — and
-// the shared response otherwise, decoding its body once. An uncacheable
-// run has no keys: it only computes, and shares nothing. A payload the
-// decoder rejects fails the run, so nothing is ever served
-// from memory that would not be served from disk.
+// resolved stage it needs → publish → put. It returns the stage's shared
+// response and, when this call computed the stage, the leader's own
+// beside it. A stage that depends on another takes the run's own lead
+// when this run computed it — it holds the struct — and the shared
+// response otherwise, decoding its body once. An uncacheable run has no
+// keys: it only computes, and shares nothing. A payload the decoder
+// rejects fails the run, so nothing is ever served from memory that
+// would not be served from disk.
+//
+// The memory tier keeps what is served (keep): the stage the request
+// terminates in, and a profile a caller asks an advice for
+// (adviceArtifact.profileArtifact). A stage the run only consumes — the
+// profile an advice blames — is checked and put to disk, and a disk hit
+// on it is decoded for the run alone; memory holds it only if it already
+// did. An engine with no disk keeps every stage in memory, its only
+// tier, and an advice it publishes keeps the profile it blames
+// (adviceArtifact.pa), so the stages' LRUs cannot evict a profile from
+// under its advice.
 func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (view, lead *Response, err error) {
+	keep := s == stageOf(r.n.Kind) || e.disk == nil
 	if r.sk != nil {
-		if view = e.lookup(s, r.sk, r.n.Launch.Entry, from); view != nil {
+		if view = e.lookup(s, r.sk, r.n.Launch.Entry, from, keep); view != nil {
 			return view, nil, nil
 		}
 	}
 	st := &stages[s]
 	var dep *Response
+	var pa *profileArtifact // what an advice keeps on an engine with no disk
 	if st.needs != noStage {
 		depView, depLead, err := e.resolve(ctx, r, st.needs, tierMemory)
 		if err != nil {
@@ -996,6 +1019,9 @@ func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (vie
 		}
 		if dep = depLead; dep == nil {
 			dep = depView
+		}
+		if e.disk == nil {
+			pa = depView.prof
 		}
 		if err := apierr.CtxErr(ctx); err != nil {
 			return nil, nil, fmt.Errorf("service: %w", err)
@@ -1008,7 +1034,7 @@ func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (vie
 	if r.sk == nil {
 		return lead, lead, nil
 	}
-	if view, err = e.publish(s, r.sk, r.n.Launch.Entry, lead.doc); err != nil {
+	if view, err = e.publish(s, r.sk, r.n.Launch.Entry, lead.doc, keep, pa); err != nil {
 		return nil, nil, fmt.Errorf("service: %w: the %s stage computed an artifact it cannot serve: %v", apierr.ErrInternal, stageNames[s], err)
 	}
 	lead.Key = view.Key
@@ -1156,10 +1182,14 @@ func (e *Engine) computeProfile(ctx context.Context, r *run, _ *Response) (*Resp
 	// byte-identical to this cold run.
 	t := wireTail{Cycles: prof.Cycles, ElapsedMS: elapsedMS(r.start), ProfileDigest: hex.EncodeToString(sum[:]), Profile: body}
 	resp, err := t.response(KindProfile)
-	if err == nil {
-		resp.prof = &profileArtifact{kernel: prof.Kernel, cycles: prof.Cycles, body: body, prof: prof}
+	if err != nil {
+		return nil, err
 	}
-	return resp, err
+	// The artifact's body is the document's copy, which ends it, as a
+	// shared artifact's is: the marshaled one is garbage from here on.
+	end := len(resp.doc) - len(tailClose)
+	resp.prof = &profileArtifact{kernel: prof.Kernel, cycles: prof.Cycles, body: resp.doc[end-len(body) : end], prof: prof}
+	return resp, nil
 }
 
 // noteSim adds one simulation's work record to the engine's counters.

@@ -579,6 +579,36 @@ func TestAdviseFeedsProfile(t *testing.T) {
 	}
 }
 
+// TestCachedAdviceKeepsItsProfile: on an engine with no disk the memory
+// tier is the only tier, and its stage LRUs evict independently. An
+// advice that a run published keeps the profile it blames, so the
+// profile lives as long as the advice: here another profile evicts it
+// from its one-entry stage, and the cached advice still hands it out.
+func TestCachedAdviceKeepsItsProfile(t *testing.T) {
+	e := New(Options{Workers: 1, CacheEntries: 1})
+	ctx := context.Background()
+	lead, err := e.Do(ctx, testRequest(t, KindAdvise))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := testRequest(t, KindProfile)
+	other.Seed = 10
+	if _, err := e.Do(ctx, other); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.StageEvictions != 1 {
+		t.Fatalf("stageEvictions = %d, want 1: the other profile evicts the blamed one", st.StageEvictions)
+	}
+	hit, err := e.Do(ctx, testRequest(t, KindAdvise))
+	if err != nil || !hit.Cached {
+		t.Fatalf("repeat advise: err=%v, want a cached hit", err)
+	}
+	mustEqualJSON(t, "a cached advice's profile", profileOf(t, lead), profileOf(t, hit))
+	if st := e.Stats(); st.Sims != 2 {
+		t.Errorf("sims = %d, want 2: the cached advice's profile is not recomputed", st.Sims)
+	}
+}
+
 // TestMissWhileFlightLands: the memory tier and the flight table are
 // under two locks, so a request can miss memory, lose the processor
 // while an identical flight publishes its artifact and unlinks itself,

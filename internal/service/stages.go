@@ -318,8 +318,9 @@ type adviceArtifact struct {
 	err    error
 
 	// profKey names the blamed profile in the profile stage. A run sets
-	// pa outright; a shared artifact resolves it on first use, guarded by
-	// paOnce.
+	// pa outright, on its own artifact and, on an engine with no disk, on
+	// the one it publishes; any other shared artifact resolves it on
+	// first use, guarded by paOnce.
 	profKey store.Key
 	paOnce  sync.Once
 	pa      *profileArtifact
@@ -432,7 +433,7 @@ func (aa *adviceArtifact) profileArtifact(e *Engine) (*profileArtifact, error) {
 		if aa.pa != nil {
 			return
 		}
-		pv := e.lookup(stProfile, &stageKeys{stProfile: aa.profKey}, aa.kernel, tierMemory)
+		pv := e.lookup(stProfile, &stageKeys{stProfile: aa.profKey}, aa.kernel, tierMemory, true)
 		switch {
 		case pv == nil:
 			aa.paErr = errArtifact("profile is gone from under the advice that blames it")

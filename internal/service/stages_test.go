@@ -245,6 +245,34 @@ func TestEngineRetainsNoModule(t *testing.T) {
 	}
 }
 
+// TestEngineRetainsNoDependency: with a disk, the profile an advise run
+// computed is only consumed — blamed, then put to disk — so once the
+// request is answered and its caller lets go, the run's profile
+// artifact, its document bytes included, is garbage.
+func TestEngineRetainsNoDependency(t *testing.T) {
+	e := newDiskEngine(t, t.TempDir())
+	resp, err := e.Do(context.Background(), testRequest(t, KindAdvise))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa := resp.adv.pa
+	if pa == nil || len(pa.body) == 0 {
+		t.Fatal("the advise run holds no profile artifact")
+	}
+	art, body := weak.Make(pa), weak.Make(&pa.body[0])
+	resp, pa = nil, nil
+	runtime.GC()
+	runtime.GC()
+	if art.Value() != nil || body.Value() != nil {
+		t.Errorf("the engine still references the advise run's profile: artifact %v, bytes %v",
+			art.Value() != nil, body.Value() != nil)
+	}
+	if st := e.Stats(); st.StageHits+st.StageMisses == 0 || st.StorePuts != 2 {
+		t.Errorf("stageProbes=%d storePuts=%d, want a memory tier and both stages on disk",
+			st.StageHits+st.StageMisses, st.StorePuts)
+	}
+}
+
 // TestSweepMatchesIsolatedRuns pins the sweep contract: a concurrent
 // sweep of one module across every registered architecture runs once per
 // model, analyzing the module's structure once per advice it computes,
@@ -574,6 +602,84 @@ func TestStoreServedProfileVanishes(t *testing.T) {
 	if _, err := hit.Profile(); !errors.Is(err, apierr.ErrInternal) {
 		t.Errorf("cache hit Profile() err = %v, want ErrInternal", err)
 	}
+}
+
+// TestDiskEngineKeepsWhatItServes pins where an advise run's artifacts
+// go on an engine with a disk: the advice it is served to memory and
+// disk, the profile it only consumed to disk alone. A request that is
+// later served that profile reads it from disk, and from then on memory
+// holds it too.
+func TestDiskEngineKeepsWhatItServes(t *testing.T) {
+	const n = 3
+	ctx := context.Background()
+	e := newDiskEngine(t, t.TempDir())
+	advise := func(seed uint64) *Request {
+		r := testRequest(t, KindAdvise)
+		r.Seed = seed
+		return r
+	}
+	leads := make([]*Response, n)
+	for i := range leads {
+		resp, err := e.Do(ctx, advise(uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		leads[i] = resp
+	}
+	if puts := e.stages.Stats().Puts; puts != n {
+		t.Errorf("%d cold advises added %d memory entries, want %d: one advice each, no profile", n, puts, n)
+	}
+	for i := range leads {
+		sk := keysOf(t, advise(uint64(i)))
+		for _, s := range []stageID{stProfile, stAdvice} {
+			if _, _, _, ok := e.disk.Locate(stageNames[s], sk[s]); !ok {
+				t.Errorf("seed %d: no %s frame on disk", i, stageNames[s])
+			}
+		}
+	}
+
+	// A profile request after an advise is a disk hit, not a run.
+	before := e.Stats()
+	prof := advise(0)
+	prof.Kind = KindProfile
+	profResp, err := e.Do(ctx, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if !profResp.Cached || profResp.ProfileDigest != leads[0].ProfileDigest {
+		t.Errorf("profile after advise: cached=%v, digest match=%v", profResp.Cached, profResp.ProfileDigest == leads[0].ProfileDigest)
+	}
+	if st.StageServed != before.StageServed+1 || st.Sims != before.Sims || st.Runs != before.Runs {
+		t.Errorf("profile after advise: stageServed %d→%d sims %d→%d runs %d→%d, want one disk serve and no run",
+			before.StageServed, st.StageServed, before.Sims, st.Sims, before.Runs, st.Runs)
+	}
+	if again, err := e.Do(ctx, prof); err != nil || again != profResp {
+		t.Errorf("a served profile is not kept in memory: err=%v", err)
+	}
+
+	// An advise whose profile is on disk (other Blamer options, the same
+	// profile key) blames it from there and keeps only its advice.
+	before, puts := e.Stats(), e.stages.Stats().Puts
+	r := advise(1)
+	r.Blamer.DisablePathWeight = true
+	if _, err := e.Do(ctx, r); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Sims != before.Sims || st.StoreHits != before.StoreHits+1 {
+		t.Errorf("advise over a stored profile: sims %d→%d storeHits %d→%d, want no simulation and one disk read",
+			before.Sims, st.Sims, before.StoreHits, st.StoreHits)
+	}
+	if got := e.stages.Stats().Puts; got != puts+1 {
+		t.Errorf("advise over a stored profile added %d memory entries, want 1: its advice", got-puts)
+	}
+
+	// A cached advice's profile is the one its leader blamed.
+	hit, err := e.Do(ctx, advise(2))
+	if err != nil || !hit.Cached {
+		t.Fatalf("repeat advise: err=%v, want a cached hit", err)
+	}
+	mustEqualJSON(t, "a cached advice's profile", profileOf(t, leads[2]), profileOf(t, hit))
 }
 
 // TestDiskStoreFaultInjectionRecomputes drives every corruption
