@@ -19,13 +19,11 @@
 // token-bucket quotas, so one flooding tenant cannot starve the rest.
 // Work runs in two priority lanes — interactive (advise/profile) ahead
 // of batch (batch/sweep), with the config's interactiveReserve worker
-// slots batch can never occupy — and its brownout controller sheds
-// batch-lane work first when queue delay degrades. Over-quota
-// requests answer 429 quota_exceeded and brownout sheds answer 503
-// overloaded; every shed response carries a computed, jittered
-// Retry-After. Tenant IDs never affect results: identical requests
-// from different tenants share one cached simulation, each billed to
-// its own tenant.
+// slots batch can never occupy. Over-quota requests answer 429
+// quota_exceeded and arrivals past -max-queue answer 503 queue_full;
+// every shed response carries a computed, jittered Retry-After.
+// Tenant IDs never affect results: identical requests from different
+// tenants share one cached simulation, each billed to its own tenant.
 //
 // Responses follow the versioned structured result schema
 // (gpa.ResultSchemaVersion): schemaVersion, structured advice entries,
@@ -154,7 +152,7 @@ func main() {
 			"from it, and corrupt blobs are recomputed, never served (empty = in-memory only)")
 	qosConfig := flag.String("qos-config", "",
 		"tenant admission policy JSON file: per-tenant DWRR weights and token-bucket "+
-			"quotas, the interactive-lane reserve, and the brownout controller "+
+			"quotas, the interactive-lane reserve, and the tenant bound "+
 			"(empty = one equal-weight default tenant, nothing metered)")
 	logFormat := flag.String("log-format", "text",
 		"request/lifecycle log encoding: text (key=value) or json (one object per line)")

@@ -200,7 +200,7 @@ func noteResult(w http.ResponseWriter, job gpa.Job, res gpa.JobResult) {
 var engineGauges = map[string]bool{
 	"inflight": true, "queued": true, "queueCapacity": true,
 	"workers": true, "allocsPerJob": true,
-	"interactiveQueued": true, "batchQueued": true, "brownoutLevel": true,
+	"interactiveQueued": true, "batchQueued": true,
 }
 
 // engineField is one numeric EngineStats field as /metrics renders it.

@@ -66,8 +66,8 @@ func loadQoSConfig(path string) (*gpa.QoSConfig, error) {
 
 // retryHints turns engine state into Retry-After values for shed
 // responses. The 503 hint is the current queue depth divided by an
-// EWMA of the observed completion rate — "when will the backlog have
-// drained" — and the 429 hint is the quota bucket's own computed
+// EWMA of the observed run-completion rate — "when will the backlog
+// have drained" — and the 429 hint is the quota bucket's own computed
 // refill time; both are jittered so a synchronized client fleet does
 // not retry in one thundering herd.
 type retryHints struct {
@@ -78,10 +78,12 @@ type retryHints struct {
 }
 
 // overloadSeconds estimates how long the current backlog needs to
-// drain. With no observed rate yet (cold server) it falls back to the
-// 1s floor the static header used to advertise.
+// drain. Only a finished run frees a worker slot for a queued run —
+// memory hits and coalesced followers never enter the queue — so the
+// rate counts runs alone. With no observed rate yet (cold server) it
+// falls back to the 1s floor the static header used to advertise.
 func (h *retryHints) overloadSeconds(st gpa.EngineStats) int {
-	done := st.Runs + st.Hits + st.Coalesced
+	done := st.Runs
 	now := time.Now()
 
 	h.mu.Lock()
@@ -125,7 +127,7 @@ func jitterSeconds(d time.Duration) int {
 
 // retryAfterFor computes the Retry-After value for one shed response:
 // quota rejections carry their bucket's refill time, everything else
-// (queue_full, overloaded, shutting_down) gets the backlog estimate.
+// (queue_full, shutting_down) gets the backlog estimate.
 func (s *server) retryAfterFor(err error) int {
 	var qe *gpa.QuotaError
 	if errors.As(err, &qe) && qe.RetryAfter > 0 {
@@ -149,8 +151,6 @@ var tenantFields = []struct {
 		func(t gpa.TenantStats) float64 { return float64(t.Shed) }},
 	{"gpa_tenant_quota_shed_total", "Jobs shed over quota by tenant.", "counter",
 		func(t gpa.TenantStats) float64 { return float64(t.QuotaShed) }},
-	{"gpa_tenant_brownout_shed_total", "Jobs shed by the brownout controller by tenant.", "counter",
-		func(t gpa.TenantStats) float64 { return float64(t.BrownoutShed) }},
 	{"gpa_tenant_dropped_total", "Queued jobs abandoned by their callers by tenant.", "counter",
 		func(t gpa.TenantStats) float64 { return float64(t.Dropped) }},
 }

@@ -58,6 +58,27 @@ func TestJitterSecondsClamps(t *testing.T) {
 	}
 }
 
+// TestRetryAfterRatesRunsAlone: the 503 backlog hint rates the queue
+// by finished runs, the only completions that free a slot for a queued
+// run. Memory hits and coalesced followers never enter the queue, so
+// 1000 hits/s riding alongside must not shrink the hint: 10 queued runs
+// draining at 2 runs/s read the same ≈18 s (the EWMA's first step is
+// 0.3 · 2 runs/s) with or without them, not the 1 s floor.
+func TestRetryAfterRatesRunsAlone(t *testing.T) {
+	hint := func(st gpa.EngineStats) int {
+		h := &retryHints{lastAt: time.Now().Add(-time.Second)}
+		return h.overloadSeconds(st)
+	}
+	backlog := 11 / (0.3 * 2) // (Queued+1) / rate, seconds
+	lo, hi := int(backlog*0.75), int(backlog*1.25)+1
+	runsOnly := hint(gpa.EngineStats{Runs: 2, Queued: 10})
+	withHits := hint(gpa.EngineStats{Runs: 2, Hits: 1000, Coalesced: 40, Queued: 10})
+	if runsOnly < lo || runsOnly > hi || withHits < lo || withHits > hi {
+		t.Fatalf("Retry-After runs only = %ds, with 1000 hits/s = %ds; want both in [%d, %d]",
+			runsOnly, withHits, lo, hi)
+	}
+}
+
 func TestLoadQoSConfig(t *testing.T) {
 	if cfg, err := loadQoSConfig(""); err != nil || cfg != nil {
 		t.Fatalf("no file must yield nil config: %v %v", cfg, err)
@@ -66,8 +87,7 @@ func TestLoadQoSConfig(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "qos.json")
 	if err := os.WriteFile(path, []byte(`{
 		"tenants": {"acme": {"weight": 3, "ratePerSec": 10, "burst": 20}},
-		"interactiveReserve": 1,
-		"brownout": {"p99ThresholdMs": 150}
+		"interactiveReserve": 1
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +95,7 @@ func TestLoadQoSConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Tenants["acme"].Weight != 3 || cfg.InteractiveReserve != 1 || cfg.Brownout.P99ThresholdMs != 150 {
+	if cfg.Tenants["acme"].Weight != 3 || cfg.InteractiveReserve != 1 {
 		t.Fatalf("file config lost fields: %+v", cfg)
 	}
 
@@ -84,6 +104,12 @@ func TestLoadQoSConfig(t *testing.T) {
 	os.WriteFile(bad, []byte(`{"tenant": {}}`), 0o644)
 	if _, err := loadQoSConfig(bad); err == nil {
 		t.Fatal("unknown field accepted")
+	}
+	// So does a config that still tunes the retired brownout controller.
+	brown := filepath.Join(t.TempDir(), "brownout.json")
+	os.WriteFile(brown, []byte(`{"brownout": {"p99ThresholdMs": 150}}`), 0o644)
+	if _, err := loadQoSConfig(brown); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("brownout key accepted: %v", err)
 	}
 	if _, err := loadQoSConfig(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("a missing file accepted")
@@ -194,7 +220,6 @@ func TestTenantAccountingAndMetrics(t *testing.T) {
 		`gpa_tenant_served_total{tenant="alpha"} 1`,
 		`gpa_tenant_served_total{tenant="beta"} 1`,
 		`gpa_tenant_weight{tenant="alpha"} 1`,
-		`gpa_engine_brownout_level `,
 		`gpa_engine_interactive_queued `,
 		`gpa_engine_batch_queued `,
 	} {

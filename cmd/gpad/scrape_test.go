@@ -45,8 +45,8 @@ func scrapeFixture() (build []obs.Label, uptime float64, st gpa.EngineStats, sta
 		}
 	}
 	st.Tenants = map[string]gpa.TenantStats{
-		"alpha":   {Weight: 3, Served: 1200, Shed: 4, QuotaShed: 5, BrownoutShed: 6, Dropped: 7, Queued: 8},
-		"batch-b": {Weight: 1, Served: 98765432, Shed: 14, QuotaShed: 15, BrownoutShed: 16, Dropped: 17, Queued: 18},
+		"alpha":   {Weight: 3, Served: 1200, Shed: 4, QuotaShed: 5, Dropped: 7, Queued: 8},
+		"batch-b": {Weight: 1, Served: 98765432, Shed: 14, QuotaShed: 15, Dropped: 17, Queued: 18},
 	}
 	stages = obs.NewStageLatency()
 	for s := obs.Stage(0); s < obs.NumStages; s++ {

@@ -324,8 +324,6 @@ func classify(err error) (status int, code string) {
 		return http.StatusServiceUnavailable, "shutting_down"
 	case errors.Is(err, gpa.ErrQuotaExceeded):
 		return http.StatusTooManyRequests, "quota_exceeded"
-	case errors.Is(err, gpa.ErrOverloaded):
-		return http.StatusServiceUnavailable, "overloaded"
 	case errors.Is(err, gpa.ErrUnknownArch):
 		return http.StatusBadRequest, "unknown_arch"
 	case errors.Is(err, gpa.ErrAssemble):
@@ -673,9 +671,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeTypedError maps err through the taxonomy table and writes the
 // v2 error body; shed-load responses (429 quota, 503 queue_full /
-// overloaded / shutting_down) advertise a computed, jittered
-// Retry-After instead of a static constant: quota rejections carry
-// their bucket's refill time, overload gets a backlog-drain estimate.
+// shutting_down) advertise a computed, jittered Retry-After instead of
+// a static constant: quota rejections carry their bucket's refill
+// time, a 503 gets a backlog-drain estimate.
 func (s *server) writeTypedError(w http.ResponseWriter, err error) {
 	status, body := errorBodyOf(err)
 	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {

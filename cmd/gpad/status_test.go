@@ -39,8 +39,6 @@ func TestErrorTaxonomyStatusTable(t *testing.T) {
 		{"quota exceeded", fmt.Errorf("service: %w",
 			&apierr.QuotaError{Tenant: "acme", RetryAfter: 2 * time.Second}),
 			http.StatusTooManyRequests, "quota_exceeded"},
-		{"overloaded", fmt.Errorf("service: %w: brownout level 2", gpa.ErrOverloaded),
-			http.StatusServiceUnavailable, "overloaded"},
 		{"unknown arch", fmt.Errorf("arch: %w: %q", gpa.ErrUnknownArch, "sm_999"),
 			http.StatusBadRequest, "unknown_arch"},
 		{"assemble failed", fmt.Errorf("gpa: %w: line 3: bad opcode", gpa.ErrAssemble),

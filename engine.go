@@ -53,14 +53,14 @@ type EngineOptions = service.Options
 type EngineStats = service.Stats
 
 // TenantStats is the per-tenant slice of EngineStats.Tenants: DWRR
-// weight plus served/shed/quota/brownout counters and the live queue
+// weight plus served/shed/quota/dropped counters and the live queue
 // depth for one tenant.
 type TenantStats = service.TenantStats
 
 // QoSConfig configures tenant-fair admission (see EngineOptions.QoS).
 // The zero value is valid: one equal-weight default tenant, no quotas,
-// brownout disabled. Richer configs are struct literals (checked by
-// Validate) or operator JSON parsed with ParseQoSConfig.
+// no interactive reserve. Richer configs are struct literals (checked
+// by Validate) or operator JSON parsed with ParseQoSConfig.
 type QoSConfig = qos.Config
 
 // TenantQoSConfig is one tenant's admission policy: DWRR weight and an
@@ -73,8 +73,9 @@ type TenantQoSConfig = qos.TenantConfig
 func ParseQoSConfig(data []byte) (QoSConfig, error) { return qos.ParseConfig(data) }
 
 // Lane is a job's admission priority class. The engine schedules the
-// interactive lane ahead of batch and sheds batch first under
-// overload; lanes never affect what a job computes.
+// interactive lane ahead of batch, keeps the interactive reserve's
+// slots from batch, and abandons queued batch first on shutdown; lanes
+// never affect what a job computes.
 type Lane = qos.Lane
 
 const (
@@ -82,7 +83,7 @@ const (
 	// single advise/profile requests a person is waiting on.
 	LaneInteractive = qos.LaneInteractive
 	// LaneBatch is the throughput lane: sweeps and bulk jobs that
-	// tolerate queueing and are shed first under overload.
+	// tolerate queueing and are abandoned first by a drain.
 	LaneBatch = qos.LaneBatch
 )
 

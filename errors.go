@@ -42,10 +42,6 @@ var (
 	// the job was shed before touching the cache or a worker. The error
 	// carries a computed backoff; see QuotaError.
 	ErrQuotaExceeded = apierr.ErrQuotaExceeded
-	// ErrOverloaded: the engine's brownout controller is shedding this
-	// job's lane to protect queue latency; retry later or on the
-	// interactive lane.
-	ErrOverloaded = apierr.ErrOverloaded
 	// ErrInternal: the engine itself failed — a panic contained at the
 	// flight boundary, or a stored artifact that vanished or no longer
 	// decodes when JobResult.Report or JobResult.Profile asks for it.

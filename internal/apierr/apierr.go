@@ -46,12 +46,6 @@ var (
 	// accrues a token). Carried by QuotaError, which adds the computed
 	// Retry-After hint.
 	ErrQuotaExceeded = errors.New("quota exceeded")
-	// ErrOverloaded tags requests shed by the brownout controller: the
-	// engine is saturated (queued-wait p99 over threshold) and is
-	// degrading batch-lane work to protect interactive latency. Distinct
-	// from ErrQueueFull so the 503 split between "queue at capacity" and
-	// "deliberate overload shedding" stays visible in stats.
-	ErrOverloaded = errors.New("overloaded")
 	// ErrSimLimit tags simulations aborted by the runaway-cycle bound
 	// (Config.MaxCycles), usually a livelocked kernel.
 	ErrSimLimit = errors.New("simulation limit exceeded")

@@ -2,13 +2,12 @@
 // serving engine: per-tenant queues scheduled by deficit-weighted
 // round robin, two priority lanes (interactive work preempts queued
 // batch work up to a configurable reserve), per-tenant token-bucket
-// quotas, and a queue-delay brownout controller that sheds batch-lane
-// load before interactive work when the engine saturates. Relative to
-// the paper's Figure 2 it sits entirely upstream of the pipeline —
-// admission decides who runs the measurement/blame/advise stages next,
-// never what any stage computes, so nothing here may feed a digest or
-// stage key (tenant and lane are transport-only metadata, excluded
-// from every content-addressed key exactly like TraceID).
+// quotas, a bound on distinct tenants, and a shared queue bound.
+// Relative to the paper's Figure 2 it sits entirely upstream of the
+// pipeline — admission decides who runs the measurement/blame/advise
+// stages next, never what any stage computes, so nothing here may feed
+// a digest or stage key (tenant and lane are transport-only metadata,
+// excluded from every content-addressed key exactly like TraceID).
 //
 // The configuration surface is plain data with one check: a Config (or
 // TenantConfig) is a struct literal in Go or parsed from JSON by
@@ -32,13 +31,11 @@ type Lane int
 
 const (
 	// LaneInteractive is the low-latency lane (advise/profile): it may
-	// use every worker slot and is the last lane the brownout
-	// controller sheds.
+	// use every worker slot and is granted before queued batch work.
 	LaneInteractive Lane = iota
 	// LaneBatch is the throughput lane (batch/sweep): its concurrency
-	// is capped at workers minus the interactive reserve, queued batch
-	// work is abandoned first on shutdown, and the brownout controller
-	// sheds it first under overload.
+	// is capped at workers minus the interactive reserve, and queued
+	// batch work is abandoned first on shutdown.
 	LaneBatch
 	numLanes
 )
@@ -102,59 +99,6 @@ func (c TenantConfig) withDefaults() TenantConfig {
 	return c
 }
 
-// BrownoutConfig tunes the overload self-defense controller. The
-// controller watches the p99 of queued-wait over a sliding window of
-// grant observations; when it exceeds P99ThresholdMs the brownout
-// level steps up and a deterministic fraction level/MaxLevel of
-// batch-lane arrivals is shed. Interactive arrivals are shed only at
-// MaxLevel and only once the interactive queue itself has grown past
-// InteractiveShedDepth — the "reserve exhausted" condition.
-type BrownoutConfig struct {
-	// P99ThresholdMs is the queued-wait p99 (milliseconds) above which
-	// the level steps up; the level steps back down when p99 falls
-	// under half the threshold. 0 disables the controller.
-	P99ThresholdMs float64 `json:"p99ThresholdMs,omitempty"`
-	// Window is how many recent grant waits the p99 is computed over
-	// (0 = 256).
-	Window int `json:"window,omitempty"`
-	// ReevalEvery re-evaluates the level every N observations (0 = 64).
-	ReevalEvery int `json:"reevalEvery,omitempty"`
-	// MaxLevel is the number of brownout steps (0 = 8). At level L the
-	// batch shed fraction is L/MaxLevel.
-	MaxLevel int `json:"maxLevel,omitempty"`
-	// InteractiveShedDepth is the interactive queue depth beyond which
-	// a MaxLevel brownout sheds interactive arrivals too (0 = 64;
-	// negative = never shed interactive).
-	InteractiveShedDepth int `json:"interactiveShedDepth,omitempty"`
-}
-
-// Validate reports the first invalid field.
-func (c BrownoutConfig) Validate() error {
-	if c.P99ThresholdMs < 0 {
-		return fmt.Errorf("qos: brownout p99ThresholdMs %v is negative", c.P99ThresholdMs)
-	}
-	if c.Window < 0 || c.ReevalEvery < 0 || c.MaxLevel < 0 {
-		return errors.New("qos: brownout window/reevalEvery/maxLevel must be non-negative")
-	}
-	return nil
-}
-
-func (c BrownoutConfig) withDefaults() BrownoutConfig {
-	if c.Window == 0 {
-		c.Window = 256
-	}
-	if c.ReevalEvery == 0 {
-		c.ReevalEvery = 64
-	}
-	if c.MaxLevel == 0 {
-		c.MaxLevel = 8
-	}
-	if c.InteractiveShedDepth == 0 {
-		c.InteractiveShedDepth = 64
-	}
-	return c
-}
-
 // DefaultTenantName is the tenant requests without an X-Tenant-Id (or
 // an empty Request.Tenant) are accounted under.
 const DefaultTenantName = "default"
@@ -176,13 +120,11 @@ type Config struct {
 	// InteractiveReserve is the number of worker slots batch-lane work
 	// may never occupy (clamped to workers-1). 0 = no reserve: lanes
 	// share all slots and differ only in scheduling priority and
-	// shutdown/brownout treatment.
+	// shutdown treatment.
 	InteractiveReserve int `json:"interactiveReserve,omitempty"`
 	// MaxTenants bounds distinct dynamically-created tenant states
 	// (0 = 64); beyond it new IDs share the "other" class.
 	MaxTenants int `json:"maxTenants,omitempty"`
-	// Brownout tunes overload self-defense (zero value: disabled).
-	Brownout BrownoutConfig `json:"brownout"`
 }
 
 // Validate reports the first invalid field anywhere in the config.
@@ -204,7 +146,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("tenant %q: %w", name, err)
 		}
 	}
-	return c.Brownout.Validate()
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -212,7 +154,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxTenants == 0 {
 		c.MaxTenants = 64
 	}
-	c.Brownout = c.Brownout.withDefaults()
 	tenants := make(map[string]TenantConfig, len(c.Tenants))
 	for name, tc := range c.Tenants {
 		tenants[name] = tc.withDefaults()

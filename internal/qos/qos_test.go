@@ -12,8 +12,7 @@ func TestParseConfigStrict(t *testing.T) {
 			"b": {"weight": 1}
 		},
 		"defaultTenant": {"weight": 1},
-		"interactiveReserve": 1,
-		"brownout": {"p99ThresholdMs": 250}
+		"interactiveReserve": 1
 	}`)
 	cfg, err := ParseConfig(good)
 	if err != nil {
@@ -22,13 +21,18 @@ func TestParseConfigStrict(t *testing.T) {
 	if cfg.Tenants["a"].Weight != 2 || cfg.Tenants["a"].RatePerSec != 50 {
 		t.Fatalf("parsed config lost tenant a: %+v", cfg.Tenants["a"])
 	}
-	if cfg.InteractiveReserve != 1 || cfg.Brownout.P99ThresholdMs != 250 {
+	if cfg.InteractiveReserve != 1 {
 		t.Fatalf("parsed config lost top-level fields: %+v", cfg)
 	}
 
 	// A typoed key must fail loudly, not run with silent defaults.
 	if _, err := ParseConfig([]byte(`{"tenant": {}}`)); err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Fatalf("unknown field accepted: %v", err)
+	}
+	// A config that still tunes the retired brownout controller fails
+	// at startup instead of silently running without it.
+	if _, err := ParseConfig([]byte(`{"brownout": {"p99ThresholdMs": 250}}`)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("brownout key accepted: %v", err)
 	}
 }
 
@@ -42,7 +46,6 @@ func TestConfigValidation(t *testing.T) {
 		{"burst without rate", `{"tenants": {"a": {"burst": 10}}}`},
 		{"empty tenant id", `{"tenants": {"": {"weight": 1}}}`},
 		{"negative reserve", `{"interactiveReserve": -1}`},
-		{"negative brownout threshold", `{"brownout": {"p99ThresholdMs": -1}}`},
 	}
 	for _, tc := range bad {
 		if _, err := ParseConfig([]byte(tc.json)); err == nil {
@@ -70,7 +73,6 @@ func TestBuilderValidates(t *testing.T) {
 		Tenants:            map[string]TenantConfig{"a": {Weight: 3, RatePerSec: 100, Burst: 200}},
 		DefaultTenant:      TenantConfig{Weight: 1},
 		InteractiveReserve: 2,
-		Brownout:           BrownoutConfig{P99ThresholdMs: 100},
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
@@ -84,9 +86,6 @@ func TestWithDefaults(t *testing.T) {
 	}
 	if a := cfg.Tenants["a"]; a.Weight != 1 || a.Burst != 10 {
 		t.Fatalf("tenant defaults not applied (burst should be one second of rate): %+v", a)
-	}
-	if b := cfg.Brownout; b.Window != 256 || b.ReevalEvery != 64 || b.MaxLevel != 8 || b.InteractiveShedDepth != 64 {
-		t.Fatalf("brownout defaults not applied: %+v", b)
 	}
 }
 

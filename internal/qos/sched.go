@@ -21,7 +21,6 @@ type waiter struct {
 	canceled bool
 	t        *tenantState
 	lane     Lane
-	enq      time.Time
 }
 
 // tenantState is one tenant's live admission state.
@@ -34,7 +33,7 @@ type tenantState struct {
 	inRing  [numLanes]bool
 	queued  int64 // live queued waiters, both lanes
 
-	served, shed, quotaShed, brownoutShed, dropped int64
+	served, shed, quotaShed, dropped int64
 }
 
 // rotor is one lane's deficit-weighted round-robin state: the ring of
@@ -119,8 +118,6 @@ type TenantStats struct {
 	Shed int64 `json:"shed"`
 	// QuotaShed counts requests rejected over quota (HTTP 429).
 	QuotaShed int64 `json:"quotaShed"`
-	// BrownoutShed counts requests shed by the overload controller.
-	BrownoutShed int64 `json:"brownoutShed"`
 	// Dropped counts waiters that left the queue ungranted (caller
 	// canceled, or batch work abandoned by a drain).
 	Dropped int64 `json:"dropped"`
@@ -135,8 +132,6 @@ type Snapshot struct {
 	BatchQueued       int64
 	Dropped           int64
 	QuotaShed         int64
-	BrownoutShed      int64
-	BrownoutLevel     int
 	Tenants           map[string]TenantStats
 }
 
@@ -160,17 +155,16 @@ type Scheduler struct {
 	rotors       [numLanes]rotor
 	tenants      map[string]*tenantState
 	draining     bool
-	brown        brownout
 
-	dropped, quotaShed, brownoutShed int64
+	dropped, quotaShed int64
 }
 
 // NewScheduler builds a scheduler over workers slots with the engine's
 // MaxQueue semantics (0 = unbounded queue, negative = no queue at
 // all). cfg must already be Validate-clean; its zero value is a valid
 // single-class configuration (one default tenant, no quotas, no
-// reserve, brownout off) that reproduces the old flat semaphore
-// behaviour plus FIFO fairness.
+// reserve) that reproduces the old flat semaphore behaviour plus FIFO
+// fairness.
 func NewScheduler(workers, maxQueue int, cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	reserve := cfg.InteractiveReserve
@@ -184,7 +178,6 @@ func NewScheduler(workers, maxQueue int, cfg Config) *Scheduler {
 		maxQueue: maxQueue,
 		now:      time.Now,
 		tenants:  make(map[string]*tenantState),
-		brown:    newBrownout(cfg.Brownout),
 	}
 	for l := Lane(0); l < numLanes; l++ {
 		s.rotors[l].lane = l
@@ -295,9 +288,8 @@ func (s *Scheduler) grantStartLocked(lane Lane) {
 
 // Acquire admits one request: it either grants a worker slot (release
 // must be called exactly once when the run finishes) or refuses with a
-// typed error — ErrQueueFull past the queue bound, ErrOverloaded from
-// the brownout controller, ErrShuttingDown for batch work during a
-// drain, or ErrCanceled when ctx dies while queued.
+// typed error — ErrQueueFull past the queue bound, ErrShuttingDown for
+// batch work during a drain, or ErrCanceled when ctx dies while queued.
 func (s *Scheduler) Acquire(ctx context.Context, tenant string, lane Lane) (release func(), err error) {
 	s.mu.Lock()
 	t := s.tenantFor(tenant)
@@ -305,16 +297,8 @@ func (s *Scheduler) Acquire(ctx context.Context, tenant string, lane Lane) (rele
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: batch lane abandoned by drain", apierr.ErrShuttingDown)
 	}
-	if s.brown.shed(lane, int(s.queuedLane[LaneInteractive])) {
-		t.brownoutShed++
-		s.brownoutShed++
-		level := s.brown.level
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: brownout level %d shed %s-lane arrival", apierr.ErrOverloaded, level, lane)
-	}
 	if s.queuedLane[lane] == 0 && s.canRunLocked(lane) {
 		s.grantStartLocked(lane)
-		s.brown.observe(0)
 		s.mu.Unlock()
 		return func() { s.release(lane) }, nil
 	}
@@ -327,7 +311,7 @@ func (s *Scheduler) Acquire(ctx context.Context, tenant string, lane Lane) (rele
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w (capacity %d)", apierr.ErrQueueFull, capacity)
 	}
-	w := &waiter{ready: make(chan struct{}), t: t, lane: lane, enq: s.now()}
+	w := &waiter{ready: make(chan struct{}), t: t, lane: lane}
 	t.queues[lane] = append(t.queues[lane], w)
 	t.queued++
 	s.queued++
@@ -401,7 +385,6 @@ func (s *Scheduler) dispatchLocked() {
 		w.t.queued--
 		s.queued--
 		s.queuedLane[lane]--
-		s.brown.observe(float64(s.now().Sub(w.enq)) / float64(time.Millisecond))
 		w.granted = true
 		s.grantStartLocked(lane)
 		close(w.ready)
@@ -469,19 +452,16 @@ func (s *Scheduler) Snapshot() Snapshot {
 		BatchQueued:       s.queuedLane[LaneBatch],
 		Dropped:           s.dropped,
 		QuotaShed:         s.quotaShed,
-		BrownoutShed:      s.brownoutShed,
-		BrownoutLevel:     s.brown.level,
 		Tenants:           make(map[string]TenantStats, len(s.tenants)),
 	}
 	for name, t := range s.tenants {
 		snap.Tenants[name] = TenantStats{
-			Weight:       t.weight,
-			Served:       t.served,
-			Shed:         t.shed,
-			QuotaShed:    t.quotaShed,
-			BrownoutShed: t.brownoutShed,
-			Dropped:      t.dropped,
-			Queued:       t.queued,
+			Weight:    t.weight,
+			Served:    t.served,
+			Shed:      t.shed,
+			QuotaShed: t.quotaShed,
+			Dropped:   t.dropped,
+			Queued:    t.queued,
 		}
 	}
 	return snap

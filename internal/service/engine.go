@@ -22,11 +22,10 @@
 // admission scheduler (internal/qos): per-tenant queues
 // under deficit-weighted round robin, an interactive lane that
 // preempts queued batch work, per-tenant token-bucket quotas shedding
-// over-quota callers with ErrQuotaExceeded, and a brownout controller
-// shedding batch work first when queued-wait p99 says the engine is
-// saturated. Tenant and lane are transport-only metadata: they decide
-// who runs next, never what a run computes, and are excluded from
-// every stage key exactly like TraceID.
+// over-quota callers with ErrQuotaExceeded, and a shared queue bound
+// shedding arrivals past it with ErrQueueFull. Tenant and lane are
+// transport-only metadata: they decide who runs next, never what a run
+// computes, and are excluded from every stage key exactly like TraceID.
 //
 // Cancellation contract: Do takes a context.Context and honors it at
 // every tier. A caller abandoning a queued request detaches before a
@@ -350,10 +349,6 @@ type Stats struct {
 	// QuotaShed counts requests rejected with ErrQuotaExceeded because
 	// the tenant's token bucket was empty (HTTP 429 at gpad).
 	QuotaShed int64 `json:"quotaShed"`
-	// BrownoutShed counts requests shed by the overload controller
-	// (ErrOverloaded): the engine was saturated and degraded batch-lane
-	// work to protect interactive latency.
-	BrownoutShed int64 `json:"brownoutShed"`
 	// QosDropped counts admitted waiters that left the queue ungranted:
 	// the caller canceled while queued, or a drain abandoned queued
 	// batch work.
@@ -370,9 +365,6 @@ type Stats struct {
 	// InteractiveQueued / BatchQueued split Queued by admission lane.
 	InteractiveQueued int64 `json:"interactiveQueued"`
 	BatchQueued       int64 `json:"batchQueued"`
-	// BrownoutLevel is the overload controller's current level (0 =
-	// healthy; at the configured MaxLevel all batch arrivals are shed).
-	BrownoutLevel int64 `json:"brownoutLevel"`
 	// Workers is the engine's worker-pool bound.
 	Workers int `json:"workers"`
 	// PoolGets / PoolHits sum the work records (gpusim.Work) of this
@@ -451,8 +443,8 @@ type Options struct {
 	// directory. nil = in-memory stages only.
 	Store *store.Disk
 	// QoS is the tenant-aware admission configuration (nil = one
-	// default tenant, no quotas, no interactive reserve, brownout off —
-	// the flat pre-tenancy behaviour plus FIFO fairness). It must be
+	// default tenant, no quotas, no interactive reserve — the flat
+	// pre-tenancy behaviour plus FIFO fairness). It must be
 	// Validate-clean; qos.ParseConfig guarantees that, and New panics on
 	// an invalid config (a programmer error, not a runtime condition).
 	QoS *qos.Config
@@ -464,7 +456,7 @@ type Options struct {
 type Engine struct {
 	// adm is the tenant-aware admission scheduler (internal/qos): it
 	// owns the worker-slot accounting, the per-tenant queues and
-	// quotas, and the brownout controller.
+	// quotas, and the lane priority.
 	adm            *qos.Scheduler
 	defaultTimeout time.Duration
 
@@ -840,7 +832,6 @@ func (e *Engine) Stats() Stats {
 		Canceled:      e.n.canceled.Load(),
 		Shed:          e.n.shed.Load(),
 		QuotaShed:     adm.QuotaShed,
-		BrownoutShed:  adm.BrownoutShed,
 		QosDropped:    adm.Dropped,
 		Inflight:      e.n.inflight.Load(),
 		Queued:        adm.Queued,
@@ -848,7 +839,6 @@ func (e *Engine) Stats() Stats {
 
 		InteractiveQueued: adm.InteractiveQueued,
 		BatchQueued:       adm.BatchQueued,
-		BrownoutLevel:     int64(adm.BrownoutLevel),
 		Tenants:           adm.Tenants,
 
 		Workers:  e.adm.Workers(),

@@ -286,59 +286,6 @@ func TestShutdownDrainsInteractiveAbandonsBatch(t *testing.T) {
 	}
 }
 
-// TestBrownoutShedsBatchThroughEngine: with a hair-trigger brownout, a
-// saturated engine starts refusing batch work with ErrOverloaded while
-// interactive work keeps flowing.
-func TestBrownoutShedsBatchThroughEngine(t *testing.T) {
-	cfg := qos.Config{Brownout: qos.BrownoutConfig{
-		P99ThresholdMs:       1e-6, // any nonzero queued wait trips it
-		Window:               64,
-		ReevalEvery:          1,
-		MaxLevel:             1,
-		InteractiveShedDepth: 1000,
-	}}
-	e := New(Options{Workers: 1, QoS: &cfg})
-	release, err := e.adm.Acquire(context.Background(), "hog", qos.LaneInteractive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two queued jobs whose grants record nonzero waits, driving the
-	// level to its max of 1.
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := testRequest(t, KindMeasure)
-			r.Seed = 200 + uint64(i)
-			if _, err := e.Do(context.Background(), r); err != nil {
-				t.Errorf("queued interactive job %d: %v", i, err)
-			}
-		}(i)
-	}
-	waitForQueued(t, e, 2)
-	release()
-	wg.Wait()
-
-	rb := testRequest(t, KindMeasure)
-	rb.Seed = 300
-	rb.Lane = qos.LaneBatch
-	_, err = e.Do(context.Background(), rb)
-	if !errors.Is(err, apierr.ErrOverloaded) {
-		t.Fatalf("batch job under brownout: err=%v, want ErrOverloaded", err)
-	}
-	// Interactive work still flows: the brownout degrades batch first.
-	ri := testRequest(t, KindMeasure)
-	ri.Seed = 301
-	if _, err := e.Do(context.Background(), ri); err != nil {
-		t.Fatalf("interactive job under brownout: %v", err)
-	}
-	st := e.Stats()
-	if st.BrownoutShed != 1 || st.BrownoutLevel != 1 {
-		t.Fatalf("brownoutShed=%d level=%d, want 1/1", st.BrownoutShed, st.BrownoutLevel)
-	}
-}
-
 // fanOutProbe is a Workload that tells whether a run fanned its SMs
 // out. gpusim reads Transactions on the goroutine that called Run while
 // it builds the run tables, then simulates the SMs there when one
