@@ -21,7 +21,7 @@ import "gpa/internal/apierr"
 // to HTTP status codes.
 var (
 	// ErrUnknownArch: a GPU architecture name, alias, or CUBIN SM flag
-	// that no registered model serves.
+	// that no bundled model serves.
 	ErrUnknownArch = apierr.ErrUnknownArch
 	// ErrBadKernel: an invalid kernel or launch (missing entry function,
 	// malformed CUBIN, empty grid, launch shape no SM can host).

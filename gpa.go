@@ -4,7 +4,7 @@
 // simulated GPU. The paper evaluates on Volta V100, which remains the
 // default model; the pipeline itself is architecture-parametric, and
 // Options.GPU (resolved by LookupGPU, enumerated by GPUs) selects any
-// registered model (V100, T4, A100, ...).
+// bundled model (V100, T4, A100) or a caller's own *arch.GPU.
 //
 // The pipeline mirrors the paper's Figure 2:
 //
@@ -409,15 +409,15 @@ func normalize(opts *Options) Options {
 // evaluation (the default when Options.GPU is nil).
 func V100() *arch.GPU { return arch.VoltaV100() }
 
-// LookupGPU resolves a registered architecture model by name ("v100",
+// LookupGPU resolves a bundled architecture model by name ("v100",
 // "t4", "a100", an alias like "ampere" or "sm_80", or a full model
 // name).
 func LookupGPU(name string) (*arch.GPU, error) { return arch.Lookup(name) }
 
-// GPUs returns every registered architecture model, ordered by SM flag:
+// GPUs returns every bundled architecture model, ordered by SM flag:
 // the sweep order of cross-architecture comparisons.
 func GPUs() []*arch.GPU { return arch.All() }
 
-// GPUName returns the canonical registry key for a model ("v100",
+// GPUName returns the canonical table key for a model ("v100",
 // "t4", "a100"), the name accepted back by LookupGPU.
 func GPUName(g *arch.GPU) string { return arch.KeyOf(g) }

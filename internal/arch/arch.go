@@ -15,9 +15,10 @@
 //
 // The paper evaluates on Volta V100 only, but every consumer reads
 // these tables through a *GPU value, so the pipeline is
-// architecture-parametric. A registry (Lookup, All, Register, keyed by
-// model name and SM flag) provides the bundled models — VoltaV100,
-// TuringT4, AmpereA100 — and accepts external ones.
+// architecture-parametric. A constant table (Lookup, All, KeyOf,
+// ByArchFlag, keyed by model name and SM flag) holds the bundled
+// models — VoltaV100, TuringT4, AmpereA100 — and a model is added by
+// appending to it; a caller may also pass any *GPU value of its own.
 package arch
 
 import (

@@ -2,17 +2,15 @@ package arch
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"gpa/internal/apierr"
 )
 
-// Model is one registry entry: a GPU constructor keyed by a short
+// model is one table entry: a GPU constructor keyed by a short
 // canonical name, lookup aliases, and the CUBIN architecture flags it
 // serves.
-type Model struct {
+type model struct {
 	// Key is the canonical short name ("v100").
 	Key string
 	// Aliases are additional Lookup keys ("volta", "sm_70").
@@ -23,32 +21,30 @@ type Model struct {
 	Build func() *GPU
 }
 
-var (
-	regMu sync.RWMutex
-	// registry holds the bundled models in presentation order (by SM
-	// flag), followed by externally registered ones in registration
-	// order.
-	registry = []Model{
-		{
-			Key:     "v100",
-			Aliases: []string{"volta", "volta-v100", "sm_70", "sm_72"},
-			SMFlags: []int{70, 72},
-			Build:   VoltaV100,
-		},
-		{
-			Key:     "t4",
-			Aliases: []string{"turing", "turing-t4", "sm_75"},
-			SMFlags: []int{75},
-			Build:   TuringT4,
-		},
-		{
-			Key:     "a100",
-			Aliases: []string{"ampere", "ampere-a100", "sm_80"},
-			SMFlags: []int{80},
-			Build:   AmpereA100,
-		},
-	}
-)
+// models holds the bundled models in presentation order (by SM flag).
+// A model is added by appending an entry here; TestAllCompleteness
+// holds every key, alias, full name and flag unique and the order by
+// flag.
+var models = []model{
+	{
+		Key:     "v100",
+		Aliases: []string{"volta", "volta-v100", "sm_70", "sm_72"},
+		SMFlags: []int{70, 72},
+		Build:   VoltaV100,
+	},
+	{
+		Key:     "t4",
+		Aliases: []string{"turing", "turing-t4", "sm_75"},
+		SMFlags: []int{75},
+		Build:   TuringT4,
+	},
+	{
+		Key:     "a100",
+		Aliases: []string{"ampere", "ampere-a100", "sm_80"},
+		SMFlags: []int{80},
+		Build:   AmpereA100,
+	},
+}
 
 // normalize canonicalizes a lookup key: lower case, surrounding space
 // stripped.
@@ -56,58 +52,16 @@ func normalize(name string) string {
 	return strings.ToLower(strings.TrimSpace(name))
 }
 
-// Register adds a GPU model to the registry so Lookup, All, and
-// ByArchFlag can resolve it. It returns an error when the key, an
-// alias, or an SM flag collides with an existing entry, or when the
-// entry is incomplete.
-func Register(m Model) error {
-	if m.Key == "" || m.Build == nil {
-		//gpa:lint-allow apierrlint Register is a build-time configuration API; its errors reach developers, never the serving boundary
-		return fmt.Errorf("arch: Register needs a key and a Build function")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	keys := map[string]bool{}
-	flags := map[int]bool{}
-	for _, e := range registry {
-		keys[normalize(e.Key)] = true
-		keys[normalize(e.Build().Name)] = true
-		for _, a := range e.Aliases {
-			keys[normalize(a)] = true
-		}
-		for _, sm := range e.SMFlags {
-			flags[sm] = true
-		}
-	}
-	newKeys := append([]string{m.Key, m.Build().Name}, m.Aliases...)
-	for _, k := range newKeys {
-		if keys[normalize(k)] {
-			//gpa:lint-allow apierrlint Register is a build-time configuration API; its errors reach developers, never the serving boundary
-			return fmt.Errorf("arch: model key %q already registered", k)
-		}
-	}
-	for _, sm := range m.SMFlags {
-		if flags[sm] {
-			//gpa:lint-allow apierrlint Register is a build-time configuration API; its errors reach developers, never the serving boundary
-			return fmt.Errorf("arch: architecture flag sm_%d already registered", sm)
-		}
-	}
-	registry = append(registry, m)
-	return nil
-}
-
 // Lookup resolves an architecture by name: the canonical key ("a100"),
 // an alias ("ampere", "sm_80"), or the model's full Name
 // ("A100-SXM4"), case-insensitively. It returns a fresh GPU value.
 func Lookup(name string) (*GPU, error) {
 	want := normalize(name)
-	regMu.RLock()
-	defer regMu.RUnlock()
 	if want == "" {
 		return nil, fmt.Errorf("arch: %w: empty architecture name (known: %s)",
-			apierr.ErrUnknownArch, knownNames())
+			apierr.ErrUnknownArch, knownKeys())
 	}
-	for _, e := range registry {
+	for _, e := range models {
 		if normalize(e.Key) == want {
 			return e.Build(), nil
 		}
@@ -120,55 +74,23 @@ func Lookup(name string) (*GPU, error) {
 			return g, nil
 		}
 	}
-	return nil, fmt.Errorf("arch: %w: %q (known: %s)", apierr.ErrUnknownArch, name, knownNames())
+	return nil, fmt.Errorf("arch: %w: %q (known: %s)", apierr.ErrUnknownArch, name, knownKeys())
 }
 
-// All returns a fresh GPU value for every registered model, ordered by
-// SM flag then name, so sweeps across architectures are deterministic.
+// All returns a fresh GPU value for every bundled model, in table
+// (SM flag) order, so sweeps across architectures are deterministic.
 func All() []*GPU {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]*GPU, 0, len(registry))
-	for _, e := range registry {
+	out := make([]*GPU, 0, len(models))
+	for _, e := range models {
 		out = append(out, e.Build())
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].SM != out[j].SM {
-			return out[i].SM < out[j].SM
-		}
-		return out[i].Name < out[j].Name
-	})
 	return out
 }
 
-// Names returns the canonical short names of every registered model, in
-// All() order.
-func Names() []string {
-	regMu.RLock()
-	byKey := map[int]string{}
-	for _, e := range registry {
-		if len(e.SMFlags) > 0 {
-			byKey[e.SMFlags[0]] = e.Key
-		}
-	}
-	regMu.RUnlock()
-	var names []string
-	for _, g := range All() {
-		if k, ok := byKey[g.SM]; ok {
-			names = append(names, k)
-		} else {
-			names = append(names, normalize(g.Name))
-		}
-	}
-	return names
-}
-
-// KeyOf returns the canonical registry key for a GPU model (matching by
+// KeyOf returns the canonical table key for a GPU model (matching by
 // SM flag, falling back to the normalized model name).
 func KeyOf(g *GPU) string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	for _, e := range registry {
+	for _, e := range models {
 		for _, sm := range e.SMFlags {
 			if sm == g.SM {
 				return e.Key
@@ -178,22 +100,19 @@ func KeyOf(g *GPU) string {
 	return normalize(g.Name)
 }
 
-// knownNames renders the lookup keys for error messages; callers hold
-// regMu.
-func knownNames() string {
-	keys := make([]string, 0, len(registry))
-	for _, e := range registry {
+// knownKeys renders the lookup keys, in table order, for error
+// messages.
+func knownKeys() string {
+	keys := make([]string, 0, len(models))
+	for _, e := range models {
 		keys = append(keys, e.Key)
 	}
-	sort.Strings(keys)
 	return strings.Join(keys, ", ")
 }
 
 // ByArchFlag resolves an architecture flag from a CUBIN to a GPU model.
 func ByArchFlag(sm int) (*GPU, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	for _, e := range registry {
+	for _, e := range models {
 		for _, f := range e.SMFlags {
 			if f == sm {
 				return e.Build(), nil

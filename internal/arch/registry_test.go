@@ -54,7 +54,7 @@ func TestAllCompleteness(t *testing.T) {
 		if i > 0 && gpus[i-1].SM > g.SM {
 			t.Errorf("All() not ordered by SM flag: %d before %d", gpus[i-1].SM, g.SM)
 		}
-		// Every listed model must round-trip through the registry keys.
+		// Every listed model must round-trip through the table keys.
 		key := KeyOf(g)
 		back, err := Lookup(key)
 		if err != nil {
@@ -100,63 +100,26 @@ func TestAllCompleteness(t *testing.T) {
 			}
 		}
 	}
-	if names := Names(); len(names) != len(gpus) {
-		t.Errorf("Names() has %d entries, want %d", len(names), len(gpus))
+	if len(gpus) != len(models) {
+		t.Errorf("All() returned %d models, the table has %d", len(gpus), len(models))
 	}
-}
-
-func TestRegisterCollisions(t *testing.T) {
-	if err := Register(Model{}); err == nil {
-		t.Error("empty Model must be rejected")
-	}
-	if err := Register(Model{Key: "v100", Build: VoltaV100}); err == nil {
-		t.Error("duplicate key must be rejected")
-	}
-	if err := Register(Model{Key: "volta", Build: VoltaV100}); err == nil {
-		t.Error("key colliding with an alias must be rejected")
-	}
-	if err := Register(Model{Key: "x100", Build: VoltaV100, SMFlags: []int{75}}); err == nil {
-		t.Error("duplicate SM flag must be rejected")
-	}
-}
-
-func TestRegisterNewModel(t *testing.T) {
-	// A contributor-style model: registered, then resolvable by name,
-	// alias, and flag, and listed by All().
-	build := func() *GPU {
-		g := VoltaV100()
-		g.Name = "Hypothet H1"
-		g.SM = 99
-		return g
-	}
-	if err := Register(Model{
-		Key: "h1", Aliases: []string{"hypothet"}, SMFlags: []int{99}, Build: build,
-	}); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	// The registry is package-global; restore it so other tests see only
-	// the bundled models.
-	defer func() {
-		regMu.Lock()
-		registry = registry[:len(registry)-1]
-		regMu.Unlock()
-	}()
-	for _, name := range []string{"h1", "hypothet", "Hypothet H1"} {
-		if g, err := Lookup(name); err != nil || g.SM != 99 {
-			t.Errorf("Lookup(%q) = %v, %v; want SM 99", name, g, err)
+	// Every key, alias and full name resolves to one entry alone, and
+	// every flag to one model alone.
+	names := map[string]string{}
+	flags := map[int]string{}
+	for _, e := range models {
+		for _, n := range append([]string{e.Key, e.Build().Name}, e.Aliases...) {
+			if prev, dup := names[normalize(n)]; dup {
+				t.Errorf("lookup name %q of %s is also %s's", n, e.Key, prev)
+			}
+			names[normalize(n)] = e.Key
 		}
-	}
-	if g, err := ByArchFlag(99); err != nil || g.Name != "Hypothet H1" {
-		t.Errorf("ByArchFlag(99) = %v, %v", g, err)
-	}
-	found := false
-	for _, g := range All() {
-		if g.SM == 99 {
-			found = true
+		for _, sm := range e.SMFlags {
+			if prev, dup := flags[sm]; dup {
+				t.Errorf("flag sm_%d of %s is also %s's", sm, e.Key, prev)
+			}
+			flags[sm] = e.Key
 		}
-	}
-	if !found {
-		t.Error("registered model missing from All()")
 	}
 }
 

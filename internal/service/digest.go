@@ -116,8 +116,8 @@ func (r *Request) keyMaterial(buf []byte) (km keyMaterial, cacheable bool, err e
 	}
 	n := r.normalized()
 	// The GPU model is digested by its full constant table, not just
-	// its registry key: a mutated or re-registered model with the same
-	// key must never alias another model's cached results. arch.GPU is
+	// its key: a caller's mutated model with the same SM flag must
+	// never alias a bundled model's cached results. arch.GPU is
 	// plain scalar data, so its JSON encoding is canonical.
 	gh, err := gpuModelHash(n.GPU)
 	if err != nil {

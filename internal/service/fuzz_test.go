@@ -367,13 +367,14 @@ func tokenEnd(data []byte) int {
 }
 
 // FuzzValidJSON holds the token cutters parseOpen takes an opening apart
-// with — scanString, which steps a word at a time, and scanNumber — to
-// encoding/json on any input: each ends the string or number data opens
-// with where the strict decoder ends it, and rejects what the decoder
-// rejects. The seeds are the real stage documents and every edge of the
-// JSON grammar: each is one that a cutter wrong in one respect — a
-// control byte let through, a leading zero, an escape cut short, a
-// string tail left unchecked past a word — gets wrong.
+// with to encoding/json on any input. scanNumber ends the number data
+// opens with where the strict decoder ends it, and rejects what the
+// decoder rejects. plainString, which reads a digest, may reject any
+// string, but one it accepts the decoder ends at the same byte and reads
+// as the same body. The seeds are the real stage documents and every
+// edge of the JSON grammar: each is one that a cutter wrong in one
+// respect — a control byte let through, a leading zero, an escape taken
+// as plain, a quote missed past a word — gets wrong.
 func FuzzValidJSON(f *testing.F) {
 	for _, payload := range runPayloads(f) {
 		f.Add(payload)
@@ -410,8 +411,7 @@ func FuzzValidJSON(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
-	// A string's bytes go a word at a time, then one at a time: put the
-	// byte that matters at every offset across two words.
+	// Put the byte that matters at every offset across two words.
 	for off := 0; off <= 17; off++ {
 		pad := strings.Repeat("a", off)
 		for _, s := range []string{
@@ -430,15 +430,23 @@ func FuzzValidJSON(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got := -1
-		switch {
-		case len(data) > 0 && data[0] == '"':
-			got = scanString(data, 1)
-		case len(data) > 0:
-			got = scanNumber(data, 0)
+		if len(data) == 0 || data[0] != '"' {
+			got := -1
+			if len(data) > 0 {
+				got = scanNumber(data, 0)
+			}
+			if want := tokenEnd(data); got != want {
+				t.Fatalf("scanNumber ends %.200q's first token at %d, encoding/json at %d", data, got, want)
+			}
+			return
 		}
-		if want := tokenEnd(data); got != want {
-			t.Fatalf("the cutters end %.200q's first token at %d, encoding/json at %d", data, got, want)
+		s, got := plainString(data)
+		if got < 0 {
+			return
+		}
+		var want string
+		if end := tokenEnd(data); end != got || json.Unmarshal(data[:got], &want) != nil || s != want {
+			t.Fatalf("plainString reads %.200q as %q, %d bytes; encoding/json as %q, %d bytes", data, s, got, want, end)
 		}
 	})
 }

@@ -2,11 +2,9 @@ package service
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/bits"
 	"strconv"
 	"sync"
 
@@ -52,106 +50,57 @@ const maxNumberBytes = 25
 
 // parseOpen reads the scalars doc opens with, in the one form appendOpen
 // writes: the keys in order, no whitespace, every number and string as
-// encoding/json renders it. It cuts each token out with scanNumber or
-// scanString and parses it leniently, then accepts the opening only if
-// appendOpen gives back its bytes exactly, so it need not know what else
-// JSON allows. An opening the strict encoding/json decoder reads in
-// another form — reordered, spaced, escaped otherwise — is rejected: no
-// run wrote one. The digest is taken as it stands between its quotes;
-// any escape in it fails the comparison. rest is what follows the
-// opening.
+// encoding/json renders it. It cuts each number out with scanNumber and
+// parses it leniently, then accepts the opening only if appendOpen gives
+// back its bytes exactly, so it need not know what else JSON allows. An
+// opening the strict encoding/json decoder reads in another form —
+// reordered, spaced, escaped otherwise — is rejected: no run wrote one.
+// The digest is taken as it stands between its quotes (plainString); an
+// escaped or torn one leaves the opening ending before its key. rest is
+// what follows the opening.
 func parseOpen(doc []byte) (cycles int64, elapsed float64, digest string, rest []byte, ok bool) {
-	c, rest := openToken(doc, `{"cycles":`, false)
-	e, rest := openToken(rest, `,"elapsedMs":`, false)
-	d, rest := openToken(rest, `,"profileDigest":`, true)
-	// A token that is missing or out of range does not re-encode to
+	c, rest := openNumber(doc, `{"cycles":`)
+	e, rest := openNumber(rest, `,"elapsedMs":`)
+	// A number that is missing or out of range does not re-encode to
 	// itself, so the comparison below is the only check the parses need.
 	cycles, _ = strconv.ParseInt(string(c), 10, 64)
 	elapsed, _ = strconv.ParseFloat(string(e), 64)
-	if len(d) >= len(`""`) {
-		digest = string(d[1 : len(d)-1])
+	if d, found := bytes.CutPrefix(rest, []byte(`,"profileDigest":`)); found {
+		if s, n := plainString(d); n >= 0 {
+			digest, rest = s, d[n:]
+		}
 	}
 	var buf [128]byte
 	open := appendOpen(buf[:0], cycles, elapsed, digest)
 	return cycles, elapsed, digest, rest, len(open) == len(doc)-len(rest) && bytes.HasPrefix(doc, open)
 }
 
-// openToken cuts key and the token behind it, a string if str and a
-// number of at most maxNumberBytes otherwise, off the front of doc; if
-// doc does not open so, the token is nil and rest is doc.
-func openToken(doc []byte, key string, str bool) (tok, rest []byte) {
-	rest, ok := bytes.CutPrefix(doc, []byte(key))
-	n := -1
-	switch {
-	case !ok || len(rest) == 0:
-	case !str:
-		n = scanNumber(rest[:min(len(rest), maxNumberBytes)], 0)
-	case rest[0] == '"':
-		n = scanString(rest, 1)
+// openNumber cuts key and the number of at most maxNumberBytes behind it
+// off the front of doc; if doc does not open so, the number is nil and
+// rest is doc.
+func openNumber(doc []byte, key string) (num, rest []byte) {
+	if rest, ok := bytes.CutPrefix(doc, []byte(key)); ok && len(rest) > 0 {
+		if n := scanNumber(rest[:min(len(rest), maxNumberBytes)], 0); n >= 0 {
+			return rest[:n], rest[n:]
+		}
 	}
-	if n < 0 {
-		return nil, doc
-	}
-	return rest[:n], rest[n:]
+	return nil, doc
 }
 
-// SWAR constants: a 1 and a high bit in every byte of a word.
-const (
-	swarOnes = 0x0101010101010101
-	swarHigh = 0x8080808080808080
-)
-
-// stringStops flags, in the high bit of its byte, every byte of w that
-// ends a run of plain string bytes — '"', '\\' or a control byte below
-// 0x20. It may also flag bytes above the first true stop, never below
-// it: each subtraction borrows only out of a true stop byte. So the
-// lowest flag is exact, and a word with no stop flags nothing.
-func stringStops(w uint64) uint64 {
-	q := w ^ (swarOnes * '"')
-	b := w ^ (swarOnes * '\\')
-	return ((w-swarOnes*0x20)&^w | (q-swarOnes)&^q | (b-swarOnes)&^b) & swarHigh
-}
-
-// scanString scans a string body from i, just after its opening quote,
-// returning the index after the closing quote, or -1.
-func scanString(data []byte, i int) int {
-	for {
-		for ; i+8 <= len(data); i += 8 {
-			if m := stringStops(binary.LittleEndian.Uint64(data[i:])); m != 0 {
-				i += bits.TrailingZeros64(m) / 8
-				break
+// plainString reads the string data opens with, cut at its next quote,
+// if AppendString writes back exactly those bytes for its body: it
+// returns the body and the index after the closing quote, or -1 for a
+// string that is torn or needs an escape.
+func plainString(data []byte) (string, int) {
+	if len(data) > 0 && data[0] == '"' {
+		if j := bytes.IndexByte(data[1:], '"') + 1; j > 0 {
+			var buf [80]byte
+			if s := string(data[1:j]); bytes.Equal(AppendString(buf[:0], s), data[:j+1]) {
+				return s, j + 1
 			}
-		}
-		// i is at a stop byte, or fewer than 8 bytes remain.
-		for ; i < len(data) && data[i] != '\\'; i++ {
-			switch c := data[i]; {
-			case c == '"':
-				return i + 1
-			case c < 0x20:
-				return -1
-			}
-		}
-		// An escape: its backslash is at i.
-		if i+1 >= len(data) {
-			return -1
-		}
-		switch data[i+1] {
-		case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			i += 2
-		case 'u':
-			if len(data)-i < 6 {
-				return -1
-			}
-			for _, h := range data[i+2 : i+6] {
-				if !('0' <= h && h <= '9' || 'a' <= h|0x20 && h|0x20 <= 'f') {
-					return -1
-				}
-			}
-			i += 6
-		default:
-			return -1
 		}
 	}
+	return "", -1
 }
 
 // scanNumber scans -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? at i,
