@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"gpa"
@@ -22,6 +21,11 @@ import (
 // maxBodyBytes bounds request bodies (SASS text and CUBIN blobs are
 // small; anything bigger is abuse).
 const maxBodyBytes = 8 << 20
+
+// maxFanOut bounds the entries of one batch and the models of one
+// sweep: each becomes a job (and a goroutine), so a request over it is
+// refused before any job is built.
+const maxFanOut = 256
 
 // server is the HTTP front end over one shared engine. Every handler
 // derives its job context from the request context, so a client that
@@ -45,8 +49,6 @@ type server struct {
 	// version is the build version stamped on /healthz and
 	// gpa_build_info.
 	version string
-	// gpus memoizes architecture-name resolution (see lookupGPU).
-	gpus sync.Map // string -> *arch.GPU
 	// kernels shares built kernels between equal asm/binary submissions.
 	kernels *kernelCache
 	// benches resolves "bench" names to bundled rows (see indexBenches).
@@ -97,23 +99,6 @@ func newServerCfg(cfg serverConfig) http.Handler {
 	mux.HandleFunc("/v1/statsz", s.get(s.handleStatsz))
 	mux.HandleFunc("/metrics", s.get(s.handleMetrics))
 	return s.withObs(mux)
-}
-
-// lookupGPU resolves an architecture name — a key, an alias or a full
-// name — through a per-server cache, so a request does not build a
-// model to name one. The engine keys a model by its value, so which
-// instance a request carries does not matter; the resolved models are
-// treated as immutable.
-func (s *server) lookupGPU(name string) (*arch.GPU, error) {
-	if g, ok := s.gpus.Load(name); ok {
-		return g.(*arch.GPU), nil
-	}
-	g, err := gpa.LookupGPU(name)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := s.gpus.LoadOrStore(name, g)
-	return actual.(*arch.GPU), nil
 }
 
 // kernelRequest is the JSON body shared by every kernel-submitting
@@ -216,7 +201,7 @@ func (r *kernelRequest) job(s *server) (gpa.Job, error) {
 		opts.SimSMs = 1 // the CLI's default: one detailed SM
 	}
 	if r.Arch != "" {
-		g, err := s.lookupGPU(r.Arch)
+		g, err := gpa.LookupGPU(r.Arch)
 		if err != nil {
 			return job, err
 		}
@@ -473,6 +458,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, fmt.Errorf("empty batch"))
 		return
 	}
+	if len(req.Requests) > maxFanOut {
+		writeBadRequest(w, fmt.Errorf("batch of %d requests exceeds %d", len(req.Requests), maxFanOut))
+		return
+	}
 	out := envelope{
 		SchemaVersion: gpa.ResultSchemaVersion,
 		Results:       make([]any, len(req.Requests)),
@@ -537,9 +526,13 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// A lone arch is a one-model sweep.
 		req.Archs = []string{req.Arch}
 	}
+	if len(req.Archs) > maxFanOut {
+		writeBadRequest(w, fmt.Errorf("sweep of %d archs exceeds %d", len(req.Archs), maxFanOut))
+		return
+	}
 	var gpus []*arch.GPU // none named: Sweep takes every registered model
 	for _, name := range req.Archs {
-		g, err := s.lookupGPU(name)
+		g, err := gpa.LookupGPU(name)
 		if err != nil {
 			writeRequestError(w, err)
 			return

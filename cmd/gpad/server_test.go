@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -401,6 +402,66 @@ func TestSweepEndpoint(t *testing.T) {
 	if resp4.StatusCode != http.StatusBadRequest {
 		t.Errorf("arch+archs = status %d, want 400", resp4.StatusCode)
 	}
+}
+
+// TestFanOutBound: a batch with more entries, or a sweep with more
+// models, than maxFanOut is refused as a whole before any job runs.
+func TestFanOutBound(t *testing.T) {
+	ts := newTestServer(t)
+	reqs := make([]map[string]any, maxFanOut+1)
+	archs := make([]string, maxFanOut+1)
+	for i := range reqs {
+		reqs[i] = map[string]any{"bench": "rodinia/hotspot"}
+		archs[i] = "v100"
+	}
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/batch", map[string]any{"requests": reqs}},
+		{"/v1/sweep", map[string]any{"bench": "rodinia/hotspot", "archs": archs}},
+	} {
+		var st0, st statszResponse
+		getJSON(t, ts.URL+"/statsz", &st0)
+		resp, body := postJSON(t, ts.URL+c.path, c.body)
+		getJSON(t, ts.URL+"/statsz", &st)
+		var e errorBody
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Error.Code != "bad_request" {
+			t.Errorf("%s with %d entries: status %d %.200s, want 400 bad_request", c.path, maxFanOut+1, resp.StatusCode, body)
+		}
+		if st.Runs != st0.Runs {
+			t.Errorf("%s over the bound ran %d jobs", c.path, st.Runs-st0.Runs)
+		}
+	}
+}
+
+// TestArchSpellingsKeepNoState: gpad resolves an architecture name on
+// every request and keeps nothing per spelling, so a client sending
+// ever new spellings of one model does not grow the server's heap.
+func TestArchSpellingsKeepNoState(t *testing.T) {
+	h := newServer(gpa.NewEngine(nil))
+	advise := func(arch string) {
+		body := string(mustMarshal(map[string]any{"bench": "rodinia/hotspot", "arch": arch}))
+		if a := serveBody(t, h, body); a.status != http.StatusOK {
+			t.Fatalf("arch %q: status %d %s", arch, a.status, a.body)
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	advise("v100") // the one computed run; every later request is a hit
+	before := heap()
+	// 1000 spellings, ~500 KB of names in all.
+	for i := 1; i <= 1000; i++ {
+		advise(strings.Repeat(" ", i) + "v100")
+	}
+	if grown := heap() - before; grown > 128<<10 {
+		t.Errorf("heap grew %d KB over 1000 spellings of one model", grown>>10)
+	}
+	runtime.KeepAlive(h)
 }
 
 func TestArchsHealthzStatsz(t *testing.T) {

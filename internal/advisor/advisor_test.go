@@ -143,7 +143,7 @@ func buildTestContext(t *testing.T, src, entry string, launch gpusim.LaunchConfi
 			t.Fatal(err)
 		}
 	}
-	prof, err := profiler.Collect(context.Background(), mod, launch, wl, profiler.Options{
+	prof, err := profiler.CollectProgram(context.Background(), prog, launch, wl, profiler.Options{
 		GPU: arch.VoltaV100(), SimSMs: 1, Seed: 3,
 	})
 	if err != nil {

@@ -64,15 +64,14 @@ type GPU struct {
 	ICacheInstrs int
 
 	// Memory latencies in cycles.
-	GlobalLatency      int // L2 hit-ish steady state
-	GlobalLatencyTLB   int // TLB-miss upper bound (pruning bound)
-	SharedLatency      int
-	ConstLatency       int // constant cache hit
-	ConstMissLatency   int
-	LocalLatency       int // local = global space
-	AtomicLatency      int
-	IFetchMissLatency  int
-	BarrierCheckCycles int // re-check interval at BAR.SYNC
+	GlobalLatency     int // L2 hit-ish steady state
+	GlobalLatencyTLB  int // TLB-miss upper bound (pruning bound)
+	SharedLatency     int
+	ConstLatency      int // constant cache hit
+	ConstMissLatency  int
+	LocalLatency      int // local = global space
+	AtomicLatency     int
+	IFetchMissLatency int
 
 	// Fixed-latency pipeline table: cycles before a dependent
 	// instruction may issue.

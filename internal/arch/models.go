@@ -32,7 +32,6 @@ func VoltaV100() *GPU {
 		LocalLatency:       84,
 		AtomicLatency:      480,
 		IFetchMissLatency:  32,
-		BarrierCheckCycles: 4,
 
 		ALULatency:      4,
 		IMADWideLatency: 5,
@@ -88,7 +87,6 @@ func TuringT4() *GPU {
 		LocalLatency:       88,
 		AtomicLatency:      500,
 		IFetchMissLatency:  36,
-		BarrierCheckCycles: 4,
 
 		ALULatency:        4,
 		IMADWideLatency:   5,
@@ -140,7 +138,6 @@ func AmpereA100() *GPU {
 		LocalLatency:       70,
 		AtomicLatency:      440,
 		IFetchMissLatency:  28,
-		BarrierCheckCycles: 4,
 
 		ALULatency:        4,
 		IMADWideLatency:   5,

@@ -81,8 +81,7 @@ func TestAllCompleteness(t *testing.T) {
 			"SharedLatency": g.SharedLatency, "ConstLatency": g.ConstLatency,
 			"ConstMissLatency": g.ConstMissLatency, "LocalLatency": g.LocalLatency,
 			"AtomicLatency": g.AtomicLatency, "IFetchMissLatency": g.IFetchMissLatency,
-			"BarrierCheckCycles": g.BarrierCheckCycles,
-			"ALULatency":         g.ALULatency, "IMADWideLatency": g.IMADWideLatency,
+			"ALULatency": g.ALULatency, "IMADWideLatency": g.IMADWideLatency,
 			"FP64Latency": g.FP64Latency, "ConvertLatency": g.ConvertLatency,
 			"ControlLatency": g.ControlLatency, "MUFULatency": g.MUFULatency,
 			"IDIVLatency": g.IDIVLatency, "S2RLatency": g.S2RLatency,

@@ -26,7 +26,6 @@ package blamer
 
 import (
 	"fmt"
-	"sort"
 
 	"gpa/internal/arch"
 	"gpa/internal/gpusim"
@@ -151,11 +150,6 @@ type Options struct {
 type Result struct {
 	FS    *structure.FuncStructure
 	Edges []*Edge
-	// ByDef[def][detail] sums apportioned stall samples per source
-	// instruction.
-	ByDef map[int]map[Detail]float64
-	// LatencyByDef restricts to latency samples.
-	LatencyByDef map[int]map[Detail]float64
 	// Self[pc][reason] carries the non-dependency stalls (instruction
 	// fetch, memory throttle, pipe busy, ...), which stay at the
 	// instruction that reported them.
@@ -180,11 +174,9 @@ func Analyze(fs *structure.FuncStructure, stats []sampling.PCStats, issued []int
 		preds: buildPreds(fs),
 	}
 	res := &Result{
-		FS:           fs,
-		ByDef:        map[int]map[Detail]float64{},
-		LatencyByDef: map[int]map[Detail]float64{},
-		Self:         map[int]map[gpusim.StallReason]int64{},
-		SelfLatency:  map[int]map[gpusim.StallReason]int64{},
+		FS:          fs,
+		Self:        map[int]map[gpusim.StallReason]int64{},
+		SelfLatency: map[int]map[gpusim.StallReason]int64{},
 	}
 	depReasons := []gpusim.StallReason{
 		gpusim.ReasonMemoryDependency,
@@ -222,18 +214,6 @@ func Analyze(fs *structure.FuncStructure, stats []sampling.PCStats, issued []int
 		if hasDep {
 			res.UseNodes = append(res.UseNodes, j)
 		}
-	}
-	// Aggregate surviving edges per def.
-	for _, e := range res.Edges {
-		if e.prunedBy != "" {
-			continue
-		}
-		if res.ByDef[e.Def] == nil {
-			res.ByDef[e.Def] = map[Detail]float64{}
-			res.LatencyByDef[e.Def] = map[Detail]float64{}
-		}
-		res.ByDef[e.Def][e.Detail] += e.Stalls
-		res.LatencyByDef[e.Def][e.Detail] += e.LatencyStalls
 	}
 	return res, nil
 }
@@ -289,27 +269,6 @@ func (r *Result) SingleDependencyCoverage(pruned bool) float64 {
 		}
 	}
 	return float64(single) / float64(len(nodes))
-}
-
-// TopDefs returns the def instructions ranked by total apportioned
-// stalls, descending.
-func (r *Result) TopDefs() []int {
-	var defs []int
-	for d := range r.ByDef {
-		defs = append(defs, d)
-	}
-	sort.Slice(defs, func(a, b int) bool {
-		return sumDetail(r.ByDef[defs[a]]) > sumDetail(r.ByDef[defs[b]])
-	})
-	return defs
-}
-
-func sumDetail(m map[Detail]float64) float64 {
-	var t float64
-	for _, v := range m {
-		t += v
-	}
-	return t
 }
 
 type blamer struct {

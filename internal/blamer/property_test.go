@@ -141,8 +141,8 @@ func TestPropertyPruningOnlyRemoves(t *testing.T) {
 	}
 }
 
-// TestPropertyBlamedMassNeverExceedsObserved: summing ByDef over all
-// defs never exceeds the total dependency-class stalls fed in.
+// TestPropertyBlamedMassNeverExceedsObserved: summing the surviving
+// edges' stalls over all defs never exceeds the total dependency-class stalls fed in.
 func TestPropertyBlamedMassNeverExceedsObserved(t *testing.T) {
 	mod, err := sass.Assemble(figure4Src)
 	if err != nil {
@@ -173,7 +173,7 @@ func TestPropertyBlamedMassNeverExceedsObserved(t *testing.T) {
 			return false
 		}
 		var blamed float64
-		for _, m := range res.ByDef {
+		for _, m := range blamedByDef(res) {
 			for _, v := range m {
 				blamed += v
 			}

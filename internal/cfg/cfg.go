@@ -141,9 +141,6 @@ func Build(f *sass.Function) (*Graph, error) {
 // BlockOf returns the block containing instruction index i.
 func (g *Graph) BlockOf(i int) *Block { return g.Blocks[g.blockOf[i]] }
 
-// Entry returns the entry block.
-func (g *Graph) Entry() *Block { return g.Blocks[0] }
-
 // NumInstrs returns the instruction count of the underlying function.
 func (g *Graph) NumInstrs() int { return len(g.blockOf) }
 

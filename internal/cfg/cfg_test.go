@@ -215,48 +215,6 @@ func TestOnEveryPath(t *testing.T) {
 	}
 }
 
-func TestReachesWithoutRedefine(t *testing.T) {
-	src := `
-.func rdef global
-.line r.cu 1
-	MOV R1, 0x1 {S:2}
-	ISETP P0, R0, 0x0 {S:4}
-	@P0 BRA SKIP {S:5}
-	MOV R1, 0x2 {S:2}
-SKIP:
-	IADD R2, R1, 0x3 {S:4}
-	EXIT
-`
-	g := build(t, src, "rdef")
-	r1 := sass.R(1)
-	// MOV at 0 reaches the IADD at 4 via the taken arm (skipping the
-	// redefinition at 3).
-	if !g.ReachesWithoutRedefine(0, 4, r1) {
-		t.Error("def at 0 must reach use at 4 via the branch-taken path")
-	}
-	// The redefining MOV at 3 also reaches it.
-	if !g.ReachesWithoutRedefine(3, 4, r1) {
-		t.Error("def at 3 must reach use at 4")
-	}
-	// But from 0, going through 3, R1 is redefined: the only clean path
-	// is the taken arm. Kill that arm by making it the avoided def:
-	// from instruction 1 every fallthrough path redefines R1 at 3, and
-	// the taken path skips 3. Now ask about a register defined on both
-	// arms.
-	src2 := `
-.func rdef2 global
-	MOV R1, 0x1 {S:2}
-	MOV R1, 0x2 {S:2}
-	IADD R2, R1, 0x3 {S:4}
-	EXIT
-`
-	m, _ := sass.Assemble(src2)
-	g2, _ := Build(m.Function("rdef2"))
-	if g2.ReachesWithoutRedefine(0, 2, r1) {
-		t.Error("def at 0 is killed by the redefinition at 1")
-	}
-}
-
 func TestIrreducibleAndUnreachable(t *testing.T) {
 	// A function with an unreachable block after an unconditional
 	// branch must still build.

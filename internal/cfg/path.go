@@ -1,7 +1,5 @@
 package cfg
 
-import "gpa/internal/sass"
-
 // Instruction-level path queries. The blamer's pruning and apportioning
 // rules reason about paths between a def instruction i and a use
 // instruction j in the control flow graph:
@@ -176,51 +174,6 @@ func (g *Graph) reaches(i, j, avoid int) bool {
 			if !seen[s] {
 				seen[s] = true
 				queue = append(queue, s)
-			}
-		}
-	}
-	return false
-}
-
-// ReachesWithoutRedefine reports whether instruction j is reachable from
-// instruction i along some path on which no instruction (other than the
-// endpoints) writes register r. This is the def-use reachability test of
-// backward slicing, run forward.
-func (g *Graph) ReachesWithoutRedefine(i, j int, r sass.Reg) bool {
-	n := g.NumInstrs()
-	seen := make([]bool, n)
-	var scratch []int
-	defines := func(idx int) bool {
-		for _, d := range g.Fn.Instrs[idx].Defs() {
-			if d == r {
-				return true
-			}
-		}
-		return false
-	}
-	queue := make([]int, 0, n)
-	push := func(s int) bool {
-		if s == j {
-			return true
-		}
-		if !seen[s] && !defines(s) {
-			seen[s] = true
-			queue = append(queue, s)
-		}
-		return false
-	}
-	for _, s := range g.InstrSuccs(scratch, i) {
-		if push(s) {
-			return true
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		scratch = g.InstrSuccs(scratch[:0], cur)
-		for _, s := range scratch {
-			if push(s) {
-				return true
 			}
 		}
 	}

@@ -103,8 +103,6 @@ type Result struct {
 	// IssuedPerPC counts issued instructions per flat PC across
 	// simulated SMs.
 	IssuedPerPC []int64
-	// TotalIssued is the sum of IssuedPerPC.
-	TotalIssued int64
 	// Occupancy echoes the launch occupancy.
 	Occupancy arch.Occupancy
 	// WarpsPerScheduler is the EFFECTIVE resident warp count per
@@ -114,8 +112,6 @@ type Result struct {
 	WarpsPerScheduler int
 	// ActiveSMs is how many SMs had at least one block.
 	ActiveSMs int
-	// SimulatedSMs is how many SMs were simulated in detail.
-	SimulatedSMs int
 	// BlocksLaunched is the grid block count.
 	BlocksLaunched int
 	// ThreadsPerBlock echoes the launch config.
@@ -224,7 +220,6 @@ func Run(ctx context.Context, p *Program, launch LaunchConfig, wl Workload, cfg 
 	res := getResult(len(p.Instrs))
 	res.Occupancy = occ
 	res.ActiveSMs = activeSMs
-	res.SimulatedSMs = simSMs
 	res.BlocksLaunched = blocks
 	res.ThreadsPerBlock = threads
 	warpsPerBlock := (threads + cfg.GPU.WarpSize - 1) / cfg.GPU.WarpSize
@@ -420,7 +415,6 @@ func (r *Result) addSM(cycles int64, issuedPerPC []int64, w Work) {
 	}
 	for pc, n := range issuedPerPC {
 		r.IssuedPerPC[pc] += n
-		r.TotalIssued += n
 	}
 	r.Work.add(w)
 }

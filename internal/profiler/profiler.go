@@ -107,16 +107,6 @@ type Profile struct {
 	Work gpusim.Work `json:"-"`
 }
 
-// Collect profiles one launch of the module's entry kernel. The
-// context cancels the underlying simulation (see gpusim.Run).
-func Collect(ctx context.Context, mod *sass.Module, launch gpusim.LaunchConfig, wl gpusim.Workload, opts Options) (*Profile, error) {
-	prog, err := gpusim.Load(mod)
-	if err != nil {
-		return nil, fmt.Errorf("profiler: %w", err)
-	}
-	return CollectProgram(ctx, prog, launch, wl, opts)
-}
-
 // CollectProgram profiles one launch of an already-loaded program,
 // letting callers that profile the same kernel repeatedly skip the
 // per-run module flattening. The context cancels the underlying

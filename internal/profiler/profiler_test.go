@@ -41,9 +41,9 @@ func collect(t *testing.T, opts Options) (*sass.Module, *Profile) {
 		t.Fatal(err)
 	}
 	launch := gpusim.LaunchConfig{Entry: "stencil", Grid: gpusim.Dim(4), Block: gpusim.Dim(128), RegsPerThread: 16}
-	p, err := Collect(context.Background(), m, launch, wl, opts)
+	p, err := CollectProgram(context.Background(), prog, launch, wl, opts)
 	if err != nil {
-		t.Fatalf("Collect: %v", err)
+		t.Fatalf("CollectProgram: %v", err)
 	}
 	return m, p
 }
@@ -139,7 +139,7 @@ func TestFuncViews(t *testing.T) {
 }
 
 func TestCollectDefaultsFromArchFlag(t *testing.T) {
-	// Without an explicit GPU, Collect resolves the module's arch flag.
+	// Without an explicit GPU, CollectProgram resolves the module's arch flag.
 	m, _ := collect(t, Options{SimSMs: 1, Seed: 1})
 	_ = m
 }

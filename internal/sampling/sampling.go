@@ -50,21 +50,6 @@ func NewBuffer(capPerSM int) *Buffer {
 	return &Buffer{cap: capPerSM}
 }
 
-// Reset clears the buffer for reuse with the given per-SM capacity
-// (0 uses DefaultBufferCap), keeping every backing array so a recycled
-// buffer collects a fresh run without allocating.
-func (b *Buffer) Reset(capPerSM int) {
-	if capPerSM <= 0 {
-		capPerSM = DefaultBufferCap
-	}
-	b.cap = capPerSM
-	for i := range b.perSM {
-		b.perSM[i] = b.perSM[i][:0]
-	}
-	b.host = b.host[:0]
-	b.Flushes = 0
-}
-
 // Record appends a sample to its SM's buffer, flushing all SMs to the
 // host when the buffer fills.
 func (b *Buffer) Record(s gpusim.Sample) {
@@ -187,15 +172,6 @@ type PCStats struct {
 	LatencyStalls [gpusim.NumReasons]int64
 }
 
-// StallTotal sums stall samples across dependency-class reasons only.
-func (s *PCStats) StallTotal() int64 {
-	var t int64
-	for r := gpusim.StallReason(1); r < gpusim.NumReasons; r++ {
-		t += s.Stalls[r]
-	}
-	return t
-}
-
 // Aggregate is the whole-kernel sample summary.
 type Aggregate struct {
 	// PerPC is indexed by flat instruction index.
@@ -228,15 +204,6 @@ func (a *Aggregate) stallSampleCount() int64 {
 		t += a.Stalls[r]
 	}
 	return t
-}
-
-// ActiveRatio returns the fraction of samples taken while the scheduler
-// was issuing (Figure 1's active ratio).
-func (a *Aggregate) ActiveRatio() float64 {
-	if a.Total == 0 {
-		return 0
-	}
-	return float64(a.Active) / float64(a.Total)
 }
 
 // Reset clears the aggregate for reuse over a program with numPCs flat

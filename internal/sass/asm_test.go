@@ -123,14 +123,10 @@ func TestDefUse(t *testing.T) {
 		t.Errorf("FADD uses = %v", fadd.Uses())
 	}
 
-	// STG.E.32 [R2+0x800], R6 {R:4}: defs B4 (read barrier); WAR defs
-	// cover R2, R3, R6.
+	// STG.E.32 [R2+0x800], R6 {R:4}: defs B4 (read barrier).
 	stg := &f.Instrs[8]
 	if !regSetEq(stg.Defs(), []Reg{B(4)}) {
 		t.Errorf("STG defs = %v", stg.Defs())
-	}
-	if !regSetEq(stg.WARDefs(), []Reg{R(2), R(3), R(6)}) {
-		t.Errorf("STG WAR defs = %v", stg.WARDefs())
 	}
 }
 
@@ -265,26 +261,6 @@ func TestPredicateSet(t *testing.T) {
 	s2.Add(Always)
 	if !s2.Contains(p0) || !s2.Contains(np0) || !s2.Contains(Always) {
 		t.Error("the always predicate covers everything")
-	}
-}
-
-func TestPredicateCovers(t *testing.T) {
-	p0 := Predicate{Reg: P(0)}
-	np0 := Predicate{Reg: P(0), Negated: true}
-	if !Always.Covers(p0) || !Always.Covers(np0) {
-		t.Error("Always must cover conditional predicates")
-	}
-	if p0.Covers(Always) {
-		t.Error("@P0 must not cover Always")
-	}
-	if p0.Covers(np0) || np0.Covers(p0) {
-		t.Error("opposite polarities must not cover each other")
-	}
-	if !p0.Covers(p0) {
-		t.Error("predicate must cover itself")
-	}
-	if p0.Complement() != np0 {
-		t.Errorf("Complement() = %v", p0.Complement())
 	}
 }
 

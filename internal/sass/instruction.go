@@ -24,9 +24,6 @@ type Instruction struct {
 	Ctrl Control
 }
 
-// Index converts the byte PC to an instruction index within the function.
-func (in *Instruction) Index() int { return int(in.PC) / InstrBytes }
-
 // Dests returns the destination operands.
 func (in *Instruction) Dests() []Operand {
 	n := in.Opcode.Info().NumDefs
@@ -123,27 +120,6 @@ func (in *Instruction) Uses() []Reg {
 		}
 	}
 	return uses
-}
-
-// WARDefs returns GPR operands that a variable-latency instruction reads
-// under a read barrier. A later instruction that writes one of these
-// registers has a write-after-read dependency mediated by the read
-// barrier (the "WAR dependency" class of Figure 5).
-func (in *Instruction) WARDefs() []Reg {
-	if in.Ctrl.ReadBar == NoBarrier {
-		return nil
-	}
-	var regs []Reg
-	wideVal := in.Mods.AccessWidth() >= 64
-	for _, o := range in.Sources() {
-		switch o.Kind {
-		case KindReg:
-			regs = appendRegPair(regs, o.Reg, wideVal && o.Reg.Class == RegGPR)
-		case KindMem:
-			regs = appendRegPair(regs, o.Reg, in.is64BitAddress())
-		}
-	}
-	return regs
 }
 
 // BranchTarget returns the label operand of a control transfer, if any.
@@ -243,15 +219,6 @@ type Function struct {
 	Lines []LineInfo
 	// Labels maps label names to instruction indices.
 	Labels map[string]int
-}
-
-// LineAt returns the source mapping at byte address pc.
-func (f *Function) LineAt(pc uint32) LineInfo {
-	i := int(pc) / InstrBytes
-	if i < 0 || i >= len(f.Lines) {
-		return LineInfo{}
-	}
-	return f.Lines[i]
 }
 
 // Module is a set of functions assembled together, analogous to one

@@ -276,54 +276,6 @@ func (op Opcode) IsSync() bool { return op.Info().Class == ClassSync }
 // IsControl reports whether the opcode transfers control.
 func (op Opcode) IsControl() bool { return op.Info().Class == ClassControl }
 
-// MemSpace names the memory space of a memory opcode; it returns
-// SpaceNone for non-memory opcodes.
-func (op Opcode) MemSpace() MemSpace {
-	switch op.Info().Class {
-	case ClassMemGlobal:
-		return SpaceGlobal
-	case ClassMemLocal:
-		return SpaceLocal
-	case ClassMemShared:
-		return SpaceShared
-	case ClassMemConst:
-		return SpaceConst
-	case ClassMemGeneric:
-		return SpaceGeneric
-	}
-	return SpaceNone
-}
-
-// MemSpace identifies a GPU memory space.
-type MemSpace uint8
-
-// Memory spaces.
-const (
-	SpaceNone MemSpace = iota
-	SpaceGlobal
-	SpaceLocal
-	SpaceShared
-	SpaceConst
-	SpaceGeneric
-)
-
-// String names the space.
-func (s MemSpace) String() string {
-	switch s {
-	case SpaceGlobal:
-		return "global"
-	case SpaceLocal:
-		return "local"
-	case SpaceShared:
-		return "shared"
-	case SpaceConst:
-		return "constant"
-	case SpaceGeneric:
-		return "generic"
-	}
-	return "none"
-}
-
 // Modifier is an opcode suffix such as ".32" or ".WIDE". Modifiers are
 // drawn from a fixed dictionary so they can be encoded as a bitmask in
 // the 128-bit instruction word.

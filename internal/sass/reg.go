@@ -63,7 +63,6 @@ const (
 	SRCtaZ
 	SRLaneID
 	SRClock
-	numSpecial
 )
 
 var specialNames = [...]string{
@@ -107,21 +106,6 @@ func (r Reg) IsZero() bool {
 		(r.Class == RegPred && r.Index == PTIndex)
 }
 
-// Valid reports whether the register index is legal for its class.
-func (r Reg) Valid() bool {
-	switch r.Class {
-	case RegGPR:
-		return true // 0-254 plus RZ=255
-	case RegPred:
-		return r.Index <= PTIndex
-	case RegBarrier:
-		return r.Index < NumBarriers
-	case RegSpecial:
-		return r.Index < numSpecial
-	}
-	return false
-}
-
 // String renders the register in SASS syntax.
 func (r Reg) String() string {
 	switch r.Class {
@@ -159,28 +143,6 @@ var Always = Predicate{Reg: PT}
 // IsAlways reports whether the predicate is the trivial @PT guard.
 func (p Predicate) IsAlways() bool {
 	return (p.Reg == Reg{} && !p.Negated) || (p.Reg == PT && !p.Negated)
-}
-
-// Covers reports whether executing under p guarantees at least one of the
-// conditions under which q executes is met; it implements the containment
-// relation of Section 4 of the paper: the special predicate "_" (Always)
-// contains everything, and a predicate contains itself.
-func (p Predicate) Covers(q Predicate) bool {
-	if p.IsAlways() {
-		return true
-	}
-	if q.IsAlways() {
-		return false
-	}
-	return p.Reg == q.Reg && p.Negated == q.Negated
-}
-
-// Complement returns the predicate guarding the opposite condition.
-func (p Predicate) Complement() Predicate {
-	if p.IsAlways() {
-		return p
-	}
-	return Predicate{Reg: p.Reg, Negated: !p.Negated}
 }
 
 // String renders the guard in SASS syntax ("@P0", "@!P3"); the always

@@ -46,17 +46,6 @@ func Analyze(mod *sass.Module) (*Structure, error) {
 // Func returns the structure of a named function, or nil.
 func (s *Structure) Func(name string) *FuncStructure { return s.Funcs[name] }
 
-// DeviceFunctions lists functions with device visibility.
-func (s *Structure) DeviceFunctions() []*FuncStructure {
-	var out []*FuncStructure
-	for _, fn := range s.Module.Functions {
-		if fn.Visibility == sass.VisDevice {
-			out = append(out, s.Funcs[fn.Name])
-		}
-	}
-	return out
-}
-
 // mathNameFragments identify CUDA math-library functions (the targets of
 // the Fast Math optimizer) by symbol or inline-frame name.
 var mathNameFragments = []string{

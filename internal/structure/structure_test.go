@@ -59,9 +59,9 @@ func TestAnalyzeBuildsAllFunctions(t *testing.T) {
 	if st.Func("nothere") != nil {
 		t.Error("unknown function should be nil")
 	}
-	devs := st.DeviceFunctions()
-	if len(devs) != 1 || devs[0].Fn.Name != "__internal_accurate_pow" {
-		t.Errorf("DeviceFunctions = %v", devs)
+	if st.Func("mainkern").Fn.Visibility != sass.VisGlobal ||
+		st.Func("__internal_accurate_pow").Fn.Visibility != sass.VisDevice {
+		t.Error("mainkern must be global and __internal_accurate_pow device")
 	}
 	fs := st.Func("mainkern")
 	if got := len(fs.CFG.Loops()); got != 2 {
