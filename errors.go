@@ -20,8 +20,8 @@ import "gpa/internal/apierr"
 // deadline from an explicit cancel. cmd/gpad maps this same taxonomy
 // to HTTP status codes.
 var (
-	// ErrUnknownArch: a GPU architecture name, alias, or CUBIN SM flag
-	// that no bundled model serves.
+	// ErrUnknownArch: a GPU architecture name or alias that no bundled
+	// model serves.
 	ErrUnknownArch = apierr.ErrUnknownArch
 	// ErrBadKernel: an invalid kernel or launch (missing entry function,
 	// malformed CUBIN, empty grid, launch shape no SM can host).

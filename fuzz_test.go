@@ -2,8 +2,10 @@ package gpa_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"gpa"
 	"gpa/internal/kernels"
@@ -61,16 +63,37 @@ func checkRoundTrip(t *testing.T, k *gpa.Kernel) {
 	}
 }
 
+// checkSimulates runs an accepted kernel's launch on one SM under a
+// 250 ms deadline: it must not panic, and may fail only with a typed
+// error gpad answers without a 500 — a launch the kernel cannot host
+// (ErrBadKernel), a run past a simulation limit (ErrSimLimit), or the
+// deadline (ErrCanceled).
+func checkSimulates(t *testing.T, k *gpa.Kernel) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+	defer cancel()
+	_, err := k.Measure(ctx, &gpa.Options{SimSMs: 1, Parallelism: 1})
+	if err != nil && !errors.Is(err, gpa.ErrBadKernel) && !errors.Is(err, gpa.ErrSimLimit) &&
+		!errors.Is(err, gpa.ErrCanceled) {
+		t.Fatalf("an accepted kernel fails to simulate with an untyped error: %v", err)
+	}
+}
+
+// recursiveCall is a device function calling itself forever: its
+// simulation must stop at the call depth bound.
+const recursiveCall = ".func rec device\n\tCAL rec {S:1}\n\tRET\n.func k global\n\tCAL rec\n\tEXIT\n"
+
 // FuzzLoadKernelAsm feeds LoadKernelAsm arbitrary SASS text, as a
 // kernel-cache miss on an asm body does: it must not panic, must refuse
 // with ErrAssemble or ErrBadKernel, and a kernel it accepts must pack
-// and unpack to the same module.
+// and unpack to the same module and simulate (checkSimulates).
 func FuzzLoadKernelAsm(f *testing.F) {
 	srcs, _, _ := intakeSeeds(f)
 	for _, src := range srcs {
 		f.Add(src)
 	}
 	f.Add(".func k global\nA:ISETP 0,[R0],0\nEXIT") // assembles, but cannot be encoded
+	f.Add(recursiveCall)
 	f.Fuzz(func(t *testing.T, src string) {
 		k, err := gpa.LoadKernelAsm(src, gpa.Launch{})
 		if err != nil {
@@ -78,18 +101,28 @@ func FuzzLoadKernelAsm(f *testing.F) {
 			return
 		}
 		checkRoundTrip(t, k)
+		checkSimulates(t, k)
 	})
 }
 
 // FuzzLoadKernelBinary feeds LoadKernelBinary arbitrary CUBIN bytes and
 // entry names, as a binary body does: it must not panic, must refuse
 // with ErrBadKernel (or ErrAssemble), and a kernel it accepts must pack
-// and unpack to the same module.
+// and unpack to the same module and simulate (checkSimulates).
 func FuzzLoadKernelBinary(f *testing.F) {
 	_, entries, blobs := intakeSeeds(f)
 	for i, blob := range blobs {
 		f.Add(blob, entries[i])
 	}
+	rec, err := gpa.LoadKernelAsm(recursiveCall, gpa.Launch{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	recBlob, err := rec.SaveBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(recBlob, rec.Launch.Entry)
 	f.Fuzz(func(t *testing.T, blob []byte, entry string) {
 		k, err := gpa.LoadKernelBinary(blob, gpa.Launch{Entry: entry})
 		if err != nil {
@@ -97,5 +130,6 @@ func FuzzLoadKernelBinary(f *testing.F) {
 			return
 		}
 		checkRoundTrip(t, k)
+		checkSimulates(t, k)
 	})
 }

@@ -107,10 +107,10 @@ type Options struct {
 	// other slots leave free). Results are bit-identical at every
 	// level; with Parallelism > 1 the Workload must be safe for
 	// concurrent use.
-	// WorkloadSpec binding is itself read-only, but the callback
-	// closures a spec carries (TripFunc, Taken, Latency) are invoked
-	// concurrently too and must not mutate shared state — set
-	// Parallelism to 1 to keep the old single-goroutine contract.
+	// WorkloadSpec binding is itself read-only, but the TripFuncs a
+	// spec carries are invoked concurrently too and must not mutate
+	// shared state — set Parallelism to 1 to keep the old
+	// single-goroutine contract.
 	Parallelism int
 	// Seed perturbs the simulator's deterministic latency jitter.
 	Seed uint64

@@ -61,7 +61,8 @@ type Context struct {
 
 // BuildContext joins a module with its profile: program structure is
 // recovered, per-function sample views are built, and the instruction
-// blamer runs over every profiled function.
+// blamer runs over every profiled function. gpu is the model the
+// profile was taken on; it must not be nil.
 func BuildContext(mod *sass.Module, prof *profiler.Profile, gpu *arch.GPU,
 	opts blamer.Options) (*Context, error) {
 	st, err := structure.Analyze(mod)
@@ -78,13 +79,6 @@ func BuildContext(mod *sass.Module, prof *profiler.Profile, gpu *arch.GPU,
 // must have been analyzed from mod and is only read.
 func BuildContextWithStructure(mod *sass.Module, st *structure.Structure, prof *profiler.Profile,
 	gpu *arch.GPU, opts blamer.Options) (*Context, error) {
-	if gpu == nil {
-		g, err := arch.ByArchFlag(mod.Arch)
-		if err != nil {
-			return nil, fmt.Errorf("advisor: %w", err)
-		}
-		gpu = g
-	}
 	views, err := prof.FuncViews(mod)
 	if err != nil {
 		return nil, fmt.Errorf("advisor: %w", err)

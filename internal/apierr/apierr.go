@@ -21,7 +21,7 @@ import (
 
 var (
 	// ErrUnknownArch tags failures to resolve a GPU architecture model
-	// (an unregistered name, alias, or CUBIN SM flag).
+	// (an unregistered name or alias).
 	ErrUnknownArch = errors.New("unknown architecture")
 	// ErrBadKernel tags invalid kernels and launches: a missing entry
 	// function, a malformed CUBIN container, an empty grid, or a launch

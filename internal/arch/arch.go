@@ -10,15 +10,16 @@
 // simulator (gpusim) reads geometry and latency tables to execute a
 // kernel, the blamer reads latency bounds for its pruning rule
 // (Section 4.3), and the advisor's estimators read occupancy limits for
-// the parallel optimizers (Equations 6-10). Input is a model name or a
-// CUBIN architecture flag; output is a *GPU value.
+// the parallel optimizers (Equations 6-10). Input is a model name;
+// output is a *GPU value. A module's compile-target SM flag selects no
+// model: the caller names the GPU it runs on.
 //
 // The paper evaluates on Volta V100 only, but every consumer reads
 // these tables through a *GPU value, so the pipeline is
-// architecture-parametric. A constant table (Lookup, All, KeyOf,
-// ByArchFlag, keyed by model name and SM flag) holds the bundled
-// models — VoltaV100, TuringT4, AmpereA100 — and a model is added by
-// appending to it; a caller may also pass any *GPU value of its own.
+// architecture-parametric. A constant table (Lookup, All, KeyOf, keyed
+// by model name, with SM flags for KeyOf) holds the bundled models —
+// VoltaV100, TuringT4, AmpereA100 — and a model is added by appending
+// to it; a caller may also pass any *GPU value of its own.
 package arch
 
 import (

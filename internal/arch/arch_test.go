@@ -6,19 +6,6 @@ import (
 	"gpa/internal/sass"
 )
 
-func TestByArchFlag(t *testing.T) {
-	g, err := ByArchFlag(70)
-	if err != nil {
-		t.Fatalf("ByArchFlag(70): %v", err)
-	}
-	if g.SM != 70 || g.SchedulersPerSM != 4 || g.WarpSize != 32 {
-		t.Errorf("V100 geometry wrong: %+v", g)
-	}
-	if _, err := ByArchFlag(35); err == nil {
-		t.Error("ByArchFlag(35) should fail: Kepler has 64-bit encoding")
-	}
-}
-
 func TestFixedLatency(t *testing.T) {
 	g := VoltaV100()
 	cases := []struct {

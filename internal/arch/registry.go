@@ -8,14 +8,13 @@ import (
 )
 
 // model is one table entry: a GPU constructor keyed by a short
-// canonical name, lookup aliases, and the CUBIN architecture flags it
-// serves.
+// canonical name, lookup aliases, and the SM flags KeyOf maps to it.
 type model struct {
 	// Key is the canonical short name ("v100").
 	Key string
 	// Aliases are additional Lookup keys ("volta", "sm_70").
 	Aliases []string
-	// SMFlags are the CUBIN architecture flags resolved to this model.
+	// SMFlags are the GPU.SM values KeyOf names this model by.
 	SMFlags []int
 	// Build constructs a fresh GPU value.
 	Build func() *GPU
@@ -108,16 +107,4 @@ func knownKeys() string {
 		keys = append(keys, e.Key)
 	}
 	return strings.Join(keys, ", ")
-}
-
-// ByArchFlag resolves an architecture flag from a CUBIN to a GPU model.
-func ByArchFlag(sm int) (*GPU, error) {
-	for _, e := range models {
-		for _, f := range e.SMFlags {
-			if f == sm {
-				return e.Build(), nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("arch: %w: unsupported flag sm_%d", apierr.ErrUnknownArch, sm)
 }

@@ -62,13 +62,6 @@ func TestAllCompleteness(t *testing.T) {
 		} else if back.SM != g.SM {
 			t.Errorf("Lookup(%q) resolves SM %d, want %d", key, back.SM, g.SM)
 		}
-		// And through its architecture flag.
-		byFlag, err := ByArchFlag(g.SM)
-		if err != nil {
-			t.Errorf("ByArchFlag(%d): %v", g.SM, err)
-		} else if byFlag.Name != g.Name {
-			t.Errorf("ByArchFlag(%d) = %q, want %q", g.SM, byFlag.Name, g.Name)
-		}
 		// Models must be fully populated: a zero in any of these fields
 		// would silently distort the simulator or the estimators.
 		for field, v := range map[string]int{

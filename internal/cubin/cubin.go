@@ -6,9 +6,10 @@
 // inline stacks. GPA's profiler records these containers at runtime;
 // the static analyzer later unpacks them to recover control flow,
 // program structure, and architectural features. Input/output is the
-// Pack/Unpack pair between *sass.Module and a byte blob; the stored
-// architecture flag is what arch.ByArchFlag resolves to a GPU model
-// (sm_70 → V100, sm_75 → T4, sm_80 → A100).
+// Pack/Unpack pair between *sass.Module and a byte blob. The stored
+// architecture flag is the module's compile target (sm_70, sm_75, ...),
+// which a profile records; it does not pick the GPU model a launch
+// runs on — the caller names that.
 package cubin
 
 import (

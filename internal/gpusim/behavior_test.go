@@ -109,8 +109,8 @@ BR0:	@P0 BRA LOOP {S:5}
 	}
 }
 
-// TestDivergentBranchPattern: an explicit Taken pattern steers a
-// conditional branch per warp and per visit.
+// TestDivergentBranchPattern: a workload's Taken steers a conditional
+// branch per warp.
 func TestDivergentBranchPattern(t *testing.T) {
 	src := `
 .func div global
@@ -122,10 +122,15 @@ SKIP:
 	EXIT
 `
 	launch := LaunchConfig{Entry: "div", Grid: Dim(1), Block: Dim(128), RegsPerThread: 16}
-	spec := &Spec{Taken: map[Site]func(WarpCtx, int) bool{
-		{"div", "BR0"}: func(w WarpCtx, visit int) bool { return w.WarpInBlock%2 == 0 },
-	}}
-	res, _ := runKernel(t, src, "div", launch, spec, testConfig(nil))
+	p, err := Load(sass.MustAssemble(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	br0, err := p.FlatIndex("div", "BR0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _ := runWorkload(t, p, launch, evenWarpsTake{pc: br0}, testConfig(nil))
 	// 4 warps: 2 take the branch and skip the FFMA at flat index 3.
 	if got := res.IssuedPerPC[3]; got != 2 {
 		t.Errorf("FFMA issued %d times, want 2 (half the warps skip)", got)
@@ -141,12 +146,18 @@ LD:	LDG.E.32 R4, [R2] {S:1, W:0}
 	EXIT
 `
 	launch := LaunchConfig{Entry: "lat", Grid: Dim(1), Block: Dim(32), RegsPerThread: 16}
-	slow := &Spec{Latency: map[Site]func(WarpCtx, int) int{
-		{"lat", "LD"}: func(WarpCtx, int) int { return 5000 },
-	}}
+	p, err := Load(sass.MustAssemble(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld, err := p.FlatIndex("lat", "LD")
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := arch.VoltaV100()
-	resSlow, _ := runKernel(t, src, "lat", launch, slow, Config{GPU: g, SimSMs: 1, Seed: 1})
-	resFast, _ := runKernel(t, src, "lat", launch, nil, Config{GPU: g, SimSMs: 1, Seed: 1})
+	slow := slowLoad{boundWorkload: &boundWorkload{}, pc: ld, cycles: 5000}
+	resSlow, _ := runWorkload(t, p, launch, slow, Config{GPU: g, SimSMs: 1, Seed: 1})
+	resFast, _ := runWorkload(t, p, launch, NopWorkload{}, Config{GPU: g, SimSMs: 1, Seed: 1})
 	if resSlow.Cycles <= resFast.Cycles+3000 {
 		t.Errorf("latency override had no effect: %d vs %d", resSlow.Cycles, resFast.Cycles)
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -468,6 +469,36 @@ func TestHugeGridHonorsDeadline(t *testing.T) {
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
 		t.Errorf("Run(grid x %d) allocated %d bytes, want < 1 MB", maxGridX, n)
+	}
+}
+
+// TestCallDepthBounded: a device function that calls itself forever
+// fails at maxCallDepth with ErrSimLimit, in a few KB, instead of
+// pushing a frame a cycle until MaxCycles (the cap here only keeps an
+// unbounded stack's failure quick: 1M cycles of it allocate ~40 MB).
+func TestCallDepthBounded(t *testing.T) {
+	p, err := Load(sass.MustAssemble(`
+.func rec device
+	CAL rec {S:1}
+	RET
+.func k global
+	CAL rec
+	EXIT
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := LaunchConfig{Entry: "k", Grid: Dim(1), Block: Dim(32), RegsPerThread: 16}
+	cfg := Config{GPU: arch.VoltaV100(), SimSMs: 1, Seed: 1, Parallelism: 1, MaxCycles: 1_000_000}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Run(context.Background(), p, launch, nil, cfg)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, apierr.ErrSimLimit) || !strings.Contains(err.Error(), "call depth") {
+		t.Fatalf("unbounded recursion = %v, want ErrSimLimit at the call depth bound", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<20 {
+		t.Errorf("unbounded recursion allocated %d bytes, want < 4 MB", n)
 	}
 }
 

@@ -9,16 +9,15 @@ import (
 
 // Per-run state recycling. Every piece of mutable state a Run call
 // needs — one SM shell per worker with its warp/scheduler/icache
-// slices, the per-PC run tables, the per-SM sink table, and the replay
-// buffers an ordered sink needs in parallel mode — lives in an arena
-// recycled through one package-wide sync.Pool. Shells are per worker,
-// not per SM: a run at parallelism w holds w shells however many SMs it
-// simulates, each reused for every SM its worker takes. An arena is not
-// tied to a program: every per-PC slice is resized to len(p.Instrs)
-// when a run takes it (resizeInt64, resizeInt32, a warp's visits in
-// startBlock), reusing its backing array when that is large enough, so
-// every program in the process draws on one pool and a program that
-// has never run reuses an arena another one left.
+// slices, the per-PC run tables and the per-SM sink table — lives in
+// an arena recycled through one package-wide sync.Pool. Shells are per
+// worker, not per SM: a run at parallelism w holds w shells however
+// many SMs it simulates, each reused for every SM its worker takes. An
+// arena is not tied to a program: every per-PC slice is resized to
+// len(p.Instrs) when a run takes it (resizeInt64, resizeInt32, a warp's
+// visits in startBlock), reusing its backing array when that is large
+// enough, so every program in the process draws on one pool and a
+// program that has never run reuses an arena another one left.
 //
 // Ownership contract: everything inside an arena is owned by exactly
 // one Run call and is recycled when Run returns, so nothing that
@@ -39,10 +38,8 @@ type arena struct {
 	job     smJob
 	workers []*smWorker
 	// sinks[sm] is where SM sm records: a shard of the configured sink,
-	// the sink itself, a replay buffer, or nil — resolved serially
-	// before any SM starts.
-	sinks  []SampleSink
-	replay []sliceSink
+	// the sink itself, or nil — resolved serially before any SM starts.
+	sinks []SampleSink
 
 	// next hands out SM ids in order; failed stops the hand-out once any
 	// SM has failed; wg joins the worker goroutines.
@@ -76,36 +73,22 @@ func (a *arena) grow(n, numPCs int) {
 	a.failed.Store(false)
 }
 
-// resolveSinks fills the per-SM sink table for n SMs run by the given
-// number of workers: the shards of a ShardedSink; private replay
-// buffers when an ordered sink is fed by concurrent SMs, whose streams
-// must be replayed to it in SM order after the join (reported as
-// replay); otherwise — one goroutine running the SMs in order, or no
-// sink at all — the sink itself.
-func (a *arena) resolveSinks(sink SampleSink, n, workers int) (replay bool) {
+// resolveSinks fills the per-SM sink table for n SMs: the shards of a
+// ShardedSink, otherwise the sink itself (an ordered sink's run has one
+// worker, which records the SMs into it in order) or nil.
+func (a *arena) resolveSinks(sink SampleSink, n int) {
 	if cap(a.sinks) < n {
 		a.sinks = make([]SampleSink, n)
 	}
 	a.sinks = a.sinks[:n]
 	sharded, _ := sink.(ShardedSink)
-	replay = sink != nil && sharded == nil && workers > 1
-	if replay {
-		for len(a.replay) < n {
-			a.replay = append(a.replay, sliceSink{})
-		}
-	}
 	for sm := range a.sinks {
-		switch {
-		case sharded != nil:
+		if sharded != nil {
 			a.sinks[sm] = sharded.Shard(sm)
-		case replay:
-			a.replay[sm].samples = a.replay[sm].samples[:0]
-			a.sinks[sm] = &a.replay[sm]
-		default:
+		} else {
 			a.sinks[sm] = sink
 		}
 	}
-	return replay
 }
 
 // buildRunTables fills the arena's per-PC tables for this run (see

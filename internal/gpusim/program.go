@@ -21,9 +21,9 @@
 // memory behaviour), and a Config carrying the arch.GPU model; output
 // is a Result (cycles, issue counts, occupancy) plus the sample stream
 // delivered to Config.Sink. Runs are deterministic for a fixed seed at
-// every Parallelism level: an ordered sink gets concurrent SMs' streams
-// buffered and replayed in SM order, a ShardedSink gets each SM's
-// stream in a shard of its own.
+// every Parallelism level: an ordered sink gets the SMs' streams in SM
+// order from one goroutine, a ShardedSink gets each SM's stream in a
+// shard of its own while the SMs fan out.
 package gpusim
 
 import (
@@ -143,14 +143,20 @@ func buildMeta(in *sass.Instruction) instrMeta {
 	return m
 }
 
-// Load flattens a module. Call targets must name functions present in
-// the module.
+// Load flattens a module. Every branch must name a label in its
+// function, every call a function present in the module, and no
+// function may end in a conditional branch: a warp that falls through
+// it would run off the function.
 func Load(m *sass.Module) (*Program, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("gpusim: %w", err)
 	}
 	p := &Program{Module: m}
 	for fi, f := range m.Functions {
+		if ctrlKindOf(&f.Instrs[len(f.Instrs)-1]) == ctrlCond {
+			return nil, fmt.Errorf("gpusim: %w: %s ends in a conditional branch, which can fall off its end",
+				apierr.ErrBadKernel, f.Name)
+		}
 		p.Base = append(p.Base, len(p.Instrs))
 		for i := range f.Instrs {
 			p.Instrs = append(p.Instrs, f.Instrs[i])
@@ -163,6 +169,10 @@ func Load(m *sass.Module) (*Program, error) {
 		in := &p.Instrs[i]
 		tgt, ok := in.BranchTarget()
 		if !ok {
+			if in.Opcode.Info().Branch {
+				return nil, fmt.Errorf("gpusim: %w: %s+0x%x: %s without a label target (indirect branches are not simulated)",
+					apierr.ErrBadKernel, m.Functions[p.FuncOf[i]].Name, in.PC, in.Opcode.Info().Name)
+			}
 			continue
 		}
 		if in.Opcode == sass.OpCAL {

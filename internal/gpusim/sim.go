@@ -64,8 +64,9 @@ type Config struct {
 	// sampling).
 	SamplePeriod int
 	// Sink receives samples when sampling is enabled: in SM order on
-	// one goroutine, or — if it implements ShardedSink — each SM's
-	// stream into a shard of its own (see SampleSink).
+	// one goroutine (a run into a plain sink simulates its SMs on one
+	// worker), or — if it implements ShardedSink — each SM's stream
+	// into a shard of its own (see SampleSink).
 	Sink SampleSink
 	// Seed perturbs the deterministic memory-latency jitter.
 	Seed uint64
@@ -74,13 +75,14 @@ type Config struct {
 	// Parallelism bounds how many SMs are simulated concurrently
 	// (0 means GOMAXPROCS; values above GOMAXPROCS are capped to it —
 	// spawning more SM goroutines than cores only adds scheduling
-	// overhead). Each SM is independent, so results and the samples
-	// delivered to Sink are identical for every parallelism level. A
-	// panic in the Workload is re-raised on the goroutine that called
-	// Run at every level. With Parallelism > 1 the Workload must be safe
-	// for concurrent use: Spec binding is read-only, but the callback
-	// closures a spec carries are invoked concurrently too and must not
-	// mutate shared state. Set 1 for the single-goroutine contract.
+	// overhead; a plain Sink caps it to 1). Each SM is independent, so
+	// results and the samples delivered to Sink are identical for every
+	// parallelism level. A panic in the Workload is re-raised on the
+	// goroutine that called Run at every level. With Parallelism > 1
+	// the Workload must be safe for concurrent use: Spec binding is
+	// read-only, but the TripFuncs a spec carries are invoked
+	// concurrently too and must not mutate shared state. Set 1 for the
+	// single-goroutine contract.
 	Parallelism int
 
 	// stepEveryCycle is a test hook: it disables the event-driven cycle
@@ -239,12 +241,15 @@ func Run(ctx context.Context, p *Program, launch LaunchConfig, wl Workload, cfg 
 	defer arenaPool.Put(ar)
 	res.ArenaReused = reused
 	workers := effectiveParallelism(cfg.Parallelism, simSMs)
+	if _, sharded := cfg.Sink.(ShardedSink); cfg.Sink != nil && !sharded {
+		workers = 1 // an ordered sink takes the SMs' streams in order
+	}
 	ar.job = smJob{
 		ctx: ctx, p: p, wl: wl, cfg: cfg, launch: launch, occ: occ, entry: entry,
 		blocks: blocks, warpsPerBlock: warpsPerBlock, maxCycles: maxCycles, simSMs: simSMs,
 		rt: ar.buildRunTables(p, wl, cfg.GPU),
 	}
-	replay := ar.resolveSinks(cfg.Sink, simSMs, workers)
+	ar.resolveSinks(cfg.Sink, simSMs)
 	ar.grow(workers, len(p.Instrs))
 
 	// Every worker owns one SM shell and takes SM ids in order from the
@@ -268,20 +273,6 @@ func Run(ctx context.Context, p *Program, launch LaunchConfig, wl Workload, cfg 
 	for _, w := range ar.workers[:workers] {
 		if w.failSM >= 0 && (failed == nil || w.failSM < failed.failSM) {
 			failed = w
-		}
-	}
-	if replay {
-		// A failing SM records its partial stream in sequential mode
-		// too, and SMs after it are dropped entirely, exactly as if they
-		// had never run.
-		last := simSMs - 1
-		if failed != nil {
-			last = failed.failSM
-		}
-		for smID := 0; smID <= last; smID++ {
-			for _, s := range ar.replay[smID].samples {
-				cfg.Sink.Record(s)
-			}
 		}
 	}
 	if failed != nil {
@@ -423,9 +414,3 @@ func (r *Result) addSM(cycles int64, issuedPerPC []int64, w Work) {
 func (r *Result) merge(part *Result) {
 	r.addSM(part.Cycles, part.IssuedPerPC, part.Work)
 }
-
-// sliceSink buffers one SM's samples for in-order replay to an ordered
-// sink after a parallel run joins.
-type sliceSink struct{ samples []Sample }
-
-func (b *sliceSink) Record(s Sample) { b.samples = append(b.samples, s) }

@@ -2,8 +2,10 @@ package gpusim
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"gpa/internal/apierr"
 	"gpa/internal/arch"
 	"gpa/internal/sass"
 )
@@ -66,6 +68,13 @@ func runKernel(t *testing.T, src, entry string, launch LaunchConfig, spec *Spec,
 			t.Fatalf("Bind: %v", err)
 		}
 	}
+	return runWorkload(t, p, launch, wl, cfg)
+}
+
+// runWorkload is runKernel for a loaded program and a Workload of the
+// test's own.
+func runWorkload(t *testing.T, p *Program, launch LaunchConfig, wl Workload, cfg Config) (*Result, *captureSink) {
+	t.Helper()
 	sink := &captureSink{}
 	if cfg.Sink == nil {
 		cfg.Sink = sink
@@ -77,6 +86,49 @@ func runKernel(t *testing.T, src, entry string, launch LaunchConfig, spec *Spec,
 		t.Fatalf("Run: %v", err)
 	}
 	return res, sink
+}
+
+// slowLoad is a bound Spec whose variable-latency instruction at pc
+// takes cycles: a latency no Spec expresses. Its TakenStability stays
+// the spec's, so its loops fast-forward as the spec's do.
+type slowLoad struct {
+	*boundWorkload
+	pc, cycles int
+}
+
+func (l slowLoad) Latency(_ WarpCtx, pc, _ int) int {
+	if pc == l.pc {
+		return l.cycles
+	}
+	return 0
+}
+
+// evenWarpsTake takes the conditional branch at pc in the even warps of
+// each block and no other branch. It promises no outcomes (no
+// TakenStability), as any branch pattern of a caller's own.
+type evenWarpsTake struct{ pc int }
+
+func (e evenWarpsTake) Taken(w WarpCtx, pc, _ int) bool { return pc == e.pc && w.WarpInBlock%2 == 0 }
+func (evenWarpsTake) Latency(WarpCtx, int, int) int     { return 0 }
+func (evenWarpsTake) Transactions(int) int              { return 0 }
+
+// TestLoadRefusesUnfollowableControl: control flow the simulator
+// cannot follow is refused with ErrBadKernel when the program loads,
+// not met by a warp at a PC outside the program: a branch whose target
+// is a register, not a label, and a function ending in a conditional
+// branch, which a warp that falls through runs off.
+func TestLoadRefusesUnfollowableControl(t *testing.T) {
+	for _, body := range []string{
+		"BRA R1\n\tEXIT",
+		"JMP R1\n\tEXIT",
+		"@P0 BRX R1\n\tEXIT",
+		"L: IADD R0, R0, 0x1 {S:4}\n\t@P0 BRA L",
+	} {
+		_, err := Load(sass.MustAssemble(".func k global\n\t" + body + "\n"))
+		if !errors.Is(err, apierr.ErrBadKernel) {
+			t.Errorf("Load(%q) = %v, want ErrBadKernel", body, err)
+		}
+	}
 }
 
 func TestProgramLayout(t *testing.T) {

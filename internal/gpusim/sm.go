@@ -15,6 +15,11 @@ import (
 // block rotation — resets it.
 const farFuture = int64(1<<62 - 1)
 
+// maxCallDepth bounds a warp's call stack. The corpus's deepest call
+// chain is 1; a CAL past the bound (unbounded recursion) fails the run
+// with ErrSimLimit instead of growing the stack until MaxCycles.
+const maxCallDepth = 1024
+
 type warpState struct {
 	ctx        WarpCtx
 	slot       int // block slot index
@@ -171,6 +176,9 @@ type sm struct {
 	// lastProgress is the cycle of the most recent issue, reported by
 	// the livelock guard.
 	lastProgress int64
+	// fault is set by an issue that cannot proceed (a call past
+	// maxCallDepth); the run loop fails with it after the scan.
+	fault error
 	// steady is the steady-state loop memoizer (see steady.go): period
 	// detection, the recorded period template, and the fast-forward
 	// counters.
@@ -521,6 +529,11 @@ func (s *sm) issue(sc *scheduler, widx int, now int64) {
 			}
 		}
 	case ctrlCall:
+		if len(w.callStack) >= maxCallDepth {
+			s.fault = fmt.Errorf("gpusim: %w: SM %d warp %d: call depth exceeds %d at pc %d",
+				apierr.ErrSimLimit, s.id, w.ctx.GlobalWarp, maxCallDepth, pc)
+			return
+		}
 		w.callStack = append(w.callStack, pc+1)
 		w.pc = s.p.Target(pc)
 		s.icacheCheck(w, w.pc, now)
@@ -744,6 +757,9 @@ func (s *sm) run(ctx context.Context, maxCycles int64) (int64, error) {
 			} else if sc.nextReady <= now {
 				s.scan(sc, now)
 			}
+		}
+		if s.fault != nil {
+			return 0, s.fault
 		}
 		if period > 0 && now >= nextTick {
 			s.sampleTick(now)

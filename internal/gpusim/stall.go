@@ -92,12 +92,12 @@ type Sample struct {
 //
 // Contract for a plain SampleSink (an ordered sink): Record is always
 // invoked from a single goroutine, with samples in SM order (all of
-// SM 0's stream, then SM 1's, ...). When Run simulates SMs concurrently
-// it buffers each SM's stream privately and replays the buffers in SM
-// order after the join, so an ordered sink observes the same call
-// sequence at every parallelism level and needs no locking. A sink
-// whose result does not depend on that order should implement
-// ShardedSink instead and skip the buffering.
+// SM 0's stream, then SM 1's, ...): Run simulates the SMs of a run into
+// an ordered sink on one worker, one after another, whatever
+// Config.Parallelism asks for, so the sink observes the same call
+// sequence at every level and needs no locking. A sink whose result
+// does not depend on that order should implement ShardedSink instead,
+// and the run's SMs fan out.
 type SampleSink interface {
 	Record(Sample)
 }
@@ -105,8 +105,8 @@ type SampleSink interface {
 // ShardedSink is a SampleSink that hands out one private sink per SM.
 // Run calls Shard once per simulated SM id, serially, before any SM
 // starts; each SM then records straight into its own shard — from
-// whichever goroutine simulates it, with no buffering and no replay —
-// and the sink's own Record is never called. A shard sees exactly its
+// whichever goroutine simulates it — and the sink's own Record is never
+// called. A shard sees exactly its
 // SM's stream in order, so anything the owner computes per shard and
 // combines order-free (sums, counts) is identical at every parallelism
 // level. Shards must not share mutable state: at Parallelism > 1

@@ -250,14 +250,16 @@ func TestSteadyObservationBoundAbandons(t *testing.T) {
 		t.Fatal(err)
 	}
 	const latency = 2200
-	spec := &Spec{
-		Trips:   map[Site]TripFunc{{"longsync", "BR0"}: UniformTrips(24)},
-		Latency: map[Site]func(WarpCtx, int) int{{"longsync", "LOOP"}: func(WarpCtx, int) int { return latency }},
-	}
-	wl, err := spec.Bind(p)
+	spec := &Spec{Trips: map[Site]TripFunc{{"longsync", "BR0"}: UniformTrips(24)}}
+	bound, err := spec.Bind(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	load, err := p.FlatIndex("longsync", "LOOP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := slowLoad{boundWorkload: bound.(*boundWorkload), pc: load, cycles: latency}
 	// One block of 32 warps: a single barrier keeps the whole SM in step.
 	launch := LaunchConfig{Entry: "longsync", Grid: Dim(1), Block: Dim(1024), RegsPerThread: 16}
 	const warps = 32
@@ -396,7 +398,7 @@ func (o opaqueWorkload) Transactions(pc int) int              { return o.wl.Tran
 // outcomes.
 func TestTakenRunClosedForm(t *testing.T) {
 	for _, trips := range []int{0, 1, 2, 3, 7, 90} {
-		b := newBoundWorkload(8)
+		b := &boundWorkload{trips: make([]TripFunc, 8)}
 		b.trips[4] = UniformTrips(trips)
 		w := WarpCtx{}
 		for visit := 0; visit < 2*(trips+2); visit++ {
@@ -415,11 +417,5 @@ func TestTakenRunClosedForm(t *testing.T) {
 				}
 			}
 		}
-	}
-	// Explicit Taken patterns are opaque: unknown.
-	b := newBoundWorkload(8)
-	b.taken[4] = func(WarpCtx, int) bool { return true }
-	if got := b.TakenRun(WarpCtx{}, 4, 0, 1, true, 10); got != -1 {
-		t.Errorf("TakenRun on an explicit pattern = %d, want -1 (unknown)", got)
 	}
 }

@@ -45,32 +45,22 @@ type Site struct {
 	Label string
 }
 
-// Spec is a declarative workload: trip counts for backward branches,
-// boolean patterns for forward conditionals, latency overrides and
-// transaction counts for memory instructions, all keyed by labelled
-// sites. Bind resolves it against a loaded program.
+// Spec is a declarative workload: trip counts for backward branches
+// and transaction counts for memory instructions, keyed by labelled
+// sites. Bind resolves it against a loaded program. Every conditional
+// branch without a trip count is not taken, and every latency is the
+// default model's; a behaviour beyond that is a Workload of its own.
 type Spec struct {
 	// Trips: the labelled conditional branch loops; a warp takes the
 	// branch Trips(w) times per loop entry, then falls through.
 	Trips map[Site]TripFunc
-	// Taken: explicit direction patterns for labelled conditional
-	// branches (checked before Trips).
-	Taken map[Site]func(w WarpCtx, visit int) bool
-	// Latency: overrides for labelled variable-latency instructions
-	// (called with visit 0, see Workload.Latency).
-	Latency map[Site]func(w WarpCtx, visit int) int
 	// Transactions: per-site transaction counts (coalescing model).
 	Transactions map[Site]int
-	// DefaultTaken is used for conditional branches with no entry: taken
-	// on the first visit of each cycle of length 2 when true... it is
-	// simply returned as-is. Unlisted branches default to not taken.
-	DefaultTaken bool
 }
 
 // Bind resolves the spec's labelled sites to flat instruction indices.
 func (s *Spec) Bind(p *Program) (Workload, error) {
-	b := newBoundWorkload(len(p.Instrs))
-	b.def = s.DefaultTaken
+	b := &boundWorkload{trips: make([]TripFunc, len(p.Instrs)), trans: make([]int, len(p.Instrs))}
 	resolve := func(site Site) (int, error) {
 		idx, err := p.FlatIndex(site.Func, site.Label)
 		if err != nil {
@@ -85,20 +75,6 @@ func (s *Spec) Bind(p *Program) (Workload, error) {
 		}
 		b.trips[idx] = fn
 	}
-	for site, fn := range s.Taken {
-		idx, err := resolve(site)
-		if err != nil {
-			return nil, err
-		}
-		b.taken[idx] = fn
-	}
-	for site, fn := range s.Latency {
-		idx, err := resolve(site)
-		if err != nil {
-			return nil, err
-		}
-		b.latency[idx] = fn
-	}
 	for site, n := range s.Transactions {
 		idx, err := resolve(site)
 		if err != nil {
@@ -109,108 +85,81 @@ func (s *Spec) Bind(p *Program) (Workload, error) {
 	return b, nil
 }
 
-// boundWorkload is a Spec resolved against one program: every table is
-// indexed by flat PC (nil / 0 where the spec has no entry), because the
-// simulator asks on every branch and memory issue. A PC beyond the
+// boundWorkload is a Spec resolved against one program: both tables
+// are indexed by flat PC (nil / 0 where the spec has no entry), because
+// the simulator asks on every branch and memory issue. A PC beyond the
 // tables — the workload run against a longer program than it was bound
 // to — answers as an unlisted site.
 type boundWorkload struct {
-	trips   []TripFunc
-	taken   []func(WarpCtx, int) bool
-	latency []func(WarpCtx, int) int
-	trans   []int
-	def     bool
+	trips []TripFunc
+	trans []int
 }
 
-func newBoundWorkload(instrs int) *boundWorkload {
-	return &boundWorkload{
-		trips:   make([]TripFunc, instrs),
-		taken:   make([]func(WarpCtx, int) bool, instrs),
-		latency: make([]func(WarpCtx, int) int, instrs),
-		trans:   make([]int, instrs),
+// trip returns the trip count of the loop branch at pc: 0, never
+// taken, for an unlisted site.
+func (b *boundWorkload) trip(w WarpCtx, pc int) int {
+	if pc >= len(b.trips) || b.trips[pc] == nil {
+		return 0
 	}
+	return b.trips[pc](w)
 }
 
 func (b *boundWorkload) Taken(w WarpCtx, pc, visit int) bool {
-	if pc >= len(b.trips) {
-		return b.def
+	n := b.trip(w, pc)
+	if n <= 0 {
+		return false
 	}
-	if fn := b.taken[pc]; fn != nil {
-		return fn(w, visit)
-	}
-	if fn := b.trips[pc]; fn != nil {
-		n := fn(w)
-		if n <= 0 {
-			return false
-		}
-		// Cycle of n taken visits followed by one fall-through, so
-		// re-entered loops (nests) iterate again.
-		return visit%(n+1) != n
-	}
-	return b.def
+	// Cycle of n taken visits followed by one fall-through, so
+	// re-entered loops (nests) iterate again.
+	return visit%(n+1) != n
 }
 
-// TakenRun implements TakenStability. Explicit taken-pattern closures
-// are opaque (possibly stateful at Parallelism 1), so sites bound
-// through Spec.Taken report unknown; trip-count sites are the pure
-// cycle visit%(n+1) != n and admit a closed-form answer; unlisted
-// sites are the constant DefaultTaken.
+// TakenRun implements TakenStability. Trip-count sites are the pure
+// cycle visit%(n+1) != n and admit a closed-form answer; unlisted sites
+// are never taken.
 func (b *boundWorkload) TakenRun(w WarpCtx, pc, visit, stride int, want bool, limit int64) int64 {
 	if limit <= 0 {
 		return 0
 	}
-	var fn TripFunc
-	if pc < len(b.trips) {
-		if b.taken[pc] != nil {
-			return -1
-		}
-		fn = b.trips[pc]
-	}
-	if fn != nil {
-		n := fn(w)
-		if n <= 0 {
-			// Never taken: every visit yields false.
-			if !want {
-				return limit
-			}
-			return 0
-		}
-		// Outcome of visit v is (v mod m != n) with m = n+1; successive
-		// probes sit at v = visit + j·stride. Count leading j with the
-		// wanted outcome.
-		m := int64(n) + 1
-		a := ((int64(visit) % m) + m) % m
-		s := ((int64(stride) % m) + m) % m
+	n := b.trip(w, pc)
+	if n <= 0 {
+		// Never taken: every visit yields false.
 		if !want {
-			// want the single residue a == n.
-			if a != int64(n) {
-				return 0
-			}
-			if s == 0 {
-				return limit
-			}
-			return 1
+			return limit
 		}
-		// want any residue != n: find the first j with a + j·s ≡ n (mod m).
-		d := ((int64(n)-a)%m + m) % m
-		if d == 0 {
+		return 0
+	}
+	// Outcome of visit v is (v mod m != n) with m = n+1; successive
+	// probes sit at v = visit + j·stride. Count leading j with the
+	// wanted outcome.
+	m := int64(n) + 1
+	a := ((int64(visit) % m) + m) % m
+	s := ((int64(stride) % m) + m) % m
+	if !want {
+		// want the single residue a == n.
+		if a != int64(n) {
 			return 0
 		}
 		if s == 0 {
 			return limit
 		}
-		g := gcd64(s, m)
-		if d%g != 0 {
-			return limit
-		}
-		mg := m / g
-		j0 := (d / g % mg) * modInv64(s/g%mg, mg) % mg
-		return min(j0, limit)
+		return 1
 	}
-	if want == b.def {
+	// want any residue != n: find the first j with a + j·s ≡ n (mod m).
+	d := ((int64(n)-a)%m + m) % m
+	if d == 0 {
+		return 0
+	}
+	if s == 0 {
 		return limit
 	}
-	return 0
+	g := gcd64(s, m)
+	if d%g != 0 {
+		return limit
+	}
+	mg := m / g
+	j0 := (d / g % mg) * modInv64(s/g%mg, mg) % mg
+	return min(j0, limit)
 }
 
 func gcd64(a, b int64) int64 {
@@ -237,14 +186,8 @@ func modInv64(a, m int64) int64 {
 	return ((t0 % m) + m) % m
 }
 
-func (b *boundWorkload) Latency(w WarpCtx, pc, visit int) int {
-	if pc < len(b.latency) {
-		if fn := b.latency[pc]; fn != nil {
-			return fn(w, visit)
-		}
-	}
-	return 0
-}
+// Latency always defers to the default model.
+func (b *boundWorkload) Latency(WarpCtx, int, int) int { return 0 }
 
 func (b *boundWorkload) Transactions(pc int) int {
 	if pc < len(b.trans) {

@@ -7,11 +7,8 @@
 // join them with CUBIN-derived structure.
 //
 // Input is a loaded program, a launch config, a workload, and Options
-// selecting the architecture model. When this package is driven
-// directly with a nil Options.GPU, the module's recorded SM flag is
-// resolved through the arch registry (an sm_75 module profiles on the
-// T4 model); note the public gpa API instead defaults a nil
-// Options.GPU to the V100 before calling in here. Output is a
+// naming the architecture model the launch runs on (the public gpa API
+// fills in the V100 for a nil model before calling in here). Output is a
 // *Profile — including the warps-per-scheduler W and issue ratio RI of
 // Equations 6-9, and the non-default architecture model it was taken
 // on — that Save/LoadFile round-trip through JSON for offline
@@ -35,6 +32,8 @@ import (
 
 // Options configures a profiling run.
 type Options struct {
+	// GPU is the model the launch runs on; nil is refused (ErrBadKernel,
+	// from gpusim.Run).
 	GPU *arch.GPU
 	// SamplePeriod in cycles; 0 uses 64.
 	SamplePeriod int
@@ -114,13 +113,6 @@ type Profile struct {
 // of a run that completes.
 func CollectProgram(ctx context.Context, prog *gpusim.Program, launch gpusim.LaunchConfig, wl gpusim.Workload, opts Options) (*Profile, error) {
 	mod := prog.Module
-	if opts.GPU == nil {
-		g, err := arch.ByArchFlag(mod.Arch)
-		if err != nil {
-			return nil, fmt.Errorf("profiler: %w", err)
-		}
-		opts.GPU = g
-	}
 	period := opts.SamplePeriod
 	if period <= 0 {
 		period = 64

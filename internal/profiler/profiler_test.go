@@ -138,12 +138,6 @@ func TestFuncViews(t *testing.T) {
 	}
 }
 
-func TestCollectDefaultsFromArchFlag(t *testing.T) {
-	// Without an explicit GPU, CollectProgram resolves the module's arch flag.
-	m, _ := collect(t, Options{SimSMs: 1, Seed: 1})
-	_ = m
-}
-
 func TestFuncViewsRejectsForeignProfile(t *testing.T) {
 	_, p := collect(t, Options{GPU: arch.VoltaV100(), SimSMs: 1, Seed: 7})
 	other := sass.MustAssemble(`

@@ -16,11 +16,10 @@
 // count, which is all the analysis reads, and takes the SMs in any
 // order — the profiler collects through it.
 //
-// Buffer, Drain and AggregateSamples (and gpusim's sliceSink, the
-// replay buffer an ordered sink needs under concurrent SMs) are the
-// stream oracle: tests compare Counter against them and bench/'s layers
-// pass prices them, but no served path reaches them — everything gpad,
-// gpa.Engine and the direct API collect goes through Counter.
+// Buffer, Drain and AggregateSamples are the stream oracle: tests
+// compare Counter against them and bench/'s layers pass prices them,
+// but no served path reaches them — everything gpad, gpa.Engine and the
+// direct API collect goes through Counter.
 package sampling
 
 import (
@@ -32,8 +31,8 @@ const DefaultBufferCap = 2048
 
 // Buffer is a gpusim.SampleSink with CUPTI-like per-SM buffering. It is
 // an ordered sink: fed from a single goroutine, in SM order (the
-// simulator serializes delivery even when SMs run concurrently), so it
-// needs no locking.
+// simulator runs a run's SMs into it on one worker), so it needs no
+// locking.
 type Buffer struct {
 	cap     int
 	perSM   [][]gpusim.Sample // indexed by SM id, grown on demand

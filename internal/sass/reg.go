@@ -4,9 +4,9 @@
 // register/memory/immediate operands, and a control code with stall
 // cycles, a yield flag, write/read barrier indices and a wait mask (see
 // Table 1 of the GPA paper). This encoding was introduced with Volta
-// and is shared by Turing and Ampere; which architecture model a module
-// targets is recorded as an SM flag (.module sm_70) and resolved by
-// internal/arch, not here.
+// and is shared by Turing and Ampere; the architecture a module
+// targets is recorded as an SM flag (.module sm_70), and the GPU model
+// a launch runs on is named by the caller (internal/arch), not here.
 //
 // In the Figure 2 pipeline this package is the front door: kernel
 // source (SASS text) or a CUBIN payload comes in, a *Module of typed

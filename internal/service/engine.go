@@ -819,13 +819,18 @@ func (e *Engine) Stats() Stats {
 		diskStats = e.disk.Stats()
 	}
 	adm := e.adm.Snapshot()
+	// One load of sims feeds Sims and PoolGets, and poolHits is loaded
+	// first: noteSim counts a run's hit after its sim, so the snapshot
+	// keeps PoolHits <= PoolGets == Sims under load.
+	poolHits := e.n.poolHits.Load()
+	sims := e.n.sims.Load()
 	st := Stats{
 		Hits:          e.n.hits.Load(),
 		Misses:        e.n.misses.Load(),
 		Coalesced:     e.n.coalesced.Load(),
 		Bypass:        e.n.bypass.Load(),
 		Runs:          e.n.runs.Load(),
-		Sims:          e.n.sims.Load(),
+		Sims:          sims,
 		StageServed:   e.n.stageServed.Load(),
 		Errors:        e.n.errors.Load(),
 		Panics:        e.n.panics.Load(),
@@ -842,8 +847,8 @@ func (e *Engine) Stats() Stats {
 		Tenants:           adm.Tenants,
 
 		Workers:  e.adm.Workers(),
-		PoolGets: e.n.sims.Load(),
-		PoolHits: e.n.poolHits.Load(),
+		PoolGets: sims,
+		PoolHits: poolHits,
 
 		FFPeriodsDetected: e.n.ffPeriods.Load(),
 		FFCyclesSkipped:   e.n.ffCycles.Load(),

@@ -10,6 +10,7 @@ import (
 	"context"
 	"testing"
 
+	"gpa/internal/gpusim"
 	"gpa/internal/obs"
 )
 
@@ -102,6 +103,32 @@ func TestStageLatencyRecorded(t *testing.T) {
 	for s := obs.Stage(0); s < obs.NumStages; s++ {
 		if n := lat.Histogram(s).Snapshot().Count; n != 1 {
 			t.Errorf("stage %s recorded %d observations after a cache hit, want still 1", s, n)
+		}
+	}
+}
+
+// TestStatsPoolCountersConsistent: a Stats snapshot taken while runs
+// are counted reports PoolGets equal to Sims, and PoolHits no larger.
+func TestStatsPoolCountersConsistent(t *testing.T) {
+	e := New(Options{Workers: 1})
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.noteSim(gpusim.Work{ArenaReused: true})
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for i := 0; i < 2000; i++ {
+		st := e.Stats()
+		if st.PoolGets != st.Sims || st.PoolHits > st.PoolGets {
+			t.Fatalf("snapshot %d: sims %d, poolGets %d, poolHits %d", i, st.Sims, st.PoolGets, st.PoolHits)
 		}
 	}
 }
