@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,8 +25,49 @@ const maxBodyBytes = 8 << 20
 
 // maxFanOut bounds the entries of one batch and the models of one
 // sweep: each becomes a job (and a goroutine), so a request over it is
-// refused before any job is built.
+// refused while its body is decoded (see fanOut), before any job is
+// built.
 const maxFanOut = 256
+
+// fanOut is the list of a batch or a sweep. It decodes one element at a
+// time and refuses the element past maxFanOut there, so an over-bound
+// body costs its scan, not a value per entry. Within the bound it
+// decodes as encoding/json decodes a plain slice: null is nil, [] is
+// empty, an element decodes into the value a repeated key left at its
+// index, and an unknown field is refused.
+type fanOut[T any] []T
+
+func (s *fanOut[T]) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*s = nil
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
+		return fmt.Errorf("json: want an array, got %.20s", data)
+	}
+	v, i := *s, 0
+	for ; dec.More(); i++ {
+		if i == maxFanOut {
+			return fmt.Errorf("more than %d entries in one batch or sweep", maxFanOut)
+		}
+		if i < cap(v) {
+			v = v[:i+1]
+		} else {
+			v = append(v, *new(T))
+		}
+		if err := dec.Decode(&v[i]); err != nil {
+			return err
+		}
+	}
+	if i == 0 {
+		*s = fanOut[T]{}
+		return nil
+	}
+	*s = v[:i]
+	return nil
+}
 
 // server is the HTTP front end over one shared engine. Every handler
 // derives its job context from the request context, so a client that
@@ -435,7 +477,7 @@ func (s *server) writeResult(w http.ResponseWriter, job gpa.Job, res gpa.JobResu
 // batchRequest fans several kernel requests (mixed kinds allowed)
 // through the engine concurrently.
 type batchRequest struct {
-	Requests []kernelRequest `json:"requests"`
+	Requests fanOut[kernelRequest] `json:"requests"`
 }
 
 // envelope is the body of a batch or a sweep: one Result or one
@@ -456,10 +498,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Requests) == 0 {
 		writeBadRequest(w, fmt.Errorf("empty batch"))
-		return
-	}
-	if len(req.Requests) > maxFanOut {
-		writeBadRequest(w, fmt.Errorf("batch of %d requests exceeds %d", len(req.Requests), maxFanOut))
 		return
 	}
 	out := envelope{
@@ -510,7 +548,7 @@ func resultEntry(job gpa.Job, res gpa.JobResult) any {
 type sweepRequest struct {
 	kernelRequest
 	// Archs lists model names (empty = every registered model).
-	Archs []string `json:"archs,omitempty"`
+	Archs fanOut[string] `json:"archs,omitempty"`
 }
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -524,11 +562,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// A lone arch is a one-model sweep.
-		req.Archs = []string{req.Arch}
-	}
-	if len(req.Archs) > maxFanOut {
-		writeBadRequest(w, fmt.Errorf("sweep of %d archs exceeds %d", len(req.Archs), maxFanOut))
-		return
+		req.Archs = fanOut[string]{req.Arch}
 	}
 	var gpus []*arch.GPU // none named: Sweep takes every registered model
 	for _, name := range req.Archs {

@@ -93,7 +93,6 @@ type warpBalanceParams struct {
 	loopLine    int
 	barLine     int
 	computeOps  int // FFMA count per iteration
-	baseTrips   gpa.WorkloadSpec
 	launch      gpa.Launch
 	hiTrips     int
 	loTrips     int

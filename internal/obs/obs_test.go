@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -119,14 +120,15 @@ func checkExposition(t *testing.T, text string) []string {
 
 func TestPromWriterFormat(t *testing.T) {
 	var p PromWriter
-	p.Counter("gpa_engine_hits_total", "Cache hits.", nil, 42)
+	p.Header("gpa_engine_hits_total", "Cache hits.", "counter")
+	p.Metric("gpa_engine_hits_total", nil, 42)
 	p.Gauge("gpa_engine_inflight", "In-flight jobs.", []Label{{"pool", `a"b\c`}}, 3)
 	h := NewHistogram([]float64{0.001, 0.01})
 	h.Observe(500 * time.Microsecond)
 	h.Observe(5 * time.Millisecond)
 	h.Observe(time.Second)
-	p.HistogramFamily("gpa_stage_duration_seconds", "Stage latency.",
-		[]Label{{"stage", "simulate"}}, h.Snapshot())
+	p.Header("gpa_stage_duration_seconds", "Stage latency.", "histogram")
+	p.Histogram("gpa_stage_duration_seconds", []Label{{"stage", "simulate"}}, h.Snapshot())
 	out := string(p.Bytes())
 
 	for _, want := range []string{
@@ -153,7 +155,8 @@ func TestPromWriterFormat(t *testing.T) {
 		[]Label{{"v", "back\\slash \"quoted\"\nnext"}, {"plain", "x"}}, 0.25)
 	one := NewHistogram([]float64{0.5})
 	one.Observe(time.Second)
-	p.HistogramFamily("bare", "B.", nil, one.Snapshot())
+	p.Header("bare", "B.", "histogram")
+	p.Histogram("bare", nil, one.Snapshot())
 	want := `# HELP esc Help with C:\\path, "quotes" and a\nsecond line.
 # TYPE esc gauge
 esc{v="back\\slash \"quoted\"\nnext",plain="x"} 0.25
@@ -223,26 +226,41 @@ func TestRequestMetrics(t *testing.T) {
 	m.Record("/v1/advise", 503, "queue_full", 10*time.Microsecond)
 	m.Record("/metrics", 200, "", time.Millisecond)
 
-	if n := m.CountFor("/v1/advise", 200, ""); n != 2 {
-		t.Errorf("advise 200 count = %d, want 2", n)
-	}
-	if n := m.CountFor("/v1/advise", 503, "queue_full"); n != 1 {
-		t.Errorf("advise queue_full count = %d, want 1", n)
-	}
-
 	var p PromWriter
 	m.Write(&p)
 	out := string(p.Bytes())
 	for _, want := range []string{
 		`gpa_http_requests_total{route="/v1/advise",status="200",code=""} 2`,
 		`gpa_http_requests_total{route="/v1/advise",status="503",code="queue_full"} 1`,
+		`gpa_http_requests_total{route="/metrics",status="200",code=""} 1`,
 		`gpa_http_request_duration_seconds_count{route="/v1/advise"} 3`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("request metrics missing %q:\n%s", want, out)
 		}
 	}
+	if n := requestsTotal(t, out); n != 4 {
+		t.Errorf("request counters sum to %d, want 4", n)
+	}
 	checkExposition(t, out)
+}
+
+// requestsTotal sums the gpa_http_requests_total samples of an
+// exposition.
+func requestsTotal(t *testing.T, out string) int64 {
+	t.Helper()
+	total := int64(0)
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "gpa_http_requests_total{") {
+			continue
+		}
+		n, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("request counter line %q: %v", line, err)
+		}
+		total += n
+	}
+	return total
 }
 
 func TestRequestMetricsConcurrent(t *testing.T) {
@@ -263,11 +281,9 @@ func TestRequestMetricsConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	total := int64(0)
-	for _, v := range m.Counts() {
-		total += v
-	}
-	if total != 8*200 {
+	var p PromWriter
+	m.Write(&p)
+	if total := requestsTotal(t, string(p.Bytes())); total != 8*200 {
 		t.Errorf("total recorded = %d, want %d", total, 8*200)
 	}
 }

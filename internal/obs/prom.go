@@ -57,12 +57,6 @@ func (p *PromWriter) Metric(name string, labels []Label, v float64) {
 	p.buf = append(b, '\n')
 }
 
-// Counter writes a complete single-sample counter family.
-func (p *PromWriter) Counter(name, help string, labels []Label, v float64) {
-	p.Header(name, help, "counter")
-	p.Metric(name, labels, v)
-}
-
 // Gauge writes a complete single-sample gauge family.
 func (p *PromWriter) Gauge(name, help string, labels []Label, v float64) {
 	p.Header(name, help, "gauge")
@@ -70,8 +64,7 @@ func (p *PromWriter) Gauge(name, help string, labels []Label, v float64) {
 }
 
 // Histogram writes one histogram series (bucket lines with cumulative
-// counts, then _sum and _count) under an already-written Header. Use
-// HistogramFamily for the common one-series case.
+// counts, then _sum and _count) under an already-written Header.
 func (p *PromWriter) Histogram(name string, labels []Label, s HistogramSnapshot) {
 	b := p.buf
 	cum := int64(0)
@@ -98,12 +91,6 @@ func (p *PromWriter) Histogram(name string, labels []Label, s HistogramSnapshot)
 	b = appendSample(append(b, '\n'), name, "_count", labels)
 	b = strconv.AppendInt(b, s.Count, 10)
 	p.buf = append(b, '\n')
-}
-
-// HistogramFamily writes header plus one histogram series.
-func (p *PromWriter) HistogramFamily(name, help string, labels []Label, s HistogramSnapshot) {
-	p.Header(name, help, "histogram")
-	p.Histogram(name, labels, s)
 }
 
 // histogramOf writes h's series from a snapshot taken into the
@@ -270,29 +257,6 @@ func (m *RequestMetrics) Record(route string, status int, code string, d time.Du
 		n.Add(1)
 	}
 	h.Observe(d)
-}
-
-// Counts snapshots the request counter (for tests and debugging).
-func (m *RequestMetrics) Counts() map[requestKey]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[requestKey]int64, len(m.counts))
-	for k, n := range m.counts {
-		out[k] = n.Load()
-	}
-	return out
-}
-
-// CountFor returns the accumulated count for one (route, status, code)
-// series.
-func (m *RequestMetrics) CountFor(route string, status int, code string) int64 {
-	m.mu.Lock()
-	n := m.counts[requestKey{route, status, code}]
-	m.mu.Unlock()
-	if n == nil {
-		return 0
-	}
-	return n.Load()
 }
 
 // Write renders the request counter and per-route latency histograms.

@@ -36,8 +36,6 @@ import (
 // constant bank, and the textual kernels in this repository respect the
 // same budget.
 
-const operandStreamBits = 84
-
 type bitBuf struct {
 	w   [2]uint64
 	pos int

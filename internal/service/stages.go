@@ -205,9 +205,6 @@ const (
 	tailClose = "}\n"
 	// profileMark opens the profile, a profile document's last field.
 	profileMark = `,"profile":`
-	// reportMark precedes the report text, an advice document's last
-	// field.
-	reportMark = `,"report":`
 )
 
 // encode renders t as gpad's reference encoder renders a result:
