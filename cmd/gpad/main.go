@@ -209,8 +209,13 @@ func main() {
 		IdleTimeout:       idleTimeout,
 		// No WriteTimeout: it runs from the end of the request headers
 		// to the end of the response, handler time included, and sweeps
-		// and cold batches legitimately run for minutes. Every request
-		// is bounded already, by its own timeoutMs or -job-timeout.
+		// and cold batches legitimately run for minutes. Neither the
+		// jobs (timeoutMs and -job-timeout default to none) nor the
+		// write is bounded; what bounds a slow reader's cost is that a
+		// response is written after its jobs release their worker
+		// slots, so a stalled writer holds one goroutine and one
+		// connection until the client reads or leaves
+		// (TestSlowClientsHoldNoWorkerSlot).
 	}
 
 	if *pprofAddr != "" {

@@ -152,9 +152,12 @@ type Job struct {
 // Cached, Cycles, ElapsedMS, ProfileDigest — or Err, never both. The
 // report and the profile are the accessors Report and Profile, because a
 // result served from the artifact store (EngineOptions.Store) holds its
-// encoded bytes and builds the structs only for a caller that asks. The
-// response is embedded by value: setting a result's fields never reaches
-// the response the engine shares with other callers.
+// encoded bytes and builds the structs only for a caller that asks. A
+// JobAdvise result is its advice and report text; its profile is a
+// JobProfile result of the same job, which the store serves without a
+// second simulation. The response is embedded by value: setting a
+// result's fields never reaches the response the engine shares with
+// other callers.
 type JobResult struct {
 	service.Response
 	// Err wraps one of the typed sentinels in errors.go (ErrCanceled,
@@ -162,16 +165,14 @@ type JobResult struct {
 	Err error
 }
 
-// Report returns the advice report of a JobAdvise result — report text,
-// advice and profile, as returned by Kernel.Advise — and nil for other
-// kinds. The wrapper is built per call; what it points at is not. The
-// result of the job that led the run has that run's own advice and
-// profile and carries its Context (see Report.Context). Every cached or
-// coalesced result of one engine response shares the structs the
-// response's stored bytes decode to — on the first call, once, reading
-// the stored profile — without a Context; treat them as read-only. An
-// artifact that has vanished or no longer decodes yields an error
-// wrapping ErrInternal.
+// Report returns the advice report of a JobAdvise result — its advice
+// and report text, with no Profile or Context (see Report) — and nil for
+// other kinds. The wrapper is built per call; what it points at is not.
+// The result of the job that led the run has that run's own advice.
+// Every cached or coalesced result of one engine response shares the
+// advice the response's stored bytes decode to, on the first call, once;
+// treat it as read-only. A stored artifact that no longer decodes yields
+// an error wrapping ErrInternal.
 func (r JobResult) Report() (*Report, error) {
 	if r.Kind != JobAdvise { // a failed result's Kind is the zero JobMeasure
 		return nil, r.Err
@@ -180,20 +181,15 @@ func (r JobResult) Report() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof, err := r.Response.Profile()
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Advice: advice, Profile: prof, Context: r.Context}
+	rep := &Report{Advice: advice}
 	// The service rendered the same text when it produced the advice.
 	text, _ := r.Response.Report() // decoded with the advice above
 	rep.text.Store(&text)
 	return rep, nil
 }
 
-// Profile returns the sampled profile of a JobProfile or JobAdvise
-// result (nil for JobMeasure). It is lazy and can fail exactly as
-// Report can.
+// Profile returns the sampled profile of a JobProfile result (nil for
+// the other kinds). It is lazy and can fail exactly as Report can.
 func (r JobResult) Profile() (*profiler.Profile, error) {
 	if r.Err != nil {
 		return nil, r.Err
@@ -230,7 +226,6 @@ func (j Job) request() (service.Request, error) {
 		Seed:         o.Seed,
 		Parallelism:  o.Parallelism,
 		Timeout:      j.Timeout,
-		Blamer:       o.Blamer,
 		Workload:     o.Workload,
 		WorkloadKey:  j.WorkloadKey,
 		TraceID:      j.TraceID,

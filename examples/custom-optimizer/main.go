@@ -18,7 +18,6 @@ import (
 
 	"gpa"
 	"gpa/internal/advisor"
-	"gpa/internal/blamer"
 	"gpa/internal/sass"
 )
 
@@ -95,7 +94,7 @@ func main() {
 	// Register the custom optimizer alongside the default Table 2 set;
 	// stall-elimination speedups use Equation 2 of the paper.
 	report, err := kernel.Advise(context.Background(),
-		&gpa.Options{Workload: wl, Seed: 5, SimSMs: 1, Blamer: blamer.Options{}},
+		&gpa.Options{Workload: wl, Seed: 5, SimSMs: 1},
 		advisor.RankedOptimizer{Optimizer: atomicContention{}, Estimator: advisor.StallElimination{}},
 	)
 	if err != nil {

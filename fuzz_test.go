@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime/metrics"
 	"testing"
 	"time"
 
@@ -79,14 +80,53 @@ func checkSimulates(t *testing.T, k *gpa.Kernel) {
 	}
 }
 
+// The intake's memory bound: reading, packing, unpacking and simulating
+// an input of n bytes allocates at most intakeBytesPerByte·n +
+// intakeBaseBytes heap bytes (checkAllocBound).
+const (
+	// Over the seeds (every Table 3 variant's source, 0.5–26 KB, and its
+	// CUBIN) a warm intake allocates 3–92 bytes per input byte, 183 at
+	// most for one asm seed and 335 for one CUBIN: the module, its CUBIN,
+	// the round trip's second module and CUBIN and the flat program are
+	// each a small multiple of the input. 512 is room above the worst.
+	intakeBytesPerByte = 512
+	// The constant part: the simulator's pools are filled on a process's
+	// first runs (the cold seeds reach 0.5 MB before their per-byte
+	// share), and the counter runs ahead of the bytes handed out by up
+	// to one span per size class. 4 MB covers both with room.
+	intakeBaseBytes = 4 << 20
+)
+
+// heapAllocated reads the bytes the process has allocated on the heap
+// so far from runtime/metrics, which does not stop the world. The fuzz
+// function runs alone in its process, so a difference of two readings
+// around it is what it allocated.
+func heapAllocated() uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
+}
+
+// checkAllocBound fails unless the heap bytes allocated since start, for
+// an input of n bytes, are within the intake's memory bound. Deferred
+// with start read on entry, it covers every path out of a fuzz call.
+func checkAllocBound(t *testing.T, n int, start uint64) {
+	t.Helper()
+	if got, bound := heapAllocated()-start, uint64(intakeBytesPerByte*n+intakeBaseBytes); got > bound {
+		t.Errorf("an intake of %d bytes allocated %d heap bytes, past %d·%d + %d = %d",
+			n, got, intakeBytesPerByte, n, intakeBaseBytes, bound)
+	}
+}
+
 // recursiveCall is a device function calling itself forever: its
 // simulation must stop at the call depth bound.
 const recursiveCall = ".func rec device\n\tCAL rec {S:1}\n\tRET\n.func k global\n\tCAL rec\n\tEXIT\n"
 
 // FuzzLoadKernelAsm feeds LoadKernelAsm arbitrary SASS text, as a
 // kernel-cache miss on an asm body does: it must not panic, must refuse
-// with ErrAssemble or ErrBadKernel, and a kernel it accepts must pack
-// and unpack to the same module and simulate (checkSimulates).
+// with ErrAssemble or ErrBadKernel, a kernel it accepts must pack and
+// unpack to the same module and simulate (checkSimulates), and all of it
+// must stay within the intake's memory bound (checkAllocBound).
 func FuzzLoadKernelAsm(f *testing.F) {
 	srcs, _, _ := intakeSeeds(f)
 	for _, src := range srcs {
@@ -95,6 +135,7 @@ func FuzzLoadKernelAsm(f *testing.F) {
 	f.Add(".func k global\nA:ISETP 0,[R0],0\nEXIT") // assembles, but cannot be encoded
 	f.Add(recursiveCall)
 	f.Fuzz(func(t *testing.T, src string) {
+		defer checkAllocBound(t, len(src), heapAllocated())
 		k, err := gpa.LoadKernelAsm(src, gpa.Launch{})
 		if err != nil {
 			checkIntakeError(t, err)
@@ -107,8 +148,9 @@ func FuzzLoadKernelAsm(f *testing.F) {
 
 // FuzzLoadKernelBinary feeds LoadKernelBinary arbitrary CUBIN bytes and
 // entry names, as a binary body does: it must not panic, must refuse
-// with ErrBadKernel (or ErrAssemble), and a kernel it accepts must pack
-// and unpack to the same module and simulate (checkSimulates).
+// with ErrBadKernel (or ErrAssemble), a kernel it accepts must pack and
+// unpack to the same module and simulate (checkSimulates), and all of it
+// must stay within the intake's memory bound (checkAllocBound).
 func FuzzLoadKernelBinary(f *testing.F) {
 	_, entries, blobs := intakeSeeds(f)
 	for i, blob := range blobs {
@@ -124,6 +166,7 @@ func FuzzLoadKernelBinary(f *testing.F) {
 	}
 	f.Add(recBlob, rec.Launch.Entry)
 	f.Fuzz(func(t *testing.T, blob []byte, entry string) {
+		defer checkAllocBound(t, len(blob)+len(entry), heapAllocated())
 		k, err := gpa.LoadKernelBinary(blob, gpa.Launch{Entry: entry})
 		if err != nil {
 			checkIntakeError(t, err)

@@ -114,9 +114,6 @@ type Options struct {
 	Parallelism int
 	// Seed perturbs the simulator's deterministic latency jitter.
 	Seed uint64
-	// Blamer toggles pruning/apportioning heuristics (zero value =
-	// everything on, the paper's configuration).
-	Blamer blamer.Options
 	// Workload supplies branch trip counts and memory behaviour; nil
 	// runs every conditional branch not-taken with default latencies.
 	Workload Workload
@@ -292,16 +289,15 @@ func (k *Kernel) Measure(ctx context.Context, opts *Options) (int64, error) {
 // Report is a ranked advice report. Treat it as read-only once
 // rendered: String keeps its first rendering.
 type Report struct {
-	Advice  *adv.Advice
+	Advice *adv.Advice
+	// Profile and Context are the profile the advice was derived from
+	// and the analysis context over it (blame results, function views),
+	// for callers that want to dig below the report, e.g. with a custom
+	// optimizer. Kernel.Advise and AdviseFromProfile always set both. An
+	// Engine's report (JobResult.Report) sets neither: the engine serves
+	// an advice as its stored advice and report text, and the profile is
+	// the same job's JobProfile result.
 	Profile *profiler.Profile
-	// Context is the analysis context the advice was derived from
-	// (blame results, function views) for callers that want to dig
-	// below the report, e.g. with a custom optimizer. Kernel.Advise and
-	// AdviseFromProfile always set it. From an Engine only the result of
-	// the job that actually ran the analysis carries it: results served
-	// from the artifact store, in memory or on disk, or coalesced onto
-	// another job's run have a nil Context — the engine does
-	// not keep one alive per cached result.
 	Context *adv.Context
 
 	// text memoizes String; an engine result seeds it with the text the
@@ -366,7 +362,7 @@ func (k *Kernel) AdviseFromProfile(ctx context.Context, prof *profiler.Profile, 
 	if err != nil {
 		return nil, err
 	}
-	actx, err := adv.BuildContextWithStructure(k.Module, st, prof, o.GPU, o.Blamer)
+	actx, err := adv.BuildContextWithStructure(k.Module, st, prof, o.GPU, blamer.Options{})
 	if err != nil {
 		return nil, err
 	}

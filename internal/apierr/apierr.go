@@ -47,7 +47,7 @@ var (
 	// Retry-After hint.
 	ErrQuotaExceeded = errors.New("quota exceeded")
 	// ErrSimLimit tags simulations aborted by the runaway-cycle bound
-	// (Config.MaxCycles), usually a livelocked kernel.
+	// (50M simulated cycles), usually a livelocked kernel.
 	ErrSimLimit = errors.New("simulation limit exceeded")
 	// ErrInternal tags failures that are the server's own fault and that
 	// no retry of the same request is promised to fix: a panic contained

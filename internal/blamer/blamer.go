@@ -142,8 +142,6 @@ type Options struct {
 	// apportioning heuristics of Equation 1.
 	DisableIssueWeight bool
 	DisablePathWeight  bool
-	// MaxSliceSteps caps the backward-slicing walk per use (0 = 4096).
-	MaxSliceSteps int
 }
 
 // Result is the blame analysis of one function.

@@ -14,7 +14,8 @@ type candidate struct {
 	war bool
 }
 
-const defaultMaxSliceSteps = 4096
+// maxSliceSteps caps the backward-slicing walk per use.
+const maxSliceSteps = 4096
 
 // slice finds the immediate dependency sources of instruction j: for
 // every register j reads (regular registers, the guard predicate
@@ -27,10 +28,7 @@ const defaultMaxSliceSteps = 4096
 func (b *blamer) slice(j int) []candidate {
 	use := &b.fs.Fn.Instrs[j]
 	var out []candidate
-	budget := b.opts.MaxSliceSteps
-	if budget <= 0 {
-		budget = defaultMaxSliceSteps
-	}
+	budget := maxSliceSteps
 	for _, r := range use.Uses() {
 		if r.IsZero() || r.Class == sass.RegSpecial {
 			continue
@@ -100,10 +98,7 @@ func defines(in *sass.Instruction, r sass.Reg) bool {
 // stalls at j: the nearest BAR/MEMBAR/DEPBAR on each backward path.
 func (b *blamer) sliceSync(j int) []candidate {
 	var out []candidate
-	budget := b.opts.MaxSliceSteps
-	if budget <= 0 {
-		budget = defaultMaxSliceSteps
-	}
+	budget := maxSliceSteps
 	visited := make([]bool, len(b.fs.Fn.Instrs))
 	var stack []int
 	push := func(i int) {

@@ -105,7 +105,11 @@ func Unpack(data []byte) (*sass.Module, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if nfuncs > maxSaneCount || nstrs > maxSaneCount {
+	// A string record takes at least its 4-byte length, a function record
+	// at least its name, visibility, code length and line count (13
+	// bytes): counts the rest of the blob cannot hold are refused before
+	// they size an allocation.
+	if nfuncs > maxSaneCount || nstrs > maxSaneCount || 4*uint64(nstrs)+13*uint64(nfuncs) > uint64(len(data)-r.pos) {
 		return nil, fmt.Errorf("cubin: implausible table sizes (%d funcs, %d strings)", nfuncs, nstrs)
 	}
 	strs := make([]string, nstrs)

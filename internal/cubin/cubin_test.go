@@ -2,6 +2,8 @@ package cubin
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"gpa/internal/sass"
@@ -116,6 +118,17 @@ func TestUnpackRejectsCorruption(t *testing.T) {
 		bad := append(append([]byte(nil), blob...), 0xde, 0xad)
 		if _, err := Unpack(bad); err == nil {
 			t.Error("Unpack accepted trailing bytes")
+		}
+	})
+	t.Run("counts past the blob", func(t *testing.T) {
+		// Counts the remaining bytes cannot hold are refused before they
+		// size a table: a 1M-function claim once cost 72 MB.
+		for _, at := range []int{12, 16} { // the function and string counts
+			bad := append([]byte(nil), blob...)
+			binary.LittleEndian.PutUint32(bad[at:], maxSaneCount)
+			if _, err := Unpack(bad); err == nil || !strings.Contains(err.Error(), "implausible table sizes") {
+				t.Errorf("count at offset %d: Unpack error %v, want implausible table sizes", at, err)
+			}
 		}
 	})
 	t.Run("empty", func(t *testing.T) {

@@ -474,7 +474,7 @@ func TestHugeGridHonorsDeadline(t *testing.T) {
 
 // TestCallDepthBounded: a device function that calls itself forever
 // fails at maxCallDepth with ErrSimLimit, in a few KB, instead of
-// pushing a frame a cycle until MaxCycles (the cap here only keeps an
+// pushing a frame a cycle until the cycle cap (the cap here only keeps an
 // unbounded stack's failure quick: 1M cycles of it allocate ~40 MB).
 func TestCallDepthBounded(t *testing.T) {
 	p, err := Load(sass.MustAssemble(`
@@ -489,7 +489,7 @@ func TestCallDepthBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	launch := LaunchConfig{Entry: "k", Grid: Dim(1), Block: Dim(32), RegsPerThread: 16}
-	cfg := Config{GPU: arch.VoltaV100(), SimSMs: 1, Seed: 1, Parallelism: 1, MaxCycles: 1_000_000}
+	cfg := Config{GPU: arch.VoltaV100(), SimSMs: 1, Seed: 1, Parallelism: 1, maxCycles: 1_000_000}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err = Run(context.Background(), p, launch, nil, cfg)

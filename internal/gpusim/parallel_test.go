@@ -153,7 +153,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // TestParallelErrorMatchesSequential: an erroring SM must surface the
 // same error regardless of parallelism (the first failing SM in order).
 func TestParallelErrorMatchesSequential(t *testing.T) {
-	// An infinite loop trips the MaxCycles livelock guard.
+	// An infinite loop trips the cycle-cap livelock guard.
 	src := `
 .func spin global
 LOOP:
@@ -171,7 +171,7 @@ BR0:	BRA LOOP {S:5}
 		g := arch.VoltaV100()
 		g.NumSMs = 4
 		_, err := Run(context.Background(), p, launch, NopWorkload{}, Config{
-			GPU: g, SimSMs: 4, MaxCycles: 10_000, Seed: 1, Parallelism: parallelism,
+			GPU: g, SimSMs: 4, maxCycles: 10_000, Seed: 1, Parallelism: parallelism,
 		})
 		return err
 	}
@@ -199,7 +199,7 @@ func TestParallelFailureMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SMs 1 and 3 loop past MaxCycles; SMs 0 and 2 finish early.
+	// SMs 1 and 3 loop past the cycle cap; SMs 0 and 2 finish early.
 	spec := &Spec{Trips: map[Site]TripFunc{{"membound", "BR0"}: func(w WarpCtx) int {
 		if w.SM%2 == 1 {
 			return 1 << 20
@@ -216,7 +216,7 @@ func TestParallelFailureMatchesSequential(t *testing.T) {
 		g := arch.VoltaV100()
 		g.NumSMs = 4
 		_, err := Run(context.Background(), p, launch, wl, Config{
-			GPU: g, SimSMs: 4, SamplePeriod: 32, Sink: sink, MaxCycles: 20_000,
+			GPU: g, SimSMs: 4, SamplePeriod: 32, Sink: sink, maxCycles: 20_000,
 			Seed: 5, Parallelism: parallelism,
 		})
 		return sink.samples, err

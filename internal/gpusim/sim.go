@@ -70,8 +70,6 @@ type Config struct {
 	Sink SampleSink
 	// Seed perturbs the deterministic memory-latency jitter.
 	Seed uint64
-	// MaxCycles aborts runaway simulations (0 means 50M).
-	MaxCycles int64
 	// Parallelism bounds how many SMs are simulated concurrently
 	// (0 means GOMAXPROCS; values above GOMAXPROCS are capped to it —
 	// spawning more SM goroutines than cores only adds scheduling
@@ -95,7 +93,14 @@ type Config struct {
 	// alone, keeping the event skip, so a benchmark can price what
 	// fast-forward buys (stepEveryCycle turns off both).
 	noSteady bool
+	// maxCycles is a test hook: it lowers the cycle cap that aborts a
+	// runaway simulation with ErrSimLimit (0 means defaultMaxCycles), so
+	// a test of the cap need not simulate 50M cycles.
+	maxCycles int64
 }
+
+// defaultMaxCycles is the cycle cap past which a run is a livelock.
+const defaultMaxCycles = 50_000_000
 
 // Result summarizes one simulated launch.
 type Result struct {
@@ -214,9 +219,9 @@ func Run(ctx context.Context, p *Program, launch LaunchConfig, wl Workload, cfg 
 	if simSMs > activeSMs {
 		simSMs = activeSMs
 	}
-	maxCycles := cfg.MaxCycles
+	maxCycles := cfg.maxCycles
 	if maxCycles <= 0 {
-		maxCycles = 50_000_000
+		maxCycles = defaultMaxCycles
 	}
 
 	res := getResult(len(p.Instrs))

@@ -96,7 +96,7 @@ type slowLoad struct {
 	pc, cycles int
 }
 
-func (l slowLoad) Latency(_ WarpCtx, pc, _ int) int {
+func (l slowLoad) Latency(_ WarpCtx, pc int) int {
 	if pc == l.pc {
 		return l.cycles
 	}
@@ -109,7 +109,7 @@ func (l slowLoad) Latency(_ WarpCtx, pc, _ int) int {
 type evenWarpsTake struct{ pc int }
 
 func (e evenWarpsTake) Taken(w WarpCtx, pc, _ int) bool { return pc == e.pc && w.WarpInBlock%2 == 0 }
-func (evenWarpsTake) Latency(WarpCtx, int, int) int     { return 0 }
+func (evenWarpsTake) Latency(WarpCtx, int) int          { return 0 }
 func (evenWarpsTake) Transactions(int) int              { return 0 }
 
 // TestLoadRefusesUnfollowableControl: control flow the simulator

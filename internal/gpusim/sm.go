@@ -17,7 +17,7 @@ const farFuture = int64(1<<62 - 1)
 
 // maxCallDepth bounds a warp's call stack. The corpus's deepest call
 // chain is 1; a CAL past the bound (unbounded recursion) fails the run
-// with ErrSimLimit instead of growing the stack until MaxCycles.
+// with ErrSimLimit instead of growing the stack until the cycle cap.
 const maxCallDepth = 1024
 
 type warpState struct {
@@ -375,15 +375,14 @@ func spaceNeedsMSHR(op sass.Opcode) bool {
 }
 
 // memLatency models the completion latency of a variable-latency
-// instruction. visit is 0 on every call (see warpState.visits).
+// instruction.
 func (s *sm) memLatency(w *warpState, pc int, tx int) int64 {
-	visit := int(w.visits[pc])
-	if lat := s.wl.Latency(w.ctx, pc, visit); lat > 0 {
+	if lat := s.wl.Latency(w.ctx, pc); lat > 0 {
 		return int64(lat)
 	}
 	base := s.rt.baseLat[pc]
-	// Deterministic jitter: ±12% keyed by (seed, warp, pc, visit).
-	h := splitmix(s.cfg.Seed ^ uint64(w.ctx.GlobalWarp)<<32 ^ uint64(pc)<<8 ^ uint64(visit))
+	// Deterministic jitter: ±12% keyed by (seed, warp, pc).
+	h := splitmix(s.cfg.Seed ^ uint64(w.ctx.GlobalWarp)<<32 ^ uint64(pc)<<8)
 	jitter := int64(h%uint64(max(1, base/4))) - base/8
 	// Uncoalesced accesses serialize their extra transactions.
 	extra := int64(0)

@@ -30,7 +30,7 @@ import "slices"
 //     template's, k whole periods are skipped at once: the workload is
 //     asked (through the TakenStability capability) for how many
 //     periods the recorded branch outcomes stay valid, k is capped by
-//     MaxCycles, every pending absolute cycle field is shifted by k·P
+//     the cycle cap, every pending absolute cycle field is shifted by k·P
 //     (sentinels and expired gates preserved), visits and issue
 //     counters advance by k times the recorded deltas, and the sample
 //     ticks inside the span are walked exactly as sampleTick walks
@@ -520,7 +520,7 @@ func (s *sm) finalizeTemplate(now int64) {
 // steadyK computes how many whole periods can be skipped from the
 // current anchor: the minimum over every conditional branch in the
 // template of how long the workload promises its recorded outcome,
-// capped so the run never overshoots MaxCycles.
+// capped so the run never overshoots the cycle cap.
 func (s *sm) steadyK(now, maxCycles int64) int64 {
 	st := &s.steady
 	k := (maxCycles - now) / st.period

@@ -300,51 +300,6 @@ func TestSteadyObservationBoundAbandons(t *testing.T) {
 	}
 }
 
-// latencyVisits wraps a Workload and notes every visit argument its
-// Latency method is called with.
-type latencyVisits struct {
-	Workload
-	calls, nonZero int
-}
-
-func (l *latencyVisits) Latency(w WarpCtx, pc, visit int) int {
-	l.calls++
-	if visit != 0 {
-		l.nonZero++
-	}
-	return l.Workload.Latency(w, pc, visit)
-}
-
-// TestMemoryLatencySeesVisitZero pins a quirk the goldens rest on:
-// warpState.visits advances only at branches, so however often a warp
-// re-executes a load, Workload.Latency (and the jitter hash) see visit
-// 0 and the (warp, pc) pair keeps one latency for the whole run.
-func TestMemoryLatencySeesVisitZero(t *testing.T) {
-	p, err := Load(sass.MustAssemble(memBoundSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &Spec{Trips: map[Site]TripFunc{{"membound", "BR0"}: UniformTrips(12)}}
-	bound, err := spec.Bind(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl := &latencyVisits{Workload: bound}
-	launch := LaunchConfig{Entry: "membound", Grid: Dim(1), Block: Dim(64), RegsPerThread: 16}
-	if _, err := Run(context.Background(), p, launch, wl, Config{
-		GPU: arch.VoltaV100(), SimSMs: 1, Seed: 1, Parallelism: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// 2 warps x 13 loop iterations of one load each.
-	if wl.calls != 26 {
-		t.Errorf("Latency called %d times, want 26", wl.calls)
-	}
-	if wl.nonZero != 0 {
-		t.Errorf("Latency saw a non-zero visit %d times; visits must advance only at branches", wl.nonZero)
-	}
-}
-
 // TestSteadyStatefulWorkloadNeverFastForwards pins the capability gate:
 // a Workload that does not implement TakenStability (here: a stateful
 // Taken closure wrapped to hide the interface) must run entirely on the
@@ -389,9 +344,9 @@ func TestSteadyStatefulWorkloadNeverFastForwards(t *testing.T) {
 // capability interfaces of the wrapped value.
 type opaqueWorkload struct{ wl Workload }
 
-func (o opaqueWorkload) Taken(w WarpCtx, pc, visit int) bool  { return o.wl.Taken(w, pc, visit) }
-func (o opaqueWorkload) Latency(w WarpCtx, pc, visit int) int { return o.wl.Latency(w, pc, visit) }
-func (o opaqueWorkload) Transactions(pc int) int              { return o.wl.Transactions(pc) }
+func (o opaqueWorkload) Taken(w WarpCtx, pc, visit int) bool { return o.wl.Taken(w, pc, visit) }
+func (o opaqueWorkload) Latency(w WarpCtx, pc int) int       { return o.wl.Latency(w, pc) }
+func (o opaqueWorkload) Transactions(pc int) int             { return o.wl.Transactions(pc) }
 
 // TestTakenRunClosedForm pins the modular arithmetic behind
 // boundWorkload.TakenRun against brute force over the actual Taken

@@ -21,10 +21,9 @@ type Workload interface {
 	Taken(w WarpCtx, pc int, visit int) bool
 	// Latency returns a latency override in cycles for the
 	// variable-latency instruction at pc (0 means "use the default
-	// model"). visit is always 0: the simulator counts visits only at
-	// branches, so the override — like the default model's jitter — is
-	// one value per (warp, pc) for the whole run, not per execution.
-	Latency(w WarpCtx, pc int, visit int) int
+	// model"). Like the default model's jitter it is one value per
+	// (warp, pc) for the whole run, not per execution.
+	Latency(w WarpCtx, pc int) int
 	// Transactions returns how many memory transactions the memory
 	// instruction at pc issues per warp (0 means 1, i.e. fully
 	// coalesced).
@@ -187,7 +186,7 @@ func modInv64(a, m int64) int64 {
 }
 
 // Latency always defers to the default model.
-func (b *boundWorkload) Latency(WarpCtx, int, int) int { return 0 }
+func (b *boundWorkload) Latency(WarpCtx, int) int { return 0 }
 
 func (b *boundWorkload) Transactions(pc int) int {
 	if pc < len(b.trans) {
@@ -212,7 +211,7 @@ func (NopWorkload) TakenRun(_ WarpCtx, _, _, _ int, want bool, limit int64) int6
 }
 
 // Latency always defers to the default model.
-func (NopWorkload) Latency(WarpCtx, int, int) int { return 0 }
+func (NopWorkload) Latency(WarpCtx, int) int { return 0 }
 
 // Transactions always reports fully coalesced accesses.
 func (NopWorkload) Transactions(int) int { return 0 }

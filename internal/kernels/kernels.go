@@ -173,7 +173,7 @@ func (o RunOptions) options(wl gpa.Workload) *gpa.Options {
 // Run advises on the baseline, measures the optimized variant and
 // extracts the advisor's estimate for the expected optimizer: two
 // simulations, stopping at the first failure (which can have cost a
-// full MaxCycles simulation). A canceled ctx aborts the simulation in
+// full 50M-cycle simulation). A canceled ctx aborts the simulation in
 // flight and returns an error wrapping gpa.ErrCanceled.
 func (b *Benchmark) Run(ctx context.Context, ro RunOptions) (*Outcome, error) {
 	baseK, baseWL, err := b.Base.Build()

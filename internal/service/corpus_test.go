@@ -65,7 +65,7 @@ func BenchmarkStageDecode(b *testing.B) {
 	_, profiles, advice, entries := corpusPayloads(b, nil)
 	for _, c := range []struct {
 		name     string
-		decode   func([]byte, string, store.Key) (*service.Response, error)
+		decode   func([]byte, string) (*service.Response, error)
 		payloads [][]byte
 	}{
 		{"profile", service.DecodeProfile, profiles},
@@ -80,7 +80,7 @@ func BenchmarkStageDecode(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				for i, p := range c.payloads {
-					if _, err := c.decode(p, entries[i], store.Key{}); err != nil {
+					if _, err := c.decode(p, entries[i]); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -132,7 +132,7 @@ func TestEncodedStageDocuments(t *testing.T) {
 					if digest = hex.EncodeToString(sum[:]); d.ProfileDigest != digest {
 						t.Errorf("%s %s: profile declares digest %.16s, its body hashes to %.16s", gpu.Name, entry, d.ProfileDigest, digest)
 					}
-					_, err = service.DecodeProfile(doc, entry, store.Key{})
+					_, err = service.DecodeProfile(doc, entry)
 				case 2:
 					report := service.AppendString([]byte(`,"report":`), d.Report)
 					if d.Report == "" || !bytes.HasSuffix(doc, append(report, "}\n"...)) {
@@ -141,7 +141,7 @@ func TestEncodedStageDocuments(t *testing.T) {
 					if d.ProfileDigest != digest {
 						t.Errorf("%s %s: advice blames profile %.16s, not the one stored, %.16s", gpu.Name, entry, d.ProfileDigest, digest)
 					}
-					_, err = service.DecodeAdvice(doc, entry, store.Key{})
+					_, err = service.DecodeAdvice(doc, entry)
 				}
 				if err != nil {
 					t.Errorf("%s %s: %v", gpu.Name, entry, err)

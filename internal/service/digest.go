@@ -3,7 +3,6 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -16,12 +15,13 @@ import (
 // digestSchema versions the key layout: bump it whenever the set or
 // order of key fields changes, so stale keys from older layouts can
 // never alias a new request (the on-disk store is rooted under it, so a
-// bump starts cold by construction). Layout /4 dropped the module
+// bump starts cold by construction). Layout /5 dropped the blamer
+// options, so the advice stage adds only its label; /4 dropped the module
 // front-end's label, so the module enters at measure; /3 made every key a
 // prefix of one field list and the request's result key its terminal
 // stage's key; /2 had replaced the inline module bytes and GPU-model
 // JSON with their SHA-256 digests.
-const digestSchema = "gpa-service-key/4"
+const digestSchema = "gpa-service-key/5"
 
 // stageID indexes the Figure 2 pipeline's stages in dependency order.
 type stageID int
@@ -52,12 +52,12 @@ type stageKeys [numStages]store.Key
 //	schema, module, launch, arch model,
 //	sim options, workload                        measure: cycles
 //	sample period                                profile: sampled profile
-//	blamer options                               advice: ranked advice, report
+//	(no field of its own)                        advice: ranked advice, report
 //
 // Kind writes nothing: it selects which stage is terminal, and the
-// request's result key — Request.Digest, Response.Key, the singleflight
-// key — is that stage's key. A profile request and an advise request
-// over the same inputs therefore share one profile artifact.
+// request's result key — Response.Key, the singleflight key — is that
+// stage's key. A profile request and an advise request over the same
+// inputs therefore share one profile artifact.
 // Parallelism is excluded because results are bit-identical at every
 // level; the other excluded fields are transport metadata.
 // TestStageKeysFactorThePipeline holds the audited list and checks every
@@ -142,29 +142,8 @@ func (r *Request) keyMaterial(buf []byte) (km keyMaterial, cacheable bool, err e
 	b = km.closeStage(b, stMeasure)
 	b = appendI64(b, "period", int64(n.SamplePeriod))
 	b = km.closeStage(b, stProfile)
-	b = appendBool(b, "noOpcodePrune", n.Blamer.DisableOpcodePrune)
-	b = appendBool(b, "noDominatorPrune", n.Blamer.DisableDominatorPrune)
-	b = appendBool(b, "noLatencyPrune", n.Blamer.DisableLatencyPrune)
-	b = appendBool(b, "noIssueWeight", n.Blamer.DisableIssueWeight)
-	b = appendBool(b, "noPathWeight", n.Blamer.DisablePathWeight)
-	b = appendI64(b, "maxSliceSteps", int64(n.Blamer.MaxSliceSteps))
 	km.fields, km.terminal = km.closeStage(b, stAdvice), stageOf(n.Kind)
 	return km, true, nil
-}
-
-// Digest returns the request's content-addressed result key in hex: the
-// key of the stage its Kind makes terminal (see keyMaterial). A request
-// carrying a Workload without a WorkloadKey has no stable identity;
-// Digest returns "" and the engine bypasses the store and singleflight
-// for it.
-func (r *Request) Digest() (string, error) {
-	var buf keyBuf
-	km, cacheable, err := r.keyMaterial(buf[:0])
-	if err != nil || !cacheable {
-		return "", err
-	}
-	key := km.key(km.terminal)
-	return hex.EncodeToString(key[:]), nil
 }
 
 // gpuHashes memoizes the SHA-256 of each GPU model's JSON encoding,
@@ -213,11 +192,4 @@ func appendI64(b []byte, label string, v int64) []byte {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(v))
 	return appendBytes(b, label, buf[:])
-}
-
-func appendBool(b []byte, label string, v bool) []byte {
-	if v {
-		return appendI64(b, label, 1)
-	}
-	return appendI64(b, label, 0)
 }

@@ -7,7 +7,7 @@
 // A Request names a kernel module, launch, architecture model, and the
 // result-affecting options. One canonical field list (digest.go) keys
 // every stage — measure, profile, advice — by the prefix of fields that
-// can change its output, and the request's result key, its Digest, is
+// can change its output, and the request's result key (Response.Key) is
 // the key of the stage its Kind makes terminal. The engine resolves a
 // request through one stage table and one driver: the terminal stage's
 // memory tier (a hit returns the artifact's prebuilt response: no
@@ -17,13 +17,12 @@
 // run that computes the stage — resolving the stages it depends on
 // through the same driver, so an advise over a stored profile simulates
 // nothing — and publishes what it computed: the stage it serves to both
-// tiers, a stage it only consumed to disk alone (to memory too when the
-// engine has no disk). Worker slots are granted by a tenant-aware
-// admission scheduler (internal/qos): per-tenant queues
-// under deficit-weighted round robin, an interactive lane that
-// preempts queued batch work, per-tenant token-bucket quotas shedding
-// over-quota callers with ErrQuotaExceeded, and a shared queue bound
-// shedding arrivals past it with ErrQueueFull. Tenant and lane are
+// tiers, a stage it only consumed to disk alone. Worker slots are
+// granted by a tenant-aware admission scheduler (internal/qos):
+// per-tenant queues under deficit-weighted round robin, an interactive
+// lane that preempts queued batch work, per-tenant token-bucket quotas
+// shedding over-quota callers with ErrQuotaExceeded, and a shared queue
+// bound shedding arrivals past it with ErrQueueFull. Tenant and lane are
 // transport-only metadata: they decide who runs next, never what a run
 // computes, and are excluded from every stage key exactly like TraceID.
 //
@@ -148,8 +147,6 @@ type Request struct {
 	// default is set). Excluded from every key — deadlines never affect
 	// a completed result.
 	Timeout time.Duration
-	// Blamer tunes the pruning/apportioning heuristics (KindAdvise).
-	Blamer blamer.Options
 	// Workload supplies branch trips and memory behaviour. Workloads
 	// are opaque callbacks, so a request carrying one is uncacheable
 	// unless WorkloadKey names it stably (same key ⇒ same behaviour).
@@ -207,16 +204,17 @@ func (r *Request) normalized() Request {
 // stage's payload bytes (Engine.publish), whether a run just encoded
 // them or the disk store held them; it has Cached set and whatever Profile
 // and Advice hand out of it must be treated as read-only. The response
-// of the caller that led a run is that run's own: Cached unset, the
-// structs it computed, and its Context.
+// of the caller that led a run is that run's own: Cached unset, and the
+// structs it computed.
 //
 // The scalar fields are always set. Profile, Advice and Report are
 // accessors because a shared response holds the bytes it is encoded as,
 // not the structs: they decode on first use, once per artifact, and
 // fail with an error wrapping apierr.ErrInternal when a stored artifact
-// has vanished or does not decode to what its document declared. On the
-// response of the caller that led the run they return that run's values
-// and cannot fail.
+// does not decode to what its document declared. On the response of the
+// caller that led the run they return that run's values and cannot fail.
+// Each reads its own stage's artifact only: an advise response's profile
+// is the profile stage's, one KindProfile request away.
 type Response struct {
 	// Key is the request digest — the terminal stage's key, in hex — and
 	// "" for uncacheable requests.
@@ -235,38 +233,22 @@ type Response struct {
 	// ProfileDigest is the profile's stable content digest (drift
 	// checking across builds and deployments).
 	ProfileDigest string
-	// Context is the analysis context of the run that produced the
-	// advice (KindAdvise): the blamer's per-function results and the
-	// profile's function views, about as large again as everything else
-	// a response holds. Only the caller that led that run gets it, and
-	// it dies with that request; payload bytes never had one, so it is
-	// nil on every shared response.
-	Context *adv.Context
 
 	// doc is the response's wireTail document, its stage's payload.
 	// prof (KindProfile) and adv (KindAdvise) are the artifacts behind
-	// the accessors; eng resolves and counts their decodes.
+	// the accessors; eng counts their decodes.
 	doc  []byte
 	prof *profileArtifact
 	adv  *adviceArtifact
 	eng  *Engine
 }
 
-// Profile returns the sampled profile (KindProfile and KindAdvise; nil
-// for KindMeasure). For a shared advise response this is the one access
-// that reads the profile stage.
+// Profile returns the sampled profile (KindProfile; nil otherwise).
 func (r *Response) Profile() (*profiler.Profile, error) {
-	pa := r.prof
-	if pa == nil {
-		if r.adv == nil {
-			return nil, nil
-		}
-		var err error
-		if pa, err = r.adv.profileArtifact(r.eng); err != nil {
-			return nil, err
-		}
+	if r.prof == nil {
+		return nil, nil
 	}
-	return pa.profile(r.eng)
+	return r.prof.profile(r.eng)
 }
 
 // Advice returns the ranked advice (KindAdvise; nil otherwise).
@@ -473,10 +455,9 @@ type Engine struct {
 
 	// stages/disk are the artifact store's two tiers (see internal/store
 	// and the driver below). stages holds, per stage, the prebuilt Cached
-	// response of every artifact a request was served (with no disk, of
-	// every artifact), so a warm hit returns the same pointer without
-	// copying; it is nil when CacheEntries is negative. disk is nil
-	// without a -store-dir.
+	// response of every artifact a request was served, so a warm hit
+	// returns the same pointer without copying; it is nil when
+	// CacheEntries is negative. disk is nil without a -store-dir.
 	stages *store.Memory
 	disk   *store.Disk
 
@@ -882,8 +863,7 @@ type stage struct {
 	needs stageID
 	// compute runs the stage over dep, the response of the stage it
 	// needs, and returns the leader's response: Cached unset, the structs
-	// beside the document they encode to, and for advice the analysis
-	// Context.
+	// beside the document they encode to.
 	compute func(e *Engine, ctx context.Context, r *run, dep *Response) (*Response, error)
 }
 
@@ -943,7 +923,7 @@ func (e *Engine) lookup(s stageID, sk *stageKeys, kernel string, from tier, keep
 	if !ok {
 		return nil
 	}
-	view, err := e.publish(s, sk, kernel, payload, keep, nil)
+	view, err := e.publish(s, key, kernel, payload, keep)
 	if err != nil {
 		e.disk.NoteCorrupt(name, key)
 		return nil
@@ -957,21 +937,16 @@ var decodePayload = decodeStage
 // publish is the one constructor of a shared response: it checks a
 // stage payload (decodeStage) — read from disk, or the document of the
 // run that just computed the stage — and builds the response the
-// payload serves. An advice gets pa, when given, as the profile it
-// blames. If keep, the response goes into the memory tier and publish
-// returns the one under the key (an earlier one on a race); otherwise it
-// serves its caller alone.
-func (e *Engine) publish(s stageID, sk *stageKeys, kernel string, payload []byte, keep bool, pa *profileArtifact) (*Response, error) {
-	view, err := decodePayload(s, payload, kernel, sk[stProfile])
+// payload serves. If keep, the response goes into the memory tier and
+// publish returns the one under the key (an earlier one on a race);
+// otherwise it serves its caller alone.
+func (e *Engine) publish(s stageID, key store.Key, kernel string, payload []byte, keep bool) (*Response, error) {
+	view, err := decodePayload(s, payload, kernel)
 	if err != nil {
 		return nil, err
 	}
-	key := sk[s]
 	var hexKey [2 * len(key)]byte
 	view.Key, view.Cached, view.eng = string(hex.AppendEncode(hexKey[:0], key[:])), true, e
-	if pa != nil {
-		view.adv.pa = pa
-	}
 	if !keep {
 		return view, nil
 	}
@@ -989,16 +964,11 @@ func (e *Engine) publish(s stageID, sk *stageKeys, kernel string, payload []byte
 // would not be served from disk.
 //
 // The memory tier keeps what is served (keep): the stage the request
-// terminates in, and a profile a caller asks an advice for
-// (adviceArtifact.profileArtifact). A stage the run only consumes — the
-// profile an advice blames — is checked and put to disk, and a disk hit
-// on it is decoded for the run alone; memory holds it only if it already
-// did. An engine with no disk keeps every stage in memory, its only
-// tier, and an advice it publishes keeps the profile it blames
-// (adviceArtifact.pa), so the stages' LRUs cannot evict a profile from
-// under its advice.
+// terminates in. A stage the run only consumes — the profile an advice
+// blames — is checked and put to disk, and a disk hit on it is decoded
+// for the run alone; memory holds it only if it already did.
 func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (view, lead *Response, err error) {
-	keep := s == stageOf(r.n.Kind) || e.disk == nil
+	keep := s == stageOf(r.n.Kind)
 	if r.sk != nil {
 		if view = e.lookup(s, r.sk, r.n.Launch.Entry, from, keep); view != nil {
 			return view, nil, nil
@@ -1006,7 +976,6 @@ func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (vie
 	}
 	st := &stages[s]
 	var dep *Response
-	var pa *profileArtifact // what an advice keeps on an engine with no disk
 	if st.needs != noStage {
 		depView, depLead, err := e.resolve(ctx, r, st.needs, tierMemory)
 		if err != nil {
@@ -1014,9 +983,6 @@ func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (vie
 		}
 		if dep = depLead; dep == nil {
 			dep = depView
-		}
-		if e.disk == nil {
-			pa = depView.prof
 		}
 		if err := apierr.CtxErr(ctx); err != nil {
 			return nil, nil, fmt.Errorf("service: %w", err)
@@ -1029,7 +995,7 @@ func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (vie
 	if r.sk == nil {
 		return lead, lead, nil
 	}
-	if view, err = e.publish(s, r.sk, r.n.Launch.Entry, lead.doc, keep, pa); err != nil {
+	if view, err = e.publish(s, r.sk[s], r.n.Launch.Entry, lead.doc, keep); err != nil {
 		return nil, nil, fmt.Errorf("service: %w: the %s stage computed an artifact it cannot serve: %v", apierr.ErrInternal, stageNames[s], err)
 	}
 	lead.Key = view.Key
@@ -1211,7 +1177,7 @@ func (e *Engine) computeAdvice(ctx context.Context, r *run, pv *Response) (*Resp
 	// nothing keeps an analysis.
 	blameStart := time.Now()
 	e.n.structureBuilds.Add(1)
-	actx, err := adv.BuildContext(r.n.Module, prof, r.n.GPU, r.n.Blamer)
+	actx, err := adv.BuildContext(r.n.Module, prof, r.n.GPU, blamer.Options{})
 	e.lat.Since(obs.StageBlame, blameStart)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
@@ -1226,8 +1192,7 @@ func (e *Engine) computeAdvice(ctx context.Context, r *run, pv *Response) (*Resp
 	}
 	resp, err := t.response(KindAdvise)
 	if err == nil {
-		resp.Context = actx
-		resp.adv = &adviceArtifact{kernel: advice.Kernel, digest: pv.ProfileDigest, advice: advice, report: report, pa: pv.prof}
+		resp.adv = &adviceArtifact{kernel: advice.Kernel, advice: advice, report: report}
 	}
 	return resp, err
 }

@@ -13,16 +13,16 @@ import (
 
 // DecodeProfile, DecodeAdvice and DecodeMeasure are decodeStage for one
 // stage.
-func DecodeProfile(payload []byte, kernel string, profKey store.Key) (*Response, error) {
-	return decodeStage(stProfile, payload, kernel, profKey)
+func DecodeProfile(payload []byte, kernel string) (*Response, error) {
+	return decodeStage(stProfile, payload, kernel)
 }
 
-func DecodeAdvice(payload []byte, kernel string, profKey store.Key) (*Response, error) {
-	return decodeStage(stAdvice, payload, kernel, profKey)
+func DecodeAdvice(payload []byte, kernel string) (*Response, error) {
+	return decodeStage(stAdvice, payload, kernel)
 }
 
 func DecodeMeasure(payload []byte) (*Response, error) {
-	return decodeStage(stMeasure, payload, "", store.Key{})
+	return decodeStage(stMeasure, payload, "")
 }
 
 // StagePayloads runs reqs, advise requests, and a measure of each through

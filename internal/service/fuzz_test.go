@@ -246,7 +246,7 @@ func TestDecodeStageChecks(t *testing.T) {
 	kernel := testRequest(t, KindAdvise).Launch.Entry
 	for _, p := range payloads {
 		for s := stMeasure; s <= stAdvice; s++ {
-			if _, err := decodeStage(s, p, kernel, store.Key{}); (err == nil) != bytes.Equal(p, payloads[s-stMeasure]) {
+			if _, err := decodeStage(s, p, kernel); (err == nil) != bytes.Equal(p, payloads[s-stMeasure]) {
 				t.Errorf("decodeStage(%s) of a real %s payload: %v", stageNames[s], stageNames[s], err)
 			}
 		}
@@ -273,7 +273,7 @@ func TestDecodeStageChecks(t *testing.T) {
 		}), kernel, false},
 		"advice/unfinished": {stAdvice, edit(stAdvice, func(doc string) string { return doc[:len(doc)-3] }), kernel, false},
 	} {
-		if _, err := decodeStage(c.s, c.payload, c.kernel, store.Key{}); (err == nil) != c.ok {
+		if _, err := decodeStage(c.s, c.payload, c.kernel); (err == nil) != c.ok {
 			t.Errorf("%s: decodeStage says %v, want accepted=%v", name, err, c.ok)
 		}
 		if decodeStageRef(c.s, c.payload, c.kernel) != c.ok {
@@ -315,7 +315,7 @@ func FuzzStageEnvelopeDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc []byte, kernel string) {
 		checkOpen(t, doc)
 		for s := stMeasure; s <= stAdvice; s++ {
-			resp, err := decodeStage(s, doc, kernel, store.Key{})
+			resp, err := decodeStage(s, doc, kernel)
 			if ref := decodeStageRef(s, doc, kernel); (err == nil) != ref {
 				t.Fatalf("decodeStage(%s) says %v, its reference accepted=%v", stageNames[s], err, ref)
 			}
@@ -374,7 +374,9 @@ func tokenEnd(data []byte) int {
 // as the same body. The seeds are the real stage documents and every
 // edge of the JSON grammar: each is one that a cutter wrong in one
 // respect — a control byte let through, a leading zero, an escape taken
-// as plain, a quote missed past a word — gets wrong.
+// as plain, a quote missed past a word — gets wrong. (The name is older
+// than the target: it first held the stage decoder's JSON validator,
+// which the store frame's checksum made redundant.)
 func FuzzValidJSON(f *testing.F) {
 	for _, payload := range runPayloads(f) {
 		f.Add(payload)
@@ -507,7 +509,7 @@ func FuzzStagePayloadFraming(f *testing.F) {
 			s, own = stAdvice, append(open, `,"report":"GPA"`+tailClose...)
 		}
 		checkOpen(t, own)
-		resp, err := decodeStage(s, own, kernel, store.Key{})
+		resp, err := decodeStage(s, own, kernel)
 		verbatim := string(AppendString(nil, digest)) == `"`+digest+`"`
 		if (err == nil) != (cycles >= 0 && verbatim) {
 			t.Fatalf("decodeStage(%s) of %q says %v", stageNames[s], own, err)
@@ -518,11 +520,11 @@ func FuzzStagePayloadFraming(f *testing.F) {
 				cycles, elapsed, digest, resp.Cycles, resp.ElapsedMS, resp.ProfileDigest)
 		}
 		n := int(cut) % len(own)
-		if _, err := decodeStage(s, own[:n], kernel, store.Key{}); err == nil {
+		if _, err := decodeStage(s, own[:n], kernel); err == nil {
 			t.Fatalf("accepted the document torn at %d of %d bytes", n, len(own))
 		}
 		for _, padded := range [][]byte{append(own[:len(own):len(own)], 'x'), append([]byte(" "), own...)} {
-			if _, err := decodeStage(s, padded, kernel, store.Key{}); err == nil {
+			if _, err := decodeStage(s, padded, kernel); err == nil {
 				t.Fatalf("accepted the padded document %q", padded)
 			}
 		}
@@ -548,7 +550,7 @@ func FuzzProfileEnvelopeRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		pv, err := decodeStage(stProfile, append(open[:len(open)-1], `,"profile":`+profileJSON+"}\n"...), prof.Kernel, store.Key{})
+		pv, err := decodeStage(stProfile, append(open[:len(open)-1], `,"profile":`+profileJSON+"}\n"...), prof.Kernel)
 		if err != nil {
 			return // decoder rejected it (not canonical, not one value): fine
 		}

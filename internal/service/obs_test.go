@@ -28,15 +28,15 @@ func TestTraceIDExcludedFromDigest(t *testing.T) {
 	c := obsTestRequest(t)
 	c.TraceID = "another-trace-entirely"
 
-	da, err := a.Digest()
+	da, err := resultKey(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := b.Digest()
+	db, err := resultKey(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc, err := c.Digest()
+	dc, err := resultKey(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,15 +28,15 @@ func TestTenantExcludedFromDigest(t *testing.T) {
 	c := testRequest(t, KindAdvise)
 	c.Tenant = "another-tenant-entirely"
 
-	da, err := a.Digest()
+	da, err := resultKey(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := b.Digest()
+	db, err := resultKey(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc, err := c.Digest()
+	dc, err := resultKey(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +312,11 @@ func (f *fanOutProbe) Transactions(pc int) int {
 	return f.NopWorkload.Transactions(pc)
 }
 
-func (f *fanOutProbe) Latency(w gpusim.WarpCtx, pc, visit int) int {
+func (f *fanOutProbe) Latency(w gpusim.WarpCtx, pc int) int {
 	f.mu.Lock()
 	f.fanned = f.fanned || goroutineID() != f.runG
 	f.mu.Unlock()
-	return f.NopWorkload.Latency(w, pc, visit)
+	return f.NopWorkload.Latency(w, pc)
 }
 
 // TestFanOutRule pins how a run's default Parallelism is resolved at

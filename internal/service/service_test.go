@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"regexp"
 	"runtime"
@@ -14,7 +15,6 @@ import (
 	"gpa/internal/gpusim"
 	"gpa/internal/profiler"
 	"gpa/internal/sass"
-	"gpa/internal/store"
 
 	adv "gpa/internal/advisor"
 )
@@ -70,6 +70,18 @@ func profileOf(t testing.TB, r *Response) *profiler.Profile {
 	return p
 }
 
+// resultKey is r's result key in hex: the key of the stage its Kind
+// makes terminal, "" for a request with no stable identity.
+func resultKey(r *Request) (string, error) {
+	var buf keyBuf
+	km, cacheable, err := r.keyMaterial(buf[:0])
+	if err != nil || !cacheable {
+		return "", err
+	}
+	key := km.key(km.terminal)
+	return hex.EncodeToString(key[:]), nil
+}
+
 func testRequest(t testing.TB, kind Kind) *Request {
 	t.Helper()
 	mod, err := sass.Assemble(testKernelSrc)
@@ -91,11 +103,11 @@ func testRequest(t testing.TB, kind Kind) *Request {
 
 func TestDigestStableAndSensitive(t *testing.T) {
 	base := testRequest(t, KindAdvise)
-	key1, err := base.Digest()
+	key1, err := resultKey(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key2, err := base.Digest()
+	key2, err := resultKey(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +118,13 @@ func TestDigestStableAndSensitive(t *testing.T) {
 	// Normalization: the explicit defaults digest like the zero values.
 	norm := testRequest(t, KindAdvise)
 	norm.SamplePeriod = 64
-	if k, _ := norm.Digest(); k != key1 {
+	if k, _ := resultKey(norm); k != key1 {
 		t.Errorf("explicit default sample period changed the key")
 	}
 	// Parallelism never affects results, so it must not affect the key.
 	par := testRequest(t, KindAdvise)
 	par.Parallelism = 8
-	if k, _ := par.Digest(); k != key1 {
+	if k, _ := resultKey(par); k != key1 {
 		t.Errorf("parallelism changed the key")
 	}
 
@@ -124,13 +136,12 @@ func TestDigestStableAndSensitive(t *testing.T) {
 		"seed":     func(r *Request) { r.Seed = 10 },
 		"simSMs":   func(r *Request) { r.SimSMs = 2 },
 		"period":   func(r *Request) { r.SamplePeriod = 128 },
-		"blamer":   func(r *Request) { r.Blamer.DisableOpcodePrune = true },
 		"workload": func(r *Request) { r.WorkloadKey = "wl1" },
 	}
 	for name, mutate := range mutations {
 		r := testRequest(t, KindAdvise)
 		mutate(r)
-		k, err := r.Digest()
+		k, err := resultKey(r)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -150,7 +161,7 @@ func TestGPUModelMutatedAfterFirstUse(t *testing.T) {
 	e := New(Options{Workers: 1})
 	r := testRequest(t, KindMeasure)
 	r.GPU = arch.VoltaV100()
-	key64, err := r.Digest()
+	key64, err := resultKey(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +172,7 @@ func TestGPUModelMutatedAfterFirstUse(t *testing.T) {
 
 	mshrs := r.GPU.MSHRsPerSM
 	r.GPU.MSHRsPerSM = 1
-	key1, err := r.Digest()
+	key1, err := resultKey(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +189,7 @@ func TestGPUModelMutatedAfterFirstUse(t *testing.T) {
 	}
 
 	r.GPU.MSHRsPerSM = mshrs
-	if key, _ := r.Digest(); key != key64 {
+	if key, _ := resultKey(r); key != key64 {
 		t.Error("the model changed back digests differently than it first did")
 	}
 	if back, err := e.Do(ctx, r); err != nil || !back.Cached || back.Cycles != resp64.Cycles {
@@ -188,14 +199,14 @@ func TestGPUModelMutatedAfterFirstUse(t *testing.T) {
 
 func TestDigestModuleContent(t *testing.T) {
 	r1 := testRequest(t, KindAdvise)
-	k1, _ := r1.Digest()
+	k1, _ := resultKey(r1)
 	mod2, err := sass.Assemble(testKernelSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r2 := testRequest(t, KindAdvise)
 	r2.Module = mod2 // distinct pointer, identical content
-	k2, _ := r2.Digest()
+	k2, _ := resultKey(r2)
 	if k1 != k2 {
 		t.Errorf("identical module content digests differently")
 	}
@@ -214,7 +225,7 @@ func TestWorkloadWithoutKeyBypasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Workload = wl
-	key, err := r.Digest()
+	key, err := resultKey(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +260,11 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	if cold.Cached {
 		t.Fatal("first run must be a miss")
 	}
-	if reportOf(t, cold) == "" || adviceOf(t, cold) == nil || profileOf(t, cold) == nil {
+	if reportOf(t, cold) == "" || adviceOf(t, cold) == nil {
 		t.Fatal("advise response incomplete")
+	}
+	if profileOf(t, cold) != nil {
+		t.Error("an advise response hands out a profile: it is the profile stage's")
 	}
 	warm, err := e.Do(context.Background(), testRequest(t, KindAdvise))
 	if err != nil {
@@ -267,14 +281,6 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 	if warm.Cycles != cold.Cycles {
 		t.Errorf("cached cycles %d != cold %d", warm.Cycles, cold.Cycles)
-	}
-	// The analysis context goes to the caller that led the run and is
-	// not kept alive by the cache entry.
-	if cold.Context == nil {
-		t.Error("the flight leader's response has no Context")
-	}
-	if warm.Context != nil {
-		t.Error("a cached view pins the run's Context")
 	}
 	st := e.Stats()
 	if st.Runs != 1 || st.Hits != 1 || st.Misses != 1 {
@@ -317,12 +323,9 @@ func TestSingleflightCoalesces(t *testing.T) {
 		if reportOf(t, resps[i]) != reportOf(t, resps[0]) {
 			t.Fatalf("response %d differs", i)
 		}
-		// Exactly the leader is uncached, and only it holds the Context.
+		// Exactly the leader is uncached.
 		if !resps[i].Cached {
 			leaders++
-		}
-		if (resps[i].Context != nil) == resps[i].Cached {
-			t.Errorf("response %d: cached=%v, has Context=%v", i, resps[i].Cached, resps[i].Context != nil)
 		}
 	}
 	if leaders != 1 {
@@ -382,17 +385,17 @@ func TestErrorsNotCached(t *testing.T) {
 // goroutine that called gpusim.Run.
 type panicWorkload struct{}
 
-func (panicWorkload) Taken(gpusim.WarpCtx, int, int) bool  { panic("workload bug") }
-func (panicWorkload) Latency(gpusim.WarpCtx, int, int) int { panic("workload bug") }
-func (panicWorkload) Transactions(int) int                 { panic("workload bug") }
+func (panicWorkload) Taken(gpusim.WarpCtx, int, int) bool { panic("workload bug") }
+func (panicWorkload) Latency(gpusim.WarpCtx, int) int     { panic("workload bug") }
+func (panicWorkload) Transactions(int) int                { panic("workload bug") }
 
 // smPanicWorkload keeps its bug for the per-warp callbacks, which run
 // inside the simulation of an SM — on a worker goroutine of its own
 // when the run fans out.
 type smPanicWorkload struct{ gpusim.NopWorkload }
 
-func (smPanicWorkload) Taken(gpusim.WarpCtx, int, int) bool  { panic("workload bug") }
-func (smPanicWorkload) Latency(gpusim.WarpCtx, int, int) int { panic("workload bug") }
+func (smPanicWorkload) Taken(gpusim.WarpCtx, int, int) bool { panic("workload bug") }
+func (smPanicWorkload) Latency(gpusim.WarpCtx, int) int     { panic("workload bug") }
 
 // TestPanicContainedAtFlightBoundary: a flight that panics fails its
 // own waiters with a typed error and nothing else. Every path a flight
@@ -415,7 +418,7 @@ func TestPanicContainedAtFlightBoundary(t *testing.T) {
 	})
 	t.Run("disk probe", func(t *testing.T) {
 		const n = 4
-		e, resps, errs := diskOnlyFlight(t, n, func(stageID, []byte, string, store.Key) (*Response, error) { panic("decoder bug") })
+		e, resps, errs := diskOnlyFlight(t, n, func(stageID, []byte, string) (*Response, error) { panic("decoder bug") })
 		for i, err := range errs {
 			if !errors.Is(err, apierr.ErrInternal) || resps[i] != nil {
 				t.Errorf("waiter %d = %v, %v; want nil and ErrInternal", i, resps[i], err)
@@ -551,11 +554,12 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 // TestAdviseFeedsProfile is TestProfileFeedsAdvise the other way round:
-// an advise run publishes the profile it blamed as the profile stage's
-// own artifact, so a profile request over the same inputs is a memory
-// hit — not a run, and not another simulation.
+// an advise run puts the profile it blamed to disk as the profile
+// stage's own artifact, so a profile request over the same inputs is
+// served from there — not a run, and not another simulation — and
+// decodes to the profile the advice blamed.
 func TestAdviseFeedsProfile(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := newDiskEngine(t, t.TempDir())
 	advResp, err := e.Do(context.Background(), testRequest(t, KindAdvise))
 	if err != nil {
 		t.Fatal(err)
@@ -568,44 +572,14 @@ func TestAdviseFeedsProfile(t *testing.T) {
 		t.Errorf("profile after advise: cached=%v kind=%v digest match=%v", profResp.Cached, profResp.Kind,
 			profResp.ProfileDigest == advResp.ProfileDigest)
 	}
-	// The leader's profile is its run's struct, the hit's what the
-	// published bytes decode to.
-	mustEqualJSON(t, "the profile the advice blamed", profileOf(t, advResp), profileOf(t, profResp))
-	if want, _ := testRequest(t, KindProfile).Digest(); profResp.Key != want || profResp.Key == advResp.Key {
+	if d, err := profileOf(t, profResp).Digest(); err != nil || d != advResp.ProfileDigest {
+		t.Errorf("the served profile digests to %.16s (%v), the advice blamed %.16s", d, err, advResp.ProfileDigest)
+	}
+	if want, _ := resultKey(testRequest(t, KindProfile)); profResp.Key != want || profResp.Key == advResp.Key {
 		t.Errorf("profile response key %.16s, want the profile stage's %.16s", profResp.Key, want)
 	}
-	if st := e.Stats(); st.Hits != 1 || st.Runs != 1 || st.Sims != 1 {
-		t.Errorf("hits=%d runs=%d sims=%d, want 1/1/1", st.Hits, st.Runs, st.Sims)
-	}
-}
-
-// TestCachedAdviceKeepsItsProfile: on an engine with no disk the memory
-// tier is the only tier, and its stage LRUs evict independently. An
-// advice that a run published keeps the profile it blames, so the
-// profile lives as long as the advice: here another profile evicts it
-// from its one-entry stage, and the cached advice still hands it out.
-func TestCachedAdviceKeepsItsProfile(t *testing.T) {
-	e := New(Options{Workers: 1, CacheEntries: 1})
-	ctx := context.Background()
-	lead, err := e.Do(ctx, testRequest(t, KindAdvise))
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := testRequest(t, KindProfile)
-	other.Seed = 10
-	if _, err := e.Do(ctx, other); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.StageEvictions != 1 {
-		t.Fatalf("stageEvictions = %d, want 1: the other profile evicts the blamed one", st.StageEvictions)
-	}
-	hit, err := e.Do(ctx, testRequest(t, KindAdvise))
-	if err != nil || !hit.Cached {
-		t.Fatalf("repeat advise: err=%v, want a cached hit", err)
-	}
-	mustEqualJSON(t, "a cached advice's profile", profileOf(t, lead), profileOf(t, hit))
-	if st := e.Stats(); st.Sims != 2 {
-		t.Errorf("sims = %d, want 2: the cached advice's profile is not recomputed", st.Sims)
+	if st := e.Stats(); st.StageServed != 1 || st.Runs != 1 || st.Sims != 1 {
+		t.Errorf("stageServed=%d runs=%d sims=%d, want 1/1/1", st.StageServed, st.Runs, st.Sims)
 	}
 }
 
@@ -634,7 +608,7 @@ func TestMissWhileFlightLands(t *testing.T) {
 	if between == nil || between.Cached || !resp.Cached {
 		t.Fatalf("cached: the request in between %v, the one around it %v; want false, true", between != nil && between.Cached, resp.Cached)
 	}
-	if reportOf(t, resp) != reportOf(t, between) || resp.Context != nil {
+	if reportOf(t, resp) != reportOf(t, between) {
 		t.Error("the late request was not served the landed flight's shared view")
 	}
 	if st := e.Stats(); st.Sims != 1 || st.Runs != 1 || st.Misses != 1 || st.Hits != 1 {

@@ -251,7 +251,6 @@ type profileArtifact struct {
 // one decodes the document on first use.
 type adviceArtifact struct {
 	kernel string
-	digest string // of the profile the advice blames
 
 	// advice and report are "already decoded", and once guards the one
 	// decode.
@@ -262,15 +261,6 @@ type adviceArtifact struct {
 	// by construction.
 	report string
 	err    error
-
-	// profKey names the blamed profile in the profile stage. A run sets
-	// pa outright, on its own artifact and, on an engine with no disk, on
-	// the one it publishes; any other shared artifact resolves it on
-	// first use, guarded by paOnce.
-	profKey store.Key
-	paOnce  sync.Once
-	pa      *profileArtifact
-	paErr   error
 }
 
 // decodeStage checks doc, a payload of stage s, and builds the shared
@@ -280,8 +270,7 @@ type adviceArtifact struct {
 // its stage has, so what the response reports and what its tail says
 // cannot differ; past that opening a measure carries nothing, a profile
 // carries a profile of kernel — the entry the request launches — and an
-// advice ends in a string, its report. profKey names the profile an
-// advice blames, for the day somebody asks. No byte past those is read:
+// advice ends in a string, its report. No byte past those is read:
 // the store's frame checksums every byte of a stored payload, and only
 // this package's encoder writes frames under stageSchema, which
 // TestEncodedStageDocuments holds to valid JSON, a profile carrying its
@@ -289,7 +278,7 @@ type adviceArtifact struct {
 // checks its bytes once.
 //
 //gpa:lint-allow apierrlint decode errors degrade to counted store-corrupt misses inside lookup, and resolve wraps the one a run's own payload could raise in ErrInternal; none crosses the service boundary untyped
-func decodeStage(s stageID, doc []byte, kernel string, profKey store.Key) (*Response, error) {
+func decodeStage(s stageID, doc []byte, kernel string) (*Response, error) {
 	cycles, elapsed, digest, rest, ok := parseOpen(doc)
 	switch {
 	case !ok:
@@ -311,7 +300,7 @@ func decodeStage(s stageID, doc []byte, kernel string, profKey store.Key) (*Resp
 		resp.prof = &profileArtifact{kernel: kernel, cycles: cycles, body: body}
 	default:
 		ok = bytes.HasSuffix(rest, []byte(`"`+tailClose))
-		resp.adv = &adviceArtifact{kernel: kernel, digest: digest, profKey: profKey}
+		resp.adv = &adviceArtifact{kernel: kernel}
 	}
 	if !ok {
 		return nil, fmt.Errorf("service: %s artifact is not the document its opening declares", stageNames[s])
@@ -319,8 +308,8 @@ func decodeStage(s stageID, doc []byte, kernel string, profKey store.Key) (*Resp
 	return resp, nil
 }
 
-// errArtifact is the typed failure of an on-demand accessor: the store
-// promised a struct it can no longer produce.
+// errArtifact is the typed failure of an on-demand accessor: a stored
+// document does not decode to the struct it declared.
 func errArtifact(format string, args ...any) error {
 	return fmt.Errorf("service: %w: stored %s", apierr.ErrInternal, fmt.Sprintf(format, args...))
 }
@@ -369,25 +358,4 @@ func (aa *adviceArtifact) decoded(e *Engine, doc []byte) (*adv.Advice, string, e
 		aa.advice, aa.report = &adv.Advice{Kernel: aa.kernel, Entries: t.Advice}, t.Report
 	})
 	return aa.advice, aa.report, aa.err
-}
-
-// profileArtifact returns the artifact of the profile this advice
-// blames, fetching a shared artifact's from the profile stage on first
-// use: serving advice never touches that stage.
-func (aa *adviceArtifact) profileArtifact(e *Engine) (*profileArtifact, error) {
-	aa.paOnce.Do(func() {
-		if aa.pa != nil {
-			return
-		}
-		pv := e.lookup(stProfile, &stageKeys{stProfile: aa.profKey}, aa.kernel, tierMemory, true)
-		switch {
-		case pv == nil:
-			aa.paErr = errArtifact("profile is gone from under the advice that blames it")
-		case pv.ProfileDigest != aa.digest:
-			aa.paErr = errArtifact("profile has digest %.16s, its advice blames %.16s", pv.ProfileDigest, aa.digest)
-		default:
-			aa.pa = pv.prof
-		}
-	})
-	return aa.pa, aa.paErr
 }

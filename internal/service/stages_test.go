@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"os"
 	"reflect"
 	"runtime"
@@ -15,7 +13,6 @@ import (
 	"testing"
 	"weak"
 
-	"gpa/internal/apierr"
 	"gpa/internal/arch"
 	"gpa/internal/cubin"
 	"gpa/internal/gpusim"
@@ -34,9 +31,9 @@ func keysOf(t testing.TB, r *Request) stageKeys {
 }
 
 // leaves lists the index paths of the scalar fields under a struct
-// type, descending into nested structs (LaunchConfig, Dim3,
-// blamer.Options) and through the GPU model pointer, whose table the
-// keys cover by value; each with its dotted name.
+// type, descending into nested structs (LaunchConfig, Dim3) and
+// through the GPU model pointer, whose table the keys cover by value;
+// each with its dotted name.
 func leaves(typ reflect.Type, path []int, name string) (paths [][]int, names []string) {
 	if typ == reflect.TypeOf((*arch.GPU)(nil)) {
 		typ = typ.Elem()
@@ -79,8 +76,7 @@ func flip(t *testing.T, v reflect.Value, others map[reflect.Type]any) {
 // TestStageKeysFactorThePipeline is the key contract, checked field by
 // field by reflection: every Request field is either result-affecting
 // or in the exclusion table; flipping a result-affecting field — down to
-// each scalar of LaunchConfig, Dim3, blamer.Options and the arch.GPU
-// table — changes exactly the stage keys at and downstream of where it
+// each scalar of LaunchConfig, Dim3 and the arch.GPU table — changes exactly the stage keys at and downstream of where it
 // enters the pipeline, and no upstream key; flipping an excluded field
 // changes none; Kind changes only which key is terminal. A field added
 // to any of those structs fails here until it is classified and keyed,
@@ -92,7 +88,6 @@ func TestStageKeysFactorThePipeline(t *testing.T) {
 		"Module": stMeasure, "ModuleHash": stMeasure,
 		"Launch": stMeasure, "GPU": stMeasure, "SimSMs": stMeasure, "Seed": stMeasure, "WorkloadKey": stMeasure,
 		"SamplePeriod": stProfile,
-		"Blamer":       stAdvice,
 	}
 	// excluded is the transport- and execution-only state no key covers.
 	// Each entry is a proof obligation: it asserts the field can never
@@ -182,9 +177,8 @@ func TestStageKeysFactorThePipeline(t *testing.T) {
 		if km.keys() != want {
 			t.Errorf("%v: Kind changed a stage key", k)
 		}
-		digest, err := r.Digest()
-		if key := want[stageOf(k)]; err != nil || km.terminal != stageOf(k) || digest != hex.EncodeToString(key[:]) {
-			t.Errorf("%v: terminal stage %d, digest %.16s (%v); want stage %d and its key", k, km.terminal, digest, err, stageOf(k))
+		if km.terminal != stageOf(k) {
+			t.Errorf("%v: terminal stage %d, want %d", k, km.terminal, stageOf(k))
 		}
 	}
 
@@ -247,20 +241,26 @@ func TestEngineRetainsNoModule(t *testing.T) {
 
 // TestEngineRetainsNoDependency: with a disk, the profile an advise run
 // computed is only consumed — blamed, then put to disk — so once the
-// request is answered and its caller lets go, the run's profile
-// artifact, its document bytes included, is garbage.
+// request is answered, the response the run published for its profile,
+// its document bytes included, is garbage.
 func TestEngineRetainsNoDependency(t *testing.T) {
 	e := newDiskEngine(t, t.TempDir())
-	resp, err := e.Do(context.Background(), testRequest(t, KindAdvise))
-	if err != nil {
+	var art weak.Pointer[Response]
+	var body weak.Pointer[byte]
+	decodePayload = func(s stageID, doc []byte, kernel string) (*Response, error) {
+		resp, err := decodeStage(s, doc, kernel)
+		if s == stProfile && err == nil {
+			art, body = weak.Make(resp), weak.Make(&doc[0])
+		}
+		return resp, err
+	}
+	defer func() { decodePayload = decodeStage }()
+	if _, err := e.Do(context.Background(), testRequest(t, KindAdvise)); err != nil {
 		t.Fatal(err)
 	}
-	pa := resp.adv.pa
-	if pa == nil || len(pa.body) == 0 {
-		t.Fatal("the advise run holds no profile artifact")
+	if art == (weak.Pointer[Response]{}) {
+		t.Fatal("the advise run published no profile")
 	}
-	art, body := weak.Make(pa), weak.Make(&pa.body[0])
-	resp, pa = nil, nil
 	runtime.GC()
 	runtime.GC()
 	if art.Value() != nil || body.Value() != nil {
@@ -529,14 +529,14 @@ func TestDiskStoreRestartWarm(t *testing.T) {
 // engine over a store that holds their artifacts on disk only. The
 // stage decoder the leader's disk probe calls waits until the other n-1
 // have joined the leader's flight, then runs decode.
-func diskOnlyFlight(t *testing.T, n int, decode func(stageID, []byte, string, store.Key) (*Response, error)) (*Engine, []*Response, []error) {
+func diskOnlyFlight(t *testing.T, n int, decode func(stageID, []byte, string) (*Response, error)) (*Engine, []*Response, []error) {
 	t.Helper()
 	e := New(Options{Workers: 1, Store: storeRuns(t, testRequest(t, KindAdvise))})
-	decodePayload = func(s stageID, payload []byte, kernel string, profKey store.Key) (*Response, error) {
+	decodePayload = func(s stageID, payload []byte, kernel string) (*Response, error) {
 		for e.n.coalesced.Load() < int64(n-1) {
 			runtime.Gosched()
 		}
-		return decode(s, payload, kernel, profKey)
+		return decode(s, payload, kernel)
 	}
 	defer func() { decodePayload = decodeStage }()
 	reqs := make([]*Request, n)
@@ -563,44 +563,6 @@ func TestDiskStoreHitCoalesces(t *testing.T) {
 	if st.StoreHits != 1 || st.Misses != 1 || st.Coalesced != n-1 || st.StageServed != 1 || st.Runs != 0 || st.Sims != 0 {
 		t.Errorf("storeHits=%d misses=%d coalesced=%d stageServed=%d runs=%d sims=%d, want 1/1/%d/1/0/0",
 			st.StoreHits, st.Misses, st.Coalesced, st.StageServed, st.Runs, st.Sims, n-1)
-	}
-}
-
-// TestStoreServedProfileVanishes: a stored advise response is served
-// from the advice blob alone, so the profile blob can go bad behind it
-// (here: its frame zeroed in the log the engine has open). Asking for the profile then is a typed error — not a panic, not a
-// recompute — and everything the advice blob holds still serves.
-func TestStoreServedProfileVanishes(t *testing.T) {
-	dir := t.TempDir()
-	cold, err := newDiskEngine(t, dir).Do(context.Background(), testRequest(t, KindAdvise))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk := keysOf(t, testRequest(t, KindAdvise))
-
-	e := newDiskEngine(t, dir)
-	warm, err := e.Do(context.Background(), testRequest(t, KindAdvise))
-	if err != nil || !warm.Cached {
-		t.Fatalf("restart: err=%v cached=%v", err, warm != nil && warm.Cached)
-	}
-	editFrame(t, e.disk, store.StageProfile, sk[stProfile], func(frame []byte) []byte {
-		return make([]byte, len(frame))
-	})
-	for range 2 { // the failure is memoized like a success
-		if p, err := warm.Profile(); !errors.Is(err, apierr.ErrInternal) || p != nil {
-			t.Fatalf("Profile() over a vanished blob = %v, %v; want nil and ErrInternal", p, err)
-		}
-	}
-	if reportOf(t, warm) != reportOf(t, cold) {
-		t.Error("report text drifted across the store")
-	}
-	// The cached copy of the response shares the artifact, and its fate.
-	hit, err := e.Do(context.Background(), testRequest(t, KindAdvise))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hit.Profile(); !errors.Is(err, apierr.ErrInternal) {
-		t.Errorf("cache hit Profile() err = %v, want ErrInternal", err)
 	}
 }
 
@@ -658,12 +620,16 @@ func TestDiskEngineKeepsWhatItServes(t *testing.T) {
 		t.Errorf("a served profile is not kept in memory: err=%v", err)
 	}
 
-	// An advise whose profile is on disk (other Blamer options, the same
-	// profile key) blames it from there and keeps only its advice.
+	// An advise whose profile is on disk alone (another engine over the
+	// same store profiled it) blames it from there and keeps only its
+	// advice.
+	r := advise(n)
+	r.Kind = KindProfile
+	if _, err := New(Options{Workers: 1, Store: e.disk}).Do(ctx, r); err != nil {
+		t.Fatal(err)
+	}
 	before, puts := e.Stats(), e.stages.Stats().Puts
-	r := advise(1)
-	r.Blamer.DisablePathWeight = true
-	if _, err := e.Do(ctx, r); err != nil {
+	if _, err := e.Do(ctx, advise(n)); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Sims != before.Sims || st.StoreHits != before.StoreHits+1 {
@@ -673,13 +639,6 @@ func TestDiskEngineKeepsWhatItServes(t *testing.T) {
 	if got := e.stages.Stats().Puts; got != puts+1 {
 		t.Errorf("advise over a stored profile added %d memory entries, want 1: its advice", got-puts)
 	}
-
-	// A cached advice's profile is the one its leader blamed.
-	hit, err := e.Do(ctx, advise(2))
-	if err != nil || !hit.Cached {
-		t.Fatalf("repeat advise: err=%v, want a cached hit", err)
-	}
-	mustEqualJSON(t, "a cached advice's profile", profileOf(t, leads[2]), profileOf(t, hit))
 }
 
 // TestDiskStoreFaultInjectionRecomputes drives every corruption
