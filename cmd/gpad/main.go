@@ -74,7 +74,7 @@
 //	                  code (gpa_http_requests_total), and Go runtime
 //	                  gauges.
 //	GET  /statsz      Engine counters: hits, misses, coalesced,
-//	                  canceled, shed, inflight, runs, allocsPerJob,
+//	                  canceled, shed, inflight, runs,
 //	                  the summed work records of this engine's
 //	                  simulations — poolGets/poolHits (state-arena
 //	                  reuse) and ffPeriodsDetected/ffCyclesSkipped/

@@ -198,8 +198,7 @@ func noteResult(w http.ResponseWriter, job gpa.Job, res gpa.JobResult) {
 // every other numeric field is a monotonic counter and gets the
 // Prometheus _total suffix.
 var engineGauges = map[string]bool{
-	"inflight": true, "queued": true, "queueCapacity": true,
-	"workers": true, "allocsPerJob": true,
+	"inflight": true, "queued": true, "queueCapacity": true, "workers": true,
 	"interactiveQueued": true, "batchQueued": true,
 }
 

@@ -119,9 +119,8 @@ func TestMetricsMatchesStatsz(t *testing.T) {
 	}
 	for name, raw := range stats {
 		v, ok := raw.(float64)
-		if !ok || name == "uptimeSeconds" || name == "allocsPerJob" {
-			// uptime advances between the two reads; allocsPerJob is a
-			// process-wide allocation gauge that moves with every request.
+		if !ok || name == "uptimeSeconds" {
+			// uptime advances between the two reads.
 			continue
 		}
 		metric := "gpa_engine_" + metricSnake(name)

@@ -27,26 +27,31 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics.golden f
 
 // scrapeFixture is a fixed scrape input: every EngineStats field
 // non-zero and distinct (some past the 1e6 where the exposition's
-// shortest float switches to an exponent), two tenants, three routes,
-// four stages, and a build label that needs every label escape.
+// shortest float switches to an exponent), each set by name so that
+// adding or removing a field moves only its own series; two tenants,
+// three routes, four stages, and a build label that needs every label
+// escape.
 func scrapeFixture() (build []obs.Label, uptime float64, st gpa.EngineStats, stages *obs.StageLatency, reqs *obs.RequestMetrics) {
 	build = []obs.Label{
 		{Name: "version", Value: "v1.2.3 \"golden\" C:\\gpa\nrc1"},
 		{Name: "go", Value: "go1.24.0"},
 	}
 	uptime = 4321.0625
-	v := reflect.ValueOf(&st).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		switch f := v.Field(i); f.Kind() {
-		case reflect.Int, reflect.Int64:
-			f.SetInt(int64(i+1)*37 + int64(i%3)*1_000_003)
-		case reflect.Float64:
-			f.SetFloat(float64(i) + 0.375)
-		}
-	}
-	st.Tenants = map[string]gpa.TenantStats{
-		"alpha":   {Weight: 3, Served: 1200, Shed: 4, QuotaShed: 5, Dropped: 7, Queued: 8},
-		"batch-b": {Weight: 1, Served: 98765432, Shed: 14, QuotaShed: 15, Dropped: 17, Queued: 18},
+	st = gpa.EngineStats{
+		Hits: 37, Misses: 1000077, Coalesced: 2000117, Runs: 1000188, Sims: 2000228,
+		StageServed: 259, StructureBuilds: 1000299, Errors: 2000339, Panics: 370,
+		Canceled: 1000410, Shed: 2000450, QuotaShed: 481, QosDropped: 1000521,
+		Inflight: 2000561, Queued: 592, QueueCapacity: 1000632,
+		InteractiveQueued: 2000672, BatchQueued: 703, Workers: 1000743,
+		PoolGets: 2000783, PoolHits: 814, FFPeriodsDetected: 1000854,
+		FFCyclesSkipped: 2000894, FFFallbacks: 925, StageHits: 1000965,
+		StageMisses: 2001005, StageEvictions: 1036, StoreHits: 1001076,
+		StoreMisses: 2001116, StorePuts: 1147, StoreCorrupt: 1001187,
+		StoreErrors: 2001227, StageDecodes: 1258,
+		Tenants: map[string]gpa.TenantStats{
+			"alpha":   {Weight: 3, Served: 1200, Shed: 4, QuotaShed: 5, Dropped: 7, Queued: 8},
+			"batch-b": {Weight: 1, Served: 98765432, Shed: 14, QuotaShed: 15, Dropped: 17, Queued: 18},
+		},
 	}
 	stages = obs.NewStageLatency()
 	for s := obs.Stage(0); s < obs.NumStages; s++ {
@@ -68,10 +73,16 @@ func scrapeFixture() (build []obs.Label, uptime float64, st gpa.EngineStats, sta
 // TestMetricsGolden renders the fixture and compares it with
 // testdata/metrics.golden, which the fmt-and-JSON-round-trip writer this
 // one replaced rendered from the same fixture: the pooled append writer
-// must produce the same bytes. A new Stats field changes the fixture's
-// output; regenerate with -update and review the diff.
+// must produce the same bytes. A new Stats field needs a value in the
+// fixture; then regenerate with -update and review the diff.
 func TestMetricsGolden(t *testing.T) {
 	build, uptime, st, stages, reqs := scrapeFixture()
+	v := reflect.ValueOf(st)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Errorf("the fixture leaves EngineStats.%s zero: give it a value of its own", v.Type().Field(i).Name)
+		}
+	}
 	var p obs.PromWriter
 	writeScrape(&p, build, uptime, &st, stages, reqs)
 	const path = "testdata/metrics.golden"

@@ -158,3 +158,66 @@ func TestSlowClientsHoldNoWorkerSlot(t *testing.T) {
 		})
 	}
 }
+
+// TestSlowBodiesHoldNothing is the read side of the same contract: a
+// client that sends its headers and half its body, then stalls, holds
+// one handler goroutine and one connection while gpad waits for the
+// rest, and nothing of the engine. A request's tenant is charged when
+// its job reaches the engine, after the body is read, so the stalled
+// request costs its tenant no token: on a quota of burst 1 that barely
+// refills, the tenant's next complete request is answered and the one
+// after it is refused. Closing the client frees its goroutine.
+func TestSlowBodiesHoldNothing(t *testing.T) {
+	const tenant = "metered"
+	cfg := gpa.QoSConfig{Tenants: map[string]gpa.TenantQoSConfig{tenant: {RatePerSec: 0.001, Burst: 1}}}
+	eng := gpa.NewEngine(&gpa.EngineOptions{Workers: 1, QoS: &cfg})
+	h := newServer(eng)
+	var active atomic.Int64 // handlers running
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		active.Add(1)
+		defer active.Add(-1)
+		h.ServeHTTP(w, r)
+	}))
+	ts.Listener = smallSendBuffers{ts.Listener}
+	ts.Start()
+	defer ts.Close()
+
+	const body = `{"bench":"rodinia/hotspot"}`
+	base := runtime.NumGoroutine()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/advise HTTP/1.1\r\nHost: gpad\r\n%s: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		tenantHeader, tenant, len(body), body[:len(body)/2])
+	if !waitFor(5*time.Second, func() bool { return active.Load() == 1 }) {
+		t.Fatal("the slow body's handler never started")
+	}
+
+	var st statszResponse
+	getJSON(t, ts.URL+"/statsz", &st)
+	if st.Inflight != 0 || st.Queued != 0 {
+		t.Errorf("a stalled body holds engine work: inflight=%d queued=%d", st.Inflight, st.Queued)
+	}
+	req := map[string]any{"bench": "rodinia/hotspot"}
+	if resp, out := postTenant(t, ts.URL+"/v1/advise", tenant, req); resp.StatusCode != http.StatusOK {
+		t.Errorf("the tenant's complete request beside its stalled body: status %d, want 200 (the stalled body was charged a token): %s",
+			resp.StatusCode, out)
+	}
+	if resp, _ := postTenant(t, ts.URL+"/v1/advise", tenant, req); resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("the tenant's second complete request: status %d, want 429 (the quota is live)", resp.StatusCode)
+	}
+	if active.Load() != 1 {
+		t.Errorf("%d handlers running, want the stalled one", active.Load())
+	}
+
+	conn.Close()
+	ts.Client().CloseIdleConnections()
+	http.DefaultClient.CloseIdleConnections()
+	if !waitFor(5*time.Second, func() bool { return active.Load() == 0 && runtime.NumGoroutine() <= base }) {
+		stacks := make([]byte, 1<<16)
+		t.Fatalf("after the client left: %d handlers, %d goroutines (base %d)\n%s",
+			active.Load(), runtime.NumGoroutine(), base, stacks[:runtime.Stack(stacks, true)])
+	}
+}

@@ -185,9 +185,6 @@ func TestStatszPoolCounters(t *testing.T) {
 		if st.PoolGets != 3 || st.Sims != 3 || st.PoolHits > 3 || (st.PoolHits < 2 && !raceEnabled) {
 			t.Errorf("%s: poolGets=%d poolHits=%d sims=%d, want 3 arenas for 3 simulations, at least the last 2 reused", path, st.PoolGets, st.PoolHits, st.Sims)
 		}
-		if st.AllocsPerJob <= 0 {
-			t.Errorf("%s: allocsPerJob = %v, want > 0 (cold runs allocate)", path, st.AllocsPerJob)
-		}
 	}
 	// The raw JSON must carry the documented field names.
 	resp, err := http.Get(ts.URL + "/v1/statsz")
@@ -196,8 +193,8 @@ func TestStatszPoolCounters(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	for _, field := range []string{`"poolGets"`, `"poolHits"`, `"allocsPerJob"`,
-		`"ffPeriodsDetected"`, `"ffCyclesSkipped"`, `"ffFallbacks"`} {
+	for _, field := range []string{`"poolGets"`, `"poolHits"`, `"ffPeriodsDetected"`,
+		`"ffCyclesSkipped"`, `"ffFallbacks"`} {
 		if !strings.Contains(string(raw), field) {
 			t.Errorf("/v1/statsz JSON missing %s: %s", field, raw)
 		}

@@ -125,9 +125,10 @@ type Job struct {
 	// set). Never affects a completed result.
 	Timeout time.Duration
 	// WorkloadKey names Options.Workload stably for caching: workloads
-	// are opaque callbacks, so a job carrying one without a key bypasses
-	// the cache (it still runs, bounded by the worker pool). Reusing a
-	// key promises the workload behaves identically.
+	// are opaque callbacks, so the engine refuses a job carrying one
+	// without a key (ErrBadKernel). Reusing a key promises the workload
+	// behaves identically. A keyless one-off run belongs to the direct
+	// API (Kernel.Advise, Profile, Measure).
 	WorkloadKey string
 	// TraceID is the per-request trace identifier that request logs
 	// carry and the v2 result schema echoes (cmd/gpad accepts it via
@@ -210,10 +211,10 @@ func (j Job) request() (service.Request, error) {
 	if err != nil {
 		return service.Request{}, err
 	}
-	// A module-hash failure is not fatal here: a zero hash makes the
-	// service re-pack the module inside Digest and surface the error
-	// through the same path it always has.
-	modHash, _ := j.Kernel.moduleHash()
+	modHash, err := j.Kernel.moduleHash()
+	if err != nil {
+		return service.Request{}, fmt.Errorf("gpa: %w: %w", ErrBadKernel, err)
+	}
 	return service.Request{
 		Kind:         j.Kind,
 		Module:       j.Kernel.Module,

@@ -2,6 +2,7 @@ package gpa_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -98,19 +99,21 @@ func TestEngineMeasureAndProfile(t *testing.T) {
 	}
 }
 
-func TestEngineWorkloadWithoutKeyBypasses(t *testing.T) {
+// TestEngineWorkloadWithoutKeyRefused: an engine job whose workload has
+// no WorkloadKey is refused before it costs a run; the same job runs
+// through the direct API.
+func TestEngineWorkloadWithoutKeyRefused(t *testing.T) {
 	k, opts := apiKernel(t) // opts carries a workload
 	eng := gpa.NewEngine(nil)
 	res := eng.Do(context.Background(), gpa.Job{Kind: gpa.JobMeasure, Kernel: k, Options: opts})
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	if !errors.Is(res.Err, gpa.ErrBadKernel) {
+		t.Fatalf("err = %v, want ErrBadKernel", res.Err)
 	}
-	if res.Key != "" || res.Cached {
-		t.Errorf("workload without key must bypass the cache (key %q, cached %v)",
-			res.Key, res.Cached)
+	if st := eng.Stats(); st.Runs != 0 || st.Misses != 0 {
+		t.Errorf("runs=%d misses=%d, want 0/0", st.Runs, st.Misses)
 	}
-	if st := eng.Stats(); st.Bypass != 1 {
-		t.Errorf("stats = %+v, want 1 bypass", st)
+	if _, err := k.Measure(context.Background(), opts); err != nil {
+		t.Errorf("direct Measure of the same workload: %v", err)
 	}
 }
 

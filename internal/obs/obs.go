@@ -121,8 +121,8 @@ type Stage int
 
 const (
 	// StageAssemble is the module front-end, timed where it runs: a
-	// SASS/CUBIN decode on a gpad kernel-cache miss, or the engine's
-	// flattened-program load for a request that brings no program.
+	// SASS/CUBIN decode on a gpad kernel-cache miss. The engine records
+	// none: every request brings its program.
 	StageAssemble Stage = iota
 	// StageSimulate is a gpusim run or a sampling-profiler collection —
 	// the simulator invocations Stats.Sims counts.

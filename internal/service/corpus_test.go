@@ -20,7 +20,8 @@ import (
 
 // corpusRequests returns an advise request for every Table 3 row's
 // baseline kernel on gpu (nil: the V100), as gpad advises a bundled row
-// (one simulated SM), and each row's entry.
+// (one simulated SM) with the program and module hash its kernel cache
+// holds, and each row's entry.
 func corpusRequests(tb testing.TB, gpu *arch.GPU) (reqs []*service.Request, entries []string) {
 	tb.Helper()
 	for _, b := range kernels.All() {
@@ -43,6 +44,7 @@ func corpusRequests(tb testing.TB, gpu *arch.GPU) (reqs []*service.Request, entr
 			GPU:    gpu,
 			SimSMs: 1, Seed: 11, Parallelism: 1, Workload: wl, WorkloadKey: b.ID(),
 		})
+		service.Build(tb, reqs[len(reqs)-1])
 	}
 	return reqs, entries
 }

@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"sync"
 
+	"gpa/internal/apierr"
 	"gpa/internal/arch"
-	"gpa/internal/cubin"
 	"gpa/internal/store"
 )
 
@@ -92,27 +92,22 @@ func (km *keyMaterial) keys() (sk stageKeys) {
 // and large enough unless a name is unusually long.
 type keyBuf [1024]byte
 
-// packModule is cubin.Pack; a variable so a test can count the calls.
-var packModule = cubin.Pack
-
 // keyMaterial derives r's key material, appending the fields to buf
-// (pass keyBuf[:0]). cacheable=false marks a request with no stable
-// identity — a Workload (an opaque callback) without a WorkloadKey —
-// which bypasses the store and singleflight.
+// (pass keyBuf[:0]). It refuses, with an error wrapping
+// apierr.ErrBadKernel, a request the engine cannot key or run as it
+// stands: one without its program or its module hash, or with a
+// Workload (an opaque callback) that no WorkloadKey names.
 // The two variable-size inputs, the module and the GPU model table,
 // enter by their own cached digests (Request.ModuleHash and a memo
 // keyed by the model's value), so a warm engine never re-encodes either.
-func (r *Request) keyMaterial(buf []byte) (km keyMaterial, cacheable bool, err error) {
-	if r.Workload != nil && r.WorkloadKey == "" {
-		return km, false, nil
-	}
-	mh := r.ModuleHash
-	if mh == ([32]byte{}) {
-		blob, err := packModule(r.Module)
-		if err != nil {
-			return km, false, fmt.Errorf("service: digest: %w", err)
-		}
-		mh = sha256.Sum256(blob)
+func (r *Request) keyMaterial(buf []byte) (km keyMaterial, err error) {
+	switch {
+	case r.Prog == nil:
+		return km, fmt.Errorf("service: %w: request without its loaded program", apierr.ErrBadKernel)
+	case r.ModuleHash == [32]byte{}:
+		return km, fmt.Errorf("service: %w: request without its module hash", apierr.ErrBadKernel)
+	case r.Workload != nil && r.WorkloadKey == "":
+		return km, fmt.Errorf("service: %w: a workload without a WorkloadKey cannot be cached; run a one-off workload through the direct API (Kernel.Advise, Profile, Measure)", apierr.ErrBadKernel)
 	}
 	n := r.normalized()
 	// The GPU model is digested by its full constant table, not just
@@ -121,10 +116,10 @@ func (r *Request) keyMaterial(buf []byte) (km keyMaterial, cacheable bool, err e
 	// plain scalar data, so its JSON encoding is canonical.
 	gh, err := gpuModelHash(n.GPU)
 	if err != nil {
-		return km, false, err
+		return km, err
 	}
 	b := appendBytes(buf, "schema", stageSchema)
-	b = appendBytes(b, "module", mh[:])
+	b = appendBytes(b, "module", r.ModuleHash[:])
 	b = appendBytes(b, "entry", n.Launch.Entry)
 	b = appendI64(b, "gridX", int64(n.Launch.Grid.X))
 	b = appendI64(b, "gridY", int64(n.Launch.Grid.Y))
@@ -143,7 +138,7 @@ func (r *Request) keyMaterial(buf []byte) (km keyMaterial, cacheable bool, err e
 	b = appendI64(b, "period", int64(n.SamplePeriod))
 	b = km.closeStage(b, stProfile)
 	km.fields, km.terminal = km.closeStage(b, stAdvice), stageOf(n.Kind)
-	return km, true, nil
+	return km, nil
 }
 
 // gpuHashes memoizes the SHA-256 of each GPU model's JSON encoding,

@@ -53,7 +53,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/metrics"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,18 +111,23 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("service: unknown kind %q (want advise, profile, or measure)", s)
 }
 
-// Request is one unit of work for the engine.
+// Request is one unit of work for the engine. Every request arrives
+// built and keyed: the module's front end (Prog, ModuleHash) is
+// memoized above the engine (gpa.Kernel, gpad's kernel cache), and a
+// Workload comes with its WorkloadKey. Do refuses any other request
+// with an error wrapping apierr.ErrBadKernel.
 type Request struct {
-	Kind   Kind
+	Kind Kind
+	// Module is the kernel module, whose structure an advice analyzes.
 	Module *sass.Module
-	// Prog optionally supplies the module's already-flattened program
-	// (gpa.Kernel caches one); nil loads it for the one run that
-	// simulates, timed as the assemble stage. It must belong to Module.
+	// Prog is Module's flattened program (gpusim.Load); required. The
+	// engine simulates it and never loads a module itself.
 	Prog *gpusim.Program
-	// ModuleHash optionally supplies the SHA-256 of the module's
-	// canonical cubin encoding (gpa.Kernel caches one); zero means the
-	// key derivation packs the module itself, once per request.
-	// Supplying it keeps the warm path free of module encoding.
+	// ModuleHash is the SHA-256 of Module's canonical cubin encoding
+	// (cubin.Pack); required. Module's content enters every key through
+	// it, so the engine never encodes a module: a hash that does not
+	// match Module is the caller's broken promise, as a Prog of another
+	// module would be.
 	ModuleHash [32]byte
 	Launch     gpusim.LaunchConfig
 	// GPU is the architecture model (nil = the paper's V100).
@@ -148,8 +152,10 @@ type Request struct {
 	// a completed result.
 	Timeout time.Duration
 	// Workload supplies branch trips and memory behaviour. Workloads
-	// are opaque callbacks, so a request carrying one is uncacheable
-	// unless WorkloadKey names it stably (same key ⇒ same behaviour).
+	// are opaque callbacks, so a request carrying one must name it by
+	// WorkloadKey, stably (same key ⇒ same behaviour). A keyless
+	// one-off workload runs through the direct API (gpa.Kernel.Advise,
+	// Profile, Measure), not through a caching engine.
 	Workload    gpusim.Workload
 	WorkloadKey string
 	// TraceID is the per-request trace identifier (accepted from the
@@ -216,8 +222,7 @@ func (r *Request) normalized() Request {
 // Each reads its own stage's artifact only: an advise response's profile
 // is the profile stage's, one KindProfile request away.
 type Response struct {
-	// Key is the request digest — the terminal stage's key, in hex — and
-	// "" for uncacheable requests.
+	// Key is the request digest: the terminal stage's key, in hex.
 	Key string
 	// Cached is true when the response was served without a pipeline run
 	// of the caller's own (store hit or singleflight coalescing).
@@ -296,8 +301,6 @@ type Stats struct {
 	// request (singleflight followers: N concurrent duplicates cost
 	// Misses=1, Coalesced=N-1, Runs=1).
 	Coalesced int64 `json:"coalesced"`
-	// Bypass counts uncacheable requests (workload without a key).
-	Bypass int64 `json:"bypass"`
 	// Runs counts actual pipeline executions. A run may still reuse
 	// the artifacts of the stages it depends on (e.g. advise over a
 	// stored profile); Sims counts the simulations that actually
@@ -366,9 +369,9 @@ type Stats struct {
 	FFCyclesSkipped   int64 `json:"ffCyclesSkipped"`
 	FFFallbacks       int64 `json:"ffFallbacks"`
 	// StageHits / StageMisses / StageEvictions are the memory tier's
-	// counters (per-stage LRU lookups): every cacheable request's probe
-	// of its terminal stage — so StageHits includes Hits — plus the
-	// probes a run makes for the stages it depends on.
+	// counters (per-stage LRU lookups): every request's probe of its
+	// terminal stage — so StageHits includes Hits — plus the probes a
+	// run makes for the stages it depends on.
 	StageHits      int64 `json:"stageHits"`
 	StageMisses    int64 `json:"stageMisses"`
 	StageEvictions int64 `json:"stageEvictions"`
@@ -387,12 +390,6 @@ type Stats struct {
 	// a profile another request left behind, or a caller asks a shared
 	// response for Profile, Advice or Report.
 	StageDecodes int64 `json:"stageDecodes"`
-	// AllocsPerJob is the mean number of heap allocations per served
-	// job (hits, coalesced, bypassed, and executed alike) since the
-	// engine was created, measured from runtime.MemStats.Mallocs. It is
-	// process-wide, so concurrent non-engine work inflates it; on a
-	// dedicated gpad it is the serving hot path's allocation rate.
-	AllocsPerJob float64 `json:"allocsPerJob"`
 	// Tenants is the per-tenant accounting snapshot (served, shed,
 	// quota, queue depth) keyed by tenant ID. Cardinality is bounded by
 	// the scheduler's MaxTenants overflow class, so gpad can render it
@@ -473,21 +470,16 @@ type Engine struct {
 	// afterMiss, when a test sets it, runs between those two looks.
 	afterMiss func()
 
-	// baseMallocs is the process's cumulative heap-object allocation
-	// count at engine creation (heapAllocObjects); Stats reports the
-	// process-wide allocation delta per served job against it.
-	baseMallocs uint64
-
-	// lat records per-stage pipeline latencies (assemble, simulate,
-	// blame, advise) for the /metrics histograms. Stages record only
-	// when they actually execute, so the counts correlate with
-	// runs/sims, not request volume.
+	// lat records per-stage pipeline latencies (simulate, blame, advise;
+	// the serving layer records assemble) for the /metrics histograms.
+	// Stages record only when they actually execute, so the counts
+	// correlate with runs/sims, not request volume.
 	lat *obs.StageLatency
 
 	// n holds the engine's own counters; Stats reads them.
 	n struct {
-		hits, misses, coalesced, bypass, runs, errors, canceled, shed, inflight atomic.Int64
-		sims, stageServed, structureBuilds, stageDecodes, panics                atomic.Int64
+		hits, misses, coalesced, runs, errors, canceled, shed, inflight atomic.Int64
+		sims, stageServed, structureBuilds, stageDecodes, panics        atomic.Int64
 		// The summed gpusim.Work records of the engine's simulations.
 		poolHits, ffPeriods, ffCycles, ffFallbacks atomic.Int64
 	}
@@ -531,7 +523,6 @@ func New(opts Options) *Engine {
 		flight:         make(map[store.Key]*flightCall),
 		stages:         store.NewMemory(opts.CacheEntries), // nil for CacheEntries < 0
 		disk:           opts.Store,
-		baseMallocs:    heapAllocObjects(),
 		lat:            obs.NewStageLatency(),
 	}
 }
@@ -551,6 +542,8 @@ func (e *Engine) withDeadline(ctx context.Context, req *Request) (context.Contex
 
 // Do resolves one request: the memory tier of its terminal stage, then
 // singleflight, then the disk tier, then a worker-bounded pipeline run.
+// A request that breaks Request's contract fails with ErrBadKernel
+// before any of them.
 // A canceled ctx detaches this caller wherever it is waiting — queued,
 // running, or coalesced — and returns an error wrapping ErrCanceled;
 // the shared run itself is canceled only when its last waiter detaches.
@@ -581,19 +574,9 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 	defer cancel()
 
 	var buf keyBuf
-	km, cacheable, err := req.keyMaterial(buf[:0])
+	km, err := req.keyMaterial(buf[:0])
 	if err != nil {
 		return nil, err
-	}
-	if !cacheable {
-		e.n.bypass.Add(1)
-		// Uncacheable requests cannot share a flight, but the caller's
-		// ctx still cancels the run directly.
-		_, resp, err := e.execute(ctx, req, nil)
-		if err == nil {
-			e.adm.Served(req.Tenant)
-		}
-		return resp, err
 	}
 	// The warm path: one hash, one lookup, and the artifact's prebuilt
 	// response — no allocation at all.
@@ -772,19 +755,6 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// heapAllocObjects reads the process's cumulative heap-object
-// allocation count via runtime/metrics, which — unlike
-// runtime.ReadMemStats — does not stop the world, so scraping /statsz
-// never pauses the serving hot path it monitors.
-func heapAllocObjects() uint64 {
-	sample := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
-	metrics.Read(sample)
-	if sample[0].Value.Kind() == metrics.KindUint64 {
-		return sample[0].Value.Uint64()
-	}
-	return 0
-}
-
 // StageLatency exposes the engine's per-stage latency recorder so the
 // serving layer (cmd/gpad) can render it at /metrics and fold its own
 // assemble-time observations (kernel construction happens above the
@@ -793,7 +763,6 @@ func (e *Engine) StageLatency() *obs.StageLatency { return e.lat }
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
-	allocs := heapAllocObjects()
 	stageStats := e.stages.Stats() // nil-safe: zero Stats without a memory tier
 	var diskStats store.Stats
 	if e.disk != nil {
@@ -805,11 +774,10 @@ func (e *Engine) Stats() Stats {
 	// keeps PoolHits <= PoolGets == Sims under load.
 	poolHits := e.n.poolHits.Load()
 	sims := e.n.sims.Load()
-	st := Stats{
+	return Stats{
 		Hits:          e.n.hits.Load(),
 		Misses:        e.n.misses.Load(),
 		Coalesced:     e.n.coalesced.Load(),
-		Bypass:        e.n.bypass.Load(),
 		Runs:          e.n.runs.Load(),
 		Sims:          sims,
 		StageServed:   e.n.stageServed.Load(),
@@ -846,10 +814,6 @@ func (e *Engine) Stats() Stats {
 		StoreErrors:     diskStats.Errors,
 		StageDecodes:    e.n.stageDecodes.Load(),
 	}
-	if jobs := st.Hits + st.Misses + st.Coalesced + st.Bypass; jobs > 0 {
-		st.AllocsPerJob = float64(allocs-e.baseMallocs) / float64(jobs)
-	}
-	return st
 }
 
 // stage is one row of the pipeline's stage table: what a served stage
@@ -895,9 +859,7 @@ const (
 
 // run is the working state of one pipeline execution.
 type run struct {
-	n Request // normalized
-	// sk holds the request's stage keys; nil for an uncacheable request,
-	// which computes every stage it needs and stores nothing.
+	n     Request // normalized
 	sk    *stageKeys
 	start time.Time
 }
@@ -958,8 +920,7 @@ func (e *Engine) publish(s stageID, key store.Key, kernel string, payload []byte
 // response and, when this call computed the stage, the leader's own
 // beside it. A stage that depends on another takes the run's own lead
 // when this run computed it — it holds the struct — and the shared
-// response otherwise, decoding its body once. An uncacheable run has no
-// keys: it only computes, and shares nothing. A payload the decoder
+// response otherwise, decoding its body once. A payload the decoder
 // rejects fails the run, so nothing is ever served from memory that
 // would not be served from disk.
 //
@@ -969,10 +930,8 @@ func (e *Engine) publish(s stageID, key store.Key, kernel string, payload []byte
 // for the run alone; memory holds it only if it already did.
 func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (view, lead *Response, err error) {
 	keep := s == stageOf(r.n.Kind)
-	if r.sk != nil {
-		if view = e.lookup(s, r.sk, r.n.Launch.Entry, from, keep); view != nil {
-			return view, nil, nil
-		}
+	if view = e.lookup(s, r.sk, r.n.Launch.Entry, from, keep); view != nil {
+		return view, nil, nil
 	}
 	st := &stages[s]
 	var dep *Response
@@ -992,9 +951,6 @@ func (e *Engine) resolve(ctx context.Context, r *run, s stageID, from tier) (vie
 		return nil, nil, err
 	}
 	lead.eng = e
-	if r.sk == nil {
-		return lead, lead, nil
-	}
 	if view, err = e.publish(s, r.sk[s], r.n.Launch.Entry, lead.doc, keep); err != nil {
 		return nil, nil, fmt.Errorf("service: %w: the %s stage computed an artifact it cannot serve: %v", apierr.ErrInternal, stageNames[s], err)
 	}
@@ -1018,8 +974,7 @@ func (e *Engine) contain(err *error) {
 
 // execute runs one request that no tier could answer: the admission
 // queue, then a worker slot (abandoned early if ctx dies or the engine
-// drains), then the driver under the run context. sk is nil for an
-// uncacheable request.
+// drains), then the driver under the run context.
 func (e *Engine) execute(ctx context.Context, req *Request, sk *stageKeys) (view, lead *Response, err error) {
 	// Deferred first, so it runs after the slot release and the counters
 	// below have unwound.
@@ -1073,29 +1028,8 @@ func fanOut(requested, others int) int {
 	return max(1, runtime.GOMAXPROCS(0)-others)
 }
 
-// program returns the run's flattened program: the request's own
-// (gpa.Kernel memoizes one) or one loaded for this run alone, timed as
-// the assemble stage. The engine keeps no module front end: the callers
-// that repeat a module memoize it above the engine (gpa.Kernel, gpad's
-// kernel cache).
-func (e *Engine) program(r *run) (*gpusim.Program, error) {
-	if r.n.Prog != nil {
-		return r.n.Prog, nil
-	}
-	start := time.Now()
-	prog, err := gpusim.Load(r.n.Module)
-	e.lat.Since(obs.StageAssemble, start)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	return prog, nil
-}
-
 func (e *Engine) computeMeasure(ctx context.Context, r *run, _ *Response) (*Response, error) {
-	prog, err := e.program(r)
-	if err != nil {
-		return nil, err
-	}
+	prog := r.n.Prog
 	simStart := time.Now()
 	res, err := gpusim.Run(ctx, prog, r.n.Launch, r.n.Workload, gpusim.Config{
 		GPU:         r.n.GPU,
@@ -1115,12 +1049,8 @@ func (e *Engine) computeMeasure(ctx context.Context, r *run, _ *Response) (*Resp
 }
 
 func (e *Engine) computeProfile(ctx context.Context, r *run, _ *Response) (*Response, error) {
-	prog, err := e.program(r)
-	if err != nil {
-		return nil, err
-	}
 	simStart := time.Now()
-	prof, err := profiler.CollectProgram(ctx, prog, r.n.Launch, r.n.Workload, profiler.Options{
+	prof, err := profiler.CollectProgram(ctx, r.n.Prog, r.n.Launch, r.n.Workload, profiler.Options{
 		GPU:          r.n.GPU,
 		SamplePeriod: r.n.SamplePeriod,
 		SimSMs:       r.n.SimSMs,

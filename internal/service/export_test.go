@@ -11,6 +11,9 @@ import (
 // imports this package through the root one, so no file of this
 // package can import it.
 
+// Build is build: it fills a request's program and module hash.
+func Build(tb testing.TB, r *Request) { build(tb, r) }
+
 // DecodeProfile, DecodeAdvice and DecodeMeasure are decodeStage for one
 // stage.
 func DecodeProfile(payload []byte, kernel string) (*Response, error) {

@@ -9,6 +9,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -133,8 +134,8 @@ func TestTenantFairnessUnderSaturation(t *testing.T) {
 				defer wg.Done()
 				r := testRequest(t, KindMeasure)
 				r.Tenant = tenant
-				// Carrying a Workload also makes the request uncacheable:
-				// no two jobs coalesce.
+				// A key of its own for each job: no two coalesce.
+				r.WorkloadKey = fmt.Sprintf("grant %s %d", tenant, i)
 				r.Workload = &grantRecorder{granted: func() {
 					mu.Lock()
 					grants = append(grants, tenant)
@@ -361,8 +362,8 @@ func TestFanOutRule(t *testing.T) {
 			}
 			r := testRequest(t, KindMeasure)
 			r.SimSMs, r.Parallelism = c.simSMs, c.parallel
-			probe := &fanOutProbe{} // a Workload also makes the run uncacheable
-			r.Workload = probe
+			probe := &fanOutProbe{}
+			r.Workload, r.WorkloadKey = probe, "fan-out probe"
 			if _, err := e.Do(context.Background(), r); err != nil {
 				t.Fatal(err)
 			}

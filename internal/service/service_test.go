@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"regexp"
@@ -12,6 +13,7 @@ import (
 
 	"gpa/internal/apierr"
 	"gpa/internal/arch"
+	"gpa/internal/cubin"
 	"gpa/internal/gpusim"
 	"gpa/internal/profiler"
 	"gpa/internal/sass"
@@ -71,15 +73,30 @@ func profileOf(t testing.TB, r *Response) *profiler.Profile {
 }
 
 // resultKey is r's result key in hex: the key of the stage its Kind
-// makes terminal, "" for a request with no stable identity.
+// makes terminal.
 func resultKey(r *Request) (string, error) {
 	var buf keyBuf
-	km, cacheable, err := r.keyMaterial(buf[:0])
-	if err != nil || !cacheable {
+	km, err := r.keyMaterial(buf[:0])
+	if err != nil {
 		return "", err
 	}
 	key := km.key(km.terminal)
 	return hex.EncodeToString(key[:]), nil
+}
+
+// build fills r's program and module hash from r.Module, as gpa.Kernel
+// memoizes them for the requests it makes.
+func build(t testing.TB, r *Request) {
+	t.Helper()
+	prog, err := gpusim.Load(r.Module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := cubin.Pack(r.Module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Prog, r.ModuleHash = prog, sha256.Sum256(blob)
 }
 
 func testRequest(t testing.TB, kind Kind) *Request {
@@ -88,7 +105,7 @@ func testRequest(t testing.TB, kind Kind) *Request {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Request{
+	r := &Request{
 		Kind:   kind,
 		Module: mod,
 		Launch: gpusim.LaunchConfig{
@@ -99,6 +116,8 @@ func testRequest(t testing.TB, kind Kind) *Request {
 		SimSMs: 1,
 		Seed:   9,
 	}
+	build(t, r)
+	return r
 }
 
 func TestDigestStableAndSensitive(t *testing.T) {
@@ -206,48 +225,45 @@ func TestDigestModuleContent(t *testing.T) {
 	}
 	r2 := testRequest(t, KindAdvise)
 	r2.Module = mod2 // distinct pointer, identical content
+	build(t, r2)
 	k2, _ := resultKey(r2)
 	if k1 != k2 {
 		t.Errorf("identical module content digests differently")
 	}
 }
 
-func TestWorkloadWithoutKeyBypasses(t *testing.T) {
-	r := testRequest(t, KindMeasure)
-	r.Workload = gpusim.Workload(nil)
-	// A genuinely non-nil workload: bind an empty spec.
-	prog, err := gpusim.Load(r.Module)
+// TestUnkeyedRequestsRefused: the engine serves only requests it can
+// key as they arrive. One with a Workload no WorkloadKey names, without
+// its program, or without its module hash fails with ErrBadKernel
+// before any tier or run.
+func TestUnkeyedRequestsRefused(t *testing.T) {
+	wl, err := (&gpusim.Spec{}).Bind(testRequest(t, KindMeasure).Prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl, err := (&gpusim.Spec{}).Bind(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Workload = wl
-	key, err := resultKey(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key != "" {
-		t.Fatalf("workload without key must be uncacheable, got key %q", key)
-	}
-
-	e := New(Options{Workers: 1})
-	resp1, err := e.Do(context.Background(), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2, err := e.Do(context.Background(), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp1.Cached || resp2.Cached {
-		t.Error("bypass responses must not be marked cached")
-	}
-	st := e.Stats()
-	if st.Bypass != 2 || st.Runs != 2 || st.Hits != 0 {
-		t.Errorf("stats = %+v, want 2 bypasses and 2 runs", st)
+	for _, c := range []struct {
+		name  string
+		unset func(*Request)
+	}{
+		{"workload without key", func(r *Request) { r.Workload = wl }},
+		{"no program", func(r *Request) { r.Prog = nil }},
+		{"no module hash", func(r *Request) { r.ModuleHash = [32]byte{} }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := testRequest(t, KindMeasure)
+			c.unset(r)
+			if _, err := resultKey(r); !errors.Is(err, apierr.ErrBadKernel) {
+				t.Errorf("keyMaterial: %v, want ErrBadKernel", err)
+			}
+			e := New(Options{Workers: 1})
+			if resp, err := e.Do(context.Background(), r); !errors.Is(err, apierr.ErrBadKernel) || resp != nil {
+				t.Errorf("Do = %v, %v; want nil and ErrBadKernel", resp, err)
+			}
+			if st := e.Stats(); st.Runs != 0 || st.Misses != 0 || st.Hits != 0 || st.StageMisses != 0 {
+				t.Errorf("runs=%d misses=%d hits=%d stageMisses=%d, want a refusal before any tier or run",
+					st.Runs, st.Misses, st.Hits, st.StageMisses)
+			}
+		})
 	}
 }
 
@@ -399,11 +415,11 @@ func (smPanicWorkload) Latency(gpusim.WarpCtx, int) int     { panic("workload bu
 
 // TestPanicContainedAtFlightBoundary: a flight that panics fails its
 // own waiters with a typed error and nothing else. Every path a flight
-// runs is covered: both execute paths (the flight goroutine of a
-// cacheable request, the direct call of an uncacheable one), with the
-// panic inside the Workload the simulator calls into from either place
-// it does (the goroutine that called it, and the SM worker goroutines of
-// a fanned-out run), and the leader's disk probe on the caller's own
+// runs is covered: the run on the flight's goroutine, shared by two
+// waiters and alone, with the panic inside the Workload the simulator
+// calls into from either place it does (the goroutine that called it,
+// and the SM worker goroutines of a fanned-out run), and the leader's
+// disk probe on the caller's own
 // goroutine, with the panic in the stage decoder. The panic is counted
 // and never cached; an unrelated request running beside a run answers
 // exactly as on an undisturbed engine.
@@ -453,10 +469,10 @@ func testPanicContained(t *testing.T, simSMs, parallelism int, buggy gpusim.Work
 	e := New(Options{Workers: 2})
 	keyed := request(KindAdvise)
 	keyed.Workload, keyed.WorkloadKey = buggy, "buggy"
-	bypass := request(KindAdvise)
-	bypass.Workload = buggy
-	// Two waiters on the keyed flight, one direct run, one bystander.
-	reqs := []*Request{keyed, keyed, bypass, request(KindAdvise)}
+	other := request(KindAdvise)
+	other.Workload, other.WorkloadKey = buggy, "buggy, another flight"
+	// Two waiters on one flight, one on another, one bystander.
+	reqs := []*Request{keyed, keyed, other, request(KindAdvise)}
 	resps, errs := e.DoAll(ctx, reqs)
 	for i := range 3 {
 		if !errors.Is(errs[i], apierr.ErrInternal) || resps[i] != nil {

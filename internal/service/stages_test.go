@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"os"
 	"reflect"
 	"runtime"
@@ -13,19 +14,19 @@ import (
 	"testing"
 	"weak"
 
+	"gpa/internal/apierr"
 	"gpa/internal/arch"
-	"gpa/internal/cubin"
 	"gpa/internal/gpusim"
 	"gpa/internal/sass"
 	"gpa/internal/store"
 )
 
-// keysOf derives every stage key of a cacheable request.
+// keysOf derives every stage key of a request.
 func keysOf(t testing.TB, r *Request) stageKeys {
 	t.Helper()
-	km, ok, err := r.keyMaterial(nil)
-	if err != nil || !ok {
-		t.Fatalf("keyMaterial: ok=%v err=%v", ok, err)
+	km, err := r.keyMaterial(nil)
+	if err != nil {
+		t.Fatalf("keyMaterial: %v", err)
 	}
 	return km.keys()
 }
@@ -85,14 +86,14 @@ func TestStageKeysFactorThePipeline(t *testing.T) {
 	// enters names the first stage each result-affecting Request field
 	// can change; nested structs enter whole.
 	enters := map[string]stageID{
-		"Module": stMeasure, "ModuleHash": stMeasure,
-		"Launch": stMeasure, "GPU": stMeasure, "SimSMs": stMeasure, "Seed": stMeasure, "WorkloadKey": stMeasure,
+		"ModuleHash": stMeasure, "Launch": stMeasure, "GPU": stMeasure, "SimSMs": stMeasure, "Seed": stMeasure, "WorkloadKey": stMeasure,
 		"SamplePeriod": stProfile,
 	}
 	// excluded is the transport- and execution-only state no key covers.
 	// Each entry is a proof obligation: it asserts the field can never
 	// change result bytes.
 	excluded := map[string]string{
+		"Module":      "its content enters through ModuleHash, the caller's promise to match it",
 		"Prog":        "derived cache of Module; the keys cover the module content it derives from",
 		"Parallelism": "simulator results are bit-identical at every parallelism level (TestParallelMatchesSequential)",
 		"Timeout":     "deadlines abort work; they never alter a completed result",
@@ -170,7 +171,7 @@ func TestStageKeysFactorThePipeline(t *testing.T) {
 	for _, k := range []Kind{KindMeasure, KindProfile, KindAdvise} {
 		r := base()
 		r.Kind = k
-		km, _, err := r.keyMaterial(nil)
+		km, err := r.keyMaterial(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,28 +191,8 @@ func TestStageKeysFactorThePipeline(t *testing.T) {
 		t.Error("a keyed Workload changed a stage key")
 	}
 	wl.WorkloadKey = ""
-	if _, ok, err := wl.keyMaterial(nil); ok || err != nil {
-		t.Errorf("workload without key: cacheable=%v err=%v, want uncacheable", ok, err)
-	}
-}
-
-// TestModulePackedOncePerRequest: a request that leaves ModuleHash zero
-// has its module packed and hashed by the key derivation — once, on the
-// cold path (every stage key comes out of that one derivation) as on
-// the warm one.
-func TestModulePackedOncePerRequest(t *testing.T) {
-	packs := 0
-	packModule = func(m *sass.Module) ([]byte, error) { packs++; return cubin.Pack(m) }
-	defer func() { packModule = cubin.Pack }()
-
-	e := newDiskEngine(t, t.TempDir())
-	for i, want := range []int{1, 2} { // a cold run, then a warm hit
-		if _, err := e.Do(context.Background(), testRequest(t, KindAdvise)); err != nil {
-			t.Fatal(err)
-		}
-		if packs != want {
-			t.Errorf("after request %d: module packed %d times, want %d", i+1, packs, want)
-		}
+	if _, err := wl.keyMaterial(nil); !errors.Is(err, apierr.ErrBadKernel) {
+		t.Errorf("workload without key: %v, want ErrBadKernel", err)
 	}
 }
 
