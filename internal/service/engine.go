@@ -543,7 +543,7 @@ func (e *Engine) withDeadline(ctx context.Context, req *Request) (context.Contex
 // Do resolves one request: the memory tier of its terminal stage, then
 // singleflight, then the disk tier, then a worker-bounded pipeline run.
 // A request that breaks Request's contract fails with ErrBadKernel
-// before any of them.
+// before any of them, and before its tenant's quota is charged.
 // A canceled ctx detaches this caller wherever it is waiting — queued,
 // running, or coalesced — and returns an error wrapping ErrCanceled;
 // the shared run itself is canceled only when its last waiter detaches.
@@ -562,6 +562,13 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 		return nil, fmt.Errorf("service: %w", apierr.ErrShuttingDown)
 	default:
 	}
+	// A request the engine refuses (unbuilt or unkeyed) is refused
+	// before it is billed.
+	var buf keyBuf
+	km, err := req.keyMaterial(buf[:0])
+	if err != nil {
+		return nil, err
+	}
 	// Quota is charged before the store and singleflight tiers: every
 	// request costs its tenant one token — memory hits and coalesced
 	// followers included, so a shared run is billed to every bucket
@@ -573,11 +580,6 @@ func (e *Engine) Do(ctx context.Context, req *Request) (*Response, error) {
 	ctx, cancel := e.withDeadline(ctx, req)
 	defer cancel()
 
-	var buf keyBuf
-	km, err := req.keyMaterial(buf[:0])
-	if err != nil {
-		return nil, err
-	}
 	// The warm path: one hash, one lookup, and the artifact's prebuilt
 	// response — no allocation at all.
 	key := km.key(km.terminal)

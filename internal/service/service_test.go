@@ -16,6 +16,7 @@ import (
 	"gpa/internal/cubin"
 	"gpa/internal/gpusim"
 	"gpa/internal/profiler"
+	"gpa/internal/qos"
 	"gpa/internal/sass"
 
 	adv "gpa/internal/advisor"
@@ -255,13 +256,22 @@ func TestUnkeyedRequestsRefused(t *testing.T) {
 			if _, err := resultKey(r); !errors.Is(err, apierr.ErrBadKernel) {
 				t.Errorf("keyMaterial: %v, want ErrBadKernel", err)
 			}
-			e := New(Options{Workers: 1})
+			// The tenant's quota holds one token: a refusal must not
+			// spend it, so the well-formed request after it is served.
+			cfg := qos.Config{Tenants: map[string]qos.TenantConfig{"metered": {RatePerSec: 0.001, Burst: 1}}}
+			e := New(Options{Workers: 1, QoS: &cfg})
+			r.Tenant = "metered"
 			if resp, err := e.Do(context.Background(), r); !errors.Is(err, apierr.ErrBadKernel) || resp != nil {
 				t.Errorf("Do = %v, %v; want nil and ErrBadKernel", resp, err)
 			}
 			if st := e.Stats(); st.Runs != 0 || st.Misses != 0 || st.Hits != 0 || st.StageMisses != 0 {
 				t.Errorf("runs=%d misses=%d hits=%d stageMisses=%d, want a refusal before any tier or run",
 					st.Runs, st.Misses, st.Hits, st.StageMisses)
+			}
+			ok := testRequest(t, KindMeasure)
+			ok.Tenant = "metered"
+			if _, err := e.Do(context.Background(), ok); err != nil {
+				t.Errorf("well-formed request after a refusal: %v (the refusal was billed)", err)
 			}
 		})
 	}

@@ -40,8 +40,8 @@ type Result struct {
 	// requests with different trace IDs return otherwise byte-identical
 	// results. Empty for library-direct results.
 	TraceID string `json:"traceId,omitempty"`
-	// Key is an engine result's content-addressed cache key (every
-	// Job.EncodeResult carries one); "" for a direct-API result.
+	// Key is an engine result's content-addressed cache key; "" (and
+	// omitted) for a direct-API result.
 	Key string `json:"key,omitempty"`
 	// Cached is true when the result was served without a new
 	// simulation (cache hit or coalesced with an in-flight duplicate).
@@ -100,9 +100,10 @@ func (r *Result) appendHead(dst []byte) []byte {
 		dst = append(dst, `,"traceId":`...)
 		dst = service.AppendString(dst, r.TraceID)
 	}
-	// An engine result, the only one encoded this way, always has a key.
-	dst = append(dst, `,"key":`...)
-	dst = service.AppendString(dst, r.Key)
+	if r.Key != "" {
+		dst = append(dst, `,"key":`...)
+		dst = service.AppendString(dst, r.Key)
+	}
 	if r.Cached {
 		return append(dst, `,"cached":true,`...)
 	}

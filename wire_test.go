@@ -76,8 +76,8 @@ func benchJob(t *testing.T, b *kernels.Benchmark, kind gpa.JobKind) gpa.Job {
 // TestEncodeResultMatchesReferenceEncoder is the differential pin on
 // the split wire encoding: for every Table 3 row, every kind, the run's
 // own result and a memory hit, and every combination of the fields the
-// hand-appended head carries (cached flag, trace ID present or
-// omitted), head + tail must equal the reference
+// hand-appended head carries (cached flag, trace ID present or omitted,
+// cache key present or omitted), head + tail must equal the reference
 // encoding byte for byte; and the leader's tail and the hit's, built
 // from the run's structs and from the stage's payload bytes, are the
 // same bytes. Result.MarshalIndent, compacted, is the wire less its
@@ -108,14 +108,19 @@ func TestEncodeResultMatchesReferenceEncoder(t *testing.T) {
 			}
 			for _, res := range []gpa.JobResult{cold, warm} {
 				for _, cached := range []bool{false, true} {
-					for _, trace := range traces {
-						r := res
-						r.Cached = cached
-						head, tail := encodeWire(t, job, r, trace)
-						got := append(head, tail...)
-						if want := referenceWire(t, job, r, trace); !bytes.Equal(got, want) {
-							t.Fatalf("%s %v cached=%v trace=%q: wire encoding differs from reference\n got: %.300s\nwant: %.300s",
-								b.ID(), kind, cached, trace, got, want)
+					for _, keyless := range []bool{false, true} {
+						for _, trace := range traces {
+							r := res
+							r.Cached = cached
+							if keyless {
+								r.Key = "" // a caller's edited copy
+							}
+							head, tail := encodeWire(t, job, r, trace)
+							got := append(head, tail...)
+							if want := referenceWire(t, job, r, trace); !bytes.Equal(got, want) {
+								t.Fatalf("%s %v cached=%v keyless=%v trace=%q: wire encoding differs from reference\n got: %.300s\nwant: %.300s",
+									b.ID(), kind, cached, keyless, trace, got, want)
+							}
 						}
 					}
 				}
